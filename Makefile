@@ -1,7 +1,7 @@
 # Developer entry points. CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: build test race lint fuzz-smoke bench-load bench-serve
+.PHONY: build test race lint fuzz-smoke bench-check bench-load bench-serve
 
 build:
 	go build ./...
@@ -10,7 +10,7 @@ test: build
 	go test ./...
 
 race:
-	go test -race ./internal/core/... ./internal/shard/... ./internal/server/... ./internal/store/... ./internal/cube/... ./internal/wal/... ./internal/obs/... ./reptile/...
+	go test -race ./internal/core/... ./internal/shard/... ./internal/ingest/... ./internal/server/... ./internal/store/... ./internal/cube/... ./internal/wal/... ./internal/obs/... ./reptile/...
 
 # lint checks formatting, vets every package, and runs the full reptile-lint
 # static-analysis suite (import boundaries, determinism, error-code contract,
@@ -30,6 +30,12 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal
 	go test -run '^$$' -fuzz '^FuzzParseComplaint$$' -fuzztime $(FUZZTIME) ./internal/core
 	go test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/data
+
+# bench-check compiles and smoke-tests the benchmark module. benchmark/ is its
+# own module (replace repro => ../), so `go build ./...` and `go test ./...`
+# at the root never see it, yet it pins the internal symbols it measures.
+bench-check:
+	cd benchmark && go vet ./... && go test ./...
 
 # bench-load seeds the storage performance trajectory: CSV vs .rst snapshot
 # load, string-keyed vs dictionary-coded Recommend, and cube vs coded-scan

@@ -47,9 +47,8 @@
 // of decoding their columns onto the heap: residency stays
 // O(dictionaries + cube) rather than O(rows), so snapshots larger than RAM
 // serve with flat RSS, and recommendations are byte-identical to an eager
-// load. Version-1 snapshot files fall back to an eager load; CSV
-// registrations are unaffected; appends to a mapped dataset are rejected
-// (re-register without -mmap to ingest). GET /v1/stats reports each
+// load. CSV registrations are unaffected; appends to a mapped dataset are
+// rejected (re-register without -mmap to ingest). GET /v1/stats reports each
 // dataset's open mode and resident column bytes.
 //
 // Registering a path ending in .rst loads a dictionary-encoded binary

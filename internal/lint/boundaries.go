@@ -34,6 +34,8 @@ type importRule struct {
 //   - internal/core stays observability-free: it must not import
 //     internal/obs (the SpanRecorder seam exists precisely so it never
 //     has to).
+//   - internal/server and the reptile SDK must not import internal/wal:
+//     the write-ahead log has one owner, internal/ingest, which both embed.
 type Boundaries struct {
 	// Rules defaults to the repository's contract; tests may substitute.
 	Rules []importRule
@@ -68,6 +70,16 @@ func NewBoundaries() *Boundaries {
 			Tree:        "internal/core",
 			ForbidTrees: []string{"internal/obs"},
 			Why:         "the engine reports spans through the core-owned SpanRecorder seam",
+		},
+		{
+			Tree:        "internal/server",
+			ForbidTrees: []string{"internal/wal"},
+			Why:         "the write-ahead log has one owner, internal/ingest",
+		},
+		{
+			Tree:        "reptile",
+			ForbidTrees: []string{"internal/wal"},
+			Why:         "the write-ahead log has one owner, internal/ingest",
 		},
 	}}
 }

@@ -42,11 +42,15 @@ func NewCloseCheck() *CloseCheck {
 		"internal/wal.Open": 0,
 
 		"internal/store.OpenMappedFile":        0,
-		"internal/store.OpenMapped":            0,
 		"internal/store.OpenShardedMappedFile": 1,
-		"internal/store.OpenShardedMapped":     1,
+		"internal/store.OpenShardsFile":        1,
 
-		"internal/shard.OpenMapped": 0,
+		"internal/shard.Open": 0,
+
+		// A dataset holds an open log (Recover) and possibly its set's file
+		// mapping.
+		"internal/ingest.Open":    0,
+		"internal/ingest.Recover": 0,
 	}}
 }
 

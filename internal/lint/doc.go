@@ -28,13 +28,14 @@
 //
 //   - boundaries: the public-API import rules (examples/ and
 //     reptile/{api,client} vs internal/, stdlib-only wire packages,
-//     internal/core free of internal/obs).
+//     internal/core free of internal/obs, internal/wal reachable only
+//     through internal/ingest).
 //   - determinism: unsorted map iteration feeding appends or encoders in
 //     wire-output packages; wall-clock and math/rand use in the engine core.
 //   - errorcodes: the closed api.ErrorCode set vs its status-mapping tables
 //     and the internal/obs error buckets.
-//   - closecheck: file/WAL/mmap constructor results must be closed or
-//     escape.
+//   - closecheck: file/WAL/mmap/dataset constructor results must be closed
+//     or escape.
 //
 // cmd/reptile-lint is the CLI; `make lint` and CI run it with all analyzers.
 // To add an analyzer: implement the three-method Analyzer interface in a new

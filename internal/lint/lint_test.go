@@ -50,8 +50,10 @@ func TestBoundariesGolden(t *testing.T) {
 		`internal/core/core.go:4:8: [boundaries] internal/core must not import "repro/internal/obs": the engine reports spans through the core-owned SpanRecorder seam`,
 		`internal/foo/foo.go:5:2: [boundaries] internal must not import "repro/reptile": the dependency arrow points one way: the facade wraps the engine`,
 		`internal/foo/foo.go:7:2: [boundaries] internal must not import "repro/reptile/client": the dependency arrow points one way: the facade wraps the engine`,
+		`internal/server/server.go:4:8: [boundaries] internal/server must not import "repro/internal/wal": the write-ahead log has one owner, internal/ingest`,
 		`reptile/api/api.go:5:2: [boundaries] reptile/api must stay stdlib-only but imports "repro/internal/core": the wire protocol must stay vendorable by out-of-tree clients`,
 		`reptile/client/client.go:5:2: [boundaries] reptile/client must stay stdlib-only but imports "repro/internal/server": the client must compile without linking the engine`,
+		`reptile/reptile.go:4:8: [boundaries] reptile must not import "repro/internal/wal": the write-ahead log has one owner, internal/ingest`,
 	})
 }
 
@@ -107,8 +109,9 @@ func TestCloseCheckGolden(t *testing.T) {
 	repo := loadFixture(t, "closecheck")
 	got := lint.Run(repo, []lint.Analyzer{lint.NewCloseCheck()})
 	assertGolden(t, got, []string{
-		`internal/files/files.go:14:2: [closecheck] "f" is opened here but never closed and never leaves the function; close it (defer f.Close()) or hand ownership off`,
-		`internal/files/files.go:24:2: [closecheck] "log" is opened here but never closed and never leaves the function; close it (defer log.Close()) or hand ownership off`,
+		`internal/files/files.go:16:2: [closecheck] "f" is opened here but never closed and never leaves the function; close it (defer f.Close()) or hand ownership off`,
+		`internal/files/files.go:26:2: [closecheck] "log" is opened here but never closed and never leaves the function; close it (defer log.Close()) or hand ownership off`,
+		`internal/files/files.go:77:2: [closecheck] "ds" is opened here but never closed and never leaves the function; close it (defer ds.Close()) or hand ownership off`,
 	})
 }
 

@@ -4,6 +4,8 @@ package files
 import (
 	"os"
 
+	"repro/internal/ingest"
+	"repro/internal/shard"
 	"repro/internal/wal"
 )
 
@@ -67,5 +69,15 @@ func Suppressed(path string) error {
 		return err
 	}
 	f.Name()
+	return nil
+}
+
+// LeakDataset recovers a dataset — an open log — and drops it. want: finding.
+func LeakDataset(dir string, base *shard.Set) error {
+	ds, err := ingest.Recover(dir, "demo", base, ingest.Options{})
+	if err != nil {
+		return err
+	}
+	_ = ds
 	return nil
 }

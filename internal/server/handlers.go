@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -78,10 +79,7 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Answer retries of an already-registered name before loading the data.
-	s.mu.Lock()
-	_, dup := s.engines[req.Name]
-	s.mu.Unlock()
-	if dup {
+	if s.registered(req.Name) {
 		writeError(w, api.CodeDatasetExists, fmt.Errorf("server: %v: %q", ErrDuplicateDataset, req.Name))
 		return
 	}
@@ -90,12 +88,12 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Per-request tuning falls back to the server's defaults.
-	rc := s.regDefaults(core.Options{EMIterations: req.EMIterations, TopK: req.TopK, Workers: req.Workers})
+	opts := s.regDefaults(core.Options{EMIterations: req.EMIterations, TopK: req.TopK, Workers: req.Workers})
 	if req.Shards != 0 {
-		rc.shards = req.Shards
+		opts.Shards = req.Shards
 	}
 	if req.ShardKey != "" {
-		rc.shardKey = req.ShardKey
+		opts.ShardKey = req.ShardKey
 	}
 	if req.Retention != "" {
 		window, err := time.ParseDuration(req.Retention)
@@ -103,12 +101,12 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 			writeError(w, api.CodeBadRequest, fmt.Errorf("retention must be a positive Go duration (e.g. %q), got %q", "17520h", req.Retention))
 			return
 		}
-		rc.retention = window
+		opts.Retention = window
 	}
 	if req.RetentionDim != "" {
-		rc.retDim = req.RetentionDim
+		opts.RetentionDim = req.RetentionDim
 	}
-	var snap *store.Snapshot
+	var set *shard.Set
 	if strings.HasSuffix(req.Path, ".rst") {
 		// Snapshot files carry their own schema.
 		if len(req.Measures) > 0 || req.Hierarchies != "" {
@@ -116,45 +114,16 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 				fmt.Errorf("a .rst snapshot carries its own measures and hierarchies; leave both fields empty"))
 			return
 		}
-		sharded, err := store.IsShardedFile(req.Path)
-		if err != nil {
+		var err error
+		if set, err = shard.Open(req.Path, s.cfg.MappedIO); err != nil {
 			writeError(w, api.CodeBadRequest, err)
 			return
 		}
-		if sharded {
-			// A partitioned file carries its own shard topology too.
-			if req.Shards != 0 || req.ShardKey != "" {
-				writeError(w, api.CodeBadRequest,
-					fmt.Errorf("a partitioned .rst snapshot carries its own shard topology; leave shards and shard_key empty"))
-				return
-			}
-			open := shard.Open
-			if s.cfg.MappedIO {
-				open = shard.OpenMapped
-			}
-			set, err := open(req.Path)
-			if err != nil {
-				writeError(w, api.CodeBadRequest, err)
-				return
-			}
-			if err := s.registerShardedRC(req.Name, set, rc); err != nil {
-				code := api.CodeBadRequest
-				if errors.Is(err, ErrDuplicateDataset) {
-					code = api.CodeDatasetExists
-				}
-				writeError(w, code, err)
-				return
-			}
-			s.writeRegistered(w, req.Name)
-			return
-		}
-		openFile := store.OpenFile
-		if s.cfg.MappedIO {
-			openFile = store.OpenMappedFile
-		}
-		snap, err = openFile(req.Path)
-		if err != nil {
-			writeError(w, api.CodeBadRequest, err)
+		// A partitioned file carries its own shard topology too.
+		if set.N() > 1 && (req.Shards != 0 || req.ShardKey != "") {
+			set.Close()
+			writeError(w, api.CodeBadRequest,
+				fmt.Errorf("a partitioned .rst snapshot carries its own shard topology; leave shards and shard_key empty"))
 			return
 		}
 	} else {
@@ -177,9 +146,11 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 			writeError(w, api.CodeBadRequest, err)
 			return
 		}
-		snap = store.FromDataset(ds)
+		set = shard.Single(store.FromDataset(ds))
 	}
-	if err := s.registerSnapshot(req.Name, snap, rc); err != nil {
+	v, err := s.register(req.Name, set, opts)
+	if err != nil {
+		set.Close()
 		code := api.CodeBadRequest
 		if errors.Is(err, ErrDuplicateDataset) {
 			code = api.CodeDatasetExists
@@ -187,21 +158,12 @@ func (s *Server) handleRegisterDataset(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, err)
 		return
 	}
-	s.writeRegistered(w, req.Name)
-}
-
-// writeRegistered answers a successful registration with the dataset's
-// freshly inserted serving state.
-func (s *Server) writeRegistered(w http.ResponseWriter, name string) {
-	s.mu.Lock()
-	ent := s.engines[name]
-	s.mu.Unlock()
-	writeJSON(w, http.StatusCreated, datasetInfo(name, ent.state.Load()))
+	writeJSON(w, http.StatusCreated, datasetInfo(req.Name, v))
 }
 
 // datasetInfo describes one serving state for dataset responses.
-func datasetInfo(name string, st *engineState) api.DatasetInfo {
-	schema := st.schema()
+func datasetInfo(name string, v *ingest.Version) api.DatasetInfo {
+	schema := v.Set.Schema()
 	names := make([]string, len(schema.Hierarchies))
 	for i, h := range schema.Hierarchies {
 		names[i] = h.Name
@@ -210,17 +172,15 @@ func datasetInfo(name string, st *engineState) api.DatasetInfo {
 	for i, m := range schema.Measures {
 		measures[i] = m.Name
 	}
-	info := api.DatasetInfo{
+	return api.DatasetInfo{
 		Name:        name,
-		Rows:        st.rows(),
-		Version:     st.version(),
+		Rows:        v.Set.TotalRows(),
+		Version:     v.Set.Version(),
 		Hierarchies: names,
 		Measures:    measures,
+		// 0 on the single-node engine a one-shard set builds.
+		Shards: v.Eng.NumShards(),
 	}
-	if st.set != nil {
-		info.Shards = st.set.N()
-	}
-	return info
 }
 
 // handleListDatasets reports every registered dataset's currently-served
@@ -235,7 +195,7 @@ func (s *Server) handleListDatasets(w http.ResponseWriter, r *http.Request) {
 	sort.Slice(entries, func(i, j int) bool { return entries[i].name < entries[j].name })
 	resp := api.ListDatasetsResponse{Datasets: make([]api.DatasetInfo, len(entries))}
 	for i, ent := range entries {
-		resp.Datasets[i] = datasetInfo(ent.name, ent.state.Load())
+		resp.Datasets[i] = datasetInfo(ent.name, ent.ds.Version())
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -258,7 +218,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.CodeBadRequest, fmt.Errorf("append needs csv content"))
 		return
 	}
-	rows, err := parseAppendCSV(ent.state.Load().schema(), req.CSV)
+	rows, err := parseAppendCSV(ent.ds.Version().Set.Schema(), req.CSV)
 	if err != nil {
 		writeError(w, api.CodeBadRequest, err)
 		return
@@ -274,9 +234,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp.WALSeq, resp.PendingRows = seq, pending
-		resp.DatasetInfo = datasetInfo(name, ent.state.Load())
+		resp.DatasetInfo = datasetInfo(name, ent.ds.Version())
 	} else {
-		next, err := s.applySync(ent, rows)
+		next, err := s.appendSync(ent, rows)
 		if err != nil {
 			writeError(w, api.CodeUnprocessable, err)
 			return
@@ -366,8 +326,8 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		writeError(w, api.CodeDatasetNotFound, fmt.Errorf("unknown dataset %q", req.Dataset))
 		return
 	}
-	st := ent.state.Load()
-	cs, err := st.eng.NewSession(req.GroupBy)
+	v := ent.ds.Version()
+	cs, err := v.Eng.NewSession(req.GroupBy)
 	if err != nil {
 		writeError(w, api.CodeBadRequest, err)
 		return
@@ -383,7 +343,7 @@ func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 		}
 		ttl = time.Duration(secs) * time.Second
 	}
-	sess := &session{id: newSessionID(), engine: ent, sess: cs, version: st.version(), ttl: ttl}
+	sess := &session{id: newSessionID(), engine: ent, sess: cs, version: v.Set.Version(), ttl: ttl}
 	s.mu.Lock()
 	now := s.now()
 	s.sweepExpiredLocked(now)
@@ -592,25 +552,28 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := api.StatsResponse{Status: "ok", Datasets: make(map[string]api.DatasetStats, len(s.engines)), Sessions: len(s.sessions)}
 	for name, ent := range s.engines {
-		st := ent.state.Load()
+		v := ent.ds.Version()
 		d := api.DatasetStats{
-			Version:             st.version(),
-			Rows:                st.rows(),
+			Version:             v.Set.Version(),
+			Rows:                v.Set.TotalRows(),
 			Sessions:            perDataset[name],
-			OpenMode:            st.openMode(),
-			ResidentColumnBytes: st.residentColumnBytes(),
+			Shards:              v.Eng.NumShards(),
+			OpenMode:            "eager",
+			ResidentColumnBytes: v.Set.ResidentColumnBytes(),
+			Retention:           retentionStatus(ent.ds.Options(), v),
 		}
-		if st.set != nil {
-			d.Shards = st.set.N()
-			d.ShardRows = st.set.Rows()
-			d.Cube = shardedCubeStatus(st.set)
-		} else if c := st.snap.Cube(); c != nil {
-			d.Cube = api.CubeStatus{Present: true, Levels: c.NumLevels(), Cells: c.NumCells()}
+		if v.Set.Mapped() {
+			d.OpenMode = "mapped"
+		}
+		if levels, cells := v.Set.CubeSize(); levels > 0 {
+			d.Cube = api.CubeStatus{Present: true, Levels: levels, Cells: cells}
+		}
+		if d.Shards > 0 {
+			d.ShardRows = v.Set.Rows()
 		}
 		if ent.ing != nil {
 			d.WAL = ent.ing.status()
 		}
-		d.Retention = ent.retentionStatus()
 		if hits, misses := ent.cacheHits.Load(), ent.cacheMiss.Load(); hits+misses > 0 {
 			d.Cache = &api.CacheStats{Hits: hits, Misses: misses}
 		}
@@ -622,24 +585,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp.Endpoints = s.endpointStats()
 	resp.Stages = s.stageStats()
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// shardedCubeStatus aggregates per-shard cubes into one status: present only
-// when every shard serves from one, levels from the first shard (all shards
-// share the lattice), cells summed across shards.
-func shardedCubeStatus(set *shard.Set) api.CubeStatus {
-	status := api.CubeStatus{Present: true}
-	for _, sn := range set.Snaps {
-		c := sn.Cube()
-		if c == nil {
-			return api.CubeStatus{}
-		}
-		if status.Levels == 0 {
-			status.Levels = c.NumLevels()
-		}
-		status.Cells += c.NumCells()
-	}
-	return status
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -1,7 +1,7 @@
 package server
 
-// Real-time ingestion: per-dataset write-ahead logging, micro-batch
-// coalescing, checkpointing and time-window retention.
+// Real-time ingestion: micro-batch coalescing over a dataset's write-ahead
+// log, checkpoint scheduling and the retention read-out.
 //
 // With Config.WAL set, an append commits its rows to the dataset's log
 // (fsynced) and is acknowledged immediately with the log sequence number; a
@@ -11,50 +11,35 @@ package server
 // append is what makes high-rate feeds affordable: the rebuild cost amortizes
 // over the whole batch while durability stays per-request.
 //
-// Recovery hinges on one invariant: a checkpoint file's name carries the last
-// log sequence folded into it (<dataset>.ckpt.<seq>.rst), so the atomic
-// rename that publishes the checkpoint commits the data and the replay
-// position together — there is no window where one is durable without the
-// other. Re-registering a dataset loads the newest checkpoint (superseding
-// the request's base data), replays every log batch with a higher sequence,
-// and only then builds cubes and engines. Truncating the log after a
-// checkpoint is a pure optimization; skipping it never loses or duplicates
-// rows.
+// The log, recovery (newest checkpoint + replay) and the checkpoint writer
+// belong to internal/ingest; this file only decides when to fold and when to
+// checkpoint.
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/shard"
+	"repro/internal/ingest"
 	"repro/internal/store"
-	"repro/internal/wal"
 	"repro/reptile/api"
 )
 
-// ingester is one dataset's ingestion pipeline: the write-ahead log, the
-// pending micro-batch, and the flusher goroutine folding it into the serving
-// state.
+// ingester is one dataset's micro-batch pipeline: the pending rows already
+// committed to the dataset's log, and the flusher goroutine folding them into
+// the serving state.
 type ingester struct {
-	srv  *Server
-	ent  *engineEntry // set by start
-	name string
-	dir  string
+	srv *Server
+	ent *engineEntry
 
 	mu           sync.Mutex
-	log          *wal.WAL
 	pending      []store.Row
 	pendingBytes int
 	lastSeq      uint64 // newest sequence committed to the log
 	flushedSeq   uint64 // newest sequence folded into the serving state
 	flushes      uint64
-	dropped      uint64 // logged rows the flusher could not fold
+	dropped      uint64 // logged rows the flusher (or recovery) could not fold
 	lastFlush    time.Time
 	lastErr      error
 	closed       bool
@@ -64,18 +49,14 @@ type ingester struct {
 	stopped chan struct{}
 }
 
-func newIngester(s *Server, name string, log *wal.WAL) *ingester {
+// newIngester builds the pipeline over ent's recovered dataset; the caller
+// launches run once the entry is registered.
+func newIngester(s *Server, ent *engineEntry) *ingester {
+	seq, _ := ent.ds.LogStatus()
 	return &ingester{
-		srv: s, name: name, dir: s.cfg.WALDir, log: log,
-		lastSeq: log.LastSeq(), flushedSeq: log.LastSeq(),
+		srv: s, ent: ent, lastSeq: seq, flushedSeq: seq, dropped: ent.ds.Skipped,
 		kick: make(chan struct{}, 1), quit: make(chan struct{}), stopped: make(chan struct{}),
 	}
-}
-
-// start binds the ingester to its registered entry and launches the flusher.
-func (ing *ingester) start(ent *engineEntry) {
-	ing.ent = ent
-	go ing.run()
 }
 
 // enqueue commits rows to the log and queues them for the next flush. It
@@ -88,9 +69,9 @@ func (ing *ingester) enqueue(rows []store.Row) (seq uint64, pendingRows int, err
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	if ing.closed {
-		return 0, 0, fmt.Errorf("server: dataset %q: ingestion is shut down", ing.name)
+		return 0, 0, fmt.Errorf("server: dataset %q: ingestion is shut down", ing.ent.name)
 	}
-	seq, err = ing.log.Append(rows)
+	seq, err = ing.ent.ds.Log(rows)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -138,10 +119,11 @@ func (ing *ingester) flush() {
 	ing.mu.Unlock()
 
 	if len(rows) > 0 {
-		var bad uint64
-		if _, err := ing.srv.applySync(ing.ent, rows); err != nil {
+		ds := ing.ent.ds
+		if _, err := ds.Apply(rows); err != nil {
+			var bad uint64
 			for _, row := range rows {
-				if _, rerr := ing.srv.applySync(ing.ent, []store.Row{row}); rerr != nil {
+				if _, rerr := ds.Apply([]store.Row{row}); rerr != nil {
 					bad++
 				}
 			}
@@ -150,6 +132,7 @@ func (ing *ingester) flush() {
 			ing.dropped += bad
 			ing.mu.Unlock()
 		}
+		ing.srv.invalidateDataset(ing.ent)
 		ing.mu.Lock()
 		ing.flushedSeq = seq
 		ing.flushes++
@@ -159,50 +142,33 @@ func (ing *ingester) flush() {
 	ing.maybeCheckpoint()
 }
 
-// maybeCheckpoint serializes the serving state to a sequence-stamped .rst
-// and truncates the log, once the log outgrows Config.CheckpointBytes. It
-// only runs quiescent — every logged batch folded — so the truncation cannot
-// discard unflushed frames; a busy dataset simply checkpoints on a later
-// pass.
+// maybeCheckpoint checkpoints the serving state (see ingest.Checkpoint) once
+// the log outgrows Config.CheckpointBytes. It only runs quiescent — every
+// logged batch folded — so the checkpoint captures exactly the batches up to
+// its sequence; a busy dataset simply checkpoints on a later pass. The
+// ingester mutex is not held while the file serializes: the state at seq is
+// immutable, new enqueues only add frames past seq, and the log truncates
+// only if none did.
 func (ing *ingester) maybeCheckpoint() {
 	limit := ing.srv.cfg.CheckpointBytes
+	_, size := ing.ent.ds.LogStatus()
 	ing.mu.Lock()
-	if limit <= 0 || ing.log.Size() < limit || len(ing.pending) > 0 || ing.lastSeq != ing.flushedSeq {
-		ing.mu.Unlock()
+	seq := ing.flushedSeq
+	quiescent := len(ing.pending) == 0 && ing.lastSeq == seq
+	ing.mu.Unlock()
+	if limit <= 0 || size < limit || !quiescent {
 		return
 	}
-	seq := ing.flushedSeq
-	ing.mu.Unlock()
-
-	// Serialize without the mutex: the state at seq is immutable, and new
-	// enqueues only add frames past seq.
-	st := ing.ent.state.Load()
-	path := checkpointPath(ing.dir, ing.name, seq)
-	if err := writeStateFile(st, path); err != nil {
+	if err := ing.ent.ds.Checkpoint(seq); err != nil {
 		ing.mu.Lock()
 		ing.lastErr = err
 		ing.mu.Unlock()
-		return
 	}
-
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	if ing.lastSeq != seq {
-		// New frames landed while the checkpoint serialized. It is still
-		// valid — recovery replays frames past seq — but the log must keep
-		// them, so skip the truncation and only sweep older checkpoints.
-		removeOtherCheckpoints(ing.dir, ing.name, seq)
-		return
-	}
-	if err := ing.log.Reset(); err != nil {
-		ing.lastErr = err
-		return
-	}
-	removeOtherCheckpoints(ing.dir, ing.name, seq)
 }
 
 // status snapshots the pipeline state for /v1/stats.
 func (ing *ingester) status() *api.WALStatus {
+	_, size := ing.ent.ds.LogStatus()
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	ws := &api.WALStatus{
@@ -210,7 +176,7 @@ func (ing *ingester) status() *api.WALStatus {
 		FlushedSeq:   ing.flushedSeq,
 		PendingRows:  len(ing.pending),
 		PendingBytes: ing.pendingBytes,
-		SizeBytes:    ing.log.Size(),
+		SizeBytes:    size,
 		Flushes:      ing.flushes,
 		DroppedRows:  ing.dropped,
 	}
@@ -238,17 +204,10 @@ func (ing *ingester) close(drain bool) error {
 	ing.mu.Unlock()
 	close(ing.quit)
 	<-ing.stopped
-	var err error
 	if drain {
 		ing.flush()
-		err = ing.log.Sync()
 	}
-	ing.mu.Lock()
-	defer ing.mu.Unlock()
-	if cerr := ing.log.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return ing.ent.ds.Close()
 }
 
 // Close shuts ingestion down for process exit: every WAL-backed dataset's
@@ -277,368 +236,21 @@ func (s *Server) Close() error {
 	return first
 }
 
-// abandonIngest releases a recovered-but-unregistered pipeline's log on a
-// registration failure, passing the failure through.
-func abandonIngest(ing *ingester, err error) error {
-	if ing != nil {
-		ing.log.Close()
-	}
-	return err
-}
-
-// retainLocked enforces the entry's retention window on the serving state:
-// rows whose event time on the retention dimension falls behind the newest
-// event minus the window are dropped into a successor version. Callers hold
-// ent.appendMu. A pass that drops nothing costs one column scan and swaps
-// nothing.
-func (s *Server) retainLocked(ent *engineEntry) error {
-	if ent.retWindow <= 0 {
+// retentionStatus reports the dataset's retention window next to the serving
+// version's running totals for /v1/stats; nil when no window is configured.
+func retentionStatus(o ingest.Options, v *ingest.Version) *api.RetentionStatus {
+	if o.Retention <= 0 {
 		return nil
 	}
-	st := ent.state.Load()
-	var dropped int
-	var horizon time.Time
-	if st.set != nil {
-		next, d, h, err := st.set.Retain(ent.retDim, ent.retWindow)
-		if err != nil {
-			return err
-		}
-		dropped, horizon = d, h
-		if dropped > 0 {
-			eng, err := next.Engine(ent.opts)
-			if err != nil {
-				return err
-			}
-			ent.state.Store(&engineState{eng: eng, set: next})
-		}
-	} else {
-		next, d, h, err := store.Retain(st.snap, ent.retDim, ent.retWindow)
-		if err != nil {
-			return err
-		}
-		dropped, horizon = d, h
-		if dropped > 0 {
-			ds, err := next.Dataset()
-			if err != nil {
-				return err
-			}
-			eng, err := core.NewEngine(ds, ent.opts)
-			if err != nil {
-				return err
-			}
-			ent.state.Store(&engineState{eng: eng, snap: next})
-			// The builder's base no longer matches the served rows; rebase it.
-			ent.builder = store.NewBuilder(next)
-		}
-	}
-	ent.retMu.Lock()
-	if !horizon.IsZero() {
-		ent.retHorizon = horizon
-	}
-	ent.retDropped += uint64(dropped)
-	ent.retMu.Unlock()
-	if dropped > 0 {
-		s.invalidateDataset(ent)
-	}
-	return nil
-}
-
-// recordRetainError surfaces a retention failure in the dataset's stats
-// without failing the append that triggered the pass.
-func (ent *engineEntry) recordRetainError(err error) {
-	if ent.ing == nil {
-		return
-	}
-	ent.ing.mu.Lock()
-	ent.ing.lastErr = err
-	ent.ing.mu.Unlock()
-}
-
-// retentionStatus snapshots the entry's retention counters for /v1/stats;
-// nil when no window is configured.
-func (ent *engineEntry) retentionStatus() *api.RetentionStatus {
-	if ent.retWindow <= 0 {
-		return nil
-	}
-	ent.retMu.Lock()
-	defer ent.retMu.Unlock()
 	rs := &api.RetentionStatus{
-		Window:      ent.retWindow.String(),
-		Dim:         ent.retDim,
-		DroppedRows: ent.retDropped,
+		Window:      o.Retention.String(),
+		Dim:         o.RetentionDim,
+		DroppedRows: v.Dropped,
 	}
-	if !ent.retHorizon.IsZero() {
-		rs.Horizon = ent.retHorizon.UTC().Format(time.RFC3339)
+	if !v.Horizon.IsZero() {
+		rs.Horizon = v.Horizon.UTC().Format(time.RFC3339)
 	}
 	return rs
-}
-
-// --- recovery -----------------------------------------------------------
-
-// recoverDataset restores a dataset's durable ingestion state during
-// registration: the newest checkpoint (superseding base when present) with
-// every surviving log batch folded in, plus the open log ready for new
-// appends. The returned set is non-nil when the checkpoint was written by a
-// sharded serving state, whose topology then wins.
-func (s *Server) recoverDataset(name string, base *store.Snapshot) (*ingester, *store.Snapshot, *shard.Set, error) {
-	if err := checkWALName(name); err != nil {
-		return nil, nil, nil, err
-	}
-	ckptPath, ckptSeq, err := newestCheckpoint(s.cfg.WALDir, name)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var set *shard.Set
-	if ckptPath != "" {
-		sharded, err := store.IsShardedFile(ckptPath)
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("server: dataset %q: reading checkpoint: %w", name, err)
-		}
-		if sharded {
-			if set, err = shard.Open(ckptPath); err != nil {
-				return nil, nil, nil, fmt.Errorf("server: dataset %q: loading checkpoint: %w", name, err)
-			}
-		} else if base, err = store.OpenFile(ckptPath); err != nil {
-			return nil, nil, nil, fmt.Errorf("server: dataset %q: loading checkpoint: %w", name, err)
-		}
-	}
-	ing, batches, err := s.openLog(name, ckptSeq)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	if set != nil {
-		set, skipped := foldSet(set, batches)
-		ing.dropped += skipped
-		return ing, nil, set, nil
-	}
-	snap, skipped := foldSnapshot(base, batches)
-	ing.dropped += skipped
-	return ing, snap, nil, nil
-}
-
-// recoverSet is recoverDataset for a pre-partitioned registration: the
-// checkpoint (sharded or not, topology may have changed across restarts)
-// supersedes the provided set, and surviving log batches fold in shard-wise.
-func (s *Server) recoverSet(name string, base *shard.Set) (*ingester, *shard.Set, error) {
-	if err := checkWALName(name); err != nil {
-		return nil, nil, err
-	}
-	ckptPath, ckptSeq, err := newestCheckpoint(s.cfg.WALDir, name)
-	if err != nil {
-		return nil, nil, err
-	}
-	if ckptPath != "" {
-		sharded, err := store.IsShardedFile(ckptPath)
-		if err != nil {
-			return nil, nil, fmt.Errorf("server: dataset %q: reading checkpoint: %w", name, err)
-		}
-		if !sharded {
-			return nil, nil, fmt.Errorf("server: dataset %q: checkpoint %s is unsharded but the registration is sharded; remove it or re-register unsharded", name, ckptPath)
-		}
-		if base, err = shard.Open(ckptPath); err != nil {
-			return nil, nil, fmt.Errorf("server: dataset %q: loading checkpoint: %w", name, err)
-		}
-	}
-	ing, batches, err := s.openLog(name, ckptSeq)
-	if err != nil {
-		return nil, nil, err
-	}
-	set, skipped := foldSet(base, batches)
-	ing.dropped += skipped
-	return ing, set, nil
-}
-
-// openLog opens the dataset's log and returns the batches still needing
-// replay — those the newest checkpoint (at ckptSeq) has not folded.
-func (s *Server) openLog(name string, ckptSeq uint64) (*ingester, []wal.Batch, error) {
-	log, batches, err := wal.Open(walPath(s.cfg.WALDir, name))
-	if err != nil {
-		return nil, nil, err
-	}
-	// A checkpoint can outlive its log (manual cleanup, disk recovery from a
-	// backup that skipped the .wal): make sure fresh appends never reuse
-	// sequence numbers the checkpoint already covers.
-	if err := log.AdvanceTo(ckptSeq); err != nil {
-		log.Close()
-		return nil, nil, err
-	}
-	live := batches[:0]
-	for _, b := range batches {
-		if b.Seq > ckptSeq {
-			live = append(live, b)
-		}
-	}
-	return newIngester(s, name, log), live, nil
-}
-
-// foldSnapshot replays recovered batches onto a snapshot. The whole backlog
-// is coalesced into one rebuild first; if that fails (a poisoned batch), it
-// falls back batch by batch, skipping the bad ones, so damaged history can
-// never make a dataset unregisterable. Returns the folded snapshot and the
-// number of skipped rows.
-func foldSnapshot(snap *store.Snapshot, batches []wal.Batch) (*store.Snapshot, uint64) {
-	if len(batches) == 0 {
-		return snap, 0
-	}
-	var all []store.Row
-	for _, b := range batches {
-		all = append(all, b.Rows...)
-	}
-	if next, err := store.NewBuilder(snap).Append(all); err == nil {
-		return next, 0
-	}
-	var skipped uint64
-	cur := snap
-	for _, b := range batches {
-		next, err := store.NewBuilder(cur).Append(b.Rows)
-		if err != nil {
-			skipped += uint64(len(b.Rows))
-			continue
-		}
-		cur = next
-	}
-	return cur, skipped
-}
-
-// foldSet is foldSnapshot for a shard set.
-func foldSet(set *shard.Set, batches []wal.Batch) (*shard.Set, uint64) {
-	if len(batches) == 0 {
-		return set, 0
-	}
-	var all []store.Row
-	for _, b := range batches {
-		all = append(all, b.Rows...)
-	}
-	if next, err := set.Append(all); err == nil {
-		return next, 0
-	}
-	var skipped uint64
-	cur := set
-	for _, b := range batches {
-		next, err := cur.Append(b.Rows)
-		if err != nil {
-			skipped += uint64(len(b.Rows))
-			continue
-		}
-		cur = next
-	}
-	return cur, skipped
-}
-
-// --- files --------------------------------------------------------------
-
-// checkWALName rejects dataset names that cannot serve as file names: the
-// log lives at <WALDir>/<name>.wal, so the name must stay inside the
-// directory.
-func checkWALName(name string) error {
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-		default:
-			return fmt.Errorf("server: dataset name %q: write-ahead logging needs a file-safe name (letters, digits, '.', '_', '-')", name)
-		}
-	}
-	if name == "" || strings.Trim(name, ".") == "" {
-		return fmt.Errorf("server: dataset name %q is not a usable log file name", name)
-	}
-	return nil
-}
-
-func walPath(dir, name string) string { return filepath.Join(dir, name+".wal") }
-
-// checkpointPath stamps the last folded sequence into the checkpoint's file
-// name, zero-padded so lexical order is sequence order.
-func checkpointPath(dir, name string, seq uint64) string {
-	return filepath.Join(dir, fmt.Sprintf("%s.ckpt.%020d.rst", name, seq))
-}
-
-// newestCheckpoint finds the dataset's highest-sequence checkpoint file.
-// Returns "" and 0 when none exists.
-func newestCheckpoint(dir, name string) (string, uint64, error) {
-	matches, err := filepath.Glob(filepath.Join(dir, name+".ckpt.*.rst"))
-	if err != nil {
-		return "", 0, fmt.Errorf("server: scanning checkpoints for %q: %w", name, err)
-	}
-	best, bestSeq, found := "", uint64(0), false
-	for _, m := range matches {
-		seq, ok := checkpointSeq(name, filepath.Base(m))
-		if !ok {
-			continue
-		}
-		if !found || seq > bestSeq {
-			best, bestSeq, found = m, seq, true
-		}
-	}
-	return best, bestSeq, nil
-}
-
-// checkpointSeq parses the sequence number out of a checkpoint file name.
-func checkpointSeq(name, base string) (uint64, bool) {
-	rest, ok := strings.CutPrefix(base, name+".ckpt.")
-	if !ok {
-		return 0, false
-	}
-	digits, ok := strings.CutSuffix(rest, ".rst")
-	if !ok {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(digits, 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
-
-// removeOtherCheckpoints sweeps every checkpoint except the one at keep —
-// older ones are superseded, and a stray newer one (from a removed log)
-// would desynchronize replay.
-func removeOtherCheckpoints(dir, name string, keep uint64) {
-	matches, _ := filepath.Glob(filepath.Join(dir, name+".ckpt.*.rst"))
-	for _, m := range matches {
-		if seq, ok := checkpointSeq(name, filepath.Base(m)); ok && seq != keep {
-			os.Remove(m)
-		}
-	}
-}
-
-// writeStateFile serializes a serving state to path atomically: temp file,
-// fsync, rename, directory sync — a crash leaves either the old checkpoint
-// set or the new file, never a torn one.
-func writeStateFile(st *engineState, path string) error {
-	tmp := path + ".tmp"
-	var err error
-	if st.set != nil {
-		err = st.set.WriteFile(tmp)
-	} else {
-		err = st.snap.WriteFile(tmp)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncFile(tmp); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("server: publishing checkpoint %s: %w", path, err)
-	}
-	return syncFile(filepath.Dir(path))
-}
-
-// syncFile fsyncs a file or directory by path.
-func syncFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("server: opening %s for sync: %w", path, err)
-	}
-	defer f.Close()
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("server: syncing %s: %w", path, err)
-	}
-	return nil
 }
 
 // rowsBytes estimates a batch's in-memory payload for the FlushBytes

@@ -213,8 +213,8 @@ func TestWALCrashRecoveryByteIdentical(t *testing.T) {
 	// Crash: stop the flusher without draining. The pending rows now exist
 	// only in the fsynced log; the serving state never saw them.
 	ent1 := entry(t, s1, "drought")
-	if st := ent1.state.Load(); st.version() != 1 || st.rows() != 8 {
-		t.Fatalf("pre-crash state = v%d/%d rows, the flusher ran early", st.version(), st.rows())
+	if set := ent1.ds.Version().Set; set.Version() != 1 || set.TotalRows() != 8 {
+		t.Fatalf("pre-crash state = v%d/%d rows, the flusher ran early", set.Version(), set.TotalRows())
 	}
 	if err := ent1.ing.close(false); err != nil {
 		t.Fatal(err)
@@ -320,46 +320,6 @@ func TestWALCheckpointTruncatesAndRecovers(t *testing.T) {
 	}
 	if ar.WALSeq != 3 {
 		t.Errorf("post-checkpoint wal_seq = %d, want 3", ar.WALSeq)
-	}
-}
-
-// TestWALShardedCheckpointRecovers runs the same checkpoint-crash-recover
-// cycle on a sharded dataset: the checkpoint is a partitioned .rst whose
-// topology survives the restart.
-func TestWALShardedCheckpointRecovers(t *testing.T) {
-	dir := t.TempDir()
-	cfg := Config{
-		WAL: true, WALDir: dir,
-		FlushRows: 1, FlushBytes: 1 << 30, FlushInterval: time.Hour,
-		CheckpointBytes: 1,
-	}
-	req := droughtRequest()
-	req.Shards = 2
-
-	s1, ts1 := newTestServer(t, cfg)
-	register(t, ts1.URL, req)
-	if code, b := post(t, ts1.URL+"/v1/datasets/drought/append", api.AppendRequest{CSV: appendCSV}); code != http.StatusOK {
-		t.Fatalf("append: %d %s", code, b)
-	}
-	ing := entry(t, s1, "drought").ing
-	waitWAL(t, ing, "sharded checkpoint", func(ws *api.WALStatus) bool {
-		return quiescent(ws) && ws.FlushedSeq == 1 && ws.SizeBytes == 13
-	})
-	if err := ing.close(false); err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-
-	_, ts2 := newTestServer(t, cfg)
-	register(t, ts2.URL, req)
-	ds := datasetStats(t, ts2.URL, "drought")
-	if ds.Rows != 10 || ds.Shards != 2 {
-		t.Fatalf("recovered stats = %d rows / %d shards, want 10 / 2", ds.Rows, ds.Shards)
-	}
-	id := createSession(t, ts2.URL)
-	rec := recommendBytes(t, ts2.URL, id, "agg=mean measure=severity dir=low district=Raya year=1986")
-	if !bytes.Contains(rec, []byte("Bala")) {
-		t.Errorf("recovered sharded recommendation misses the appended village:\n%s", rec)
 	}
 }
 
@@ -487,14 +447,14 @@ func TestServerCloseDrainsPending(t *testing.T) {
 	}
 
 	ent := entry(t, s, "drought")
-	if st := ent.state.Load(); st.rows() != 8 {
-		t.Fatalf("rows folded before Close: %d", st.rows())
+	if rows := ent.ds.Version().Set.TotalRows(); rows != 8 {
+		t.Fatalf("rows folded before Close: %d", rows)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if st := ent.state.Load(); st.rows() != 10 {
-		t.Errorf("rows after Close = %d, want 10 (pending batch drained)", st.rows())
+	if rows := ent.ds.Version().Set.TotalRows(); rows != 10 {
+		t.Errorf("rows after Close = %d, want 10 (pending batch drained)", rows)
 	}
 	if _, err := s.Append("drought", []store.Row{{Dims: []string{"Raya", "Bora", "1986"}, Measures: []float64{1}}}); err == nil {
 		t.Error("append after Close succeeded, want shutdown error")

@@ -7,13 +7,13 @@
 // concurrent Recommend calls so floods degrade to 429s instead of
 // oversubscribing the worker pool.
 //
-// Datasets live in the registry as immutable store.Snapshot versions with a
-// shared engine per version. POST /v1/datasets/{name}/append ingests rows:
-// the successor snapshot and engine build while traffic continues on the
-// current version, then swap in atomically; the dataset's cached
-// recommendations are invalidated, sessions rebind to the new version on
-// their next request, and evaluations already in flight finish on the old
-// one.
+// Datasets live in the registry as immutable versions (internal/ingest: a
+// shard.Set of N ≥ 1 shards plus the engine built over it) shared by every
+// session. POST /v1/datasets/{name}/append ingests rows: the successor set
+// and engine build while traffic continues on the current version, then swap
+// in atomically; the dataset's cached recommendations are invalidated,
+// sessions rebind to the new version on their next request, and evaluations
+// already in flight finish on the old one.
 //
 // Every request and response body is a type of the public wire-protocol
 // package reptile/api, and every non-2xx response carries its structured
@@ -54,6 +54,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/ingest"
 	"repro/internal/obs"
 	"repro/internal/shard"
 	"repro/internal/store"
@@ -94,10 +95,9 @@ type Config struct {
 	// MappedIO serves registered .rst files (partitioned or not) out of
 	// memory-mapped column payloads instead of decoding them onto the heap:
 	// per-dataset residency stays O(dictionaries + cube) rather than O(rows),
-	// so snapshots larger than RAM serve with flat RSS. Version-1 files fall
-	// back to an eager load; CSV registrations are unaffected (they are
-	// encoded in memory and have no file to map). Mapped datasets reject
-	// appends — re-register eagerly to ingest.
+	// so snapshots larger than RAM serve with flat RSS. CSV registrations are
+	// unaffected (they are encoded in memory and have no file to map). Mapped
+	// datasets reject appends — re-register eagerly to ingest.
 	MappedIO bool
 	// WAL enables per-dataset write-ahead logging with micro-batched ingestion:
 	// every append commits its rows to <WALDir>/<dataset>.wal (fsynced before
@@ -174,93 +174,21 @@ var ErrDuplicateDataset = errors.New("dataset already registered")
 // maxSessionTTL caps client-requested session lifetimes.
 const maxSessionTTL = 24 * time.Hour
 
-// engineState is one immutable version of a registered dataset: the snapshot
-// (or partitioned shard set) it was built from and the engine serving it.
-// Exactly one of snap and set is non-nil. Appends build a new state and swap
-// the pointer; readers that loaded the old state keep using it until they
-// finish.
-type engineState struct {
-	eng  *core.Engine
-	snap *store.Snapshot // unsharded serving
-	set  *shard.Set      // sharded serving
-}
-
-// version returns the state's snapshot version (shared by every shard).
-func (st *engineState) version() uint64 {
-	if st.set != nil {
-		return st.set.Version()
-	}
-	return st.snap.Version
-}
-
-// rows returns the total row count across all shards.
-func (st *engineState) rows() int {
-	if st.set != nil {
-		return st.set.TotalRows()
-	}
-	return st.snap.NumRows()
-}
-
-// schema returns a snapshot describing the dataset's columns and hierarchies
-// (the first shard's, by convention, when sharded).
-func (st *engineState) schema() *store.Snapshot {
-	if st.set != nil {
-		return st.set.Snaps[0]
-	}
-	return st.snap
-}
-
-// openMode reports how the state's snapshots hold their columns: "mapped"
-// (memory-mapped .rst payloads, decoded lazily) or "eager" (heap slices).
-// Sharded sets share one mapping, so the first shard speaks for all.
-func (st *engineState) openMode() string {
-	if st.schema().Mapped() {
-		return "mapped"
-	}
-	return "eager"
-}
-
-// residentColumnBytes sums the heap bytes of materialized column payloads
-// across the state's snapshots — 0 when mapped, the payloads stay on disk.
-func (st *engineState) residentColumnBytes() int64 {
-	if st.set != nil {
-		var n int64
-		for _, sn := range st.set.Snaps {
-			n += sn.ResidentColumnBytes()
-		}
-		return n
-	}
-	return st.snap.ResidentColumnBytes()
-}
-
-// engineEntry is one registered dataset: its atomically swappable engine
-// state plus the recommendation limiter.
+// engineEntry is one registered dataset: its versioned serving state plus
+// the recommendation limiter.
 type engineEntry struct {
 	name string
-	opts core.Options
-	// state is the current engine version. Load it once per request; a
-	// concurrent append swaps in a successor without disturbing loads.
-	state atomic.Pointer[engineState]
-	// appendMu serializes appends so concurrent batches cannot both build on
-	// the same base version and lose one of the two. It also guards builder,
-	// whose per-dimension value indexes stay warm across appends.
-	appendMu sync.Mutex
-	builder  *store.Builder
+	// ds owns the dataset's lifecycle — current version, appends, retention,
+	// log and checkpoints. Load ds.Version() once per request; a concurrent
+	// append swaps in a successor without disturbing loads.
+	ds *ingest.Dataset
 	// slots is the per-engine Recommend limiter: acquire before evaluating,
 	// release after. Capacity is Config.MaxInflight (default: the engine's
 	// worker count).
 	slots chan struct{}
-	// ing is the dataset's WAL-backed ingestion pipeline (log + micro-batch
-	// flusher); nil when the dataset takes synchronous appends.
+	// ing is the dataset's micro-batch flusher over ds's write-ahead log; nil
+	// when the dataset takes synchronous appends.
 	ing *ingester
-	// retWindow and retDim configure time-window retention, fixed at
-	// registration (0 window = keep everything). retMu guards the running
-	// enforcement counters below, which appends update and stats read.
-	retWindow  time.Duration
-	retDim     string
-	retMu      sync.Mutex
-	retDropped uint64
-	retHorizon time.Time
 	// cacheHits and cacheMiss count recommendation-cache outcomes for this
 	// dataset alone (the server-wide counters live on Server).
 	cacheHits atomic.Uint64
@@ -345,25 +273,17 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// regConfig is one registration's effective tuning: shard topology, engine
-// options and retention window, each defaulted from the server Config and
-// overridable per request.
-type regConfig struct {
-	shards    int
-	shardKey  string
-	retention time.Duration
-	retDim    string
-	opts      core.Options
-}
-
-// regDefaults seeds a registration's tuning from the server configuration.
-func (s *Server) regDefaults(opts core.Options) regConfig {
-	return regConfig{
-		shards:    s.cfg.Shards,
-		shardKey:  s.cfg.ShardKey,
-		retention: s.cfg.Retention,
-		retDim:    s.cfg.RetentionDim,
-		opts:      opts,
+// regDefaults seeds one registration's tuning — shard topology, cube,
+// retention window, engine options — from the server configuration; the
+// register request overrides individual fields.
+func (s *Server) regDefaults(opts core.Options) ingest.Options {
+	return ingest.Options{
+		Shards:       s.cfg.Shards,
+		ShardKey:     s.cfg.ShardKey,
+		Cube:         !s.cfg.DisableCube,
+		Retention:    s.cfg.Retention,
+		RetentionDim: s.cfg.RetentionDim,
+		Engine:       opts,
 	}
 }
 
@@ -375,177 +295,99 @@ func (s *Server) RegisterDataset(name string, ds *data.Dataset, opts core.Option
 	return s.RegisterSnapshot(name, store.FromDataset(ds), opts)
 }
 
-// RegisterSnapshot adds a named columnar snapshot to the registry, building
-// its shared engine. Unless Config.DisableCube is set, the snapshot's rollup
-// cube is materialized first (or adopted from the .rst file it was loaded
-// from), so every session over this version shares one immutable cube and
-// hierarchy-prefix group-bys never rescan rows. When Config.Shards asks for
-// sharded serving, the snapshot is partitioned first.
+// RegisterSnapshot adds a named columnar snapshot to the registry as the
+// one-shard set; see RegisterSharded. When Config.Shards asks for sharded
+// serving, the snapshot is partitioned first.
 func (s *Server) RegisterSnapshot(name string, snap *store.Snapshot, opts core.Options) error {
-	return s.registerSnapshot(name, snap, s.regDefaults(opts))
+	return s.RegisterSharded(name, shard.Single(snap), opts)
 }
 
-// registerSnapshot registers a snapshot under rc's topology: shards ≥ 2
-// partitions on shardKey (defaulted to the first hierarchy's root when
-// empty), anything less serves unsharded. With Config.WAL set, the dataset's
-// durable state recovers first — the newest checkpoint supersedes snap, the
-// log's surviving batches fold in — so a re-registration after a crash
-// serves every acknowledged row.
-func (s *Server) registerSnapshot(name string, snap *store.Snapshot, rc regConfig) error {
-	// Fail duplicate names before paying for recovery, partitioning, cube or
-	// engine construction; finishRegister rechecks under the same lock.
-	if err := s.checkName(name); err != nil {
-		return err
-	}
-	var ing *ingester
-	if s.cfg.WAL && !snap.Mapped() {
-		var set *shard.Set
-		var err error
-		ing, snap, set, err = s.recoverDataset(name, snap)
-		if err != nil {
-			return err
-		}
-		if set != nil {
-			// The checkpoint was written by a sharded serving state; its
-			// topology wins over the requested one.
-			return s.registerSet(name, set, rc, ing)
-		}
-	}
-	if rc.shards >= 2 {
-		set, err := shard.Partition(snap, rc.shards, rc.shardKey)
-		if err != nil {
-			return abandonIngest(ing, err)
-		}
-		return s.registerSet(name, set, rc, ing)
-	}
-	if !s.cfg.DisableCube {
-		if err := snap.BuildCube(); err != nil {
-			return abandonIngest(ing, err)
-		}
-	}
-	ds, err := snap.Dataset()
-	if err != nil {
-		return abandonIngest(ing, err)
-	}
-	eng, err := core.NewEngine(ds, rc.opts)
-	if err != nil {
-		return abandonIngest(ing, err)
-	}
-	return s.finishRegister(name, rc, &engineState{eng: eng, snap: snap}, store.NewBuilder(snap), ing)
-}
-
-// RegisterSharded adds a pre-partitioned dataset to the registry, building
-// one engine that scatters aggregations across the set's shards. Unless
-// Config.DisableCube is set, every shard gets its own rollup cube. With
-// Config.WAL set, durable state recovers first, exactly as for unsharded
-// registrations.
+// RegisterSharded adds a shard set to the registry, building the engine
+// shared by every session over it (scatter-gather across the shards when
+// there are several). Unless Config.DisableCube is set, every shard's rollup
+// cube is materialized first (or adopted from the .rst file it was loaded
+// from), so hierarchy-prefix group-bys never rescan rows. With Config.WAL
+// set, the dataset's durable state recovers first — the newest checkpoint
+// supersedes set, the log's surviving batches fold in — so a re-registration
+// after a crash serves every acknowledged row.
 func (s *Server) RegisterSharded(name string, set *shard.Set, opts core.Options) error {
-	return s.registerShardedRC(name, set, s.regDefaults(opts))
+	_, err := s.register(name, set, s.regDefaults(opts))
+	return err
 }
 
-// registerShardedRC is RegisterSharded with explicit per-registration tuning.
-func (s *Server) registerShardedRC(name string, set *shard.Set, rc regConfig) error {
-	if err := s.checkName(name); err != nil {
-		return err
-	}
-	var ing *ingester
-	if s.cfg.WAL && !set.Snaps[0].Mapped() {
-		var err error
-		ing, set, err = s.recoverSet(name, set)
-		if err != nil {
-			return err
-		}
-	}
-	return s.registerSet(name, set, rc, ing)
-}
-
-// registerSet builds the scatter-gather engine over a recovered (or fresh)
-// shard set and inserts it.
-func (s *Server) registerSet(name string, set *shard.Set, rc regConfig, ing *ingester) error {
-	if !s.cfg.DisableCube {
-		if err := set.BuildCubes(); err != nil {
-			return abandonIngest(ing, err)
-		}
-	}
-	eng, err := set.Engine(rc.opts)
-	if err != nil {
-		return abandonIngest(ing, err)
-	}
-	return s.finishRegister(name, rc, &engineState{eng: eng, set: set}, nil, ing)
-}
-
-// checkName rejects empty and already-registered dataset names.
-func (s *Server) checkName(name string) error {
+// register opens (or, with Config.WAL, recovers) the dataset under opts,
+// wires it into the registry and returns the version it starts serving. Duplicate names fail before paying
+// for recovery, partitioning, cube or engine construction, and are rechecked
+// under the insertion lock, so a racing twin still gets the conflict, just
+// after doing the work. Mapped sets, which reject appends, are served without
+// a log.
+func (s *Server) register(name string, set *shard.Set, opts ingest.Options) (*ingest.Version, error) {
 	if name == "" {
-		return fmt.Errorf("server: dataset needs a name")
+		return nil, fmt.Errorf("server: dataset needs a name")
 	}
-	s.mu.Lock()
-	_, dup := s.engines[name]
-	s.mu.Unlock()
-	if dup {
-		return fmt.Errorf("server: %w: %q", ErrDuplicateDataset, name)
+	if s.registered(name) {
+		return nil, fmt.Errorf("server: %w: %q", ErrDuplicateDataset, name)
 	}
-	return nil
-}
-
-// finishRegister validates retention against the built state, wires it into
-// the registry under name, attaches the ingestion pipeline, and runs the
-// first retention pass. Duplicate names are rechecked under the lock, so a
-// racing twin still gets the conflict, just after doing the work. builder is
-// nil for sharded datasets — their appends route through shard.Set.Append
-// instead.
-func (s *Server) finishRegister(name string, rc regConfig, st *engineState, builder *store.Builder, ing *ingester) error {
-	if rc.retention > 0 {
-		if rc.retDim == "" {
-			return abandonIngest(ing, fmt.Errorf("server: dataset %q: a retention window needs a retention dimension", name))
+	var ds *ingest.Dataset
+	var err error
+	logged := s.cfg.WAL && !set.Mapped()
+	if logged {
+		if ingest.FileName(name) != name {
+			return nil, fmt.Errorf("server: dataset name %q: write-ahead logging needs a file-safe name (letters, digits, '.', '_', '-')", name)
 		}
-		if _, _, err := store.MaxEventTime(st.schema(), rc.retDim); err != nil {
-			return abandonIngest(ing, err)
-		}
+		ds, err = ingest.Recover(s.cfg.WALDir, name, set, opts)
+	} else {
+		ds, err = ingest.Open(set, opts)
 	}
+	if err != nil {
+		return nil, err
+	}
+	v := ds.Version()
 	max := s.cfg.MaxInflight
 	if max <= 0 {
 		// Default to the engine's resolved pool size, so admission matches
 		// the workers a Recommend actually fans out onto.
-		max = st.eng.Workers()
+		max = v.Eng.Workers()
 	}
-	ent := &engineEntry{
-		name: name, opts: rc.opts, slots: make(chan struct{}, max), builder: builder,
-		ing: ing, retWindow: rc.retention, retDim: rc.retDim,
+	ent := &engineEntry{name: name, ds: ds, slots: make(chan struct{}, max)}
+	if logged {
+		ent.ing = newIngester(s, ent)
 	}
-	ent.state.Store(st)
 	s.mu.Lock()
 	if _, dup := s.engines[name]; dup {
 		s.mu.Unlock()
-		return abandonIngest(ing, fmt.Errorf("server: %w: %q", ErrDuplicateDataset, name))
+		ds.Close()
+		return nil, fmt.Errorf("server: %w: %q", ErrDuplicateDataset, name)
 	}
 	s.engines[name] = ent
 	s.mu.Unlock()
-	if ing != nil {
-		ing.start(ent)
+	if logged {
+		go ent.ing.run()
 	}
-	// Enforce retention on the freshly registered (possibly just-recovered)
-	// state, so a window configured while the server was down applies before
-	// the first query, not after the first append.
-	ent.appendMu.Lock()
-	err := s.retainLocked(ent)
-	ent.appendMu.Unlock()
-	return err
+	return v, nil
+}
+
+// registered reports whether a dataset of that name is in the registry.
+func (s *Server) registered(name string) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.engines[name]
+	return ok
 }
 
 // Append ingests rows into a registered dataset: it builds the successor
-// snapshot (or shard set) and engine off to the side (no registry or entry
-// lock held while serving traffic continues on the current version),
-// atomically swaps the new state in, and invalidates the dataset's cached
-// recommendations. On a sharded dataset, each row routes to the shard its
-// key value owns, untouched shards are shared wholesale, and per-shard cubes
-// are delta-merged rather than rebuilt. Sessions rebind to the new version
-// on their next request; a Recommend already in flight finishes on the
-// version it loaded. Concurrent Appends to the same dataset serialize.
+// set and engine off to the side (no registry or entry lock held while
+// serving traffic continues on the current version), atomically swaps the
+// new version in, and invalidates the dataset's cached recommendations. Each
+// row routes to the shard its key value owns, untouched shards are shared
+// wholesale, and cubes are delta-merged rather than rebuilt; rows behind the
+// retention horizon drop in the same swap. Sessions rebind to the new
+// version on their next request; a Recommend already in flight finishes on
+// the version it loaded. Concurrent Appends to the same dataset serialize.
 // When the dataset is WAL-backed, Append instead commits the rows to the log
-// and returns the state still serving — the flusher folds them in moments
+// and returns the version still serving — the flusher folds them in moments
 // later (use the HTTP layer's wal_seq/pending_rows to observe the lag).
-func (s *Server) Append(name string, rows []store.Row) (*engineState, error) {
+func (s *Server) Append(name string, rows []store.Row) (*ingest.Version, error) {
 	s.mu.Lock()
 	ent, ok := s.engines[name]
 	s.mu.Unlock()
@@ -556,72 +398,20 @@ func (s *Server) Append(name string, rows []store.Row) (*engineState, error) {
 		if _, _, err := ent.ing.enqueue(rows); err != nil {
 			return nil, err
 		}
-		return ent.state.Load(), nil
+		return ent.ds.Version(), nil
 	}
-	return s.applySync(ent, rows)
+	return s.appendSync(ent, rows)
 }
 
-// applySync folds rows into ent's serving state synchronously: append,
-// retention pass, atomic swap, cache invalidation. It is the terminal apply
-// path for both synchronous appends and the micro-batch flusher. Concurrent
-// applies to the same dataset serialize on appendMu.
-func (s *Server) applySync(ent *engineEntry, rows []store.Row) (*engineState, error) {
-	ent.appendMu.Lock()
-	defer ent.appendMu.Unlock()
-	if _, err := s.applyRowsLocked(ent, rows); err != nil {
+// appendSync folds rows into ent's serving state synchronously and
+// invalidates the dataset's cached recommendations.
+func (s *Server) appendSync(ent *engineEntry, rows []store.Row) (*ingest.Version, error) {
+	v, err := ent.ds.Append(rows)
+	if err != nil {
 		return nil, err
 	}
-	if err := s.retainLocked(ent); err != nil {
-		// The rows landed; a failing retention pass (validated away at
-		// registration, so effectively a bug) must not fail the append.
-		ent.recordRetainError(err)
-	}
 	s.invalidateDataset(ent)
-	return ent.state.Load(), nil
-}
-
-// applyRowsLocked builds the successor state from rows and swaps it in.
-// Callers hold ent.appendMu. Zero rows is a no-op returning the current
-// state.
-func (s *Server) applyRowsLocked(ent *engineEntry, rows []store.Row) (*engineState, error) {
-	if len(rows) == 0 {
-		return ent.state.Load(), nil
-	}
-	var swapped *engineState
-	if st := ent.state.Load(); st.set != nil {
-		// Sharded: Set.Append never mutates its receiver, so a failed build
-		// leaves the served state exactly as it was — no rewind needed.
-		nextSet, err := st.set.Append(rows)
-		if err != nil {
-			return nil, err
-		}
-		eng, err := nextSet.Engine(ent.opts)
-		if err != nil {
-			return nil, err
-		}
-		swapped = &engineState{eng: eng, set: nextSet}
-		ent.state.Store(swapped)
-	} else {
-		next, err := ent.builder.Append(rows)
-		if err != nil {
-			return nil, err
-		}
-		ds, err := next.Dataset()
-		if err == nil {
-			var eng *core.Engine
-			if eng, err = core.NewEngine(ds, ent.opts); err == nil {
-				swapped = &engineState{eng: eng, snap: next}
-				ent.state.Store(swapped)
-			}
-		}
-		if err != nil {
-			// The builder advanced past the served state; rewind it so the
-			// next append builds on what clients actually see.
-			ent.builder = store.NewBuilder(ent.state.Load().snap)
-			return nil, err
-		}
-	}
-	return swapped, nil
+	return v, nil
 }
 
 // invalidateDataset drops every cached recommendation belonging to the
@@ -689,16 +479,16 @@ func (s *Server) lookupSession(id string) (sessionView, api.ErrorCode, error) {
 		return sessionView{}, api.CodeSessionExpired, fmt.Errorf("session %q expired", id)
 	}
 	sess.deadline = now.Add(sess.ttl)
-	if st := sess.engine.state.Load(); st.version() != sess.version {
-		cs, err := st.eng.NewSession(sess.sess.GroupBy())
+	if v := sess.engine.ds.Version(); v.Set.Version() != sess.version {
+		cs, err := v.Eng.NewSession(sess.sess.GroupBy())
 		if err != nil {
 			// Appends never change the schema, so the old drill state always
 			// transfers; failure here means a bug, not bad client input.
 			return sessionView{}, api.CodeInternal,
-				fmt.Errorf("rebinding session %q to dataset version %d: %w", id, st.version(), err)
+				fmt.Errorf("rebinding session %q to dataset version %d: %w", id, v.Set.Version(), err)
 		}
 		sess.sess = cs
-		sess.version = st.version()
+		sess.version = v.Set.Version()
 	}
 	return sessionView{id: sess.id, engine: sess.engine, cs: sess.sess, version: sess.version}, "", nil
 }

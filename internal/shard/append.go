@@ -1,44 +1,38 @@
 package shard
 
 import (
-	"errors"
 	"fmt"
-	"math"
 
-	"repro/internal/cube"
 	"repro/internal/store"
 )
 
 // Append routes each row to its owning shard and returns the successor Set
 // at Version+1, leaving the receiver untouched (callers that fail mid-swap
-// keep serving the old Set unchanged). Dictionary growth happens once, in
-// batch row order, and the grown dictionaries are shared by every shard of
-// the successor; untouched shards share their code and measure slices with
-// the predecessor and keep their cubes, touched shards merge a delta cube
-// built over just their appended rows. A batch that violates a hierarchy
-// functional dependency — within one shard or across shards — is rejected
-// whole.
+// keep serving the old Set unchanged). The batch is validated and encoded
+// once (store.EncodeBatch): dictionary growth happens in batch row order and
+// the grown dictionaries are shared by every shard of the successor;
+// untouched shards share their code and measure slices with the predecessor
+// and keep their cubes, touched shards merge a delta cube built over just
+// their appended rows. A batch that violates a hierarchy functional
+// dependency — within one shard or across shards — is rejected whole.
 func (s *Set) Append(rows []store.Row) (*Set, error) {
-	first := s.Snaps[0]
 	if len(rows) == 0 {
 		return s, nil
 	}
-	if first.Mapped() {
-		// Extending mapped shards would materialize every column they share
-		// with the successor, defeating the open mode's purpose.
-		return nil, fmt.Errorf("shard: cannot append to memory-mapped set %q; re-open it eagerly to ingest", first.Name)
+	first := s.Snaps[0]
+	batch, err := store.EncodeBatch(first, rows)
+	if err != nil {
+		return nil, err
 	}
-	for i, r := range rows {
-		if len(r.Dims) != len(first.Dims) || len(r.Measures) != len(first.Measures) {
-			return nil, fmt.Errorf("shard: append row %d: arity mismatch: %d/%d dims, %d/%d measures",
-				i, len(r.Dims), len(first.Dims), len(r.Measures), len(first.Measures))
+	n := len(s.Snaps)
+	next := &Set{Key: s.Key, Snaps: make([]*store.Snapshot, n)}
+	if n == 1 {
+		// One shard owns every row, and its own validation already covers
+		// every functional dependency: no routing, no cross-shard check.
+		if next.Snaps[0], err = batch.Extend(first); err != nil {
+			return nil, err
 		}
-		for j, v := range r.Measures {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("shard: append row %d measure %q: non-finite value %v",
-					i, first.Measures[j].Name, v)
-			}
-		}
+		return next, nil
 	}
 	keyIdx := -1
 	for i, c := range first.Dims {
@@ -50,76 +44,15 @@ func (s *Set) Append(rows []store.Row) (*Set, error) {
 	if keyIdx < 0 {
 		return nil, fmt.Errorf("shard: partition key %q is not a dimension of %q", s.Key, first.Name)
 	}
-
-	// Grow the shared dictionaries once, encoding the batch against them.
-	// Full slice expressions pin capacity to length, so growth copies instead
-	// of scribbling over the predecessor's backing arrays.
-	dicts := make([][]string, len(first.Dims))
-	batchCodes := make([][]uint32, len(first.Dims))
-	for ci, c := range first.Dims {
-		idx := make(map[string]uint32, len(c.Dict))
-		for code, v := range c.Dict {
-			idx[v] = uint32(code)
-		}
-		dict := c.Dict[:len(c.Dict):len(c.Dict)]
-		codes := make([]uint32, len(rows))
-		for ri, r := range rows {
-			v := r.Dims[ci]
-			code, ok := idx[v]
-			if !ok {
-				code = uint32(len(dict))
-				dict = append(dict, v)
-				idx[v] = code
-			}
-			codes[ri] = code
-		}
-		dicts[ci] = dict
-		batchCodes[ci] = codes
-	}
-
-	// Route each batch row to its owning shard.
-	n := len(s.Snaps)
-	owners := make([]int, len(rows))
 	perShard := make([][]int, n)
 	for ri, r := range rows {
 		si := Owner(r.Dims[keyIdx], n)
-		owners[ri] = si
 		perShard[si] = append(perShard[si], ri)
 	}
-
-	next := &Set{Key: s.Key, Snaps: make([]*store.Snapshot, n)}
 	for si, base := range s.Snaps {
-		newRows := perShard[si]
-		dims := make([]store.Column, len(base.Dims))
-		measures := make([]store.MeasureColumn, len(base.Measures))
-		for ci, c := range base.Dims {
-			codes := c.Codes
-			if len(newRows) > 0 {
-				codes = c.Codes[:len(c.Codes):len(c.Codes)]
-				for _, ri := range newRows {
-					codes = append(codes, batchCodes[ci][ri])
-				}
-			}
-			dims[ci] = store.Column{Name: c.Name, Dict: dicts[ci], Codes: codes}
-		}
-		for mi, m := range base.Measures {
-			vals := m.Values
-			if len(newRows) > 0 {
-				vals = m.Values[:len(m.Values):len(m.Values)]
-				for _, ri := range newRows {
-					vals = append(vals, rows[ri].Measures[mi])
-				}
-			}
-			measures[mi] = store.MeasureColumn{Name: m.Name, Values: vals}
-		}
-		snap, err := store.NewSnapshot(base.Name, base.Version+1, base.Hierarchies, dims, measures, base.NumRows()+len(newRows))
-		if err != nil {
+		if next.Snaps[si], err = batch.Pick(perShard[si]).Extend(base); err != nil {
 			return nil, fmt.Errorf("shard: shard %d: %w", si, err)
 		}
-		if err := carryCube(base, snap, len(newRows)); err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", si, err)
-		}
-		next.Snaps[si] = snap
 	}
 	if err := next.validateFDs(); err != nil {
 		return nil, err
@@ -127,42 +60,8 @@ func (s *Set) Append(rows []store.Row) (*Set, error) {
 	return next, nil
 }
 
-// carryCube maintains a shard's materialized cube across an append without
-// rebuilding it: untouched shards keep the predecessor's cube as-is (it
-// still aggregates exactly their rows), touched shards build a delta cube
-// over just the appended rows and merge it (Stats.Add per shared cell,
-// re-keying where grown dictionaries changed the radix space). When the
-// successor falls outside what the cube subsystem materializes, it simply
-// carries no cube and serving falls back to row scans on that shard.
-func carryCube(base, next *store.Snapshot, appended int) error {
-	bc := base.Cube()
-	if bc == nil {
-		return nil
-	}
-	if appended == 0 {
-		next.AttachCube(bc)
-		return nil
-	}
-	nds, err := next.Dataset()
-	if err != nil {
-		return err
-	}
-	delta, err := cube.BuildRows(nds, base.NumRows(), next.NumRows())
-	if err == nil {
-		var merged *cube.Cube
-		if merged, err = bc.Merge(delta); err == nil {
-			next.AttachCube(merged)
-			return nil
-		}
-	}
-	if errors.Is(err, cube.ErrNotCubable) {
-		return nil
-	}
-	return err
-}
-
 // validateFDs checks every hierarchy functional dependency across the whole
-// Set. Per-shard validation (store.NewSnapshot) sees only one shard's rows,
+// Set. Per-shard validation (Batch.Extend) sees only one shard's rows,
 // so a violation whose two witnesses land on different shards — the child
 // value lives in one shard, its conflicting re-parenting in another — slips
 // through it; dictionaries are shared, so the cross-shard check runs over

@@ -9,6 +9,20 @@
 // core.ShardWorker seam the engine talks through is the point a later change
 // swaps local workers for remote shard servers speaking the wire protocol.
 //
+// # One shard
+//
+// A partition into one part is still a partition, so a Set with N = 1 is how
+// every unpartitioned dataset is held (Single wraps a snapshot; Open returns
+// one for a plain .rst file) and serving code never branches on "sharded or
+// not". What the shard count changes is decided here, from the count itself:
+// a one-shard Set needs no Key (tables without hierarchies qualify), Engine
+// builds the plain single-node core engine (no scatter span, NumShards() ==
+// 0), Append extends the one snapshot without routing or the cross-shard FD
+// check (the snapshot's own validation already covers every dependency), and
+// Write emits the plain RSTSNAP layout — cube section included —
+// byte-identical to Snapshot.Write. Everything else (Retain, BuildCubes,
+// Rows, Close) is the same loop over one element.
+//
 // # Partitioning
 //
 // Rows are routed by an FNV-1a hash of their shard-key value modulo the
@@ -43,9 +57,10 @@
 //
 // # Appends
 //
-// Set.Append routes each appended row to its owning shard, extends the
-// shared dictionaries once (in batch row order, so codes are deterministic),
-// and produces a successor Set with every shard at Version+1: untouched
+// Set.Append validates and dictionary-encodes the batch once
+// (store.EncodeBatch, in batch row order, so codes are deterministic), routes
+// each appended row to its owning shard, and produces a successor Set with
+// every shard at Version+1 (store.Batch.Extend per shard): untouched
 // shards share their columns and keep their cubes, touched shards get a
 // delta cube built over just their new rows and merged in (cube.Merge), and
 // a cross-shard functional-dependency check rejects batches whose violations

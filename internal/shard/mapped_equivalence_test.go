@@ -122,11 +122,11 @@ func TestMappedRecommendByteIdentity(t *testing.T) {
 					if err := set.WriteFile(path); err != nil {
 						t.Fatal(err)
 					}
-					eager, err := shard.Open(path)
+					eager, err := shard.Open(path, false)
 					if err != nil {
 						t.Fatal(err)
 					}
-					mapped, err := shard.OpenMapped(path)
+					mapped, err := shard.Open(path, true)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -18,11 +18,11 @@ func TestOpenMappedSetMatchesEager(t *testing.T) {
 	if err := set.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	eager, err := Open(path)
+	eager, err := Open(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := OpenMapped(path)
+	mapped, err := Open(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestMappedSetRejectsMutation(t *testing.T) {
 	if err := set.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	mapped, err := OpenMapped(path)
+	mapped, err := Open(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}

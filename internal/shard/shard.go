@@ -3,22 +3,30 @@ package shard
 import (
 	"fmt"
 	"hash/fnv"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/data"
 	"repro/internal/store"
 )
 
-// Set is one version of a partitioned dataset: the partition key and one
-// snapshot per shard, all at the same version, sharing one set of dictionary
-// slices. Like snapshots, a Set is immutable once published; Append returns
-// a successor Set.
+// Set is one version of a dataset held as N ≥ 1 shards: the partition key and
+// one snapshot per shard, all at the same version, sharing one set of
+// dictionary slices. Like snapshots, a Set is immutable once published;
+// Append and Retain return a successor Set. An unpartitioned dataset is the
+// one-shard Set (see Single), which behaves exactly like its snapshot.
 type Set struct {
 	// Key is the dimension rows are partitioned on — the root attribute of
-	// one of the hierarchies.
+	// one of the hierarchies. A one-shard Set needs none.
 	Key string
 	// Snaps holds the per-shard snapshots, in shard order.
 	Snaps []*store.Snapshot
+}
+
+// Single wraps a snapshot as the one-shard Set — the trivial partition, with
+// no key, so hierarchy-less tables qualify too.
+func Single(snap *store.Snapshot) *Set {
+	return &Set{Snaps: []*store.Snapshot{snap}}
 }
 
 // Owner returns the shard that owns a key value: FNV-1a of the value modulo
@@ -116,21 +124,12 @@ func Partition(snap *store.Snapshot, n int, key string) (*Set, error) {
 	return set, nil
 }
 
-// Open loads a partitioned .rst file into a Set.
-func Open(path string) (*Set, error) {
-	key, snaps, err := store.OpenShardedFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return &Set{Key: key, Snaps: snaps}, nil
-}
-
-// OpenMapped memory-maps a partitioned .rst file into a Set: every shard
-// serves its columns from one shared file mapping (see store.
-// OpenShardedMappedFile), released when the last shard is Closed. Version-1
-// files fall back to an eager load.
-func OpenMapped(path string) (*Set, error) {
-	key, snaps, err := store.OpenShardedMappedFile(path)
+// Open loads a .rst file of either layout into a Set, sniffing the magic
+// once: a partitioned file yields its N shards, a plain snapshot the
+// one-shard Set. With mapped set, every shard serves its columns from one
+// shared file mapping (see store.OpenShardsFile), released by Close.
+func Open(path string, mapped bool) (*Set, error) {
+	key, snaps, err := store.OpenShardsFile(path, mapped)
 	if err != nil {
 		return nil, err
 	}
@@ -148,9 +147,20 @@ func (s *Set) Close() error {
 	return first
 }
 
-// WriteFile persists the Set as a partitioned .rst file (atomically).
+// Write serializes the Set in the layout its shard count selects: one shard
+// writes the plain snapshot layout (cube section included), byte-identical to
+// Snapshot.Write; more write the partitioned layout.
+func (s *Set) Write(w io.Writer) error {
+	if len(s.Snaps) == 1 {
+		return s.Snaps[0].Write(w)
+	}
+	return store.WriteSharded(w, s.Key, s.Snaps)
+}
+
+// WriteFile persists the Set as a .rst file (atomically; see Write for the
+// layout).
 func (s *Set) WriteFile(path string) error {
-	return store.WriteShardedFile(path, s.Key, s.Snaps)
+	return store.WriteFileAtomic(path, false, s.Write)
 }
 
 // N returns the shard count.
@@ -166,6 +176,24 @@ func (s *Set) Rows() []int {
 		out[i] = sn.NumRows()
 	}
 	return out
+}
+
+// Schema returns a snapshot describing the dataset's columns and hierarchies
+// — the first shard's, by convention; appends keep every shard's identical.
+func (s *Set) Schema() *store.Snapshot { return s.Snaps[0] }
+
+// Mapped reports whether the shards serve their columns from a memory-mapped
+// file. Shards of one file share one mapping, so the first speaks for all.
+func (s *Set) Mapped() bool { return s.Snaps[0].Mapped() }
+
+// ResidentColumnBytes sums the heap bytes of materialized column payloads
+// across the shards — 0 when mapped, the payloads stay on disk.
+func (s *Set) ResidentColumnBytes() int64 {
+	var n int64
+	for _, sn := range s.Snaps {
+		n += sn.ResidentColumnBytes()
+	}
+	return n
 }
 
 // TotalRows returns the row count across all shards.
@@ -189,8 +217,25 @@ func (s *Set) BuildCubes() error {
 	return nil
 }
 
-// Engine assembles the sharded core engine: one in-process worker per shard,
-// the first shard's dataset as the schema plane.
+// CubeSize describes the Set's materialized cubes: the lattice's level count
+// (all shards share the lattice) and the cells summed across shards, or 0, 0
+// unless every shard serves from a cube.
+func (s *Set) CubeSize() (levels, cells int) {
+	for _, sn := range s.Snaps {
+		c := sn.Cube()
+		if c == nil {
+			return 0, 0
+		}
+		levels = c.NumLevels()
+		cells += c.NumCells()
+	}
+	return levels, cells
+}
+
+// Engine assembles the core engine over the Set. One shard gets the plain
+// single-node engine (no scatter, NumShards() == 0); more get the sharded
+// one: an in-process worker per shard, the first shard's dataset as the
+// schema plane.
 func (s *Set) Engine(opts core.Options) (*core.Engine, error) {
 	workers := make([]core.ShardWorker, len(s.Snaps))
 	var schema *data.Dataset
@@ -203,6 +248,9 @@ func (s *Set) Engine(opts core.Options) (*core.Engine, error) {
 			schema = ds
 		}
 		workers[i] = core.LocalShard(ds)
+	}
+	if len(workers) == 1 {
+		return core.NewEngine(schema, opts)
 	}
 	return core.NewShardedEngine(schema, workers, s.Key, opts)
 }

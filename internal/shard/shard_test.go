@@ -372,11 +372,7 @@ func TestPartitionedFileRoundtrip(t *testing.T) {
 	if err := set.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := store.IsShardedFile(path)
-	if err != nil || !sharded {
-		t.Fatalf("IsShardedFile = (%v, %v), want (true, nil)", sharded, err)
-	}
-	got, err := Open(path)
+	got, err := Open(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,8 +398,9 @@ func TestPartitionedFileRoundtrip(t *testing.T) {
 	if err := store.FromDataset(testDataset()).WriteFile(plain); err != nil {
 		t.Fatal(err)
 	}
-	if s, err := store.IsShardedFile(plain); err != nil || s {
-		t.Fatalf("IsShardedFile(plain) = (%v, %v), want (false, nil)", s, err)
+	// Open sniffs the layout: the plain file is the keyless one-shard Set.
+	if one, err := Open(plain, false); err != nil || one.N() != 1 || one.Key != "" {
+		t.Fatalf("Open(plain) = (%+v, %v), want a keyless one-shard set", one, err)
 	}
 	if _, _, err := store.OpenShardedFile(plain); err == nil || !strings.Contains(err.Error(), "single snapshot") {
 		t.Fatalf("OpenShardedFile on a plain snapshot: %v", err)
@@ -429,13 +426,13 @@ func TestPartitionedFileCorruption(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, "flip.rst"), flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(filepath.Join(dir, "flip.rst")); err == nil {
+	if _, err := Open(filepath.Join(dir, "flip.rst"), false); err == nil {
 		t.Error("byte flip not detected")
 	}
 	if err := os.WriteFile(filepath.Join(dir, "trunc.rst"), raw[:len(raw)-9], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(filepath.Join(dir, "trunc.rst")); err == nil {
+	if _, err := Open(filepath.Join(dir, "trunc.rst"), false); err == nil {
 		t.Error("truncation not detected")
 	}
 }

@@ -1,7 +1,9 @@
 // Package store is Reptile's persistent storage layer: an immutable,
 // dictionary-encoded columnar snapshot of a data.Dataset, a versioned binary
-// file format (.rst) that round-trips snapshots without reparsing CSV, and an
-// append path that produces new snapshot versions for live ingestion.
+// file format (.rst) that round-trips snapshots without reparsing CSV, and
+// the one batch-append routine (EncodeBatch, Batch.Extend) that produces new
+// snapshot versions for live ingestion — Builder.Append and internal/shard's
+// Set.Append are both thin callers of it.
 //
 // A Snapshot keeps each dimension as a dictionary of distinct strings plus
 // one uint32 code per row, and each measure as a raw []float64. Converting a
@@ -10,22 +12,24 @@
 // consume precomputed codes instead of re-hashing strings on the query path.
 //
 // Snapshots open in two modes. Open/OpenFile decode every column into heap
-// slices (eager). OpenMapped/OpenMappedFile memory-map the file instead:
+// slices (eager). OpenMappedFile memory-maps the file instead:
 // only the header — schema, dictionaries, offset directory — is parsed, and
 // columns are served through lazily-decoding readers (DimReader,
 // MeasureReader) straight out of the mapping, so residency stays
 // O(dictionaries + cube) regardless of the row count. Both modes produce
 // byte-identical query results; mapped snapshots reject mutation (appending,
-// partitioning) and must be released with Close.
+// partitioning) and must be released with Close. OpenShardsFile takes either
+// file layout below, dispatching on the magic after one read (or one
+// mapping): a plain snapshot is the one-shard partition.
 //
 // # Single-snapshot file format
 //
 // All integers are little-endian; "uv" is an unsigned varint; "str" is a
 // uv length followed by that many UTF-8 bytes; every CRC is CRC-32C
 // (Castagnoli). The whole file minus its last 4 bytes is covered by a tail
-// CRC in both versions.
+// CRC.
 //
-// Version 2 (current writer output) separates a self-describing header from
+// The format (version byte 2) separates a self-describing header from
 // fixed-width, 8-byte-aligned column payloads located by a byte-offset
 // directory, which is what makes the mapped open possible:
 //
@@ -49,18 +53,12 @@
 // must end the file) or equal the payload end. A v2 file therefore has no
 // valid truncations, even re-sealed ones.
 //
-// Version 1 (legacy, still readable — eagerly even through OpenMapped)
-// interleaves dictionaries and payloads, so there is nothing to map lazily:
+// Version 1 interleaved dictionaries with inline payloads. Nothing has
+// written it since version 2 landed and it is no longer readable: a version
+// byte of 1, plain or partitioned, gets one dedicated error asking for a
+// re-run of `reptile convert` from the source CSV.
 //
-//	magic "RSTSNAP" | version byte = 1
-//	name str | dataset version uv | rows uv
-//	#hierarchies uv { name str | #attrs uv { attr str } }
-//	#dims uv { name str | #dict uv { value str } | rows × u32 codes }
-//	#measures uv { name str | rows × u64 float64 bits }
-//	optional cube section
-//	tail CRC u32
-//
-// The optional cube section is identical in both versions:
+// The optional cube section:
 //
 //	tag "CUBE" | cube format version byte | payload length uv
 //	payload (internal/cube encoding) | cube CRC u32
@@ -72,9 +70,10 @@
 // written once. Cubes are not persisted (they are cheap to rebuild per
 // shard at registration time).
 //
-// Version 2 mirrors the single-snapshot design — one CRC-checked header
-// with a shard-major offset directory, then aligned per-shard payloads — so
-// OpenShardedMapped serves every shard out of one refcounted file mapping:
+// The layout (version byte 2) mirrors the single-snapshot design — one
+// CRC-checked header with a shard-major offset directory, then aligned
+// per-shard payloads — so OpenShardedMappedFile serves every shard out of one
+// refcounted file mapping:
 //
 //	magic "RSTSHARD" | version byte = 2
 //	name str | dataset version uv | partition key str
@@ -87,14 +86,5 @@
 //	header CRC u32 | zero padding to an 8-byte boundary
 //	per shard: per dim rows × u32 codes (8-aligned, zero-padded),
 //	           then per measure rows × u64 float64 bits (likewise)
-//	tail CRC u32
-//
-// Version 1 (legacy) writes inline per-shard sections, each carrying its own
-// section CRC:
-//
-//	magic "RSTSHARD" | version byte = 1
-//	name str | dataset version uv | partition key str
-//	#hierarchies uv { ... } | #dims uv { name str | dict } | #measures uv { name str }
-//	#shards uv { rows uv | per dim rows × u32 | per measure rows × u64 | section CRC u32 }
 //	tail CRC u32
 package store

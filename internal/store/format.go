@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 
 	"repro/internal/cube"
 	"repro/internal/data"
@@ -17,16 +19,13 @@ import (
 // The .rst binary layouts are documented in doc.go. Version 2 (the current
 // writer output) separates a self-describing header — schema, dictionaries,
 // and a CRC-checked byte-offset directory — from fixed-width, 8-byte-aligned
-// column payloads, so OpenMapped can expose columns straight out of a
+// column payloads, so OpenMappedFile can expose columns straight out of a
 // memory-mapped file without decoding them into heap slices. Version 1
-// (inline payloads) still opens via the eager path.
+// (inline payloads) is no longer readable.
 var magic = [7]byte{'R', 'S', 'T', 'S', 'N', 'A', 'P'}
 
 // FormatVersion is the current .rst format version.
 const FormatVersion = 2
-
-// legacyFormatVersion is the previous inline-payload format, still readable.
-const legacyFormatVersion = 1
 
 // cubeTag introduces the optional materialized-cube section.
 var cubeTag = [4]byte{'C', 'U', 'B', 'E'}
@@ -170,81 +169,45 @@ func (s *Snapshot) Write(w io.Writer) error {
 	return nil
 }
 
-// writeLegacy serializes the snapshot in format version 1 (inline payloads,
-// no offset directory). It is kept so tests can produce v1 fixtures and
-// prove old files keep opening byte-identically.
-func (s *Snapshot) writeLegacy(w io.Writer) error {
-	h := crc32.New(castagnoli)
-	bw := bufio.NewWriterSize(io.MultiWriter(w, h), 1<<16)
-	e := &encoder{w: bw}
-	e.bytes(magic[:])
-	e.byte(legacyFormatVersion)
-	e.string(s.Name)
-	e.uvarint(s.Version)
-	e.uvarint(uint64(s.rows))
-	e.uvarint(uint64(len(s.Hierarchies)))
-	for _, hr := range s.Hierarchies {
-		e.string(hr.Name)
-		e.uvarint(uint64(len(hr.Attrs)))
-		for _, a := range hr.Attrs {
-			e.string(a)
-		}
-	}
-	e.uvarint(uint64(len(s.Dims)))
-	for _, c := range s.Dims {
-		e.string(c.Name)
-		e.uvarint(uint64(len(c.Dict)))
-		for _, v := range c.Dict {
-			e.string(v)
-		}
-		e.codes(c.Codes)
-	}
-	e.uvarint(uint64(len(s.Measures)))
-	for _, m := range s.Measures {
-		e.string(m.Name)
-		e.floats(m.Values)
-	}
-	if s.cube != nil {
-		payload := s.cube.AppendBinary(nil)
-		e.bytes(cubeTag[:])
-		e.byte(CubeFormatVersion)
-		e.uvarint(uint64(len(payload)))
-		e.bytes(payload)
-		var sum [4]byte
-		binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-		e.bytes(sum[:])
-	}
-	if e.err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", e.err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", err)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], h.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("store: writing snapshot checksum: %w", err)
-	}
-	return nil
-}
-
 // WriteFile writes the snapshot to path atomically (temp file + rename).
 func (s *Snapshot) WriteFile(path string) error {
+	return WriteFileAtomic(path, false, s.Write)
+}
+
+// WriteFileAtomic publishes write's output at path through a temp file and a
+// rename, so readers see the old file or the new one, never a torn one. With
+// durable set, the temp file is fsynced before the rename and the directory
+// after it: once the call returns, the file survives a crash — the
+// checkpoint contract (a log may be truncated only after this).
+func WriteFileAtomic(path string, durable bool, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if err := s.Write(f); err != nil {
-		f.Close()
+	err = write(f)
+	if err == nil && durable {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if !durable {
+		return nil
+	}
+	d, err := os.Open(filepath.Dir(path))
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	defer d.Close()
+	return d.Sync()
 }
 
 // Open decodes and validates a snapshot from r (checksum, structural
@@ -254,125 +217,121 @@ func Open(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
-	return decode(b)
+	return single(openShards(b, nil, plainOnly))
 }
 
 // OpenFile loads a .rst snapshot from disk.
 func OpenFile(path string) (*Snapshot, error) {
-	b, err := os.ReadFile(path)
+	return single(openPath(path, false, plainOnly))
+}
+
+// single unwraps the one snapshot of a plain open.
+func single(_ string, shards []*Snapshot, err error) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := decode(b)
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", path, err)
-	}
-	return s, nil
+	return shards[0], nil
 }
 
-func decode(b []byte) (*Snapshot, error) {
-	d, version, err := checkEnvelope(b)
+// flavour restricts which of the two .rst layouts an open accepts.
+type flavour int
+
+const (
+	anyFlavour flavour = iota
+	plainOnly
+	partitionedOnly
+)
+
+// errFormatV1 answers every open of a version-1 file, plain or partitioned.
+var errFormatV1 = errors.New("store: format version 1 is no longer readable; re-run `reptile convert` from the source CSV")
+
+// openPath opens the .rst file at path — eagerly from one read, or mapped —
+// and adds the path to any decode error.
+func openPath(path string, mapped bool, want flavour) (key string, shards []*Snapshot, err error) {
+	if mapped {
+		f, ferr := os.Open(path)
+		if ferr != nil {
+			return "", nil, ferr
+		}
+		defer f.Close()
+		key, shards, err = openMapped(f, want)
+	} else {
+		b, rerr := os.ReadFile(path)
+		if rerr != nil {
+			return "", nil, rerr
+		}
+		key, shards, err = openShards(b, nil, want)
+	}
 	if err != nil {
-		return nil, err
+		return "", nil, fmt.Errorf("store: %s: %w", path, err)
 	}
-	switch version {
-	case legacyFormatVersion:
-		return decodeV1(d)
-	case FormatVersion:
-		return decodeV2(d)
-	default:
-		return nil, fmt.Errorf("store: unsupported format version %d (want 1–%d)", version, FormatVersion)
-	}
+	return key, shards, nil
 }
 
-// checkEnvelope verifies the parts common to every format version — minimum
-// length, whole-file tail CRC, magic — and returns a decoder positioned after
-// the version byte.
-func checkEnvelope(b []byte) (*decoder, byte, error) {
+// openShards decodes either .rst layout from b, sniffing the magic once: a
+// plain snapshot is the one-shard partition with no key. With m set, b is
+// m's mapped bytes and the shards serve their columns lazily out of it;
+// otherwise every column is decoded onto the heap.
+func openShards(b []byte, m *mapping, want flavour) (string, []*Snapshot, error) {
+	d, sharded, err := openEnvelope(b)
+	if err != nil {
+		return "", nil, err
+	}
+	switch {
+	case sharded && want == plainOnly:
+		return "", nil, fmt.Errorf("store: file is a partitioned snapshot; open it with OpenSharded")
+	case !sharded && want == partitionedOnly:
+		return "", nil, fmt.Errorf("store: file is a single snapshot, not a partitioned one; open it with Open")
+	case sharded:
+		return decodeSharded(d, m)
+	}
+	s, err := decodeSnapshot(d, m)
+	if err != nil {
+		return "", nil, err
+	}
+	return "", []*Snapshot{s}, nil
+}
+
+// openEnvelope verifies the parts common to both layouts — minimum length,
+// whole-file tail CRC, magic, format version — and returns a decoder
+// positioned after the version byte plus which layout the magic announced.
+func openEnvelope(b []byte) (d *decoder, sharded bool, err error) {
 	if len(b) < len(magic)+1+4 {
-		return nil, 0, fmt.Errorf("store: snapshot truncated (%d bytes)", len(b))
+		return nil, false, fmt.Errorf("store: snapshot truncated (%d bytes)", len(b))
 	}
 	payload, tail := b[:len(b)-4], b[len(b)-4:]
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, 0, fmt.Errorf("store: snapshot checksum mismatch (file %08x, computed %08x)", want, got)
+		return nil, false, fmt.Errorf("store: snapshot checksum mismatch (file %08x, computed %08x)", want, got)
 	}
-	d := &decoder{b: payload}
-	var m [7]byte
-	copy(m[:], d.bytes(len(magic)))
-	if d.err == nil && m != magic {
-		if bytes.Equal(m[:], shardMagic[:len(m)]) {
-			return nil, 0, fmt.Errorf("store: file is a partitioned snapshot; open it with OpenSharded")
-		}
-		return nil, 0, fmt.Errorf("store: bad magic %q: not a .rst snapshot", m[:])
+	d = &decoder{b: payload}
+	want := byte(FormatVersion)
+	switch {
+	case bytes.HasPrefix(payload, magic[:]):
+		d.off = len(magic)
+	case bytes.HasPrefix(payload, shardMagic[:]):
+		d.off, sharded, want = len(shardMagic), true, ShardFormatVersion
+	default:
+		return nil, false, fmt.Errorf("store: bad magic %q: not a .rst snapshot", payload[:len(magic)])
 	}
-	v := d.byte()
-	if d.err != nil {
-		return nil, 0, fmt.Errorf("store: decoding snapshot: %w", d.err)
+	switch v := d.byte(); {
+	case d.err != nil:
+		return nil, false, fmt.Errorf("store: decoding snapshot: %w", d.err)
+	case v == 1:
+		return nil, false, errFormatV1
+	case v != want:
+		return nil, false, fmt.Errorf("store: unsupported format version %d (want %d)", v, want)
 	}
-	return d, v, nil
+	return d, sharded, nil
 }
 
-// decodeV1 decodes the legacy inline-payload format.
-func decodeV1(d *decoder) (*Snapshot, error) {
-	s := &Snapshot{}
-	s.Name = d.string()
-	s.Version = d.uvarint()
-	rows := d.uvarint()
-	if rows > maxSaneCount {
-		return nil, fmt.Errorf("store: implausible row count %d", rows)
-	}
-	s.rows = int(rows)
-	for i, nh := 0, d.count(); i < nh && d.err == nil; i++ {
-		h := data.Hierarchy{Name: d.string()}
-		for j, na := 0, d.count(); j < na && d.err == nil; j++ {
-			h.Attrs = append(h.Attrs, d.string())
-		}
-		s.Hierarchies = append(s.Hierarchies, h)
-	}
-	for i, nd := 0, d.count(); i < nd && d.err == nil; i++ {
-		c := Column{Name: d.string()}
-		ndict := d.count()
-		c.Dict = make([]string, 0, min(ndict, 1<<16))
-		for j := 0; j < ndict && d.err == nil; j++ {
-			c.Dict = append(c.Dict, d.string())
-		}
-		c.Codes = d.codes(s.rows)
-		s.Dims = append(s.Dims, c)
-	}
-	for i, nm := 0, d.count(); i < nm && d.err == nil; i++ {
-		mc := MeasureColumn{Name: d.string()}
-		mc.Values = d.floats(s.rows)
-		s.Measures = append(s.Measures, mc)
-	}
-	var cubePayload []byte
-	if d.err == nil && d.off < len(d.b) {
-		cubePayload = d.cubeSection()
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("store: decoding snapshot: %w", d.err)
-	}
-	if len(d.b) != d.off {
-		return nil, fmt.Errorf("store: %d trailing bytes after snapshot payload", len(d.b)-d.off)
-	}
-	return finishSnapshot(s, cubePayload)
-}
-
-// decodeV2 decodes the directory format eagerly: every column payload is
-// materialized into heap slices, exactly like a v1 open.
-func decodeV2(d *decoder) (*Snapshot, error) {
+// decodeSnapshot builds a plain snapshot — eager, or mapped over m — from a
+// decoder positioned after the version byte.
+func decodeSnapshot(d *decoder, m *mapping) (*Snapshot, error) {
 	h, err := parseHeaderV2(d)
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{Name: h.name, Version: h.version, Hierarchies: h.hierarchies, rows: h.rows}
-	for i, dim := range h.dims {
-		d.off = h.dimOff[i]
-		s.Dims = append(s.Dims, Column{Name: dim.name, Dict: dim.dict, Codes: d.codes(h.rows)})
-	}
-	for i, name := range h.measureNames {
-		d.off = h.msOff[i]
-		s.Measures = append(s.Measures, MeasureColumn{Name: name, Values: d.floats(h.rows)})
-	}
+	s := h.snapshot(d, m, h.rows, h.dimOff, h.msOff)
 	var cubePayload []byte
 	if d.err == nil && h.cubeOff != 0 {
 		d.off = h.cubeOff
@@ -387,8 +346,7 @@ func decodeV2(d *decoder) (*Snapshot, error) {
 	return finishSnapshot(s, cubePayload)
 }
 
-// finishSnapshot runs post-decode validation and cube attachment, shared by
-// both format versions.
+// finishSnapshot runs post-decode validation and cube attachment.
 func finishSnapshot(s *Snapshot, cubePayload []byte) (*Snapshot, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
@@ -396,6 +354,8 @@ func finishSnapshot(s *Snapshot, cubePayload []byte) (*Snapshot, error) {
 	if cubePayload != nil {
 		// The snapshot's own invariants hold, so the derived dataset exists;
 		// decode the cube against it and attach (validate-on-open included).
+		// cube.Decode copies everything it keeps, so the cube stays valid
+		// independent of a mapping's lifetime.
 		ds, err := s.Dataset()
 		if err != nil {
 			return nil, err
@@ -419,16 +379,50 @@ type dimSchema struct {
 // directory. Offsets are absolute file offsets into the payload (the file
 // minus its tail CRC).
 type headerV2 struct {
+	schemaV2
+	rows    int
+	dimOff  []int
+	msOff   []int
+	cubeOff int // 0 = no cube section
+}
+
+// schemaV2 is what the plain and the partitioned header share: the dataset's
+// identity and column schema, dictionaries included.
+type schemaV2 struct {
 	name         string
 	version      uint64
-	rows         int
 	hierarchies  []data.Hierarchy
 	dims         []dimSchema
 	measureNames []string
-	dimOff       []int
-	msOff        []int
-	cubeOff      int // 0 = no cube section
-	payloadEnd   int // end of the last column payload, padding included
+}
+
+// snapshot assembles one snapshot of rows rows from a validated offset
+// directory. Without a mapping every column payload is materialized into heap
+// slices; with one, columns stay in the file (nil Codes/Values) and are
+// decoded lazily through DimReader/MeasureReader.
+func (sc *schemaV2) snapshot(d *decoder, m *mapping, rows int, dimOff, msOff []int) *Snapshot {
+	s := &Snapshot{
+		Name: sc.name, Version: sc.version, Hierarchies: sc.hierarchies, rows: rows,
+		Dims: make([]Column, len(sc.dims)), Measures: make([]MeasureColumn, len(sc.measureNames)),
+	}
+	if m != nil {
+		s.m, s.dimOff, s.msOff = m, dimOff, msOff
+	}
+	for i, dim := range sc.dims {
+		s.Dims[i] = Column{Name: dim.name, Dict: dim.dict}
+		if m == nil {
+			d.off = dimOff[i]
+			s.Dims[i].Codes = d.codes(rows)
+		}
+	}
+	for i, name := range sc.measureNames {
+		s.Measures[i] = MeasureColumn{Name: name}
+		if m == nil {
+			d.off = msOff[i]
+			s.Measures[i].Values = d.floats(rows)
+		}
+	}
+	return s
 }
 
 // parseHeaderV2 parses and fully validates a v2 header from a decoder
@@ -513,7 +507,6 @@ func parseHeaderV2(d *decoder) (*headerV2, error) {
 			return nil, err
 		}
 	}
-	h.payloadEnd = expected
 	switch {
 	case h.cubeOff == 0:
 		if expected != len(d.b) {

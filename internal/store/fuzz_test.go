@@ -9,9 +9,9 @@ import (
 // contract under test: Open and OpenSharded return an error on any input
 // they dislike — they never panic, and anything they do accept must also
 // re-materialize into a Dataset without panicking. Seeds cover every on-disk
-// shape the writers produce: v1 legacy, v2, v2 with a cube section, and a
-// sharded container, plus a truncation of a valid file (the likeliest
-// real-world corruption).
+// shape the writers produce (v2, v2 with a cube section, a sharded
+// container), a hand-built v1 envelope, plus a truncation of a valid file
+// (the likeliest real-world corruption).
 func FuzzOpenSnapshot(f *testing.F) {
 	snap := FromDataset(demoDataset())
 	var v2 bytes.Buffer
@@ -20,11 +20,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	}
 	f.Add(v2.Bytes())
 
-	var v1 bytes.Buffer
-	if err := snap.writeLegacy(&v1); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(v1.Bytes())
+	f.Add(v1Envelope(magic[:]))
 
 	cubed := FromDataset(demoDataset())
 	if err := cubed.BuildCube(); err != nil {

@@ -7,7 +7,6 @@ import (
 	"os"
 	"sync/atomic"
 
-	"repro/internal/cube"
 	"repro/internal/data"
 )
 
@@ -153,101 +152,24 @@ func (s *Snapshot) ResidentColumnBytes() int64 {
 // (DimReader/MeasureReader) with nil Codes/Values slices. Heap cost is
 // O(dictionaries + cube), not O(rows), so datasets larger than RAM serve
 // with flat residency. Release the mapping with Close.
-//
-// Version-1 files carry inline payloads that cannot be mapped; they fall
-// back to the eager path (the result answers Mapped() == false).
 func OpenMappedFile(path string) (*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := OpenMapped(f)
-	if err != nil {
-		return nil, fmt.Errorf("store: %s: %w", path, err)
-	}
-	return s, nil
+	return single(openPath(path, true, plainOnly))
 }
 
-// OpenMapped maps the already-open file f (the descriptor may be closed
-// afterwards; the mapping persists) and opens it like OpenMappedFile.
-// Errors carry no file path; OpenMappedFile adds it.
-func OpenMapped(f *os.File) (*Snapshot, error) {
+// openMapped maps the open file f (the descriptor may be closed afterwards;
+// the mapping persists) and builds the file's shard snapshots over the
+// mapping, which every shard co-owns: it is released when the last one closes
+// (or right here when the open fails).
+func openMapped(f *os.File, want flavour) (string, []*Snapshot, error) {
 	m, err := openMapping(f)
 	if err != nil {
-		return nil, err
+		return "", nil, err
 	}
-	s, err := openMapped(m)
+	key, shards, err := openShards(m.data, m, want)
 	if err != nil {
 		m.close()
-		return nil, err
+		return "", nil, err
 	}
-	if !s.Mapped() {
-		// Version-1 fallback: the snapshot was decoded eagerly and does not
-		// reference the mapping.
-		m.close()
-	}
-	return s, nil
-}
-
-// openMapped builds a mapped snapshot over m. Errors are returned without
-// path context; callers wrap.
-func openMapped(m *mapping) (*Snapshot, error) {
-	d, version, err := checkEnvelope(m.data)
-	if err != nil {
-		return nil, err
-	}
-	if version == legacyFormatVersion {
-		// v1 interleaves dictionaries and payloads, so there is nothing to
-		// map lazily; decode it eagerly (decode copies everything out of the
-		// mapping, so releasing it afterwards is safe).
-		return decodeV1(d)
-	}
-	if version != FormatVersion {
-		return nil, fmt.Errorf("store: unsupported format version %d (want 1–%d)", version, FormatVersion)
-	}
-	h, err := parseHeaderV2(d)
-	if err != nil {
-		return nil, err
-	}
-	s := &Snapshot{
-		Name:        h.name,
-		Version:     h.version,
-		Hierarchies: h.hierarchies,
-		rows:        h.rows,
-		m:           m,
-		dimOff:      h.dimOff,
-		msOff:       h.msOff,
-	}
-	for _, dim := range h.dims {
-		s.Dims = append(s.Dims, Column{Name: dim.name, Dict: dim.dict})
-	}
-	for _, name := range h.measureNames {
-		s.Measures = append(s.Measures, MeasureColumn{Name: name})
-	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	if h.cubeOff != 0 {
-		d.off = h.cubeOff
-		payload := d.cubeSection()
-		if d.err != nil {
-			return nil, fmt.Errorf("store: decoding snapshot: %w", d.err)
-		}
-		if d.off != len(d.b) {
-			return nil, fmt.Errorf("store: %d trailing bytes after snapshot payload", len(d.b)-d.off)
-		}
-		ds, err := s.Dataset()
-		if err != nil {
-			return nil, err
-		}
-		// cube.Decode copies everything it keeps, so the cube stays valid
-		// independent of the mapping's lifetime.
-		c, err := cube.Decode(payload, ds)
-		if err != nil {
-			return nil, fmt.Errorf("store: decoding cube section: %w", err)
-		}
-		s.attachCube(c)
-	}
-	return s, nil
+	m.refs.Store(int32(len(shards)))
+	return key, shards, nil
 }

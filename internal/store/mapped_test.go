@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,68 +96,46 @@ func TestOpenMappedRoundTrip(t *testing.T) {
 	}
 }
 
-func TestOpenMappedLegacyFallsBackEager(t *testing.T) {
-	snap := FromDataset(demoDataset7())
-	var buf bytes.Buffer
-	if err := snap.writeLegacy(&buf); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "v1.rst")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := OpenMappedFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Mapped() {
-		t.Fatal("v1 file claims to be mapped")
-	}
-	back, err := got.Dataset()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertDatasetsEqual(t, back, demoDataset7())
-	if err := got.Close(); err != nil {
-		t.Fatalf("Close on the eager fallback: %v", err)
-	}
+// v1Envelope hand-builds the smallest well-formed version-1 file: the given
+// magic, version byte 1, a short body, and a valid tail CRC — everything the
+// envelope check inspects before the version dispatch. No writer has emitted
+// v1 since the offset-directory format landed.
+func v1Envelope(magic []byte) []byte {
+	b := append(append([]byte{}, magic...), 1)
+	b = append(b, "legacy body"...)
+	b = append(b, 0, 0, 0, 0)
+	reseal(b)
+	return b
 }
 
-// TestLegacyFormatStillOpens pins v1 compatibility: files written by the
-// previous inline-payload encoder (with and without a cube section) must
-// decode to the same dataset the v2 path produces.
-func TestLegacyFormatStillOpens(t *testing.T) {
-	for _, withCube := range []bool{false, true} {
-		name := "plain"
-		if withCube {
-			name = "cube"
+// TestFormatV1Rejected pins the one dedicated error a version-1 file gets on
+// all four open paths (plain/partitioned × eager/mapped): v1 is no longer
+// readable, and the message says how to upgrade.
+func TestFormatV1Rejected(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, magic []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, v1Envelope(magic), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			snap := FromDataset(demoDataset7())
-			if withCube {
-				if err := snap.BuildCube(); err != nil {
-					t.Fatal(err)
-				}
+		return path
+	}
+	plain, sharded := write("v1.rst", magic[:]), write("v1-sharded.rst", shardMagic[:])
+	cases := []struct {
+		name string
+		open func() error
+	}{
+		{"plain eager", func() error { _, err := OpenFile(plain); return err }},
+		{"plain mapped", func() error { _, err := OpenMappedFile(plain); return err }},
+		{"partitioned eager", func() error { _, _, err := OpenShardedFile(sharded); return err }},
+		{"partitioned mapped", func() error { _, _, err := OpenShardedMappedFile(sharded); return err }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.open()
+			if !errors.Is(err, errFormatV1) || !strings.Contains(err.Error(), "reptile convert") {
+				t.Fatalf("err = %v, want the format-version-1 rejection", err)
 			}
-			var buf bytes.Buffer
-			if err := snap.writeLegacy(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if v := buf.Bytes()[len(magic)]; v != legacyFormatVersion {
-				t.Fatalf("legacy writer emitted version %d", v)
-			}
-			got, err := Open(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if (got.Cube() != nil) != withCube {
-				t.Fatalf("cube presence = %v, want %v", got.Cube() != nil, withCube)
-			}
-			back, err := got.Dataset()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertDatasetsEqual(t, back, demoDataset7())
 		})
 	}
 }
@@ -409,51 +388,6 @@ func TestOpenShardedMappedRoundTrip(t *testing.T) {
 	}
 	if m.data != nil {
 		t.Fatal("mapping still live after the last shard closed")
-	}
-}
-
-// TestLegacyShardedFormatStillOpens pins v1 partitioned compatibility,
-// through both the eager decoder and the OpenShardedMapped eager fallback.
-func TestLegacyShardedFormatStillOpens(t *testing.T) {
-	want := demoDataset7()
-	shards := splitShards(t, want, 2)
-	var buf bytes.Buffer
-	if err := writeShardedLegacy(&buf, "district", shards); err != nil {
-		t.Fatal(err)
-	}
-	if v := buf.Bytes()[len(shardMagic)]; v != legacyShardFormatVersion {
-		t.Fatalf("legacy sharded writer emitted version %d", v)
-	}
-	path := filepath.Join(t.TempDir(), "v1-sharded.rst")
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	key, eager, err := OpenShardedFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkey, fallback, err := OpenShardedMappedFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if key != "district" || mkey != key || len(eager) != 2 || len(fallback) != 2 {
-		t.Fatalf("keys (%q, %q), shards (%d, %d)", key, mkey, len(eager), len(fallback))
-	}
-	for si := range eager {
-		if fallback[si].Mapped() {
-			t.Fatalf("v1 shard %d claims to be mapped", si)
-		}
-		for _, sn := range []*Snapshot{eager[si], fallback[si]} {
-			got, err := sn.Dataset()
-			if err != nil {
-				t.Fatal(err)
-			}
-			eds, err := shards[si].Dataset()
-			if err != nil {
-				t.Fatal(err)
-			}
-			assertDatasetsEqual(t, got, eds)
-		}
 	}
 }
 

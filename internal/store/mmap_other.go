@@ -8,7 +8,7 @@ import (
 )
 
 // mapFile falls back to reading the file into memory on platforms without
-// mmap support: OpenMapped still works everywhere, it just loses the
+// mmap support: OpenMappedFile still works everywhere, it just loses the
 // larger-than-RAM property there.
 func mapFile(f *os.File, size int64) ([]byte, error) {
 	b := make([]byte, size)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"repro/internal/data"
 )
@@ -16,34 +15,14 @@ import (
 // hashed into N shards on a hierarchy-root dimension, dictionaries shared
 // across the shards and written once. Version 2 (the current writer output)
 // keeps a CRC-checked byte-offset directory in the header and 8-byte-aligned
-// per-shard column payloads, so OpenShardedMapped can serve every shard out
-// of one file mapping; version 1 (inline shard sections, each with its own
-// CRC) still opens via the eager path. Materialized cubes are not persisted:
-// per-shard cubes are cheap to rebuild at registration time.
+// per-shard column payloads, so OpenShardedMappedFile can serve every shard out
+// of one file mapping; version 1 (inline shard sections) is no longer
+// readable. Materialized cubes are not persisted: per-shard cubes are cheap
+// to rebuild at registration time.
 var shardMagic = [8]byte{'R', 'S', 'T', 'S', 'H', 'A', 'R', 'D'}
 
 // ShardFormatVersion is the current partitioned .rst format version.
 const ShardFormatVersion = 2
-
-// legacyShardFormatVersion is the previous inline-section format, still
-// readable.
-const legacyShardFormatVersion = 1
-
-// IsShardedFile reports whether the file at path starts with the partitioned
-// snapshot magic. Both .rst flavors share the extension; callers sniff to
-// pick Open or OpenSharded.
-func IsShardedFile(path string) (bool, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	var m [8]byte
-	if _, err := io.ReadFull(f, m[:]); err != nil {
-		return false, nil // too short to be partitioned; let Open diagnose
-	}
-	return m == shardMagic, nil
-}
 
 // WriteSharded serializes the shards of one partitioned dataset in format
 // version 2 (offset directory + aligned payloads), checksum included. Every
@@ -159,99 +138,10 @@ func WriteSharded(w io.Writer, key string, shards []*Snapshot) error {
 	return nil
 }
 
-// writeShardedLegacy serializes the shards in format version 1 (inline shard
-// sections, each with its own CRC). It is kept so tests can produce v1
-// fixtures and prove old partitioned files keep opening byte-identically.
-func writeShardedLegacy(w io.Writer, key string, shards []*Snapshot) error {
-	if err := checkShardSet(key, shards); err != nil {
-		return err
-	}
-	first := shards[0]
-	h := crc32.New(castagnoli)
-	bw := bufio.NewWriterSize(io.MultiWriter(w, h), 1<<16)
-	e := &encoder{w: bw}
-	e.bytes(shardMagic[:])
-	e.byte(legacyShardFormatVersion)
-	e.string(first.Name)
-	e.uvarint(first.Version)
-	e.string(key)
-	e.uvarint(uint64(len(first.Hierarchies)))
-	for _, hr := range first.Hierarchies {
-		e.string(hr.Name)
-		e.uvarint(uint64(len(hr.Attrs)))
-		for _, a := range hr.Attrs {
-			e.string(a)
-		}
-	}
-	e.uvarint(uint64(len(first.Dims)))
-	for _, c := range first.Dims {
-		e.string(c.Name)
-		e.uvarint(uint64(len(c.Dict)))
-		for _, v := range c.Dict {
-			e.string(v)
-		}
-	}
-	e.uvarint(uint64(len(first.Measures)))
-	for _, m := range first.Measures {
-		e.string(m.Name)
-	}
-	e.uvarint(uint64(len(shards)))
-	// Each shard section is staged in memory so its own CRC can follow it.
-	var section bytes.Buffer
-	for _, s := range shards {
-		section.Reset()
-		sw := bufio.NewWriter(&section)
-		se := &encoder{w: sw}
-		se.uvarint(uint64(s.rows))
-		for _, c := range s.Dims {
-			se.codes(c.Codes)
-		}
-		for _, m := range s.Measures {
-			se.floats(m.Values)
-		}
-		if se.err == nil {
-			se.err = sw.Flush()
-		}
-		if se.err != nil {
-			return fmt.Errorf("store: writing shard section: %w", se.err)
-		}
-		e.bytes(section.Bytes())
-		var sum [4]byte
-		binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(section.Bytes(), castagnoli))
-		e.bytes(sum[:])
-	}
-	if e.err != nil {
-		return fmt.Errorf("store: writing partitioned snapshot: %w", e.err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("store: writing partitioned snapshot: %w", err)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], h.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("store: writing partitioned snapshot checksum: %w", err)
-	}
-	return nil
-}
-
 // WriteShardedFile writes the partitioned snapshot to path atomically
 // (temp file + rename).
 func WriteShardedFile(path, key string, shards []*Snapshot) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := WriteSharded(f, key, shards); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
+	return WriteFileAtomic(path, false, func(w io.Writer) error { return WriteSharded(w, key, shards) })
 }
 
 // checkShardSet verifies the writer's preconditions: a non-empty shard list
@@ -324,199 +214,65 @@ func equalDict(a, b []string) bool {
 }
 
 // OpenSharded decodes and validates a partitioned snapshot from r: the file
-// checksum, the header or per-section checksums of the format version at
-// hand, each shard's structural invariants and hierarchy functional
-// dependencies. The returned snapshots share one set of dictionary slices,
-// in shard order.
+// and header checksums, each shard's structural invariants and hierarchy
+// functional dependencies. The returned snapshots share one set of
+// dictionary slices, in shard order.
 func OpenSharded(r io.Reader) (key string, shards []*Snapshot, err error) {
 	b, err := io.ReadAll(r)
 	if err != nil {
 		return "", nil, fmt.Errorf("store: reading partitioned snapshot: %w", err)
 	}
-	return decodeSharded(b)
+	return openShards(b, nil, partitionedOnly)
 }
 
 // OpenShardedFile loads a partitioned .rst snapshot from disk.
 func OpenShardedFile(path string) (string, []*Snapshot, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return "", nil, err
-	}
-	key, shards, err := decodeSharded(b)
-	if err != nil {
-		return "", nil, fmt.Errorf("store: %s: %w", path, err)
-	}
-	return key, shards, nil
+	return openPath(path, false, partitionedOnly)
 }
 
-func decodeSharded(b []byte) (string, []*Snapshot, error) {
-	d, version, err := checkShardEnvelope(b)
-	if err != nil {
-		return "", nil, err
-	}
-	switch version {
-	case legacyShardFormatVersion:
-		return decodeShardedV1(d)
-	case ShardFormatVersion:
-		return decodeShardedV2(d)
-	default:
-		return "", nil, fmt.Errorf("store: unsupported partitioned format version %d (want 1–%d)", version, ShardFormatVersion)
-	}
+// OpenShardsFile loads either .rst layout as a shard list, reading (or, with
+// mapped set, memory-mapping) the file once and dispatching on its magic: a
+// partitioned file yields its key and N shards, a plain snapshot is the
+// one-shard partition and yields no key. Mapped shards share one file
+// mapping, released when the last of them is Closed.
+func OpenShardsFile(path string, mapped bool) (key string, shards []*Snapshot, err error) {
+	return openPath(path, mapped, anyFlavour)
 }
 
-// checkShardEnvelope verifies the parts common to every partitioned format
-// version — minimum length, whole-file tail CRC, magic — and returns a
-// decoder positioned after the version byte.
-func checkShardEnvelope(b []byte) (*decoder, byte, error) {
-	if len(b) < len(shardMagic)+1+4 {
-		return nil, 0, fmt.Errorf("store: partitioned snapshot truncated (%d bytes)", len(b))
-	}
-	payload, tail := b[:len(b)-4], b[len(b)-4:]
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, 0, fmt.Errorf("store: partitioned snapshot checksum mismatch (file %08x, computed %08x)", want, got)
-	}
-	d := &decoder{b: payload}
-	var m [8]byte
-	copy(m[:], d.bytes(len(shardMagic)))
-	if d.err == nil && m != shardMagic {
-		if bytes.Equal(m[:len(magic)], magic[:]) {
-			return nil, 0, fmt.Errorf("store: file is a single snapshot, not a partitioned one; open it with Open")
-		}
-		return nil, 0, fmt.Errorf("store: bad magic %q: not a partitioned .rst snapshot", m[:])
-	}
-	v := d.byte()
-	if d.err != nil {
-		return nil, 0, fmt.Errorf("store: decoding partitioned snapshot: %w", d.err)
-	}
-	return d, v, nil
-}
-
-// decodeShardedV1 decodes the legacy inline-section format.
-func decodeShardedV1(d *decoder) (string, []*Snapshot, error) {
-	name := d.string()
-	version := d.uvarint()
-	key := d.string()
-	var hierarchies []data.Hierarchy
-	for i, nh := 0, d.count(); i < nh && d.err == nil; i++ {
-		h := data.Hierarchy{Name: d.string()}
-		for j, na := 0, d.count(); j < na && d.err == nil; j++ {
-			h.Attrs = append(h.Attrs, d.string())
-		}
-		hierarchies = append(hierarchies, h)
-	}
-	var dims []dimSchema
-	for i, nd := 0, d.count(); i < nd && d.err == nil; i++ {
-		ds := dimSchema{name: d.string()}
-		ndict := d.count()
-		ds.dict = make([]string, 0, min(ndict, 1<<16))
-		for j := 0; j < ndict && d.err == nil; j++ {
-			ds.dict = append(ds.dict, d.string())
-		}
-		dims = append(dims, ds)
-	}
-	var measureNames []string
-	for i, nm := 0, d.count(); i < nm && d.err == nil; i++ {
-		measureNames = append(measureNames, d.string())
-	}
-	nshards := d.count()
-	if d.err == nil && nshards == 0 {
-		return "", nil, fmt.Errorf("store: partitioned snapshot has no shards")
-	}
-	var shards []*Snapshot
-	for si := 0; si < nshards && d.err == nil; si++ {
-		start := d.off
-		rows := d.uvarint()
-		if rows > maxSaneCount {
-			return "", nil, fmt.Errorf("store: shard %d: implausible row count %d", si, rows)
-		}
-		s := &Snapshot{
-			Name:        name,
-			Version:     version,
-			Hierarchies: hierarchies,
-			rows:        int(rows),
-		}
-		for _, dim := range dims {
-			s.Dims = append(s.Dims, Column{Name: dim.name, Dict: dim.dict, Codes: d.codes(s.rows)})
-		}
-		for _, mn := range measureNames {
-			s.Measures = append(s.Measures, MeasureColumn{Name: mn, Values: d.floats(s.rows)})
-		}
-		sectionEnd := d.off
-		sum := d.bytes(4)
-		if d.err != nil {
-			break
-		}
-		if got, want := crc32.Checksum(d.b[start:sectionEnd], castagnoli), binary.LittleEndian.Uint32(sum); got != want {
-			return "", nil, fmt.Errorf("store: shard %d section checksum mismatch (file %08x, computed %08x)", si, want, got)
-		}
-		shards = append(shards, s)
-	}
-	if d.err != nil {
-		return "", nil, fmt.Errorf("store: decoding partitioned snapshot: %w", d.err)
-	}
-	if len(d.b) != d.off {
-		return "", nil, fmt.Errorf("store: %d trailing bytes after partitioned snapshot payload", len(d.b)-d.off)
-	}
-	return finishShards(key, hierarchies, shards)
-}
-
-// decodeShardedV2 decodes the directory format eagerly: every shard's column
-// payloads are materialized into heap slices, exactly like a v1 open.
-func decodeShardedV2(d *decoder) (string, []*Snapshot, error) {
+// decodeSharded builds the shard snapshots of a partitioned file from a
+// decoder positioned after the version byte — eagerly, or as lazily-decoded
+// readers over m (see decodeSnapshot) — then validates the partition key and
+// every shard's structural invariants.
+func decodeSharded(d *decoder, m *mapping) (string, []*Snapshot, error) {
 	h, err := parseShardHeaderV2(d)
 	if err != nil {
 		return "", nil, err
 	}
-	var shards []*Snapshot
+	if err := checkShardKey(h.key, h.hierarchies); err != nil {
+		return "", nil, err
+	}
+	shards := make([]*Snapshot, len(h.shardRows))
 	for si, rows := range h.shardRows {
-		s := &Snapshot{
-			Name:        h.name,
-			Version:     h.version,
-			Hierarchies: h.hierarchies,
-			rows:        rows,
-		}
-		for ci, dim := range h.dims {
-			d.off = h.dimOff[si][ci]
-			s.Dims = append(s.Dims, Column{Name: dim.name, Dict: dim.dict, Codes: d.codes(rows)})
-		}
-		for mi, mn := range h.measureNames {
-			d.off = h.msOff[si][mi]
-			s.Measures = append(s.Measures, MeasureColumn{Name: mn, Values: d.floats(rows)})
-		}
+		s := h.snapshot(d, m, rows, h.dimOff[si], h.msOff[si])
 		if d.err != nil {
 			return "", nil, fmt.Errorf("store: decoding partitioned snapshot: %w", d.err)
 		}
-		shards = append(shards, s)
-	}
-	return finishShards(h.key, h.hierarchies, shards)
-}
-
-// finishShards runs the post-decode validation shared by both format
-// versions: the partition key and every shard's structural invariants.
-func finishShards(key string, hierarchies []data.Hierarchy, shards []*Snapshot) (string, []*Snapshot, error) {
-	if err := checkShardKey(key, hierarchies); err != nil {
-		return "", nil, err
-	}
-	for si, s := range shards {
 		if err := s.validate(); err != nil {
 			return "", nil, fmt.Errorf("store: shard %d: %w", si, err)
 		}
+		shards[si] = s
 	}
-	return key, shards, nil
+	return h.key, shards, nil
 }
 
 // shardHeaderV2 is the parsed v2 partitioned header: shared schema plus the
 // validated per-shard byte-offset directory.
 type shardHeaderV2 struct {
-	name         string
-	version      uint64
-	key          string
-	hierarchies  []data.Hierarchy
-	dims         []dimSchema
-	measureNames []string
-	shardRows    []int
-	dimOff       [][]int // [shard][dim] absolute payload offsets
-	msOff        [][]int // [shard][measure]
+	schemaV2
+	key       string
+	shardRows []int
+	dimOff    [][]int // [shard][dim] absolute payload offsets
+	msOff     [][]int // [shard][measure]
 }
 
 // parseShardHeaderV2 parses and fully validates a v2 partitioned header from
@@ -624,89 +380,6 @@ func parseShardHeaderV2(d *decoder) (*shardHeaderV2, error) {
 // (schema, shared dictionaries, offset directory) is parsed and CRC-checked,
 // and every shard's columns are exposed as lazily-decoded readers over one
 // shared file mapping. The mapping is released when the last shard is Closed.
-//
-// Version-1 files carry inline sections that cannot be mapped; they fall back
-// to the eager path (the shards answer Mapped() == false).
 func OpenShardedMappedFile(path string) (string, []*Snapshot, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return "", nil, err
-	}
-	defer f.Close()
-	key, shards, err := OpenShardedMapped(f)
-	if err != nil {
-		return "", nil, fmt.Errorf("store: %s: %w", path, err)
-	}
-	return key, shards, nil
-}
-
-// OpenShardedMapped maps the already-open file f (the descriptor may be
-// closed afterwards; the mapping persists) and opens it like
-// OpenShardedMappedFile. Errors carry no file path; OpenShardedMappedFile
-// adds it.
-func OpenShardedMapped(f *os.File) (string, []*Snapshot, error) {
-	m, err := openMapping(f)
-	if err != nil {
-		return "", nil, err
-	}
-	key, shards, err := openShardedMapped(m)
-	if err != nil {
-		m.close()
-		return "", nil, err
-	}
-	if len(shards) > 0 && !shards[0].Mapped() {
-		// Version-1 fallback: the shards were decoded eagerly and do not
-		// reference the mapping.
-		m.close()
-	}
-	return key, shards, nil
-}
-
-// openShardedMapped builds mapped shard snapshots over m. Errors are returned
-// without path context; callers wrap.
-func openShardedMapped(m *mapping) (string, []*Snapshot, error) {
-	d, version, err := checkShardEnvelope(m.data)
-	if err != nil {
-		return "", nil, err
-	}
-	if version == legacyShardFormatVersion {
-		// v1 interleaves shard sections; nothing to map lazily. Decode eagerly
-		// (the decoder copies everything out of the mapping, so the caller
-		// releasing it afterwards is safe).
-		return decodeShardedV1(d)
-	}
-	if version != ShardFormatVersion {
-		return "", nil, fmt.Errorf("store: unsupported partitioned format version %d (want 1–%d)", version, ShardFormatVersion)
-	}
-	h, err := parseShardHeaderV2(d)
-	if err != nil {
-		return "", nil, err
-	}
-	var shards []*Snapshot
-	for si, rows := range h.shardRows {
-		s := &Snapshot{
-			Name:        h.name,
-			Version:     h.version,
-			Hierarchies: h.hierarchies,
-			rows:        rows,
-			m:           m,
-			dimOff:      h.dimOff[si],
-			msOff:       h.msOff[si],
-		}
-		for _, dim := range h.dims {
-			s.Dims = append(s.Dims, Column{Name: dim.name, Dict: dim.dict})
-		}
-		for _, mn := range h.measureNames {
-			s.Measures = append(s.Measures, MeasureColumn{Name: mn})
-		}
-		shards = append(shards, s)
-	}
-	if _, _, err := finishShards(h.key, h.hierarchies, shards); err != nil {
-		return "", nil, err
-	}
-	// Every shard co-owns the mapping: it is released when the last one
-	// closes. Set the count only now — on the error paths above the caller
-	// holds the single opening reference and closes it itself.
-	m.refs.Store(int32(len(shards)))
-	return h.key, shards, nil
+	return openPath(path, true, partitionedOnly)
 }

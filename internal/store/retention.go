@@ -99,25 +99,6 @@ func RetainAfter(s *Snapshot, dim string, horizon time.Time) (*Snapshot, int, er
 	return next, dropped, nil
 }
 
-// Retain is the one-snapshot convenience: it computes the horizon (newest
-// event on dim minus window) and drops the rows behind it. The returned
-// horizon is the zero time when no row carries a parseable event time.
-func Retain(s *Snapshot, dim string, window time.Duration) (*Snapshot, int, time.Time, error) {
-	max, ok, err := MaxEventTime(s, dim)
-	if err != nil {
-		return nil, 0, time.Time{}, err
-	}
-	if !ok {
-		return s, 0, time.Time{}, nil
-	}
-	horizon := max.Add(-window)
-	next, dropped, err := RetainAfter(s, dim, horizon)
-	if err != nil {
-		return nil, 0, time.Time{}, err
-	}
-	return next, dropped, horizon, nil
-}
-
 // WithVersion returns a snapshot sharing every column of s but stamped with
 // the given version — the cheap way to move an untouched shard to its
 // siblings' new version after retention dropped rows elsewhere. The cube

@@ -161,3 +161,23 @@ func mustTime(t *testing.T, v string) time.Time {
 	}
 	return tt
 }
+
+// Retain is the one-snapshot pass the tests drive (serving goes through
+// shard.Set.Retain): it computes the horizon (newest
+// event on dim minus window) and drops the rows behind it. The returned
+// horizon is the zero time when no row carries a parseable event time.
+func Retain(s *Snapshot, dim string, window time.Duration) (*Snapshot, int, time.Time, error) {
+	max, ok, err := MaxEventTime(s, dim)
+	if err != nil {
+		return nil, 0, time.Time{}, err
+	}
+	if !ok {
+		return s, 0, time.Time{}, nil
+	}
+	horizon := max.Add(-window)
+	next, dropped, err := RetainAfter(s, dim, horizon)
+	if err != nil {
+		return nil, 0, time.Time{}, err
+	}
+	return next, dropped, horizon, nil
+}

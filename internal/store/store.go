@@ -1,5 +1,5 @@
-// The package documentation, including the .rst binary layouts for both
-// format versions, lives in doc.go.
+// The package documentation, including the .rst binary layouts, lives in
+// doc.go.
 package store
 
 import (
@@ -36,7 +36,7 @@ type Snapshot struct {
 
 	rows int
 	// m is the backing file mapping when the snapshot was opened with
-	// OpenMapped: column payloads then live in the mapped file (Codes and
+	// OpenMappedFile: column payloads then live in the mapped file (Codes and
 	// Values stay nil) and are decoded lazily through DimReader /
 	// MeasureReader. dimOff/msOff are the payload byte offsets from the
 	// file's directory.
@@ -56,7 +56,8 @@ type Snapshot struct {
 // NumRows returns the snapshot's row count.
 func (s *Snapshot) NumRows() int { return s.rows }
 
-// FromDataset dictionary-encodes a dataset into a version-1 snapshot.
+// FromDataset dictionary-encodes a dataset into a snapshot at dataset
+// version 1.
 // Dictionaries list values in order of first appearance, so encoding is
 // deterministic for a given row order.
 func FromDataset(ds *data.Dataset) *Snapshot {
@@ -80,8 +81,8 @@ func FromDataset(ds *data.Dataset) *Snapshot {
 
 // NewSnapshot assembles a snapshot from already-encoded columns and validates
 // it (column lengths, code ranges, hierarchy functional dependencies). It is
-// the constructor internal/shard uses to build per-shard snapshots that share
-// dictionaries with their siblings; the caller keeps ownership conventions —
+// the constructor internal/shard uses to partition a snapshot into shards
+// that share its dictionaries; the caller keeps ownership conventions —
 // columns must not be mutated afterwards.
 func NewSnapshot(name string, version uint64, hierarchies []data.Hierarchy, dims []Column, measures []MeasureColumn, rows int) (*Snapshot, error) {
 	s := &Snapshot{
@@ -97,13 +98,6 @@ func NewSnapshot(name string, version uint64, hierarchies []data.Hierarchy, dims
 	}
 	return s, nil
 }
-
-// AttachCube installs a pre-built materialized cube on the snapshot (and on
-// the already-derived dataset, if any). The cube must aggregate exactly this
-// snapshot's rows; internal/shard uses this to carry per-shard cubes across
-// appends (delta-merge) instead of rebuilding them. Attach before handing the
-// snapshot to concurrent readers.
-func (s *Snapshot) AttachCube(c *cube.Cube) { s.attachCube(c) }
 
 // encodeColumn dictionary-encodes one dimension, reusing the dataset's own
 // encoding when it already carries one.

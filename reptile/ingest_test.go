@@ -9,6 +9,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -132,6 +133,43 @@ func TestSaveCheckpointsAndTruncatesWAL(t *testing.T) {
 	defer eng3.Close()
 	if n := eng3.Dataset().NumRows(); n != 11 {
 		t.Errorf("rows after post-checkpoint replay = %d, want 11", n)
+	}
+}
+
+// TestSaveKeepsLogUntilSnapshotIsDurable is the regression test for Save
+// truncating the log behind a snapshot that never reached stable storage.
+// The temp file Save writes through is pre-planted as a symlink to /dev/null:
+// every write "succeeds" and is discarded, which only the fsync reveals
+// (EINVAL on a character device) — the observable stand-in for a power cut
+// between rename and writeback. Save must fail and leave every acknowledged
+// row in the log.
+func TestSaveKeepsLogUntilSnapshotIsDurable(t *testing.T) {
+	if runtime.GOOS != "linux" {
+		t.Skip("relies on fsync(/dev/null) failing, which is Linux behaviour")
+	}
+	dir := t.TempDir()
+	csvPath := writeTestCSV(t)
+	eng := openDrought(t, csvPath, reptile.WithWAL(dir))
+	if err := eng.Append(appendedRows); err != nil {
+		t.Fatal(err)
+	}
+	rstPath := filepath.Join(dir, "drought.rst")
+	if err := os.Symlink("/dev/null", rstPath+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Save(rstPath); err == nil {
+		t.Error("Save reported success for a snapshot that was never synced")
+	}
+	if fi, err := os.Stat(filepath.Join(dir, "drought.wal")); err != nil || fi.Size() <= 13 {
+		t.Fatalf("log after the failed Save: size=%v err=%v, want the appended batch still logged", fi.Size(), err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openDrought(t, csvPath, reptile.WithWAL(dir))
+	defer reopened.Close()
+	if n := reopened.Dataset().NumRows(); n != 10 {
+		t.Errorf("rows after reopening = %d, want 10 (the acknowledged rows survive)", n)
 	}
 }
 

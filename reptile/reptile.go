@@ -30,16 +30,14 @@ package reptile
 
 import (
 	"fmt"
-	"path/filepath"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/data"
+	"repro/internal/ingest"
 	"repro/internal/shard"
 	"repro/internal/store"
-	"repro/internal/wal"
 )
 
 // config collects everything the functional options can set.
@@ -159,10 +157,9 @@ func WithShardKey(dim string) Option { return func(c *config) { c.shardKey = dim
 // memory-mapped file instead of decoding its columns onto the heap: residency
 // stays O(dictionaries + cube) rather than O(rows), so snapshots larger than
 // RAM serve with flat RSS, at the price of page-cache reads on cold columns.
-// Recommendations are byte-identical to an eager open. Version-1 snapshot
-// files fall back to an eager load. Only .rst paths accept the option — CSVs
-// are parsed into memory and have no column payloads to map. Call
-// Engine.Close to release the mapping.
+// Recommendations are byte-identical to an eager open. Only .rst paths accept
+// the option — CSVs are parsed into memory and have no column payloads to
+// map. Call Engine.Close to release the mapping.
 func WithMappedIO() Option { return func(c *config) { c.mappedIO = true } }
 
 // WithWAL attaches a write-ahead log to the engine: every Append commits its
@@ -201,20 +198,10 @@ type Row = store.Row
 // concurrent use: many sessions may Recommend against it at once, and
 // Append hot-swaps the served dataset without disturbing them.
 type Engine struct {
-	mu   sync.Mutex
-	eng  *core.Engine
-	snap *store.Snapshot // non-nil when opened from an unsharded snapshot
-	set  *shard.Set      // non-nil when serving sharded
-
-	// Ingestion state: the engine options appends rebuild with, the warm
-	// dictionary builder (unsharded), the optional write-ahead log, and the
-	// optional retention window.
-	opts      core.Options
-	builder   *store.Builder
-	log       *wal.WAL
-	retention time.Duration
-	retDim    string
-	closed    bool
+	// ds owns the dataset's lifecycle (internal/ingest): the served version —
+	// a set of N ≥ 1 shards plus the engine over it — appends, retention, the
+	// optional write-ahead log, and checkpoints.
+	ds *ingest.Dataset
 }
 
 // Open loads a dataset from path and builds an engine over it. A path ending
@@ -231,39 +218,15 @@ func Open(path string, opts ...Option) (*Engine, error) {
 		if len(cfg.measures) > 0 || len(cfg.hierarchies) > 0 || cfg.name != "" {
 			return nil, fmt.Errorf("reptile: a .rst snapshot carries its own name, measures and hierarchies; drop WithName/WithMeasures/WithHierarchies")
 		}
-		sharded, err := store.IsShardedFile(path)
+		set, err := shard.Open(path, cfg.mappedIO)
 		if err != nil {
 			return nil, err
 		}
-		if sharded {
-			if cfg.shards != 0 || cfg.shardKey != "" {
-				return nil, fmt.Errorf("reptile: a partitioned .rst snapshot carries its own shard topology; drop WithShards/WithShardKey")
-			}
-			open := shard.Open
-			if cfg.mappedIO {
-				open = shard.OpenMapped
-			}
-			set, err := open(path)
-			if err != nil {
-				return nil, err
-			}
-			var log *wal.WAL
-			if cfg.useWAL {
-				if log, set, err = replaySetLog(cfg.walDir, set); err != nil {
-					return nil, err
-				}
-			}
-			return fromSet(set, cfg, log)
+		if set.N() > 1 && (cfg.shards != 0 || cfg.shardKey != "") {
+			set.Close()
+			return nil, fmt.Errorf("reptile: a partitioned .rst snapshot carries its own shard topology; drop WithShards/WithShardKey")
 		}
-		openFile := store.OpenFile
-		if cfg.mappedIO {
-			openFile = store.OpenMappedFile
-		}
-		snap, err := openFile(path)
-		if err != nil {
-			return nil, err
-		}
-		return fromSnapshot(snap, cfg)
+		return open(set, cfg)
 	}
 	if cfg.mappedIO {
 		return nil, fmt.Errorf("reptile: WithMappedIO needs a .rst snapshot path; %q is parsed as CSV into memory", path)
@@ -282,9 +245,7 @@ func Open(path string, opts ...Option) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Dictionary-encode through a snapshot so the engine runs over
-	// code-backed columns (and the dataset can be saved or cubed for free).
-	return fromSnapshot(store.FromDataset(ds), cfg)
+	return open(shard.Single(store.FromDataset(ds)), cfg)
 }
 
 // New builds an engine over an in-memory dataset (see NewDataset, ReadCSV).
@@ -302,166 +263,31 @@ func New(ds *Dataset, opts ...Option) (*Engine, error) {
 	if cfg.mappedIO {
 		return nil, fmt.Errorf("reptile: WithMappedIO needs a .rst snapshot path; the dataset is already in memory")
 	}
-	if cfg.buildCube || cfg.shards >= 2 || cfg.useWAL || cfg.retention > 0 {
-		return fromSnapshot(store.FromDataset(ds), cfg)
+	return open(shard.Single(store.FromDataset(ds)), cfg)
+}
+
+// open builds the engine over a set. Every dataset runs dictionary-encoded
+// through a set of N ≥ 1 shards (a CSV or in-memory dataset is the one-shard
+// set), so it can be appended to, saved or cubed whatever its source. With
+// WithWAL the log replays first, so recovered rows shard, cube and serve like
+// any others.
+func open(set *shard.Set, cfg *config) (*Engine, error) {
+	o := ingest.Options{
+		Shards: cfg.shards, ShardKey: cfg.shardKey, Cube: cfg.buildCube,
+		Retention: cfg.retention, RetentionDim: cfg.retDim, Engine: cfg.core,
 	}
-	eng, err := core.NewEngine(ds, cfg.core)
+	var ds *ingest.Dataset
+	var err error
+	if cfg.useWAL {
+		ds, err = ingest.Recover(cfg.walDir, set.Schema().Name, set, o)
+	} else {
+		ds, err = ingest.Open(set, o)
+	}
 	if err != nil {
+		set.Close()
 		return nil, err
 	}
-	return &Engine{eng: eng}, nil
-}
-
-// fromSnapshot builds the engine over a snapshot's code-backed dataset:
-// write-ahead-log replay first (so recovered rows shard, cube and serve like
-// any others), then partitioning when sharding was requested, a retention
-// pass, and the rollup cube when requested.
-func fromSnapshot(snap *store.Snapshot, cfg *config) (*Engine, error) {
-	var log *wal.WAL
-	if cfg.useWAL {
-		var err error
-		if log, snap, err = replaySnapshotLog(cfg.walDir, snap); err != nil {
-			return nil, err
-		}
-	}
-	if cfg.shards >= 2 {
-		set, err := shard.Partition(snap, cfg.shards, cfg.shardKey)
-		if err != nil {
-			return nil, closeLogOn(log, err)
-		}
-		return fromSet(set, cfg, log)
-	}
-	if cfg.retention > 0 {
-		next, _, _, err := store.Retain(snap, cfg.retDim, cfg.retention)
-		if err != nil {
-			return nil, closeLogOn(log, err)
-		}
-		snap = next
-	}
-	if cfg.buildCube {
-		if err := snap.BuildCube(); err != nil {
-			return nil, closeLogOn(log, err)
-		}
-	}
-	ds, err := snap.Dataset()
-	if err != nil {
-		return nil, closeLogOn(log, err)
-	}
-	eng, err := core.NewEngine(ds, cfg.core)
-	if err != nil {
-		return nil, closeLogOn(log, err)
-	}
-	return &Engine{
-		eng: eng, snap: snap, opts: cfg.core, builder: store.NewBuilder(snap),
-		log: log, retention: cfg.retention, retDim: cfg.retDim,
-	}, nil
-}
-
-// fromSet builds the sharded scatter-gather engine over a partitioned set,
-// applying the retention window and materializing per-shard cubes when
-// requested. log, when non-nil, is the already-replayed write-ahead log the
-// engine keeps appending to.
-func fromSet(set *shard.Set, cfg *config, log *wal.WAL) (*Engine, error) {
-	if cfg.retention > 0 {
-		next, _, _, err := set.Retain(cfg.retDim, cfg.retention)
-		if err != nil {
-			return nil, closeLogOn(log, err)
-		}
-		set = next
-	}
-	if cfg.buildCube {
-		if err := set.BuildCubes(); err != nil {
-			return nil, closeLogOn(log, err)
-		}
-	}
-	eng, err := set.Engine(cfg.core)
-	if err != nil {
-		return nil, closeLogOn(log, err)
-	}
-	return &Engine{
-		eng: eng, set: set, opts: cfg.core,
-		log: log, retention: cfg.retention, retDim: cfg.retDim,
-	}, nil
-}
-
-// closeLogOn releases a just-opened log when the rest of the open fails.
-func closeLogOn(log *wal.WAL, err error) error {
-	if log != nil {
-		log.Close()
-	}
-	return err
-}
-
-// logPath places a dataset's log inside dir, mapping file-hostile runes in
-// the name (CSV paths contain separators) to '_'.
-func logPath(dir, name string) string {
-	if dir == "" {
-		dir = "."
-	}
-	var b strings.Builder
-	for _, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '_', r == '-':
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	if strings.Trim(b.String(), ".") == "" {
-		b.WriteString("dataset")
-	}
-	return filepath.Join(dir, b.String()+".wal")
-}
-
-// replaySnapshotLog opens the dataset's log and folds its surviving batches
-// into the snapshot — the whole backlog in one rebuild when it is clean,
-// batch by batch (skipping poisoned ones) when it is not.
-func replaySnapshotLog(dir string, snap *store.Snapshot) (*wal.WAL, *store.Snapshot, error) {
-	log, batches, err := wal.Open(logPath(dir, snap.Name))
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(batches) == 0 {
-		return log, snap, nil
-	}
-	var all []Row
-	for _, b := range batches {
-		all = append(all, b.Rows...)
-	}
-	if next, err := store.NewBuilder(snap).Append(all); err == nil {
-		return log, next, nil
-	}
-	for _, b := range batches {
-		if next, err := store.NewBuilder(snap).Append(b.Rows); err == nil {
-			snap = next
-		}
-	}
-	return log, snap, nil
-}
-
-// replaySetLog is replaySnapshotLog for a partitioned set.
-func replaySetLog(dir string, set *shard.Set) (*wal.WAL, *shard.Set, error) {
-	log, batches, err := wal.Open(logPath(dir, set.Snaps[0].Name))
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(batches) == 0 {
-		return log, set, nil
-	}
-	var all []Row
-	for _, b := range batches {
-		all = append(all, b.Rows...)
-	}
-	if next, err := set.Append(all); err == nil {
-		return log, next, nil
-	}
-	for _, b := range batches {
-		if next, err := set.Append(b.Rows); err == nil {
-			set = next
-		}
-	}
-	return log, set, nil
+	return &Engine{ds: ds}, nil
 }
 
 // buildConfig applies the options, converting option panics (bad hierarchy
@@ -501,135 +327,45 @@ func buildConfig(opts []Option) (cfg *config, err error) {
 // NewSession starts a drill-down session with the given initial group-by
 // attributes (each hierarchy's attributes must form a prefix; nil starts at
 // the root). Sessions cache aggregations and factorised representations per
-// drill state, so repeated complaints are cheap.
+// drill state, so repeated complaints are cheap. A session created during an
+// Append binds to either the old or the new version, never a torn mix.
 func (e *Engine) NewSession(groupBy []string) (*Session, error) {
-	cs, err := e.coreEngine().NewSession(groupBy)
+	cs, err := e.ds.Version().Eng.NewSession(groupBy)
 	if err != nil {
 		return nil, err
 	}
 	return &Session{s: cs}, nil
 }
 
-// coreEngine reads the current engine pointer under the lock, so sessions
-// created during an Append bind to either the old or the new version, never
-// a torn mix.
-func (e *Engine) coreEngine() *core.Engine {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.eng
-}
-
 // Append ingests rows, hot-swapping the engine's dataset: the successor
-// snapshot builds off to the side and replaces the served one atomically.
+// version builds off to the side and replaces the served one atomically.
 // Existing sessions keep evaluating against the version they were created on;
 // new sessions see the appended rows. With WithWAL, the rows are committed to
 // the log (fsynced) before the rebuild, so they survive a crash and replay on
 // the next Open. With WithRetention, rows behind the updated event-time
-// horizon are dropped in the same swap. Mapped engines reject appends.
+// horizon are dropped in the same swap. Mapped and closed engines reject
+// appends.
 func (e *Engine) Append(rows []Row) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.closed {
-		return fmt.Errorf("reptile: the engine is closed")
-	}
-	if (e.snap != nil && e.snap.Mapped()) || (e.set != nil && e.set.Snaps[0].Mapped()) {
-		return fmt.Errorf("reptile: a mapped engine rejects appends; reopen eagerly to ingest")
-	}
-	if e.log != nil {
-		if _, err := e.log.Append(rows); err != nil {
-			return err
-		}
-	}
-	if e.set != nil {
-		next, err := e.set.Append(rows)
-		if err != nil {
-			return err
-		}
-		if e.retention > 0 {
-			if next, _, _, err = next.Retain(e.retDim, e.retention); err != nil {
-				return err
-			}
-		}
-		eng, err := next.Engine(e.opts)
-		if err != nil {
-			return err
-		}
-		e.set, e.eng = next, eng
-		return nil
-	}
-	if e.snap == nil {
-		// Engines built straight from an in-memory dataset materialize their
-		// snapshot on first append.
-		e.snap = store.FromDataset(e.eng.Dataset())
-	}
-	if e.builder == nil {
-		e.builder = store.NewBuilder(e.snap)
-	}
-	// Any failure below leaves the served state untouched; rewind the builder
-	// so the next append builds on what sessions actually see.
-	rewind := func(err error) error {
-		e.builder = store.NewBuilder(e.snap)
-		return err
-	}
-	next, err := e.builder.Append(rows)
-	if err != nil {
-		return rewind(err)
-	}
-	if e.retention > 0 {
-		filtered, dropped, _, err := store.Retain(next, e.retDim, e.retention)
-		if err != nil {
-			return rewind(err)
-		}
-		if dropped > 0 {
-			next = filtered
-			e.builder = store.NewBuilder(next)
-		}
-	}
-	ds, err := next.Dataset()
-	if err != nil {
-		return rewind(err)
-	}
-	eng, err := core.NewEngine(ds, e.opts)
-	if err != nil {
-		return rewind(err)
-	}
-	e.snap, e.eng = next, eng
-	return nil
+	_, err := e.ds.Append(rows)
+	return err
 }
 
 // Dataset returns the engine's dataset. Callers must treat it as immutable.
 // On a sharded engine it returns the schema dataset — the first shard's, by
 // convention — whose rows are that shard's only; use sharded sessions (or
 // Save and reopen) rather than scanning it.
-func (e *Engine) Dataset() *Dataset { return e.coreEngine().Dataset() }
+func (e *Engine) Dataset() *Dataset { return e.ds.Version().Eng.Dataset() }
 
 // Workers returns the resolved evaluation worker-pool size.
-func (e *Engine) Workers() int { return e.coreEngine().Workers() }
+func (e *Engine) Workers() int { return e.ds.Version().Eng.Workers() }
 
 // Shards returns the number of partitions the engine serves from, 0 when
 // unsharded.
-func (e *Engine) Shards() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.set == nil {
-		return 0
-	}
-	return e.set.N()
-}
+func (e *Engine) Shards() int { return e.ds.Version().Eng.NumShards() }
 
 // ShardKey returns the dimension the engine's shards are partitioned on,
 // "" when unsharded.
-func (e *Engine) ShardKey() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.set == nil {
-		return ""
-	}
-	return e.set.Key
-}
+func (e *Engine) ShardKey() string { return e.ds.Version().Eng.ShardKey() }
 
 // Close releases the engine's file-backed resources: the memory mapping of a
 // WithMappedIO open and the write-ahead log of a WithWAL open (the log file
@@ -637,26 +373,7 @@ func (e *Engine) ShardKey() string {
 // in-memory engines and safe to call on every Engine, so `defer eng.Close()`
 // is always correct. After Close, sessions over a mapped engine must not be
 // used and Append fails.
-func (e *Engine) Close() error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.closed = true
-	var err error
-	if e.log != nil {
-		err = e.log.Close()
-		e.log = nil
-	}
-	var cerr error
-	if e.set != nil {
-		cerr = e.set.Close()
-	} else if e.snap != nil {
-		cerr = e.snap.Close()
-	}
-	if err == nil {
-		err = cerr
-	}
-	return err
-}
+func (e *Engine) Close() error { return e.ds.Close() }
 
 // SnapshotInfo describes a snapshot written by Engine.Save.
 type SnapshotInfo struct {
@@ -673,59 +390,28 @@ type SnapshotInfo struct {
 }
 
 // Save persists the engine's dataset as a dictionary-encoded .rst snapshot
-// at path. A sharded engine writes a partitioned snapshot (per-shard column
-// sections sharing one dictionary set) that Open serves sharded again; an
-// unsharded engine writes a plain snapshot. With WithCube() among the
-// engine's open options (or when the engine was opened from a cube-carrying
-// snapshot), plain snapshots store the cube too, so later Opens skip both
-// CSV parsing and cube building. Loading the written file yields
+// at path, durably: the file is fsynced before it is renamed into place and
+// its directory after. A sharded engine writes a partitioned snapshot
+// (per-shard column sections sharing one dictionary set) that Open serves
+// sharded again; an unsharded engine writes a plain snapshot. With WithCube()
+// among the engine's open options (or when the engine was opened from a
+// cube-carrying snapshot), plain snapshots store the cube too, so later Opens
+// skip both CSV parsing and cube building. Loading the written file yields
 // byte-identical recommendations to this engine.
 //
-// With WithWAL, a successful Save doubles as a checkpoint: the write-ahead
-// log truncates (its sequence numbering continues), since every logged row is
-// now captured in the .rst file. Reopen from the saved snapshot — reopening
-// the original source would replay nothing and lose the appends.
+// With WithWAL, a successful Save doubles as a checkpoint: once the file is
+// durable the write-ahead log truncates (its sequence numbering continues),
+// since every logged row is now captured in the .rst file. Reopen from the
+// saved snapshot — reopening the original source would replay nothing and
+// lose the appends.
 func (e *Engine) Save(path string) (*SnapshotInfo, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	info, err := e.saveLocked(path)
+	v, err := e.ds.Save(path)
 	if err != nil {
 		return nil, err
 	}
-	if e.log != nil {
-		if err := e.log.Reset(); err != nil {
-			return nil, err
-		}
-	}
-	return info, nil
-}
-
-func (e *Engine) saveLocked(path string) (*SnapshotInfo, error) {
-	if e.set != nil {
-		if err := e.set.WriteFile(path); err != nil {
-			return nil, err
-		}
-		schema := e.set.Snaps[0]
-		info := &SnapshotInfo{Rows: e.set.TotalRows(), Dims: len(schema.Dims), Measures: len(schema.Measures), Shards: e.set.N()}
-		for _, sn := range e.set.Snaps {
-			if c := sn.Cube(); c != nil {
-				info.CubeLevels = c.NumLevels()
-				info.CubeCells += c.NumCells()
-			}
-		}
-		return info, nil
-	}
-	snap := e.snap
-	if snap == nil {
-		snap = store.FromDataset(e.eng.Dataset())
-	}
-	if err := snap.WriteFile(path); err != nil {
-		return nil, err
-	}
-	info := &SnapshotInfo{Rows: snap.NumRows(), Dims: len(snap.Dims), Measures: len(snap.Measures)}
-	if c := snap.Cube(); c != nil {
-		info.CubeLevels, info.CubeCells = c.NumLevels(), c.NumCells()
-	}
+	schema := v.Set.Schema()
+	info := &SnapshotInfo{Rows: v.Set.TotalRows(), Dims: len(schema.Dims), Measures: len(schema.Measures), Shards: v.Eng.NumShards()}
+	info.CubeLevels, info.CubeCells = v.Set.CubeSize()
 	return info, nil
 }
 
