@@ -38,8 +38,9 @@ bench-check:
 	cd benchmark && go vet ./... && go test ./...
 
 # bench-load seeds the storage performance trajectory: CSV vs .rst snapshot
-# load, string-keyed vs dictionary-coded Recommend, and cube vs coded-scan
-# GroupBy (plus incremental cube maintenance), recorded to BENCH_load.json.
+# load, single-engine vs sharded Recommend, and cube vs row-scan GroupBy over
+# heap and mapped columns (plus incremental cube maintenance), recorded to
+# BENCH_load.json.
 # BENCHTIME overrides the per-benchmark iteration budget.
 bench-load:
 	sh scripts/bench_load.sh

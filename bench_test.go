@@ -139,36 +139,12 @@ func recommendBenchDataset() *data.Dataset {
 	return d.ds
 }
 
-// recommendBenchCoded is the same benchmark dataset after a snapshot round
-// trip, so every dimension carries its dictionary encoding and GroupBy / the
-// factorizer take the coded fast paths.
-var recommendBenchCoded struct {
-	once sync.Once
-	ds   *data.Dataset
-}
-
-func recommendBenchCodedDataset(b *testing.B) *data.Dataset {
-	d := &recommendBenchCoded
-	d.once.Do(func() {
-		ds, err := store.FromDataset(recommendBenchDataset()).Dataset()
-		if err == nil {
-			d.ds = ds
-		} else {
-			b.Fatal(err)
-		}
-	})
-	return d.ds
-}
-
 // benchmarkRecommend measures one full Recommend over the three drillable
 // hierarchies (a SUM complaint, so each fits two models: six independent
 // work units). A fresh session per iteration keeps the session cache out of
 // the measurement.
 func benchmarkRecommend(b *testing.B, workers int) {
-	benchmarkRecommendOn(b, recommendBenchDataset(), workers)
-}
-
-func benchmarkRecommendOn(b *testing.B, ds *data.Dataset, workers int) {
+	ds := recommendBenchDataset()
 	eng, err := core.NewEngine(ds, core.Options{EMIterations: 10, Trainer: core.TrainerNaive, Workers: workers})
 	if err != nil {
 		b.Fatal(err)
@@ -195,20 +171,12 @@ func BenchmarkRecommendSequential(b *testing.B) { benchmarkRecommend(b, 1) }
 
 func BenchmarkRecommendParallel(b *testing.B) { benchmarkRecommend(b, runtime.NumCPU()) }
 
-// BenchmarkRecommendCoded is BenchmarkRecommendSequential over the
-// dictionary-coded dataset a .rst load (or server registration) produces:
-// the aggregation and factorizer-source scans consume precomputed codes
-// instead of re-hashing strings.
-func BenchmarkRecommendCoded(b *testing.B) {
-	benchmarkRecommendOn(b, recommendBenchCodedDataset(b), 1)
-}
-
 // BenchmarkRecommendSharded measures the full sharded serving configuration
 // at 1, 2, 4 and 8 shards: the dataset partitioned on its first hierarchy
 // root, per-shard rollup cubes materialized, and the scatter-gather engine
 // fanning each aggregation across the shards on the default worker pool —
 // i.e. what `reptiled -shards N` actually runs, in contrast to the
-// single-worker cube-less scans of RecommendCoded above.
+// single-worker cube-less scans of RecommendSequential above.
 func BenchmarkRecommendSharded(b *testing.B) {
 	for _, n := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {

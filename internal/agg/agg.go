@@ -216,9 +216,9 @@ type Result struct {
 
 // NewResult assembles a Result from unordered groups: it sorts them by their
 // key values lexicographically, attribute by attribute, and indexes the
-// sorted positions. Every GroupBy path — the string scan, the coded scan,
-// and materialized providers (internal/cube) — assembles its output here, so
-// group ordering can never drift between them.
+// sorted positions. The row scan and materialized providers (internal/cube)
+// both assemble their output here, so group ordering can never drift between
+// them.
 func NewResult(attrs []string, measure string, groups []Group) *Result {
 	sort.Slice(groups, func(a, b int) bool {
 		ga, gb := groups[a].Vals, groups[b].Vals
@@ -277,169 +277,38 @@ func MaterializedOf(d *data.Dataset) (Materialized, bool) {
 // their key values lexicographically, attribute by attribute. When the
 // dataset carries a materialized aggregate attachment that covers the
 // grouping (a hierarchy-prefix cube), the answer comes from precomputed
-// cells in O(groups); otherwise, when every attribute carries a dictionary
-// encoding (datasets loaded through internal/store), grouping runs over
-// integer codes instead of encoded string keys — from heap slices when the
-// columns are materialized, or in one streaming pass over column cursors when
-// the dataset is memory-mapped. All paths produce identical results.
+// cells in O(groups); otherwise one scan over the dictionary codes buckets
+// the rows. Both produce identical results.
 func GroupBy(d *data.Dataset, attrs []string, measure string) *Result {
 	if m, ok := MaterializedOf(d); ok {
 		if r, ok := m.GroupBy(attrs, measure); ok {
 			return r
 		}
 	}
-	if r := groupByCoded(d, attrs, measure); r != nil {
-		return r
-	}
-	if r := groupByStreamed(d, attrs, measure); r != nil {
-		return r
-	}
-	cols := make([][]string, len(attrs))
-	for i, a := range attrs {
-		cols[i] = d.Dim(a)
-	}
-	ms := d.Measure(measure)
-	index := make(map[string]int)
-	var groups []Group
-	vals := make([]string, len(attrs))
-	for row := 0; row < d.NumRows(); row++ {
-		for i := range attrs {
-			vals[i] = cols[i][row]
-		}
-		key := data.EncodeKey(vals)
-		gi, ok := index[key]
-		if !ok {
-			gi = len(groups)
-			index[key] = gi
-			groups = append(groups, Group{Key: key, Vals: append([]string(nil), vals...)})
-		}
-		g := &groups[gi]
-		v := ms[row]
-		g.Stats.Count++
-		g.Stats.Sum += v
-		g.Stats.SumSq += v * v
-	}
-	return NewResult(attrs, measure, groups)
+	return scan(d, attrs, measure)
 }
 
-// groupByStreamed is the cursor variant of groupByCoded: one streaming pass
-// over the dataset's column cursors, for cursor-backed (memory-mapped)
-// datasets whose columns exist only as lazily-decoded readers. The bucketing
-// is the identical mixed-radix composite over the identical dictionaries and
-// the output converges in NewResult, so results are byte-identical to the
-// slice paths. Returns nil (fall back to the string scan) when any attribute
-// lacks a dictionary or the radix product overflows.
-func groupByStreamed(d *data.Dataset, attrs []string, measure string) *Result {
-	if len(attrs) == 0 {
-		return nil
-	}
-	dicts := make([][]string, len(attrs))
-	curs := make([]data.DimCursor, len(attrs))
-	radix := uint64(1)
-	for i, a := range attrs {
-		dict, ok := d.DimDict(a)
-		if !ok || len(dict) == 0 {
-			return nil
+// scan is the row-scan group-by: rows are bucketed by the tuple of their
+// per-attribute dictionary codes (data.TupleIndex), statistics accumulate in
+// row order, and a group's string values are decoded once per group rather
+// than once per row.
+func scan(d *data.Dataset, attrs []string, measure string) *Result {
+	tuples := d.NewTupleIndex(attrs)
+	var stats []Stats
+	for row, v := range d.Measure(measure) {
+		gi := tuples.Add(row)
+		if gi == len(stats) {
+			stats = append(stats, Stats{})
 		}
-		if radix > math.MaxUint64/uint64(len(dict)) {
-			return nil
-		}
-		radix *= uint64(len(dict))
-		dicts[i] = dict
-		curs[i] = d.DimCursor(a)
+		s := &stats[gi]
+		s.Count++
+		s.Sum += v
+		s.SumSq += v * v
 	}
-	ms := d.MeasureCursor(measure)
-	cindex := make(map[uint64]int)
 	var groups []Group
-	var composite []uint64
-	for row := 0; row < d.NumRows(); row++ {
-		k := uint64(0)
-		for i := range attrs {
-			k = k*uint64(len(dicts[i])) + uint64(curs[i].Code(row))
-		}
-		gi, ok := cindex[k]
-		if !ok {
-			gi = len(groups)
-			cindex[k] = gi
-			groups = append(groups, Group{})
-			composite = append(composite, k)
-		}
-		g := &groups[gi]
-		v := ms.At(row)
-		g.Stats.Count++
-		g.Stats.Sum += v
-		g.Stats.SumSq += v * v
-	}
-	for gi := range groups {
-		k := composite[gi]
-		vals := make([]string, len(attrs))
-		for i := len(attrs) - 1; i >= 0; i-- {
-			size := uint64(len(dicts[i]))
-			vals[i] = dicts[i][k%size]
-			k /= size
-		}
-		groups[gi].Vals = vals
-		groups[gi].Key = data.EncodeKey(vals)
-	}
-	return NewResult(attrs, measure, groups)
-}
-
-// groupByCoded is the dictionary-code fast path of GroupBy: rows are bucketed
-// by a mixed-radix composite of their per-attribute codes, and the group's
-// string values are decoded once per group rather than once per row. Returns
-// nil (fall back to the string path) when any attribute lacks codes, the
-// radix product overflows uint64, or there is nothing to gain (no group-by
-// attributes).
-func groupByCoded(d *data.Dataset, attrs []string, measure string) *Result {
-	if len(attrs) == 0 {
-		return nil
-	}
-	dicts := make([][]string, len(attrs))
-	codes := make([][]uint32, len(attrs))
-	radix := uint64(1)
-	for i, a := range attrs {
-		dict, cs, ok := d.DimCodes(a)
-		if !ok || len(dict) == 0 {
-			return nil
-		}
-		if radix > math.MaxUint64/uint64(len(dict)) {
-			return nil
-		}
-		radix *= uint64(len(dict))
-		dicts[i], codes[i] = dict, cs
-	}
-	ms := d.Measure(measure)
-	cindex := make(map[uint64]int)
-	var groups []Group
-	var composite []uint64
-	for row := 0; row < d.NumRows(); row++ {
-		k := uint64(0)
-		for i := range attrs {
-			k = k*uint64(len(dicts[i])) + uint64(codes[i][row])
-		}
-		gi, ok := cindex[k]
-		if !ok {
-			gi = len(groups)
-			cindex[k] = gi
-			groups = append(groups, Group{})
-			composite = append(composite, k)
-		}
-		g := &groups[gi]
-		v := ms[row]
-		g.Stats.Count++
-		g.Stats.Sum += v
-		g.Stats.SumSq += v * v
-	}
-	for gi := range groups {
-		k := composite[gi]
-		vals := make([]string, len(attrs))
-		for i := len(attrs) - 1; i >= 0; i-- {
-			size := uint64(len(dicts[i]))
-			vals[i] = dicts[i][k%size]
-			k /= size
-		}
-		groups[gi].Vals = vals
-		groups[gi].Key = data.EncodeKey(vals)
+	for gi, st := range stats {
+		vals := tuples.Values(gi)
+		groups = append(groups, Group{Key: data.EncodeKey(vals), Vals: vals, Stats: st})
 	}
 	return NewResult(attrs, measure, groups)
 }

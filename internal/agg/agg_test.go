@@ -247,52 +247,58 @@ func TestGroupByMissingGroup(t *testing.T) {
 	}
 }
 
-// encodeDims installs a first-appearance dictionary encoding on every
-// dimension of a cloned dataset, mirroring what internal/store produces.
-func encodeDims(t *testing.T, d *data.Dataset) *data.Dataset {
-	t.Helper()
-	coded := data.New(d.Name, d.DimNames(), d.MeasureNames(), d.Hierarchies)
-	for _, name := range d.DimNames() {
-		col := d.Dim(name)
-		idx := make(map[string]uint32)
-		var dict []string
-		codes := make([]uint32, len(col))
-		for i, v := range col {
-			c, ok := idx[v]
-			if !ok {
-				c = uint32(len(dict))
-				idx[v] = c
-				dict = append(dict, v)
-			}
-			codes[i] = c
-		}
-		if err := coded.SetEncodedDim(name, dict, codes); err != nil {
-			t.Fatal(err)
-		}
+// referenceGroupBy is the obviously-right group-by the scan kernel is checked
+// against: materialized strings, one string-keyed map, row order.
+func referenceGroupBy(d *data.Dataset, attrs []string, measure string) *Result {
+	cols := make([][]string, len(attrs))
+	for i, a := range attrs {
+		cols[i] = d.Dim(a)
 	}
-	for _, name := range d.MeasureNames() {
-		if err := coded.SetMeasure(name, append([]float64(nil), d.Measure(name)...)); err != nil {
-			t.Fatal(err)
+	index := make(map[string]int)
+	var groups []Group
+	for row, v := range d.Measure(measure) {
+		var vals []string
+		for i := range attrs {
+			vals = append(vals, cols[i][row])
 		}
+		key := data.EncodeKey(vals)
+		gi, ok := index[key]
+		if !ok {
+			gi = len(groups)
+			index[key] = gi
+			groups = append(groups, Group{Key: key, Vals: vals})
+		}
+		groups[gi].Stats = groups[gi].Stats.Add(Stats{Count: 1, Sum: v, SumSq: v * v})
 	}
-	return coded
+	return NewResult(attrs, measure, groups)
 }
 
 func TestGroupByCodedMatchesStringPath(t *testing.T) {
-	d := buildDemo()
-	coded := encodeDims(t, d)
-	for _, attrs := range [][]string{
-		{"district"},
-		{"village"},
-		{"district", "year"},
-		{"district", "village", "year"},
-	} {
-		want := GroupBy(d, attrs, "severity")
-		got := GroupBy(coded, attrs, "severity")
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("GroupBy(%v) coded != string:\n got %+v\nwant %+v", attrs, got, want)
+	check := func(name string, d *data.Dataset, measure string, groupings ...[]string) {
+		t.Helper()
+		for _, attrs := range groupings {
+			want := referenceGroupBy(d, attrs, measure)
+			got := GroupBy(d, attrs, measure)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: GroupBy(%v) != string reference:\n got %+v\nwant %+v", name, attrs, got, want)
+			}
 		}
 	}
+	d := buildDemo()
+	check("demo", d, "severity",
+		nil, // zero attributes: one group keyed by the empty tuple
+		[]string{"district"},
+		[]string{"village"},
+		[]string{"district", "year"},
+		[]string{"district", "village", "year"},
+	)
+	// No rows: empty dictionaries, no groups.
+	check("empty", d.Select(nil), "severity", nil, []string{"district"}, []string{"district", "village", "year"})
+	check("never filled", data.New("e", []string{"a"}, []string{"m"}, nil), "m", nil, []string{"a"})
+	// A row subset keeps its source's dictionaries, unused entries included.
+	check("subset", d.Where(data.Predicate{"district": "Raya"}), "severity",
+		[]string{"district"}, []string{"village", "year"})
+
 	// A randomized dataset exercises collisions and larger dictionaries.
 	rng := rand.New(rand.NewSource(3))
 	h := []data.Hierarchy{{Name: "a", Attrs: []string{"a"}}, {Name: "b", Attrs: []string{"b"}}, {Name: "c", Attrs: []string{"c"}}}
@@ -304,12 +310,28 @@ func TestGroupByCodedMatchesStringPath(t *testing.T) {
 			fmt.Sprintf("c%02d", rng.Intn(23)),
 		}, []float64{rng.NormFloat64()})
 	}
-	codedBig := encodeDims(t, big)
-	for _, attrs := range [][]string{{"a"}, {"a", "b"}, {"a", "b", "c"}, {"c", "a"}} {
-		want := GroupBy(big, attrs, "m")
-		got := GroupBy(codedBig, attrs, "m")
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("GroupBy(%v) coded != string path", attrs)
+	check("rand", big, "m", []string{"a"}, []string{"a", "b"}, []string{"a", "b", "c"}, []string{"c", "a"})
+
+	// Ten attributes of 256 values each: the dictionary-size product passes
+	// 2^64 at the eighth, so 7 attributes bucket on the uint64 composite and
+	// 8, 9 and 10 on the byte-string key.
+	names := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9"}
+	wide := data.New("wide", names, []string{"m"}, nil)
+	vals := make([]string, len(names))
+	for i := 0; i < 1500; i++ {
+		for j := range vals {
+			v := i // the first 256 rows put every value into every dictionary
+			if i >= 256 {
+				v = rng.Intn(3) * 85 // then few enough values that groups repeat
+			}
+			vals[j] = fmt.Sprintf("v%03d", v%256)
+		}
+		wide.AppendRowVals(vals, []float64{rng.NormFloat64()})
+	}
+	for _, n := range names {
+		if dict, _ := wide.DimCodes(n); len(dict) != 256 {
+			t.Fatalf("test premise: dictionary %s has %d values, want 256", n, len(dict))
 		}
 	}
+	check("wide", wide, "m", names[:7], names[:8], names[:9], names, []string{"d9", "d0", "d5"})
 }

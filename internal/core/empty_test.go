@@ -18,7 +18,7 @@ func (sc *scenario) moveGroup(village, fromYear, toYear string) {
 	ycol := sc.ds.Dim("year")
 	for i := range ycol {
 		if vcol[i] == village && ycol[i] == fromYear {
-			ycol[i] = toYear
+			sc.ds.SetDimValue("year", i, toYear)
 		}
 	}
 }

@@ -729,19 +729,15 @@ func childValues(ds *data.Dataset, h data.Hierarchy, attr, measure string, anc d
 	if out, ok := cubeChildValues(ds, h, attr, measure, anc); ok {
 		return out
 	}
-	col := ds.DimCursor(attr)
-	seen := make(map[string]bool)
+	dict, codes := ds.DimCodes(attr)
+	seen := make([]bool, len(dict))
 	var out []string
-	for row := 0; row < ds.NumRows(); row++ {
-		v := col.Value(row)
-		if seen[v] {
-			continue
+	ds.ForEachMatch(anc, func(row int) {
+		if c := codes[row]; !seen[c] {
+			seen[c] = true
+			out = append(out, dict[c])
 		}
-		if ds.Matches(row, anc) {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
+	})
 	sort.Strings(out)
 	return out
 }

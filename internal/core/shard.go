@@ -34,8 +34,8 @@ type ShardWorker interface {
 	ChildValues(h data.Hierarchy, attr, measure string, anc data.Predicate) ([]string, error)
 }
 
-// localShard is the in-process ShardWorker: a shard's code-backed dataset
-// queried directly.
+// localShard is the in-process ShardWorker: a shard's dataset queried
+// directly.
 type localShard struct {
 	ds *data.Dataset
 }

@@ -3,6 +3,7 @@ package cube_test
 import (
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -14,13 +15,13 @@ import (
 
 // benchData builds the same shape as the root Recommend benchmarks — three
 // two-level hierarchies whose full cross product carries one row per leaf
-// combination (43200 rows) — plus its snapshot forms: a coded dataset
-// without a cube (the scan baseline), one with the cube attached, and an
+// combination (43200 rows) — plus its snapshot forms: a dataset without a
+// cube (the scan baseline), one with the cube attached, and an
 // append batch for the maintenance benchmark. Built once, shared read-only.
 var benchData struct {
 	once    sync.Once
 	err     error
-	coded   *data.Dataset // dictionary codes, no cube: agg's coded scan path
+	coded   *data.Dataset // no cube: agg's row scan
 	cubed   *data.Dataset // same rows with the materialized cube attached
 	base    *store.Snapshot
 	batch   []store.Row
@@ -92,17 +93,37 @@ func benchFixtures(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupByCoded is the scan baseline: agg.GroupBy over the
-// dictionary-coded dataset (PR 3's fast path) at the Recommend hot path's
-// first drill grouping — every call rescans all 43200 rows.
+// BenchmarkGroupByCoded is the scan baseline: agg.GroupBy without a cube at
+// the Recommend hot path's first drill grouping — every call rescans all
+// 43200 rows. heap scans an eagerly-loaded dataset's slices, mapped the same
+// columns as views over a memory-mapped .rst file: one kernel, two backings.
 func BenchmarkGroupByCoded(b *testing.B) {
 	benchFixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := agg.GroupBy(benchData.coded, benchData.attrs, benchData.measure)
-		if len(r.Groups) != 100 {
-			b.Fatalf("groups = %d", len(r.Groups))
-		}
+	path := filepath.Join(b.TempDir(), "bench.rst")
+	if err := store.FromDataset(benchData.coded).WriteFile(path); err != nil {
+		b.Fatal(err)
+	}
+	snap, err := store.OpenMappedFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer snap.Close()
+	mapped, err := snap.Dataset()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		ds   *data.Dataset
+	}{{"heap", benchData.coded}, {"mapped", mapped}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r := agg.GroupBy(bc.ds, benchData.attrs, benchData.measure)
+				if len(r.Groups) != 100 {
+					b.Fatalf("groups = %d", len(r.Groups))
+				}
+			}
+		})
 	}
 }
 

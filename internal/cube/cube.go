@@ -12,8 +12,8 @@ import (
 )
 
 // ErrNotCubable reports a dataset the cube subsystem declines to materialize:
-// no hierarchies, a dimension without dictionary codes, a composite key space
-// that overflows uint64, or a lattice with more levels than maxLevels.
+// no hierarchies, a hierarchy attribute that is not a dimension, a composite
+// key space that overflows uint64, or a lattice with more levels than maxLevels.
 // Callers treat it as "serve from row scans instead", not as a failure.
 var ErrNotCubable = errors.New("dataset not cubable")
 
@@ -87,10 +87,10 @@ func skeleton(ds *data.Dataset) (*Cube, error) {
 			if _, dup := c.attrIdx[a]; dup {
 				return nil, fmt.Errorf("cube: %w: attribute %q appears in two hierarchies", ErrNotCubable, a)
 			}
-			dict, ok := ds.DimDict(a)
-			if !ok && ds.NumRows() > 0 {
-				return nil, fmt.Errorf("cube: %w: attribute %q has no dictionary encoding", ErrNotCubable, a)
+			if !ds.HasDim(a) {
+				return nil, fmt.Errorf("cube: %w: attribute %q is not a dimension", ErrNotCubable, a)
 			}
+			dict, _ := ds.DimCodes(a)
 			radix := uint64(len(dict))
 			if radix == 0 {
 				radix = 1 // empty dataset: no rows, no cells, any radix works
@@ -140,9 +140,9 @@ func (c *Cube) depthsOf(li int) []int {
 	return out
 }
 
-// Build materializes the full lattice over a code-backed dataset (one loaded
-// through internal/store). Every level accumulates in row order, so its
-// cells carry exactly the statistics a row scan of that grouping produces.
+// Build materializes the full lattice over a dataset. Every level
+// accumulates in row order, so its cells carry exactly the statistics a row
+// scan of that grouping produces.
 func Build(ds *data.Dataset) (*Cube, error) {
 	return BuildRows(ds, 0, ds.NumRows())
 }
@@ -158,17 +158,13 @@ func BuildRows(ds *data.Dataset, lo, hi int) (*Cube, error) {
 		return nil, err
 	}
 	c.rows = hi - lo
-	// Columns are read through cursors: heap slices on an eagerly-loaded
-	// dataset, lazily-decoded readers on a memory-mapped one. The accumulation
-	// order is identical either way, so the cells are bit-identical across
-	// open modes.
-	codes := make([]data.DimCursor, len(c.attrs))
+	codes := make([][]uint32, len(c.attrs))
 	for ai, a := range c.attrs {
-		codes[ai] = ds.DimCursor(a.name)
+		_, codes[ai] = ds.DimCodes(a.name)
 	}
-	cols := make([]data.MeasureCursor, len(c.measures))
+	cols := make([][]float64, len(c.measures))
 	for mi, m := range c.measures {
-		cols[mi] = ds.MeasureCursor(m)
+		cols[mi] = ds.Measure(m)
 	}
 	cellIdx := make([]map[uint64]int, len(c.levels))
 	for li := range cellIdx {
@@ -185,7 +181,7 @@ func BuildRows(ds *data.Dataset, lo, hi int) (*Cube, error) {
 			k := uint64(0)
 			for d := 0; d < len(h.Attrs); d++ {
 				ai := c.firstAttr[hi] + d
-				k = k*c.attrs[ai].radix + uint64(codes[ai].Code(row))
+				k = k*c.attrs[ai].radix + uint64(codes[ai][row])
 				prefKey[hi][d] = k
 			}
 		}
@@ -211,7 +207,7 @@ func BuildRows(ds *data.Dataset, lo, hi int) (*Cube, error) {
 			}
 			lv.counts[ci]++
 			for mi, col := range cols {
-				v := col.At(row)
+				v := col[row]
 				lv.sums[mi][ci] += v
 				lv.sumsqs[mi][ci] += v * v
 			}

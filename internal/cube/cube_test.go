@@ -339,11 +339,6 @@ func TestBuildDeclines(t *testing.T) {
 	} else if !strings.Contains(err.Error(), "not cubable") {
 		t.Fatalf("err = %v, want ErrNotCubable", err)
 	}
-	// A dataset without dictionary codes.
-	plain := testDataset(t)
-	if _, err := cube.Build(plain); err == nil {
-		t.Fatal("uncoded dataset built")
-	}
 }
 
 func TestConcurrentQueries(t *testing.T) {

@@ -10,7 +10,7 @@
 // lattice restricted to hierarchy prefixes, which is exactly the space of
 // groupings core.Session can reach by drilling. Each level stores its groups
 // as cells keyed by a mixed-radix composite of the attributes' dictionary
-// codes (the same key construction as agg.GroupBy's coded fast path), with
+// codes (the same key construction as agg.GroupBy's row scan), with
 // the distributive triple (count, sum, sum of squares) per measure. The
 // whole lattice is built in a single pass over the rows; within each cell
 // the accumulation visits rows in row order, which makes every level's

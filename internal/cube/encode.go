@@ -8,8 +8,8 @@ import (
 	"repro/internal/data"
 )
 
-// Decode rebuilds a cube from its wire payload against the code-backed
-// dataset of the snapshot the payload was stored with.
+// Decode rebuilds a cube from its wire payload against the dataset of the
+// snapshot the payload was stored with.
 func Decode(payload []byte, ds *data.Dataset) (*Cube, error) {
 	c, err := skeleton(ds)
 	if err != nil {

@@ -13,12 +13,10 @@ import (
 // as float64 measures; all other columns become dimensions. The header row is
 // required. hierarchies may be nil and attached later.
 //
-// Rows stream through a per-column dictionary encoder: each dimension keeps
-// one interned copy of every distinct value plus a uint32 code per row, so
-// resident memory is bounded by the size of the encoded output (what a .rst
-// snapshot of the dataset would hold), not by the raw input text. The loaded
-// dataset carries its dictionary encoding (see DimCodes), giving CSV loads
-// the same coded group-by/factorization fast paths as snapshot loads.
+// Rows stream into the dataset's dictionary-coded columns: each dimension
+// keeps one interned copy of every distinct value plus a uint32 code per row,
+// so resident memory is bounded by the size of the encoded output (what a
+// .rst snapshot of the dataset would hold), not by the raw input text.
 // Dictionaries are in first-appearance order, which store.FromDataset
 // reuses, so CSV → snapshot conversion is deterministic.
 func ReadCSV(r io.Reader, name string, measureNames []string, hierarchies []Hierarchy) (*Dataset, error) {
@@ -42,6 +40,9 @@ func ReadCSV(r io.Reader, name string, measureNames []string, hierarchies []Hier
 
 	isMeasure := make(map[string]bool, len(measureNames))
 	for _, m := range measureNames {
+		if !seen[m] {
+			return nil, fmt.Errorf("data: measure column %q not in CSV header", m)
+		}
 		isMeasure[m] = true
 	}
 	var dimNames, msNames []string
@@ -52,45 +53,20 @@ func ReadCSV(r io.Reader, name string, measureNames []string, hierarchies []Hier
 			dimNames = append(dimNames, c)
 		}
 	}
-	for _, m := range measureNames {
-		found := false
-		for _, c := range header {
-			if c == m {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("data: measure column %q not in CSV header", m)
-		}
-	}
 
-	// Per-dimension streaming dictionary encoders and per-measure value
-	// slices. Dimension values are interned: one string allocation per
-	// distinct value, one uint32 per row — the csv.Reader's reused record
-	// buffer never escapes into the dataset.
-	type dimEnc struct {
-		dict  []string
-		index map[string]uint32
-		codes []uint32
-	}
-	dimCols := make([]*dimEnc, len(dimNames))
-	for i := range dimCols {
-		dimCols[i] = &dimEnc{index: make(map[string]uint32)}
-	}
-	msCols := make([][]float64, len(msNames))
-
-	// Column order in the record: map header position → encoder slot.
-	dimSlot := make([]int, len(header))
+	// Header position → the dataset column it feeds: a dimension column, or
+	// (where dimCols is nil) the msSlot-th measure.
+	d := New(name, dimNames, msNames, hierarchies)
+	dimCols := make([]*dimCol, len(header))
 	msSlot := make([]int, len(header))
-	di, mi := 0, 0
+	vals := make([][]float64, len(msNames))
+	mi := 0
 	for col, c := range header {
 		if isMeasure[c] {
-			dimSlot[col], msSlot[col] = -1, mi
+			msSlot[col] = mi
 			mi++
 		} else {
-			dimSlot[col], msSlot[col] = di, -1
-			di++
+			dimCols[col] = d.dims[c]
 		}
 	}
 
@@ -105,43 +81,29 @@ func ReadCSV(r io.Reader, name string, measureNames []string, hierarchies []Hier
 		}
 		line++
 		for col, c := range header {
-			if slot := msSlot[col]; slot >= 0 {
-				v, err := strconv.ParseFloat(rec[col], 64)
+			if e := dimCols[col]; e != nil {
+				code, err := e.intern(rec[col])
 				if err != nil {
 					return nil, fmt.Errorf("data: line %d column %q: %w", line, c, err)
 				}
-				// ParseFloat accepts "NaN" and "±Inf", which would silently
-				// poison every downstream Sum/SumSq and model fit.
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					return nil, fmt.Errorf("data: line %d column %q: non-finite measure value %q", line, c, rec[col])
-				}
-				msCols[slot] = append(msCols[slot], v)
+				e.codes = append(e.codes, code)
 				continue
 			}
-			e := dimCols[dimSlot[col]]
-			code, ok := e.index[rec[col]]
-			if !ok {
-				// rec aliases the reader's reused buffer; clone the value
-				// before it is retained in the dictionary.
-				v := string(append([]byte(nil), rec[col]...))
-				code = uint32(len(e.dict))
-				e.dict = append(e.dict, v)
-				e.index[v] = code
+			v, err := strconv.ParseFloat(rec[col], 64)
+			if err != nil {
+				return nil, fmt.Errorf("data: line %d column %q: %w", line, c, err)
 			}
-			e.codes = append(e.codes, code)
+			// ParseFloat accepts "NaN" and "±Inf", which would silently
+			// poison every downstream Sum/SumSq and model fit.
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("data: line %d column %q: non-finite measure value %q", line, c, rec[col])
+			}
+			vals[msSlot[col]] = append(vals[msSlot[col]], v)
 		}
+		d.n++
 	}
-
-	d := New(name, dimNames, msNames, hierarchies)
-	for i, c := range dimNames {
-		if err := d.SetEncodedDim(c, dimCols[i].dict, dimCols[i].codes); err != nil {
-			return nil, err
-		}
-	}
-	for i, c := range msNames {
-		if err := d.SetMeasure(c, msCols[i]); err != nil {
-			return nil, err
-		}
+	for i, c := range d.measureNames {
+		d.measures[c] = vals[i]
 	}
 	// Validate hierarchy metadata at load time so hierarchies referencing
 	// columns absent from the CSV fail here, with the file context, instead
@@ -173,16 +135,16 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 	if err := cw.Write(header); err != nil {
 		return err
 	}
-	rc := d.Rows(d.dimNames, d.measureNames)
 	rec := make([]string, len(header))
-	for rc.Next() {
+	for row := 0; row < d.n; row++ {
 		i := 0
-		for di := range d.dimNames {
-			rec[i] = rc.Value(di)
+		for _, c := range d.dimNames {
+			col := d.dims[c]
+			rec[i] = col.dict[col.codes[row]]
 			i++
 		}
-		for mi := range d.measureNames {
-			rec[i] = strconv.FormatFloat(rc.Measure(mi), 'g', -1, 64)
+		for _, m := range d.measureNames {
+			rec[i] = strconv.FormatFloat(d.measures[m][row], 'g', -1, 64)
 			i++
 		}
 		if err := cw.Write(rec); err != nil {

@@ -2,6 +2,14 @@
 // in-memory datasets with categorical dimension attributes and numeric
 // measures, hierarchy (dimension) metadata with functional-dependency
 // validation, filtering with provenance, and CSV I/O.
+//
+// There is one column representation. A dimension is a dictionary of its
+// distinct values plus one uint32 code per row; a measure is a []float64.
+// Whether the backing arrays live on the heap (CSV loads, generators, eager
+// .rst opens) or are typed views over a memory-mapped .rst file
+// (internal/store) is invisible here: every consumer — group-by,
+// factorisation, the cube builder, FD validation — reads the same slices
+// through DimCodes and Measure.
 package data
 
 import (
@@ -39,34 +47,19 @@ func (h Hierarchy) Level(a string) int {
 	return -1
 }
 
-// Dataset is an immutable-by-convention columnar table. Dimension columns
-// hold categorical string values; measure columns hold float64 values. All
-// columns have identical length.
-//
-// A dimension column may additionally carry a dictionary encoding (the
-// distinct values plus one uint32 code per row), installed by bulk loaders
-// such as internal/store via SetEncodedDim. Consumers that can work over
-// codes (agg.GroupBy, factor.SourceFromDataset, the FD validator) discover
-// it through DimCodes and skip per-row string hashing; everything else keeps
-// reading the materialized string column.
+// Dataset is an immutable-by-convention columnar table: dictionary-coded
+// dimension columns and float64 measure columns of identical length. Build
+// one row by row (New, then AppendRow/AppendRowVals) or from whole columns
+// (FromColumns).
 type Dataset struct {
 	Name        string
 	Hierarchies []Hierarchy
 
 	dimNames     []string
 	measureNames []string
-	dims         map[string][]string
+	dims         map[string]*dimCol
 	measures     map[string][]float64
-	codes        map[string]*dimCode
-	// virt and vms hold cursor-backed virtual columns (SetDimCursor /
-	// SetMeasureCursor) — e.g. mmap-backed lazily-decoded snapshot columns.
-	// A column is either slice-backed or virtual, never both.
-	virt map[string]DimCursor
-	vms  map[string]MeasureCursor
-	n    int
-	// nFixed marks that a bulk column setter has pinned the row count, so a
-	// zero-length first column still constrains every later one.
-	nFixed bool
+	n            int
 	// rollup is an opaque acceleration attachment (e.g. internal/cube's
 	// materialized aggregate lattice) installed by bulk loaders. Consumers
 	// discover capabilities by type-asserting it against their own interfaces
@@ -75,10 +68,31 @@ type Dataset struct {
 	rollup any
 }
 
-// dimCode is one dimension's dictionary encoding: codes index into dict.
-type dimCode struct {
+// dimCol is one dimension column: codes index into dict, whose values are
+// distinct. Columns handed out to derived datasets (Clone, Select) and
+// columns adopted from a caller (FromColumns) keep capacity pinned to
+// length, so appending to one dataset reallocates instead of writing into an
+// array another dataset — or a read-only file mapping — still reads.
+type dimCol struct {
 	dict  []string
 	codes []uint32
+	// index maps value → code. It is built on the first intern: bulk-loaded
+	// and derived datasets that are never appended to do not pay for it.
+	index map[string]uint32
+}
+
+// DimColumn is one dictionary-coded dimension column handed to FromColumns:
+// Dict holds the distinct values, Codes one index into Dict per row.
+type DimColumn struct {
+	Name  string
+	Dict  []string
+	Codes []uint32
+}
+
+// MeasureColumn is one numeric measure column handed to FromColumns.
+type MeasureColumn struct {
+	Name   string
+	Values []float64
 }
 
 // New creates an empty dataset with the given dimension and measure columns.
@@ -88,16 +102,56 @@ func New(name string, dimNames, measureNames []string, hierarchies []Hierarchy) 
 		Hierarchies:  hierarchies,
 		dimNames:     append([]string(nil), dimNames...),
 		measureNames: append([]string(nil), measureNames...),
-		dims:         make(map[string][]string, len(dimNames)),
+		dims:         make(map[string]*dimCol, len(dimNames)),
 		measures:     make(map[string][]float64, len(measureNames)),
 	}
 	for _, c := range dimNames {
-		d.dims[c] = nil
+		d.dims[c] = &dimCol{}
 	}
 	for _, c := range measureNames {
 		d.measures[c] = nil
 	}
 	return d
+}
+
+// FromColumns assembles a dataset from whole columns, adopting the slices
+// without copying them (callers must not modify them afterwards). Every
+// column must have the same length and every code must index its dictionary;
+// dictionary contents (distinct, separator-free values) are the loader's
+// responsibility — internal/store checks them on every open.
+func FromColumns(name string, dims []DimColumn, measures []MeasureColumn, hierarchies []Hierarchy) (*Dataset, error) {
+	d := &Dataset{
+		Name:        name,
+		Hierarchies: hierarchies,
+		dims:        make(map[string]*dimCol, len(dims)),
+		measures:    make(map[string][]float64, len(measures)),
+	}
+	switch {
+	case len(dims) > 0:
+		d.n = len(dims[0].Codes)
+	case len(measures) > 0:
+		d.n = len(measures[0].Values)
+	}
+	for _, c := range dims {
+		if len(c.Codes) != d.n {
+			return nil, fmt.Errorf("data: column %q has %d rows, dataset %q has %d", c.Name, len(c.Codes), name, d.n)
+		}
+		for i, code := range c.Codes {
+			if int(code) >= len(c.Dict) {
+				return nil, fmt.Errorf("data: dimension %q row %d: code %d out of range (dictionary size %d)", c.Name, i, code, len(c.Dict))
+			}
+		}
+		d.dimNames = append(d.dimNames, c.Name)
+		d.dims[c.Name] = &dimCol{dict: c.Dict[:len(c.Dict):len(c.Dict)], codes: c.Codes[:d.n:d.n]}
+	}
+	for _, m := range measures {
+		if len(m.Values) != d.n {
+			return nil, fmt.Errorf("data: column %q has %d rows, dataset %q has %d", m.Name, len(m.Values), name, d.n)
+		}
+		d.measureNames = append(d.measureNames, m.Name)
+		d.measures[m.Name] = m.Values[:d.n:d.n]
+	}
+	return d, nil
 }
 
 // NumRows returns the number of rows.
@@ -115,65 +169,44 @@ func (d *Dataset) HasDim(name string) bool { _, ok := d.dims[name]; return ok }
 // HasMeasure reports whether the dataset has measure column name.
 func (d *Dataset) HasMeasure(name string) bool { _, ok := d.measures[name]; return ok }
 
-// Dim returns the dimension column by name. The returned slice is shared;
-// callers must not modify it.
-//
-// For a cursor-backed virtual column this is a compatibility path: it
-// decodes a fresh slice on every call (no memoization — caching would
-// require locking every column lookup against concurrent readers). Hot
-// paths should use DimCursor instead.
-func (d *Dataset) Dim(name string) []string {
+// dim returns the dimension column by name, panicking on an unknown one.
+func (d *Dataset) dim(name string) *dimCol {
 	col, ok := d.dims[name]
 	if !ok {
 		panic(fmt.Sprintf("data: unknown dimension %q in dataset %q", name, d.Name))
 	}
-	if col == nil {
-		if c, ok := d.virt[name]; ok {
-			out := make([]string, c.Len())
-			if dict := c.Dict(); dict != nil {
-				for i := range out {
-					out[i] = dict[c.Code(i)]
-				}
-			} else {
-				for i := range out {
-					out[i] = c.Value(i)
-				}
-			}
-			return out
-		}
-	}
 	return col
 }
 
+// Dim materializes the dimension column by name as strings — a fresh slice
+// per call. It is a convenience for generators, error injectors and small
+// auxiliary tables; row scans read DimCodes.
+func (d *Dataset) Dim(name string) []string {
+	col := d.dim(name)
+	out := make([]string, len(col.codes))
+	for i, c := range col.codes {
+		out[i] = col.dict[c]
+	}
+	return out
+}
+
 // Measure returns the measure column by name. The returned slice is shared;
-// callers must not modify it. For cursor-backed virtual columns it decodes a
-// fresh slice on every call; hot paths should use MeasureCursor instead.
+// callers must not modify it.
 func (d *Dataset) Measure(name string) []float64 {
 	col, ok := d.measures[name]
 	if !ok {
 		panic(fmt.Sprintf("data: unknown measure %q in dataset %q", name, d.Name))
 	}
-	if col == nil {
-		if c, ok := d.vms[name]; ok {
-			out := make([]float64, c.Len())
-			for i := range out {
-				out[i] = c.At(i)
-			}
-			return out
-		}
-	}
 	return col
 }
 
-// DimCodes returns the dictionary encoding of a dimension column, if one was
-// installed: the distinct-value dictionary and one code per row. Both slices
-// are shared; callers must not modify them.
-func (d *Dataset) DimCodes(name string) (dict []string, codes []uint32, ok bool) {
-	dc, ok := d.codes[name]
-	if !ok {
-		return nil, nil, false
-	}
-	return dc.dict, dc.codes, true
+// DimCodes returns a dimension column: the dictionary of distinct values and
+// one code per row. A dictionary may hold values no row uses (row subsets
+// keep their source's dictionary). Both slices are shared; callers must not
+// modify them.
+func (d *Dataset) DimCodes(name string) (dict []string, codes []uint32) {
+	col := d.dim(name)
+	return col.dict, col.codes
 }
 
 // SetRollup attaches an opaque precomputed-aggregate provider to the dataset.
@@ -185,83 +218,68 @@ func (d *Dataset) SetRollup(r any) { d.rollup = r }
 // Rollup returns the dataset's precomputed-aggregate attachment, or nil.
 func (d *Dataset) Rollup() any { return d.rollup }
 
-// SetEncodedDim bulk-loads a dimension column from its dictionary encoding,
-// materializing the string column and keeping the codes for consumers that
-// can exploit them. The first column setter fixes the row count; later ones
-// must match it. Mixing SetEncodedDim/SetMeasure with AppendRow on the same
-// dataset is not supported: appending drops every installed encoding.
-func (d *Dataset) SetEncodedDim(name string, dict []string, codes []uint32) error {
-	if _, ok := d.dims[name]; !ok {
-		return fmt.Errorf("data: unknown dimension %q in dataset %q", name, d.Name)
+// keySep joins dimension values into group keys (EncodeKey). A value
+// containing it would make two different tuples share one key, so no
+// dictionary admits one: see ValidDimValue.
+const keySep = "\x1f"
+
+// ValidDimValue reports whether v may enter a dimension dictionary. Every
+// place a dictionary grows — intern here, store.EncodeBatch, and snapshot
+// open — calls it, so group keys built from dictionary values always decode
+// back to the tuple they encode.
+func ValidDimValue(v string) error {
+	if strings.Contains(v, keySep) {
+		return fmt.Errorf("dimension value %q contains the reserved group-key separator %q", v, keySep)
 	}
-	if err := d.setColumnLen(name, len(codes)); err != nil {
-		return err
-	}
-	col := make([]string, len(codes))
-	for i, c := range codes {
-		if int(c) >= len(dict) {
-			return fmt.Errorf("data: dimension %q row %d: code %d out of range (dictionary size %d)", name, i, c, len(dict))
+	return nil
+}
+
+// intern returns v's code, admitting v to the dictionary when it is new.
+func (c *dimCol) intern(v string) (uint32, error) {
+	if c.index == nil {
+		c.index = make(map[string]uint32, len(c.dict))
+		for code, dv := range c.dict {
+			c.index[dv] = uint32(code)
 		}
-		col[i] = dict[c]
 	}
-	d.dims[name] = col
-	if d.codes == nil {
-		d.codes = make(map[string]*dimCode, len(d.dimNames))
+	code, ok := c.index[v]
+	if !ok {
+		if err := ValidDimValue(v); err != nil {
+			return 0, err
+		}
+		// Clone: v may alias a larger buffer (a CSV record) that the
+		// dictionary must not pin.
+		v = strings.Clone(v)
+		code = uint32(len(c.dict))
+		c.dict = append(c.dict, v)
+		c.index[v] = code
 	}
-	d.codes[name] = &dimCode{dict: dict, codes: codes}
-	return nil
-}
-
-// SetMeasure bulk-loads a measure column. The slice is adopted, not copied.
-func (d *Dataset) SetMeasure(name string, vals []float64) error {
-	if _, ok := d.measures[name]; !ok {
-		return fmt.Errorf("data: unknown measure %q in dataset %q", name, d.Name)
-	}
-	if err := d.setColumnLen(name, len(vals)); err != nil {
-		return err
-	}
-	d.measures[name] = vals
-	return nil
-}
-
-// setColumnLen fixes the dataset's row count on the first bulk-loaded column
-// and rejects later columns of a different length — including after an
-// empty first column, which pins the count at zero.
-func (d *Dataset) setColumnLen(name string, n int) error {
-	if !d.nFixed && d.n == 0 {
-		d.n = n
-		d.nFixed = true
-		return nil
-	}
-	if n != d.n {
-		return fmt.Errorf("data: column %q has %d rows, dataset %q has %d", name, n, d.Name, d.n)
-	}
-	return nil
+	return code, nil
 }
 
 // AppendRow adds one row. dims and measures are keyed by column name; every
-// declared column must be present.
+// declared column must be present. Like AppendRowVals it is an API for
+// generators and panics on misuse, including a dimension value that
+// ValidDimValue rejects; outside input enters through ReadCSV or
+// internal/store, which report errors.
 func (d *Dataset) AppendRow(dims map[string]string, measures map[string]float64) {
-	if d.Virtual() {
-		panic(fmt.Sprintf("data: AppendRow on cursor-backed (mapped) dataset %q; re-open it eagerly to mutate", d.Name))
-	}
-	d.codes = nil  // appended values may not be in the dictionaries
-	d.rollup = nil // precomputed aggregates no longer cover every row
-	for _, c := range d.dimNames {
+	dimVals := make([]string, len(d.dimNames))
+	for i, c := range d.dimNames {
 		v, ok := dims[c]
 		if !ok {
 			panic(fmt.Sprintf("data: AppendRow missing dimension %q", c))
 		}
-		d.dims[c] = append(d.dims[c], v)
+		dimVals[i] = v
 	}
-	for _, c := range d.measureNames {
+	measureVals := make([]float64, len(d.measureNames))
+	for i, c := range d.measureNames {
 		v, ok := measures[c]
 		if !ok {
 			panic(fmt.Sprintf("data: AppendRow missing measure %q", c))
 		}
-		d.measures[c] = append(d.measures[c], v)
+		measureVals[i] = v
 	}
-	d.n++
+	d.AppendRowVals(dimVals, measureVals)
 }
 
 // AppendRowVals adds one row with dimension and measure values given in
@@ -271,13 +289,18 @@ func (d *Dataset) AppendRowVals(dimVals []string, measureVals []float64) {
 		panic(fmt.Sprintf("data: AppendRowVals arity mismatch: %d/%d dims, %d/%d measures",
 			len(dimVals), len(d.dimNames), len(measureVals), len(d.measureNames)))
 	}
-	if d.Virtual() {
-		panic(fmt.Sprintf("data: AppendRowVals on cursor-backed (mapped) dataset %q; re-open it eagerly to mutate", d.Name))
-	}
-	d.codes = nil  // appended values may not be in the dictionaries
 	d.rollup = nil // precomputed aggregates no longer cover every row
 	for i, c := range d.dimNames {
-		d.dims[c] = append(d.dims[c], dimVals[i])
+		col := d.dims[c]
+		code, err := col.intern(dimVals[i])
+		if err != nil {
+			// Take the half-appended row back out before reporting.
+			for _, prev := range d.dimNames[:i] {
+				d.dims[prev].codes = d.dims[prev].codes[:d.n]
+			}
+			panic(fmt.Sprintf("data: AppendRowVals dimension %q: %v", c, err))
+		}
+		col.codes = append(col.codes, code)
 	}
 	for i, c := range d.measureNames {
 		d.measures[c] = append(d.measures[c], measureVals[i])
@@ -285,77 +308,52 @@ func (d *Dataset) AppendRowVals(dimVals []string, measureVals []float64) {
 	d.n++
 }
 
-// Clone returns a deep copy of the dataset. Cursor-backed virtual columns
-// are shared, not copied: cursors are immutable read-only views, so the
-// clone observes identical values without re-materializing them.
+// SetDimValue overwrites one dimension value in place — the relabelling
+// primitive of the error injectors. The dataset must own its columns (built
+// by AppendRow*, or a Clone), like every in-place write to Measure's slice.
+func (d *Dataset) SetDimValue(name string, row int, v string) {
+	col := d.dim(name)
+	code, err := col.intern(v)
+	if err != nil {
+		panic(fmt.Sprintf("data: SetDimValue dimension %q: %v", name, err))
+	}
+	d.rollup = nil
+	col.codes[row] = code
+}
+
+// Clone returns a deep copy of the dataset's rows. Dictionaries are shared
+// (see dimCol: growing one copies it first).
 func (d *Dataset) Clone() *Dataset {
 	c := New(d.Name, d.dimNames, d.measureNames, d.Hierarchies)
 	for name, col := range d.dims {
-		c.dims[name] = append([]string(nil), col...)
+		c.dims[name] = &dimCol{dict: col.dict[:len(col.dict):len(col.dict)], codes: append([]uint32(nil), col.codes...)}
 	}
 	for name, col := range d.measures {
 		c.measures[name] = append([]float64(nil), col...)
 	}
-	if d.codes != nil {
-		c.codes = make(map[string]*dimCode, len(d.codes))
-		for name, dc := range d.codes {
-			c.codes[name] = &dimCode{dict: dc.dict, codes: append([]uint32(nil), dc.codes...)}
-		}
-	}
-	if d.virt != nil {
-		c.virt = make(map[string]DimCursor, len(d.virt))
-		for name, cur := range d.virt {
-			c.virt[name] = cur
-		}
-	}
-	if d.vms != nil {
-		c.vms = make(map[string]MeasureCursor, len(d.vms))
-		for name, cur := range d.vms {
-			c.vms[name] = cur
-		}
-	}
 	c.n = d.n
-	c.nFixed = d.nFixed
 	return c
 }
 
 // Select returns a new dataset containing the rows at the given indices, in
 // order. Indices may repeat (used by error injectors to duplicate rows).
-// The result is always slice-backed, even when d is cursor-backed: subsets
-// (provenance, shard slices) are expected to be small relative to the
-// source, so materializing them keeps downstream code simple.
+// Row selection preserves dictionaries: the subset's codes index the same
+// dict, possibly leaving entries unused.
 func (d *Dataset) Select(idx []int) *Dataset {
 	out := New(d.Name, d.dimNames, d.measureNames, d.Hierarchies)
-	for _, name := range d.dimNames {
-		cur := d.DimCursor(name)
-		col := make([]string, len(idx))
-		// Row selection preserves dictionaries: the subset's codes index the
-		// same dict (possibly with unused entries), so provenance subsets of
-		// coded datasets — slice- or cursor-backed — stay coded.
-		if dict := cur.Dict(); dict != nil {
-			sel := make([]uint32, len(idx))
-			for i, r := range idx {
-				sel[i] = cur.Code(r)
-				col[i] = dict[sel[i]]
-			}
-			if out.codes == nil {
-				out.codes = make(map[string]*dimCode, len(d.dimNames))
-			}
-			out.codes[name] = &dimCode{dict: dict, codes: sel}
-		} else {
-			for i, r := range idx {
-				col[i] = cur.Value(r)
-			}
-		}
-		out.dims[name] = col
-	}
-	for _, name := range d.measureNames {
-		cur := d.MeasureCursor(name)
-		col := make([]float64, len(idx))
+	for name, col := range d.dims {
+		sel := make([]uint32, len(idx))
 		for i, r := range idx {
-			col[i] = cur.At(r)
+			sel[i] = col.codes[r]
 		}
-		out.measures[name] = col
+		out.dims[name] = &dimCol{dict: col.dict[:len(col.dict):len(col.dict)], codes: sel}
+	}
+	for name, col := range d.measures {
+		sel := make([]float64, len(idx))
+		for i, r := range idx {
+			sel[i] = col[r]
+		}
+		out.measures[name] = sel
 	}
 	out.n = len(idx)
 	return out
@@ -376,14 +374,38 @@ func (d *Dataset) Filter(pred func(row int) bool) *Dataset {
 // Predicate is a conjunction of attribute = value conditions.
 type Predicate map[string]string
 
-// Matches reports whether row satisfies every condition of p.
-func (d *Dataset) Matches(row int, p Predicate) bool {
-	for attr, want := range p {
-		if d.dimValue(attr, row) != want {
-			return false
-		}
+// ForEachMatch calls fn with the index of every row satisfying every
+// condition of p, in row order. Each condition is resolved to a dictionary
+// code once, so the per-row test is an integer compare.
+func (d *Dataset) ForEachMatch(p Predicate, fn func(row int)) {
+	type cond struct {
+		codes []uint32
+		want  uint32
 	}
-	return true
+	conds := make([]cond, 0, len(p))
+	for attr, want := range p {
+		col := d.dim(attr)
+		code := -1
+		for i, v := range col.dict {
+			if v == want {
+				code = i
+				break
+			}
+		}
+		if code < 0 {
+			return // value absent from the dictionary: no row can match
+		}
+		conds = append(conds, cond{codes: col.codes, want: uint32(code)})
+	}
+rows:
+	for row := 0; row < d.n; row++ {
+		for _, c := range conds {
+			if c.codes[row] != c.want {
+				continue rows
+			}
+		}
+		fn(row)
+	}
 }
 
 // Where returns the provenance of predicate p: the sub-dataset of rows whose
@@ -392,78 +414,22 @@ func (d *Dataset) Where(p Predicate) *Dataset {
 	if len(p) == 0 {
 		return d.Clone()
 	}
-	// Resolve each condition to a cursor once, and to a dictionary code where
-	// the column is coded, so the per-row test is an integer compare and the
-	// scan streams over cursor-backed columns without materializing them.
-	type cond struct {
-		cur   DimCursor
-		want  string
-		code  uint32
-		coded bool
-	}
-	conds := make([]cond, 0, len(p))
-	for attr, want := range p {
-		c := cond{cur: d.DimCursor(attr), want: want}
-		if dict := c.cur.Dict(); dict != nil {
-			found := false
-			for i, v := range dict {
-				if v == want {
-					c.code, c.coded, found = uint32(i), true, true
-					break
-				}
-			}
-			if !found {
-				// Value absent from the dictionary: no row can match.
-				return d.Select(nil)
-			}
-		}
-		conds = append(conds, c)
-	}
 	var idx []int
-	for row := 0; row < d.n; row++ {
-		ok := true
-		for i := range conds {
-			c := &conds[i]
-			if c.coded {
-				if c.cur.Code(row) != c.code {
-					ok = false
-					break
-				}
-			} else if c.cur.Value(row) != c.want {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			idx = append(idx, row)
-		}
-	}
+	d.ForEachMatch(p, func(row int) { idx = append(idx, row) })
 	return d.Select(idx)
 }
 
 // Distinct returns the sorted distinct values of a dimension column.
 func (d *Dataset) Distinct(attr string) []string {
-	cur := d.DimCursor(attr)
-	var out []string
-	if dict := cur.Dict(); dict != nil {
-		seen := make([]bool, len(dict))
-		for i, n := 0, cur.Len(); i < n; i++ {
-			seen[cur.Code(i)] = true
-		}
-		out = make([]string, 0, len(dict))
-		for c, present := range seen {
-			if present {
-				out = append(out, dict[c])
-			}
-		}
-	} else {
-		seen := make(map[string]struct{})
-		for i, n := 0, cur.Len(); i < n; i++ {
-			seen[cur.Value(i)] = struct{}{}
-		}
-		out = make([]string, 0, len(seen))
-		for v := range seen {
-			out = append(out, v)
+	col := d.dim(attr)
+	seen := make([]bool, len(col.dict))
+	for _, c := range col.codes {
+		seen[c] = true
+	}
+	out := make([]string, 0, len(col.dict))
+	for c, present := range seen {
+		if present {
+			out = append(out, col.dict[c])
 		}
 	}
 	sort.Strings(out)
@@ -509,51 +475,30 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// checkFD verifies the functional dependency child → parent. When both
-// columns carry a dictionary (slice-coded or cursor-backed) the check runs
-// over small integer arrays instead of a string map, which makes validating
-// snapshot loads cheap — one streaming pass, heap bounded by dictionary
-// size.
+// checkFD verifies the functional dependency child → parent in one pass over
+// the two code columns; heap is bounded by the child dictionary's size.
 func (d *Dataset) checkFD(child, parent string) error {
-	ccur, pcur := d.DimCursor(child), d.DimCursor(parent)
-	if cdict, pdict := ccur.Dict(), pcur.Dict(); cdict != nil && pdict != nil {
-		const unset = -1
-		m := make([]int64, len(cdict))
-		for i := range m {
-			m[i] = unset
-		}
-		for i, n := 0, ccur.Len(); i < n; i++ {
-			cc := ccur.Code(i)
-			pc := int64(pcur.Code(i))
-			if prev := m[cc]; prev == unset {
-				m[cc] = pc
-			} else if prev != pc {
-				return fmt.Errorf("FD violation: %s=%q maps to %s=%q and %q",
-					child, cdict[cc], parent, pdict[prev], pdict[pc])
-			}
-		}
-		return nil
+	cc, pc := d.dims[child], d.dims[parent]
+	const unset = -1
+	m := make([]int64, len(cc.dict))
+	for i := range m {
+		m[i] = unset
 	}
-	m := make(map[string]string)
-	for i, n := 0, ccur.Len(); i < n; i++ {
-		cv, pv := ccur.Value(i), pcur.Value(i)
-		if prev, ok := m[cv]; ok {
-			if prev != pv {
-				return fmt.Errorf("FD violation: %s=%q maps to %s=%q and %q", child, cv, parent, prev, pv)
-			}
-		} else {
-			m[cv] = pv
+	for i, c := range cc.codes {
+		p := int64(pc.codes[i])
+		if prev := m[c]; prev == unset {
+			m[c] = p
+		} else if prev != p {
+			return fmt.Errorf("FD violation: %s=%q maps to %s=%q and %q",
+				child, cc.dict[c], parent, pc.dict[prev], pc.dict[p])
 		}
 	}
 	return nil
 }
 
-// Key encodes an ordered list of dimension values as a single group key.
-// The separator is unlikely to occur in attribute values; EncodeKey and
-// DecodeKey round-trip as long as values avoid "\x1f".
-const keySep = "\x1f"
-
-// EncodeKey joins dimension values into a group key.
+// EncodeKey joins dimension values into a group key. Dictionaries never
+// admit a value containing the separator (ValidDimValue), so EncodeKey and
+// DecodeKey round-trip on every tuple a dataset can hold.
 func EncodeKey(vals []string) string { return strings.Join(vals, keySep) }
 
 // DecodeKey splits a group key back into its dimension values.
@@ -568,7 +513,8 @@ func DecodeKey(key string) []string {
 func (d *Dataset) RowKey(row int, attrs []string) string {
 	vals := make([]string, len(attrs))
 	for i, a := range attrs {
-		vals[i] = d.dimValue(a, row)
+		col := d.dim(a)
+		vals[i] = col.dict[col.codes[row]]
 	}
 	return EncodeKey(vals)
 }

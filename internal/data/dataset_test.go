@@ -287,13 +287,11 @@ func TestReadCSVValidatesHierarchies(t *testing.T) {
 	}
 }
 
-func TestSetEncodedDim(t *testing.T) {
+func TestFromColumns(t *testing.T) {
 	h := []Hierarchy{{Name: "geo", Attrs: []string{"district"}}}
-	d := New("t", []string{"district"}, []string{"m"}, h)
-	if err := d.SetEncodedDim("district", []string{"Ofla", "Raya"}, []uint32{0, 1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetMeasure("m", []float64{1, 2, 3}); err != nil {
+	district := DimColumn{Name: "district", Dict: []string{"Ofla", "Raya"}, Codes: []uint32{0, 1, 0}}
+	d, err := FromColumns("t", []DimColumn{district}, []MeasureColumn{{Name: "m", Values: []float64{1, 2, 3}}}, h)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if d.NumRows() != 3 {
@@ -302,78 +300,112 @@ func TestSetEncodedDim(t *testing.T) {
 	if got := d.Dim("district"); got[0] != "Ofla" || got[1] != "Raya" || got[2] != "Ofla" {
 		t.Errorf("materialized column = %v", got)
 	}
-	dict, codes, ok := d.DimCodes("district")
-	if !ok || len(dict) != 2 || len(codes) != 3 {
-		t.Errorf("DimCodes = %v %v %v", dict, codes, ok)
+	if dict, codes := d.DimCodes("district"); len(dict) != 2 || len(codes) != 3 {
+		t.Errorf("DimCodes = %v %v", dict, codes)
 	}
-	// Errors: unknown column, out-of-range code, length mismatch.
-	if err := d.SetEncodedDim("bogus", nil, nil); err == nil {
-		t.Error("expected unknown-dimension error")
-	}
-	if err := d.SetMeasure("bogus", nil); err == nil {
-		t.Error("expected unknown-measure error")
-	}
-	d2 := New("t", []string{"district"}, nil, nil)
-	if err := d2.SetEncodedDim("district", []string{"a"}, []uint32{0, 7}); err == nil {
+	// Errors: out-of-range code, length mismatch — also after an empty first
+	// column, which pins the row count at zero.
+	if _, err := FromColumns("t", []DimColumn{{Name: "district", Dict: []string{"a"}, Codes: []uint32{0, 7}}}, nil, nil); err == nil {
 		t.Error("expected out-of-range code error")
 	}
-	d3 := New("t", []string{"district"}, []string{"m"}, nil)
-	if err := d3.SetEncodedDim("district", []string{"a"}, []uint32{0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d3.SetMeasure("m", []float64{1}); err == nil {
+	if _, err := FromColumns("t", []DimColumn{{Name: "district", Dict: []string{"a"}, Codes: []uint32{0, 0}}},
+		[]MeasureColumn{{Name: "m", Values: []float64{1}}}, nil); err == nil {
 		t.Error("expected length-mismatch error")
 	}
-	// An empty first column pins the row count at zero.
-	d4 := New("t", []string{"district"}, []string{"m"}, nil)
-	if err := d4.SetEncodedDim("district", nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := d4.SetMeasure("m", []float64{1, 2}); err == nil {
+	if _, err := FromColumns("t", []DimColumn{{Name: "district"}}, []MeasureColumn{{Name: "m", Values: []float64{1, 2}}}, nil); err == nil {
 		t.Error("expected length-mismatch error after empty first column")
 	}
-	// Appending rows drops the encoding (values may not be in the dict).
+	// Appending interns against the adopted dictionary without writing into
+	// the caller's arrays.
 	d.AppendRowVals([]string{"Tigray"}, []float64{4})
-	if _, _, ok := d.DimCodes("district"); ok {
-		t.Error("append kept a stale dictionary encoding")
+	d.AppendRowVals([]string{"Raya"}, []float64{5})
+	dict, codes := d.DimCodes("district")
+	if len(dict) != 3 || dict[2] != "Tigray" || len(codes) != 5 || codes[3] != 2 || codes[4] != 1 {
+		t.Errorf("after append: dict %v codes %v", dict, codes)
+	}
+	if len(district.Dict) != 2 || len(district.Codes) != 3 {
+		t.Errorf("append grew the caller's column: %v %v", district.Dict, district.Codes)
 	}
 }
 
 func TestCodesSurviveSelectAndClone(t *testing.T) {
-	d := New("t", []string{"district"}, []string{"m"}, nil)
-	if err := d.SetEncodedDim("district", []string{"a", "b"}, []uint32{0, 1, 1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetMeasure("m", []float64{1, 2, 3, 4}); err != nil {
+	d, err := FromColumns("t", []DimColumn{{Name: "district", Dict: []string{"a", "b"}, Codes: []uint32{0, 1, 1, 0}}},
+		[]MeasureColumn{{Name: "m", Values: []float64{1, 2, 3, 4}}}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	sub := d.Select([]int{1, 2})
-	dict, codes, ok := sub.DimCodes("district")
-	if !ok || len(codes) != 2 || dict[codes[0]] != "b" || dict[codes[1]] != "b" {
-		t.Errorf("Select codes = %v %v %v", dict, codes, ok)
+	dict, codes := sub.DimCodes("district")
+	if len(dict) != 2 || len(codes) != 2 || dict[codes[0]] != "b" || dict[codes[1]] != "b" {
+		t.Errorf("Select codes = %v %v", dict, codes)
+	}
+	if got := sub.Distinct("district"); len(got) != 1 || got[0] != "b" {
+		t.Errorf("Distinct over a subset = %v, want only the used value", got)
 	}
 	cl := d.Clone()
-	if _, codes, ok := cl.DimCodes("district"); !ok || len(codes) != 4 {
-		t.Errorf("Clone lost codes: %v %v", codes, ok)
+	cl.AppendRowVals([]string{"c"}, []float64{5})
+	if dict, codes := cl.DimCodes("district"); len(dict) != 3 || len(codes) != 5 {
+		t.Errorf("Clone append: %v %v", dict, codes)
+	}
+	if dict, codes := d.DimCodes("district"); len(dict) != 2 || len(codes) != 4 {
+		t.Errorf("appending to the clone changed the source: %v %v", dict, codes)
 	}
 }
 
 func TestCodedFDCheck(t *testing.T) {
-	// Same FD violation as TestValidateFDViolation, but over coded columns.
+	// Same FD violation as TestValidateFDViolation, over bulk-loaded columns.
 	h := []Hierarchy{{Name: "geo", Attrs: []string{"district", "village"}}}
-	d := New("t", []string{"district", "village"}, nil, h)
-	if err := d.SetEncodedDim("district", []string{"Ofla", "Raya"}, []uint32{0, 1}); err != nil {
+	d, err := FromColumns("t", []DimColumn{
+		{Name: "district", Dict: []string{"Ofla", "Raya"}, Codes: []uint32{0, 1}},
+		{Name: "village", Dict: []string{"Zata"}, Codes: []uint32{0, 0}},
+	}, nil, h)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.SetEncodedDim("village", []string{"Zata"}, []uint32{0, 0}); err != nil {
-		t.Fatal(err)
-	}
-	err := d.Validate()
+	err = d.Validate()
 	if err == nil || !strings.Contains(err.Error(), "FD violation") {
 		t.Fatalf("err = %v, want FD violation", err)
 	}
 	if !strings.Contains(err.Error(), `"Zata"`) {
 		t.Errorf("error %q does not name the violating value", err)
+	}
+}
+
+// TestKeySeparatorRejected pins the admission rule behind EncodeKey: were a
+// value allowed to contain the separator, ("a\x1fb","c") and ("a","b\x1fc")
+// would share one group key.
+func TestKeySeparatorRejected(t *testing.T) {
+	if EncodeKey([]string{"a\x1fb", "c"}) != EncodeKey([]string{"a", "b\x1fc"}) {
+		t.Fatal("test premise: the two tuples no longer collide")
+	}
+	_, err := ReadCSV(strings.NewReader("x,y,m\na,c,1\n\"a\x1fb\",c,2\n"), "t", []string{"m"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), `"x"`) {
+		t.Errorf("ReadCSV err = %v, want a line 3 / column x rejection", err)
+	}
+	d := New("t", []string{"x", "y"}, []string{"m"}, nil)
+	d.AppendRowVals([]string{"a", "c"}, []float64{1})
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("AppendRowVals admitted a value containing the key separator")
+			}
+		}()
+		d.AppendRowVals([]string{"a", "b\x1fc"}, []float64{2})
+	}()
+	if d.NumRows() != 1 || len(d.Dim("x")) != 1 || len(d.Dim("y")) != 1 {
+		t.Errorf("rejected row left a trace: %d rows, x %v, y %v", d.NumRows(), d.Dim("x"), d.Dim("y"))
+	}
+}
+
+func TestSetDimValue(t *testing.T) {
+	d := demo()
+	d.SetDimValue("year", 0, "1987")
+	d.SetDimValue("year", 1, "2001")
+	if got := d.Dim("year"); got[0] != "1987" || got[1] != "2001" || got[2] != "1986" {
+		t.Errorf("year = %v", got)
+	}
+	if got := d.Distinct("year"); len(got) != 3 {
+		t.Errorf("Distinct = %v", got)
 	}
 }
 

@@ -141,7 +141,7 @@ func (f *FIST) moveVillageYear(village, year, nextYear string) {
 	ycol := f.DS.Dim("year")
 	for i := range ycol {
 		if vcol[i] == village && ycol[i] == year {
-			ycol[i] = nextYear
+			f.DS.SetDimValue("year", i, nextYear)
 		}
 	}
 }

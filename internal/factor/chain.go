@@ -20,7 +20,6 @@ package factor
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/data"
@@ -117,130 +116,24 @@ func SourceFromDataset(d *data.Dataset, h data.Hierarchy) (*Source, error) {
 // DistinctPaths returns the distinct full-depth paths of hierarchy h present
 // in d, in no particular order. Sharded engines union the per-shard path sets
 // before building the source; NewSource's sort+dedup makes the union
-// identical to the whole-dataset extraction.
+// identical to the whole-dataset extraction. A materialized cube covering
+// the hierarchy answers from its cells; otherwise one scan dedupes the rows
+// on their dictionary-code tuple and decodes each distinct path once.
 func DistinctPaths(d *data.Dataset, h data.Hierarchy) [][]string {
 	if pp, ok := d.Rollup().(PathProvider); ok {
 		if paths, ok := pp.HierarchyPaths(h); ok {
 			return paths
 		}
 	}
-	if paths, ok := distinctPathsCoded(d, h); ok {
-		return paths
-	}
-	if paths, ok := distinctPathsStreamed(d, h); ok {
-		return paths
-	}
-	cols := make([][]string, len(h.Attrs))
-	for i, a := range h.Attrs {
-		cols[i] = d.Dim(a)
-	}
-	seen := make(map[string][]string)
+	tuples := d.NewTupleIndex(h.Attrs)
 	for row := 0; row < d.NumRows(); row++ {
-		vals := make([]string, len(h.Attrs))
-		for i := range h.Attrs {
-			vals[i] = cols[i][row]
-		}
-		seen[data.EncodeKey(vals)] = vals
+		tuples.Add(row)
 	}
-	paths := make([][]string, 0, len(seen))
-	for _, p := range seen {
-		paths = append(paths, p)
+	paths := make([][]string, tuples.Len())
+	for i := range paths {
+		paths[i] = tuples.Values(i)
 	}
 	return paths
-}
-
-// distinctPathsCoded extracts the hierarchy's distinct paths over dictionary
-// codes when every attribute carries an encoding (datasets loaded through
-// internal/store): rows dedupe on a mixed-radix composite of their codes
-// instead of an encoded string key, and path strings are decoded once per
-// distinct path. Reports ok=false (use the string path) when any attribute
-// lacks codes or the radix product overflows uint64.
-func distinctPathsCoded(d *data.Dataset, h data.Hierarchy) ([][]string, bool) {
-	dicts := make([][]string, len(h.Attrs))
-	codes := make([][]uint32, len(h.Attrs))
-	radix := uint64(1)
-	for i, a := range h.Attrs {
-		dict, cs, ok := d.DimCodes(a)
-		if !ok || len(dict) == 0 {
-			if d.NumRows() > 0 {
-				return nil, false
-			}
-			dict = []string{}
-		}
-		if len(dict) > 0 {
-			if radix > math.MaxUint64/uint64(len(dict)) {
-				return nil, false
-			}
-			radix *= uint64(len(dict))
-		}
-		dicts[i], codes[i] = dict, cs
-	}
-	seen := make(map[uint64]struct{})
-	var paths [][]string
-	for row := 0; row < d.NumRows(); row++ {
-		k := uint64(0)
-		for i := range h.Attrs {
-			k = k*uint64(len(dicts[i])) + uint64(codes[i][row])
-		}
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		vals := make([]string, len(h.Attrs))
-		for i := range h.Attrs {
-			vals[i] = dicts[i][codes[i][row]]
-		}
-		paths = append(paths, vals)
-	}
-	return paths, true
-}
-
-// distinctPathsStreamed is the cursor variant of distinctPathsCoded: one
-// streaming pass over the dataset's column cursors, for cursor-backed
-// (memory-mapped) datasets whose columns exist only as lazily-decoded
-// readers. The dedupe key is the identical mixed-radix composite over the
-// identical dictionaries, so the extracted path set matches the slice paths
-// exactly. Reports ok=false (use the string path) when any attribute lacks a
-// dictionary or the radix product overflows uint64.
-func distinctPathsStreamed(d *data.Dataset, h data.Hierarchy) ([][]string, bool) {
-	dicts := make([][]string, len(h.Attrs))
-	curs := make([]data.DimCursor, len(h.Attrs))
-	radix := uint64(1)
-	for i, a := range h.Attrs {
-		dict, ok := d.DimDict(a)
-		if !ok || len(dict) == 0 {
-			if d.NumRows() > 0 {
-				return nil, false
-			}
-			dict = []string{}
-		}
-		if len(dict) > 0 {
-			if radix > math.MaxUint64/uint64(len(dict)) {
-				return nil, false
-			}
-			radix *= uint64(len(dict))
-			curs[i] = d.DimCursor(a)
-		}
-		dicts[i] = dict
-	}
-	seen := make(map[uint64]struct{})
-	var paths [][]string
-	for row := 0; row < d.NumRows(); row++ {
-		k := uint64(0)
-		for i := range h.Attrs {
-			k = k*uint64(len(dicts[i])) + uint64(curs[i].Code(row))
-		}
-		if _, ok := seen[k]; ok {
-			continue
-		}
-		seen[k] = struct{}{}
-		vals := make([]string, len(h.Attrs))
-		for i := range h.Attrs {
-			vals[i] = dicts[i][curs[i].Code(row)]
-		}
-		paths = append(paths, vals)
-	}
-	return paths, true
 }
 
 func lessPath(a, b []string) bool {

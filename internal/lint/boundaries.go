@@ -1,12 +1,23 @@
 package lint
 
+import (
+	"slices"
+	"strings"
+)
+
 // importRule is one declarative import constraint over a subtree of the
 // repository. Rules bind production code only; _test.go files are exempt
 // everywhere (the client's round-trip tests deliberately host the internal
 // server in-process).
 type importRule struct {
-	// Tree is the module-relative directory subtree the rule governs.
+	// Tree is the module-relative directory subtree the rule governs; ""
+	// governs the whole repository.
 	Tree string
+	// ExceptTrees lists subtrees of Tree the rule does not bind.
+	ExceptTrees []string
+	// ForbidStdlib lists standard-library packages the governed code must
+	// not import.
+	ForbidStdlib []string
 	// ForbidTrees lists module-relative package subtrees (the package and
 	// everything under it) the governed code must not import.
 	ForbidTrees []string
@@ -21,8 +32,8 @@ type importRule struct {
 	Why string
 }
 
-// Boundaries enforces the public-API dependency arrows that
-// scripts/check_boundaries.sh used to grep for, as typed import-graph rules:
+// Boundaries enforces the repository's dependency arrows as typed
+// import-graph rules:
 //
 //   - examples/ may only use the public SDK: no internal/ imports.
 //   - reptile/api is the shared wire protocol: stdlib-only, vendorable.
@@ -36,6 +47,9 @@ type importRule struct {
 //     has to).
 //   - internal/server and the reptile SDK must not import internal/wal:
 //     the write-ahead log has one owner, internal/ingest, which both embed.
+//   - only internal/store may import unsafe: its one view helper turns
+//     mapped column payloads into typed slices, and nothing else may step
+//     around the type system.
 type Boundaries struct {
 	// Rules defaults to the repository's contract; tests may substitute.
 	Rules []importRule
@@ -81,6 +95,11 @@ func NewBoundaries() *Boundaries {
 			ForbidTrees: []string{"internal/wal"},
 			Why:         "the write-ahead log has one owner, internal/ingest",
 		},
+		{
+			ExceptTrees:  []string{"internal/store"},
+			ForbidStdlib: []string{"unsafe"},
+			Why:          "typed views over file mappings come from one audited helper",
+		},
 	}}
 }
 
@@ -90,6 +109,19 @@ func (*Boundaries) Name() string { return "boundaries" }
 // Doc implements Analyzer.
 func (*Boundaries) Doc() string {
 	return "enforce the public-API import boundaries (examples/ and reptile/{api,client} vs internal/)"
+}
+
+// governs reports whether the rule binds the package directory dir.
+func (rule *importRule) governs(dir string) bool {
+	return (rule.Tree == "" || inTree(dir, rule.Tree)) && !allowed(dir, rule.ExceptTrees)
+}
+
+// subject names the governed code in findings.
+func (rule *importRule) subject() string {
+	if rule.Tree != "" {
+		return rule.Tree
+	}
+	return "code outside " + strings.Join(rule.ExceptTrees, ", ")
 }
 
 // forbidden reports whether a module-relative import path violates the rule.
@@ -113,7 +145,7 @@ func (b *Boundaries) Run(r *Repo) []Finding {
 	for _, pkg := range r.Pkgs {
 		for ri := range b.Rules {
 			rule := &b.Rules[ri]
-			if !inTree(pkg.Dir, rule.Tree) {
+			if !rule.governs(pkg.Dir) {
 				continue
 			}
 			for _, f := range pkg.Files {
@@ -135,9 +167,9 @@ func (b *Boundaries) checkFile(r *Repo, rule *importRule, f *File) []Finding {
 			continue
 		}
 		rel, inMod := r.InModule(path)
-		if inMod && rule.forbidden(rel) {
+		if inMod && rule.forbidden(rel) || !inMod && slices.Contains(rule.ForbidStdlib, path) {
 			out = append(out, r.finding(b.Name(), f, spec.Pos(),
-				"%s must not import %q: %s", rule.Tree, path, rule.Why))
+				"%s must not import %q: %s", rule.subject(), path, rule.Why))
 			continue
 		}
 		if !rule.StdlibOnly || r.Stdlib(path) {

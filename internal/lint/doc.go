@@ -29,7 +29,7 @@
 //   - boundaries: the public-API import rules (examples/ and
 //     reptile/{api,client} vs internal/, stdlib-only wire packages,
 //     internal/core free of internal/obs, internal/wal reachable only
-//     through internal/ingest).
+//     through internal/ingest, unsafe importable only by internal/store).
 //   - determinism: unsorted map iteration feeding appends or encoders in
 //     wire-output packages; wall-clock and math/rand use in the engine core.
 //   - errorcodes: the closed api.ErrorCode set vs its status-mapping tables

@@ -48,8 +48,9 @@ func TestBoundariesGolden(t *testing.T) {
 	assertGolden(t, got, []string{
 		`examples/demo/main.go:7:2: [boundaries] examples must not import "repro/internal/core": examples must use only the public SDK`,
 		`internal/core/core.go:4:8: [boundaries] internal/core must not import "repro/internal/obs": the engine reports spans through the core-owned SpanRecorder seam`,
-		`internal/foo/foo.go:5:2: [boundaries] internal must not import "repro/reptile": the dependency arrow points one way: the facade wraps the engine`,
-		`internal/foo/foo.go:7:2: [boundaries] internal must not import "repro/reptile/client": the dependency arrow points one way: the facade wraps the engine`,
+		`internal/foo/foo.go:6:2: [boundaries] internal must not import "repro/reptile": the dependency arrow points one way: the facade wraps the engine`,
+		`internal/foo/foo.go:8:2: [boundaries] internal must not import "repro/reptile/client": the dependency arrow points one way: the facade wraps the engine`,
+		`internal/foo/foo.go:9:2: [boundaries] code outside internal/store must not import "unsafe": typed views over file mappings come from one audited helper`,
 		`internal/server/server.go:4:8: [boundaries] internal/server must not import "repro/internal/wal": the write-ahead log has one owner, internal/ingest`,
 		`reptile/api/api.go:5:2: [boundaries] reptile/api must stay stdlib-only but imports "repro/internal/core": the wire protocol must stay vendorable by out-of-tree clients`,
 		`reptile/client/client.go:5:2: [boundaries] reptile/client must stay stdlib-only but imports "repro/internal/server": the client must compile without linking the engine`,

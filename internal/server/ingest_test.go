@@ -287,6 +287,13 @@ func TestWALCheckpointTruncatesAndRecovers(t *testing.T) {
 		})
 	}
 
+	// Stop the ingester first: a checkpoint truncates the log (what waitWAL
+	// saw) before it sweeps its predecessors.
+	if err := entry(t, s1, "drought").ing.close(false); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+
 	// Exactly one checkpoint survives, stamped with the last folded sequence.
 	cks, err := filepath.Glob(filepath.Join(dir, "drought.ckpt.*.rst"))
 	if err != nil {
@@ -296,12 +303,10 @@ func TestWALCheckpointTruncatesAndRecovers(t *testing.T) {
 		t.Fatalf("checkpoints on disk = %v, want exactly the seq-2 one", cks)
 	}
 
-	if err := entry(t, s1, "drought").ing.close(false); err != nil {
-		t.Fatal(err)
-	}
-	ts1.Close()
-
-	_, ts2 := newTestServer(t, cfg)
+	s2, ts2 := newTestServer(t, cfg)
+	// The final append's flush and checkpoint run in the background: drain
+	// them before TempDir's cleanup removes the directory under them.
+	t.Cleanup(func() { s2.Close() })
 	register(t, ts2.URL, droughtRequest())
 	if ds := datasetStats(t, ts2.URL, "drought"); ds.Rows != 12 {
 		t.Fatalf("recovered rows = %d, want 12 (checkpoint superseded the base CSV)", ds.Rows)

@@ -287,10 +287,9 @@ func (s *Server) regDefaults(opts core.Options) ingest.Options {
 	}
 }
 
-// RegisterDataset adds a named dataset to the registry. The dataset is
-// dictionary-encoded into a store.Snapshot first, so the shared engine runs
-// over code-backed columns and the dataset can later take appends. It is the
-// programmatic twin of POST /v1/datasets (preloading, tests).
+// RegisterDataset adds a named dataset to the registry, wrapped as a
+// store.Snapshot so it can later take appends. It is the programmatic twin
+// of POST /v1/datasets (preloading, tests).
 func (s *Server) RegisterDataset(name string, ds *data.Dataset, opts core.Options) error {
 	return s.RegisterSnapshot(name, store.FromDataset(ds), opts)
 }

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/agg"
 	"repro/internal/data"
 	"repro/internal/datasets"
 )
@@ -142,31 +141,6 @@ func BenchmarkOpenMapped(b *testing.B) {
 		}
 		if err := snap.Close(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkGroupByStreamed measures the single-pass streaming group-by over
-// a mapped dataset's column cursors — the aggregation path every mapped
-// engine rides — against the same grouping the coded fast path answers from
-// heap slices (BenchmarkGroupByCoded in internal/cube).
-func BenchmarkGroupByStreamed(b *testing.B) {
-	_, rstPath := loadBenchFixtures(b)
-	snap, err := OpenMappedFile(rstPath)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer snap.Close()
-	ds, err := snap.Dataset()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(loadBench.rows) * (4*2 + 8)) // two dim columns + one measure per pass
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res := agg.GroupBy(ds, []string{"county", "party"}, "one")
-		if len(res.Groups) == 0 {
-			b.Fatal("empty group-by result")
 		}
 	}
 }

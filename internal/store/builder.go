@@ -6,6 +6,7 @@ import (
 	"math"
 
 	"repro/internal/cube"
+	"repro/internal/data"
 )
 
 // Row is one ingested record: dimension values in Snapshot.Dims order and
@@ -64,8 +65,8 @@ type Batch struct {
 	values [][]float64 // per measure: one value per batch row
 }
 
-// EncodeBatch validates rows against base's schema (arity, finite measures)
-// and encodes them against its dictionaries, growing them in batch row order
+// EncodeBatch validates rows against base's schema (arity, finite measures,
+// admissible dimension values) and encodes them against its dictionaries, growing them in batch row order
 // — copy-on-write, so base and its siblings keep their own. Mapped snapshots
 // reject appends.
 func EncodeBatch(base *Snapshot, rows []Row) (*Batch, error) {
@@ -105,6 +106,9 @@ func EncodeBatch(base *Snapshot, rows []Row) (*Batch, error) {
 			v := r.Dims[ci]
 			code, ok := idx[v]
 			if !ok {
+				if err := data.ValidDimValue(v); err != nil {
+					return nil, fmt.Errorf("store: append row %d dimension %q: %w", ri, c.Name, err)
+				}
 				code = uint32(len(dict))
 				dict = append(dict, v)
 				idx[v] = code

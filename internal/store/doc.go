@@ -6,21 +6,27 @@
 // Set.Append are both thin callers of it.
 //
 // A Snapshot keeps each dimension as a dictionary of distinct strings plus
-// one uint32 code per row, and each measure as a raw []float64. Converting a
-// snapshot back to a data.Dataset installs the dictionary encoding on the
-// dataset (data.SetEncodedDim), which lets agg.GroupBy and the factorizer
-// consume precomputed codes instead of re-hashing strings on the query path.
+// one uint32 code per row, and each measure as a raw []float64 — the one
+// column representation of the whole repository. Converting a snapshot to a
+// data.Dataset (data.FromColumns) shares those slices, so agg.GroupBy, the
+// factorizer and the cube builder scan the snapshot's own arrays.
 //
 // Snapshots open in two modes. Open/OpenFile decode every column into heap
-// slices (eager). OpenMappedFile memory-maps the file instead:
-// only the header — schema, dictionaries, offset directory — is parsed, and
-// columns are served through lazily-decoding readers (DimReader,
-// MeasureReader) straight out of the mapping, so residency stays
-// O(dictionaries + cube) regardless of the row count. Both modes produce
-// byte-identical query results; mapped snapshots reject mutation (appending,
-// partitioning) and must be released with Close. OpenShardsFile takes either
-// file layout below, dispatching on the magic after one read (or one
-// mapping): a plain snapshot is the one-shard partition.
+// slices (eager). OpenMappedFile memory-maps the file instead: only the
+// header — schema, dictionaries, offset directory — is parsed, and each
+// column is a typed view ([]uint32, []float64) over its payload inside the
+// mapping, built by the alignment-checked helper in view.go (a big-endian
+// host or a misaligned buffer falls back to decoding onto the heap). Every
+// validation pass of the eager open — header CRC, offset directory and
+// zero padding, code ranges, dictionary contents, hierarchy functional
+// dependencies — runs over the views, so residency stays O(dictionaries +
+// cube) regardless of the row count. Both modes produce byte-identical
+// query results; mapped snapshots (Snapshot.Mapped) reject mutation
+// (appending, partitioning, retention) and must be released with Close,
+// after which neither the snapshot nor any dataset derived from it may be
+// read. OpenShardsFile takes either file layout below, dispatching on the
+// magic after one read (or one mapping): a plain snapshot is the one-shard
+// partition.
 //
 // # Single-snapshot file format
 //

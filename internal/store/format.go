@@ -45,8 +45,8 @@ const maxSaneCount = 1 << 31
 func align8(n int) int { return (n + 7) &^ 7 }
 
 // Write serializes the snapshot in .rst format version 2, checksum included.
-// Mapped snapshots write through their lazily-decoded column readers, so
-// Save works without materializing columns on the heap.
+// Mapped snapshots stream straight out of their mapping, so Save works
+// without materializing columns on the heap.
 func (s *Snapshot) Write(w io.Writer) error {
 	// Stage the header in memory: the byte-offset directory holds absolute
 	// payload offsets, so the header's size must be known before the first
@@ -125,22 +125,12 @@ func (s *Snapshot) Write(w io.Writer) error {
 	we := &encoder{w: bw}
 	we.bytes(hb.Bytes())
 	we.pad(align8(headerLen) - headerLen)
-	for i := range s.Dims {
-		c := &s.Dims[i]
-		if c.Codes != nil {
-			we.codes(c.Codes)
-		} else {
-			we.codesFrom(s.DimReader(i))
-		}
+	for _, c := range s.Dims {
+		we.codes(c.Codes)
 		we.pad(align8(4*s.rows) - 4*s.rows)
 	}
-	for i := range s.Measures {
-		m := &s.Measures[i]
-		if m.Values != nil {
-			we.floats(m.Values)
-		} else {
-			we.floatsFrom(s.MeasureReader(i))
-		}
+	for _, m := range s.Measures {
+		we.floats(m.Values)
 		we.pad(align8(8*s.rows) - 8*s.rows)
 	}
 	if s.cube != nil {
@@ -270,8 +260,8 @@ func openPath(path string, mapped bool, want flavour) (key string, shards []*Sna
 
 // openShards decodes either .rst layout from b, sniffing the magic once: a
 // plain snapshot is the one-shard partition with no key. With m set, b is
-// m's mapped bytes and the shards serve their columns lazily out of it;
-// otherwise every column is decoded onto the heap.
+// m's mapped bytes and the shards' columns are views over it; otherwise
+// every column is decoded onto the heap.
 func openShards(b []byte, m *mapping, want flavour) (string, []*Snapshot, error) {
 	d, sharded, err := openEnvelope(b)
 	if err != nil {
@@ -397,30 +387,20 @@ type schemaV2 struct {
 }
 
 // snapshot assembles one snapshot of rows rows from a validated offset
-// directory. Without a mapping every column payload is materialized into heap
-// slices; with one, columns stay in the file (nil Codes/Values) and are
-// decoded lazily through DimReader/MeasureReader.
+// directory. Without a mapping every column payload is decoded into heap
+// slices; with one, Codes and Values are typed views over the mapped file.
 func (sc *schemaV2) snapshot(d *decoder, m *mapping, rows int, dimOff, msOff []int) *Snapshot {
 	s := &Snapshot{
-		Name: sc.name, Version: sc.version, Hierarchies: sc.hierarchies, rows: rows,
+		Name: sc.name, Version: sc.version, Hierarchies: sc.hierarchies, rows: rows, m: m,
 		Dims: make([]Column, len(sc.dims)), Measures: make([]MeasureColumn, len(sc.measureNames)),
 	}
-	if m != nil {
-		s.m, s.dimOff, s.msOff = m, dimOff, msOff
-	}
 	for i, dim := range sc.dims {
-		s.Dims[i] = Column{Name: dim.name, Dict: dim.dict}
-		if m == nil {
-			d.off = dimOff[i]
-			s.Dims[i].Codes = d.codes(rows)
-		}
+		d.off = dimOff[i]
+		s.Dims[i] = Column{Name: dim.name, Dict: dim.dict, Codes: d.codes(rows, m != nil)}
 	}
 	for i, name := range sc.measureNames {
-		s.Measures[i] = MeasureColumn{Name: name}
-		if m == nil {
-			d.off = msOff[i]
-			s.Measures[i].Values = d.floats(rows)
-		}
+		d.off = msOff[i]
+		s.Measures[i] = MeasureColumn{Name: name, Values: d.floats(rows, m != nil)}
 	}
 	return s
 }
@@ -609,25 +589,6 @@ func (e *encoder) pad(n int) {
 	e.bytes(z[:n])
 }
 
-// codesFrom streams a dimension column through its reader — the write path
-// for mapped snapshots, which have no code slices to copy from.
-func (e *encoder) codesFrom(r data.DimCursor) {
-	var buf [4]byte
-	for i, n := 0, r.Len(); i < n; i++ {
-		binary.LittleEndian.PutUint32(buf[:], r.Code(i))
-		e.bytes(buf[:])
-	}
-}
-
-// floatsFrom streams a measure column through its reader.
-func (e *encoder) floatsFrom(r data.MeasureCursor) {
-	var buf [8]byte
-	for i, n := 0, r.Len(); i < n; i++ {
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(r.At(i)))
-		e.bytes(buf[:])
-	}
-}
-
 // decoder reads the primitive field types from an in-memory payload,
 // latching the first error.
 type decoder struct {
@@ -705,10 +666,18 @@ func (d *decoder) string() string {
 	return string(d.bytes(n))
 }
 
-func (d *decoder) codes(rows int) []uint32 {
+// codes reads one dimension payload of rows codes at the decoder's offset:
+// as a view over the payload bytes when they belong to a file mapping (and
+// view can serve them), decoded onto the heap otherwise.
+func (d *decoder) codes(rows int, mapped bool) []uint32 {
 	raw := d.bytes(4 * rows)
 	if raw == nil {
 		return nil
+	}
+	if mapped {
+		if out, ok := view[uint32](raw); ok {
+			return out
+		}
 	}
 	out := make([]uint32, rows)
 	for i := range out {
@@ -717,10 +686,16 @@ func (d *decoder) codes(rows int) []uint32 {
 	return out
 }
 
-func (d *decoder) floats(rows int) []float64 {
+// floats reads one measure payload of rows values; see codes.
+func (d *decoder) floats(rows int, mapped bool) []float64 {
 	raw := d.bytes(8 * rows)
 	if raw == nil {
 		return nil
+	}
+	if mapped {
+		if out, ok := view[float64](raw); ok {
+			return out
+		}
 	}
 	out := make([]float64, rows)
 	for i := range out {

@@ -5,8 +5,8 @@ import (
 	"testing"
 )
 
-// FuzzOpenSnapshot throws arbitrary bytes at both snapshot decoders. The
-// contract under test: Open and OpenSharded return an error on any input
+// FuzzOpenSnapshot throws arbitrary bytes at both snapshot decoders, eager
+// and mapped. The contract under test: they return an error on any input
 // they dislike — they never panic, and anything they do accept must also
 // re-materialize into a Dataset without panicking. Seeds cover every on-disk
 // shape the writers produce (v2, v2 with a cube section, a sharded
@@ -52,6 +52,15 @@ func FuzzOpenSnapshot(f *testing.F) {
 			for _, s := range shards {
 				if _, err := s.Dataset(); err != nil {
 					t.Fatalf("accepted shard failed to materialize: %v", err)
+				}
+			}
+		}
+		// The mapped decoders over the same bytes, wherever the fuzzer's
+		// buffer happens to sit: views or eager fallback, never a fault.
+		if _, shards, err := openShards(b, &mapping{data: b}, anyFlavour); err == nil {
+			for _, s := range shards {
+				if _, err := s.Dataset(); err != nil {
+					t.Fatalf("accepted mapped shard failed to materialize: %v", err)
 				}
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -54,35 +55,18 @@ func TestOpenMappedRoundTrip(t *testing.T) {
 	if got.Cube() == nil {
 		t.Fatal("cube lost through the mapped open")
 	}
-	// Mapped columns expose nil heap slices but live readers.
-	for i := range got.Dims {
-		if got.Dims[i].Codes != nil {
-			t.Errorf("dimension %q materialized its codes", got.Dims[i].Name)
-		}
-		r := got.DimReader(i)
-		col := want.Dim(got.Dims[i].Name)
-		if r.Len() != len(col) {
-			t.Fatalf("dimension %q reader Len = %d, want %d", got.Dims[i].Name, r.Len(), len(col))
-		}
-		for row := range col {
-			if r.Value(row) != col[row] {
-				t.Fatalf("dimension %q row %d = %q, want %q", got.Dims[i].Name, row, r.Value(row), col[row])
-			}
+	// Mapped columns are views over the file: the same codes and values the
+	// eager snapshot holds, in slices whose capacity ends with the payload.
+	for i, c := range got.Dims {
+		if !reflect.DeepEqual(c.Codes, snap.Dims[i].Codes) || cap(c.Codes) != len(c.Codes) {
+			t.Errorf("dimension %q: codes %v (cap %d), want %v", c.Name, c.Codes, cap(c.Codes), snap.Dims[i].Codes)
 		}
 	}
-	for i := range got.Measures {
-		if got.Measures[i].Values != nil {
-			t.Errorf("measure %q materialized its values", got.Measures[i].Name)
-		}
-		r := got.MeasureReader(i)
-		col := want.Measure(got.Measures[i].Name)
-		for row := range col {
-			if r.At(row) != col[row] {
-				t.Fatalf("measure %q row %d = %v, want %v", got.Measures[i].Name, row, r.At(row), col[row])
-			}
+	for i, m := range got.Measures {
+		if !reflect.DeepEqual(m.Values, snap.Measures[i].Values) || cap(m.Values) != len(m.Values) {
+			t.Errorf("measure %q: values %v (cap %d), want %v", m.Name, m.Values, cap(m.Values), snap.Measures[i].Values)
 		}
 	}
-	// The derived dataset serves every column through the cursor seam.
 	back, err := got.Dataset()
 	if err != nil {
 		t.Fatal(err)
@@ -155,6 +139,64 @@ func TestOpenMappedRejectsTruncationEverywhere(t *testing.T) {
 			s.Close()
 			t.Fatalf("truncation at offset %d/%d mapped successfully", cut, len(good))
 		}
+	}
+}
+
+// TestMappedViewCannotFault opens a snapshot "mapped" over heap buffers that
+// break what the view helper relies on — every misalignment of the base
+// address, and every truncation at every misalignment — and asserts the open
+// either errors or decodes the affected columns eagerly into the same
+// dataset; it never panics and never serves a misaligned view.
+func TestMappedViewCannotFault(t *testing.T) {
+	good := cubeSnapshotBytes(t)
+	eager, err := Open(bytes.NewReader(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := eager.Dataset()
+	if err != nil {
+		t.Fatal(err)
+	}
+	backing := make([]byte, len(good)+8)
+	for shift := 0; shift < 8; shift++ {
+		b := backing[shift : shift+len(good)]
+		copy(b, good)
+		_, shards, err := openShards(b, &mapping{data: b}, plainOnly)
+		if err != nil {
+			t.Fatalf("shift %d: %v", shift, err)
+		}
+		s := shards[0]
+		if !s.Mapped() || s.ResidentColumnBytes() != 0 {
+			t.Errorf("shift %d: Mapped %v, resident %d", shift, s.Mapped(), s.ResidentColumnBytes())
+		}
+		got, err := s.Dataset()
+		if err != nil {
+			t.Fatalf("shift %d: %v", shift, err)
+		}
+		assertDatasetsEqual(t, got, want)
+		for cut := 0; cut < len(good); cut++ {
+			if _, _, err := openShards(b[:cut], &mapping{data: b[:cut]}, plainOnly); err == nil {
+				t.Fatalf("shift %d: truncation at %d/%d opened", shift, cut, len(good))
+			}
+		}
+	}
+	// The helper itself: ragged lengths and misaligned addresses are refused,
+	// an empty payload is an empty column.
+	raw := make([]byte, 32) // the allocator places this on an 8-byte boundary
+	if v, ok := view[float64](raw[:16]); ok != hostLittleEndian || len(v) != cap(v) {
+		t.Errorf("aligned view = %v, %v", v, ok)
+	}
+	if _, ok := view[float64](raw[4:20]); ok {
+		t.Error("view served float64s from a 4-byte-aligned address")
+	}
+	if _, ok := view[uint32](raw[1:9]); ok {
+		t.Error("view served uint32s from an odd address")
+	}
+	if _, ok := view[uint32](raw[:7]); ok {
+		t.Error("view served a ragged payload")
+	}
+	if v, ok := view[uint32](raw[:0]); ok != hostLittleEndian || len(v) != 0 {
+		t.Errorf("empty view = %v, %v", v, ok)
 	}
 }
 
@@ -377,7 +419,7 @@ func TestOpenShardedMappedRoundTrip(t *testing.T) {
 	if m.data == nil {
 		t.Fatal("mapping released while shards still reference it")
 	}
-	if got := mapped[1].DimReader(0).Value(0); got == "" {
+	if c := mapped[1].Dims[0]; c.Dict[c.Codes[0]] == "" {
 		t.Fatal("surviving shard unreadable after sibling Close")
 	}
 	if err := mapped[1].Close(); err != nil {

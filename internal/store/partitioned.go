@@ -28,8 +28,7 @@ const ShardFormatVersion = 2
 // version 2 (offset directory + aligned payloads), checksum included. Every
 // shard must carry the same name, version, hierarchies, column schema and —
 // payloads hold codes only — identical dictionaries; key names the dimension
-// the rows were partitioned on. Mapped shards write through their
-// lazily-decoded column readers.
+// the rows were partitioned on.
 func WriteSharded(w io.Writer, key string, shards []*Snapshot) error {
 	if err := checkShardSet(key, shards); err != nil {
 		return err
@@ -107,20 +106,12 @@ func WriteSharded(w io.Writer, key string, shards []*Snapshot) error {
 	we.bytes(hb.Bytes())
 	we.pad(align8(headerLen) - headerLen)
 	for _, s := range shards {
-		for i := range s.Dims {
-			if c := &s.Dims[i]; c.Codes != nil {
-				we.codes(c.Codes)
-			} else {
-				we.codesFrom(s.DimReader(i))
-			}
+		for _, c := range s.Dims {
+			we.codes(c.Codes)
 			we.pad(align8(4*s.rows) - 4*s.rows)
 		}
-		for i := range s.Measures {
-			if m := &s.Measures[i]; m.Values != nil {
-				we.floats(m.Values)
-			} else {
-				we.floatsFrom(s.MeasureReader(i))
-			}
+		for _, m := range s.Measures {
+			we.floats(m.Values)
 			we.pad(align8(8*s.rows) - 8*s.rows)
 		}
 	}
@@ -240,8 +231,8 @@ func OpenShardsFile(path string, mapped bool) (key string, shards []*Snapshot, e
 }
 
 // decodeSharded builds the shard snapshots of a partitioned file from a
-// decoder positioned after the version byte — eagerly, or as lazily-decoded
-// readers over m (see decodeSnapshot) — then validates the partition key and
+// decoder positioned after the version byte — eagerly, or as views over m
+// (see decodeSnapshot) — then validates the partition key and
 // every shard's structural invariants.
 func decodeSharded(d *decoder, m *mapping) (string, []*Snapshot, error) {
 	h, err := parseShardHeaderV2(d)
@@ -378,8 +369,7 @@ func parseShardHeaderV2(d *decoder) (*shardHeaderV2, error) {
 
 // OpenShardedMappedFile memory-maps a partitioned .rst snapshot: the header
 // (schema, shared dictionaries, offset directory) is parsed and CRC-checked,
-// and every shard's columns are exposed as lazily-decoded readers over one
-// shared file mapping. The mapping is released when the last shard is Closed.
+// and every shard's columns are typed views over one shared file mapping. The mapping is released when the last shard is Closed.
 func OpenShardedMappedFile(path string) (string, []*Snapshot, error) {
 	return openPath(path, true, partitionedOnly)
 }

@@ -46,9 +46,9 @@ func quickstartDataset() *data.Dataset {
 }
 
 // TestSnapshotRoundTripFidelity asserts, for each dataset the examples/
-// programs run on, that a CSV-round-tripped engine (string-keyed paths) and
-// a .rst-round-tripped engine (dictionary-coded paths) produce byte-identical
-// Recommendation JSON for the example's complaint.
+// programs run on, that a CSV-round-tripped engine and a .rst-round-tripped
+// engine produce byte-identical Recommendation JSON for the example's
+// complaint.
 func TestSnapshotRoundTripFidelity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("round-trip fidelity sweep is not short")
@@ -92,7 +92,7 @@ func TestSnapshotRoundTripFidelity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			// CSV round trip: string-backed columns, string-keyed hot paths.
+			// CSV round trip: dictionaries re-interned from text.
 			var csvBuf bytes.Buffer
 			if err := tc.ds.WriteCSV(&csvBuf); err != nil {
 				t.Fatal(err)

@@ -12,17 +12,10 @@ import (
 
 // Column is one dictionary-encoded dimension: Dict holds the distinct values
 // in order of first appearance, Codes holds one index into Dict per row.
-type Column struct {
-	Name  string
-	Dict  []string
-	Codes []uint32
-}
+type Column = data.DimColumn
 
 // MeasureColumn is one numeric measure column.
-type MeasureColumn struct {
-	Name   string
-	Values []float64
-}
+type MeasureColumn = data.MeasureColumn
 
 // Snapshot is one immutable version of a dataset in columnar form. Appending
 // rows (Builder.Append) produces a new Snapshot with Version+1; the base
@@ -36,13 +29,9 @@ type Snapshot struct {
 
 	rows int
 	// m is the backing file mapping when the snapshot was opened with
-	// OpenMappedFile: column payloads then live in the mapped file (Codes and
-	// Values stay nil) and are decoded lazily through DimReader /
-	// MeasureReader. dimOff/msOff are the payload byte offsets from the
-	// file's directory.
-	m      *mapping
-	dimOff []int
-	msOff  []int
+	// OpenMappedFile: Codes and Values are then typed views over the mapped
+	// file (see view), valid until Close.
+	m *mapping
 	// ds memoizes Dataset(): snapshots are immutable, so the derived dataset
 	// is built once and shared by every caller.
 	ds *data.Dataset
@@ -56,9 +45,9 @@ type Snapshot struct {
 // NumRows returns the snapshot's row count.
 func (s *Snapshot) NumRows() int { return s.rows }
 
-// FromDataset dictionary-encodes a dataset into a snapshot at dataset
-// version 1.
-// Dictionaries list values in order of first appearance, so encoding is
+// FromDataset wraps a dataset's columns as a snapshot at dataset version 1,
+// sharing its dictionaries and codes. Datasets built from rows or CSV list
+// dictionary values in order of first appearance, so the encoding is
 // deterministic for a given row order.
 func FromDataset(ds *data.Dataset) *Snapshot {
 	s := &Snapshot{
@@ -68,7 +57,8 @@ func FromDataset(ds *data.Dataset) *Snapshot {
 		rows:        ds.NumRows(),
 	}
 	for _, name := range ds.DimNames() {
-		s.Dims = append(s.Dims, encodeColumn(ds, name))
+		dict, codes := ds.DimCodes(name)
+		s.Dims = append(s.Dims, Column{Name: name, Dict: dict, Codes: codes})
 	}
 	for _, name := range ds.MeasureNames() {
 		s.Measures = append(s.Measures, MeasureColumn{
@@ -99,76 +89,17 @@ func NewSnapshot(name string, version uint64, hierarchies []data.Hierarchy, dims
 	return s, nil
 }
 
-// encodeColumn dictionary-encodes one dimension, reusing the dataset's own
-// encoding when it already carries one.
-func encodeColumn(ds *data.Dataset, name string) Column {
-	if dict, codes, ok := ds.DimCodes(name); ok {
-		return Column{Name: name, Dict: dict, Codes: codes}
-	}
-	col := ds.Dim(name)
-	idx := make(map[string]uint32)
-	var dict []string
-	codes := make([]uint32, len(col))
-	for i, v := range col {
-		c, ok := idx[v]
-		if !ok {
-			c = uint32(len(dict))
-			idx[v] = c
-			dict = append(dict, v)
-		}
-		codes[i] = c
-	}
-	return Column{Name: name, Dict: dict, Codes: codes}
-}
-
-// Dataset materializes the snapshot as a code-backed data.Dataset. The
+// Dataset returns the snapshot as a data.Dataset sharing its columns. The
 // result is memoized and shared: callers must treat it as immutable, like
-// every engine-owned dataset.
-//
-// An eager snapshot installs its dictionary encodings as slice columns
-// (data.SetEncodedDim); a mapped one installs lazily-decoded column readers
-// (data.SetDimCursor / SetMeasureCursor), so the dataset's row data stays in
-// the file and consumers stream over the cursor seam.
+// every engine-owned dataset. A mapped snapshot's dataset reads the file
+// mapping and dies with it (Close).
 func (s *Snapshot) Dataset() (*data.Dataset, error) {
 	if s.ds != nil {
 		return s.ds, nil
 	}
-	dimNames := make([]string, len(s.Dims))
-	for i, c := range s.Dims {
-		dimNames[i] = c.Name
-	}
-	msNames := make([]string, len(s.Measures))
-	for i, m := range s.Measures {
-		msNames[i] = m.Name
-	}
-	ds := data.New(s.Name, dimNames, msNames, append([]data.Hierarchy(nil), s.Hierarchies...))
-	for i, c := range s.Dims {
-		if c.Codes == nil && s.m != nil {
-			if err := ds.SetDimCursor(c.Name, s.DimReader(i)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if len(c.Codes) != s.rows {
-			return nil, fmt.Errorf("store: dimension %q has %d rows, snapshot has %d", c.Name, len(c.Codes), s.rows)
-		}
-		if err := ds.SetEncodedDim(c.Name, c.Dict, c.Codes); err != nil {
-			return nil, err
-		}
-	}
-	for i, m := range s.Measures {
-		if m.Values == nil && s.m != nil {
-			if err := ds.SetMeasureCursor(m.Name, s.MeasureReader(i)); err != nil {
-				return nil, err
-			}
-			continue
-		}
-		if len(m.Values) != s.rows {
-			return nil, fmt.Errorf("store: measure %q has %d rows, snapshot has %d", m.Name, len(m.Values), s.rows)
-		}
-		if err := ds.SetMeasure(m.Name, m.Values); err != nil {
-			return nil, err
-		}
+	ds, err := data.FromColumns(s.Name, s.Dims, s.Measures, append([]data.Hierarchy(nil), s.Hierarchies...))
+	if err != nil {
+		return nil, fmt.Errorf("store: snapshot %q: %w", s.Name, err)
 	}
 	if s.cube != nil {
 		ds.SetRollup(s.cube)
@@ -226,37 +157,29 @@ func (s *Snapshot) dim(name string) *Column {
 }
 
 // validate checks the snapshot's structural invariants (column lengths, code
-// ranges, hierarchy attributes) and, via the derived dataset, the hierarchy
-// functional dependencies. It is run on every Open and Append.
+// ranges, dictionary contents, hierarchy attributes) and, via the derived
+// dataset, the hierarchy functional dependencies. It is run on every Open
+// and Append; over a mapped snapshot every pass streams through the mapping
+// with O(dictionary) heap.
 func (s *Snapshot) validate() error {
 	for ci := range s.Dims {
 		c := &s.Dims[ci]
-		mapped := c.Codes == nil && s.m != nil
-		if !mapped && len(c.Codes) != s.rows {
+		if len(c.Codes) != s.rows {
 			return fmt.Errorf("store: dimension %q has %d rows, snapshot has %d", c.Name, len(c.Codes), s.rows)
 		}
-		// Dictionary values must be distinct: duplicates would make the coded
-		// group-by split what the string semantics merge, so a checksum-valid
-		// but hand-crafted file cannot smuggle the inconsistency in.
+		// Dictionary values must be distinct: duplicates would split what the
+		// value semantics merge, so a checksum-valid but hand-crafted file
+		// cannot smuggle the inconsistency in. Likewise the group-key
+		// separator, which would merge what the value semantics split.
 		seen := make(map[string]struct{}, len(c.Dict))
 		for _, v := range c.Dict {
 			if _, dup := seen[v]; dup {
 				return fmt.Errorf("store: dimension %q: duplicate dictionary value %q", c.Name, v)
 			}
-			seen[v] = struct{}{}
-		}
-		if mapped {
-			// One streaming pass over the mapped payload: O(rows) time,
-			// O(1) heap — mapped open keeps the same corruption guarantees
-			// as eager open.
-			r := s.DimReader(ci)
-			for i := 0; i < s.rows; i++ {
-				if code := r.Code(i); int(code) >= len(c.Dict) {
-					return fmt.Errorf("store: dimension %q row %d: code %d out of range (dictionary size %d)",
-						c.Name, i, code, len(c.Dict))
-				}
+			if err := data.ValidDimValue(v); err != nil {
+				return fmt.Errorf("store: dimension %q: %w", c.Name, err)
 			}
-			continue
+			seen[v] = struct{}{}
 		}
 		for i, code := range c.Codes {
 			if int(code) >= len(c.Dict) {
@@ -267,9 +190,6 @@ func (s *Snapshot) validate() error {
 	}
 	for mi := range s.Measures {
 		m := &s.Measures[mi]
-		if m.Values == nil && s.m != nil {
-			continue // payload length is fixed by the offset directory
-		}
 		if len(m.Values) != s.rows {
 			return fmt.Errorf("store: measure %q has %d rows, snapshot has %d", m.Name, len(m.Values), s.rows)
 		}

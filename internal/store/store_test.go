@@ -76,10 +76,10 @@ func TestFromDatasetRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertDatasetsEqual(t, back, ds)
-	// The round-tripped dataset is code-backed.
-	for _, c := range back.DimNames() {
-		if _, _, ok := back.DimCodes(c); !ok {
-			t.Errorf("dimension %q lost its dictionary encoding", c)
+	// The round-tripped dataset shares the snapshot's columns.
+	for i, c := range back.DimNames() {
+		if _, codes := back.DimCodes(c); len(codes) > 0 && &codes[0] != &snap.Dims[i].Codes[0] {
+			t.Errorf("dimension %q was copied on the way back", c)
 		}
 	}
 }
@@ -183,6 +183,35 @@ func TestOpenRejectsDuplicateDictValues(t *testing.T) {
 	}
 }
 
+// TestKeySeparatorRejected: a dimension value containing the group-key
+// separator would let ("a\x1fb","c") and ("a","b\x1fc") share one group key,
+// so neither an append batch nor a (checksum-valid) file may bring one in.
+func TestKeySeparatorRejected(t *testing.T) {
+	b := NewBuilder(FromDataset(demoDataset()))
+	before := b.Snapshot()
+	_, err := b.Append([]Row{
+		{Dims: []string{"Ofla", "Adishim", "1986"}, Measures: []float64{1}},
+		{Dims: []string{"Ofla", "Adi\x1fshim", "1986"}, Measures: []float64{1}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "row 1") || !strings.Contains(err.Error(), `"village"`) {
+		t.Fatalf("append err = %v, want a row 1 / village rejection", err)
+	}
+	if b.Snapshot() != before {
+		t.Error("rejected append advanced the builder")
+	}
+
+	snap := FromDataset(demoDataset())
+	snap.Dims[1].Dict = append([]string(nil), snap.Dims[1].Dict...)
+	snap.Dims[1].Dict[0] = "Adi\x1fshim"
+	var buf bytes.Buffer
+	if err := snap.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(bytes.NewReader(buf.Bytes())); err == nil || !strings.Contains(err.Error(), "separator") {
+		t.Fatalf("open err = %v, want a separator rejection", err)
+	}
+}
+
 func TestOpenValidatesHierarchies(t *testing.T) {
 	// Hand-build a snapshot whose hierarchy references a missing attribute.
 	snap := FromDataset(demoDataset())
@@ -235,7 +264,7 @@ func TestBuilderAppend(t *testing.T) {
 		t.Errorf("appended severity = %v", got)
 	}
 	// The new value extended the dictionary.
-	dict, _, _ := nds.DimCodes("village")
+	dict, _ := nds.DimCodes("village")
 	if dict[len(dict)-1] != "Mehoni" {
 		t.Errorf("village dict = %v, want Mehoni last", dict)
 	}
