@@ -38,9 +38,8 @@ bench-check:
 	cd benchmark && go vet ./... && go test ./...
 
 # bench-load seeds the storage performance trajectory: CSV vs .rst snapshot
-# load, single-engine vs sharded Recommend, and cube vs row-scan GroupBy over
-# heap and mapped columns (plus incremental cube maintenance), recorded to
-# BENCH_load.json.
+# load and cube vs row-scan GroupBy over heap and mapped columns (plus
+# incremental cube maintenance), recorded to BENCH_load.json.
 # BENCHTIME overrides the per-benchmark iteration budget.
 bench-load:
 	sh scripts/bench_load.sh

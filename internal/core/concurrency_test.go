@@ -30,24 +30,22 @@ func concurrencyComplaints() []Complaint {
 }
 
 // TestConcurrentRecommendMatchesSequential runs concurrent Recommend calls
-// from many sessions against one shared Engine and asserts every result is
-// identical to the sequential (Workers = 1) path. Run with -race.
+// from many sessions against one shared Engine — several sessions per
+// complaint, so they contend for the same memo entries — and asserts every
+// result is identical to a fresh sequential (Workers = 1) engine's. Run with
+// -race.
 func TestConcurrentRecommendMatchesSequential(t *testing.T) {
+	const sessionsPerComplaint = 4
 	for _, trainer := range []TrainerKind{TrainerNaive, TrainerAuto} {
 		sc := buildScenario(11)
 		sc.corruptMean("d2_v1", "1992", -4)
-		opts := Options{EMIterations: 8, Trainer: trainer}
 
-		seqEng, err := NewEngine(sc.ds, Options{EMIterations: opts.EMIterations, Trainer: trainer, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
 		// At least 4 workers so the pool path runs even on small machines.
 		workers := runtime.NumCPU()
 		if workers < 4 {
 			workers = 4
 		}
-		parEng, err := NewEngine(sc.ds, Options{EMIterations: opts.EMIterations, Trainer: trainer, Workers: workers})
+		parEng, err := NewEngine(sc.ds, Options{EMIterations: 8, Trainer: trainer, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,6 +53,11 @@ func TestConcurrentRecommendMatchesSequential(t *testing.T) {
 		complaints := concurrencyComplaints()
 		want := make([]*Recommendation, len(complaints))
 		for i, c := range complaints {
+			// A fresh engine per complaint: the reference shares nothing.
+			seqEng, err := NewEngine(sc.ds, Options{EMIterations: 8, Trainer: trainer, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
 			s, err := seqEng.NewSession([]string{"district", "year"})
 			if err != nil {
 				t.Fatal(err)
@@ -64,36 +67,32 @@ func TestConcurrentRecommendMatchesSequential(t *testing.T) {
 			}
 		}
 
-		got := make([]*Recommendation, len(complaints))
-		errs := make([]error, len(complaints))
 		var wg sync.WaitGroup
 		for i, c := range complaints {
-			wg.Add(1)
-			go func(i int, c Complaint) {
-				defer wg.Done()
-				s, err := parEng.NewSession([]string{"district", "year"})
-				if err != nil {
-					errs[i] = err
-					return
-				}
-				got[i], errs[i] = s.Recommend(c)
-			}(i, c)
+			for n := 0; n < sessionsPerComplaint; n++ {
+				wg.Add(1)
+				go func(i int, c Complaint) {
+					defer wg.Done()
+					s, err := parEng.NewSession([]string{"district", "year"})
+					if err != nil {
+						t.Errorf("trainer %v complaint %d: %v", trainer, i, err)
+						return
+					}
+					got, err := s.Recommend(c)
+					if err != nil {
+						t.Errorf("trainer %v complaint %d: %v", trainer, i, err)
+					} else if !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("trainer %v complaint %d: parallel result differs from sequential", trainer, i)
+					}
+				}(i, c)
+			}
 		}
 		wg.Wait()
-		for i := range complaints {
-			if errs[i] != nil {
-				t.Fatalf("trainer %v complaint %d: %v", trainer, i, errs[i])
-			}
-			if !reflect.DeepEqual(got[i], want[i]) {
-				t.Errorf("trainer %v complaint %d: parallel result differs from sequential", trainer, i)
-			}
-		}
 	}
 }
 
 // TestConcurrentRecommendOneSession issues concurrent complaints against a
-// single session, exercising the session-level GroupBy/factorizer caches
-// under contention.
+// single session, exercising the engine's memo under contention.
 func TestConcurrentRecommendOneSession(t *testing.T) {
 	sc := buildScenario(12)
 	eng, err := NewEngine(sc.ds, Options{EMIterations: 6, Trainer: TrainerNaive, Workers: 4})
@@ -132,98 +131,66 @@ func TestConcurrentRecommendOneSession(t *testing.T) {
 	}
 }
 
-// TestRecommendRacingDrill drills the session while Recommend calls are in
-// flight: each call must observe a coherent drill state (old or new), never
-// a torn mix — no panics, no errors (both drill states leave geo drillable
-// with the complaint tuple still valid).
+// TestRecommendRacingDrill drills several sessions of one engine while their
+// Recommend calls are in flight: each call must observe a coherent drill
+// state — its answer is the old state's or the new state's, as a fresh engine
+// computes them, never a torn mix.
 func TestRecommendRacingDrill(t *testing.T) {
 	sc := buildScenario(14)
-	eng, err := NewEngine(sc.ds, Options{EMIterations: 3, Trainer: TrainerNaive, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := eng.NewSession([]string{"district"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	opts := Options{EMIterations: 3, Trainer: TrainerNaive, Workers: 4}
 	c := Complaint{
 		Agg: agg.Mean, Measure: "severity",
 		Tuple:     data.Predicate{"district": "d0"},
 		Direction: TooLow,
 	}
+	var want []*Recommendation // before and after Drill("time")
+	for _, groupBy := range [][]string{{"district"}, {"district", "year"}} {
+		eng, err := NewEngine(sc.ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := eng.NewSession(groupBy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := s.Recommend(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rec)
+	}
+
+	eng, err := NewEngine(sc.ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for n := 0; n < 4; n++ {
+		s, err := eng.NewSession([]string{"district"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 3; i++ {
+					rec, err := s.Recommend(c)
+					if err != nil {
+						t.Errorf("racing Recommend: %v", err)
+					} else if !reflect.DeepEqual(rec, want[0]) && !reflect.DeepEqual(rec, want[1]) {
+						t.Error("racing Recommend matches neither drill state")
+					}
+				}
+			}()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 3; i++ {
-				if _, err := s.Recommend(c); err != nil {
-					t.Errorf("racing Recommend: %v", err)
-				}
+			if err := s.Drill("time"); err != nil {
+				t.Errorf("racing Drill: %v", err)
 			}
 		}()
 	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		if err := s.Drill("time"); err != nil {
-			t.Errorf("racing Drill: %v", err)
-		}
-	}()
 	wg.Wait()
-}
-
-// TestSessionCacheReuse asserts the session cache computes each drill
-// state's aggregation once and that a Drill changes the cache key (no stale
-// reuse at the new granularity).
-func TestSessionCacheReuse(t *testing.T) {
-	sc := buildScenario(13)
-	eng, err := NewEngine(sc.ds, Options{EMIterations: 4, Trainer: TrainerNaive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := eng.NewSession([]string{"district"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := Complaint{
-		Agg: agg.Mean, Measure: "severity",
-		Tuple:     data.Predicate{"district": "d1"},
-		Direction: TooLow,
-	}
-	first, err := s.Recommend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entries := len(s.groups)
-	second, err := s.Recommend(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.groups) != entries {
-		t.Errorf("repeat complaint grew the cache from %d to %d entries", entries, len(s.groups))
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Error("repeat complaint returned a different recommendation")
-	}
-	if err := s.Drill("geo"); err != nil {
-		t.Fatal(err)
-	}
-	if len(s.groups) != 0 || len(s.fzs) != 0 {
-		t.Errorf("Drill should drop unreachable cache entries, kept %d/%d", len(s.groups), len(s.fzs))
-	}
-	rec, err := s.Recommend(Complaint{
-		Agg: agg.Mean, Measure: "severity",
-		Tuple:     data.Predicate{"district": "d1", "village": "d1_v0"},
-		Direction: TooLow,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.groups) == 0 {
-		t.Error("drilled complaint should aggregate at the new granularity")
-	}
-	if rec.Best.Hierarchy != "time" {
-		t.Errorf("only time is drillable after geo is exhausted, got %q", rec.Best.Hierarchy)
-	}
 }

@@ -101,9 +101,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Engine answers complaint-based drill-down queries over one dataset. An
-// Engine is safe for concurrent use: many sessions may Recommend against it
-// at once.
+// Engine answers complaint-based drill-down queries over one dataset. The
+// dataset is immutable, so state that depends only on it — factor sources,
+// drilled group-bys, factorizers — is built once per engine (see memo.go) and
+// shared by every session. An Engine is safe for concurrent use: many
+// sessions may Recommend against it at once.
 type Engine struct {
 	ds   *data.Dataset
 	opts Options
@@ -117,19 +119,7 @@ type Engine struct {
 	shards   []ShardWorker
 	shardKey string
 
-	// sources caches the per-hierarchy factorizer sources: the dataset is
-	// immutable by convention, so the distinct hierarchy paths never change
-	// across invocations (the §4.4 caching regime). Entries build once even
-	// when sessions race on the same hierarchy.
-	mu      sync.Mutex
-	sources map[string]*sourceEntry
-}
-
-// sourceEntry builds one hierarchy's factorizer source exactly once.
-type sourceEntry struct {
-	once sync.Once
-	src  *factor.Source
-	err  error
+	memo *memo
 }
 
 // NewEngine validates the dataset's hierarchy metadata and builds an engine.
@@ -140,39 +130,29 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 	if len(ds.Hierarchies) == 0 {
 		return nil, fmt.Errorf("core: dataset %q has no hierarchies", ds.Name)
 	}
-	return &Engine{ds: ds, opts: opts.withDefaults(), sources: map[string]*sourceEntry{}}, nil
+	return &Engine{ds: ds, opts: opts.withDefaults(), memo: newMemo()}, nil
 }
 
-// sourceFor returns the (cached) factorizer source of a hierarchy. On a
-// sharded engine the per-shard distinct path sets are unioned first;
-// factor.NewSource sorts and deduplicates, so the source is identical to the
-// single-shard extraction (and its FD check still sees cross-shard
-// violations).
+// sourceFor returns the factorizer source of a hierarchy (the §4.4 caching
+// regime: distinct hierarchy paths never change). On a sharded engine the
+// per-shard distinct path sets are unioned first; factor.NewSource sorts and
+// deduplicates, so the source is identical to the single-shard extraction
+// (and its FD check still sees cross-shard violations).
 func (e *Engine) sourceFor(h data.Hierarchy) (*factor.Source, error) {
-	e.mu.Lock()
-	ent, ok := e.sources[h.Name]
-	if !ok {
-		ent = &sourceEntry{}
-		e.sources[h.Name] = ent
-	}
-	e.mu.Unlock()
-	ent.once.Do(func() {
+	return memoGet(e.memo, fmt.Sprintf("source %q", h.Name), func() (*factor.Source, error) {
 		if len(e.shards) == 0 {
-			ent.src, ent.err = factor.SourceFromDataset(e.ds, h)
-			return
+			return factor.SourceFromDataset(e.ds, h)
 		}
 		var all [][]string
 		for i, w := range e.shards {
 			paths, err := w.HierarchyPaths(h)
 			if err != nil {
-				ent.err = fmt.Errorf("core: shard %d hierarchy paths: %w", i, err)
-				return
+				return nil, fmt.Errorf("core: shard %d hierarchy paths: %w", i, err)
 			}
 			all = append(all, paths...)
 		}
-		ent.src, ent.err = factor.NewSource(h.Name, h.Attrs, all)
-	})
-	return ent.src, ent.err
+		return factor.NewSource(h.Name, h.Attrs, all)
+	}, func(src *factor.Source) int { return len(src.Paths) })
 }
 
 // Dataset returns the engine's dataset. On a sharded engine this is the
@@ -185,62 +165,31 @@ func (e *Engine) Dataset() *data.Dataset { return e.ds }
 // they actually admit onto.
 func (e *Engine) Workers() int { return e.opts.Workers }
 
-// Session tracks the user's drill-down state: the current group-by
-// attributes (per-hierarchy prefixes). Recommend is safe to call
-// concurrently with itself; Drill is safe to call concurrently too, but a
-// Recommend racing a Drill may observe either drill state. Repeated
-// complaints against the same drill state reuse the session's aggregation
-// and factorizer caches instead of recomputing them.
+// Session is a cursor over an Engine: the user's drill-down state (the
+// current group-by attributes, as per-hierarchy prefix depths) and nothing
+// else. The aggregations and factorised representations a Recommend reads
+// live on the engine, so sessions at the same drill state share them.
+// Recommend is safe to call concurrently with itself; Drill is safe to call
+// concurrently too, and a Recommend racing a Drill observes either drill
+// state — never a torn mix of the two.
 type Session struct {
 	eng   *Engine
-	depth map[string]int // hierarchy name → number of attributes in Agb
 	dmu   sync.RWMutex   // guards depth
-
-	// mu guards the cache maps and their generation; each entry then builds
-	// its value exactly once, outside the lock, so concurrent hierarchy
-	// evaluations never duplicate a GroupBy scan or a factorizer chain
-	// build. gen increments on every Drill: evaluations holding an older
-	// snapshot compute uncached instead of inserting unreachable entries
-	// into the fresh maps.
-	mu     sync.Mutex
-	gen    int
-	groups map[string]*groupsEntry
-	fzs    map[string]*fzEntry
+	depth map[string]int // hierarchy name → number of attributes in Agb
 }
 
 // evalState is one Recommend call's consistent view of the session: the
-// drill-depth snapshot, the cache generation it was taken under, and the
-// call's span recorder (nil when untraced). Threading the recorder here keeps
-// it off the context on the hot path.
+// drill-depth snapshot and the call's span recorder (nil when untraced).
+// Threading the recorder here keeps it off the context on the hot path.
 type evalState struct {
 	depth map[string]int
-	gen   int
 	rec   SpanRecorder
-}
-
-// groupsEntry computes one drill state's agg.GroupBy result exactly once.
-type groupsEntry struct {
-	once sync.Once
-	res  *agg.Result
-	err  error
-}
-
-// fzEntry builds one drill state's factorizer exactly once.
-type fzEntry struct {
-	once sync.Once
-	fz   *factor.Factorizer
-	err  error
 }
 
 // NewSession starts a session with the given initial group-by attributes.
 // Each hierarchy's attributes must form a prefix.
 func (e *Engine) NewSession(groupBy []string) (*Session, error) {
-	s := &Session{
-		eng:    e,
-		depth:  make(map[string]int),
-		groups: make(map[string]*groupsEntry),
-		fzs:    make(map[string]*fzEntry),
-	}
+	s := &Session{eng: e, depth: make(map[string]int)}
 	for _, h := range e.ds.Hierarchies {
 		s.depth[h.Name] = 0
 	}
@@ -270,25 +219,17 @@ func (e *Engine) NewSession(groupBy []string) (*Session, error) {
 	return s, nil
 }
 
-// snapshot copies the drill depths and cache generation under their locks.
-// Recommend takes one snapshot per call and threads it through the
-// evaluation, so a Drill racing a Recommend flips the whole call to the old
-// or new state — never a torn mix of the two.
+// snapshot copies the drill depths under their lock. Recommend takes one
+// snapshot per call and threads it through the evaluation, so a Drill racing
+// a Recommend flips the whole call to the old or new state.
 func (s *Session) snapshot() evalState {
-	// gen is read before depth: Drill writes depth first and bumps gen
-	// second, so any interleaving yields an old gen with newer depths — the
-	// caches then treat the snapshot as stale and compute without
-	// inserting, never the reverse (old depths cached into fresh maps).
-	s.mu.Lock()
-	gen := s.gen
-	s.mu.Unlock()
 	s.dmu.RLock()
+	defer s.dmu.RUnlock()
 	snap := make(map[string]int, len(s.depth))
 	for name, d := range s.depth {
 		snap[name] = d
 	}
-	s.dmu.RUnlock()
-	return evalState{depth: snap, gen: gen}
+	return evalState{depth: snap}
 }
 
 // StateKey returns a stable encoding of the session's drill state: every
@@ -329,21 +270,11 @@ func (s *Session) Drill(hierarchy string) error {
 			continue
 		}
 		s.dmu.Lock()
+		defer s.dmu.Unlock()
 		if s.depth[h.Name] >= len(h.Attrs) {
-			s.dmu.Unlock()
 			return fmt.Errorf("core: hierarchy %q is fully drilled", hierarchy)
 		}
 		s.depth[h.Name]++
-		s.dmu.Unlock()
-		// Drilling is monotonic, so cache entries keyed by the previous
-		// drill state can never be requested again — drop them to bound the
-		// session's memory. The generation bump keeps in-flight Recommends
-		// holding the old snapshot from re-inserting unreachable entries.
-		s.mu.Lock()
-		s.gen++
-		s.groups = make(map[string]*groupsEntry)
-		s.fzs = make(map[string]*fzEntry)
-		s.mu.Unlock()
 		return nil
 	}
 	return fmt.Errorf("core: unknown hierarchy %q", hierarchy)
@@ -421,7 +352,7 @@ func (s *Session) recommend(rec SpanRecorder, c Complaint) (*Recommendation, err
 	evaluated := make([]*HierarchyResult, len(cands))
 	errs := make([]error, len(cands))
 	s.eng.forEach(len(cands), func(i int) {
-		evaluated[i], errs[i] = s.evaluateHierarchy(cands[i], c, st)
+		evaluated[i], errs[i] = s.eng.evaluateHierarchy(cands[i], c, st)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -489,87 +420,36 @@ func (e *Engine) forEach(n int, fn func(i int)) {
 	}
 }
 
-// cachedGroupBy returns the (session-cached) aggregation of the dataset at
-// the given granularity: the engine's groupBy — a plain scan, or a shard
-// scatter-gather — computed once per (attrs, measure) drill state and shared
-// read-only by concurrent evaluations and repeated complaints. A stale
-// snapshot (a Drill landed since it was taken) computes uncached rather than
-// inserting an unreachable entry into the fresh maps.
-func (s *Session) cachedGroupBy(attrs []string, measure string, st evalState) (*agg.Result, error) {
-	key := data.EncodeKey(attrs) + "\x00" + measure
-	s.mu.Lock()
-	if s.gen != st.gen {
-		s.mu.Unlock()
-		return s.eng.groupBy(st.rec, attrs, measure)
-	}
-	ent, ok := s.groups[key]
-	if !ok {
-		ent = &groupsEntry{}
-		s.groups[key] = ent
-	}
-	s.mu.Unlock()
-	ent.once.Do(func() {
-		ent.res, ent.err = s.eng.groupBy(st.rec, attrs, measure)
-	})
-	return ent.res, ent.err
-}
-
-// cachedFactorizer returns the (session-cached) factorised representation of
-// the view drilled one level into hierarchy h. The key covers every
-// hierarchy's depth in the Recommend call's snapshot, so drilled sessions
-// never see a stale chain; factorizers are only read after construction, so
-// sharing one across the per-statistic fits is safe. A stale snapshot
-// builds uncached, like cachedGroupBy.
-func (s *Session) cachedFactorizer(h data.Hierarchy, st evalState) (*factor.Factorizer, error) {
-	var key strings.Builder
-	key.WriteString(h.Name)
-	for _, other := range s.eng.ds.Hierarchies {
-		fmt.Fprintf(&key, "|%s=%d", other.Name, st.depth[other.Name])
-	}
-	s.mu.Lock()
-	if s.gen != st.gen {
-		s.mu.Unlock()
-		return s.buildFactorizer(h, st)
-	}
-	ent, ok := s.fzs[key.String()]
-	if !ok {
-		ent = &fzEntry{}
-		s.fzs[key.String()] = ent
-	}
-	s.mu.Unlock()
-	ent.once.Do(func() {
-		ent.fz, ent.err = s.buildFactorizer(h, st)
-	})
-	return ent.fz, ent.err
+// groups returns the aggregation of the dataset at the given granularity: the
+// engine's groupBy — a plain scan, or a shard scatter-gather — memoised per
+// (attrs, measure).
+func (e *Engine) groups(rec SpanRecorder, attrs []string, measure string) (*agg.Result, error) {
+	return memoGet(e.memo, fmt.Sprintf("groups %q %q", attrs, measure), func() (*agg.Result, error) {
+		return e.groupBy(rec, attrs, measure)
+	}, func(res *agg.Result) int { return len(res.Groups) })
 }
 
 // drillAttrs returns the canonical attribute order after drilling hierarchy
 // h: other hierarchies first (in dataset order), the drilled hierarchy's
 // attributes last (§3.4's ordering restriction).
-func (s *Session) drillAttrs(h data.Hierarchy, st evalState) []string {
+func (e *Engine) drillAttrs(h data.Hierarchy, depth map[string]int) []string {
 	var out []string
-	for _, other := range s.eng.ds.Hierarchies {
+	for _, other := range e.ds.Hierarchies {
 		if other.Name == h.Name {
 			continue
 		}
-		for l := 0; l < st.depth[other.Name]; l++ {
-			out = append(out, other.Attrs[l])
-		}
+		out = append(out, other.Attrs[:depth[other.Name]]...)
 	}
-	for l := 0; l <= st.depth[h.Name]; l++ {
-		out = append(out, h.Attrs[l])
-	}
-	return out
+	return append(out, h.Attrs[:depth[h.Name]+1]...)
 }
 
-func (s *Session) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) (*HierarchyResult, error) {
-	eng := s.eng
+func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) (*HierarchyResult, error) {
 	attr := h.Attrs[st.depth[h.Name]]
-	attrs := s.drillAttrs(h, st)
+	attrs := e.drillAttrs(h, st.depth)
 
 	// Parallel groups: the whole dataset at the drilled granularity.
 	endGroupBy := startSpan(st.rec, "groupby")
-	groups, err := s.cachedGroupBy(attrs, c.Measure, st)
+	groups, err := e.groups(st.rec, attrs, c.Measure)
 	endGroupBy()
 	if err != nil {
 		return nil, err
@@ -577,7 +457,7 @@ func (s *Session) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState)
 
 	// One model per required base statistic.
 	endFit := startSpan(st.rec, "fit")
-	models, err := s.fitModels(h, groups, c, st)
+	models, err := e.fitModels(h, groups, c, st.depth)
 	endFit()
 	if err != nil {
 		return nil, err
@@ -610,7 +490,7 @@ func (s *Session) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState)
 	// tuple's provenance (e.g. a village with no reports in the complained
 	// year). Repairing their statistics to the expectation resolves
 	// missing-group errors that observed groups cannot explain.
-	emptyVals, err := s.emptyChildValues(h, attr, attrs, groups, children, c)
+	emptyVals, err := e.emptyChildValues(h, attr, attrs, groups, children, c)
 	if err != nil {
 		return nil, err
 	}
@@ -623,8 +503,8 @@ func (s *Session) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState)
 	current := total.Get(c.Agg)
 
 	repair := c.repairStats
-	if eng.opts.Repair != nil {
-		repair = eng.opts.Repair
+	if e.opts.Repair != nil {
+		repair = e.opts.Repair
 	}
 	score := func(g agg.Group, pred map[agg.Func]float64) GroupScore {
 		repairedChild := repair(g.Stats, pred)
@@ -677,8 +557,8 @@ func (s *Session) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState)
 		hr.Ranked = append(hr.Ranked, score(g, pred))
 	}
 	sort.SliceStable(hr.Ranked, func(a, b int) bool { return hr.Ranked[a].Score < hr.Ranked[b].Score })
-	if eng.opts.TopK > 0 && len(hr.Ranked) > eng.opts.TopK {
-		hr.Ranked = hr.Ranked[:eng.opts.TopK]
+	if e.opts.TopK > 0 && len(hr.Ranked) > e.opts.TopK {
+		hr.Ranked = hr.Ranked[:e.opts.TopK]
 	}
 	hr.BestScore = hr.Ranked[0].Score
 	return hr, nil
@@ -689,7 +569,7 @@ func (s *Session) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState)
 // group in the tuple's provenance. The candidate set comes from childValues —
 // per shard and unioned on a sharded engine, directly otherwise — then the
 // observed values are filtered out. Every path yields the same sorted set.
-func (s *Session) emptyChildValues(h data.Hierarchy, attr string, attrs []string, groups *agg.Result, children []int, c Complaint) ([]string, error) {
+func (e *Engine) emptyChildValues(h data.Hierarchy, attr string, attrs []string, groups *agg.Result, children []int, c Complaint) ([]string, error) {
 	anc := data.Predicate{}
 	for _, a := range h.Attrs {
 		if v, ok := c.Tuple[a]; ok {
@@ -702,14 +582,14 @@ func (s *Session) emptyChildValues(h data.Hierarchy, attr string, attrs []string
 		observed[v] = true
 	}
 	var all []string
-	if len(s.eng.shards) > 0 {
+	if len(e.shards) > 0 {
 		var err error
-		all, err = s.eng.shardedChildValues(h, attr, c.Measure, anc)
+		all, err = e.shardedChildValues(h, attr, c.Measure, anc)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		all = childValues(s.eng.ds, h, attr, c.Measure, anc)
+		all = childValues(e.ds, h, attr, c.Measure, anc)
 	}
 	out := all[:0:0]
 	for _, v := range all {
@@ -796,14 +676,14 @@ type statModel struct {
 	rowOf func(gi int) int
 }
 
-// fitModels trains one multi-level model per required base statistic. The
+// fitModels returns one multi-level model per required base statistic. The
 // per-statistic fits are independent, so they run on the worker pool too.
-func (s *Session) fitModels(h data.Hierarchy, groups *agg.Result, c Complaint, st evalState) (map[agg.Func]*statModel, error) {
+func (e *Engine) fitModels(h data.Hierarchy, groups *agg.Result, c Complaint, depth map[string]int) (map[agg.Func]*statModel, error) {
 	stats := c.baseStats()
 	fitted := make([]*statModel, len(stats))
 	errs := make([]error, len(stats))
-	s.eng.forEach(len(stats), func(i int) {
-		fitted[i], errs[i] = s.fitModel(h, groups, stats[i], st)
+	e.forEach(len(stats), func(i int) {
+		fitted[i], errs[i] = e.fitModel(h, groups, stats[i], depth)
 	})
 	models := make(map[agg.Func]*statModel, len(stats))
 	for i, stat := range stats {
@@ -815,36 +695,41 @@ func (s *Session) fitModels(h data.Hierarchy, groups *agg.Result, c Complaint, s
 	return models, nil
 }
 
-// fitModel trains the multi-level model of one base statistic.
-func (s *Session) fitModel(h data.Hierarchy, groups *agg.Result, stat agg.Func, st evalState) (*statModel, error) {
-	spec := feature.Spec{
-		Target:       stat,
-		Aux:          s.eng.opts.Aux,
-		Custom:       s.eng.opts.Custom,
-		ExcludeFromZ: s.eng.opts.ExcludeFromZ,
-		KeepLeaky:    s.eng.opts.KeepLeaky,
-	}
-	fs, err := feature.BuildWithGroupFeatures(groups, spec, s.eng.opts.GroupFeatures)
+// fitModel fits the multi-level model of one base statistic over the drilled
+// group-by. It is a function of (attrs, measure, statistic) and the engine's
+// options, but is fitted per call, not memoised (see memo.go).
+func (e *Engine) fitModel(h data.Hierarchy, groups *agg.Result, stat agg.Func, depth map[string]int) (*statModel, error) {
+	fs, y, err := e.fitInputs(groups, stat)
 	if err != nil {
 		return nil, err
+	}
+	return e.trainAndPredict(h, groups, fs, y, depth)
+}
+
+// fitInputs builds what every fit starts from: the feature set the engine's
+// options select for the target statistic, and the statistic per group.
+func (e *Engine) fitInputs(groups *agg.Result, stat agg.Func) (*feature.Set, []float64, error) {
+	fs, err := feature.BuildWithGroupFeatures(groups, feature.Spec{
+		Target:       stat,
+		Aux:          e.opts.Aux,
+		Custom:       e.opts.Custom,
+		ExcludeFromZ: e.opts.ExcludeFromZ,
+		KeepLeaky:    e.opts.KeepLeaky,
+	}, e.opts.GroupFeatures)
+	if err != nil {
+		return nil, nil, err
 	}
 	y := make([]float64, len(groups.Groups))
 	for gi, g := range groups.Groups {
 		y[gi] = g.Stats.Get(stat)
 	}
-	sm, err := s.trainAndPredict(h, groups, fs, y, st)
-	if err != nil {
-		return nil, err
-	}
-	sm.fs = fs
-	return sm, nil
+	return fs, y, nil
 }
 
 // trainAndPredict fits the multi-level model with the configured backend and
 // returns the fitted statistic model.
-func (s *Session) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *feature.Set, y []float64, st evalState) (*statModel, error) {
-	eng := s.eng
-	kind := eng.opts.Trainer
+func (e *Engine) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *feature.Set, y []float64, depth map[string]int) (*statModel, error) {
+	kind := e.opts.Trainer
 	if len(fs.Extra) > 0 {
 		// Multi-attribute features have no factorised form (Appendix H).
 		kind = TrainerNaive
@@ -852,14 +737,14 @@ func (s *Session) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *feat
 	var fz *factor.Factorizer
 	if kind == TrainerAuto || kind == TrainerFactorised || kind == TrainerNaiveFull {
 		var err error
-		fz, err = s.cachedFactorizer(h, st)
+		fz, err = e.factorizer(h, depth)
 		if err != nil {
 			return nil, err
 		}
 		if kind == TrainerAuto {
 			if _, err := fz.RowCount(); err != nil {
 				kind = TrainerNaive
-			} else if float64(len(groups.Groups))/fz.N() < eng.opts.FactorisedFillThreshold {
+			} else if float64(len(groups.Groups))/fz.N() < e.opts.FactorisedFillThreshold {
 				kind = TrainerNaive
 			} else {
 				kind = TrainerFactorised
@@ -867,14 +752,14 @@ func (s *Session) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *feat
 		}
 	}
 
-	opts := mlm.Options{Iterations: eng.opts.EMIterations}
+	opts := mlm.Options{Iterations: e.opts.EMIterations}
 	switch kind {
 	case TrainerFactorised:
-		return trainCross(fz, groups, fs, y, opts, eng.opts.RandomEffects, false)
+		return trainCross(fz, groups, fs, y, opts, e.opts.RandomEffects, false)
 	case TrainerNaiveFull:
-		return trainCross(fz, groups, fs, y, opts, eng.opts.RandomEffects, true)
+		return trainCross(fz, groups, fs, y, opts, e.opts.RandomEffects, true)
 	}
-	return trainNaive(groups, fs, y, opts, eng.opts.RandomEffects)
+	return trainNaive(groups, fs, y, opts, e.opts.RandomEffects)
 }
 
 // zMaskFor resolves the random-effects column mask: the feature-level mask
@@ -901,35 +786,44 @@ func allTrue(mask []bool) bool {
 	return true
 }
 
-// buildFactorizer constructs the factorised representation of the drilled
-// view: every hierarchy at its current depth, the drilled hierarchy one
-// level deeper and ordered last.
-func (s *Session) buildFactorizer(h data.Hierarchy, st evalState) (*factor.Factorizer, error) {
-	eng := s.eng
-	var sources []*factor.Source
-	var depths []int
-	for _, other := range eng.ds.Hierarchies {
-		if other.Name == h.Name {
-			continue
+// factorizer returns the factorised representation of the view drilled one
+// level into h: every hierarchy at its current depth, the drilled hierarchy
+// one level deeper and ordered last. It is memoised per drilled view and only
+// read after construction, so the per-statistic fits share it.
+func (e *Engine) factorizer(h data.Hierarchy, depth map[string]int) (*factor.Factorizer, error) {
+	key := fmt.Sprintf("factorizer %q", e.drillAttrs(h, depth))
+	return memoGet(e.memo, key, func() (*factor.Factorizer, error) {
+		var sources []*factor.Source
+		var depths []int
+		for _, other := range e.ds.Hierarchies {
+			if other.Name == h.Name {
+				continue
+			}
+			d := depth[other.Name]
+			if d == 0 {
+				continue // hierarchy not part of the view
+			}
+			src, err := e.sourceFor(other)
+			if err != nil {
+				return nil, err
+			}
+			sources = append(sources, src)
+			depths = append(depths, d)
 		}
-		d := st.depth[other.Name]
-		if d == 0 {
-			continue // hierarchy not part of the view
-		}
-		src, err := eng.sourceFor(other)
+		src, err := e.sourceFor(h)
 		if err != nil {
 			return nil, err
 		}
 		sources = append(sources, src)
-		depths = append(depths, d)
-	}
-	src, err := eng.sourceFor(h)
-	if err != nil {
-		return nil, err
-	}
-	sources = append(sources, src)
-	depths = append(depths, st.depth[h.Name]+1)
-	return factor.New(sources, depths)
+		depths = append(depths, depth[h.Name]+1)
+		return factor.New(sources, depths)
+	}, func(fz *factor.Factorizer) int {
+		n := 0
+		for pos := 0; pos < fz.NumHierarchies(); pos++ {
+			n += fz.Chain(pos).Leaves()
+		}
+		return n
+	})
 }
 
 // predictor builds the synthetic-row predictor: x·β + z·b_cluster with z the
@@ -969,6 +863,7 @@ func trainNaive(groups *agg.Result, fs *feature.Set, y []float64, opts mlm.Optio
 		return nil, err
 	}
 	return &statModel{
+		fs:      fs,
 		preds:   model.Fitted(backend, bz),
 		predict: predictor(model, zmask),
 		rowOf:   func(gi int) int { return gi },
@@ -1062,6 +957,7 @@ func trainCross(fz *factor.Factorizer, groups *agg.Result, fs *feature.Set, y []
 		out[gi] = fitted[rowOf[gi]]
 	}
 	return &statModel{
+		fs:      fs,
 		preds:   out,
 		predict: predictor(model, zmask),
 		rowOf:   func(gi int) int { return rowOf[gi] },
@@ -1072,26 +968,16 @@ func trainCross(fz *factor.Factorizer, groups *agg.Result, fs *feature.Set, y []
 // group-by attributes and returns each group's expected value of stat,
 // together with the group-by result. It exposes the model-based expectation
 // on its own, without complaint-driven ranking — the basis of the Outlier
-// baseline (§5.2.3).
+// baseline (§5.2.3). It always trains naively, and the result is the caller's
+// own: nothing it returns is shared with the engine's memo.
 func (e *Engine) PredictGroupStats(attrs []string, measure string, stat agg.Func) ([]float64, *agg.Result, error) {
 	groups, err := e.groupBy(nil, attrs, measure)
 	if err != nil {
 		return nil, nil, err
 	}
-	spec := feature.Spec{
-		Target:       stat,
-		Aux:          e.opts.Aux,
-		Custom:       e.opts.Custom,
-		ExcludeFromZ: e.opts.ExcludeFromZ,
-		KeepLeaky:    e.opts.KeepLeaky,
-	}
-	fs, err := feature.BuildWithGroupFeatures(groups, spec, e.opts.GroupFeatures)
+	fs, y, err := e.fitInputs(groups, stat)
 	if err != nil {
 		return nil, nil, err
-	}
-	y := make([]float64, len(groups.Groups))
-	for gi, g := range groups.Groups {
-		y[gi] = g.Stats.Get(stat)
 	}
 	sm, err := trainNaive(groups, fs, y, mlm.Options{Iterations: e.opts.EMIterations}, e.opts.RandomEffects)
 	if err != nil {

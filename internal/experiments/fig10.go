@@ -31,6 +31,9 @@ func runEndToEnd(ds *data.Dataset, measure string, drillOrder []string, trainer 
 	if workers == 0 {
 		workers = 1
 	}
+	// A fresh engine per timed run: an engine memoises group-bys and
+	// factorizers, and this walk visits each drill state once, so every timed
+	// step below is cold.
 	eng, err := core.NewEngine(ds, core.Options{
 		EMIterations: emIters,
 		Trainer:      trainer,

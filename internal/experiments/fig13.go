@@ -92,6 +92,8 @@ func runCovidIssue(base *data.Dataset, issue datasets.Issue) Fig13Result {
 		}
 	}
 
+	// A fresh engine per issue, and every step groups differently: the timed
+	// loop below never hits the engine's memo.
 	eng, err := covidEngine(ds)
 	if err != nil {
 		panic(err)

@@ -326,9 +326,11 @@ func buildConfig(opts []Option) (cfg *config, err error) {
 
 // NewSession starts a drill-down session with the given initial group-by
 // attributes (each hierarchy's attributes must form a prefix; nil starts at
-// the root). Sessions cache aggregations and factorised representations per
-// drill state, so repeated complaints are cheap. A session created during an
-// Append binds to either the old or the new version, never a torn mix.
+// the root). A session is a cursor: aggregations and factorised
+// representations depend only on the dataset version, are built once per
+// version and shared by every session on it, so repeated complaints skip
+// re-aggregation. A session created during an Append binds to either the old
+// or the new version, never a torn mix.
 func (e *Engine) NewSession(groupBy []string) (*Session, error) {
 	cs, err := e.ds.Version().Eng.NewSession(groupBy)
 	if err != nil {

@@ -1,7 +1,6 @@
 #!/usr/bin/env sh
 # Runs the storage-layer benchmarks (CSV vs .rst snapshot load, eager vs
-# memory-mapped open, single-engine vs sharded scatter-gather Recommend,
-# cube vs row-scan GroupBy over heap and mapped columns,
+# memory-mapped open, cube vs row-scan GroupBy over heap and mapped columns,
 # incremental cube maintenance, and per-row vs micro-batched append
 # ingestion) and writes the results to BENCH_load.json in
 # the repository root. Every run records allocation columns (-benchmem):
@@ -19,7 +18,6 @@ trap 'rm -f "$tmp"' EXIT
 # No pipelines around go test: plain sh has no pipefail, and a pipe into tee
 # would mask a benchmark failure behind tee's exit status.
 go test -run '^$' -bench 'BenchmarkLoad(CSV|Snapshot)$|BenchmarkOpenMapped$' -benchtime "$benchtime" -benchmem -count 1 ./internal/store > "$tmp"
-go test -run '^$' -bench 'BenchmarkRecommendSequential$|BenchmarkRecommendSharded$' -benchtime "$benchtime" -benchmem -count 1 . >> "$tmp"
 go test -run '^$' -bench 'BenchmarkGroupBy(Coded|Cube)$|BenchmarkCubeAppendMerge$' -benchtime "$benchtime" -benchmem -count 1 ./internal/cube >> "$tmp"
 go test -run '^$' -bench 'BenchmarkAppendMicroBatch$' -benchtime "$benchtime" -benchmem -count 1 ./internal/server >> "$tmp"
 cat "$tmp"
