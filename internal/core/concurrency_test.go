@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/data"
+	"repro/internal/mlm"
 )
 
 // concurrencyComplaints builds one complaint per (district, year, aggregate)
@@ -193,4 +194,70 @@ func TestRecommendRacingDrill(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestConcurrentTrainCrossSharesFactorizer runs the per-statistic fits the
+// way fitModels does — several trainCross calls on pool goroutines over one
+// memoised factorizer, here a fresh one nothing has read yet — and asserts
+// each equals a sequential fit over a factorizer of its own. Whatever a fit
+// derives from the factorizer (transition tables, counts, clusters) must be
+// private to the fit or safely published. Run with -race.
+func TestConcurrentTrainCrossSharesFactorizer(t *testing.T) {
+	sc := buildScenario(13)
+	depth := map[string]int{"geo": 1, "time": 1}
+	stats := []agg.Func{agg.Mean, agg.Count, agg.Std, agg.Sum}
+	for _, materialize := range []bool{false, true} {
+		fit := func(eng *Engine, stat agg.Func) []float64 {
+			h := eng.ds.Hierarchies[0]
+			groups, err := eng.groups(nil, eng.drillAttrs(h, depth), "severity")
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			fs, y, err := eng.fitInputs(groups, stat)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			fz, err := eng.factorizer(h, depth)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			sm, err := trainCross(fz, groups, fs, y, mlm.Options{Iterations: 5}, ZAuto, materialize)
+			if err != nil {
+				t.Error(err)
+				return nil
+			}
+			return sm.preds
+		}
+		newEngine := func() *Engine {
+			eng, err := NewEngine(sc.ds, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
+		}
+
+		want := make([][]float64, len(stats))
+		for i, stat := range stats {
+			want[i] = fit(newEngine(), stat)
+		}
+		shared := newEngine()
+		got := make([][]float64, len(stats))
+		var wg sync.WaitGroup
+		for i, stat := range stats {
+			wg.Add(1)
+			go func(i int, stat agg.Func) {
+				defer wg.Done()
+				got[i] = fit(shared, stat)
+			}(i, stat)
+		}
+		wg.Wait()
+		for i := range stats {
+			if !reflect.DeepEqual(got[i], want[i]) {
+				t.Errorf("materialize=%v %v: concurrent fit over the shared factorizer differs from the sequential one", materialize, stats[i])
+			}
+		}
+	}
 }

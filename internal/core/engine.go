@@ -763,8 +763,9 @@ func (e *Engine) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *featu
 }
 
 // zMaskFor resolves the random-effects column mask: the feature-level mask
-// restricted by the RandomEffects policy. numCols is the design width,
-// typicalCluster the average cluster size.
+// restricted by the RandomEffects policy. typicalCluster is the average
+// cluster size; ZAuto keeps only the intercept when it is under three rows
+// per design column.
 func zMaskFor(re RandomEffects, featMask []bool, typicalCluster float64) []bool {
 	mask := append([]bool(nil), featMask...)
 	interceptOnly := re == ZIntercept ||
@@ -924,7 +925,7 @@ func trainCross(fz *factor.Factorizer, groups *agg.Result, fs *feature.Set, y []
 		}
 		starts := make([]int, fb.NumClusters())
 		for i := range starts {
-			starts[i], _ = fb.Cluster(i).Rows()
+			starts[i], _ = fb.ClusterRows(i)
 		}
 		db, err := mlm.NewDense(x, starts)
 		if err != nil {

@@ -2,8 +2,10 @@
 // attribute matrix (§2.2, §3.4, Appendix C): per-hierarchy chain relations in
 // BCNF, the decomposed count aggregates TOTAL / COUNT / COF (§4.2.1) computed
 // with the multi-query plan of Appendix I, a row iterator over the implicit
-// cross-product matrix (Algorithm 1), and the drill-down update strategies
-// Static / Dynamic / Cache+Dynamic of §4.4 and Appendix J.
+// cross-product matrix (Algorithm 1) together with the per-hierarchy
+// transition tables that let operators replay it without iterating, and the
+// drill-down update strategies Static / Dynamic / Cache+Dynamic of §4.4 and
+// Appendix J.
 //
 // Attributes are indexed 0..d-1 left to right, hierarchy by hierarchy (in
 // hierarchy order, the drill-down hierarchy last) and least to most specific

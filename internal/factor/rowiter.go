@@ -103,6 +103,41 @@ func (it *RowIter) emitHierarchy(pos, oldLeaf, newLeaf int) {
 	}
 }
 
+// Transitions tabulates what the row iterator emits for one hierarchy. Which
+// attribute values change when a hierarchy's leaf moves depends on that
+// hierarchy alone, and the odometer only ever moves a leaf forward by one or
+// wraps it from the last leaf back to the first, so Leaves()+1 change lists
+// describe every row of the cross product in O(leaves·depth) space. Operators
+// that visit all rows replay these lists instead of driving a RowIter; the
+// lists are RowIter's own output, so it stays the one definition of row order.
+type Transitions struct {
+	Enter []Change   // the first row: every level takes the value on leaf 0's path
+	Step  [][]Change // Step[l]: the leaf moves from l to l+1
+	Wrap  []Change   // the leaf returns from the last leaf to leaf 0
+}
+
+// Transitions tabulates the hierarchy at order position pos.
+func (f *Factorizer) Transitions(pos int) Transitions {
+	it := f.Rows()
+	leaves := f.Chain(pos).Leaves()
+	off := make([]int, 1, leaves+2)
+	emit := func(oldLeaf, newLeaf int) {
+		it.emitHierarchy(pos, oldLeaf, newLeaf)
+		off = append(off, len(it.buf))
+	}
+	emit(-1, 0)
+	for l := 0; l+1 < leaves; l++ {
+		emit(l, l+1)
+	}
+	emit(leaves-1, 0)
+	list := func(i int) []Change { return it.buf[off[i]:off[i+1]:off[i+1]] }
+	t := Transitions{Enter: list(0), Step: make([][]Change, leaves-1), Wrap: list(leaves)}
+	for l := range t.Step {
+		t.Step[l] = list(1 + l)
+	}
+	return t
+}
+
 // MaterializeValues enumerates every row's attribute value indices. It is
 // exponential in the number of hierarchies and exists for tests and for the
 // naive (Lapack-style) baseline.

@@ -8,6 +8,7 @@ package feature
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/agg"
@@ -106,7 +107,9 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 		y[i] = g.Stats.Get(spec.Target)
 	}
 
-	// Main effects per attribute.
+	// Main effects per attribute. Values absent from the training groups
+	// default to the overall median, which no attribute changes.
+	medianY := mat.Median(y)
 	for ai, attr := range groups.Attrs {
 		perVal := make(map[string][]float64)
 		for gi, g := range groups.Groups {
@@ -133,7 +136,7 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 			Name:    name,
 			Attr:    attr,
 			Map:     m,
-			Default: mat.Median(y),
+			Default: medianY,
 			InZ:     !contains(spec.ExcludeFromZ, name),
 		})
 	}
@@ -304,10 +307,10 @@ func ClusterStarts(groups *agg.Result) []int {
 		return nil
 	}
 	var starts []int
-	prev := ""
+	var prev []string
 	for gi, g := range groups.Groups {
-		prefix := data.EncodeKey(g.Vals[:len(g.Vals)-1])
-		if gi == 0 || prefix != prev {
+		prefix := g.Vals[:len(g.Vals)-1]
+		if gi == 0 || !slices.Equal(prefix, prev) {
 			starts = append(starts, gi)
 			prev = prefix
 		}

@@ -54,6 +54,13 @@ func (m *Matrix) Clusters() (*Clusters, error) {
 // NumClusters returns G, the number of clusters.
 func (c *Clusters) NumClusters() int { return c.numPrefix * len(c.ranges) }
 
+// Extent returns the row range [start, start+n) of cluster ci without
+// building its View.
+func (c *Clusters) Extent(ci int) (start, n int) {
+	r := c.ranges[ci%len(c.ranges)]
+	return ci/len(c.ranges)*c.rowsPer + r[0], r[1] - r[0]
+}
+
 // View describes one cluster and provides its factorised matrix operations.
 // The inter-cluster columns are constant across the cluster's rows; the
 // intra-cluster columns (those bound to the last attribute) vary.
@@ -79,11 +86,12 @@ func (c *Clusters) View(ci int) (*View, error) {
 	prefixIdx := ci / len(c.ranges)
 	parentIdx := ci % len(c.ranges)
 	lo, hi := c.ranges[parentIdx][0], c.ranges[parentIdx][1]
+	start, n := c.Extent(ci)
 
 	v := &View{
 		Index:     ci,
-		Start:     prefixIdx*c.rowsPer + lo,
-		N:         hi - lo,
+		Start:     start,
+		N:         n,
 		cols:      c.m.Cols,
 		isIntra:   make([]bool, len(c.m.Cols)),
 		interF:    make([]float64, len(c.m.Cols)),

@@ -10,10 +10,20 @@
 // columns may be bound to the same attribute — e.g. the attribute's own
 // main-effect feature plus auxiliary-dataset features — and the intercept is
 // a constant-1 column bound to the first attribute.
+//
+// What each operator costs: Gram and the per-cluster operators are functions
+// of the decomposed aggregates and never visit a row; LeftMul/TMulVec take
+// one prefix-sum pass over the input plus one range sum per value run; and
+// the operators that must produce a value per row (RightMul, MulVec,
+// Materialize — Algorithm 4) replay per-hierarchy transition tables built
+// once per matrix, so a row costs one multiply-add per column that changes
+// there. factor.RowIter defines the row order and builds those tables; no
+// operator here iterates it.
 package fmatrix
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/factor"
 	"repro/internal/mat"
@@ -31,11 +41,30 @@ type Column struct {
 // Matrix is the factorised feature matrix: the implicit row set is the cross
 // product of the factorizer's hierarchy paths; the columns are feature maps
 // over attribute values.
+//
+// New tabulates, per hierarchy, the transitions the row iterator would emit
+// (factor.Transitions) and resolves them against the columns once. The tables
+// are O(Σ leaves·depth), not O(rows), and a Matrix is read-only after New, so
+// concurrent fits may share one (and the factorizer beneath it).
 type Matrix struct {
 	F    *factor.Factorizer
 	Cols []Column
 
 	colsOfAttr [][]int // per attribute index: column indices bound to it
+
+	// The row order as blocks: rows that share every leaf but the last
+	// hierarchy's are contiguous. trans holds each hierarchy's emitted
+	// changes; first and steps are their column-level form for Algorithm 4.
+	trans []factor.Transitions
+	first []delta     // row 0: every column takes its first value
+	steps [][][]delta // steps[pos][l]: hierarchy pos moves its leaf l → l+1
+}
+
+// delta is one resolved change: column col moves by d. A change that leaves
+// the column's value where it was (d == 0) is not recorded.
+type delta struct {
+	col int32
+	d   float64
 }
 
 // New assembles a feature matrix and validates that every column's value
@@ -53,7 +82,91 @@ func New(f *factor.Factorizer, cols []Column) (*Matrix, error) {
 		}
 		m.colsOfAttr[c.Attr] = append(m.colsOfAttr[c.Attr], ci)
 	}
+	m.tabulate()
 	return m, nil
+}
+
+// tabulate resolves the hierarchies' transitions against the columns. What a
+// transition does to a column — d = new value − old value, skipped when zero
+// — depends only on the hierarchy's own leaf, never on the row, so it is
+// computed once here instead of once per row per operator call. When a
+// hierarchy left of the last one steps, every hierarchy to its right wraps to
+// its first leaf; those wraps are appended to the step's list, so entering a
+// block of rows is always exactly one list.
+func (m *Matrix) tabulate() {
+	f := m.F
+	nh := f.NumHierarchies()
+	m.trans = make([]factor.Transitions, nh)
+	m.steps = make([][][]delta, nh)
+	cur := make([]int, f.NumAttrs()) // value index per attribute, -1 before row 0
+	for a := range cur {
+		cur[a] = -1
+	}
+	resolve := func(dst []delta, changes []factor.Change) []delta {
+		for _, c := range changes {
+			for _, ci := range m.colsOfAttr[c.Attr] {
+				vals := m.Cols[ci].Vals
+				var old float64
+				if cur[c.Attr] >= 0 {
+					old = vals[cur[c.Attr]]
+				}
+				if d := vals[c.Val] - old; d != 0 {
+					dst = append(dst, delta{col: int32(ci), d: d})
+				}
+			}
+			cur[c.Attr] = c.Val
+		}
+		return dst
+	}
+	for pos := range m.trans {
+		m.trans[pos] = f.Transitions(pos)
+		m.first = resolve(m.first, m.trans[pos].Enter)
+	}
+	var wraps []delta // of every hierarchy right of pos, left to right
+	for pos := nh - 1; pos >= 0; pos-- {
+		t := m.trans[pos]
+		m.steps[pos] = make([][]delta, len(t.Step))
+		for l, changes := range t.Step {
+			m.steps[pos][l] = append(resolve(nil, changes), wraps...)
+		}
+		wraps = append(resolve(nil, t.Wrap), wraps...)
+	}
+}
+
+// carry advances leaf — the odometer of the non-last hierarchies' leaves — to
+// the next block of the row order and names the transition that enters it:
+// the hierarchy position that steps and the leaf it steps from. The caller
+// stops at the last row, so a position left of the full ones always exists.
+func (m *Matrix) carry(leaf []int) (pos, from int) {
+	pos = len(leaf) - 1
+	for leaf[pos] == len(m.steps[pos]) {
+		leaf[pos] = 0
+		pos--
+	}
+	leaf[pos]++
+	return pos, leaf[pos] - 1
+}
+
+// replay drives the row odometer over n rows, the caller having entered row
+// 0: step(pos, l) moves hierarchy pos from leaf l to l+1 (every hierarchy
+// right of it wraps to its first leaf), and emit receives each row's index
+// once the row is current.
+func (m *Matrix) replay(n int, step func(pos, l int), emit func(row int)) {
+	last := len(m.steps) - 1
+	sweep := len(m.steps[last])
+	leaf := make([]int, last)
+	for row := 0; row < n; {
+		if row > 0 {
+			step(m.carry(leaf))
+		}
+		emit(row)
+		row++
+		for l := 0; l < sweep; l++ {
+			step(last, l)
+			emit(row)
+			row++
+		}
+	}
 }
 
 // NumCols returns the number of feature columns.
@@ -70,23 +183,27 @@ func (m *Matrix) Materialize() (*mat.Matrix, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := mat.New(n, len(m.Cols))
-	it := m.F.Rows()
-	row := 0
-	cur := make([]float64, len(m.Cols))
-	for {
-		chg := it.Next()
-		if chg == nil {
-			break
-		}
-		for _, c := range chg {
+	k := len(m.Cols)
+	out := mat.New(n, k)
+	cur := make([]float64, k)
+	set := func(changes []factor.Change) {
+		for _, c := range changes {
 			for _, ci := range m.colsOfAttr[c.Attr] {
 				cur[ci] = m.Cols[ci].Vals[c.Val]
 			}
 		}
-		copy(out.Data[row*len(m.Cols):(row+1)*len(m.Cols)], cur)
-		row++
 	}
+	for _, t := range m.trans {
+		set(t.Enter)
+	}
+	m.replay(n, func(pos, l int) {
+		set(m.trans[pos].Step[l])
+		for _, t := range m.trans[pos+1:] {
+			set(t.Wrap)
+		}
+	}, func(row int) {
+		copy(out.Data[row*k:(row+1)*k], cur)
+	})
 	return out, nil
 }
 
@@ -176,13 +293,28 @@ func (m *Matrix) TMulVec(v []float64) ([]float64, error) {
 	if len(v) != n {
 		return nil, fmt.Errorf("fmatrix: TMulVec length %d, want %d", len(v), n)
 	}
-	prefix := mat.PrefixSum(v)
+	buf, _ := prefixPool.Get().(*[]float64)
+	if buf == nil || cap(*buf) < n+1 {
+		b := make([]float64, n+1)
+		buf = &b
+	}
+	prefix := (*buf)[:n+1]
+	prefix[0] = 0
+	for i, x := range v {
+		prefix[i+1] = prefix[i] + x
+	}
 	out := make([]float64, len(m.Cols))
 	for ci, c := range m.Cols {
 		out[ci] = m.leftMulColumn(prefix, c)
 	}
+	prefixPool.Put(buf)
 	return out, nil
 }
+
+// prefixPool recycles TMulVec's n+1 prefix sums (mat.PrefixSum's recurrence,
+// computed in place): EM calls TMulVec once per iteration, and a fresh
+// n-vector each time is cleared by the allocator only to be overwritten.
+var prefixPool sync.Pool
 
 // leftMulColumn evaluates row·col for one column given the row's prefix
 // sums. The column of an attribute at hierarchy-order position h consists of
@@ -208,8 +340,9 @@ func (m *Matrix) leftMulColumn(prefix []float64, c Column) float64 {
 	return result
 }
 
-// RightMul computes X·A (Algorithm 4) where A is m×p, using the row iterator
-// to update each output row incrementally from its predecessor.
+// RightMul computes X·A (Algorithm 4) where A is m×p: each output row is its
+// predecessor plus d·A[col] for the columns that change there, replayed from
+// the transition tables in the row iterator's change order.
 func (m *Matrix) RightMul(a *mat.Matrix) (*mat.Matrix, error) {
 	n, err := m.F.RowCount()
 	if err != nil {
@@ -221,42 +354,69 @@ func (m *Matrix) RightMul(a *mat.Matrix) (*mat.Matrix, error) {
 	p := a.Cols
 	out := mat.New(n, p)
 	acc := make([]float64, p)
-	curF := make([]float64, len(m.Cols))
-	it := m.F.Rows()
-	row := 0
-	for {
-		chg := it.Next()
-		if chg == nil {
-			break
-		}
-		for _, c := range chg {
-			for _, ci := range m.colsOfAttr[c.Attr] {
-				nv := m.Cols[ci].Vals[c.Val]
-				d := nv - curF[ci]
-				if d != 0 {
-					arow := a.Data[ci*p : (ci+1)*p]
-					for j := 0; j < p; j++ {
-						acc[j] += d * arow[j]
-					}
-					curF[ci] = nv
-				}
+	apply := func(list []delta) {
+		for _, e := range list {
+			arow := a.Data[int(e.col)*p : (int(e.col)+1)*p]
+			for j := range acc {
+				acc[j] += e.d * arow[j]
 			}
 		}
+	}
+	apply(m.first)
+	m.replay(n, func(pos, l int) {
+		apply(m.steps[pos][l])
+	}, func(row int) {
 		copy(out.Data[row*p:(row+1)*p], acc)
-		row++
+	})
+	return out, nil
+}
+
+// MulVec computes X·w (an n-vector) — the p = 1 right multiplication.
+func (m *Matrix) MulVec(w []float64) ([]float64, error) {
+	n, err := m.F.RowCount()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, n)
+	if err := m.MulVecTo(out, w); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// MulVec computes X·w (an n-vector) — the p=1 right multiplication used in
-// every EM iteration.
-func (m *Matrix) MulVec(w []float64) ([]float64, error) {
+// MulVecTo writes X·w into dst, which must have one element per row — what
+// every EM iteration asks for. It is RightMul's replay written out for a
+// scalar accumulator: one multiply-add per changed column per row.
+func (m *Matrix) MulVecTo(dst, w []float64) error {
 	if len(w) != len(m.Cols) {
-		return nil, fmt.Errorf("fmatrix: MulVec length %d, want %d", len(w), len(m.Cols))
+		return fmt.Errorf("fmatrix: MulVec length %d, want %d", len(w), len(m.Cols))
 	}
-	out, err := m.RightMul(mat.ColVec(w))
-	if err != nil {
-		return nil, err
+	if n, err := m.F.RowCount(); err != nil {
+		return err
+	} else if len(dst) != n {
+		return fmt.Errorf("fmatrix: MulVec destination has %d elements for %d rows", len(dst), n)
 	}
-	return out.Data, nil
+	last := len(m.steps) - 1
+	leaf := make([]int, last)
+	var acc float64
+	list := m.first
+	for row := 0; row < len(dst); {
+		if row > 0 {
+			pos, l := m.carry(leaf)
+			list = m.steps[pos][l]
+		}
+		for _, e := range list {
+			acc += e.d * w[e.col]
+		}
+		dst[row] = acc
+		row++
+		for _, list := range m.steps[last] {
+			for _, e := range list {
+				acc += e.d * w[e.col]
+			}
+			dst[row] = acc
+			row++
+		}
+	}
+	return nil
 }

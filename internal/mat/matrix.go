@@ -138,19 +138,24 @@ func (m *Matrix) Mul(other *Matrix) *Matrix {
 
 // MulVec returns m * v as a vector of length m.Rows.
 func (m *Matrix) MulVec(v []float64) []float64 {
-	if m.Cols != len(v) {
-		panic(fmt.Sprintf("mat: MulVec shape mismatch %dx%d * %d", m.Rows, m.Cols, len(v)))
-	}
 	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	m.MulVecTo(out, v)
+	return out
+}
+
+// MulVecTo writes m * v into dst, which must have length m.Rows.
+func (m *Matrix) MulVecTo(dst, v []float64) {
+	if m.Cols != len(v) || m.Rows != len(dst) {
+		panic(fmt.Sprintf("mat: MulVec shape mismatch %dx%d * %d into %d", m.Rows, m.Cols, len(v), len(dst)))
+	}
+	for i := range dst {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
 		for j, x := range row {
 			s += x * v[j]
 		}
-		out[i] = s
+		dst[i] = s
 	}
-	return out
 }
 
 // TMulVec returns mᵀ * v (length m.Cols) without materializing the transpose.

@@ -6,6 +6,12 @@
 // through an interface with a naive dense implementation (the paper's
 // Matlab/Lapack comparator) and a factorised implementation over package
 // fmatrix.
+//
+// An EM iteration is one X·β, one Xᵀv and one pass over the clusters: the
+// loop carries its residual y − Xβ from the M-step into the next E-step,
+// owns its n-vectors for the whole fit, and evaluates the random-intercept
+// design from the cluster extents alone, so what a fit costs is the
+// backend's two operators and nothing per cluster but arithmetic.
 package mlm
 
 import (
@@ -27,8 +33,14 @@ type Backend interface {
 	TMulVec(v []float64) []float64
 	// MulVec returns X·w for an m-vector w.
 	MulVec(w []float64) []float64
+	// MulVecTo writes X·w into dst, which has one element per row: the form
+	// EM uses, so an iteration allocates no n-vector.
+	MulVecTo(dst, w []float64)
 	// NumClusters returns the number of row clusters G.
 	NumClusters() int
+	// ClusterRows returns cluster i's row range [start, start+n). It is a
+	// look-up into the partition and builds nothing.
+	ClusterRows(i int) (start, n int)
 	// Cluster returns the operations for cluster i.
 	Cluster(i int) ClusterOps
 }
@@ -36,8 +48,6 @@ type Backend interface {
 // ClusterOps provides the per-cluster operations for one cluster's
 // sub-matrix Xᵢ.
 type ClusterOps interface {
-	// Rows returns the cluster's row range [start, start+n).
-	Rows() (start, n int)
 	// Gram returns XᵢᵀXᵢ.
 	Gram() *mat.Matrix
 	// TMulVec returns Xᵢᵀ·r for a cluster-local vector r of length n.
@@ -86,27 +96,31 @@ func (d *Dense) TMulVec(v []float64) []float64 { return d.X.TMulVec(v) }
 // MulVec implements Backend.
 func (d *Dense) MulVec(w []float64) []float64 { return d.X.MulVec(w) }
 
+// MulVecTo implements Backend.
+func (d *Dense) MulVecTo(dst, w []float64) { d.X.MulVecTo(dst, w) }
+
 // NumClusters implements Backend.
 func (d *Dense) NumClusters() int { return len(d.starts) }
 
-// Cluster implements Backend.
-func (d *Dense) Cluster(i int) ClusterOps {
-	start := d.starts[i]
+// ClusterRows implements Backend.
+func (d *Dense) ClusterRows(i int) (start, n int) {
 	end := d.X.Rows
 	if i+1 < len(d.starts) {
 		end = d.starts[i+1]
 	}
-	sub := mat.New(end-start, d.X.Cols)
-	copy(sub.Data, d.X.Data[start*d.X.Cols:end*d.X.Cols])
-	return denseCluster{start: start, sub: sub}
+	return d.starts[i], end - d.starts[i]
 }
 
-type denseCluster struct {
-	start int
-	sub   *mat.Matrix
+// Cluster implements Backend. The sub-matrix aliases the cluster's rows of X
+// (no operator writes them).
+func (d *Dense) Cluster(i int) ClusterOps {
+	start, n := d.ClusterRows(i)
+	k := d.X.Cols
+	return denseCluster{sub: &mat.Matrix{Rows: n, Cols: k, Data: d.X.Data[start*k : (start+n)*k : (start+n)*k]}}
 }
 
-func (c denseCluster) Rows() (int, int)              { return c.start, c.sub.Rows }
+type denseCluster struct{ sub *mat.Matrix }
+
 func (c denseCluster) Gram() *mat.Matrix             { return c.sub.Gram() }
 func (c denseCluster) TMulVec(r []float64) []float64 { return c.sub.TMulVec(r) }
 func (c denseCluster) MulVec(w []float64) []float64  { return c.sub.MulVec(w) }
@@ -177,15 +191,23 @@ func (f *Factorised) TMulVec(v []float64) []float64 {
 
 // MulVec implements Backend.
 func (f *Factorised) MulVec(w []float64) []float64 {
-	out, err := f.M.MulVec(w)
-	if err != nil {
+	out := make([]float64, f.n)
+	f.MulVecTo(out, w)
+	return out
+}
+
+// MulVecTo implements Backend.
+func (f *Factorised) MulVecTo(dst, w []float64) {
+	if err := f.M.MulVecTo(dst, w); err != nil {
 		panic(err)
 	}
-	return out
 }
 
 // NumClusters implements Backend.
 func (f *Factorised) NumClusters() int { return f.cl.NumClusters() }
+
+// ClusterRows implements Backend.
+func (f *Factorised) ClusterRows(i int) (start, n int) { return f.cl.Extent(i) }
 
 // Cluster implements Backend.
 func (f *Factorised) Cluster(i int) ClusterOps {
@@ -220,7 +242,9 @@ func (f *Factorised) SubsetCols(mask []bool) (*Factorised, error) {
 
 // InterceptZ is the random-intercepts design: a constant-1 single column
 // sharing another backend's cluster partition. Every operation is closed
-// form, so no per-cluster views or copies are materialized.
+// form — a cluster's Zᵢᵀr is a row sum and Zᵢb a constant fill — so EM and
+// Fitted evaluate it inline from the cluster extents and build no per-cluster
+// object at all; Cluster serves callers that want the ClusterOps anyway.
 type InterceptZ struct {
 	rows     int
 	starts   []int
@@ -228,15 +252,10 @@ type InterceptZ struct {
 }
 
 // NewInterceptZ derives the intercept-only Z design from a backend's
-// cluster structure.
+// cluster partition.
 func NewInterceptZ(b Backend) *InterceptZ {
-	g := b.NumClusters()
-	z := &InterceptZ{rows: b.NumRows(), starts: make([]int, g), clusterN: make([]int, g)}
-	for i := 0; i < g; i++ {
-		s, n := b.Cluster(i).Rows()
-		z.starts[i] = s
-		z.clusterN[i] = n
-	}
+	z := &InterceptZ{rows: b.NumRows()}
+	z.starts, z.clusterN = clusterExtents(b)
 	return z
 }
 
@@ -255,23 +274,28 @@ func (z *InterceptZ) TMulVec(v []float64) []float64 { return []float64{mat.Sum(v
 // MulVec implements Backend: 1·w = w₀ repeated.
 func (z *InterceptZ) MulVec(w []float64) []float64 {
 	out := make([]float64, z.rows)
-	for i := range out {
-		out[i] = w[0]
-	}
+	z.MulVecTo(out, w)
 	return out
+}
+
+// MulVecTo implements Backend.
+func (z *InterceptZ) MulVecTo(dst, w []float64) {
+	for i := range dst {
+		dst[i] = w[0]
+	}
 }
 
 // NumClusters implements Backend.
 func (z *InterceptZ) NumClusters() int { return len(z.starts) }
 
+// ClusterRows implements Backend.
+func (z *InterceptZ) ClusterRows(i int) (start, n int) { return z.starts[i], z.clusterN[i] }
+
 // Cluster implements Backend.
-func (z *InterceptZ) Cluster(i int) ClusterOps {
-	return interceptCluster{start: z.starts[i], n: z.clusterN[i]}
-}
+func (z *InterceptZ) Cluster(i int) ClusterOps { return interceptCluster{n: z.clusterN[i]} }
 
-type interceptCluster struct{ start, n int }
+type interceptCluster struct{ n int }
 
-func (c interceptCluster) Rows() (int, int) { return c.start, c.n }
 func (c interceptCluster) Gram() *mat.Matrix {
 	return mat.FromRows([][]float64{{float64(c.n)}})
 }
@@ -286,7 +310,6 @@ func (c interceptCluster) MulVec(w []float64) []float64 {
 
 type factorCluster struct{ v *fmatrix.View }
 
-func (c factorCluster) Rows() (int, int)              { return c.v.Start, c.v.N }
 func (c factorCluster) Gram() *mat.Matrix             { return c.v.Gram() }
 func (c factorCluster) TMulVec(r []float64) []float64 { return c.v.TMulVec(r) }
 func (c factorCluster) MulVec(w []float64) []float64  { return c.v.MulVec(w) }

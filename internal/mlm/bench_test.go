@@ -1,8 +1,12 @@
 package mlm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/factor"
+	"repro/internal/fmatrix"
 )
 
 func benchData(b *testing.B, G, size int) (*Dense, []float64) {
@@ -24,6 +28,101 @@ func BenchmarkFitEMScalarZ(b *testing.B) {
 		if _, err := FitEMZ(d, iz, y, Options{Iterations: 10}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// deepFitDesign builds the benchmark's deep_fit shape: three hierarchies of
+// 30 × 24 × 16 = 11,520 leaf combinations (depths 3, 2, 2), an intercept and
+// four main-effect-like columns, as a factorised backend, its materialized
+// dense twin and a y vector.
+func deepFitDesign(tb testing.TB) (*Factorised, *Dense, []float64) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(1))
+	fans := [][]int{{3, 2, 5}, {2, 12}, {4, 4}}
+	srcs := make([]*factor.Source, len(fans))
+	depths := make([]int, len(fans))
+	for h, fan := range fans {
+		attrs := make([]string, len(fan))
+		for l := range attrs {
+			attrs[l] = fmt.Sprintf("h%d_l%d", h, l)
+		}
+		paths := [][]string{{}}
+		for l, n := range fan {
+			var next [][]string
+			for pi, p := range paths {
+				for k := 0; k < n; k++ {
+					next = append(next, append(append([]string(nil), p...), fmt.Sprintf("h%d_l%d_%03d_%02d", h, l, pi, k)))
+				}
+			}
+			paths = next
+		}
+		src, err := factor.NewSource(fmt.Sprintf("h%d", h), attrs, paths)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		srcs[h], depths[h] = src, len(fan)
+	}
+	f, err := factor.New(srcs, depths)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var cols []fmatrix.Column
+	for _, ai := range []int{0, 1, 2, 4, 6} { // attr 0 twice: intercept first
+		vals, _ := f.CountVals(ai)
+		fv := make([]float64, len(vals))
+		for i := range fv {
+			fv[i] = 1
+			if len(cols) > 0 {
+				fv[i] = rng.NormFloat64()
+			}
+		}
+		cols = append(cols, fmatrix.Column{Name: fmt.Sprintf("c%d", len(cols)), Attr: ai, Vals: fv})
+	}
+	fm, err := fmatrix.New(f, cols)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fb, err := NewFactorised(fm)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	x, err := fm.Materialize()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	starts := make([]int, fb.NumClusters())
+	for i := range starts {
+		starts[i], _ = fb.ClusterRows(i)
+	}
+	db, err := NewDense(x, starts)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	y := make([]float64, fb.NumRows())
+	for i := range y {
+		y[i] = 50 + 10*rng.NormFloat64()
+	}
+	return fb, db, y
+}
+
+// BenchmarkFitEMFactorisedVsDense fits the same 11,520-row random-intercept
+// model over the factorised and the materialized design — the comparison the
+// paper's §5.1 claim is about, at the shape the repository benchmark's
+// deep_fit workload trains.
+func BenchmarkFitEMFactorisedVsDense(b *testing.B) {
+	fb, db, y := deepFitDesign(b)
+	for _, bk := range []struct {
+		name string
+		b    Backend
+	}{{"factorised", fb}, {"dense", db}} {
+		b.Run(bk.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := FitEMZ(bk.b, NewInterceptZ(bk.b), y, Options{Iterations: 20}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

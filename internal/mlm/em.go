@@ -76,6 +76,11 @@ func FitEM(b Backend, y []float64, opts Options) (*MultiLevel, error) {
 // partition rows into the same clusters. The backends supply every matrix
 // operation, so the same code path runs over dense or factorised
 // representations.
+//
+// A fit of I iterations asks bx for one Gram, I+1 X·β and I+1 Xᵀv: the
+// residual r = y − Xβ that closes an M-step (Equation 14) is the one the next
+// E-step starts from, so it is carried over instead of recomputed, and the
+// n-vectors (r, Zb̂, y − Zb̂) are allocated once per fit.
 func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 	opts = opts.withDefaults()
 	n, m := bx.NumRows(), bx.NumCols()
@@ -91,60 +96,55 @@ func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 			bz.NumRows(), bz.NumClusters(), n, bx.NumClusters())
 	}
 	G := bx.NumClusters()
-
-	// Precompute the gram matrices: XᵀX once, ZᵢᵀZᵢ per cluster. Only the
-	// Z-side cluster operators are needed by the EM updates (the X-side
-	// appears through the whole-matrix operations).
-	gram := bx.Gram()
-	gramInv := gram.RidgeInverse(opts.Ridge)
-	zClusters := make([]ClusterOps, G)
-	zClusterGram := make([]*mat.Matrix, G)
-	starts := make([]int, G)
+	starts, sizes := clusterExtents(bz)
 	covered := 0
-	for i := 0; i < G; i++ {
-		zClusters[i] = bz.Cluster(i)
-		zClusterGram[i] = zClusters[i].Gram()
-		var cn int
-		starts[i], cn = zClusters[i].Rows()
+	for _, cn := range sizes {
 		covered += cn
 	}
 	if covered != n {
 		return nil, fmt.Errorf("mlm: Z clusters cover %d of %d rows", covered, n)
 	}
 
+	// XᵀX once. Only the Z-side cluster operators are needed by the EM
+	// updates (the X-side appears through the whole-matrix operations).
+	gramInv := bx.Gram().RidgeInverse(opts.Ridge)
+
 	// Initialize β by (ridge) OLS, σ² by the residual variance and Σ by a
 	// scaled identity.
 	beta := gramInv.MulVec(bx.TMulVec(y))
-	xb := bx.MulVec(beta)
-	r := mat.SubVec(y, xb)
+	r := make([]float64, n)
+	residual(r, bx, beta, y)
 	sigma2 := mat.Dot(r, r) / float64(n)
 	if sigma2 < 1e-12 {
 		sigma2 = 1e-12
 	}
-	sigma := mat.Identity(q).Scale(sigma2)
 
+	model := &MultiLevel{Starts: starts, N: n}
+	if q == 1 && !disableScalarFastPath {
+		// With a single random-effect column (e.g. random intercepts) every
+		// per-cluster matrix op degenerates to scalar arithmetic.
+		fitEMScalarZ(model, bx, bz, y, opts, gramInv, sizes, beta, r, sigma2)
+		return model, nil
+	}
+
+	zClusters := make([]ClusterOps, G)
+	zClusterGram := make([]*mat.Matrix, G) // ZᵢᵀZᵢ
+	for i := range zClusters {
+		zClusters[i] = bz.Cluster(i)
+		zClusterGram[i] = zClusters[i].Gram()
+	}
+	sigma := mat.Identity(q).Scale(sigma2)
 	bi := make([][]float64, G)
 	ebb := make([]*mat.Matrix, G) // E[bᵢbᵢᵀ] = Vᵢ + μᵢμᵢᵀ
-	for i := range bi {
-		bi[i] = make([]float64, q)
-	}
-
-	if q == 1 && !disableScalarFastPath {
-		// Scalar fast path: with a single random-effect column (e.g. random
-		// intercepts) every per-cluster matrix op degenerates to scalar
-		// arithmetic, avoiding millions of 1×1 matrix allocations.
-		return fitEMScalarZ(bx, bz, y, opts, gramInv, zClusterGram, zClusters, starts, beta, sigma2, n, G)
-	}
+	zb := make([]float64, n)
+	ymzb := make([]float64, n)
 
 	for iter := 0; iter < opts.Iterations; iter++ {
-		// E-step (Equations 8–11).
+		// E-step (Equations 8–11), from the carried residual r = y − Xβ.
 		sigmaInv := sigma.RidgeInverse(opts.Ridge)
-		xb = bx.MulVec(beta)
-		r = mat.SubVec(y, xb)
-		for i := 0; i < G; i++ {
-			start, cn := zClusters[i].Rows()
+		for i, start := range starts {
 			vi := zClusterGram[i].Scale(1 / sigma2).Add(sigmaInv).RidgeInverse(opts.Ridge)
-			ztr := zClusters[i].TMulVec(r[start : start+cn])
+			ztr := zClusters[i].TMulVec(r[start : start+sizes[i]])
 			mu := mat.ScaleVec(vi.MulVec(ztr), 1/sigma2)
 			bi[i] = mu
 			muMat := mat.ColVec(mu)
@@ -153,14 +153,15 @@ func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 
 		// M-step (Equations 12–14).
 		// Z·b̂ by vertical concatenation (the Appendix D sparsity trick).
-		zb := make([]float64, n)
-		for i := 0; i < G; i++ {
-			start, cn := zClusters[i].Rows()
-			copy(zb[start:start+cn], zClusters[i].MulVec(bi[i]))
+		for i, start := range starts {
+			copy(zb[start:start+sizes[i]], zClusters[i].MulVec(bi[i]))
 		}
 		// β = (XᵀX)⁻¹ · (Xᵀ(y - Zb̂)), multiplied in the Appendix D order to
 		// avoid the m×n intermediate.
-		beta = gramInv.MulVec(bx.TMulVec(mat.SubVec(y, zb)))
+		for j := range ymzb {
+			ymzb[j] = y[j] - zb[j]
+		}
+		beta = gramInv.MulVec(bx.TMulVec(ymzb))
 		// Σ = (1/G) Σᵢ E[bᵢbᵢᵀ].
 		sigma = mat.New(q, q)
 		for i := 0; i < G; i++ {
@@ -168,8 +169,7 @@ func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 		}
 		sigma = sigma.Scale(1 / float64(G))
 		// σ² per Equation 14.
-		xb = bx.MulVec(beta)
-		r = mat.SubVec(y, xb)
+		residual(r, bx, beta, y)
 		s := mat.Dot(r, r)
 		for i := 0; i < G; i++ {
 			s += zClusterGram[i].Mul(ebb[i]).Trace()
@@ -181,60 +181,100 @@ func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 		}
 	}
 
-	return &MultiLevel{
-		Beta:   beta,
-		B:      bi,
-		Sigma:  sigma,
-		Sigma2: sigma2,
-		Starts: starts,
-		N:      n,
-	}, nil
+	model.Beta, model.B, model.Sigma, model.Sigma2 = beta, bi, sigma, sigma2
+	return model, nil
+}
+
+// clusterExtents reads every cluster's row range [start, start+size) once.
+func clusterExtents(b Backend) (starts, sizes []int) {
+	starts, sizes = make([]int, b.NumClusters()), make([]int, b.NumClusters())
+	for i := range starts {
+		starts[i], sizes[i] = b.ClusterRows(i)
+	}
+	return starts, sizes
+}
+
+// residual writes y − Xβ into r.
+func residual(r []float64, bx Backend, beta, y []float64) {
+	bx.MulVecTo(r, beta)
+	for i, xb := range r {
+		r[i] = y[i] - xb
+	}
+}
+
+// scalarZ prepares a single-column random-effects design for scalar
+// arithmetic: the per-cluster grams zᵢᵀzᵢ and the two per-cluster operators,
+// dot (zᵢᵀr) and fill (dst = zᵢ·b). The intercept design has closed forms — a
+// cluster's size, the sum of r left to right, a constant fill — and is served
+// from the cluster extents alone; any other column goes through its
+// ClusterOps, built once here.
+func scalarZ(bz Backend, sizes []int) (zg []float64, dot func(i int, r []float64) float64, fill func(i int, b float64, dst []float64)) {
+	zg = make([]float64, len(sizes))
+	if _, ok := bz.(*InterceptZ); ok {
+		for i, cn := range sizes {
+			zg[i] = float64(cn)
+		}
+		dot = func(_ int, r []float64) float64 { return mat.Sum(r) }
+		fill = func(_ int, b float64, dst []float64) {
+			for j := range dst {
+				dst[j] = b
+			}
+		}
+		return zg, dot, fill
+	}
+	ops := make([]ClusterOps, len(sizes))
+	for i := range ops {
+		ops[i] = bz.Cluster(i)
+		zg[i] = ops[i].Gram().At(0, 0)
+	}
+	w := make([]float64, 1)
+	dot = func(i int, r []float64) float64 { return ops[i].TMulVec(r)[0] }
+	fill = func(i int, b float64, dst []float64) {
+		w[0] = b
+		copy(dst, ops[i].MulVec(w))
+	}
+	return zg, dot, fill
 }
 
 // fitEMScalarZ runs the EM iterations for the q = 1 random-effects design
-// with scalar per-cluster arithmetic. It mirrors FitEMZ exactly (the tests
-// assert the two paths agree on q = 1 inputs).
-func fitEMScalarZ(bx, bz Backend, y []float64, opts Options,
-	gramInv *mat.Matrix, zClusterGram []*mat.Matrix, zClusters []ClusterOps,
-	starts []int, beta []float64, sigma2 float64, n, G int) (*MultiLevel, error) {
+// with scalar per-cluster arithmetic and fills in the model. It mirrors
+// FitEMZ's general loop exactly (the tests assert the two paths agree on
+// q = 1 inputs); r arrives as the residual of the initial β.
+func fitEMScalarZ(model *MultiLevel, bx, bz Backend, y []float64, opts Options,
+	gramInv *mat.Matrix, sizes []int, beta, r []float64, sigma2 float64) {
 
-	zg := make([]float64, G) // ZᵢᵀZᵢ scalars
-	for i := 0; i < G; i++ {
-		zg[i] = zClusterGram[i].At(0, 0)
-	}
+	n, G := len(y), len(sizes)
+	starts := model.Starts
+	zg, dotZ, fillZ := scalarZ(bz, sizes)
 	sigma := sigma2 // Σ is a scalar variance
 	bi := make([]float64, G)
 	ebb := make([]float64, G)
 	zb := make([]float64, n)
-	wvec := make([]float64, 1)
+	ymzb := make([]float64, n)
 
 	for iter := 0; iter < opts.Iterations; iter++ {
 		// E-step.
-		xb := bx.MulVec(beta)
-		r := mat.SubVec(y, xb)
 		sigmaInv := 1 / math.Max(sigma, 1e-12)
-		for i := 0; i < G; i++ {
-			start, cn := zClusters[i].Rows()
+		for i, start := range starts {
 			vi := 1 / (zg[i]/sigma2 + sigmaInv)
-			ztr := zClusters[i].TMulVec(r[start : start+cn])[0]
-			mu := vi * ztr / sigma2
+			mu := vi * dotZ(i, r[start:start+sizes[i]]) / sigma2
 			bi[i] = mu
 			ebb[i] = vi + mu*mu
 		}
 		// M-step.
-		for i := 0; i < G; i++ {
-			start, cn := zClusters[i].Rows()
-			wvec[0] = bi[i]
-			copy(zb[start:start+cn], zClusters[i].MulVec(wvec))
+		for i, start := range starts {
+			fillZ(i, bi[i], zb[start:start+sizes[i]])
 		}
-		beta = gramInv.MulVec(bx.TMulVec(mat.SubVec(y, zb)))
+		for j := range ymzb {
+			ymzb[j] = y[j] - zb[j]
+		}
+		beta = gramInv.MulVec(bx.TMulVec(ymzb))
 		var sAcc float64
 		for i := 0; i < G; i++ {
 			sAcc += ebb[i]
 		}
 		sigma = sAcc / float64(G)
-		xb = bx.MulVec(beta)
-		r = mat.SubVec(y, xb)
+		residual(r, bx, beta, y)
 		s := mat.Dot(r, r)
 		for i := 0; i < G; i++ {
 			s += zg[i] * ebb[i]
@@ -248,28 +288,27 @@ func fitEMScalarZ(bx, bz Backend, y []float64, opts Options,
 
 	b := make([][]float64, G)
 	for i := range b {
-		b[i] = []float64{bi[i]}
+		b[i] = bi[i : i+1 : i+1]
 	}
-	return &MultiLevel{
-		Beta:   beta,
-		B:      b,
-		Sigma:  mat.FromRows([][]float64{{sigma}}),
-		Sigma2: sigma2,
-		Starts: starts,
-		N:      n,
-	}, nil
+	model.Beta, model.B, model.Sigma, model.Sigma2 = beta, b, mat.FromRows([][]float64{{sigma}}), sigma2
 }
 
 // Fitted returns the conditional fitted values Xβ + Zb̂ for every row. With
 // the default Z = X design pass the same backend twice (or use FittedX).
 func (m *MultiLevel) Fitted(bx, bz Backend) []float64 {
 	out := bx.MulVec(m.Beta)
+	_, intercept := bz.(*InterceptZ)
 	for i := 0; i < bz.NumClusters(); i++ {
-		c := bz.Cluster(i)
-		start, cn := c.Rows()
-		zb := c.MulVec(m.B[i])
-		for j := 0; j < cn; j++ {
-			out[start+j] += zb[j]
+		start, cn := bz.ClusterRows(i)
+		rows := out[start : start+cn]
+		if intercept {
+			for j := range rows {
+				rows[j] += m.B[i][0]
+			}
+			continue
+		}
+		for j, v := range bz.Cluster(i).MulVec(m.B[i]) {
+			rows[j] += v
 		}
 	}
 	return out
@@ -288,7 +327,7 @@ func (m *MultiLevel) LogLik(bx, bz Backend, y []float64) float64 {
 	q := bz.NumCols()
 	for i := 0; i < bz.NumClusters(); i++ {
 		c := bz.Cluster(i)
-		start, cn := c.Rows()
+		start, cn := bz.ClusterRows(i)
 		ri := r[start : start+cn]
 		gramI := c.Gram()
 		// ln det(σ²I + ZΣZᵀ) = cn·ln σ² + ln det(I_q + (ZᵀZ)Σ/σ²).

@@ -35,18 +35,31 @@ func FitIGLS(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 
 	gram := bx.Gram()
 	gramInv := gram.RidgeInverse(opts.Ridge)
-	zClusters := make([]ClusterOps, G)
-	zg := make([]float64, G)
-	starts := make([]int, G)
-	for i := 0; i < G; i++ {
-		zClusters[i] = bz.Cluster(i)
-		zg[i] = zClusters[i].Gram().At(0, 0)
-		starts[i], _ = zClusters[i].Rows()
+	starts, sizes := clusterExtents(bz)
+	zg, dotZ, _ := scalarZ(bz, sizes)
+
+	// Xᵢᵀzᵢ per cluster. The cluster operators of the X backend would
+	// materialize Xᵢ; with zᵢ = 1 (the intercept design) Xᵢᵀzᵢ is the column
+	// sums over the cluster's rows, obtained through TMulVec with an
+	// indicator vector. It does not depend on the iteration, so the G
+	// vectors are computed once.
+	clusterXZ := make([][]float64, G)
+	ind := make([]float64, n)
+	for i, start := range starts {
+		rows := ind[start : start+sizes[i]]
+		for j := range rows {
+			rows[j] = 1
+		}
+		clusterXZ[i] = bx.TMulVec(ind)
+		for j := range rows {
+			rows[j] = 0
+		}
 	}
 
 	// Start from OLS.
 	beta := gramInv.MulVec(bx.TMulVec(y))
-	r := mat.SubVec(y, bx.MulVec(beta))
+	r := make([]float64, n)
+	residual(r, bx, beta, y)
 	sigma2 := mat.Dot(r, r) / float64(n)
 	if sigma2 < 1e-12 {
 		sigma2 = 1e-12
@@ -61,20 +74,11 @@ func FitIGLS(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 		// whole-matrix gram plus per-cluster rank-one corrections.
 		xtvx := gram.Scale(1 / sigma2)
 		xtvy := mat.ScaleVec(bx.TMulVec(y), 1/sigma2)
-		for i := 0; i < G; i++ {
-			start, cn := zClusters[i].Rows()
+		for i, start := range starts {
 			w := sigmaB / (sigma2 * (sigma2 + sigmaB*zg[i]))
-			// Xᵢᵀzᵢ via the cluster op of the X backend is not available
-			// without materializing; use the identity zᵢ = 1 (intercept
-			// design): Xᵢᵀzᵢ = column sums over the cluster rows, obtained
-			// through TMulVec with an indicator vector.
-			ind := make([]float64, n)
-			for j := start; j < start+cn; j++ {
-				ind[j] = 1
-			}
-			xz := bx.TMulVec(ind)
+			xz := clusterXZ[i]
 			yz := 0.0
-			for j := start; j < start+cn; j++ {
+			for j := start; j < start+sizes[i]; j++ {
 				yz += y[j]
 			}
 			for a := 0; a < m; a++ {
@@ -92,10 +96,10 @@ func FitIGLS(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 
 		// Variance components from the residuals: method-of-moments split
 		// between the between-cluster and within-cluster variation.
-		r = mat.SubVec(y, bx.MulVec(beta))
+		residual(r, bx, beta, y)
 		var between, within float64
-		for i := 0; i < G; i++ {
-			start, cn := zClusters[i].Rows()
+		for i, start := range starts {
+			cn := sizes[i]
 			var s float64
 			for j := start; j < start+cn; j++ {
 				s += r[j]
@@ -117,8 +121,7 @@ func FitIGLS(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 		}
 		// E[mean residual²] = σ²_b + σ²/n_i; subtract the residual share.
 		var avgInv float64
-		for i := 0; i < G; i++ {
-			_, cn := zClusters[i].Rows()
+		for _, cn := range sizes {
 			avgInv += 1 / float64(cn)
 		}
 		sigmaB = between/float64(G) - sigma2*avgInv/float64(G)
@@ -128,11 +131,10 @@ func FitIGLS(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 	}
 
 	// BLUP random intercepts under the final variance components.
-	r = mat.SubVec(y, bx.MulVec(beta))
+	residual(r, bx, beta, y)
 	b := make([][]float64, G)
-	for i := 0; i < G; i++ {
-		start, cn := zClusters[i].Rows()
-		ztr := zClusters[i].TMulVec(r[start : start+cn])[0]
+	for i, start := range starts {
+		ztr := dotZ(i, r[start:start+sizes[i]])
 		b[i] = []float64{sigmaB * ztr / (sigma2 + sigmaB*zg[i])}
 	}
 	return &MultiLevel{

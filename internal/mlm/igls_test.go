@@ -100,7 +100,7 @@ func TestIGLSOverFactorised(t *testing.T) {
 	x, _ := fm.Materialize()
 	starts := make([]int, fb.NumClusters())
 	for i := range starts {
-		starts[i], _ = fb.Cluster(i).Rows()
+		starts[i], _ = fb.ClusterRows(i)
 	}
 	db, _ := NewDense(x, starts)
 	m2, err := FitIGLS(db, NewInterceptZ(db), y, Options{Iterations: 10})

@@ -44,8 +44,8 @@ func TestInterceptZMatchesSubset(t *testing.T) {
 	}
 	for c := 0; c < iz.NumClusters(); c++ {
 		c1, c2 := iz.Cluster(c), sub.Cluster(c)
-		s1, n1 := c1.Rows()
-		s2, n2 := c2.Rows()
+		s1, n1 := iz.ClusterRows(c)
+		s2, n2 := sub.ClusterRows(c)
 		if s1 != s2 || n1 != n2 {
 			t.Fatalf("cluster %d rows (%d,%d) vs (%d,%d)", c, s1, n1, s2, n2)
 		}
@@ -100,7 +100,7 @@ func TestInterceptZOverFactorised(t *testing.T) {
 	}
 	starts := make([]int, fb.NumClusters())
 	for i := range starts {
-		starts[i], _ = fb.Cluster(i).Rows()
+		starts[i], _ = fb.ClusterRows(i)
 	}
 	db, err := NewDense(x, starts)
 	if err != nil {

@@ -198,7 +198,7 @@ func TestEMFactorisedMatchesDense(t *testing.T) {
 		// Dense cluster starts from the factorised partition.
 		starts := make([]int, fb.NumClusters())
 		for i := range starts {
-			s, _ := fb.Cluster(i).Rows()
+			s, _ := fb.ClusterRows(i)
 			starts[i] = s
 		}
 		db, err := NewDense(x, starts)
@@ -250,8 +250,7 @@ func TestLogLikMatchesDirect(t *testing.T) {
 	xb := d.MulVec(model.Beta)
 	var want float64
 	for i := 0; i < d.NumClusters(); i++ {
-		c := d.Cluster(i)
-		start, cn := c.Rows()
+		start, cn := d.ClusterRows(i)
 		sub := mat.New(cn, x.Cols)
 		copy(sub.Data, x.Data[start*x.Cols:(start+cn)*x.Cols])
 		v := sub.Mul(model.Sigma).Mul(sub.T()).Add(mat.Identity(cn).Scale(model.Sigma2))
@@ -319,13 +318,12 @@ func TestDenseClusterOps(t *testing.T) {
 	if d.NumClusters() != 2 {
 		t.Fatal("NumClusters wrong")
 	}
-	c0 := d.Cluster(0)
-	s, n := c0.Rows()
+	s, n := d.ClusterRows(0)
 	if s != 0 || n != 2 {
 		t.Errorf("cluster 0 rows = %d,%d", s, n)
 	}
 	c1 := d.Cluster(1)
-	s, n = c1.Rows()
+	s, n = d.ClusterRows(1)
 	if s != 2 || n != 1 {
 		t.Errorf("cluster 1 rows = %d,%d", s, n)
 	}

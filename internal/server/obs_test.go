@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"regexp"
 	"runtime"
@@ -180,67 +181,81 @@ func TestStatsExemptFromRecommendLimiter(t *testing.T) {
 
 // TestTracedRecommendStages requests per-stage timings and checks both
 // transports (response body and X-Reptile-Trace header) and the exclusive
-// decomposition's accounting: stage durations must cover at least 90% of the
-// request's wall time and never exceed it.
+// decomposition's accounting: stage durations never exceed the request's wall
+// time and leave at most a tenth of it (or 0.25 ms) unattributed.
 func TestTracedRecommendStages(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	// A heavier EM budget keeps evaluate comfortably above the fixed
-	// per-request overhead, so the 90% coverage bound is not timing noise.
+	// A heavier EM budget keeps evaluate above the fixed per-request overhead.
 	register(t, ts.URL, api.RegisterDatasetRequest{
 		Name: "drought", CSV: testCSV, Measures: []string{"severity"},
 		Hierarchies: testHierarchies, EMIterations: 256,
 	})
 	id := createSession(t, ts.URL)
 
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sessions/"+id+"/recommend",
-		strings.NewReader(`{"complaint":"`+testComplaint+`"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Reptile-Trace", "1")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("traced recommend: %d", resp.StatusCode)
-	}
-
-	var rr api.RecommendResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		t.Fatal(err)
-	}
-	if len(rr.Stages) == 0 {
-		t.Fatal("traced response has no stages")
-	}
-	var sum float64
-	stages := make(map[string]bool)
-	for _, st := range rr.Stages {
-		sum += st.DurationMS
-		stages[st.Name] = true
-	}
-	for _, want := range []string{"bind", "decode", "cache", "evaluate", "encode"} {
-		if !stages[want] {
-			t.Errorf("stages %v are missing %q", rr.Stages, want)
+	// traced posts one traced recommend, checks what must hold on every
+	// request, and returns the stage sum and the wall time.
+	traced := func(complaint string) (sum, total float64) {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/sessions/"+id+"/recommend",
+			strings.NewReader(`{"complaint":"`+complaint+`"}`))
+		if err != nil {
+			t.Fatal(err)
 		}
+		req.Header.Set("Content-Type", "application/json")
+		req.Header.Set("X-Reptile-Trace", "1")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("traced recommend: %d", resp.StatusCode)
+		}
+
+		var rr api.RecommendResponse
+		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+			t.Fatal(err)
+		}
+		if len(rr.Stages) == 0 {
+			t.Fatal("traced response has no stages")
+		}
+		stages := make(map[string]bool)
+		for _, st := range rr.Stages {
+			sum += st.DurationMS
+			stages[st.Name] = true
+		}
+		for _, want := range []string{"bind", "decode", "cache", "evaluate", "encode"} {
+			if !stages[want] {
+				t.Errorf("stages %v are missing %q", rr.Stages, want)
+			}
+		}
+
+		hdr := resp.Header.Get("X-Reptile-Trace")
+		if hdr == "" {
+			t.Fatal("response has no X-Reptile-Trace header")
+		}
+		last := hdr[strings.LastIndex(hdr, "total;dur=")+len("total;dur="):]
+		total, err = strconv.ParseFloat(last, 64)
+		if err != nil {
+			t.Fatalf("parsing total from header %q: %v", hdr, err)
+		}
+		if sum > total*1.001 {
+			t.Errorf("stage sum %.3fms exceeds wall time %.3fms", sum, total)
+		}
+		return sum, total
 	}
 
-	hdr := resp.Header.Get("X-Reptile-Trace")
-	if hdr == "" {
-		t.Fatal("response has no X-Reptile-Trace header")
+	// No stage is missing from the ledger: what the stages leave unattributed
+	// is a tenth of the request at most, or a fixed 0.25 ms when the request
+	// is shorter than that allows. A missing stage would show on every
+	// request, a scheduler hiccup between two stages on one, so the property
+	// is asserted on the best of a few distinct (uncached) complaints.
+	best := math.Inf(1) // smallest excess over the bound
+	for attempt := 0; attempt < 5 && best > 0; attempt++ {
+		sum, total := traced(fmt.Sprintf("agg=mean measure=severity dir=should target=%d district=Ofla year=1986", attempt))
+		best = math.Min(best, math.Max(0, total-sum-math.Max(0.1*total, 0.25)))
 	}
-	last := hdr[strings.LastIndex(hdr, "total;dur=")+len("total;dur="):]
-	total, err := strconv.ParseFloat(last, 64)
-	if err != nil {
-		t.Fatalf("parsing total from header %q: %v", hdr, err)
-	}
-	if sum > total*1.001 {
-		t.Errorf("stage sum %.3fms exceeds wall time %.3fms", sum, total)
-	}
-	if sum < total*0.9 {
-		t.Errorf("stage sum %.3fms covers under 90%% of wall time %.3fms", sum, total)
+	if best > 0 {
+		t.Errorf("every traced request left more wall time unattributed than the bound allows, the best by %.3fms", best)
 	}
 
 	// An untraced request carries neither stages nor the header.
