@@ -6,12 +6,23 @@
 // Internally a group's statistics are carried as the distributive triple
 // (count, sum, sum of squares), from which every supported aggregate and the
 // merge function are derived exactly.
+//
+// A group-by's Result is a coded relation. It owns its group list, its code
+// table and the one string table the groups' values are windows of; the
+// dictionaries the codes index belong to the dataset (or cube) it came from.
+// Every producer assembles it through FromCodes, the only place group order
+// is decided. A Result is read-only once built — the engine memoises and
+// shares them — except for the key index, which Get builds under a sync.Once.
+// Dictionary ranks, the sort key, live with whoever owns an immutable
+// dictionary (a cube ranks each once); the row scan ranks the codes it used.
 package agg
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 
 	"repro/internal/data"
 )
@@ -187,12 +198,15 @@ func MergeMoments(parts ...Stats) (count, mean, std float64) {
 }
 
 // Group is one output tuple of a group-by: its key values (in attribute
-// order) and statistics.
+// order) and statistics. Vals is a window of its result's one decoded string
+// table.
 type Group struct {
-	Key   string   // encoded key (data.EncodeKey of Vals)
 	Vals  []string // one value per group-by attribute
 	Stats Stats
 }
+
+// Key returns the group's encoded key (data.EncodeKey of Vals).
+func (g Group) Key() string { return data.EncodeKey(g.Vals) }
 
 // Value returns the group's value for attribute a given the result's
 // attribute list.
@@ -205,44 +219,153 @@ func (g Group) Value(attrs []string, a string) (string, bool) {
 	return "", false
 }
 
-// Result is the output of a group-by aggregation: the ordered group list and
-// an index from encoded key to position.
+// Result is the output of a group-by aggregation: the ordered group list
+// and, beside it, the same tuples as dictionary codes. Group gi's value for
+// attribute ai is Dicts[ai][Codes[gi*len(Attrs)+ai]]; the dictionaries are
+// the source columns' own (entries no group uses included), so codes are
+// comparable only within one result.
 type Result struct {
 	Attrs   []string
 	Measure string
 	Groups  []Group
-	Index   map[string]int
+	Codes   []uint32   // group-major, stride len(Attrs)
+	Dicts   [][]string // per attribute
+
+	indexOnce sync.Once
+	index     map[string]int // Group.Key() → position; built by the first Get
 }
 
-// NewResult assembles a Result from unordered groups: it sorts them by their
-// key values lexicographically, attribute by attribute, and indexes the
-// sorted positions. The row scan and materialized providers (internal/cube)
-// both assemble their output here, so group ordering can never drift between
-// them.
-func NewResult(attrs []string, measure string, groups []Group) *Result {
-	sort.Slice(groups, func(a, b int) bool {
-		ga, gb := groups[a].Vals, groups[b].Vals
-		for i := range ga {
-			if ga[i] != gb[i] {
-				return ga[i] < gb[i]
-			}
-		}
-		return false
-	})
-	index := make(map[string]int, len(groups))
-	for i, g := range groups {
-		index[g.Key] = i
+// FromCodes assembles a Result from an unordered coded relation — group gi
+// carries stats[gi] and codes[gi*len(attrs):][:len(attrs)] into dicts — and
+// is the one place group order is decided: lexicographic by value strings,
+// attribute by attribute. A stable LSD counting sort over dictionary ranks
+// (see Ranks; nil ranks are computed over the codes in use) yields exactly
+// that order, because distinct dictionary strings have distinct ranks.
+// Strings are decoded once, into one table the groups' Vals share.
+func FromCodes(attrs []string, measure string, dicts [][]string, ranks [][]uint32, codes []uint32, stats []Stats) *Result {
+	k, n := len(attrs), len(stats)
+	perm, next := make([]int, n), make([]int, n)
+	for i := range perm {
+		perm[i] = i
 	}
-	return &Result{Attrs: attrs, Measure: measure, Groups: groups, Index: index}
+	for ai := k - 1; ai >= 0 && n > 1; ai-- {
+		var rank []uint32
+		if ranks != nil {
+			rank = ranks[ai]
+		} else {
+			rank = rankCodes(dicts[ai], codes, k, ai)
+		}
+		counts := make([]int, len(rank)+1)
+		for gi := 0; gi < n; gi++ {
+			counts[rank[codes[gi*k+ai]]+1]++
+		}
+		for r := 1; r < len(counts); r++ {
+			counts[r] += counts[r-1]
+		}
+		for _, gi := range perm {
+			r := rank[codes[gi*k+ai]]
+			next[counts[r]] = gi
+			counts[r]++
+		}
+		perm, next = next, perm
+	}
+	r := &Result{Attrs: attrs, Measure: measure, Groups: make([]Group, n), Dicts: dicts}
+	var vals []string
+	if k > 0 { // the empty tuple keeps nil Vals, as data.DecodeKey has it
+		r.Codes, vals = make([]uint32, n*k), make([]string, n*k)
+	}
+	for i, gi := range perm {
+		lo, hi := i*k, (i+1)*k
+		copy(r.Codes[lo:hi], codes[gi*k:])
+		for ai, c := range r.Codes[lo:hi] {
+			vals[lo+ai] = dicts[ai][c]
+		}
+		r.Groups[i] = Group{Vals: vals[lo:hi:hi], Stats: stats[gi]}
+	}
+	return r
 }
 
-// Get returns the group with the given key values.
+// Ranks returns, per code of dict, the position of its string in the sorted
+// dictionary. A dictionary is immutable, so its owner ranks it once
+// (internal/cube does, per cube).
+func Ranks(dict []string) []uint32 {
+	all := make([]uint32, len(dict))
+	for c := range all {
+		all[c] = uint32(c)
+	}
+	return rankCodes(dict, all, 1, 0)
+}
+
+// rankCodes ranks, among themselves, the codes attribute ai takes in a
+// group-major code table of stride k; the ranks of codes it does not take are
+// meaningless.
+func rankCodes(dict []string, codes []uint32, k, ai int) []uint32 {
+	rank := make([]uint32, len(dict))
+	var used []uint32
+	for i := ai; i < len(codes); i += k {
+		if c := codes[i]; rank[c] == 0 {
+			rank[c] = 1
+			used = append(used, c)
+		}
+	}
+	slices.SortFunc(used, func(a, b uint32) int { return strings.Compare(dict[a], dict[b]) })
+	for r, c := range used {
+		rank[c] = uint32(r)
+	}
+	return rank
+}
+
+// NewResult assembles a Result from unordered string groups (the sharded
+// merge of internal/core, tests): it interns every attribute's values into a
+// dictionary of its own and funnels into FromCodes.
+func NewResult(attrs []string, measure string, groups []Group) *Result {
+	k := len(attrs)
+	dicts, interned := make([][]string, k), make([]map[string]uint32, k)
+	for ai := range interned {
+		interned[ai] = make(map[string]uint32)
+	}
+	codes := make([]uint32, 0, len(groups)*k)
+	stats := make([]Stats, len(groups))
+	for gi, g := range groups {
+		stats[gi] = g.Stats
+		for ai := range attrs {
+			v := g.Vals[ai]
+			c, ok := interned[ai][v]
+			if !ok {
+				c = uint32(len(dicts[ai]))
+				interned[ai][v] = c
+				dicts[ai] = append(dicts[ai], v)
+			}
+			codes = append(codes, c)
+		}
+	}
+	return FromCodes(attrs, measure, dicts, nil, codes, stats)
+}
+
+// Get returns the group with the given key values. The key index is built by
+// the first call, once, however many goroutines share the result.
 func (r *Result) Get(vals []string) (Group, bool) {
-	i, ok := r.Index[data.EncodeKey(vals)]
+	r.indexOnce.Do(func() {
+		r.index = make(map[string]int, len(r.Groups))
+		for i, g := range r.Groups {
+			r.index[g.Key()] = i
+		}
+	})
+	i, ok := r.index[data.EncodeKey(vals)]
 	if !ok {
 		return Group{}, false
 	}
 	return r.Groups[i], true
+}
+
+// Equal reports whether r and o hold the same relation — attributes, measure,
+// and every group's values and statistics, in order — whichever dictionaries
+// their codes index.
+func (r *Result) Equal(o *Result) bool {
+	return slices.Equal(r.Attrs, o.Attrs) && r.Measure == o.Measure &&
+		slices.EqualFunc(r.Groups, o.Groups, func(a, b Group) bool {
+			return a.Stats == b.Stats && slices.Equal(a.Vals, b.Vals)
+		})
 }
 
 // Total merges every group back into one statistic (G over the partition).
@@ -305,10 +428,6 @@ func scan(d *data.Dataset, attrs []string, measure string) *Result {
 		s.Sum += v
 		s.SumSq += v * v
 	}
-	var groups []Group
-	for gi, st := range stats {
-		vals := tuples.Values(gi)
-		groups = append(groups, Group{Key: data.EncodeKey(vals), Vals: vals, Stats: st})
-	}
-	return NewResult(attrs, measure, groups)
+	dicts, codes := tuples.Codes()
+	return FromCodes(attrs, measure, dicts, nil, codes, stats)
 }

@@ -1,10 +1,10 @@
 package agg
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -247,91 +247,29 @@ func TestGroupByMissingGroup(t *testing.T) {
 	}
 }
 
-// referenceGroupBy is the obviously-right group-by the scan kernel is checked
-// against: materialized strings, one string-keyed map, row order.
-func referenceGroupBy(d *data.Dataset, attrs []string, measure string) *Result {
-	cols := make([][]string, len(attrs))
-	for i, a := range attrs {
-		cols[i] = d.Dim(a)
+// TestGetBuildsIndexOnce: the key index is built by the first Get and shared
+// by every later one, also when the first look-ups race. Run with -race.
+func TestGetBuildsIndexOnce(t *testing.T) {
+	res := GroupBy(buildDemo(), []string{"district", "year"}, "severity")
+	if res.index != nil {
+		t.Fatal("index built before any Get")
 	}
-	index := make(map[string]int)
-	var groups []Group
-	for row, v := range d.Measure(measure) {
-		var vals []string
-		for i := range attrs {
-			vals = append(vals, cols[i][row])
-		}
-		key := data.EncodeKey(vals)
-		gi, ok := index[key]
-		if !ok {
-			gi = len(groups)
-			index[key] = gi
-			groups = append(groups, Group{Key: key, Vals: vals})
-		}
-		groups[gi].Stats = groups[gi].Stats.Add(Stats{Count: 1, Sum: v, SumSq: v * v})
-	}
-	return NewResult(attrs, measure, groups)
-}
-
-func TestGroupByCodedMatchesStringPath(t *testing.T) {
-	check := func(name string, d *data.Dataset, measure string, groupings ...[]string) {
-		t.Helper()
-		for _, attrs := range groupings {
-			want := referenceGroupBy(d, attrs, measure)
-			got := GroupBy(d, attrs, measure)
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s: GroupBy(%v) != string reference:\n got %+v\nwant %+v", name, attrs, got, want)
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if g, ok := res.Get([]string{"Ofla", "1987"}); !ok || g.Stats.Count != 1 {
+				t.Errorf("Get(Ofla, 1987) = %+v, %v", g, ok)
 			}
-		}
+		}()
 	}
-	d := buildDemo()
-	check("demo", d, "severity",
-		nil, // zero attributes: one group keyed by the empty tuple
-		[]string{"district"},
-		[]string{"village"},
-		[]string{"district", "year"},
-		[]string{"district", "village", "year"},
-	)
-	// No rows: empty dictionaries, no groups.
-	check("empty", d.Select(nil), "severity", nil, []string{"district"}, []string{"district", "village", "year"})
-	check("never filled", data.New("e", []string{"a"}, []string{"m"}, nil), "m", nil, []string{"a"})
-	// A row subset keeps its source's dictionaries, unused entries included.
-	check("subset", d.Where(data.Predicate{"district": "Raya"}), "severity",
-		[]string{"district"}, []string{"village", "year"})
-
-	// A randomized dataset exercises collisions and larger dictionaries.
-	rng := rand.New(rand.NewSource(3))
-	h := []data.Hierarchy{{Name: "a", Attrs: []string{"a"}}, {Name: "b", Attrs: []string{"b"}}, {Name: "c", Attrs: []string{"c"}}}
-	big := data.New("rand", []string{"a", "b", "c"}, []string{"m"}, h)
-	for i := 0; i < 2000; i++ {
-		big.AppendRowVals([]string{
-			fmt.Sprintf("a%02d", rng.Intn(17)),
-			fmt.Sprintf("b%02d", rng.Intn(11)),
-			fmt.Sprintf("c%02d", rng.Intn(23)),
-		}, []float64{rng.NormFloat64()})
+	wg.Wait()
+	built := reflect.ValueOf(res.index).Pointer()
+	if _, ok := res.Get([]string{"Raya", "1986"}); !ok || len(res.index) != len(res.Groups) {
+		t.Fatalf("index holds %d keys for %d groups", len(res.index), len(res.Groups))
 	}
-	check("rand", big, "m", []string{"a"}, []string{"a", "b"}, []string{"a", "b", "c"}, []string{"c", "a"})
-
-	// Ten attributes of 256 values each: the dictionary-size product passes
-	// 2^64 at the eighth, so 7 attributes bucket on the uint64 composite and
-	// 8, 9 and 10 on the byte-string key.
-	names := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9"}
-	wide := data.New("wide", names, []string{"m"}, nil)
-	vals := make([]string, len(names))
-	for i := 0; i < 1500; i++ {
-		for j := range vals {
-			v := i // the first 256 rows put every value into every dictionary
-			if i >= 256 {
-				v = rng.Intn(3) * 85 // then few enough values that groups repeat
-			}
-			vals[j] = fmt.Sprintf("v%03d", v%256)
-		}
-		wide.AppendRowVals(vals, []float64{rng.NormFloat64()})
+	if reflect.ValueOf(res.index).Pointer() != built {
+		t.Fatal("a later Get rebuilt the index")
 	}
-	for _, n := range names {
-		if dict, _ := wide.DimCodes(n); len(dict) != 256 {
-			t.Fatalf("test premise: dictionary %s has %d values, want 256", n, len(dict))
-		}
-	}
-	check("wide", wide, "m", names[:7], names[:8], names[:9], names, []string{"d9", "d0", "d5"})
 }

@@ -1,0 +1,172 @@
+package agg_test
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+
+	"repro/internal/agg"
+	"repro/internal/cube"
+	"repro/internal/data"
+)
+
+// referenceGroups is the obviously-right group-by every assembly path is
+// checked against: materialized strings, one string-keyed map, row order,
+// then a comparison sort of the string tuples.
+func referenceGroups(d *data.Dataset, attrs []string, measure string) []agg.Group {
+	cols := make([][]string, len(attrs))
+	for i, a := range attrs {
+		cols[i] = d.Dim(a)
+	}
+	index := make(map[string]int)
+	var groups []agg.Group
+	for row, v := range d.Measure(measure) {
+		var vals []string
+		for i := range attrs {
+			vals = append(vals, cols[i][row])
+		}
+		key := data.EncodeKey(vals)
+		gi, ok := index[key]
+		if !ok {
+			gi = len(groups)
+			index[key] = gi
+			groups = append(groups, agg.Group{Vals: vals})
+		}
+		groups[gi].Stats = groups[gi].Stats.Add(agg.Stats{Count: 1, Sum: v, SumSq: v * v})
+	}
+	sort.Slice(groups, func(a, b int) bool { return slices.Compare(groups[a].Vals, groups[b].Vals) < 0 })
+	return groups
+}
+
+// checkCoded verifies a result against the reference groups: the same tuples
+// and statistics in the same order, and a coded form — one code per group and
+// attribute, indexing the result's own dictionaries — that decodes to them.
+func checkCoded(t *testing.T, label string, got *agg.Result, attrs []string, measure string, want []agg.Group) {
+	t.Helper()
+	k := len(attrs)
+	if !slices.Equal(got.Attrs, attrs) || got.Measure != measure {
+		t.Fatalf("%s: result is over (%v, %q), want (%v, %q)", label, got.Attrs, got.Measure, attrs, measure)
+	}
+	if len(got.Groups) != len(want) || len(got.Codes) != len(want)*k || len(got.Dicts) != k {
+		t.Fatalf("%s: %d groups, %d codes, %d dictionaries; want %d groups over %d attributes",
+			label, len(got.Groups), len(got.Codes), len(got.Dicts), len(want), k)
+	}
+	for gi, g := range got.Groups {
+		if !slices.Equal(g.Vals, want[gi].Vals) || (k == 0) != (g.Vals == nil) || g.Stats != want[gi].Stats {
+			t.Fatalf("%s: group %d = %q %+v, want %q %+v", label, gi, g.Vals, g.Stats, want[gi].Vals, want[gi].Stats)
+		}
+		if g.Key() != data.EncodeKey(want[gi].Vals) {
+			t.Fatalf("%s: group %d key %q", label, gi, g.Key())
+		}
+		for ai, v := range g.Vals {
+			if dec := got.Dicts[ai][got.Codes[gi*k+ai]]; dec != v {
+				t.Fatalf("%s: group %d attribute %d decodes to %q, value is %q", label, gi, ai, dec, v)
+			}
+		}
+		if found, ok := got.Get(want[gi].Vals); !ok || !slices.Equal(found.Vals, g.Vals) || found.Stats != g.Stats {
+			t.Fatalf("%s: Get(%q) = %+v, %v", label, want[gi].Vals, found, ok)
+		}
+	}
+}
+
+// TestGroupByCodedMatchesStringPath holds every way a Result is assembled —
+// the row scan, the cube's prefix GroupBy and merging Rollup, and the string
+// constructor — to the string reference: same groups, same canonical order
+// (lexicographic by value strings, not by dictionary code), same coded form.
+func TestGroupByCodedMatchesStringPath(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	check := func(name string, d *data.Dataset, measure string, groupings ...[]string) {
+		t.Helper()
+		c, cubeErr := cube.Build(d)
+		for _, attrs := range groupings {
+			label := fmt.Sprintf("%s %v", name, attrs)
+			want := referenceGroups(d, attrs, measure)
+			scanned := agg.GroupBy(d, attrs, measure)
+			checkCoded(t, label+" scan", scanned, attrs, measure, want)
+
+			shuffled := slices.Clone(want)
+			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+			built := agg.NewResult(attrs, measure, shuffled)
+			checkCoded(t, label+" NewResult", built, attrs, measure, want)
+			if !built.Equal(scanned) || !scanned.Equal(built) {
+				t.Fatalf("%s: scan and NewResult results are not Equal", label)
+			}
+			if cubeErr != nil {
+				continue
+			}
+			if got, ok := c.GroupBy(attrs, measure); ok {
+				checkCoded(t, label+" cube", got, attrs, measure, want)
+			}
+			if got, ok := c.Rollup(attrs, measure); ok {
+				checkCoded(t, label+" rollup", got, attrs, measure, want)
+			}
+		}
+	}
+
+	h := []data.Hierarchy{
+		{Name: "geo", Attrs: []string{"district", "village"}},
+		{Name: "time", Attrs: []string{"year"}},
+	}
+	demo := data.New("drought", []string{"district", "village", "year"}, []string{"severity"}, h)
+	for _, r := range [][]string{
+		{"Ofla", "Adishim", "1986"}, {"Ofla", "Adishim", "1986"}, {"Ofla", "Darube", "1986"},
+		{"Ofla", "Zata", "1986"}, {"Ofla", "Adishim", "1987"}, {"Raya", "Kukufto", "1986"},
+	} {
+		demo.AppendRowVals(r, []float64{float64(len(r[1]))})
+	}
+	check("demo", demo, "severity",
+		nil, // zero attributes: one group keyed by the empty tuple
+		[]string{"district"},
+		[]string{"village"},
+		[]string{"district", "year"},
+		[]string{"district", "village", "year"},
+	)
+	// No rows: empty dictionaries, no groups.
+	check("empty", demo.Select(nil), "severity", nil, []string{"district"}, []string{"district", "village", "year"})
+	check("never filled", data.New("e", []string{"a"}, []string{"m"}, nil), "m", nil, []string{"a"})
+	// A row subset keeps its source's dictionaries, unused entries included.
+	check("subset", demo.Where(data.Predicate{"district": "Raya"}), "severity",
+		[]string{"district"}, []string{"village", "year"})
+
+	// Dictionaries whose code order (first appearance) is not the sorted
+	// order, holding prefix pairs, multi-byte values and the empty string;
+	// measures are integers, so Rollup's merged sums are exact.
+	values := []string{"b", "ab", "a", "é", "aé", "zz", "", "z", "日本", "日"}
+	hs := []data.Hierarchy{{Name: "ab", Attrs: []string{"a", "b"}}, {Name: "c", Attrs: []string{"c"}}}
+	mixed := data.New("mixed", []string{"a", "b", "c"}, []string{"m"}, hs)
+	for i := 0; i < 600; i++ {
+		mixed.AppendRowVals([]string{
+			values[rng.Intn(len(values))], values[rng.Intn(7)], values[3+rng.Intn(5)],
+		}, []float64{float64(rng.Intn(9))})
+	}
+	groupings := [][]string{
+		{"a"}, {"b"}, {"c"}, {"a", "b"}, {"c", "a"}, {"a", "b", "c"}, {"c", "a", "b"}, {"b", "c"}, {"b", "a"},
+	}
+	check("mixed", mixed, "m", groupings...)
+	check("mixed subset", mixed.Where(data.Predicate{"a": "ab"}), "m", groupings...)
+
+	// Ten attributes of 256 values each: the dictionary-size product passes
+	// 2^64 at the eighth, so 7 attributes bucket on the uint64 composite and
+	// 8, 9 and 10 on the byte-string key.
+	names := []string{"d0", "d1", "d2", "d3", "d4", "d5", "d6", "d7", "d8", "d9"}
+	wide := data.New("wide", names, []string{"m"}, nil)
+	vals := make([]string, len(names))
+	for i := 0; i < 1500; i++ {
+		for j := range vals {
+			v := 255 - i // the first 256 rows put every value into every dictionary, descending
+			if i >= 256 {
+				v = rng.Intn(3) * 85 // then few enough values that groups repeat
+			}
+			vals[j] = fmt.Sprintf("v%03d", v%256)
+		}
+		wide.AppendRowVals(vals, []float64{rng.NormFloat64()})
+	}
+	for _, n := range names {
+		if dict, _ := wide.DimCodes(n); len(dict) != 256 {
+			t.Fatalf("test premise: dictionary %s has %d values, want 256", n, len(dict))
+		}
+	}
+	check("wide", wide, "m", names[:7], names[:8], names[:9], names, []string{"d9", "d0", "d5"})
+}

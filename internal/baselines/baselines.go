@@ -73,7 +73,7 @@ func Raw(ds *data.Dataset, groups *agg.Result, children []int, measure string, c
 	vals := make(map[int][]float64, len(children))
 	childOf := make(map[string]int, len(children))
 	for _, gi := range children {
-		childOf[groups.Groups[gi].Key] = gi
+		childOf[groups.Groups[gi].Key()] = gi
 	}
 	ms := ds.Measure(measure)
 	for row := 0; row < ds.NumRows(); row++ {

@@ -10,7 +10,7 @@ import (
 
 func groupsFixture() []agg.Group {
 	mk := func(name string, vals []float64) agg.Group {
-		return agg.Group{Key: name, Vals: []string{name}, Stats: agg.FromValues(vals)}
+		return agg.Group{Vals: []string{name}, Stats: agg.FromValues(vals)}
 	}
 	return []agg.Group{
 		mk("a", []float64{10, 10, 10, 10}),     // normal
@@ -67,8 +67,8 @@ func TestRawWinsorization(t *testing.T) {
 	children := []int{0, 1}
 	c := core.Complaint{Agg: agg.Mean, Direction: core.TooHigh}
 	order := Raw(ds, groups, children, "m", c)
-	if groups.Groups[children[order[0]]].Key != "a" {
-		t.Errorf("Raw top = %v, want group a", groups.Groups[children[order[0]]].Key)
+	if groups.Groups[children[order[0]]].Key() != "a" {
+		t.Errorf("Raw top = %v, want group a", groups.Groups[children[order[0]]].Key())
 	}
 }
 

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/data"
+	"repro/internal/feature"
 	"repro/internal/mlm"
 )
 
@@ -259,5 +261,73 @@ func TestConcurrentTrainCrossSharesFactorizer(t *testing.T) {
 				t.Errorf("materialize=%v %v: concurrent fit over the shared factorizer differs from the sequential one", materialize, stats[i])
 			}
 		}
+	}
+}
+
+// TestConcurrentFitsShareLazyGroupIndex has concurrent fits read one memoised
+// group-by through agg.Result.Get: a SUM complaint fits its MEAN and COUNT
+// models side by side, a lag feature makes each look groups up by key, and
+// the result's key index is built lazily by whichever look-up comes first.
+// The race detector is the assertion that it is built once; the results must
+// also match an engine that shares nothing. Run with -race.
+func TestConcurrentFitsShareLazyGroupIndex(t *testing.T) {
+	sc := buildScenario(5)
+	sc.corruptMean("d1_v2", "1993", 5)
+	opts := Options{EMIterations: 6, Workers: 4, GroupFeatures: []feature.GroupFeature{feature.LagFeature("year", 1)}}
+	c := Complaint{Agg: agg.Sum, Measure: "severity", Tuple: data.Predicate{"district": "d1", "year": "1993"}, Direction: TooHigh}
+
+	recommend := func(eng *Engine) *Recommendation {
+		s, err := eng.NewSession([]string{"district", "year"})
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		rec, err := s.Recommend(c)
+		if err != nil {
+			t.Error(err)
+		}
+		return rec
+	}
+	for round := 0; round < 10; round++ {
+		shared, err := NewEngine(sc.ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqOpts := opts
+		seqOpts.Workers = 1
+		fresh, err := NewEngine(sc.ds, seqOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := recommend(fresh)
+		got := make([]*Recommendation, 4)
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = recommend(shared)
+			}()
+		}
+		wg.Wait()
+		for i, rec := range got {
+			if !reflect.DeepEqual(rec, want) {
+				t.Fatalf("round %d caller %d: recommendation differs from the sequential engine's", round, i)
+			}
+		}
+	}
+}
+
+// TestPredictGroupStatsZeroAttributes: the zero-attribute group-by is a
+// legitimate aggregation (one group, the empty tuple) but has nothing to
+// featurize; the fit must say so instead of indexing the first attribute.
+func TestPredictGroupStatsZeroAttributes(t *testing.T) {
+	eng, err := NewEngine(buildScenario(3).ds, Options{EMIterations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = eng.PredictGroupStats(nil, "severity", agg.Mean)
+	if err == nil || !strings.Contains(err.Error(), "feature: no attributes to featurize") {
+		t.Fatalf("PredictGroupStats(nil) error = %v, want feature: no attributes to featurize", err)
 	}
 }

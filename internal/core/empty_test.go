@@ -143,7 +143,7 @@ func TestNaiveFullMatchesFactorised(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tops[i] = rec.Best.Ranked[0].Group.Key
+		tops[i] = rec.Best.Ranked[0].Group.Key()
 	}
 	if tops[0] != tops[1] {
 		t.Errorf("factorised top %q != naive-full top %q", tops[0], tops[1])

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -553,8 +554,7 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 		for f, sm := range models {
 			pred[f] = sm.predict(sm.fs.Row(vals), sm.rowOf(sibling))
 		}
-		g := agg.Group{Key: data.EncodeKey(gvals), Vals: gvals}
-		hr.Ranked = append(hr.Ranked, score(g, pred))
+		hr.Ranked = append(hr.Ranked, score(agg.Group{Vals: gvals}, pred))
 	}
 	sort.SliceStable(hr.Ranked, func(a, b int) bool { return hr.Ranked[a].Score < hr.Ranked[b].Score })
 	if e.opts.TopK > 0 && len(hr.Ranked) > e.opts.TopK {
@@ -778,15 +778,6 @@ func zMaskFor(re RandomEffects, featMask []bool, typicalCluster float64) []bool 
 	return mask
 }
 
-func allTrue(mask []bool) bool {
-	for _, m := range mask {
-		if !m {
-			return false
-		}
-	}
-	return true
-}
-
 // factorizer returns the factorised representation of the view drilled one
 // level into h: every hierarchy at its current depth, the drilled hierarchy
 // one level deeper and ordered last. It is memoised per drilled view and only
@@ -875,7 +866,7 @@ func trainNaive(groups *agg.Result, fs *feature.Set, y []float64, opts mlm.Optio
 // backend when Z = X, the closed-form intercept design when only the
 // (constant-1) intercept column is kept, and a column subset otherwise.
 func zBackend(backend mlm.Backend, zmask []bool) (mlm.Backend, error) {
-	if allTrue(zmask) {
+	if !slices.Contains(zmask, false) {
 		return backend, nil
 	}
 	kept, only0 := 0, true
@@ -997,26 +988,27 @@ func groupRowIndex(fz *factor.Factorizer, groups *agg.Result) ([]int, error) {
 	for pos := 0; pos < nh; pos++ {
 		ch := fz.Chain(pos)
 		name := ch.Levels[ch.Depth()-1].Attr
-		idx := -1
-		for ai, a := range groups.Attrs {
-			if a == name {
-				idx = ai
-			}
-		}
-		if idx < 0 {
+		if deepAttr[pos] = slices.Index(groups.Attrs, name); deepAttr[pos] < 0 {
 			return nil, fmt.Errorf("core: factorizer attribute %q missing from group-by %v", name, groups.Attrs)
 		}
-		deepAttr[pos] = idx
+	}
+	// One LeafIndex look-up per dictionary code; -1 marks a value outside the
+	// factorizer, an error only if a group carries it.
+	leafOf := make([][]int, nh)
+	for pos, ai := range deepAttr {
+		leafOf[pos] = make([]int, len(groups.Dicts[ai]))
+		for code, v := range groups.Dicts[ai] {
+			leafOf[pos][code] = fz.LeafIndex(pos, v)
+		}
 	}
 	rowOf := make([]int, len(groups.Groups))
 	leaf := make([]int, nh)
-	for gi, g := range groups.Groups {
-		for pos := 0; pos < nh; pos++ {
-			li := fz.LeafIndex(pos, g.Vals[deepAttr[pos]])
-			if li < 0 {
-				return nil, fmt.Errorf("core: value %q not in factorizer hierarchy %q", g.Vals[deepAttr[pos]], fz.HierarchyName(pos))
+	for gi := range rowOf {
+		for pos, ai := range deepAttr {
+			code := groups.Codes[gi*len(groups.Attrs)+ai]
+			if leaf[pos] = leafOf[pos][code]; leaf[pos] < 0 {
+				return nil, fmt.Errorf("core: value %q not in factorizer hierarchy %q", groups.Dicts[ai][code], fz.HierarchyName(pos))
 			}
-			leaf[pos] = li
 		}
 		rowOf[gi] = fz.RowIndexOf(leaf)
 	}

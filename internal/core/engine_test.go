@@ -262,7 +262,7 @@ func TestNaiveAndFactorisedAgreeOnCompleteCross(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tops[i] = rec.Best.Ranked[0].Group.Key
+		tops[i] = rec.Best.Ranked[0].Group.Key()
 		if rec.Best.Hierarchy != "geo" {
 			t.Fatalf("trainer %d best hierarchy = %s", i, rec.Best.Hierarchy)
 		}

@@ -138,10 +138,11 @@ func mergePartials(attrs []string, measure string, partials []*agg.Result) *agg.
 	var groups []agg.Group
 	for _, p := range partials {
 		for _, g := range p.Groups {
-			if gi, ok := index[g.Key]; ok {
+			key := g.Key()
+			if gi, ok := index[key]; ok {
 				groups[gi].Stats = groups[gi].Stats.Add(g.Stats)
 			} else {
-				index[g.Key] = len(groups)
+				index[key] = len(groups)
 				groups = append(groups, g)
 			}
 		}

@@ -127,17 +127,95 @@ func BenchmarkGroupByCoded(b *testing.B) {
 	}
 }
 
-// BenchmarkGroupByCube is the same call against the cube-attached dataset:
-// agg.GroupBy answers from the materialized level in O(groups), decoding and
-// sorting 100 cells instead of scanning 43200 rows.
+// leafShape builds a dataset of the repository benchmark's deep_fit shape —
+// geo (3 levels), time and prod (2 each), one row per leaf combination, the
+// cube attached — and returns it with its leaf-level grouping: the other
+// hierarchies first, the drilled one last, as the engine orders them. With
+// five villages per district that is 30 × 24 × 16 = 11,520 groups.
+func leafShape(tb testing.TB, villages int) (*data.Dataset, []string) {
+	h := []data.Hierarchy{
+		{Name: "geo", Attrs: []string{"region", "district", "village"}},
+		{Name: "time", Attrs: []string{"year", "month"}},
+		{Name: "prod", Attrs: []string{"category", "item"}},
+	}
+	ds := data.New("leaf", []string{"region", "district", "village", "year", "month", "category", "item"}, []string{"units"}, h)
+	for v := 0; v < 6*villages; v++ {
+		r, d := v/(2*villages), v/villages
+		for m := 0; m < 24; m++ {
+			for it := 0; it < 16; it++ {
+				ds.AppendRowVals([]string{
+					fmt.Sprintf("r%d", r), fmt.Sprintf("r%d_d%d", r, d), fmt.Sprintf("r%d_d%d_v%02d", r, d, v),
+					fmt.Sprintf("y%d", m/12), fmt.Sprintf("y%d_m%02d", m/12, m),
+					fmt.Sprintf("c%d", it/4), fmt.Sprintf("c%d_i%02d", it/4, it),
+				}, []float64{float64((v*7 + m*3 + it) % 23)})
+			}
+		}
+	}
+	snap := store.FromDataset(ds)
+	if err := snap.BuildCube(); err != nil {
+		tb.Fatal(err)
+	}
+	cubed, err := snap.Dataset()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cubed, []string{"year", "month", "category", "item", "region", "district", "village"}
+}
+
+// BenchmarkGroupByCube is the same call against a cube-attached dataset:
+// agg.GroupBy answers from the materialized level in O(groups) — first_drill
+// decodes and orders 100 cells instead of scanning 43200 rows, leaf the
+// 11,520 cells of a leaf-level drill state (the deep_fit shape), where the
+// group-by is a visible share of a cold recommend.
 func BenchmarkGroupByCube(b *testing.B) {
 	benchFixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := agg.GroupBy(benchData.cubed, benchData.attrs, benchData.measure)
-		if len(r.Groups) != 100 {
-			b.Fatalf("groups = %d", len(r.Groups))
+	leaf, leafAttrs := leafShape(b, 5)
+	for _, bc := range []struct {
+		name   string
+		ds     *data.Dataset
+		attrs  []string
+		groups int
+	}{
+		{"first_drill", benchData.cubed, benchData.attrs, 100},
+		{"leaf", leaf, leafAttrs, 11520},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			measure := bc.ds.MeasureNames()[0]
+			for i := 0; i < b.N; i++ {
+				if r := agg.GroupBy(bc.ds, bc.attrs, measure); len(r.Groups) != bc.groups {
+					b.Fatalf("groups = %d", len(r.Groups))
+				}
+			}
+		})
+	}
+}
+
+// TestCubeGroupByAllocations: a cube group-by hands codes over and decodes
+// strings into one table, so the number of allocations per call is a small
+// constant of the grouping's shape — not a function of its group count.
+func TestCubeGroupByAllocations(t *testing.T) {
+	allocs := func(villages int) (float64, int) {
+		ds, attrs := leafShape(t, villages)
+		m, ok := agg.MaterializedOf(ds)
+		if !ok {
+			t.Fatal("no cube attached")
 		}
+		groups := 0
+		return testing.AllocsPerRun(10, func() {
+			r, ok := m.GroupBy(attrs, "units")
+			if !ok {
+				t.Fatal("cube declined the leaf grouping")
+			}
+			groups = len(r.Groups)
+		}), groups
+	}
+	small, nSmall := allocs(1)
+	large, nLarge := allocs(5)
+	if nSmall != 2304 || nLarge != 11520 {
+		t.Fatalf("groups = %d and %d, want 2304 and 11520", nSmall, nLarge)
+	}
+	if small != large || large > 32 {
+		t.Fatalf("allocations per GroupBy: %v for %d groups, %v for %d; want equal and at most 32", small, nSmall, large, nLarge)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/agg"
 	"repro/internal/data"
@@ -59,6 +60,11 @@ type Cube struct {
 	// hierarchy h: the size of the composite key space of its depth-d prefix.
 	prefixRadix [][]uint64
 	levels      []*level // in lattice order (latticeIndex over depth vectors)
+
+	// ranks[ai] is agg.Ranks of attribute ai's dictionary, built by the first
+	// GroupBy or Rollup (see project) and read-only afterwards.
+	ranksOnce sync.Once
+	ranks     [][]uint32
 }
 
 // skeleton builds an empty cube over the dataset's schema: flattened
@@ -320,31 +326,36 @@ func (c *Cube) GroupBy(attrs []string, measure string) (*agg.Result, bool) {
 		}
 	}
 	lv := c.levels[c.latticeIndex(depths)]
-	// Position of each query attribute within the level's canonical order.
-	pos := make([]int, len(attrs))
-	for qi, ai := range flat {
-		for i, la := range lv.attrs {
-			if la == ai {
-				pos[qi] = i
-				break
-			}
-		}
-	}
-	var groups []agg.Group
-	codes := make([]uint64, len(lv.attrs))
+	pos, dicts, ranks := c.project(lv, flat)
+	codes := make([]uint32, 0, len(lv.keys)*len(attrs))
+	stats := make([]agg.Stats, len(lv.keys))
+	cell := make([]uint64, len(lv.attrs))
 	for ci, k := range lv.keys {
-		c.decodeKey(lv, k, codes)
-		vals := make([]string, len(attrs))
-		for qi := range attrs {
-			vals[qi] = c.attrs[flat[qi]].dict[codes[pos[qi]]]
+		c.decodeKey(lv, k, cell)
+		for _, p := range pos {
+			codes = append(codes, uint32(cell[p]))
 		}
-		groups = append(groups, agg.Group{
-			Key:   data.EncodeKey(vals),
-			Vals:  vals,
-			Stats: agg.Stats{Count: lv.counts[ci], Sum: lv.sums[mi][ci], SumSq: lv.sumsqs[mi][ci]},
-		})
+		stats[ci] = agg.Stats{Count: lv.counts[ci], Sum: lv.sums[mi][ci], SumSq: lv.sumsqs[mi][ci]}
 	}
-	return agg.NewResult(attrs, measure, groups), true
+	return agg.FromCodes(attrs, measure, dicts, ranks, codes, stats), true
+}
+
+// project prepares reading the query attributes flat out of level lv's cells:
+// their positions in the level's canonical order, their dictionaries, and the
+// dictionaries' ranks (agg.FromCodes's sort key), built by the cube's first query.
+func (c *Cube) project(lv *level, flat []int) (pos []int, dicts [][]string, ranks [][]uint32) {
+	c.ranksOnce.Do(func() {
+		c.ranks = make([][]uint32, len(c.attrs))
+		for ai, a := range c.attrs {
+			c.ranks[ai] = agg.Ranks(a.dict)
+		}
+	})
+	pos, dicts, ranks = make([]int, len(flat)), make([][]string, len(flat)), make([][]uint32, len(flat))
+	for qi, ai := range flat {
+		pos[qi] = slices.Index(lv.attrs, ai)
+		dicts[qi], ranks[qi] = c.attrs[ai].dict, c.ranks[ai]
+	}
+	return pos, dicts, ranks
 }
 
 // Rollup answers an arbitrary grouping over hierarchy attributes — prefix or
@@ -369,37 +380,29 @@ func (c *Cube) Rollup(attrs []string, measure string) (*agg.Result, bool) {
 		depths[hi] = maxLvl[hi] + 1
 	}
 	lv := c.levels[c.latticeIndex(depths)]
-	pos := make([]int, len(attrs))
-	for qi, ai := range flat {
-		for i, la := range lv.attrs {
-			if la == ai {
-				pos[qi] = i
-				break
-			}
-		}
-	}
-	codes := make([]uint64, len(lv.attrs))
-	cellOf := make(map[uint64]int)
-	var groups []agg.Group
+	pos, dicts, ranks := c.project(lv, flat)
+	var codes []uint32
+	var stats []agg.Stats
+	cell := make([]uint64, len(lv.attrs))
+	groupOf := make(map[uint64]int)
 	for ci, k := range lv.keys {
-		c.decodeKey(lv, k, codes)
+		c.decodeKey(lv, k, cell)
 		pk := uint64(0)
-		for qi := range attrs {
-			pk = pk*c.attrs[flat[qi]].radix + codes[pos[qi]]
+		for qi, p := range pos {
+			pk = pk*c.attrs[flat[qi]].radix + cell[p]
 		}
-		cell := agg.Stats{Count: lv.counts[ci], Sum: lv.sums[mi][ci], SumSq: lv.sumsqs[mi][ci]}
-		if gi, ok := cellOf[pk]; ok {
-			groups[gi].Stats = groups[gi].Stats.Add(cell)
+		st := agg.Stats{Count: lv.counts[ci], Sum: lv.sums[mi][ci], SumSq: lv.sumsqs[mi][ci]}
+		if gi, ok := groupOf[pk]; ok {
+			stats[gi] = stats[gi].Add(st)
 			continue
 		}
-		vals := make([]string, len(attrs))
-		for qi := range attrs {
-			vals[qi] = c.attrs[flat[qi]].dict[codes[pos[qi]]]
+		groupOf[pk] = len(stats)
+		stats = append(stats, st)
+		for _, p := range pos {
+			codes = append(codes, uint32(cell[p]))
 		}
-		cellOf[pk] = len(groups)
-		groups = append(groups, agg.Group{Key: data.EncodeKey(vals), Vals: vals, Stats: cell})
 	}
-	return agg.NewResult(attrs, measure, groups), true
+	return agg.FromCodes(attrs, measure, dicts, ranks, codes, stats), true
 }
 
 // HierarchyPaths enumerates the distinct full-depth paths of hierarchy h

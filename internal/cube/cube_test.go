@@ -99,7 +99,7 @@ func TestGroupByMatchesScanExactly(t *testing.T) {
 			if !ok {
 				t.Fatalf("GroupBy(%v, %s): cube declined", attrs, measure)
 			}
-			if !reflect.DeepEqual(got, want) {
+			if !got.Equal(want) {
 				t.Fatalf("GroupBy(%v, %s) differs from scan:\ncube: %+v\nscan: %+v",
 					attrs, measure, got.Groups[:min(3, len(got.Groups))], want.Groups[:min(3, len(want.Groups))])
 			}
@@ -122,12 +122,12 @@ func TestGroupByThroughAggAttachment(t *testing.T) {
 	attrs := []string{"year", "region", "district"}
 	want := agg.GroupBy(plain, attrs, "severity")
 	got := agg.GroupBy(cubed, attrs, "severity")
-	if !reflect.DeepEqual(got, want) {
+	if !got.Equal(want) {
 		t.Fatal("agg.GroupBy over attached cube differs from scan")
 	}
 	// Non-prefix groupings fall back to the scan transparently.
 	np := agg.GroupBy(cubed, []string{"district"}, "severity")
-	if !reflect.DeepEqual(np, agg.GroupBy(plain, []string{"district"}, "severity")) {
+	if !np.Equal(agg.GroupBy(plain, []string{"district"}, "severity")) {
 		t.Fatal("fallback scan over attached cube differs from plain scan")
 	}
 }
@@ -176,7 +176,7 @@ func TestRollupMergesCells(t *testing.T) {
 		}
 		for i, g := range got.Groups {
 			w := want.Groups[i]
-			if g.Key != w.Key || g.Stats.Count != w.Stats.Count {
+			if g.Key() != w.Key() || g.Stats.Count != w.Stats.Count {
 				t.Fatalf("Rollup(%v) group %d: %+v, want %+v", attrs, i, g, w)
 			}
 			if rel := math.Abs(g.Stats.Sum-w.Stats.Sum) / math.Max(1, math.Abs(w.Stats.Sum)); rel > 1e-9 {
@@ -186,7 +186,7 @@ func TestRollupMergesCells(t *testing.T) {
 	}
 	// Prefix groupings roll up without any merging and stay exact.
 	got, _ := c.Rollup([]string{"region", "year"}, "rain")
-	if !reflect.DeepEqual(got, agg.GroupBy(coded, []string{"region", "year"}, "rain")) {
+	if !got.Equal(agg.GroupBy(coded, []string{"region", "year"}, "rain")) {
 		t.Fatal("prefix Rollup differs from scan")
 	}
 }
@@ -270,7 +270,7 @@ func TestMergeMatchesRebuild(t *testing.T) {
 		if !ok1 || !ok2 {
 			t.Fatalf("GroupBy(%v) declined (merged %v rebuilt %v)", attrs, ok1, ok2)
 		}
-		if !reflect.DeepEqual(got, want) {
+		if !got.Equal(want) {
 			t.Fatalf("GroupBy(%v): merged differs from rebuilt", attrs)
 		}
 	}
@@ -355,7 +355,7 @@ func TestConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				got, ok := c.GroupBy([]string{"region", "year"}, "severity")
-				if !ok || !reflect.DeepEqual(got, want) {
+				if !ok || !got.Equal(want) {
 					t.Error("concurrent GroupBy diverged")
 					return
 				}

@@ -80,6 +80,18 @@ func (t *TupleIndex) Add(row int) int {
 // Len returns the number of distinct tuples added so far.
 func (t *TupleIndex) Len() int { return len(t.first) }
 
+// Codes returns the attributes' dictionaries and every tuple's codes into
+// them, tuple-major in id order with one code per attribute.
+func (t *TupleIndex) Codes() (dicts [][]string, codes []uint32) {
+	codes = make([]uint32, 0, len(t.first)*len(t.codes))
+	for _, row := range t.first {
+		for _, cs := range t.codes {
+			codes = append(codes, cs[row])
+		}
+	}
+	return t.dicts, codes
+}
+
 // Values decodes tuple id into its dimension values, one per attribute — nil
 // for the empty tuple, as DecodeKey has it.
 func (t *TupleIndex) Values(id int) []string {

@@ -4,6 +4,12 @@
 // column selection. The output is a set of per-attribute value→feature maps
 // that can be rendered either as a dense design matrix over observed groups
 // or as factorised columns over a factorizer's attribute values.
+//
+// Build and the dense rendering read a group-by's codes (agg.Result.Codes),
+// never its strings: main-effect medians are bucketed by a counting sort on
+// the codes and taken in place, and a column is evaluated once per dictionary
+// code. Col.Map stays the string-keyed view that custom and auxiliary
+// features, Row and FactorColumns consume. Nothing here writes to the result.
 package feature
 
 import (
@@ -99,6 +105,9 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 	if len(groups.Groups) == 0 {
 		return nil, fmt.Errorf("feature: no groups to featurize")
 	}
+	if len(groups.Attrs) == 0 {
+		return nil, fmt.Errorf("feature: no attributes to featurize")
+	}
 	s := &Set{Attrs: append([]string(nil), groups.Attrs...)}
 	s.Cols = append(s.Cols, Col{Name: "intercept", Attr: groups.Attrs[0], Default: 1, InZ: true})
 
@@ -109,27 +118,38 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 
 	// Main effects per attribute. Values absent from the training groups
 	// default to the overall median, which no attribute changes.
-	medianY := mat.Median(y)
+	k := len(groups.Attrs)
+	buf := slices.Clone(y) // scratch: y whole, then bucketed by each attribute's code
+	medianY := mat.MedianInPlace(buf)
+	var ends []int
 	for ai, attr := range groups.Attrs {
-		perVal := make(map[string][]float64)
-		for gi, g := range groups.Groups {
-			perVal[g.Vals[ai]] = append(perVal[g.Vals[ai]], y[gi])
+		// A counting sort on the codes: ends[c+1] counts code c, then starts
+		// its bucket, and after the fill (in group order) ends[c] closes it.
+		dict := groups.Dicts[ai]
+		ends = append(ends[:0], make([]int, len(dict)+1)...)
+		for gi := range y {
+			ends[groups.Codes[gi*k+ai]+1]++
 		}
-		if !spec.KeepLeaky {
-			oneToOne := true
-			for _, ys := range perVal {
-				if len(ys) > 1 {
-					oneToOne = false
-					break
-				}
-			}
-			if oneToOne {
-				continue // the median would equal the group's own statistic
-			}
+		oneToOne := true
+		for c := range dict {
+			oneToOne = oneToOne && ends[c+1] <= 1
+			ends[c+1] += ends[c]
 		}
-		m := make(map[string]float64, len(perVal))
-		for v, ys := range perVal {
-			m[v] = mat.Median(ys)
+		if oneToOne && !spec.KeepLeaky {
+			continue // the median would equal the group's own statistic
+		}
+		for gi, v := range y {
+			c := groups.Codes[gi*k+ai]
+			buf[ends[c]] = v
+			ends[c]++
+		}
+		m := make(map[string]float64, min(len(dict), len(y)))
+		lo := 0
+		for c, v := range dict {
+			if hi := ends[c]; hi > lo {
+				m[v] = mat.MedianInPlace(buf[lo:hi])
+				lo = hi
+			}
 		}
 		name := "main:" + attr
 		s.Cols = append(s.Cols, Col{
@@ -137,37 +157,37 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 			Attr:    attr,
 			Map:     m,
 			Default: medianY,
-			InZ:     !contains(spec.ExcludeFromZ, name),
+			InZ:     !slices.Contains(spec.ExcludeFromZ, name),
 		})
 	}
 
 	// Auxiliary join features (applicable once their attribute is in the
 	// group-by).
 	for _, aux := range spec.Aux {
-		if !contains(groups.Attrs, aux.JoinAttr) {
+		if !slices.Contains(groups.Attrs, aux.JoinAttr) {
 			continue
 		}
 		col, err := buildAuxCol(aux)
 		if err != nil {
 			return nil, err
 		}
-		col.InZ = !contains(spec.ExcludeFromZ, col.Name)
+		col.InZ = !slices.Contains(spec.ExcludeFromZ, col.Name)
 		s.Cols = append(s.Cols, col)
 	}
 
 	// Custom features.
 	for _, c := range spec.Custom {
-		if !contains(groups.Attrs, c.Attr) {
+		if !slices.Contains(groups.Attrs, c.Attr) {
 			continue
 		}
-		ai := indexOf(groups.Attrs, c.Attr)
-		valSet := make(map[string]struct{})
-		for _, g := range groups.Groups {
-			valSet[g.Vals[ai]] = struct{}{}
-		}
-		vals := make([]string, 0, len(valSet))
-		for v := range valSet {
-			vals = append(vals, v)
+		ai := slices.Index(groups.Attrs, c.Attr)
+		seen := make([]bool, len(groups.Dicts[ai]))
+		var vals []string
+		for i := ai; i < len(groups.Codes); i += k {
+			if code := groups.Codes[i]; !seen[code] {
+				seen[code] = true
+				vals = append(vals, groups.Dicts[ai][code])
+			}
 		}
 		sort.Strings(vals)
 		m := c.Fn(vals, groups)
@@ -179,7 +199,7 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 			Name: name,
 			Attr: c.Attr,
 			Map:  m,
-			InZ:  !contains(spec.ExcludeFromZ, name),
+			InZ:  !slices.Contains(spec.ExcludeFromZ, name),
 		})
 	}
 	return s, nil
@@ -220,20 +240,24 @@ func buildAuxCol(aux Aux) (Col, error) {
 }
 
 // DenseX renders the feature set as a dense design matrix with one row per
-// group (in group order), group-feature columns last.
+// group (in group order), group-feature columns last. A column's value is
+// looked up once per dictionary code of its attribute, not once per group.
 func (s *Set) DenseX(groups *agg.Result) *mat.Matrix {
-	k := s.NumCols()
-	x := mat.New(len(groups.Groups), k)
-	attrIdx := make([]int, len(s.Cols))
+	x := mat.New(len(groups.Groups), s.NumCols())
+	k := len(groups.Attrs)
 	for ci, c := range s.Cols {
-		attrIdx[ci] = indexOf(groups.Attrs, c.Attr)
-	}
-	for gi, g := range groups.Groups {
-		for ci, c := range s.Cols {
-			x.Set(gi, ci, c.Value(g.Vals[attrIdx[ci]]))
+		ai := slices.Index(groups.Attrs, c.Attr)
+		byCode := make([]float64, len(groups.Dicts[ai]))
+		for code, v := range groups.Dicts[ai] {
+			byCode[code] = c.Value(v)
 		}
-		for ei, e := range s.Extra {
-			x.Set(gi, len(s.Cols)+ei, e.Vals[gi])
+		for gi := range groups.Groups {
+			x.Set(gi, ci, byCode[groups.Codes[gi*k+ai]])
+		}
+	}
+	for ei, e := range s.Extra {
+		for gi, v := range e.Vals {
+			x.Set(gi, len(s.Cols)+ei, v)
 		}
 	}
 	return x
@@ -255,7 +279,7 @@ func (s *Set) GroupRow(groups *agg.Result, gi int) []float64 {
 	row := make([]float64, s.NumCols())
 	g := groups.Groups[gi]
 	for ci, c := range s.Cols {
-		row[ci] = c.Value(g.Vals[indexOf(groups.Attrs, c.Attr)])
+		row[ci] = c.Value(g.Vals[slices.Index(groups.Attrs, c.Attr)])
 	}
 	for ei, e := range s.Extra {
 		row[len(s.Cols)+ei] = e.Vals[gi]
@@ -303,35 +327,13 @@ func (s *Set) ZMask() []bool {
 // group-by result: groups sharing every attribute value except the last form
 // one cluster. The result is suitable for mlm.NewDense.
 func ClusterStarts(groups *agg.Result) []int {
-	if len(groups.Groups) == 0 {
-		return nil
-	}
+	k := len(groups.Attrs)
 	var starts []int
-	var prev []string
-	for gi, g := range groups.Groups {
-		prefix := g.Vals[:len(g.Vals)-1]
-		if gi == 0 || !slices.Equal(prefix, prev) {
+	for gi := range groups.Groups {
+		row := groups.Codes[gi*k:]
+		if gi == 0 || !slices.Equal(row[:k-1], groups.Codes[(gi-1)*k:gi*k-1]) {
 			starts = append(starts, gi)
-			prev = prefix
 		}
 	}
 	return starts
-}
-
-func contains(list []string, v string) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func indexOf(list []string, v string) int {
-	for i, x := range list {
-		if x == v {
-			return i
-		}
-	}
-	return -1
 }

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/agg"
@@ -52,7 +53,7 @@ func BuildWithGroupFeatures(groups *agg.Result, spec Spec, gfs []GroupFeature) (
 		s.Extra = append(s.Extra, extraCol{
 			Name: name,
 			Vals: vals,
-			InZ:  !contains(spec.ExcludeFromZ, name),
+			InZ:  !slices.Contains(spec.ExcludeFromZ, name),
 		})
 	}
 	return s, nil
@@ -67,7 +68,7 @@ func LagFeature(timeAttr string, lag int) GroupFeature {
 	return GroupFeature{
 		Name: fmt.Sprintf("lag%d:%s", lag, timeAttr),
 		Fn: func(groups *agg.Result, target agg.Func) []float64 {
-			ti := indexOf(groups.Attrs, timeAttr)
+			ti := slices.Index(groups.Attrs, timeAttr)
 			out := make([]float64, len(groups.Groups))
 			if ti < 0 {
 				for gi, g := range groups.Groups {
@@ -84,7 +85,7 @@ func LagFeature(timeAttr string, lag int) GroupFeature {
 					order = append(order, g.Vals[ti])
 				}
 			}
-			sortStrings(order)
+			sort.Strings(order)
 			for i, v := range order {
 				pos[v] = i
 			}
@@ -106,8 +107,6 @@ func LagFeature(timeAttr string, lag int) GroupFeature {
 		},
 	}
 }
-
-func sortStrings(s []string) { sort.Strings(s) }
 
 // AuxGroupFeature joins an auxiliary table on multiple attributes (the
 // multi-attribute external feature of Appendix H): each group's feature is
@@ -136,7 +135,7 @@ func AuxGroupFeature(name string, table *data.Dataset, joinAttrs []string, measu
 			}
 			idx := make([]int, len(joinAttrs))
 			for i, a := range joinAttrs {
-				idx[i] = indexOf(groups.Attrs, a)
+				idx[i] = slices.Index(groups.Attrs, a)
 			}
 			out := make([]float64, len(groups.Groups))
 			seen := make([]bool, len(groups.Groups))

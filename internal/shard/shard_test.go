@@ -283,7 +283,7 @@ func TestAppendMaintainsCubes(t *testing.T) {
 				if !ok1 {
 					continue
 				}
-				if !reflect.DeepEqual(got.Groups, want.Groups) {
+				if !got.Equal(want) {
 					t.Fatalf("shard %d %v/%s: merged cube diverges from rebuild", si, attrs, measure)
 				}
 			}
@@ -328,22 +328,22 @@ func TestMergedStatsMatchWholeCube(t *testing.T) {
 		for _, sds := range shardDS {
 			part := agg.GroupBy(sds, attrs, "one")
 			for _, g := range part.Groups {
-				if _, seen := merged[g.Key]; !seen {
-					order = append(order, g.Key)
+				if _, seen := merged[g.Key()]; !seen {
+					order = append(order, g.Key())
 				}
-				merged[g.Key] = merged[g.Key].Add(g.Stats)
+				merged[g.Key()] = merged[g.Key()].Add(g.Stats)
 			}
 		}
 		if len(order) != len(cells.Groups) {
 			t.Fatalf("%v: merged %d groups, cube has %d", attrs, len(order), len(cells.Groups))
 		}
 		for _, g := range cells.Groups {
-			ms, ok := merged[g.Key]
+			ms, ok := merged[g.Key()]
 			if !ok {
-				t.Fatalf("%v: cube group %q missing from merged partials", attrs, g.Key)
+				t.Fatalf("%v: cube group %q missing from merged partials", attrs, g.Key())
 			}
 			if !reflect.DeepEqual(ms, g.Stats) {
-				t.Fatalf("%v group %q: merged stats %+v != cube cell %+v", attrs, g.Key, ms, g.Stats)
+				t.Fatalf("%v group %q: merged stats %+v != cube cell %+v", attrs, g.Key(), ms, g.Stats)
 			}
 		}
 	}
