@@ -7,14 +7,13 @@
 // (count, sum, sum of squares), from which every supported aggregate and the
 // merge function are derived exactly.
 //
-// A group-by's Result is a coded relation. It owns its group list, its code
-// table and the one string table the groups' values are windows of; the
-// dictionaries the codes index belong to the dataset (or cube) it came from.
-// Every producer assembles it through FromCodes, the only place group order
-// is decided. A Result is read-only once built — the engine memoises and
-// shares them — except for the key index, which Get builds under a sync.Once.
-// Dictionary ranks, the sort key, live with whoever owns an immutable
-// dictionary (a cube ranks each once); the row scan ranks the codes it used.
+// A group-by's Result is a coded relation. It owns its group list, code table
+// and the one string table the groups' values are windows of; the dictionaries
+// the codes index stay the dataset's (or cube's). Every producer assembles it
+// through FromCodes, the only place group order is decided. A Result is
+// read-only once built (the engine memoises and shares them), except for the
+// key index, which Get builds under a sync.Once. Dictionary ranks, the sort
+// key, live with the owner of an immutable dictionary: a cube ranks each once.
 package agg
 
 import (
@@ -235,13 +234,12 @@ type Result struct {
 	index     map[string]int // Group.Key() → position; built by the first Get
 }
 
-// FromCodes assembles a Result from an unordered coded relation — group gi
-// carries stats[gi] and codes[gi*len(attrs):][:len(attrs)] into dicts — and
-// is the one place group order is decided: lexicographic by value strings,
-// attribute by attribute. A stable LSD counting sort over dictionary ranks
-// (see Ranks; nil ranks are computed over the codes in use) yields exactly
-// that order, because distinct dictionary strings have distinct ranks.
-// Strings are decoded once, into one table the groups' Vals share.
+// FromCodes assembles a Result from an unordered coded relation: group gi
+// carries stats[gi] and codes[gi*len(attrs):][:len(attrs)] into dicts. Groups
+// are ordered lexicographically by value strings, attribute by attribute, by
+// a stable LSD counting sort over dictionary ranks (see Ranks; nil ranks are
+// computed over the codes in use) — the same order, as distinct dictionary
+// strings have distinct ranks. Strings are decoded once, into one shared table.
 func FromCodes(attrs []string, measure string, dicts [][]string, ranks [][]uint32, codes []uint32, stats []Stats) *Result {
 	k, n := len(attrs), len(stats)
 	perm, next := make([]int, n), make([]int, n)
@@ -286,8 +284,7 @@ func FromCodes(attrs []string, measure string, dicts [][]string, ranks [][]uint3
 }
 
 // Ranks returns, per code of dict, the position of its string in the sorted
-// dictionary. A dictionary is immutable, so its owner ranks it once
-// (internal/cube does, per cube).
+// dictionary; the owner of an immutable dictionary computes them once.
 func Ranks(dict []string) []uint32 {
 	all := make([]uint32, len(dict))
 	for c := range all {
@@ -297,8 +294,7 @@ func Ranks(dict []string) []uint32 {
 }
 
 // rankCodes ranks, among themselves, the codes attribute ai takes in a
-// group-major code table of stride k; the ranks of codes it does not take are
-// meaningless.
+// group-major code table of stride k; other codes' ranks are meaningless.
 func rankCodes(dict []string, codes []uint32, k, ai int) []uint32 {
 	rank := make([]uint32, len(dict))
 	var used []uint32
@@ -342,8 +338,8 @@ func NewResult(attrs []string, measure string, groups []Group) *Result {
 	return FromCodes(attrs, measure, dicts, nil, codes, stats)
 }
 
-// Get returns the group with the given key values. The key index is built by
-// the first call, once, however many goroutines share the result.
+// Get returns the group with the given key values; the first call builds the
+// key index, once however many goroutines share the result.
 func (r *Result) Get(vals []string) (Group, bool) {
 	r.indexOnce.Do(func() {
 		r.index = make(map[string]int, len(r.Groups))
@@ -358,9 +354,8 @@ func (r *Result) Get(vals []string) (Group, bool) {
 	return r.Groups[i], true
 }
 
-// Equal reports whether r and o hold the same relation — attributes, measure,
-// and every group's values and statistics, in order — whichever dictionaries
-// their codes index.
+// Equal reports whether r and o hold the same relation (attributes, measure,
+// groups by value and statistics, in order), whatever their codes index.
 func (r *Result) Equal(o *Result) bool {
 	return slices.Equal(r.Attrs, o.Attrs) && r.Measure == o.Measure &&
 		slices.EqualFunc(r.Groups, o.Groups, func(a, b Group) bool {

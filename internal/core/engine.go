@@ -778,6 +778,15 @@ func zMaskFor(re RandomEffects, featMask []bool, typicalCluster float64) []bool 
 	return mask
 }
 
+func allTrue(mask []bool) bool {
+	for _, m := range mask {
+		if !m {
+			return false
+		}
+	}
+	return true
+}
+
 // factorizer returns the factorised representation of the view drilled one
 // level into h: every hierarchy at its current depth, the drilled hierarchy
 // one level deeper and ordered last. It is memoised per drilled view and only
@@ -866,7 +875,7 @@ func trainNaive(groups *agg.Result, fs *feature.Set, y []float64, opts mlm.Optio
 // backend when Z = X, the closed-form intercept design when only the
 // (constant-1) intercept column is kept, and a column subset otherwise.
 func zBackend(backend mlm.Backend, zmask []bool) (mlm.Backend, error) {
-	if !slices.Contains(zmask, false) {
+	if allTrue(zmask) {
 		return backend, nil
 	}
 	kept, only0 := 0, true
@@ -992,8 +1001,7 @@ func groupRowIndex(fz *factor.Factorizer, groups *agg.Result) ([]int, error) {
 			return nil, fmt.Errorf("core: factorizer attribute %q missing from group-by %v", name, groups.Attrs)
 		}
 	}
-	// One LeafIndex look-up per dictionary code; -1 marks a value outside the
-	// factorizer, an error only if a group carries it.
+	// One LeafIndex look-up per dictionary code (-1: not in the factorizer).
 	leafOf := make([][]int, nh)
 	for pos, ai := range deepAttr {
 		leafOf[pos] = make([]int, len(groups.Dicts[ai]))

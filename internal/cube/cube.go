@@ -61,8 +61,7 @@ type Cube struct {
 	prefixRadix [][]uint64
 	levels      []*level // in lattice order (latticeIndex over depth vectors)
 
-	// ranks[ai] is agg.Ranks of attribute ai's dictionary, built by the first
-	// GroupBy or Rollup (see project) and read-only afterwards.
+	// ranks[ai] is agg.Ranks of attribute ai's dictionary; see project.
 	ranksOnce sync.Once
 	ranks     [][]uint32
 }
@@ -341,8 +340,8 @@ func (c *Cube) GroupBy(attrs []string, measure string) (*agg.Result, bool) {
 }
 
 // project prepares reading the query attributes flat out of level lv's cells:
-// their positions in the level's canonical order, their dictionaries, and the
-// dictionaries' ranks (agg.FromCodes's sort key), built by the cube's first query.
+// their positions in its canonical order, their dictionaries, and those
+// dictionaries' ranks (agg.FromCodes's sort key), built by the first query.
 func (c *Cube) project(lv *level, flat []int) (pos []int, dicts [][]string, ranks [][]uint32) {
 	c.ranksOnce.Do(func() {
 		c.ranks = make([][]uint32, len(c.attrs))

@@ -21,10 +21,9 @@
 //
 // Cube.GroupBy answers any grouping whose attributes form per-hierarchy
 // prefixes (in any attribute order) straight from a materialized level: a
-// cell's key splits into the attributes' dictionary codes, and codes and
-// statistics go to agg.FromCodes without a string being built. The order of
-// the result is decided there, by the dictionaries' ranks, which a cube
-// computes on its first query and keeps (its dictionaries never change). It
+// cell's key splits into dictionary codes, which go to agg.FromCodes with the
+// statistics, no string built. Group order is decided there, by the ranks of
+// the dictionaries, which a cube computes on its first query and keeps. It
 // implements agg.Materialized, so datasets carrying a cube attachment
 // (data.Dataset.SetRollup) accelerate agg.GroupBy transparently and
 // bit-identically. Cube.Rollup additionally answers arbitrary groupings over

@@ -6,10 +6,10 @@
 // or as factorised columns over a factorizer's attribute values.
 //
 // Build and the dense rendering read a group-by's codes (agg.Result.Codes),
-// never its strings: main-effect medians are bucketed by a counting sort on
-// the codes and taken in place, and a column is evaluated once per dictionary
-// code. Col.Map stays the string-keyed view that custom and auxiliary
-// features, Row and FactorColumns consume. Nothing here writes to the result.
+// not its strings: main-effect medians are bucketed by a counting sort on the
+// codes and taken in place, a column is evaluated once per dictionary code.
+// Col.Map stays the string-keyed view that custom and auxiliary features, Row
+// and FactorColumns consume. Nothing here writes to the result.
 package feature
 
 import (
@@ -330,8 +330,7 @@ func ClusterStarts(groups *agg.Result) []int {
 	k := len(groups.Attrs)
 	var starts []int
 	for gi := range groups.Groups {
-		row := groups.Codes[gi*k:]
-		if gi == 0 || !slices.Equal(row[:k-1], groups.Codes[(gi-1)*k:gi*k-1]) {
+		if gi == 0 || !slices.Equal(groups.Codes[gi*k:gi*k+k-1], groups.Codes[(gi-1)*k:gi*k-1]) {
 			starts = append(starts, gi)
 		}
 	}

@@ -103,12 +103,18 @@ func Median(v []float64) float64 {
 	}
 	c := make([]float64, len(v))
 	copy(c, v)
-	sort.Float64s(c)
-	n := len(c)
+	return sortedMedian(c)
+}
+
+// sortedMedian sorts v (non-empty) and returns its middle: the definition of
+// the median every other path must reproduce.
+func sortedMedian(v []float64) float64 {
+	sort.Float64s(v)
+	n := len(v)
 	if n%2 == 1 {
-		return c[n/2]
+		return v[n/2]
 	}
-	return (c[n/2-1] + c[n/2]) / 2
+	return (v[n/2-1] + v[n/2]) / 2
 }
 
 // MedianInPlace returns Median(v), bit for bit, reordering v instead of
@@ -123,11 +129,7 @@ func MedianInPlace(v []float64) float64 {
 	}
 	for _, x := range v {
 		if x != x || (x == 0 && math.Signbit(x)) {
-			sort.Float64s(v)
-			if n%2 == 1 {
-				return v[n/2]
-			}
-			return (v[n/2-1] + v[n/2]) / 2
+			return sortedMedian(v)
 		}
 	}
 	hi := selectKth(v, n/2)
