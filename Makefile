@@ -1,7 +1,7 @@
 # Developer entry points. CI runs the same commands (see
 # .github/workflows/ci.yml).
 
-.PHONY: build test race lint fuzz-smoke bench-check bench-load bench-serve
+.PHONY: build test race lint loc fuzz-smoke bench-check bench-load bench-serve
 
 build:
 	go build ./...
@@ -20,6 +20,19 @@ lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	go vet ./...
 	go run ./cmd/reptile-lint
+
+# loc prints the size figure CHANGES.md and ROADMAP.md quote: non-test Go
+# lines outside benchmark/ (testdata excluded), per top-level package and in
+# total — every line, then code lines (neither blank nor only a // comment).
+LOC_FILES = -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './benchmark/*' ! -path './.bench_build/*'
+loc:
+	@printf '%-22s %7s %7s\n' package lines code; \
+	for d in '. -maxdepth 1' cmd examples reptile internal/* .; do \
+		n=$$(find $$d $(LOC_FILES) -exec cat {} + | wc -l); \
+		c=$$(find $$d $(LOC_FILES) -exec cat {} + | grep -cvE '^[[:space:]]*(//.*)?$$'); \
+		[ "$$d" = . ] && d=total; \
+		[ $$n -eq 0 ] || printf '%-22s %7d %7d\n' "$${d%% *}" $$n $$c; \
+	done
 
 # fuzz-smoke runs each native fuzz target briefly (FUZZTIME overrides the
 # per-target budget): the binary parsers (.rst snapshots, WAL frames,

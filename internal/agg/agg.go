@@ -311,8 +311,8 @@ func rankCodes(dict []string, codes []uint32, k, ai int) []uint32 {
 	return rank
 }
 
-// NewResult assembles a Result from unordered string groups (the sharded
-// merge of internal/core, tests): it interns every attribute's values into a
+// NewResult assembles a Result from unordered string groups (callers that
+// hold no codes — today, tests): it interns every attribute's values into a
 // dictionary of its own and funnels into FromCodes.
 func NewResult(attrs []string, measure string, groups []Group) *Result {
 	k := len(attrs)

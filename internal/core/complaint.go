@@ -9,8 +9,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -72,11 +73,6 @@ func (c Complaint) Key() (key string, ok bool) {
 	if c.Custom != nil {
 		return "", false
 	}
-	attrs := make([]string, 0, len(c.Tuple))
-	for a := range c.Tuple {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
 	// Attribute names and values are quoted so separator bytes inside them
 	// (NUL, '=') cannot make two distinct complaints collide on one key.
 	var b strings.Builder
@@ -84,7 +80,7 @@ func (c Complaint) Key() (key string, ok bool) {
 	if c.Direction == ShouldBe {
 		fmt.Fprintf(&b, "\x00target=%s", strconv.FormatFloat(c.Target, 'g', -1, 64))
 	}
-	for _, a := range attrs {
+	for _, a := range slices.Sorted(maps.Keys(c.Tuple)) {
 		fmt.Fprintf(&b, "\x00%q=%q", a, c.Tuple[a])
 	}
 	return b.String(), true

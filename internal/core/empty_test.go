@@ -66,10 +66,10 @@ func TestRecommendFindsVanishedGroup(t *testing.T) {
 }
 
 // TestVanishedGroupWithCube reruns the vanished-group scenario with a
-// materialized cube attached: the engine then discovers the empty drill-down
-// candidates from the cube's prefix grouping instead of a row scan
-// (cubeChildValues), and the whole recommendation must stay byte-identical
-// to the scan engine's.
+// materialized cube attached: the drilled relation then comes from the cube's
+// cells instead of a row scan, the empty drill-down candidates are read off it
+// either way, and the whole recommendation must stay byte-identical to the
+// scan engine's.
 func TestVanishedGroupWithCube(t *testing.T) {
 	sc := buildScenario(21)
 	sc.moveGroup("d2_v1", "1993", "1994")

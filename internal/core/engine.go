@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sort"
@@ -111,13 +112,13 @@ type Engine struct {
 	ds   *data.Dataset
 	opts Options
 
-	// shards, when non-empty, is the partitioned data plane: every
-	// aggregation scatters to the workers and gathers merged partial
-	// statistics (see shard.go). ds is then the schema dataset (the first
-	// shard's, by convention) and is consulted for hierarchies and measure
-	// names only. shardKey names the hierarchy-root dimension rows were
-	// partitioned on.
-	shards   []ShardWorker
+	// src is the data plane, the only thing aggregations and path extractions
+	// ask (see shard.go): LocalShard(ds), or for NewShardedEngine a gather over
+	// the partitions — ds is then the schema dataset (the first shard's, by
+	// convention), consulted for hierarchies and measure names only, and shards
+	// and shardKey report the partitioning.
+	src      ShardWorker
+	shards   int
 	shardKey string
 
 	memo *memo
@@ -131,28 +132,19 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 	if len(ds.Hierarchies) == 0 {
 		return nil, fmt.Errorf("core: dataset %q has no hierarchies", ds.Name)
 	}
-	return &Engine{ds: ds, opts: opts.withDefaults(), memo: newMemo()}, nil
+	return &Engine{ds: ds, opts: opts.withDefaults(), src: LocalShard(ds), memo: newMemo()}, nil
 }
 
 // sourceFor returns the factorizer source of a hierarchy (the §4.4 caching
-// regime: distinct hierarchy paths never change). On a sharded engine the
-// per-shard distinct path sets are unioned first; factor.NewSource sorts and
-// deduplicates, so the source is identical to the single-shard extraction
-// (and its FD check still sees cross-shard violations).
+// regime: distinct hierarchy paths never change), built from the data plane's
+// distinct paths.
 func (e *Engine) sourceFor(h data.Hierarchy) (*factor.Source, error) {
 	return memoGet(e.memo, fmt.Sprintf("source %q", h.Name), func() (*factor.Source, error) {
-		if len(e.shards) == 0 {
-			return factor.SourceFromDataset(e.ds, h)
+		paths, err := e.src.HierarchyPaths(h)
+		if err != nil {
+			return nil, err
 		}
-		var all [][]string
-		for i, w := range e.shards {
-			paths, err := w.HierarchyPaths(h)
-			if err != nil {
-				return nil, fmt.Errorf("core: shard %d hierarchy paths: %w", i, err)
-			}
-			all = append(all, paths...)
-		}
-		return factor.NewSource(h.Name, h.Attrs, all)
+		return factor.NewSource(h.Name, h.Attrs, paths)
 	}, func(src *factor.Source) int { return len(src.Paths) })
 }
 
@@ -421,12 +413,15 @@ func (e *Engine) forEach(n int, fn func(i int)) {
 	}
 }
 
-// groups returns the aggregation of the dataset at the given granularity: the
-// engine's groupBy — a plain scan, or a shard scatter-gather — memoised per
-// (attrs, measure).
+// groups returns γ at the given granularity: the data plane's group-by,
+// memoised per (attrs, measure). Over partitions the call is the
+// scatter-gather, which rec, when non-nil, records as a "scatter" span.
 func (e *Engine) groups(rec SpanRecorder, attrs []string, measure string) (*agg.Result, error) {
 	return memoGet(e.memo, fmt.Sprintf("groups %q %q", attrs, measure), func() (*agg.Result, error) {
-		return e.groupBy(rec, attrs, measure)
+		if e.shards > 0 {
+			defer startSpan(rec, "scatter")()
+		}
+		return e.src.PartialGroupBy(attrs, measure)
 	}, func(res *agg.Result) int { return len(res.Groups) })
 }
 
@@ -464,37 +459,42 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 		return nil, err
 	}
 
-	// The complained tuple's children: groups matching the tuple predicate.
+	// σ and ∖ in one pass over the drilled relation's codes. A group matching
+	// the tuple's attributes of the drilled hierarchy carries a value of attr
+	// that exists under the tuple's ancestors; if it matches the rest of the
+	// tuple too it is one of the complained tuple's children. Values no child
+	// carries are the empty drill-down groups (e.g. a village with no reports
+	// in the complained year): repairing their statistics to the expectation
+	// resolves missing-group errors that observed groups cannot explain.
+	anc, rest, err := tupleCodes(groups, h, c.Tuple)
+	if err != nil {
+		return nil, err
+	}
+	const candidate, observed = 1, 2
+	k, last := len(attrs), len(attrs)-1 // attr is the drilled order's last
+	seen := make([]uint8, len(groups.Dicts[last]))
 	var children []int
-	for gi, g := range groups.Groups {
-		match := true
-		for a, want := range c.Tuple {
-			v, ok := g.Value(groups.Attrs, a)
-			if !ok {
-				return nil, fmt.Errorf("complaint attribute %q not in drill-down", a)
-			}
-			if v != want {
-				match = false
-				break
-			}
+	for gi := range groups.Groups {
+		codes := groups.Codes[gi*k : (gi+1)*k]
+		if !matchCodes(anc, codes) {
+			continue
 		}
-		if match {
+		seen[codes[last]] |= candidate
+		if matchCodes(rest, codes) {
+			seen[codes[last]] |= observed
 			children = append(children, gi)
 		}
 	}
 	if len(children) == 0 {
 		return nil, fmt.Errorf("complaint tuple %v has no provenance", c.Tuple)
 	}
-
-	// Empty drill-down groups: values of the drilled attribute that exist in
-	// the hierarchy under the tuple's ancestors but have no rows in the
-	// tuple's provenance (e.g. a village with no reports in the complained
-	// year). Repairing their statistics to the expectation resolves
-	// missing-group errors that observed groups cannot explain.
-	emptyVals, err := e.emptyChildValues(h, attr, attrs, groups, children, c)
-	if err != nil {
-		return nil, err
+	var emptyVals []string
+	for code, s := range seen {
+		if s == candidate {
+			emptyVals = append(emptyVals, groups.Dicts[last][code])
+		}
 	}
+	sort.Strings(emptyVals)
 
 	// Current complaint value from the children partition (G merge).
 	var total agg.Stats
@@ -564,104 +564,41 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 	return hr, nil
 }
 
-// emptyChildValues returns the drilled attribute's values that appear under
-// the tuple's same-hierarchy ancestors somewhere in the dataset but have no
-// group in the tuple's provenance. The candidate set comes from childValues —
-// per shard and unioned on a sharded engine, directly otherwise — then the
-// observed values are filtered out. Every path yields the same sorted set.
-func (e *Engine) emptyChildValues(h data.Hierarchy, attr string, attrs []string, groups *agg.Result, children []int, c Complaint) ([]string, error) {
-	anc := data.Predicate{}
-	for _, a := range h.Attrs {
-		if v, ok := c.Tuple[a]; ok {
-			anc[a] = v
-		}
-	}
-	observed := make(map[string]bool, len(children))
-	for _, gi := range children {
-		v, _ := groups.Groups[gi].Value(attrs, attr)
-		observed[v] = true
-	}
-	var all []string
-	if len(e.shards) > 0 {
-		var err error
-		all, err = e.shardedChildValues(h, attr, c.Measure, anc)
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		all = childValues(e.ds, h, attr, c.Measure, anc)
-	}
-	out := all[:0:0]
-	for _, v := range all {
-		if !observed[v] {
-			out = append(out, v)
-		}
-	}
-	return out, nil
+// codeCond is an attribute = code condition on one group's window of a
+// result's code table.
+type codeCond struct {
+	ai   int
+	code uint32
 }
 
-// childValues collects the sorted distinct values of the drilled attribute
-// among rows matching the ancestor predicate. When the dataset carries a
-// materialized cube, the candidates come from the drilled hierarchy's prefix
-// grouping in O(groups); otherwise a row scan collects them. Both paths yield
-// the same sorted value set.
-func childValues(ds *data.Dataset, h data.Hierarchy, attr, measure string, anc data.Predicate) []string {
-	if out, ok := cubeChildValues(ds, h, attr, measure, anc); ok {
-		return out
-	}
-	dict, codes := ds.DimCodes(attr)
-	seen := make([]bool, len(dict))
-	var out []string
-	ds.ForEachMatch(anc, func(row int) {
-		if c := codes[row]; !seen[c] {
-			seen[c] = true
-			out = append(out, dict[c])
+func matchCodes(conds []codeCond, codes []uint32) bool {
+	for _, c := range conds {
+		if codes[c.ai] != c.code {
+			return false
 		}
-	})
-	sort.Strings(out)
-	return out
+	}
+	return true
 }
 
-// cubeChildValues collects the drilled attribute's values under the ancestor
-// predicate from an attached materialized cube: the hierarchy's prefix
-// grouping down to attr enumerates every (ancestors, attr) path with at
-// least one row, so filtering its groups by the predicate yields exactly the
-// value set the row scan finds. The ancestor predicate only constrains
-// attributes of h above attr (the complaint tuple holds the session's
-// current drill prefix), so every condition is present in the grouping.
-func cubeChildValues(ds *data.Dataset, h data.Hierarchy, attr, measure string, anc data.Predicate) ([]string, bool) {
-	m, ok := agg.MaterializedOf(ds)
-	if !ok {
-		return nil, false
-	}
-	lvl := h.Level(attr)
-	prefix := h.Attrs[:lvl+1]
-	r, ok := m.GroupBy(prefix, measure)
-	if !ok {
-		return nil, false
-	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, g := range r.Groups {
-		match := true
-		for a, want := range anc {
-			if v, ok := g.Value(r.Attrs, a); !ok || v != want {
-				match = false
-				break
-			}
+// tupleCodes translates the complaint tuple to codes of the drilled relation,
+// once per evaluation: anc holds the conditions on attributes of the drilled
+// hierarchy h, rest the others. Attributes are visited in sorted order, so a
+// tuple naming several outside the drill-down always reports the same one.
+func tupleCodes(groups *agg.Result, h data.Hierarchy, tuple data.Predicate) (anc, rest []codeCond, err error) {
+	for _, a := range slices.Sorted(maps.Keys(tuple)) {
+		ai := slices.Index(groups.Attrs, a)
+		if ai < 0 {
+			return nil, nil, fmt.Errorf("complaint attribute %q not in drill-down", a)
 		}
-		if !match {
-			continue
+		// A value absent from the dictionary wraps to a code no group carries.
+		cond := codeCond{ai, uint32(slices.Index(groups.Dicts[ai], tuple[a]))}
+		if h.Contains(a) {
+			anc = append(anc, cond)
+		} else {
+			rest = append(rest, cond)
 		}
-		v := g.Vals[lvl]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		out = append(out, v)
 	}
-	sort.Strings(out)
-	return out, true
+	return anc, rest, nil
 }
 
 // statModel is one fitted base-statistic model: fitted values per observed
@@ -972,7 +909,7 @@ func trainCross(fz *factor.Factorizer, groups *agg.Result, fs *feature.Set, y []
 // baseline (§5.2.3). It always trains naively, and the result is the caller's
 // own: nothing it returns is shared with the engine's memo.
 func (e *Engine) PredictGroupStats(attrs []string, measure string, stat agg.Func) ([]float64, *agg.Result, error) {
-	groups, err := e.groupBy(nil, attrs, measure)
+	groups, err := e.src.PartialGroupBy(attrs, measure)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -339,6 +339,23 @@ func TestRecommendErrors(t *testing.T) {
 	}
 }
 
+// TestUnknownTupleAttributesReportOneError: a tuple naming several attributes
+// outside the drill-down reports the same one — the first in sorted order — on
+// every evaluation, not whichever the tuple map yields first.
+func TestUnknownTupleAttributesReportOneError(t *testing.T) {
+	sc := buildScenario(8)
+	eng, _ := NewEngine(sc.ds, Options{EMIterations: 2})
+	s, _ := eng.NewSession([]string{"district"})
+	c := Complaint{Agg: agg.Mean, Measure: "severity", Direction: TooLow,
+		Tuple: data.Predicate{"district": "d0", "zone": "z", "altitude": "high"}}
+	const want = `core: evaluating hierarchy "geo": complaint attribute "altitude" not in drill-down`
+	for i := 0; i < 50; i++ {
+		if _, err := s.Recommend(c); err == nil || err.Error() != want {
+			t.Fatalf("evaluation %d: error %v, want %s", i, err, want)
+		}
+	}
+}
+
 func TestTopKLimitsRanking(t *testing.T) {
 	sc := buildScenario(9)
 	eng, _ := NewEngine(sc.ds, Options{EMIterations: 3, TopK: 2, Trainer: TrainerNaive})

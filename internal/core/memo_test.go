@@ -13,9 +13,11 @@ import (
 )
 
 // countingShard wraps a ShardWorker and counts the data-plane calls the
-// engine makes, keyed by what was asked for.
+// engine makes, keyed by what was asked for. The worker is a named field, not
+// embedded: a method added to ShardWorker must be forwarded — and counted —
+// here before the package compiles again.
 type countingShard struct {
-	ShardWorker
+	inner ShardWorker
 	mu    sync.Mutex
 	calls map[string]int
 }
@@ -28,12 +30,12 @@ func (c *countingShard) count(key string) {
 
 func (c *countingShard) PartialGroupBy(attrs []string, measure string) (*agg.Result, error) {
 	c.count(fmt.Sprintf("groupby %q %q", attrs, measure))
-	return c.ShardWorker.PartialGroupBy(attrs, measure)
+	return c.inner.PartialGroupBy(attrs, measure)
 }
 
 func (c *countingShard) HierarchyPaths(h data.Hierarchy) ([][]string, error) {
 	c.count("paths " + h.Name)
-	return c.ShardWorker.HierarchyPaths(h)
+	return c.inner.HierarchyPaths(h)
 }
 
 func mustJSON(t *testing.T, s *Session, c Complaint) []byte {
@@ -56,7 +58,7 @@ func mustJSON(t *testing.T, s *Session, c Complaint) []byte {
 // complained about, and a drilled session aggregates at the new granularity.
 func TestSessionsShareEngineState(t *testing.T) {
 	sc := buildScenario(13)
-	shard := &countingShard{ShardWorker: LocalShard(sc.ds), calls: map[string]int{}}
+	shard := &countingShard{inner: LocalShard(sc.ds), calls: map[string]int{}}
 	eng, err := NewShardedEngine(sc.ds, []ShardWorker{shard}, "district",
 		Options{EMIterations: 4, Trainer: TrainerFactorised})
 	if err != nil {
@@ -73,26 +75,34 @@ func TestSessionsShareEngineState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	first := mustJSON(t, sessions[0], complaint(agg.Mean, d1))
-	mustJSON(t, sessions[0], complaint(agg.Sum, d1))
-	mustJSON(t, sessions[0], complaint(agg.Std, d1))
-	if second := mustJSON(t, sessions[1], complaint(agg.Mean, d1)); !bytes.Equal(first, second) {
-		t.Error("a second session at the same drill state returned a different recommendation")
-	}
+	// One group-by per candidate hierarchy and one path extraction per
+	// hierarchy: everything one recommend asks of the data plane, and
+	// everything the later ones at this drill state share.
 	wantCalls := map[string]int{
 		`groupby ["district" "village"] "severity"`: 1,
 		`groupby ["district" "year"] "severity"`:    1,
 		"paths geo":                                 1,
 		"paths time":                                1,
 	}
-	for key, want := range wantCalls {
-		if got := shard.calls[key]; got != want {
-			t.Errorf("%s: %d calls, want %d", key, got, want)
+	checkCalls := func(when string) {
+		t.Helper()
+		for key, want := range wantCalls {
+			if got := shard.calls[key]; got != want {
+				t.Errorf("%s: %s: %d calls, want %d", when, key, got, want)
+			}
+		}
+		if len(shard.calls) != len(wantCalls) {
+			t.Errorf("%s: unexpected shard calls: %v", when, shard.calls)
 		}
 	}
-	if len(shard.calls) != len(wantCalls) {
-		t.Errorf("unexpected shard calls: %v", shard.calls)
+	first := mustJSON(t, sessions[0], complaint(agg.Mean, d1))
+	checkCalls("one recommend")
+	mustJSON(t, sessions[0], complaint(agg.Sum, d1))
+	mustJSON(t, sessions[0], complaint(agg.Std, d1))
+	if second := mustJSON(t, sessions[1], complaint(agg.Mean, d1)); !bytes.Equal(first, second) {
+		t.Error("a second session at the same drill state returned a different recommendation")
 	}
+	checkCalls("four recommends over two sessions")
 
 	if err := sessions[0].Drill("geo"); err != nil {
 		t.Fatal(err)
@@ -229,7 +239,7 @@ func TestMemoBudget(t *testing.T) {
 
 // flakyShard panics in its first PartialGroupBy.
 type flakyShard struct {
-	ShardWorker
+	inner    ShardWorker
 	panicked atomic.Bool
 }
 
@@ -237,7 +247,11 @@ func (f *flakyShard) PartialGroupBy(attrs []string, measure string) (*agg.Result
 	if f.panicked.CompareAndSwap(false, true) {
 		panic("flaky shard")
 	}
-	return f.ShardWorker.PartialGroupBy(attrs, measure)
+	return f.inner.PartialGroupBy(attrs, measure)
+}
+
+func (f *flakyShard) HierarchyPaths(h data.Hierarchy) ([][]string, error) {
+	return f.inner.HierarchyPaths(h)
 }
 
 // TestPanickingBuildLeavesNoEntry: a shard worker that panics on its first
@@ -268,7 +282,7 @@ func TestPanickingBuildLeavesNoEntry(t *testing.T) {
 		}
 		return mustJSON(t, s, c)
 	}
-	got := answer(&flakyShard{ShardWorker: LocalShard(sc.ds)}, true)
+	got := answer(&flakyShard{inner: LocalShard(sc.ds)}, true)
 	if want := answer(LocalShard(sc.ds), false); !bytes.Equal(got, want) {
 		t.Error("Recommend after a panicked build differs from a fresh engine's answer")
 	}

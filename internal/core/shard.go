@@ -2,43 +2,40 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/agg"
 	"repro/internal/data"
 	"repro/internal/factor"
 )
 
-// ShardWorker is the data plane of one partition of a sharded engine. The
-// engine scatters every aggregation to the workers and gathers their partial
-// results; schema questions (hierarchies, measure names) are answered by the
-// engine's schema dataset, never by a worker. The interface is deliberately
-// small and value-oriented so a later implementation can proxy a remote shard
-// server over the wire protocol; every method may therefore fail.
+// ShardWorker is the engine's data plane: the one source Recommend asks, for
+// γ (PartialGroupBy) and for a hierarchy's distinct paths (HierarchyPaths).
+// Two questions suffice because the complained tuple's children (σ) and empty
+// siblings (∖) are read off the drilled relation, whose groups already hold
+// every row's (ancestors, attribute) path. Schema questions are answered by
+// the engine's schema dataset, never by a worker. The interface is small and
+// value-oriented so a later implementation can proxy a remote shard server;
+// every method may therefore fail.
 //
-// Determinism contract: each method must return exactly what the engine's
-// single-node path would compute over the shard's rows alone — PartialGroupBy
-// the shard-local agg.GroupBy result, HierarchyPaths the shard's distinct
-// full-depth paths (any order), ChildValues the sorted distinct values of the
-// drilled attribute among shard rows matching the ancestor predicate. The
-// engine merges partials in shard-index order, so the gathered results are
-// reproducible run to run.
+// Determinism contract: each method returns exactly what a row scan over the
+// worker's rows would — the agg.GroupBy result, the distinct full-depth paths
+// (any order). Workers gathered into one engine code their results against
+// dictionaries shared up to append-only growth: per attribute each worker's
+// is a prefix of the longest (a shard.Set's are — a shard an Append leaves
+// untouched keeps its cube's shorter ones); the gather refuses anything else.
+// It merges in shard-index order, so results are reproducible run to run, and
+// is itself a ShardWorker: an engine cannot tell one worker from many.
 type ShardWorker interface {
-	// PartialGroupBy aggregates the shard's rows at the given granularity.
+	// PartialGroupBy aggregates the worker's rows at the given granularity.
 	PartialGroupBy(attrs []string, measure string) (*agg.Result, error)
-	// HierarchyPaths enumerates the shard's distinct full-depth paths of h.
+	// HierarchyPaths enumerates the worker's distinct full-depth paths of h.
 	HierarchyPaths(h data.Hierarchy) ([][]string, error)
-	// ChildValues returns the sorted distinct values of attr among the
-	// shard's rows matching the ancestor predicate anc. The measure names the
-	// complaint's measure so cube-backed shards can pick a covering grouping.
-	ChildValues(h data.Hierarchy, attr, measure string, anc data.Predicate) ([]string, error)
 }
 
-// localShard is the in-process ShardWorker: a shard's dataset queried
-// directly.
-type localShard struct {
-	ds *data.Dataset
-}
+// localShard is the in-process ShardWorker: a dataset queried directly, from
+// its cube or by row scan as agg.GroupBy and factor.DistinctPaths decide.
+type localShard struct{ ds *data.Dataset }
 
 // LocalShard wraps one shard's dataset as an in-process ShardWorker. The
 // dataset must be treated as immutable, like every engine-owned dataset.
@@ -52,26 +49,13 @@ func (l localShard) HierarchyPaths(h data.Hierarchy) ([][]string, error) {
 	return factor.DistinctPaths(l.ds, h), nil
 }
 
-func (l localShard) ChildValues(h data.Hierarchy, attr, measure string, anc data.Predicate) ([]string, error) {
-	return childValues(l.ds, h, attr, measure, anc), nil
-}
-
 // NewShardedEngine builds an engine whose data plane is partitioned across
 // workers. The schema dataset supplies hierarchies and measure names (by
 // convention the first shard's dataset — appends keep every shard's schema
 // identical); shardKey names the hierarchy-root dimension the rows were
-// partitioned on.
-//
-// Aggregations scatter to the workers and merge their partial (count, sum,
-// sum-of-squares) statistics via agg.Stats.Add. The merged result is
-// byte-identical to the single-shard engine whenever every group is
-// shard-pure — its rows all live on one shard, which holds for any grouping
-// that includes the shard-key attribute (rows of a group then share the key
-// value, and the hash routes them together) — or the measure takes integer
-// values (float64 addition is exact below 2^53). Groupings outside both
-// conditions still merge exactly in the distributive sense, but may
-// reassociate floating-point additions; see internal/shard's package
-// documentation for how the default key choice keeps the examples exact.
+// partitioned on. The gathered group-bys are byte-identical to one worker's
+// over all the rows under the conditions internal/shard's package
+// documentation states (shard-pure groups, or integer measures).
 func NewShardedEngine(schema *data.Dataset, workers []ShardWorker, shardKey string, opts Options) (*Engine, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("core: sharded engine needs at least one shard worker")
@@ -83,97 +67,89 @@ func NewShardedEngine(schema *data.Dataset, workers []ShardWorker, shardKey stri
 	if shardKey == "" {
 		return nil, fmt.Errorf("core: sharded engine needs the shard-key dimension")
 	}
-	root := false
-	for _, h := range schema.Hierarchies {
-		if h.Attrs[0] == shardKey {
-			root = true
-			break
-		}
-	}
-	if !root {
+	if !slices.ContainsFunc(schema.Hierarchies, func(h data.Hierarchy) bool { return h.Attrs[0] == shardKey }) {
 		return nil, fmt.Errorf("core: shard key %q is not the root attribute of any hierarchy", shardKey)
 	}
-	eng.shards = append([]ShardWorker(nil), workers...)
-	eng.shardKey = shardKey
+	eng.src = &gather{workers: slices.Clone(workers), forEach: eng.forEach}
+	eng.shards, eng.shardKey = len(workers), shardKey
 	return eng, nil
 }
 
 // NumShards returns the engine's shard count: 0 for a single-node engine.
-func (e *Engine) NumShards() int { return len(e.shards) }
+func (e *Engine) NumShards() int { return e.shards }
 
 // ShardKey returns the dimension the engine's rows are partitioned on, or ""
 // for a single-node engine.
 func (e *Engine) ShardKey() string { return e.shardKey }
 
-// groupBy is the engine's aggregation entry point: the plain dataset scan (or
-// cube lookup) on a single-node engine, scatter-gather over the shard workers
-// otherwise. Partials are merged in shard-index order keyed by group key, then
-// reassembled through agg.NewResult — the same sort every GroupBy path funnels
-// through — so the merged ordering can never drift from the single-shard one.
-// rec, when non-nil, records the scatter-gather phase as a "scatter" span.
-func (e *Engine) groupBy(rec SpanRecorder, attrs []string, measure string) (*agg.Result, error) {
-	if len(e.shards) == 0 {
-		return agg.GroupBy(e.ds, attrs, measure), nil
-	}
-	endScatter := startSpan(rec, "scatter")
-	partials := make([]*agg.Result, len(e.shards))
-	errs := make([]error, len(e.shards))
-	e.forEach(len(e.shards), func(i int) {
-		partials[i], errs[i] = e.shards[i].PartialGroupBy(attrs, measure)
+// gather is the ShardWorker made of ShardWorkers: it puts each question to
+// its workers and merges their answers.
+type gather struct {
+	workers []ShardWorker
+	forEach func(n int, fn func(i int)) // the engine's worker budget
+}
+
+func (g *gather) PartialGroupBy(attrs []string, measure string) (*agg.Result, error) {
+	partials := make([]*agg.Result, len(g.workers))
+	errs := make([]error, len(g.workers))
+	g.forEach(len(g.workers), func(i int) {
+		partials[i], errs[i] = g.workers[i].PartialGroupBy(attrs, measure)
 	})
-	endScatter()
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d group-by: %w", i, err)
 		}
 	}
-	return mergePartials(attrs, measure, partials), nil
+	return mergePartials(attrs, measure, partials)
 }
 
-// mergePartials combines per-shard group-by results: groups sharing a key
-// merge their statistics with Stats.Add (the Appendix A merge function G),
-// in shard-index order.
-func mergePartials(attrs []string, measure string, partials []*agg.Result) *agg.Result {
-	index := make(map[string]int)
-	var groups []agg.Group
-	for _, p := range partials {
-		for _, g := range p.Groups {
-			key := g.Key()
-			if gi, ok := index[key]; ok {
-				groups[gi].Stats = groups[gi].Stats.Add(g.Stats)
-			} else {
-				index[key] = len(groups)
-				groups = append(groups, g)
-			}
-		}
-	}
-	return agg.NewResult(attrs, measure, groups)
-}
-
-// shardedChildValues gathers each shard's candidate drill-down values and
-// unions them. Every worker returns a sorted set, and the union is re-sorted,
-// so the output is independent of shard count and gather order.
-func (e *Engine) shardedChildValues(h data.Hierarchy, attr, measure string, anc data.Predicate) ([]string, error) {
-	per := make([][]string, len(e.shards))
-	errs := make([]error, len(e.shards))
-	e.forEach(len(e.shards), func(i int) {
-		per[i], errs[i] = e.shards[i].ChildValues(h, attr, measure, anc)
-	})
-	for i, err := range errs {
+// HierarchyPaths unions the workers' path sets; factor.NewSource sorts and
+// deduplicates, so the engine's source is identical to a single worker's (and
+// its FD check still sees cross-shard violations).
+func (g *gather) HierarchyPaths(h data.Hierarchy) ([][]string, error) {
+	var all [][]string
+	for i, w := range g.workers {
+		paths, err := w.HierarchyPaths(h)
 		if err != nil {
-			return nil, fmt.Errorf("core: shard %d child values: %w", i, err)
+			return nil, fmt.Errorf("core: shard %d hierarchy paths: %w", i, err)
+		}
+		all = append(all, paths...)
+	}
+	return all, nil
+}
+
+// mergePartials combines per-shard group-bys by code tuple: groups sharing a
+// tuple add their statistics (Stats.Add, the Appendix A merge function G) in
+// shard-index order, and agg.FromCodes — the sort every GroupBy path funnels
+// through — orders the merged relation, so it cannot drift from one worker's.
+// Codes are read against each attribute's longest dictionary, which every
+// other partial's must be a prefix of.
+func mergePartials(attrs []string, measure string, partials []*agg.Result) (*agg.Result, error) {
+	k := len(attrs)
+	dicts := make([][]string, k)
+	for ai := range dicts {
+		for i, p := range partials {
+			short, long := dicts[ai], p.Dicts[ai]
+			if len(short) > len(long) {
+				short, long = long, short
+			}
+			if !slices.Equal(short, long[:len(short)]) {
+				return nil, fmt.Errorf("core: shard %d codes %q against a dictionary that is not a prefix of its siblings'", i, attrs[ai])
+			}
+			dicts[ai] = long
 		}
 	}
-	seen := make(map[string]bool)
-	var out []string
-	for _, vals := range per {
-		for _, v := range vals {
-			if !seen[v] {
-				seen[v] = true
-				out = append(out, v)
+	tuples := data.NewTupleIndex(dicts)
+	var stats []agg.Stats
+	for _, p := range partials {
+		for gi, g := range p.Groups {
+			if id := tuples.AddCodes(p.Codes[gi*k : (gi+1)*k]); id == len(stats) {
+				stats = append(stats, g.Stats)
+			} else {
+				stats[id] = stats[id].Add(g.Stats)
 			}
 		}
 	}
-	sort.Strings(out)
-	return out, nil
+	_, codes := tuples.Codes()
+	return agg.FromCodes(attrs, measure, dicts, nil, codes, stats), nil
 }

@@ -5,37 +5,47 @@ import (
 	"math"
 )
 
-// TupleIndex numbers the distinct value tuples of a set of dimension columns
-// in order of first appearance — the bucketing step shared by the row-scan
-// group-by (internal/agg) and hierarchy path extraction (internal/factor).
-// Rows are keyed by their dictionary codes, never by strings. The key
-// encoding is chosen from the dictionary sizes: a mixed-radix uint64
-// composite while their product fits (it always does for hierarchy prefixes
-// of realistic data), else the codes' bytes as a string. With no attributes
-// every row carries the one empty tuple.
+// TupleIndex numbers distinct code tuples in order of first appearance — the
+// bucketing step shared by the row-scan group-by (internal/agg), hierarchy
+// path extraction (internal/factor) and the merge of per-shard group-bys
+// (internal/core). Tuples are keyed by their dictionary codes, never by
+// strings. The key encoding is chosen from the dictionary sizes: a mixed-radix
+// uint64 composite while their product fits (it always does for hierarchy
+// prefixes of realistic data), else the codes' bytes as a string. With no
+// attributes there is only the one empty tuple.
 type TupleIndex struct {
 	dicts [][]string
-	codes [][]uint32
-	fits  bool // the radix product fits uint64: key rows by narrow
+	cols  [][]uint32 // the dataset's code columns; nil for NewTupleIndex
+	row   []uint32   // Add's scratch: one row's codes
+	fits  bool       // the radix product fits uint64: key tuples by narrow
 	// narrow and wide map a tuple's key to its id; exactly one is in use.
 	narrow map[uint64]int
 	wide   map[string]int
 	buf    []byte
-	first  []int // first row of each tuple, by id
+	n      int
+	tuples []uint32 // every tuple's codes, tuple-major in id order
 }
 
-// NewTupleIndex starts an empty index over the given attributes of d.
+// NewTupleIndex starts an empty index over the given attributes of d, fed by
+// row (Add).
 func (d *Dataset) NewTupleIndex(attrs []string) *TupleIndex {
-	t := &TupleIndex{
-		dicts: make([][]string, len(attrs)),
-		codes: make([][]uint32, len(attrs)),
-		fits:  true,
-	}
-	space := uint64(1)
+	dicts, cols := make([][]string, len(attrs)), make([][]uint32, len(attrs))
 	for i, a := range attrs {
-		t.dicts[i], t.codes[i] = d.DimCodes(a)
-		// An empty dictionary means an empty column: there is no row to add.
-		if size := uint64(len(t.dicts[i])); size > 1 && t.fits {
+		dicts[i], cols[i] = d.DimCodes(a)
+	}
+	t := NewTupleIndex(dicts)
+	t.cols, t.row = cols, make([]uint32, len(attrs))
+	return t
+}
+
+// NewTupleIndex starts an empty index over tuples of codes into dicts, one per
+// attribute, fed by code tuple (AddCodes).
+func NewTupleIndex(dicts [][]string) *TupleIndex {
+	t := &TupleIndex{dicts: dicts, fits: true}
+	space := uint64(1)
+	for _, dict := range dicts {
+		// An empty dictionary means an empty column: there is no tuple to add.
+		if size := uint64(len(dict)); size > 1 && t.fits {
 			t.fits = space <= math.MaxUint64/size
 			space *= size
 		}
@@ -44,64 +54,81 @@ func (d *Dataset) NewTupleIndex(attrs []string) *TupleIndex {
 		t.narrow = make(map[uint64]int)
 	} else {
 		t.wide = make(map[string]int)
-		t.buf = make([]byte, 4*len(attrs))
+		t.buf = make([]byte, 4*len(dicts))
 	}
 	return t
 }
 
-// Add returns the id of row's tuple. Ids are dense and assigned in order of
-// first appearance, so a new tuple's id equals Len() before the call.
+// Add returns the id of row's tuple (see AddCodes). A tuple seen before under a
+// narrow key — all but one row per group — is found without copying its codes.
 func (t *TupleIndex) Add(row int) int {
 	if t.fits {
 		k := uint64(0)
-		for i, cs := range t.codes {
+		for i, cs := range t.cols {
 			k = k*uint64(len(t.dicts[i])) + uint64(cs[row])
+		}
+		if id, ok := t.narrow[k]; ok {
+			return id
+		}
+	}
+	for i, cs := range t.cols {
+		t.row[i] = cs[row]
+	}
+	return t.AddCodes(t.row)
+}
+
+// AddCodes returns the id of the tuple with the given codes, one per
+// attribute. Ids are dense and assigned in order of first appearance, so a new
+// tuple's id equals Len() before the call.
+func (t *TupleIndex) AddCodes(codes []uint32) int {
+	if t.fits {
+		k := uint64(0)
+		for i, c := range codes {
+			k = k*uint64(len(t.dicts[i])) + uint64(c)
 		}
 		id, ok := t.narrow[k]
 		if !ok {
-			id = len(t.first)
+			id = t.insert(codes)
 			t.narrow[k] = id
-			t.first = append(t.first, row)
 		}
 		return id
 	}
-	for i, cs := range t.codes {
-		binary.LittleEndian.PutUint32(t.buf[4*i:], cs[row])
+	for i, c := range codes {
+		binary.LittleEndian.PutUint32(t.buf[4*i:], c)
 	}
 	id, ok := t.wide[string(t.buf)]
 	if !ok {
-		id = len(t.first)
+		id = t.insert(codes)
 		t.wide[string(t.buf)] = id
-		t.first = append(t.first, row)
 	}
 	return id
 }
 
+func (t *TupleIndex) insert(codes []uint32) int {
+	t.tuples = append(t.tuples, codes...)
+	t.n++
+	return t.n - 1
+}
+
 // Len returns the number of distinct tuples added so far.
-func (t *TupleIndex) Len() int { return len(t.first) }
+func (t *TupleIndex) Len() int { return t.n }
 
 // Codes returns the attributes' dictionaries and every tuple's codes into
 // them, tuple-major in id order with one code per attribute.
 func (t *TupleIndex) Codes() (dicts [][]string, codes []uint32) {
-	codes = make([]uint32, 0, len(t.first)*len(t.codes))
-	for _, row := range t.first {
-		for _, cs := range t.codes {
-			codes = append(codes, cs[row])
-		}
-	}
-	return t.dicts, codes
+	return t.dicts, t.tuples
 }
 
 // Values decodes tuple id into its dimension values, one per attribute — nil
 // for the empty tuple, as DecodeKey has it.
 func (t *TupleIndex) Values(id int) []string {
-	if len(t.codes) == 0 {
+	k := len(t.dicts)
+	if k == 0 {
 		return nil
 	}
-	row := t.first[id]
-	vals := make([]string, len(t.codes))
-	for i, cs := range t.codes {
-		vals[i] = t.dicts[i][cs[row]]
+	vals := make([]string, k)
+	for i, c := range t.tuples[id*k : (id+1)*k] {
+		vals[i] = t.dicts[i][c]
 	}
 	return vals
 }

@@ -16,8 +16,9 @@
 // one for a plain .rst file) and serving code never branches on "sharded or
 // not". What the shard count changes is decided here, from the count itself:
 // a one-shard Set needs no Key (tables without hierarchies qualify), Engine
-// builds the plain single-node core engine (no scatter span, NumShards() ==
-// 0), Append extends the one snapshot without routing or the cross-shard FD
+// hands the engine the shard's dataset as its data plane instead of gathering
+// over one part — the engine runs the same code either way; only the scatter
+// span and NumShards() == 0 tell — Append extends the one snapshot without routing or the cross-shard FD
 // check (the snapshot's own validation already covers every dependency), and
 // Write emits the plain RSTSNAP layout — cube section included —
 // byte-identical to Snapshot.Write. Everything else (Retain, BuildCubes,
@@ -30,7 +31,10 @@
 // hierarchies (the default is the first hierarchy's root), and dictionaries
 // are shared across shards: a shard's columns hold codes into the same
 // dictionary slices as its siblings, so partitioning costs one pass over the
-// codes and no string is stored twice. Within a shard, rows keep their
+// codes and no string is stored twice — and the engine merges per-shard
+// group-bys by code, never by string (after an Append a shard's cube may hold
+// a shorter, predecessor dictionary: a prefix of its siblings', which is all
+// the merge requires). Within a shard, rows keep their
 // original relative order, which makes partitioning deterministic and
 // per-shard scans reproducible.
 //

@@ -232,10 +232,10 @@ func (s *Set) CubeSize() (levels, cells int) {
 	return levels, cells
 }
 
-// Engine assembles the core engine over the Set. One shard gets the plain
-// single-node engine (no scatter, NumShards() == 0); more get the sharded
-// one: an in-process worker per shard, the first shard's dataset as the
-// schema plane.
+// Engine assembles the core engine over the Set: an in-process worker per
+// shard, the first shard's dataset as the schema plane. The only choice made
+// here is whether to gather — one shard is the engine's data plane as it is
+// (no scatter span, NumShards() == 0), more are gathered behind the same seam.
 func (s *Set) Engine(opts core.Options) (*core.Engine, error) {
 	workers := make([]core.ShardWorker, len(s.Snaps))
 	var schema *data.Dataset

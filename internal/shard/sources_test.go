@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sort"
@@ -21,7 +22,7 @@ import (
 func referenceChildren(d *data.Dataset, attrs []string, tuple data.Predicate) []string {
 	seen := map[string]bool{}
 	d.ForEachMatch(tuple, func(row int) { seen[d.RowKey(row, attrs)] = true })
-	return sortedKeys(seen)
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // referenceEmptySiblings is the obviously-right ∖, by row scan over strings:
@@ -38,16 +39,7 @@ func referenceEmptySiblings(d *data.Dataset, h data.Hierarchy, attr string, tupl
 	seen := map[string]bool{}
 	d.ForEachMatch(anc, func(row int) { seen[col[row]] = true })
 	d.ForEachMatch(tuple, func(row int) { delete(seen, col[row]) })
-	return sortedKeys(seen)
-}
-
-func sortedKeys(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // randomSurvey generates rows over geo: a → b → v and time: c that satisfy the

@@ -405,6 +405,91 @@ func (sc *schemaV2) snapshot(d *decoder, m *mapping, rows int, dimOff, msOff []i
 	return s
 }
 
+// decodeSchema reads the column schema both headers carry after their leading
+// fields: hierarchies, dimensions with their dictionaries, measure names.
+func (sc *schemaV2) decodeSchema(d *decoder) {
+	for i, nh := 0, d.count(); i < nh && d.err == nil; i++ {
+		hr := data.Hierarchy{Name: d.string()}
+		for j, na := 0, d.count(); j < na && d.err == nil; j++ {
+			hr.Attrs = append(hr.Attrs, d.string())
+		}
+		sc.hierarchies = append(sc.hierarchies, hr)
+	}
+	for i, nd := 0, d.count(); i < nd && d.err == nil; i++ {
+		ds := dimSchema{name: d.string()}
+		ndict := d.count()
+		ds.dict = make([]string, 0, min(ndict, 1<<16))
+		for j := 0; j < ndict && d.err == nil; j++ {
+			ds.dict = append(ds.dict, d.string())
+		}
+		sc.dims = append(sc.dims, ds)
+	}
+	for i, nm := 0, d.count(); i < nm && d.err == nil; i++ {
+		sc.measureNames = append(sc.measureNames, d.string())
+	}
+}
+
+// decodeOffsets reads one snapshot's slice of the offset directory.
+func (sc *schemaV2) decodeOffsets(d *decoder) (dimOff, msOff []int) {
+	dimOff = make([]int, len(sc.dims))
+	for i := range dimOff {
+		dimOff[i] = d.offset()
+	}
+	msOff = make([]int, len(sc.measureNames))
+	for i := range msOff {
+		msOff[i] = d.offset()
+	}
+	return dimOff, msOff
+}
+
+// headerEnd closes a header of the given kind at the decoder's position: it
+// reports a decoding error latched so far, verifies the header's own CRC, and
+// returns where the first payload must start — the next 8-byte boundary, the
+// gap holding zero bytes. The directory is CRC-trusted after it returns.
+func (d *decoder) headerEnd(kind string) (int, error) {
+	hdrEnd := d.off
+	sum := d.bytes(4)
+	if d.err != nil {
+		return 0, fmt.Errorf("store: decoding %s header: %w", kind, d.err)
+	}
+	if got, want := crc32.Checksum(d.b[:hdrEnd], castagnoli), binary.LittleEndian.Uint32(sum); got != want {
+		return 0, fmt.Errorf("store: header checksum mismatch (file %08x, computed %08x)", want, got)
+	}
+	expected := align8(d.off)
+	return expected, checkPadding(d.b, d.off, expected)
+}
+
+// checkPayloads verifies that one snapshot's slice of a CRC-trusted directory
+// describes the file b: the writer packs payloads contiguously on 8-byte
+// boundaries, padding with zero bytes, so each column of rows rows starts at
+// the expected offset and ends, padding included, inside the file. It returns
+// where the next payload must start; prefix ("shard N ", or none) names the
+// snapshot in errors.
+func (sc *schemaV2) checkPayloads(b []byte, expected, rows int, dimOff, msOff []int, prefix string) (int, error) {
+	check := func(kind, name string, off, width int) error {
+		if off != expected {
+			return fmt.Errorf("store: %s%s %q payload offset %d, expected %d", prefix, kind, name, off, expected)
+		}
+		end := off + width*rows
+		expected = align8(end)
+		if expected > len(b) {
+			return fmt.Errorf("store: %s%s %q payload exceeds file (ends %d, payload %d bytes)", prefix, kind, name, expected, len(b))
+		}
+		return checkPadding(b, end, expected)
+	}
+	for i, off := range dimOff {
+		if err := check("dimension", sc.dims[i].name, off, 4); err != nil {
+			return 0, err
+		}
+	}
+	for i, off := range msOff {
+		if err := check("measure", sc.measureNames[i], off, 8); err != nil {
+			return 0, err
+		}
+	}
+	return expected, nil
+}
+
 // parseHeaderV2 parses and fully validates a v2 header from a decoder
 // positioned after the version byte: field structure, the header's own CRC,
 // and the offset directory (in-bounds, contiguous, 8-aligned, zero padding).
@@ -418,74 +503,15 @@ func parseHeaderV2(d *decoder) (*headerV2, error) {
 		return nil, fmt.Errorf("store: implausible row count %d", rows)
 	}
 	h.rows = int(rows)
-	for i, nh := 0, d.count(); i < nh && d.err == nil; i++ {
-		hr := data.Hierarchy{Name: d.string()}
-		for j, na := 0, d.count(); j < na && d.err == nil; j++ {
-			hr.Attrs = append(hr.Attrs, d.string())
-		}
-		h.hierarchies = append(h.hierarchies, hr)
-	}
-	for i, nd := 0, d.count(); i < nd && d.err == nil; i++ {
-		ds := dimSchema{name: d.string()}
-		ndict := d.count()
-		ds.dict = make([]string, 0, min(ndict, 1<<16))
-		for j := 0; j < ndict && d.err == nil; j++ {
-			ds.dict = append(ds.dict, d.string())
-		}
-		h.dims = append(h.dims, ds)
-	}
-	for i, nm := 0, d.count(); i < nm && d.err == nil; i++ {
-		h.measureNames = append(h.measureNames, d.string())
-	}
-	h.dimOff = make([]int, len(h.dims))
-	for i := range h.dimOff {
-		h.dimOff[i] = d.offset()
-	}
-	h.msOff = make([]int, len(h.measureNames))
-	for i := range h.msOff {
-		h.msOff[i] = d.offset()
-	}
+	h.decodeSchema(d)
+	h.dimOff, h.msOff = h.decodeOffsets(d)
 	h.cubeOff = d.offset()
-	hdrEnd := d.off
-	sum := d.bytes(4)
-	if d.err != nil {
-		return nil, fmt.Errorf("store: decoding snapshot header: %w", d.err)
-	}
-	if got, want := crc32.Checksum(d.b[:hdrEnd], castagnoli), binary.LittleEndian.Uint32(sum); got != want {
-		return nil, fmt.Errorf("store: header checksum mismatch (file %08x, computed %08x)", want, got)
-	}
-	// The directory is now CRC-trusted; verify it describes this file: the
-	// writer packs payloads contiguously on 8-byte boundaries straight after
-	// the header, padding with zero bytes.
-	expected := align8(d.off)
-	if err := checkPadding(d.b, d.off, expected); err != nil {
+	expected, err := d.headerEnd("snapshot")
+	if err != nil {
 		return nil, err
 	}
-	for i, off := range h.dimOff {
-		if off != expected {
-			return nil, fmt.Errorf("store: dimension %q payload offset %d, expected %d", h.dims[i].name, off, expected)
-		}
-		end := off + 4*h.rows
-		expected = align8(end)
-		if expected > len(d.b) {
-			return nil, fmt.Errorf("store: dimension %q payload exceeds file (ends %d, payload %d bytes)", h.dims[i].name, expected, len(d.b))
-		}
-		if err := checkPadding(d.b, end, expected); err != nil {
-			return nil, err
-		}
-	}
-	for i, off := range h.msOff {
-		if off != expected {
-			return nil, fmt.Errorf("store: measure %q payload offset %d, expected %d", h.measureNames[i], off, expected)
-		}
-		end := off + 8*h.rows
-		expected = align8(end)
-		if expected > len(d.b) {
-			return nil, fmt.Errorf("store: measure %q payload exceeds file (ends %d, payload %d bytes)", h.measureNames[i], expected, len(d.b))
-		}
-		if err := checkPadding(d.b, end, expected); err != nil {
-			return nil, err
-		}
+	if expected, err = h.checkPayloads(d.b, expected, h.rows, h.dimOff, h.msOff, ""); err != nil {
+		return nil, err
 	}
 	switch {
 	case h.cubeOff == 0:

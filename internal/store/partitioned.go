@@ -276,25 +276,7 @@ func parseShardHeaderV2(d *decoder) (*shardHeaderV2, error) {
 	h.name = d.string()
 	h.version = d.uvarint()
 	h.key = d.string()
-	for i, nh := 0, d.count(); i < nh && d.err == nil; i++ {
-		hr := data.Hierarchy{Name: d.string()}
-		for j, na := 0, d.count(); j < na && d.err == nil; j++ {
-			hr.Attrs = append(hr.Attrs, d.string())
-		}
-		h.hierarchies = append(h.hierarchies, hr)
-	}
-	for i, nd := 0, d.count(); i < nd && d.err == nil; i++ {
-		ds := dimSchema{name: d.string()}
-		ndict := d.count()
-		ds.dict = make([]string, 0, min(ndict, 1<<16))
-		for j := 0; j < ndict && d.err == nil; j++ {
-			ds.dict = append(ds.dict, d.string())
-		}
-		h.dims = append(h.dims, ds)
-	}
-	for i, nm := 0, d.count(); i < nm && d.err == nil; i++ {
-		h.measureNames = append(h.measureNames, d.string())
-	}
+	h.decodeSchema(d)
 	nshards := d.count()
 	if d.err == nil && nshards == 0 {
 		return nil, fmt.Errorf("store: partitioned snapshot has no shards")
@@ -307,60 +289,20 @@ func parseShardHeaderV2(d *decoder) (*shardHeaderV2, error) {
 		h.shardRows = append(h.shardRows, int(rows))
 	}
 	for range h.shardRows {
-		dimOff := make([]int, len(h.dims))
-		for i := range dimOff {
-			dimOff[i] = d.offset()
-		}
-		msOff := make([]int, len(h.measureNames))
-		for i := range msOff {
-			msOff[i] = d.offset()
-		}
+		dimOff, msOff := h.decodeOffsets(d)
 		h.dimOff = append(h.dimOff, dimOff)
 		h.msOff = append(h.msOff, msOff)
 	}
-	hdrEnd := d.off
-	sum := d.bytes(4)
-	if d.err != nil {
-		return nil, fmt.Errorf("store: decoding partitioned snapshot header: %w", d.err)
-	}
-	if got, want := crc32.Checksum(d.b[:hdrEnd], castagnoli), binary.LittleEndian.Uint32(sum); got != want {
-		return nil, fmt.Errorf("store: header checksum mismatch (file %08x, computed %08x)", want, got)
-	}
-	// The directory is CRC-trusted; verify it describes this file — shard
-	// payloads packed contiguously on 8-byte boundaries, zero padding, no
-	// trailing bytes (partitioned files carry no cube section).
-	expected := align8(d.off)
-	if err := checkPadding(d.b, d.off, expected); err != nil {
+	expected, err := d.headerEnd("partitioned snapshot")
+	if err != nil {
 		return nil, err
 	}
 	for si, rows := range h.shardRows {
-		for ci, off := range h.dimOff[si] {
-			if off != expected {
-				return nil, fmt.Errorf("store: shard %d dimension %q payload offset %d, expected %d", si, h.dims[ci].name, off, expected)
-			}
-			end := off + 4*rows
-			expected = align8(end)
-			if expected > len(d.b) {
-				return nil, fmt.Errorf("store: shard %d dimension %q payload exceeds file (ends %d, payload %d bytes)", si, h.dims[ci].name, expected, len(d.b))
-			}
-			if err := checkPadding(d.b, end, expected); err != nil {
-				return nil, err
-			}
-		}
-		for mi, off := range h.msOff[si] {
-			if off != expected {
-				return nil, fmt.Errorf("store: shard %d measure %q payload offset %d, expected %d", si, h.measureNames[mi], off, expected)
-			}
-			end := off + 8*rows
-			expected = align8(end)
-			if expected > len(d.b) {
-				return nil, fmt.Errorf("store: shard %d measure %q payload exceeds file (ends %d, payload %d bytes)", si, h.measureNames[mi], expected, len(d.b))
-			}
-			if err := checkPadding(d.b, end, expected); err != nil {
-				return nil, err
-			}
+		if expected, err = h.checkPayloads(d.b, expected, rows, h.dimOff[si], h.msOff[si], fmt.Sprintf("shard %d ", si)); err != nil {
+			return nil, err
 		}
 	}
+	// Partitioned files carry no cube section: the payloads end the file.
 	if expected != len(d.b) {
 		return nil, fmt.Errorf("store: %d trailing bytes after partitioned snapshot payload", len(d.b)-expected)
 	}
