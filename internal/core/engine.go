@@ -459,21 +459,35 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 		return nil, err
 	}
 
-	// σ and ∖ in one pass over the drilled relation's codes. A group matching
-	// the tuple's attributes of the drilled hierarchy carries a value of attr
-	// that exists under the tuple's ancestors; if it matches the rest of the
-	// tuple too it is one of the complained tuple's children. Values no child
-	// carries are the empty drill-down groups (e.g. a village with no reports
-	// in the complained year): repairing their statistics to the expectation
-	// resolves missing-group errors that observed groups cannot explain.
-	anc, rest, err := tupleCodes(groups, h, c.Tuple)
-	if err != nil {
-		return nil, err
+	// The tuple as codes of the drilled relation, translated once: anc holds
+	// the conditions on attributes of the drilled hierarchy, rest the others.
+	// Attributes are visited in sorted order, so a tuple naming several outside
+	// the drill-down always reports the same one.
+	var anc, rest []codeCond
+	for _, a := range slices.Sorted(maps.Keys(c.Tuple)) {
+		ai := slices.Index(attrs, a)
+		if ai < 0 {
+			return nil, fmt.Errorf("complaint attribute %q not in drill-down", a)
+		}
+		// A value absent from the dictionary wraps to a code no group carries.
+		cond := codeCond{ai, uint32(slices.Index(groups.Dicts[ai], c.Tuple[a]))}
+		if h.Contains(a) {
+			anc = append(anc, cond)
+		} else {
+			rest = append(rest, cond)
+		}
 	}
+	// σ and ∖ in one pass over the codes. A group matching anc carries a value
+	// of attr that exists under the tuple's ancestors; if it matches rest too
+	// it is one of the complained tuple's children. Values no child carries are
+	// the empty drill-down groups (e.g. a village with no reports in the
+	// complained year): repairing their statistics to the expectation resolves
+	// missing-group errors that observed groups cannot explain.
 	const candidate, observed = 1, 2
 	k, last := len(attrs), len(attrs)-1 // attr is the drilled order's last
 	seen := make([]uint8, len(groups.Dicts[last]))
 	var children []int
+	var total agg.Stats // the complained tuple's own statistics: G over its children
 	for gi := range groups.Groups {
 		codes := groups.Codes[gi*k : (gi+1)*k]
 		if !matchCodes(anc, codes) {
@@ -483,6 +497,7 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 		if matchCodes(rest, codes) {
 			seen[codes[last]] |= observed
 			children = append(children, gi)
+			total = total.Add(groups.Groups[gi].Stats)
 		}
 	}
 	if len(children) == 0 {
@@ -496,11 +511,6 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 	}
 	sort.Strings(emptyVals)
 
-	// Current complaint value from the children partition (G merge).
-	var total agg.Stats
-	for _, gi := range children {
-		total = total.Add(groups.Groups[gi].Stats)
-	}
 	current := total.Get(c.Agg)
 
 	repair := c.repairStats
@@ -578,27 +588,6 @@ func matchCodes(conds []codeCond, codes []uint32) bool {
 		}
 	}
 	return true
-}
-
-// tupleCodes translates the complaint tuple to codes of the drilled relation,
-// once per evaluation: anc holds the conditions on attributes of the drilled
-// hierarchy h, rest the others. Attributes are visited in sorted order, so a
-// tuple naming several outside the drill-down always reports the same one.
-func tupleCodes(groups *agg.Result, h data.Hierarchy, tuple data.Predicate) (anc, rest []codeCond, err error) {
-	for _, a := range slices.Sorted(maps.Keys(tuple)) {
-		ai := slices.Index(groups.Attrs, a)
-		if ai < 0 {
-			return nil, nil, fmt.Errorf("complaint attribute %q not in drill-down", a)
-		}
-		// A value absent from the dictionary wraps to a code no group carries.
-		cond := codeCond{ai, uint32(slices.Index(groups.Dicts[ai], tuple[a]))}
-		if h.Contains(a) {
-			anc = append(anc, cond)
-		} else {
-			rest = append(rest, cond)
-		}
-	}
-	return anc, rest, nil
 }
 
 // statModel is one fitted base-statistic model: fitted values per observed

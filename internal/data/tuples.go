@@ -22,7 +22,6 @@ type TupleIndex struct {
 	narrow map[uint64]int
 	wide   map[string]int
 	buf    []byte
-	n      int
 	tuples []uint32 // every tuple's codes, tuple-major in id order
 }
 
@@ -88,8 +87,9 @@ func (t *TupleIndex) AddCodes(codes []uint32) int {
 		}
 		id, ok := t.narrow[k]
 		if !ok {
-			id = t.insert(codes)
+			id = len(t.narrow)
 			t.narrow[k] = id
+			t.tuples = append(t.tuples, codes...)
 		}
 		return id
 	}
@@ -98,20 +98,15 @@ func (t *TupleIndex) AddCodes(codes []uint32) int {
 	}
 	id, ok := t.wide[string(t.buf)]
 	if !ok {
-		id = t.insert(codes)
+		id = len(t.wide)
 		t.wide[string(t.buf)] = id
+		t.tuples = append(t.tuples, codes...)
 	}
 	return id
 }
 
-func (t *TupleIndex) insert(codes []uint32) int {
-	t.tuples = append(t.tuples, codes...)
-	t.n++
-	return t.n - 1
-}
-
 // Len returns the number of distinct tuples added so far.
-func (t *TupleIndex) Len() int { return t.n }
+func (t *TupleIndex) Len() int { return len(t.narrow) + len(t.wide) }
 
 // Codes returns the attributes' dictionaries and every tuple's codes into
 // them, tuple-major in id order with one code per attribute.
