@@ -170,3 +170,85 @@ func TestGroupByCodedMatchesStringPath(t *testing.T) {
 	}
 	check("wide", wide, "m", names[:7], names[:8], names[:9], names, []string{"d9", "d0", "d5"})
 }
+
+// paddedDataset builds rows over dictionaries of the given sizes, most of
+// whose entries no row uses: a column draws from at most `used` codes spread
+// over its dictionary, the last entry always among them (so the top of the key
+// space is reached). Measures are non-integers, so a group's statistics depend
+// on the order its rows are added in.
+func paddedDataset(t testing.TB, rng *rand.Rand, rows, used int, sizes ...int) *data.Dataset {
+	t.Helper()
+	dims := make([]data.DimColumn, len(sizes))
+	for ai, size := range sizes {
+		dict := make([]string, size)
+		for c := range dict {
+			dict[c] = fmt.Sprintf("a%d_%d", ai, size-c) // code order is not the sorted order
+		}
+		pool := make([]uint32, min(used, size))
+		for i := range pool {
+			pool[i] = uint32(size - 1 - i*(size/len(pool)))
+		}
+		codes := make([]uint32, rows)
+		for row := range codes {
+			codes[row] = pool[rng.Intn(len(pool))]
+		}
+		dims[ai] = data.DimColumn{Name: fmt.Sprintf("a%d", ai), Dict: dict, Codes: codes}
+	}
+	m := make([]float64, rows)
+	for row := range m {
+		m[row] = rng.NormFloat64()
+	}
+	d, err := data.FromColumns("padded", dims, []data.MeasureColumn{{Name: "m", Values: m}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestScanKeyRegimes holds the row scan (agg.GroupBy without a cube) to the
+// string reference over every shape of key space its bucketing can meet: no
+// attributes, a one-entry dictionary, a dictionary product far below, exactly
+// at and just past four times the row count, far past it but within uint64
+// (six attributes of 1,000 entries), and past uint64 (seven) — each at row
+// counts on both sides of a 1,024-row boundary, whole and as Where subsets,
+// which keep the source's dictionaries over fewer rows.
+func TestScanKeyRegimes(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, rows := range []int{1, 1023, 1024, 1025, 3*1024 + 7} {
+		for _, sizes := range [][]int{
+			{},
+			{1},
+			{1, 5},
+			{3, 1, 4},
+			{7, 6},
+			{4 * rows},
+			{4*rows + 1},
+			{4, rows},
+			{2, 2*rows + 1},
+			{rows, 9},
+			{1000, 1000, 1000, 1000, 1000, 1000},
+			{1000, 1000, 1000, 1000, 1000, 1000, 1000},
+		} {
+			d := paddedDataset(t, rng, rows, 5, sizes...)
+			attrs := d.DimNames()
+			reversed := slices.Clone(attrs)
+			slices.Reverse(reversed)
+			for _, sub := range []*data.Dataset{d, subsetOfFirstValue(d)} {
+				for _, as := range [][]string{attrs, reversed} {
+					label := fmt.Sprintf("%d of %d rows, dictionaries %v, %v", sub.NumRows(), rows, sizes, as)
+					checkCoded(t, label, agg.GroupBy(sub, as, "m"), as, "m", referenceGroups(sub, as, "m"))
+				}
+			}
+		}
+	}
+}
+
+// subsetOfFirstValue selects the rows sharing row 0's value of the first
+// dimension (every row when there is none).
+func subsetOfFirstValue(d *data.Dataset) *data.Dataset {
+	names := d.DimNames()
+	if len(names) == 0 {
+		return d.Where(data.Predicate{})
+	}
+	return d.Where(data.Predicate{names[0]: d.Dim(names[0])[0]})
+}

@@ -107,3 +107,59 @@ func TestSourceFromDatasetCodedMatchesStringPath(t *testing.T) {
 		t.Errorf("source != string-reference source:\n got %+v\nwant %+v", got, want)
 	}
 }
+
+// TestDistinctPathsKeyRegimes holds DistinctPaths' scan to the string
+// reference over every shape of key space its deduplication can meet —
+// dictionaries mostly unused, their product far below, exactly at and just
+// past four times the row count, far past it within uint64 (six attributes of
+// 1,000 entries) and past uint64 (seven) — at row counts on both sides of a
+// 1,024-row boundary, whole and as a Where subset keeping the dictionaries.
+func TestDistinctPathsKeyRegimes(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for _, rows := range []int{1, 1023, 1024, 1025, 3*1024 + 7} {
+		for _, sizes := range [][]int{
+			{},
+			{1},
+			{1, 5},
+			{7, 6},
+			{4 * rows},
+			{4*rows + 1},
+			{4, rows},
+			{2, 2*rows + 1},
+			{1000, 1000, 1000, 1000, 1000, 1000},
+			{1000, 1000, 1000, 1000, 1000, 1000, 1000},
+		} {
+			dims := make([]data.DimColumn, len(sizes))
+			h := data.Hierarchy{Name: "h"}
+			for ai, size := range sizes {
+				dict := make([]string, size)
+				for c := range dict {
+					dict[c] = fmt.Sprintf("a%d_%d", ai, size-c)
+				}
+				// At most five codes in use, the dictionary's last among them.
+				used := min(5, size)
+				codes := make([]uint32, rows)
+				for row := range codes {
+					codes[row] = uint32(size - 1 - rng.Intn(used)*(size/used))
+				}
+				dims[ai] = data.DimColumn{Name: fmt.Sprintf("a%d", ai), Dict: dict, Codes: codes}
+				h.Attrs = append(h.Attrs, dims[ai].Name)
+			}
+			d, err := data.FromColumns("padded", dims, []data.MeasureColumn{{Name: "m", Values: make([]float64, rows)}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subset := d.Where(data.Predicate{})
+			if len(sizes) > 0 {
+				subset = d.Where(data.Predicate{h.Attrs[0]: d.Dim(h.Attrs[0])[0]})
+			}
+			for _, sub := range []*data.Dataset{d, subset} {
+				got, want := sortedPaths(DistinctPaths(sub, h)), sortedPaths(referencePaths(sub, h))
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%d of %d rows, dictionaries %v: DistinctPaths != string reference:\n got %v\nwant %v",
+						sub.NumRows(), rows, sizes, got, want)
+				}
+			}
+		}
+	}
+}
