@@ -406,22 +406,27 @@ func GroupBy(d *data.Dataset, attrs []string, measure string) *Result {
 	return scan(d, attrs, measure)
 }
 
-// scan is the row-scan group-by: rows are bucketed by the tuple of their
-// per-attribute dictionary codes (data.TupleIndex), statistics accumulate in
-// row order, and a group's string values are decoded once per group rather
-// than once per row.
+// scan is the row-scan group-by: rows are bucketed, a block at a time, by the
+// tuple of their per-attribute dictionary codes (data.TupleIndex), statistics
+// accumulate in row order, and a group's string values are decoded once per
+// group rather than once per row.
 func scan(d *data.Dataset, attrs []string, measure string) *Result {
-	tuples := d.NewTupleIndex(attrs)
+	col := d.Measure(measure)
+	tuples := d.NewTupleIndex(attrs, len(col))
 	var stats []Stats
-	for row, v := range d.Measure(measure) {
-		gi := tuples.Add(row)
-		if gi == len(stats) {
-			stats = append(stats, Stats{})
+	var ids [1024]int32
+	for lo := 0; lo < len(col); lo += len(ids) {
+		hi := min(lo+len(ids), len(col))
+		tuples.AddRows(lo, hi, ids[:])
+		if grown := tuples.Len() - len(stats); grown > 0 {
+			stats = append(stats, make([]Stats, grown)...)
 		}
-		s := &stats[gi]
-		s.Count++
-		s.Sum += v
-		s.SumSq += v * v
+		for j, v := range col[lo:hi] {
+			s := &stats[ids[j]]
+			s.Count++
+			s.Sum += v
+			s.SumSq += v * v
+		}
 	}
 	dicts, codes := tuples.Codes()
 	return FromCodes(attrs, measure, dicts, nil, codes, stats)

@@ -139,7 +139,14 @@ func mergePartials(attrs []string, measure string, partials []*agg.Result) (*agg
 			dicts[ai] = long
 		}
 	}
-	tuples := data.NewTupleIndex(dicts)
+	sizes, total := make([]int, k), 0
+	for ai, dict := range dicts {
+		sizes[ai] = len(dict)
+	}
+	for _, p := range partials {
+		total += len(p.Groups)
+	}
+	tuples := data.NewTupleIndex(sizes, nil, total)
 	var stats []agg.Stats
 	for _, p := range partials {
 		for gi, g := range p.Groups {

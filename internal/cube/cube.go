@@ -145,15 +145,23 @@ func (c *Cube) depthsOf(li int) []int {
 	return out
 }
 
-// Build materializes the full lattice over a dataset. Every level
-// accumulates in row order, so its cells carry exactly the statistics a row
-// scan of that grouping produces.
+// Build materializes the full lattice over a dataset. Every cell accumulates
+// in row order, so it carries exactly the statistics a row scan of its
+// grouping produces.
 func Build(ds *data.Dataset) (*Cube, error) {
 	return BuildRows(ds, 0, ds.NumRows())
 }
 
 // BuildRows materializes the lattice over the row range [lo, hi) — the delta
 // cube of an appended batch when lo is the predecessor's row count.
+//
+// Rows are bucketed twice, both times by data.TupleIndex. First per hierarchy
+// and depth: the rows' paths over the hierarchy's prefix are numbered, giving a
+// path-id column and, per path, its composite key. Then level by level: a cell
+// is a tuple of path ids, one per drilled hierarchy, so its key space is the
+// product of the path counts the rows exhibit — what the hierarchies' FDs
+// bound — not of the dictionary sizes. A new cell's stored key is assembled
+// from its paths' keys.
 func BuildRows(ds *data.Dataset, lo, hi int) (*Cube, error) {
 	if lo < 0 || hi < lo || hi > ds.NumRows() {
 		return nil, fmt.Errorf("cube: row range [%d,%d) out of bounds (%d rows)", lo, hi, ds.NumRows())
@@ -162,63 +170,74 @@ func BuildRows(ds *data.Dataset, lo, hi int) (*Cube, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.rows = hi - lo
-	codes := make([][]uint32, len(c.attrs))
-	for ai, a := range c.attrs {
-		_, codes[ai] = ds.DimCodes(a.name)
-	}
+	n := hi - lo
+	c.rows = n
 	cols := make([][]float64, len(c.measures))
 	for mi, m := range c.measures {
-		cols[mi] = ds.Measure(m)
+		cols[mi] = ds.Measure(m)[lo:hi]
 	}
-	cellIdx := make([]map[uint64]int, len(c.levels))
-	for li := range cellIdx {
-		cellIdx[li] = make(map[uint64]int)
-	}
-	// prefKey[h][d] is the current row's composite key over hierarchy h's
-	// first d+1 attributes, rebuilt incrementally per row.
-	prefKey := make([][]uint64, len(c.hiers))
-	for hi, h := range c.hiers {
-		prefKey[hi] = make([]uint64, len(h.Attrs))
-	}
-	for row := lo; row < hi; row++ {
-		for hi, h := range c.hiers {
-			k := uint64(0)
-			for d := 0; d < len(h.Attrs); d++ {
-				ai := c.firstAttr[hi] + d
-				k = k*c.attrs[ai].radix + uint64(codes[ai][row])
-				prefKey[hi][d] = k
-			}
-		}
-		for li, lv := range c.levels {
-			k := uint64(0)
-			for hi := range c.hiers {
-				d := lv.depths[hi]
-				if d == 0 {
-					continue
-				}
-				k = k*c.prefixRadix[hi][d] + prefKey[hi][d-1]
-			}
-			ci, ok := cellIdx[li][k]
-			if !ok {
-				ci = len(lv.keys)
-				cellIdx[li][k] = ci
-				lv.keys = append(lv.keys, k)
-				lv.counts = append(lv.counts, 0)
-				for mi := range lv.sums {
-					lv.sums[mi] = append(lv.sums[mi], 0)
-					lv.sumsqs[mi] = append(lv.sumsqs[mi], 0)
+	var block [1024]int32
+	// pathIDs[h][d-1] is each row's path over hierarchy h's first d attributes,
+	// pathKeys[h][d-1] each such path's composite key.
+	pathIDs := make([][][]uint32, len(c.hiers))
+	pathKeys := make([][][]uint64, len(c.hiers))
+	for h, hier := range c.hiers {
+		for d := 1; d <= len(hier.Attrs); d++ {
+			paths := ds.NewTupleIndex(hier.Attrs[:d], n)
+			ids := make([]uint32, n)
+			for r := 0; r < n; r += len(block) {
+				m := min(len(block), n-r)
+				paths.AddRows(lo+r, lo+r+m, block[:])
+				for j, id := range block[:m] {
+					ids[r+j] = uint32(id)
 				}
 			}
-			lv.counts[ci]++
-			for mi, col := range cols {
-				v := col[row]
-				lv.sums[mi][ci] += v
-				lv.sumsqs[mi][ci] += v * v
+			_, codes := paths.Codes()
+			keys := make([]uint64, paths.Len())
+			for p := range keys {
+				for j, code := range codes[p*d : (p+1)*d] {
+					keys[p] = keys[p]*c.attrs[c.firstAttr[h]+j].radix + uint64(code)
+				}
 			}
+			pathIDs[h], pathKeys[h] = append(pathIDs[h], ids), append(pathKeys[h], keys)
 		}
 	}
 	for _, lv := range c.levels {
+		var ids [][]uint32 // per hierarchy the level drills: the rows' paths
+		var keys [][]uint64
+		var radix []uint64
+		var sizes []int
+		for h, d := range lv.depths {
+			if d > 0 {
+				ids, keys = append(ids, pathIDs[h][d-1]), append(keys, pathKeys[h][d-1])
+				radix, sizes = append(radix, c.prefixRadix[h][d]), append(sizes, len(pathKeys[h][d-1]))
+			}
+		}
+		cells := data.NewTupleIndex(sizes, ids, n)
+		for r := 0; r < n; r += len(block) {
+			m := min(len(block), n-r)
+			cells.AddRows(r, r+m, block[:])
+			grown := make([]float64, cells.Len()-len(lv.counts))
+			lv.counts = append(lv.counts, grown...)
+			for mi := range cols {
+				lv.sums[mi], lv.sumsqs[mi] = append(lv.sums[mi], grown...), append(lv.sumsqs[mi], grown...)
+			}
+			for j, ci := range block[:m] {
+				lv.counts[ci]++
+				for mi, col := range cols {
+					v := col[r+j]
+					lv.sums[mi][ci] += v
+					lv.sumsqs[mi][ci] += v * v
+				}
+			}
+		}
+		_, paths := cells.Codes()
+		lv.keys = make([]uint64, cells.Len())
+		for ci := range lv.keys {
+			for i, p := range paths[ci*len(ids):][:len(ids)] {
+				lv.keys[ci] = lv.keys[ci]*radix[i] + keys[i][p]
+			}
+		}
 		lv.sortByKey()
 	}
 	return c, nil

@@ -12,10 +12,15 @@
 // as cells keyed by a mixed-radix composite of the attributes' dictionary
 // codes (the same key construction as agg.GroupBy's row scan), with
 // the distributive triple (count, sum, sum of squares) per measure. The
-// whole lattice is built in a single pass over the rows; within each cell
-// the accumulation visits rows in row order, which makes every level's
-// statistics bit-identical to the row scan it replaces — the property the
-// byte-identity guarantees of the serving stack rest on.
+// lattice is built a level at a time on agg's bucketing kernel
+// (data.TupleIndex): the rows' paths along each hierarchy prefix are numbered
+// once, and a level's cells are tuples of those path ids — a key space the
+// hierarchies' functional dependencies bound by the product of per-hierarchy
+// path counts, small enough to address directly where the product of the
+// dictionary sizes is not. Within each cell the accumulation visits rows in
+// row order, which makes every level's statistics bit-identical to the row
+// scan it replaces — the property the byte-identity guarantees of the
+// serving stack rest on.
 //
 // # Query paths
 //

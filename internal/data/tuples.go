@@ -6,116 +6,222 @@ import (
 )
 
 // TupleIndex numbers distinct code tuples in order of first appearance — the
-// bucketing step shared by the row-scan group-by (internal/agg), hierarchy
-// path extraction (internal/factor) and the merge of per-shard group-bys
-// (internal/core). Tuples are keyed by their dictionary codes, never by
-// strings. The key encoding is chosen from the dictionary sizes: a mixed-radix
-// uint64 composite while their product fits (it always does for hierarchy
-// prefixes of realistic data), else the codes' bytes as a string. With no
-// attributes there is only the one empty tuple.
+// one bucketing step under the row-scan group-by (internal/agg), hierarchy
+// path extraction (internal/factor), the merge of per-shard group-bys
+// (internal/core) and the cube build (internal/cube: a hierarchy prefix's
+// paths, then a lattice level's cells as tuples of path ids). Tuples are keyed
+// by their codes, never by strings.
+//
+// How a key finds its id is chosen once, in the constructor, from what the
+// code observes — the attributes' sizes and the number of tuples the caller
+// says it will feed — never from a flag:
+//
+//   - table: the mixed-radix composite of the codes indexes a []int32 holding
+//     id+1, when the key space (the product of the sizes) is at most
+//     tableSpacePerTuple times the fed count. One array read per tuple.
+//   - narrow: the same uint64 composite probes a map, when the key space fits
+//     uint64 but not a table of that size.
+//   - wide: the codes' bytes as a string probe a map, when it does not fit
+//     uint64 (which no hierarchy prefix of realistic data reaches).
+//
+// Whichever it is, ids are dense and follow first appearance, so whatever a
+// caller accumulates per id accumulates in the order tuples are fed — results
+// are bit-identical across the three. With no attributes there is only the one
+// empty tuple.
 type TupleIndex struct {
-	dicts [][]string
-	cols  [][]uint32 // the dataset's code columns; nil for NewTupleIndex
-	row   []uint32   // Add's scratch: one row's codes
-	fits  bool       // the radix product fits uint64: key tuples by narrow
-	// narrow and wide map a tuple's key to its id; exactly one is in use.
+	dicts [][]string // the attributes' dictionaries, for an index over a dataset's
+	radix []uint64   // per attribute: its size, the key's mixed radix
+	cols  [][]uint32 // the code columns AddRows reads
+	// table, narrow and wide map a tuple's key to its id; exactly one is in use.
+	table  []int32 // id+1 by key, 0 for a key not seen
 	narrow map[uint64]int
 	wide   map[string]int
-	buf    []byte
+	keys   []uint64 // AddRows' scratch: one block's narrow keys
+	buf    []byte   // the wide key under construction
+	n      int
 	tuples []uint32 // every tuple's codes, tuple-major in id order
 }
 
+// tableSpacePerTuple is how many table slots a fed tuple may cost before a
+// map takes over. BenchmarkScanGroupBy (internal/agg) sweeps the ratio from
+// 1/64 to 64: whole scans through the table are 1.4 to 3.8 times as fast as
+// through the map at every one, so no crossing in time bounds it. Memory does:
+// 4 caps the table at 16 bytes per fed tuple, about one map entry's cost.
+const tableSpacePerTuple = 4
+
+// blockRows is how many rows AddRows keys at a time: the block's keys (8 KB)
+// and its window of every code column stay in the first-level cache.
+const blockRows = 1024
+
 // NewTupleIndex starts an empty index over the given attributes of d, fed by
-// row (Add).
-func (d *Dataset) NewTupleIndex(attrs []string) *TupleIndex {
-	dicts, cols := make([][]string, len(attrs)), make([][]uint32, len(attrs))
+// row range (AddRows). feed is the number of rows the caller will add — the
+// length of its range, not of the dataset.
+func (d *Dataset) NewTupleIndex(attrs []string, feed int) *TupleIndex {
+	dicts, cols, sizes := make([][]string, len(attrs)), make([][]uint32, len(attrs)), make([]int, len(attrs))
 	for i, a := range attrs {
 		dicts[i], cols[i] = d.DimCodes(a)
+		sizes[i] = len(dicts[i])
 	}
-	t := NewTupleIndex(dicts)
-	t.cols, t.row = cols, make([]uint32, len(attrs))
+	t := NewTupleIndex(sizes, cols, feed)
+	t.dicts = dicts
 	return t
 }
 
-// NewTupleIndex starts an empty index over tuples of codes into dicts, one per
-// attribute, fed by code tuple (AddCodes).
-func NewTupleIndex(dicts [][]string) *TupleIndex {
-	t := &TupleIndex{dicts: dicts, fits: true}
-	space := uint64(1)
-	for _, dict := range dicts {
-		// An empty dictionary means an empty column: there is no tuple to add.
-		if size := uint64(len(dict)); size > 1 && t.fits {
-			t.fits = space <= math.MaxUint64/size
-			space *= size
+// NewTupleIndex starts an empty index over tuples of one code below each of
+// sizes, feed of them: the rows of the code columns cols (AddRows), or with nil
+// cols whatever code tuples the caller hands over (AddCodes).
+func NewTupleIndex(sizes []int, cols [][]uint32, feed int) *TupleIndex {
+	t := &TupleIndex{radix: make([]uint64, len(sizes)), cols: cols}
+	space, fits := uint64(1), true
+	for i, size := range sizes {
+		t.radix[i] = uint64(size)
+		// A size of zero means an empty column: there is no tuple to add.
+		if size > 1 && fits {
+			fits = space <= math.MaxUint64/t.radix[i]
+			space *= t.radix[i]
 		}
 	}
-	if t.fits {
-		t.narrow = make(map[uint64]int)
-	} else {
+	switch {
+	case !fits:
 		t.wide = make(map[string]int)
-		t.buf = make([]byte, 4*len(dicts))
+		t.buf = make([]byte, 4*len(sizes))
+	// Ids are int32 and a slot holds id+1, so a table cannot number more than
+	// MaxInt32-1 tuples.
+	case feed >= 0 && feed < math.MaxInt32 && space <= tableSpacePerTuple*uint64(feed):
+		t.table = make([]int32, space)
+	default:
+		t.narrow = make(map[uint64]int)
 	}
 	return t
 }
 
-// Add returns the id of row's tuple (see AddCodes). A tuple seen before under a
-// narrow key — all but one row per group — is found without copying its codes.
-func (t *TupleIndex) Add(row int) int {
-	if t.fits {
-		k := uint64(0)
-		for i, cs := range t.cols {
-			k = k*uint64(len(t.dicts[i])) + uint64(cs[row])
-		}
-		if id, ok := t.narrow[k]; ok {
-			return id
-		}
+// AddRows writes the ids of rows [lo, hi)'s tuples (see AddCodes) to
+// ids[:hi-lo]. Narrow keys are built a column at a time over a block of rows —
+// each code column read sequentially — then probed once per row; a row's codes
+// are copied only when its tuple is new, as all but one row per group is not.
+func (t *TupleIndex) AddRows(lo, hi int, ids []int32) {
+	for ; lo < hi; lo += blockRows {
+		n := min(blockRows, hi-lo)
+		t.addBlock(lo, lo+n, ids[:n])
+		ids = ids[n:]
 	}
+}
+
+func (t *TupleIndex) addBlock(lo, hi int, ids []int32) {
+	if t.wide != nil {
+		for row := lo; row < hi; row++ {
+			for i, cs := range t.cols {
+				binary.LittleEndian.PutUint32(t.buf[4*i:], cs[row])
+			}
+			id, ok := t.wide[string(t.buf)]
+			if !ok {
+				id = t.addRow(row)
+				t.wide[string(t.buf)] = id
+			}
+			ids[row-lo] = int32(id)
+		}
+		return
+	}
+	if cap(t.keys) < hi-lo {
+		t.keys = make([]uint64, hi-lo)
+	}
+	keys := t.keys[:hi-lo]
+	clear(keys)
 	for i, cs := range t.cols {
-		t.row[i] = cs[row]
+		radix := t.radix[i]
+		for j, c := range cs[lo:hi] {
+			keys[j] = keys[j]*radix + uint64(c)
+		}
 	}
-	return t.AddCodes(t.row)
+	if t.table != nil {
+		for j, k := range keys {
+			slot := &t.table[k]
+			if *slot == 0 {
+				*slot = int32(t.addRow(lo+j)) + 1
+			}
+			ids[j] = *slot - 1
+		}
+		return
+	}
+	for j, k := range keys {
+		id, ok := t.narrow[k]
+		if !ok {
+			id = t.addRow(lo + j)
+			t.narrow[k] = id
+		}
+		ids[j] = int32(id)
+	}
+}
+
+// addRow records row's tuple as new and returns its id.
+func (t *TupleIndex) addRow(row int) int {
+	for _, cs := range t.cols {
+		t.tuples = append(t.tuples, cs[row])
+	}
+	return t.add()
+}
+
+// add numbers the tuple just appended to tuples. AddRows and the table hold
+// ids as int32; an index that outgrew them (8 GB of codes per attribute) stops
+// here rather than wrap.
+func (t *TupleIndex) add() int {
+	if t.n == math.MaxInt32 {
+		panic("data: TupleIndex: more than MaxInt32 distinct tuples")
+	}
+	t.n++
+	return t.n - 1
 }
 
 // AddCodes returns the id of the tuple with the given codes, one per
 // attribute. Ids are dense and assigned in order of first appearance, so a new
 // tuple's id equals Len() before the call.
 func (t *TupleIndex) AddCodes(codes []uint32) int {
-	if t.fits {
-		k := uint64(0)
+	if t.wide != nil {
 		for i, c := range codes {
-			k = k*uint64(len(t.dicts[i])) + uint64(c)
+			binary.LittleEndian.PutUint32(t.buf[4*i:], c)
 		}
-		id, ok := t.narrow[k]
+		id, ok := t.wide[string(t.buf)]
 		if !ok {
-			id = len(t.narrow)
-			t.narrow[k] = id
 			t.tuples = append(t.tuples, codes...)
+			id = t.add()
+			t.wide[string(t.buf)] = id
 		}
 		return id
 	}
+	k := uint64(0)
 	for i, c := range codes {
-		binary.LittleEndian.PutUint32(t.buf[4*i:], c)
+		k = k*t.radix[i] + uint64(c)
 	}
-	id, ok := t.wide[string(t.buf)]
+	if t.table != nil {
+		slot := &t.table[k]
+		if *slot == 0 {
+			t.tuples = append(t.tuples, codes...)
+			*slot = int32(t.add()) + 1
+		}
+		return int(*slot - 1)
+	}
+	id, ok := t.narrow[k]
 	if !ok {
-		id = len(t.wide)
-		t.wide[string(t.buf)] = id
 		t.tuples = append(t.tuples, codes...)
+		id = t.add()
+		t.narrow[k] = id
 	}
 	return id
 }
 
 // Len returns the number of distinct tuples added so far.
-func (t *TupleIndex) Len() int { return len(t.narrow) + len(t.wide) }
+func (t *TupleIndex) Len() int { return t.n }
 
-// Codes returns the attributes' dictionaries and every tuple's codes into
-// them, tuple-major in id order with one code per attribute.
+// Codes returns the attributes' dictionaries (nil for an index not over a
+// dataset's) and every tuple's codes into them, tuple-major in id order with
+// one code per attribute.
 func (t *TupleIndex) Codes() (dicts [][]string, codes []uint32) {
 	return t.dicts, t.tuples
 }
 
-// Values decodes tuple id into its dimension values, one per attribute — nil
-// for the empty tuple, as DecodeKey has it.
+// Values decodes tuple id of an index over a dataset's attributes into its
+// dimension values, one per attribute — nil for the empty tuple, as DecodeKey
+// has it.
 func (t *TupleIndex) Values(id int) []string {
 	k := len(t.dicts)
 	if k == 0 {

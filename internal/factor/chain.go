@@ -127,9 +127,11 @@ func DistinctPaths(d *data.Dataset, h data.Hierarchy) [][]string {
 			return paths
 		}
 	}
-	tuples := d.NewTupleIndex(h.Attrs)
-	for row := 0; row < d.NumRows(); row++ {
-		tuples.Add(row)
+	n := d.NumRows()
+	tuples := d.NewTupleIndex(h.Attrs, n)
+	var ids [1024]int32
+	for lo := 0; lo < n; lo += len(ids) {
+		tuples.AddRows(lo, min(lo+len(ids), n), ids[:])
 	}
 	paths := make([][]string, tuples.Len())
 	for i := range paths {
