@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -219,15 +220,59 @@ func TestCubeGroupByAllocations(t *testing.T) {
 	}
 }
 
-// BenchmarkCubeBuild measures materializing the full 27-level lattice from
-// rows — the one-time cost a registration or convert -cube pays.
+// tallShape builds a dataset of the repository benchmark's tall shape: geo of
+// depth 3 (480 villages), time and prod of depth 2 (48 months, 12 items), 60 %
+// of the leaf combinations present with a geometric number of rows each
+// (≈ 300k), shuffled, two measures — a 36-level lattice of ≈ 166k leaf cells.
+func tallShape() *data.Dataset {
+	rng := rand.New(rand.NewSource(1))
+	h := []data.Hierarchy{
+		{Name: "geo", Attrs: []string{"region", "district", "village"}},
+		{Name: "time", Attrs: []string{"year", "month"}},
+		{Name: "prod", Attrs: []string{"category", "item"}},
+	}
+	var leaves [][3]int
+	for v := 0; v < 480; v++ {
+		for m := 0; m < 48; m++ {
+			for it := 0; it < 12; it++ {
+				for n := 0; n == 0 && rng.Float64() < 0.6 || n > 0 && rng.Float64() < 0.8/1.8; n++ {
+					leaves = append(leaves, [3]int{v, m, it})
+				}
+			}
+		}
+	}
+	rng.Shuffle(len(leaves), func(a, b int) { leaves[a], leaves[b] = leaves[b], leaves[a] })
+	ds := data.New("tall", []string{"region", "district", "village", "year", "month", "category", "item"}, []string{"units", "cost"}, h)
+	for _, l := range leaves {
+		v, m, it := l[0], l[1], l[2]
+		units := float64(80 + rng.Intn(40))
+		ds.AppendRowVals([]string{
+			fmt.Sprintf("r%02d", v/60), fmt.Sprintf("r%02d-d%02d", v/60, v/10%6), fmt.Sprintf("r%02d-d%02d-v%02d", v/60, v/10%6, v%10),
+			fmt.Sprintf("%d", 2015+m/12), fmt.Sprintf("%d-%02d", 2015+m/12, m%12+1),
+			fmt.Sprintf("c%02d", it/4), fmt.Sprintf("c%02d-i%02d", it/4, it%4),
+		}, []float64{units, 3*units + float64(rng.Intn(30))})
+	}
+	return ds
+}
+
+// BenchmarkCubeBuild measures materializing the full lattice from rows — the
+// one-time cost a registration or convert -cube pays: cross, the 27 levels of
+// three two-level hierarchies over their 43200-row cross product, and tall,
+// the 36 levels of the repository benchmark's ≈ 300k-row dataset.
 func BenchmarkCubeBuild(b *testing.B) {
 	benchFixtures(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := cube.Build(benchData.coded); err != nil {
-			b.Fatal(err)
-		}
+	for _, bc := range []struct {
+		name string
+		ds   *data.Dataset
+	}{{"cross", benchData.coded}, {"tall", tallShape()}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := cube.Build(bc.ds); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(bc.ds.NumRows())*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+		})
 	}
 }
 
@@ -246,5 +291,29 @@ func BenchmarkCubeAppendMerge(b *testing.B) {
 		if next.Cube() == nil {
 			b.Fatal("append dropped the cube")
 		}
+	}
+}
+
+// TestDeltaBuildAllocatesByBatch: a delta cube over a flush batch sizes every
+// table it builds from the batch — 200 rows here — not from the 300k rows of
+// the dataset the batch was appended to.
+func TestDeltaBuildAllocatesByBatch(t *testing.T) {
+	ds := tallShape()
+	n := ds.NumRows()
+	if n < 250_000 {
+		t.Fatalf("test premise: %d rows", n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c, err := cube.BuildRows(ds, n-200, n)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.NumRows() != 200 || c.NumLevels() != 36 {
+		t.Fatalf("delta covers %d rows over %d levels", c.NumRows(), c.NumLevels())
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("BuildRows over 200 of %d rows allocated %d bytes, want under 1 MB", n, got)
 	}
 }
