@@ -324,8 +324,7 @@ func NewResult(attrs []string, measure string, groups []Group) *Result {
 	stats := make([]Stats, len(groups))
 	for gi, g := range groups {
 		stats[gi] = g.Stats
-		for ai := range attrs {
-			v := g.Vals[ai]
+		for ai, v := range g.Vals {
 			c, ok := interned[ai][v]
 			if !ok {
 				c = uint32(len(dicts[ai]))

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"strings"
 )
 
 // Determinism enforces the byte-identical-output contract the engine's scale
@@ -27,9 +28,11 @@ import (
 // Map-typedness is resolved syntactically (the toolchain here is go/parser +
 // go/ast only, no type checker): named map types, map-typed struct fields,
 // map-returning functions, and map-typed locals/params declared in the
-// analyzed source are recognized. The heuristic is deliberately
-// conservative — an unrecognized map simply goes unflagged, while a flagged
-// non-map is suppressible.
+// analyzed source are recognized. A field x.F is looked up in the struct x is
+// declared as wherever the source shows that (a parameter, a var, a composite
+// literal, a range over a slice of it); elsewhere by its bare name, and then only a name that no struct declares as a non-map
+// counts. The heuristic is deliberately conservative — an unrecognized map
+// simply goes unflagged, while a flagged non-map is suppressible.
 type Determinism struct {
 	// WireTrees are the module-relative subtrees whose output must be
 	// byte-deterministic (map-range check).
@@ -67,6 +70,38 @@ type mapEnv struct {
 	fields     map[string]bool // struct field names with map-ish declared type
 	funcs      map[string]bool // func/method names whose first result is map-ish
 	pkgVars    map[string]bool // package-level var names with map-ish type
+	// structs holds every struct's fields by declaring type, "pkg.Type": the
+	// field's declared type, for deciding x.F where x's struct is known.
+	structs map[string]map[string]ast.Expr
+	// plainFields are field names some struct declares with a non-map type: as
+	// bare names they say nothing.
+	plainFields map[string]bool
+}
+
+// structOf names the struct a type expression denotes or holds elements of —
+// T, *T, []T, [n]T, map[K]T, with or without a package qualifier — as
+// "pkg.Type", pkg being the qualifier or else the package the expression sits
+// in. elem reports that t is a container of it.
+func structOf(pkg string, t ast.Expr) (name string, elem bool) {
+	switch t := t.(type) {
+	case *ast.Ident:
+		return pkg + "." + t.Name, false
+	case *ast.SelectorExpr:
+		if q, ok := t.X.(*ast.Ident); ok {
+			return q.Name + "." + t.Sel.Name, false
+		}
+	case *ast.StarExpr:
+		return structOf(pkg, t.X)
+	case *ast.ParenExpr:
+		return structOf(pkg, t.X)
+	case *ast.ArrayType:
+		name, _ = structOf(pkg, t.Elt)
+		return name, true
+	case *ast.MapType:
+		name, _ = structOf(pkg, t.Value)
+		return name, true
+	}
+	return "", false
 }
 
 // isMapTypeExpr reports whether a type expression denotes a map, directly or
@@ -85,15 +120,19 @@ func (e *mapEnv) isMapTypeExpr(t ast.Expr) bool {
 	return false
 }
 
-// buildMapEnv indexes every map-ish declaration in the repository. Names are
-// tracked unqualified; a cross-package collision between a map and a non-map
-// name would over-flag, which suppression covers, and never under-flags maps.
+// buildMapEnv indexes every map-ish declaration in the repository. Type,
+// function and variable names are tracked unqualified; a cross-package
+// collision between a map and a non-map name would over-flag, which
+// suppression covers. Struct fields are indexed by declaring struct as well.
 func buildMapEnv(r *Repo) *mapEnv {
 	e := &mapEnv{
 		namedTypes: make(map[string]bool),
 		fields:     make(map[string]bool),
 		funcs:      make(map[string]bool),
 		pkgVars:    make(map[string]bool),
+
+		structs:     make(map[string]map[string]ast.Expr),
+		plainFields: make(map[string]bool),
 	}
 	// Pass 1: named map types, so passes 2–3 resolve fields and results
 	// declared through them.
@@ -122,10 +161,15 @@ func buildMapEnv(r *Repo) *mapEnv {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						if st, ok := s.Type.(*ast.StructType); ok {
+							declared := make(map[string]ast.Expr)
+							e.structs[f.Ast.Name.Name+"."+s.Name.Name] = declared
 							for _, fl := range st.Fields.List {
-								if e.isMapTypeExpr(fl.Type) {
-									for _, name := range fl.Names {
+								for _, name := range fl.Names {
+									declared[name.Name] = fl.Type
+									if e.isMapTypeExpr(fl.Type) {
 										e.fields[name.Name] = true
+									} else {
+										e.plainFields[name.Name] = true
 									}
 								}
 							}
@@ -256,13 +300,13 @@ func (d *Determinism) checkMapRanges(r *Repo, env *mapEnv, f *File) []Finding {
 		if !ok || fn.Body == nil {
 			continue
 		}
-		locals := localMapIdents(env, fn)
+		locals := localMapIdents(env, localStructs(env, f.Ast.Name.Name, fn), fn)
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
 				return true
 			}
-			if !isMapValue(env, locals, rs.X) {
+			if !valueIsMap(env, locals, rs.X) {
 				return true
 			}
 			sinks := orderedSinks(rs.Body)
@@ -286,12 +330,96 @@ func (d *Determinism) checkMapRanges(r *Repo, env *mapEnv, f *File) []Finding {
 	return out
 }
 
+// scope is what a function's source shows about its identifiers: which hold
+// map values, and which struct ("pkg.Type") the others are declared as.
+type scope struct {
+	maps    map[string]bool
+	structs map[string]string
+}
+
+// localStructs maps a function's identifiers to the structs they are declared
+// as: receivers, parameters and results, var declarations, composite literals,
+// and the value variable of a range over a slice, array or map of structs that
+// such an identifier, or a field of one, holds.
+func localStructs(env *mapEnv, pkg string, fn *ast.FuncDecl) map[string]string {
+	structs, elems := make(map[string]string), make(map[string]string)
+	declare := func(name string, t ast.Expr) {
+		if s, elem := structOf(pkg, t); elem {
+			elems[name] = s
+		} else if s != "" {
+			structs[name] = s
+		}
+	}
+	for _, fl := range []*ast.FieldList{fn.Recv, fn.Type.Params, fn.Type.Results} {
+		if fl == nil {
+			continue
+		}
+		for _, field := range fl.List {
+			for _, name := range field.Names {
+				declare(name.Name, field.Type)
+			}
+		}
+	}
+	ast.Inspect(fn.Body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.DeclStmt:
+			if gd, ok := n.Decl.(*ast.GenDecl); ok && gd.Tok == token.VAR {
+				for _, spec := range gd.Specs {
+					if vs, ok := spec.(*ast.ValueSpec); ok && vs.Type != nil {
+						for _, name := range vs.Names {
+							declare(name.Name, vs.Type)
+						}
+					}
+				}
+			}
+		case *ast.AssignStmt:
+			if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
+				break
+			}
+			rhs := n.Rhs[0]
+			if u, ok := rhs.(*ast.UnaryExpr); ok && u.Op == token.AND {
+				rhs = u.X
+			}
+			if lit, ok := rhs.(*ast.CompositeLit); ok && lit.Type != nil {
+				if id, ok := n.Lhs[0].(*ast.Ident); ok {
+					declare(id.Name, lit.Type)
+				}
+			}
+		case *ast.RangeStmt:
+			v, ok := n.Value.(*ast.Ident)
+			if !ok {
+				break
+			}
+			switch x := n.X.(type) {
+			case *ast.Ident:
+				if s, ok := elems[x.Name]; ok {
+					structs[v.Name] = s
+				}
+			case *ast.SelectorExpr:
+				// x.F with x a known struct: F's type is written relative to the
+				// package that declares the struct.
+				if base, ok := x.X.(*ast.Ident); ok {
+					owner := structs[base.Name]
+					if t, ok := env.structs[owner][x.Sel.Name]; ok {
+						ownerPkg, _, _ := strings.Cut(owner, ".")
+						if s, elem := structOf(ownerPkg, t); elem {
+							structs[v.Name] = s
+						}
+					}
+				}
+			}
+		}
+		return true
+	})
+	return structs
+}
+
 // localMapIdents scans a function for identifiers that hold map values:
 // map-typed parameters and receivers, `var x map[...]`, `x := make(map...)`,
 // map composite literals, and assignments from known map-returning calls or
 // map fields.
-func localMapIdents(env *mapEnv, fn *ast.FuncDecl) map[string]bool {
-	locals := make(map[string]bool)
+func localMapIdents(env *mapEnv, structs map[string]string, fn *ast.FuncDecl) scope {
+	locals := scope{maps: make(map[string]bool), structs: structs}
 	addFields := func(fl *ast.FieldList) {
 		if fl == nil {
 			return
@@ -299,7 +427,7 @@ func localMapIdents(env *mapEnv, fn *ast.FuncDecl) map[string]bool {
 		for _, field := range fl.List {
 			if env.isMapTypeExpr(field.Type) {
 				for _, name := range field.Names {
-					locals[name.Name] = true
+					locals.maps[name.Name] = true
 				}
 			}
 		}
@@ -315,7 +443,7 @@ func localMapIdents(env *mapEnv, fn *ast.FuncDecl) map[string]bool {
 			if len(n.Rhs) == 1 && len(n.Lhs) >= 1 {
 				if valueIsMap(env, locals, n.Rhs[0]) {
 					if id, ok := n.Lhs[0].(*ast.Ident); ok {
-						locals[id.Name] = true
+						locals.maps[id.Name] = true
 					}
 				}
 			}
@@ -324,7 +452,7 @@ func localMapIdents(env *mapEnv, fn *ast.FuncDecl) map[string]bool {
 				for _, spec := range gd.Specs {
 					if vs, ok := spec.(*ast.ValueSpec); ok && vs.Type != nil && env.isMapTypeExpr(vs.Type) {
 						for _, name := range vs.Names {
-							locals[name.Name] = true
+							locals.maps[name.Name] = true
 						}
 					}
 				}
@@ -337,7 +465,7 @@ func localMapIdents(env *mapEnv, fn *ast.FuncDecl) map[string]bool {
 
 // valueIsMap reports whether an expression evaluates to a map under the
 // syntactic environment.
-func valueIsMap(env *mapEnv, locals map[string]bool, e ast.Expr) bool {
+func valueIsMap(env *mapEnv, locals scope, e ast.Expr) bool {
 	switch e := e.(type) {
 	case *ast.CallExpr:
 		switch fun := e.Fun.(type) {
@@ -352,18 +480,18 @@ func valueIsMap(env *mapEnv, locals map[string]bool, e ast.Expr) bool {
 	case *ast.CompositeLit:
 		return e.Type != nil && env.isMapTypeExpr(e.Type)
 	case *ast.Ident:
-		return locals[e.Name] || env.pkgVars[e.Name]
+		return locals.maps[e.Name] || env.pkgVars[e.Name]
 	case *ast.SelectorExpr:
-		return env.fields[e.Sel.Name]
+		if x, ok := e.X.(*ast.Ident); ok {
+			if t, ok := env.structs[locals.structs[x.Name]][e.Sel.Name]; ok {
+				return env.isMapTypeExpr(t)
+			}
+		}
+		return env.fields[e.Sel.Name] && !env.plainFields[e.Sel.Name]
 	case *ast.ParenExpr:
 		return valueIsMap(env, locals, e.X)
 	}
 	return false
-}
-
-// isMapValue decides whether a range expression iterates a map.
-func isMapValue(env *mapEnv, locals map[string]bool, e ast.Expr) bool {
-	return valueIsMap(env, locals, e)
 }
 
 // sinkScan is the result of scanning a loop body for order-sensitive output.

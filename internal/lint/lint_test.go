@@ -64,6 +64,8 @@ func TestDeterminismGolden(t *testing.T) {
 	assertGolden(t, got, []string{
 		`internal/core/clock.go:5:2: [determinism] the engine core must not import math/rand: outputs must be pure functions of the inputs`,
 		`internal/core/clock.go:9:28: [determinism] the engine core must not read the wall clock (time.Now): outputs must be pure functions of the inputs`,
+		`internal/core/fields.go:32:2: [determinism] map iteration order leaks into "out", which is never sorted; sort it before use or iterate sorted keys`,
+		`internal/core/fields.go:48:3: [determinism] map iteration order leaks into "out", which is never sorted; sort it before use or iterate sorted keys`,
 		`internal/core/ignored.go:14:1: [directive] malformed directive "//lint:ignore determinism": want //lint:ignore <analyzer> <reason>`,
 		`internal/core/maps.go:13:2: [determinism] map iteration order leaks into "out", which is never sorted; sort it before use or iterate sorted keys`,
 		`internal/core/maps.go:31:2: [determinism] map iteration order feeds encoded output directly; iterate sorted keys instead`,
