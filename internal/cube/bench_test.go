@@ -235,7 +235,11 @@ func tallShape() *data.Dataset {
 	for v := 0; v < 480; v++ {
 		for m := 0; m < 48; m++ {
 			for it := 0; it < 12; it++ {
-				for n := 0; n == 0 && rng.Float64() < 0.6 || n > 0 && rng.Float64() < 0.8/1.8; n++ {
+				if rng.Float64() >= 0.6 {
+					continue
+				}
+				leaves = append(leaves, [3]int{v, m, it})
+				for rng.Float64() < 0.8/1.8 { // 0.8 further rows in the mean
 					leaves = append(leaves, [3]int{v, m, it})
 				}
 			}

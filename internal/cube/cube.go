@@ -217,10 +217,12 @@ func BuildRows(ds *data.Dataset, lo, hi int) (*Cube, error) {
 		for r := 0; r < n; r += len(block) {
 			m := min(len(block), n-r)
 			cells.AddRows(r, r+m, block[:])
-			grown := make([]float64, cells.Len()-len(lv.counts))
-			lv.counts = append(lv.counts, grown...)
-			for mi := range cols {
-				lv.sums[mi], lv.sumsqs[mi] = append(lv.sums[mi], grown...), append(lv.sumsqs[mi], grown...)
+			if grown := cells.Len() - len(lv.counts); grown > 0 {
+				lv.counts = append(lv.counts, make([]float64, grown)...)
+				for mi := range cols {
+					lv.sums[mi] = append(lv.sums[mi], make([]float64, grown)...)
+					lv.sumsqs[mi] = append(lv.sumsqs[mi], make([]float64, grown)...)
+				}
 			}
 			for j, ci := range block[:m] {
 				lv.counts[ci]++

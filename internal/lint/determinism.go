@@ -300,7 +300,7 @@ func (d *Determinism) checkMapRanges(r *Repo, env *mapEnv, f *File) []Finding {
 		if !ok || fn.Body == nil {
 			continue
 		}
-		locals := localMapIdents(env, localStructs(env, f.Ast.Name.Name, fn), fn)
+		locals := localScope(env, f.Ast.Name.Name, fn)
 		ast.Inspect(fn.Body, func(n ast.Node) bool {
 			rs, ok := n.(*ast.RangeStmt)
 			if !ok {
@@ -414,12 +414,12 @@ func localStructs(env *mapEnv, pkg string, fn *ast.FuncDecl) map[string]string {
 	return structs
 }
 
-// localMapIdents scans a function for identifiers that hold map values:
+// localScope scans a function for identifiers that hold map values —
 // map-typed parameters and receivers, `var x map[...]`, `x := make(map...)`,
 // map composite literals, and assignments from known map-returning calls or
-// map fields.
-func localMapIdents(env *mapEnv, structs map[string]string, fn *ast.FuncDecl) scope {
-	locals := scope{maps: make(map[string]bool), structs: structs}
+// map fields — beside the structs the others are declared as (localStructs).
+func localScope(env *mapEnv, pkg string, fn *ast.FuncDecl) scope {
+	locals := scope{maps: make(map[string]bool), structs: localStructs(env, pkg, fn)}
 	addFields := func(fl *ast.FieldList) {
 		if fl == nil {
 			return
