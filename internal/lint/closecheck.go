@@ -41,9 +41,8 @@ func NewCloseCheck() *CloseCheck {
 
 		"internal/wal.Open": 0,
 
-		"internal/store.OpenMappedFile":        0,
-		"internal/store.OpenShardedMappedFile": 1,
-		"internal/store.OpenShardsFile":        1,
+		"internal/store.OpenMappedFile": 0,
+		"internal/store.OpenShardsFile": 1,
 
 		"internal/shard.Open": 0,
 

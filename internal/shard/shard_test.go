@@ -392,8 +392,6 @@ func TestPartitionedFileRoundtrip(t *testing.T) {
 	if got.N() > 1 && &got.Snaps[0].Dims[0].Dict[0] != &got.Snaps[1].Dims[0].Dict[0] {
 		t.Fatal("reopened shards do not share dictionaries")
 	}
-	// A plain snapshot opened as sharded — and vice versa — both fail with a
-	// pointer at the right entry point.
 	plain := filepath.Join(dir, "plain.rst")
 	if err := store.FromDataset(testDataset()).WriteFile(plain); err != nil {
 		t.Fatal(err)
@@ -402,10 +400,9 @@ func TestPartitionedFileRoundtrip(t *testing.T) {
 	if one, err := Open(plain, false); err != nil || one.N() != 1 || one.Key != "" {
 		t.Fatalf("Open(plain) = (%+v, %v), want a keyless one-shard set", one, err)
 	}
-	if _, _, err := store.OpenShardedFile(plain); err == nil || !strings.Contains(err.Error(), "single snapshot") {
-		t.Fatalf("OpenShardedFile on a plain snapshot: %v", err)
-	}
-	if _, err := store.OpenFile(path); err == nil || !strings.Contains(err.Error(), "partitioned") {
+	// The single-snapshot open refuses the partitioned file with a pointer at
+	// the right entry point.
+	if _, err := store.OpenFile(path); err == nil || !strings.Contains(err.Error(), "OpenShardsFile") {
 		t.Fatalf("OpenFile on a partitioned snapshot: %v", err)
 	}
 }

@@ -78,8 +78,8 @@
 //
 // The layout (version byte 2) mirrors the single-snapshot design — one
 // CRC-checked header with a shard-major offset directory, then aligned
-// per-shard payloads — so OpenShardedMappedFile serves every shard out of one
-// refcounted file mapping:
+// per-shard payloads — so a mapped OpenShardsFile serves every shard out of
+// one refcounted file mapping, and one writer (writeLayout) lays out both:
 //
 //	magic "RSTSHARD" | version byte = 2
 //	name str | dataset version uv | partition key str

@@ -48,6 +48,22 @@ func align8(n int) int { return (n + 7) &^ 7 }
 // Mapped snapshots stream straight out of their mapping, so Save works
 // without materializing columns on the heap.
 func (s *Snapshot) Write(w io.Writer) error {
+	return writeLayout(w, "", []*Snapshot{s})
+}
+
+// writeLayout is the one .rst writer. Both layouts (doc.go) are the same five
+// stages — staged header, schema, offset directory sealed by the header CRC,
+// aligned column payloads, tail CRC — and differ only in what frames them: an
+// empty key writes the single-snapshot layout of shards[0] (row count in the
+// header, a cube offset closing the directory, the cube section after the
+// payloads), a key the partitioned one (the key and per-shard row counts in
+// the header, a shard-major directory, no cubes). The shards share the schema
+// and dictionaries of shards[0] (WriteSharded checks).
+func writeLayout(w io.Writer, key string, shards []*Snapshot) error {
+	first, plain, kind := shards[0], key == "", "snapshot"
+	if !plain {
+		kind = "partitioned snapshot"
+	}
 	// Stage the header in memory: the byte-offset directory holds absolute
 	// payload offsets, so the header's size must be known before the first
 	// payload byte is placed. The header is small — schema plus
@@ -56,67 +72,85 @@ func (s *Snapshot) Write(w io.Writer) error {
 	var hb bytes.Buffer
 	hw := bufio.NewWriterSize(&hb, 1<<12)
 	e := &encoder{w: hw}
-	e.bytes(magic[:])
-	e.byte(FormatVersion)
-	e.string(s.Name)
-	e.uvarint(s.Version)
-	e.uvarint(uint64(s.rows))
-	e.uvarint(uint64(len(s.Hierarchies)))
-	for _, hr := range s.Hierarchies {
+	if plain {
+		e.bytes(magic[:])
+		e.byte(FormatVersion)
+	} else {
+		e.bytes(shardMagic[:])
+		e.byte(ShardFormatVersion)
+	}
+	e.string(first.Name)
+	e.uvarint(first.Version)
+	if plain {
+		e.uvarint(uint64(first.rows))
+	} else {
+		e.string(key)
+	}
+	e.uvarint(uint64(len(first.Hierarchies)))
+	for _, hr := range first.Hierarchies {
 		e.string(hr.Name)
 		e.uvarint(uint64(len(hr.Attrs)))
 		for _, a := range hr.Attrs {
 			e.string(a)
 		}
 	}
-	e.uvarint(uint64(len(s.Dims)))
-	for _, c := range s.Dims {
+	e.uvarint(uint64(len(first.Dims)))
+	for _, c := range first.Dims {
 		e.string(c.Name)
 		e.uvarint(uint64(len(c.Dict)))
 		for _, v := range c.Dict {
 			e.string(v)
 		}
 	}
-	e.uvarint(uint64(len(s.Measures)))
-	for _, m := range s.Measures {
+	e.uvarint(uint64(len(first.Measures)))
+	for _, m := range first.Measures {
 		e.string(m.Name)
+	}
+	if !plain {
+		e.uvarint(uint64(len(shards)))
+		for _, s := range shards {
+			e.uvarint(uint64(s.rows))
+		}
 	}
 	if e.err == nil {
 		e.err = hw.Flush()
 	}
 	if e.err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", e.err)
+		return fmt.Errorf("store: writing %s: %w", kind, e.err)
 	}
 
-	// Directory: one u64 offset per dimension, per measure, plus the cube
-	// section offset (0 = no cube), then the header CRC.
-	headerLen := hb.Len() + 8*(len(s.Dims)+len(s.Measures)+1) + 4
+	// Directory: per shard, one u64 offset per dimension then per measure;
+	// the single-snapshot layout closes it with the cube section offset
+	// (0 = no cube). Then the header CRC.
+	nOff := len(shards) * (len(first.Dims) + len(first.Measures))
+	if plain {
+		nOff++
+	}
+	headerLen := hb.Len() + 8*nOff + 4
 	off := align8(headerLen)
-	dimOff := make([]uint64, len(s.Dims))
-	for i := range s.Dims {
-		dimOff[i] = uint64(off)
-		off = align8(off + 4*s.rows)
+	offs := make([]uint64, 0, nOff)
+	for _, s := range shards {
+		for range s.Dims {
+			offs = append(offs, uint64(off))
+			off = align8(off + 4*s.rows)
+		}
+		for range s.Measures {
+			offs = append(offs, uint64(off))
+			off = align8(off + 8*s.rows)
+		}
 	}
-	msOff := make([]uint64, len(s.Measures))
-	for i := range s.Measures {
-		msOff[i] = uint64(off)
-		off = align8(off + 8*s.rows)
-	}
-	cubeOff := uint64(0)
-	if s.cube != nil {
-		cubeOff = uint64(off)
+	if plain {
+		cubeOff := uint64(0)
+		if first.cube != nil {
+			cubeOff = uint64(off)
+		}
+		offs = append(offs, cubeOff)
 	}
 	var u8 [8]byte
-	for _, o := range dimOff {
+	for _, o := range offs {
 		binary.LittleEndian.PutUint64(u8[:], o)
 		hb.Write(u8[:])
 	}
-	for _, o := range msOff {
-		binary.LittleEndian.PutUint64(u8[:], o)
-		hb.Write(u8[:])
-	}
-	binary.LittleEndian.PutUint64(u8[:], cubeOff)
-	hb.Write(u8[:])
 	binary.LittleEndian.PutUint32(u8[:4], crc32.Checksum(hb.Bytes(), castagnoli))
 	hb.Write(u8[:4])
 
@@ -125,16 +159,18 @@ func (s *Snapshot) Write(w io.Writer) error {
 	we := &encoder{w: bw}
 	we.bytes(hb.Bytes())
 	we.pad(align8(headerLen) - headerLen)
-	for _, c := range s.Dims {
-		we.codes(c.Codes)
-		we.pad(align8(4*s.rows) - 4*s.rows)
+	for _, s := range shards {
+		for _, c := range s.Dims {
+			we.codes(c.Codes)
+			we.pad(align8(4*s.rows) - 4*s.rows)
+		}
+		for _, m := range s.Measures {
+			we.floats(m.Values)
+			we.pad(align8(8*s.rows) - 8*s.rows)
+		}
 	}
-	for _, m := range s.Measures {
-		we.floats(m.Values)
-		we.pad(align8(8*s.rows) - 8*s.rows)
-	}
-	if s.cube != nil {
-		payload := s.cube.AppendBinary(nil)
+	if plain && first.cube != nil {
+		payload := first.cube.AppendBinary(nil)
 		we.bytes(cubeTag[:])
 		we.byte(CubeFormatVersion)
 		we.uvarint(uint64(len(payload)))
@@ -143,18 +179,18 @@ func (s *Snapshot) Write(w io.Writer) error {
 		binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
 		we.bytes(sum[:])
 	}
-	if we.err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", we.err)
+	if we.err == nil {
+		we.err = bw.Flush()
 	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("store: writing snapshot: %w", err)
+	if we.err != nil {
+		return fmt.Errorf("store: writing %s: %w", kind, we.err)
 	}
 	// The checksum covers everything flushed so far and is written to the
 	// destination only (hashing it too would make verification impossible).
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], h.Sum32())
 	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("store: writing snapshot checksum: %w", err)
+		return fmt.Errorf("store: writing %s checksum: %w", kind, err)
 	}
 	return nil
 }
@@ -207,12 +243,12 @@ func Open(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
-	return single(openShards(b, nil, plainOnly))
+	return single(openShards(b, nil, true))
 }
 
 // OpenFile loads a .rst snapshot from disk.
 func OpenFile(path string) (*Snapshot, error) {
-	return single(openPath(path, false, plainOnly))
+	return single(openPath(path, false, true))
 }
 
 // single unwraps the one snapshot of a plain open.
@@ -223,34 +259,26 @@ func single(_ string, shards []*Snapshot, err error) (*Snapshot, error) {
 	return shards[0], nil
 }
 
-// flavour restricts which of the two .rst layouts an open accepts.
-type flavour int
-
-const (
-	anyFlavour flavour = iota
-	plainOnly
-	partitionedOnly
-)
-
 // errFormatV1 answers every open of a version-1 file, plain or partitioned.
 var errFormatV1 = errors.New("store: format version 1 is no longer readable; re-run `reptile convert` from the source CSV")
 
 // openPath opens the .rst file at path — eagerly from one read, or mapped —
-// and adds the path to any decode error.
-func openPath(path string, mapped bool, want flavour) (key string, shards []*Snapshot, err error) {
+// and adds the path to any decode error. plainOnly refuses the partitioned
+// layout (the single-snapshot opens).
+func openPath(path string, mapped, plainOnly bool) (key string, shards []*Snapshot, err error) {
 	if mapped {
 		f, ferr := os.Open(path)
 		if ferr != nil {
 			return "", nil, ferr
 		}
 		defer f.Close()
-		key, shards, err = openMapped(f, want)
+		key, shards, err = openMapped(f, plainOnly)
 	} else {
 		b, rerr := os.ReadFile(path)
 		if rerr != nil {
 			return "", nil, rerr
 		}
-		key, shards, err = openShards(b, nil, want)
+		key, shards, err = openShards(b, nil, plainOnly)
 	}
 	if err != nil {
 		return "", nil, fmt.Errorf("store: %s: %w", path, err)
@@ -262,16 +290,14 @@ func openPath(path string, mapped bool, want flavour) (key string, shards []*Sna
 // plain snapshot is the one-shard partition with no key. With m set, b is
 // m's mapped bytes and the shards' columns are views over it; otherwise
 // every column is decoded onto the heap.
-func openShards(b []byte, m *mapping, want flavour) (string, []*Snapshot, error) {
+func openShards(b []byte, m *mapping, plainOnly bool) (string, []*Snapshot, error) {
 	d, sharded, err := openEnvelope(b)
 	if err != nil {
 		return "", nil, err
 	}
 	switch {
-	case sharded && want == plainOnly:
-		return "", nil, fmt.Errorf("store: file is a partitioned snapshot; open it with OpenSharded")
-	case !sharded && want == partitionedOnly:
-		return "", nil, fmt.Errorf("store: file is a single snapshot, not a partitioned one; open it with Open")
+	case sharded && plainOnly:
+		return "", nil, fmt.Errorf("store: file is a partitioned snapshot; open it with OpenShardsFile")
 	case sharded:
 		return decodeSharded(d, m)
 	}

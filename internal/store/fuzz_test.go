@@ -48,7 +48,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 				t.Fatalf("accepted snapshot failed to materialize: %v", err)
 			}
 		}
-		if _, shards, err := OpenSharded(bytes.NewReader(b)); err == nil {
+		if _, shards, err := openShards(b, nil, false); err == nil {
 			for _, s := range shards {
 				if _, err := s.Dataset(); err != nil {
 					t.Fatalf("accepted shard failed to materialize: %v", err)
@@ -57,7 +57,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 		}
 		// The mapped decoders over the same bytes, wherever the fuzzer's
 		// buffer happens to sit: views or eager fallback, never a fault.
-		if _, shards, err := openShards(b, &mapping{data: b}, anyFlavour); err == nil {
+		if _, shards, err := openShards(b, &mapping{data: b}, false); err == nil {
 			for _, s := range shards {
 				if _, err := s.Dataset(); err != nil {
 					t.Fatalf("accepted mapped shard failed to materialize: %v", err)

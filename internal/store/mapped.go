@@ -92,19 +92,19 @@ func (s *Snapshot) ResidentColumnBytes() int64 {
 // view). Heap cost is O(dictionaries + cube), not O(rows), so datasets
 // larger than RAM serve with flat residency. Release the mapping with Close.
 func OpenMappedFile(path string) (*Snapshot, error) {
-	return single(openPath(path, true, plainOnly))
+	return single(openPath(path, true, true))
 }
 
 // openMapped maps the open file f (the descriptor may be closed afterwards;
 // the mapping persists) and builds the file's shard snapshots over the
 // mapping, which every shard co-owns: it is released when the last one closes
 // (or right here when the open fails).
-func openMapped(f *os.File, want flavour) (string, []*Snapshot, error) {
+func openMapped(f *os.File, plainOnly bool) (string, []*Snapshot, error) {
 	m, err := openMapping(f)
 	if err != nil {
 		return "", nil, err
 	}
-	key, shards, err := openShards(m.data, m, want)
+	key, shards, err := openShards(m.data, m, plainOnly)
 	if err != nil {
 		m.close()
 		return "", nil, err

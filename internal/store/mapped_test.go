@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -111,8 +112,8 @@ func TestFormatV1Rejected(t *testing.T) {
 	}{
 		{"plain eager", func() error { _, err := OpenFile(plain); return err }},
 		{"plain mapped", func() error { _, err := OpenMappedFile(plain); return err }},
-		{"partitioned eager", func() error { _, _, err := OpenShardedFile(sharded); return err }},
-		{"partitioned mapped", func() error { _, _, err := OpenShardedMappedFile(sharded); return err }},
+		{"partitioned eager", func() error { _, _, err := OpenShardsFile(sharded, false); return err }},
+		{"partitioned mapped", func() error { _, _, err := OpenShardsFile(sharded, true); return err }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -161,7 +162,7 @@ func TestMappedViewCannotFault(t *testing.T) {
 	for shift := 0; shift < 8; shift++ {
 		b := backing[shift : shift+len(good)]
 		copy(b, good)
-		_, shards, err := openShards(b, &mapping{data: b}, plainOnly)
+		_, shards, err := openShards(b, &mapping{data: b}, true)
 		if err != nil {
 			t.Fatalf("shift %d: %v", shift, err)
 		}
@@ -175,7 +176,7 @@ func TestMappedViewCannotFault(t *testing.T) {
 		}
 		assertDatasetsEqual(t, got, want)
 		for cut := 0; cut < len(good); cut++ {
-			if _, _, err := openShards(b[:cut], &mapping{data: b[:cut]}, plainOnly); err == nil {
+			if _, _, err := openShards(b[:cut], &mapping{data: b[:cut]}, true); err == nil {
 				t.Fatalf("shift %d: truncation at %d/%d opened", shift, cut, len(good))
 			}
 		}
@@ -313,11 +314,11 @@ func TestOpenErrorsIncludePath(t *testing.T) {
 	if _, err := OpenMappedFile(singlePath); err == nil || !strings.Contains(err.Error(), singlePath) {
 		t.Errorf("OpenMappedFile err = %v, want it to name %s", err, singlePath)
 	}
-	if _, _, err := OpenShardedFile(shardedPath); err == nil || !strings.Contains(err.Error(), shardedPath) {
-		t.Errorf("OpenShardedFile err = %v, want it to name %s", err, shardedPath)
+	if _, _, err := OpenShardsFile(shardedPath, false); err == nil || !strings.Contains(err.Error(), shardedPath) {
+		t.Errorf("eager OpenShardsFile err = %v, want it to name %s", err, shardedPath)
 	}
-	if _, _, err := OpenShardedMappedFile(shardedPath); err == nil || !strings.Contains(err.Error(), shardedPath) {
-		t.Errorf("OpenShardedMappedFile err = %v, want it to name %s", err, shardedPath)
+	if _, _, err := OpenShardsFile(shardedPath, true); err == nil || !strings.Contains(err.Error(), shardedPath) {
+		t.Errorf("mapped OpenShardsFile err = %v, want it to name %s", err, shardedPath)
 	}
 }
 
@@ -377,14 +378,14 @@ func TestOpenShardedMappedRoundTrip(t *testing.T) {
 	want := demoDataset7()
 	shards := splitShards(t, want, 3)
 	path := filepath.Join(t.TempDir(), "sharded.rst")
-	if err := WriteShardedFile(path, "district", shards); err != nil {
+	if err := WriteFileAtomic(path, false, func(w io.Writer) error { return WriteSharded(w, "district", shards) }); err != nil {
 		t.Fatal(err)
 	}
-	key, eager, err := OpenShardedFile(path)
+	key, eager, err := OpenShardsFile(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mkey, mapped, err := OpenShardedMappedFile(path)
+	mkey, mapped, err := OpenShardsFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,13 +446,13 @@ func TestOpenShardedRejectsTruncationEverywhere(t *testing.T) {
 	good := buf.Bytes()
 	path := filepath.Join(t.TempDir(), "cut.rst")
 	for cut := 0; cut < len(good); cut++ {
-		if _, _, err := OpenSharded(bytes.NewReader(good[:cut])); err == nil {
+		if _, _, err := openShards(good[:cut], nil, false); err == nil {
 			t.Fatalf("truncation at offset %d/%d opened successfully", cut, len(good))
 		}
 		if err := os.WriteFile(path, good[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, ss, err := OpenShardedMappedFile(path); err == nil {
+		if _, ss, err := OpenShardsFile(path, true); err == nil {
 			for _, s := range ss {
 				s.Close()
 			}
@@ -461,7 +462,7 @@ func TestOpenShardedRejectsTruncationEverywhere(t *testing.T) {
 	for cut := 0; cut < len(good)-4; cut++ {
 		b := append(append([]byte(nil), good[:cut]...), 0, 0, 0, 0)
 		reseal(b)
-		if _, _, err := OpenSharded(bytes.NewReader(b)); err == nil {
+		if _, _, err := openShards(b, nil, false); err == nil {
 			t.Fatalf("resealed truncation at offset %d/%d opened successfully", cut, len(good))
 		}
 	}
@@ -506,14 +507,14 @@ func TestOpenShardedRejectsDirectoryTampering(t *testing.T) {
 			b := append([]byte(nil), good...)
 			tc.mutate(b)
 			reseal(b)
-			if _, _, err := OpenSharded(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, _, err := openShards(b, nil, false); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("eager err = %v, want %q", err, tc.want)
 			}
 			path := filepath.Join(t.TempDir(), "tampered.rst")
 			if err := os.WriteFile(path, b, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			if _, ss, err := OpenShardedMappedFile(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, ss, err := OpenShardsFile(path, true); err == nil || !strings.Contains(err.Error(), tc.want) {
 				for _, s := range ss {
 					s.Close()
 				}

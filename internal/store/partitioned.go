@@ -1,11 +1,7 @@
 package store
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"repro/internal/data"
@@ -15,7 +11,7 @@ import (
 // hashed into N shards on a hierarchy-root dimension, dictionaries shared
 // across the shards and written once. Version 2 (the current writer output)
 // keeps a CRC-checked byte-offset directory in the header and 8-byte-aligned
-// per-shard column payloads, so OpenShardedMappedFile can serve every shard out
+// per-shard column payloads, so a mapped OpenShardsFile serves every shard out
 // of one file mapping; version 1 (inline shard sections) is no longer
 // readable. Materialized cubes are not persisted: per-shard cubes are cheap
 // to rebuild at registration time.
@@ -33,106 +29,7 @@ func WriteSharded(w io.Writer, key string, shards []*Snapshot) error {
 	if err := checkShardSet(key, shards); err != nil {
 		return err
 	}
-	first := shards[0]
-	// Stage the header in memory — see Snapshot.Write: the directory holds
-	// absolute payload offsets, so the header's size must be known before the
-	// first payload byte is placed.
-	var hb bytes.Buffer
-	hw := bufio.NewWriterSize(&hb, 1<<12)
-	e := &encoder{w: hw}
-	e.bytes(shardMagic[:])
-	e.byte(ShardFormatVersion)
-	e.string(first.Name)
-	e.uvarint(first.Version)
-	e.string(key)
-	e.uvarint(uint64(len(first.Hierarchies)))
-	for _, hr := range first.Hierarchies {
-		e.string(hr.Name)
-		e.uvarint(uint64(len(hr.Attrs)))
-		for _, a := range hr.Attrs {
-			e.string(a)
-		}
-	}
-	e.uvarint(uint64(len(first.Dims)))
-	for _, c := range first.Dims {
-		e.string(c.Name)
-		e.uvarint(uint64(len(c.Dict)))
-		for _, v := range c.Dict {
-			e.string(v)
-		}
-	}
-	e.uvarint(uint64(len(first.Measures)))
-	for _, m := range first.Measures {
-		e.string(m.Name)
-	}
-	e.uvarint(uint64(len(shards)))
-	for _, s := range shards {
-		e.uvarint(uint64(s.rows))
-	}
-	if e.err == nil {
-		e.err = hw.Flush()
-	}
-	if e.err != nil {
-		return fmt.Errorf("store: writing partitioned snapshot: %w", e.err)
-	}
-
-	// Directory: per shard, one u64 offset per dimension then per measure,
-	// followed by the header CRC.
-	perShard := len(first.Dims) + len(first.Measures)
-	headerLen := hb.Len() + 8*len(shards)*perShard + 4
-	off := align8(headerLen)
-	offs := make([]uint64, 0, len(shards)*perShard)
-	for _, s := range shards {
-		for range s.Dims {
-			offs = append(offs, uint64(off))
-			off = align8(off + 4*s.rows)
-		}
-		for range s.Measures {
-			offs = append(offs, uint64(off))
-			off = align8(off + 8*s.rows)
-		}
-	}
-	var u8 [8]byte
-	for _, o := range offs {
-		binary.LittleEndian.PutUint64(u8[:], o)
-		hb.Write(u8[:])
-	}
-	binary.LittleEndian.PutUint32(u8[:4], crc32.Checksum(hb.Bytes(), castagnoli))
-	hb.Write(u8[:4])
-
-	h := crc32.New(castagnoli)
-	bw := bufio.NewWriterSize(io.MultiWriter(w, h), 1<<16)
-	we := &encoder{w: bw}
-	we.bytes(hb.Bytes())
-	we.pad(align8(headerLen) - headerLen)
-	for _, s := range shards {
-		for _, c := range s.Dims {
-			we.codes(c.Codes)
-			we.pad(align8(4*s.rows) - 4*s.rows)
-		}
-		for _, m := range s.Measures {
-			we.floats(m.Values)
-			we.pad(align8(8*s.rows) - 8*s.rows)
-		}
-	}
-	if we.err != nil {
-		return fmt.Errorf("store: writing partitioned snapshot: %w", we.err)
-	}
-	if err := bw.Flush(); err != nil {
-		return fmt.Errorf("store: writing partitioned snapshot: %w", err)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], h.Sum32())
-	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("store: writing partitioned snapshot checksum: %w", err)
-	}
-	return nil
-}
-
-// WriteShardedFile writes the partitioned snapshot to path atomically
-// (temp file + rename).
-func WriteShardedFile(path, key string, shards []*Snapshot) error {
-	return WriteFileAtomic(path, false, func(w io.Writer) error { return WriteSharded(w, key, shards) })
+	return writeLayout(w, key, shards)
 }
 
 // checkShardSet verifies the writer's preconditions: a non-empty shard list
@@ -204,30 +101,16 @@ func equalDict(a, b []string) bool {
 	return true
 }
 
-// OpenSharded decodes and validates a partitioned snapshot from r: the file
-// and header checksums, each shard's structural invariants and hierarchy
-// functional dependencies. The returned snapshots share one set of
-// dictionary slices, in shard order.
-func OpenSharded(r io.Reader) (key string, shards []*Snapshot, err error) {
-	b, err := io.ReadAll(r)
-	if err != nil {
-		return "", nil, fmt.Errorf("store: reading partitioned snapshot: %w", err)
-	}
-	return openShards(b, nil, partitionedOnly)
-}
-
-// OpenShardedFile loads a partitioned .rst snapshot from disk.
-func OpenShardedFile(path string) (string, []*Snapshot, error) {
-	return openPath(path, false, partitionedOnly)
-}
-
 // OpenShardsFile loads either .rst layout as a shard list, reading (or, with
 // mapped set, memory-mapping) the file once and dispatching on its magic: a
-// partitioned file yields its key and N shards, a plain snapshot is the
-// one-shard partition and yields no key. Mapped shards share one file
-// mapping, released when the last of them is Closed.
+// partitioned file yields its key and N shards — sharing one set of dictionary
+// slices, in shard order — a plain snapshot is the one-shard partition and
+// yields no key. Every open verifies the file and header checksums and each
+// shard's structural invariants and hierarchy functional dependencies. Mapped
+// shards are typed views over one file mapping, released when the last of
+// them is Closed.
 func OpenShardsFile(path string, mapped bool) (key string, shards []*Snapshot, err error) {
-	return openPath(path, mapped, anyFlavour)
+	return openPath(path, mapped, false)
 }
 
 // decodeSharded builds the shard snapshots of a partitioned file from a
@@ -307,11 +190,4 @@ func parseShardHeaderV2(d *decoder) (*shardHeaderV2, error) {
 		return nil, fmt.Errorf("store: %d trailing bytes after partitioned snapshot payload", len(d.b)-expected)
 	}
 	return h, nil
-}
-
-// OpenShardedMappedFile memory-maps a partitioned .rst snapshot: the header
-// (schema, shared dictionaries, offset directory) is parsed and CRC-checked,
-// and every shard's columns are typed views over one shared file mapping. The mapping is released when the last shard is Closed.
-func OpenShardedMappedFile(path string) (string, []*Snapshot, error) {
-	return openPath(path, true, partitionedOnly)
 }
