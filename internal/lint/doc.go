@@ -5,10 +5,9 @@
 // sequential/parallel, cube-on/off, sharded/unsharded, eager/mapped, and
 // crash-recovered execution — survives only if the code keeps certain
 // disciplines: map iteration never orders wire output, the core never reads
-// the clock, the wire packages stay vendorable, the error-code contract
-// stays closed, and OS-backed handles get closed. Tests catch violations
-// only when they happen to randomize the right way; this package catches
-// them at the syntax level, on every run.
+// the clock, the wire packages stay vendorable, and OS-backed handles get
+// closed. Tests catch violations only when they happen to randomize the
+// right way; this package catches them at the syntax level, on every run.
 //
 // The framework is standard-library only (go/parser, go/ast, go/token — the
 // module has no dependencies and this tool is not the reason to grow one).
@@ -32,8 +31,6 @@
 //     through internal/ingest, unsafe importable only by internal/store).
 //   - determinism: unsorted map iteration feeding appends or encoders in
 //     wire-output packages; wall-clock and math/rand use in the engine core.
-//   - errorcodes: the closed api.ErrorCode set vs its status-mapping tables
-//     and the internal/obs error buckets.
 //   - closecheck: file/WAL/mmap/dataset constructor results must be closed
 //     or escape.
 //

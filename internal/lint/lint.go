@@ -306,7 +306,6 @@ func All() []Analyzer {
 	return []Analyzer{
 		NewBoundaries(),
 		NewDeterminism(),
-		NewErrorCodes(),
 		NewCloseCheck(),
 	}
 }

@@ -11,11 +11,9 @@
 // no locks are taken on the request path.
 //
 // Histogram uses a fixed power-of-two-microsecond bucket layout shared by
-// every instance, so any two histograms (server-side endpoint latencies,
-// per-worker client-side measurements in cmd/reptile-bench) merge exactly by
-// adding counts bucket-wise. Quantiles (p50/p95/p99) interpolate linearly
-// inside the selected bucket, bounding the estimation error by the bucket
-// width, and are clamped to the recorded maximum.
+// every instance. Quantiles (p50/p95/p99) interpolate linearly inside the
+// selected bucket, bounding the estimation error by the bucket width, and are
+// clamped to the recorded maximum.
 //
 // # Stage traces
 //

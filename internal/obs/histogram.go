@@ -8,8 +8,7 @@ import (
 
 // NumBuckets is the fixed bucket count of every Histogram. Bucket i covers
 // latencies in (UpperBound(i-1), UpperBound(i)]; the last bucket is
-// unbounded above. The layout is identical for every histogram, so any two
-// histograms merge by adding counts bucket-wise.
+// unbounded above. The layout is identical for every histogram.
 const NumBuckets = 36
 
 // UpperBound returns bucket i's inclusive upper bound: 2^i microseconds
@@ -40,9 +39,8 @@ func bucketOf(d time.Duration) int {
 // Histogram is a fixed-bucket latency histogram safe for concurrent,
 // lock-free recording: Observe is a few atomic adds, and readers take a
 // point-in-time Snapshot without stopping writers. All histograms share one
-// bucket layout (power-of-two microsecond bounds), so snapshots merge
-// exactly; quantiles interpolate linearly inside a bucket, bounding the
-// error by the bucket's width.
+// bucket layout (power-of-two microsecond bounds); quantiles interpolate
+// linearly inside a bucket, bounding the error by the bucket's width.
 //
 // The zero value is ready to use.
 type Histogram struct {
@@ -84,28 +82,12 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is a point-in-time copy of a Histogram, the form quantiles
-// and merges operate on.
+// operate on.
 type HistSnapshot struct {
 	Buckets [NumBuckets]uint64
 	Count   uint64
 	Sum     time.Duration
 	Max     time.Duration
-}
-
-// Merge adds o's counts into s, returning the combined snapshot. Every
-// histogram shares the same bucket layout, so the merge is exact: merging
-// two snapshots is indistinguishable from having observed both series into
-// one histogram.
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	for i := range s.Buckets {
-		s.Buckets[i] += o.Buckets[i]
-	}
-	s.Count += o.Count
-	s.Sum += o.Sum
-	if o.Max > s.Max {
-		s.Max = o.Max
-	}
-	return s
 }
 
 // Quantile estimates the q-th latency quantile (0 < q <= 1) by linear

@@ -84,33 +84,6 @@ func TestQuantileEmptyAndSingle(t *testing.T) {
 	}
 }
 
-// TestMergeMatchesCombinedObservation is the mergeability contract: merging
-// two snapshots is indistinguishable from observing both series into one
-// histogram.
-func TestMergeMatchesCombinedObservation(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	var a, b, both Histogram
-	for i := 0; i < 5000; i++ {
-		d := time.Duration(rng.Int63n(int64(200 * time.Millisecond)))
-		if i%2 == 0 {
-			a.Observe(d)
-		} else {
-			b.Observe(d)
-		}
-		both.Observe(d)
-	}
-	merged := a.Snapshot().Merge(b.Snapshot())
-	want := both.Snapshot()
-	if merged != want {
-		t.Fatalf("merged snapshot differs from combined observation:\n merged: %+v\n   want: %+v", merged, want)
-	}
-	for _, q := range []float64{0.5, 0.95, 0.99} {
-		if merged.Quantile(q) != want.Quantile(q) {
-			t.Errorf("q=%v differs after merge: %v vs %v", q, merged.Quantile(q), want.Quantile(q))
-		}
-	}
-}
-
 // TestHistogramConcurrentWriters hammers one histogram from many goroutines
 // while a reader snapshots — primarily a -race canary for the lock-free
 // recording path.

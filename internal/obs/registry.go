@@ -40,21 +40,15 @@ func (e Endpoint) String() string {
 	return endpointNames[e]
 }
 
-// errorCodes is the closed set of api error classes counted per endpoint,
-// in render order.
-var errorCodes = []api.ErrorCode{
-	api.CodeBadRequest, api.CodeDatasetNotFound, api.CodeDatasetExists,
-	api.CodeSessionNotFound, api.CodeSessionExpired, api.CodeUnprocessable,
-	api.CodeOverloaded, api.CodeInternal,
-}
-
+// codeIndex is c's position in api.ErrorCodes, the closed set of error
+// classes counted per endpoint, in render order.
 func codeIndex(c api.ErrorCode) int {
-	for i, ec := range errorCodes {
+	for i, ec := range api.ErrorCodes {
 		if ec == c {
 			return i
 		}
 	}
-	return len(errorCodes) - 1 // unknown classes count as internal
+	return len(api.ErrorCodes) - 1 // unknown classes count as internal
 }
 
 // EndpointMetrics is one endpoint's counters: total requests, errors by api
@@ -65,7 +59,7 @@ type EndpointMetrics struct {
 	Requests atomic.Uint64
 	InFlight atomic.Int64
 	Latency  Histogram
-	errors   [8]atomic.Uint64 // indexed by codeIndex
+	errors   [len(api.ErrorCodes)]atomic.Uint64 // indexed by codeIndex
 
 	CacheHits   atomic.Uint64
 	CacheMisses atomic.Uint64
@@ -78,7 +72,7 @@ func (m *EndpointMetrics) RecordError(c api.ErrorCode) { m.errors[codeIndex(c)].
 // omitting zero entries.
 func (m *EndpointMetrics) Errors() map[string]uint64 {
 	out := make(map[string]uint64)
-	for i, ec := range errorCodes {
+	for i, ec := range api.ErrorCodes {
 		if n := m.errors[i].Load(); n > 0 {
 			out[string(ec)] = n
 		}

@@ -121,8 +121,8 @@ func BenchmarkLoadSnapshot(b *testing.B) {
 
 // BenchmarkOpenMapped measures the mmap-backed open: header parse and
 // validation streamed over the mapping, no column materialization. The
-// interesting column in BENCH_load.json is bytes_per_op — residency is
-// O(dictionaries), not O(rows).
+// interesting column under -benchmem is B/op — residency is O(dictionaries),
+// not O(rows).
 func BenchmarkOpenMapped(b *testing.B) {
 	_, rstPath := loadBenchFixtures(b)
 	b.SetBytes(loadBench.rstBytes)

@@ -64,6 +64,16 @@ const (
 	CodeInternal ErrorCode = "internal"
 )
 
+// ErrorCodes is the closed set of v1 error codes, in declaration order: the
+// one list everything that enumerates the codes ranges over (the server's
+// per-code error counters are sized and rendered from it). CodeInternal is
+// last — the class an unknown code is treated as.
+var ErrorCodes = [...]ErrorCode{
+	CodeBadRequest, CodeDatasetNotFound, CodeDatasetExists,
+	CodeSessionNotFound, CodeSessionExpired, CodeUnprocessable,
+	CodeOverloaded, CodeInternal,
+}
+
 // HTTPStatus returns the HTTP status code an error code travels under.
 // Unknown codes map to 500.
 func (c ErrorCode) HTTPStatus() int {

@@ -4,6 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"strconv"
 	"testing"
 )
 
@@ -40,15 +44,30 @@ func TestErrorInterface(t *testing.T) {
 	}
 }
 
+// TestCodeStatusRoundTrip holds the closed error-code set together: every
+// Code* constant api.go declares is in ErrorCodes exactly once (so the
+// server's per-code counters, sized from the array, have a bucket for it),
+// and HTTPStatus and CodeForStatus are inverses over the array up to the
+// documented 404 collapse (session vs dataset). A code added to the const
+// block and nowhere else fails here.
 func TestCodeStatusRoundTrip(t *testing.T) {
-	// Every code maps to a distinct-enough status, and CodeForStatus is its
-	// inverse up to the documented 404 collapse (session vs dataset).
-	codes := []ErrorCode{
-		CodeBadRequest, CodeDatasetNotFound, CodeDatasetExists,
-		CodeSessionNotFound, CodeSessionExpired, CodeUnprocessable,
-		CodeOverloaded, CodeInternal,
+	listed := map[ErrorCode]int{}
+	for _, c := range ErrorCodes {
+		listed[c]++
 	}
-	for _, c := range codes {
+	for name, c := range declaredCodes(t) {
+		if listed[c] != 1 {
+			t.Errorf("%s (%q) appears %d times in ErrorCodes, want once", name, c, listed[c])
+		}
+		delete(listed, c)
+	}
+	for c := range listed {
+		t.Errorf("ErrorCodes lists %q, which api.go does not declare", c)
+	}
+	if last := ErrorCodes[len(ErrorCodes)-1]; last != CodeInternal || CodeForStatus(0) != last {
+		t.Errorf("ErrorCodes ends in %q: the last entry is the class unknown codes and statuses fall back to", last)
+	}
+	for _, c := range ErrorCodes {
 		status := c.HTTPStatus()
 		if status < 400 || status > 599 {
 			t.Errorf("%s: status %d out of error range", c, status)
@@ -67,6 +86,40 @@ func TestCodeStatusRoundTrip(t *testing.T) {
 	if got := ErrorCode("mystery").HTTPStatus(); got != 500 {
 		t.Errorf("unknown code status = %d, want 500", got)
 	}
+}
+
+// declaredCodes parses api.go and returns every constant declared with type
+// ErrorCode, by name.
+func declaredCodes(t *testing.T) map[string]ErrorCode {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "api.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]ErrorCode{}
+	for _, d := range f.Decls {
+		gd, ok := d.(*ast.GenDecl)
+		if !ok || gd.Tok != token.CONST {
+			continue
+		}
+		for _, spec := range gd.Specs {
+			vs := spec.(*ast.ValueSpec)
+			if id, ok := vs.Type.(*ast.Ident); !ok || id.Name != "ErrorCode" {
+				continue
+			}
+			for i, name := range vs.Names {
+				v, err := strconv.Unquote(vs.Values[i].(*ast.BasicLit).Value)
+				if err != nil {
+					t.Fatalf("%s: %v", name.Name, err)
+				}
+				out[name.Name] = ErrorCode(v)
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("api.go declares no ErrorCode constants")
+	}
+	return out
 }
 
 func TestRecommendResponseDecode(t *testing.T) {
