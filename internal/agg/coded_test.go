@@ -72,8 +72,8 @@ func checkCoded(t *testing.T, label string, got *agg.Result, attrs []string, mea
 }
 
 // TestGroupByCodedMatchesStringPath holds every way a Result is assembled —
-// the row scan, the cube's prefix GroupBy and merging Rollup, and the string
-// constructor — to the string reference: same groups, same canonical order
+// the row scan, the cube's prefix GroupBy, and the string constructor — to
+// the string reference: same groups, same canonical order
 // (lexicographic by value strings, not by dictionary code), same coded form.
 func TestGroupByCodedMatchesStringPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -98,9 +98,6 @@ func TestGroupByCodedMatchesStringPath(t *testing.T) {
 			}
 			if got, ok := c.GroupBy(attrs, measure); ok {
 				checkCoded(t, label+" cube", got, attrs, measure, want)
-			}
-			if got, ok := c.Rollup(attrs, measure); ok {
-				checkCoded(t, label+" rollup", got, attrs, measure, want)
 			}
 		}
 	}
@@ -132,7 +129,7 @@ func TestGroupByCodedMatchesStringPath(t *testing.T) {
 
 	// Dictionaries whose code order (first appearance) is not the sorted
 	// order, holding prefix pairs, multi-byte values and the empty string;
-	// measures are integers, so Rollup's merged sums are exact.
+	// measures are integers, so every sum is exact.
 	values := []string{"b", "ab", "a", "é", "aé", "zz", "", "z", "日本", "日"}
 	hs := []data.Hierarchy{{Name: "ab", Attrs: []string{"a", "b"}}, {Name: "c", Attrs: []string{"c"}}}
 	mixed := data.New("mixed", []string{"a", "b", "c"}, []string{"m"}, hs)

@@ -78,9 +78,6 @@ type Options struct {
 	Repair func(s agg.Stats, pred map[agg.Func]float64) agg.Stats
 	// KeepLeaky disables the one-to-one main-effect guard (tests only).
 	KeepLeaky bool
-	// FactorisedFillThreshold is the minimum observed-group fill ratio for
-	// TrainerAuto to pick the factorised backend (default 0.7).
-	FactorisedFillThreshold float64
 	// Workers bounds the fan-out at each level of a Recommend call:
 	// candidate hierarchies run on a pool of at most Workers goroutines,
 	// and within each hierarchy the per-statistic model fits do too.
@@ -90,12 +87,13 @@ type Options struct {
 	Workers int
 }
 
+// factorisedFillThreshold is the minimum observed-group fill ratio for
+// TrainerAuto to pick the factorised backend.
+const factorisedFillThreshold = 0.7
+
 func (o Options) withDefaults() Options {
 	if o.EMIterations <= 0 {
 		o.EMIterations = 20
-	}
-	if o.FactorisedFillThreshold <= 0 {
-		o.FactorisedFillThreshold = 0.7
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.NumCPU()
@@ -670,7 +668,7 @@ func (e *Engine) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *featu
 		if kind == TrainerAuto {
 			if _, err := fz.RowCount(); err != nil {
 				kind = TrainerNaive
-			} else if float64(len(groups.Groups))/fz.N() < e.opts.FactorisedFillThreshold {
+			} else if float64(len(groups.Groups))/fz.N() < factorisedFillThreshold {
 				kind = TrainerNaive
 			} else {
 				kind = TrainerFactorised

@@ -65,9 +65,15 @@ func TestScatterSpanOnlyOverPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	odd := sc.ds.Filter(func(row int) bool { return row%2 == 1 })
-	even := sc.ds.Filter(func(row int) bool { return row%2 == 0 })
-	sharded, err := NewShardedEngine(sc.ds, []ShardWorker{LocalShard(odd), LocalShard(even)}, "district", opts)
+	var odd, even []int
+	for row := 0; row < sc.ds.NumRows(); row++ {
+		if row%2 == 1 {
+			odd = append(odd, row)
+		} else {
+			even = append(even, row)
+		}
+	}
+	sharded, err := NewShardedEngine(sc.ds, []ShardWorker{LocalShard(sc.ds.Select(odd)), LocalShard(sc.ds.Select(even))}, "district", opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -378,53 +378,6 @@ func (c *Cube) project(lv *level, flat []int) (pos []int, dicts [][]string, rank
 	return pos, dicts, ranks
 }
 
-// Rollup answers an arbitrary grouping over hierarchy attributes — prefix or
-// not, e.g. by a mid-hierarchy attribute alone or with whole hierarchies
-// dropped — by merging the cells of the coarsest materialized level that
-// covers it (Stats.Add) instead of recomputing from rows. Because merging
-// reassociates floating-point additions, sums may differ from a row scan in
-// the last bit (counts are exact); the transparent agg.GroupBy path
-// therefore never uses Rollup, only explicit callers do.
-func (c *Cube) Rollup(attrs []string, measure string) (*agg.Result, bool) {
-	mi := c.measureIndex(measure)
-	if mi < 0 || len(attrs) == 0 {
-		return nil, false
-	}
-	flat, _, maxLvl, ok := c.resolve(attrs)
-	if !ok {
-		return nil, false
-	}
-	// The covering level: each hierarchy at the deepest requested attribute.
-	depths := make([]int, len(c.hiers))
-	for hi := range depths {
-		depths[hi] = maxLvl[hi] + 1
-	}
-	lv := c.levels[c.latticeIndex(depths)]
-	pos, dicts, ranks := c.project(lv, flat)
-	var codes []uint32
-	var stats []agg.Stats
-	cell := make([]uint64, len(lv.attrs))
-	groupOf := make(map[uint64]int)
-	for ci, k := range lv.keys {
-		c.decodeKey(lv, k, cell)
-		pk := uint64(0)
-		for qi, p := range pos {
-			pk = pk*c.attrs[flat[qi]].radix + cell[p]
-		}
-		st := agg.Stats{Count: lv.counts[ci], Sum: lv.sums[mi][ci], SumSq: lv.sumsqs[mi][ci]}
-		if gi, ok := groupOf[pk]; ok {
-			stats[gi] = stats[gi].Add(st)
-			continue
-		}
-		groupOf[pk] = len(stats)
-		stats = append(stats, st)
-		for _, p := range pos {
-			codes = append(codes, uint32(cell[p]))
-		}
-	}
-	return agg.FromCodes(attrs, measure, dicts, ranks, codes, stats), true
-}
-
 // HierarchyPaths enumerates the distinct full-depth paths of hierarchy h
 // from the level that drills only h, without touching rows. It implements
 // factor.PathProvider; ok=false when the hierarchy is not the cube's.
@@ -579,9 +532,6 @@ func (c *Cube) NumCells() int {
 	}
 	return n
 }
-
-// MeasureNames returns the cube's measure columns in order.
-func (c *Cube) MeasureNames() []string { return append([]string(nil), c.measures...) }
 
 // validate checks the structural invariants a decoded cube must satisfy:
 // strictly ascending in-range keys, positive integral counts, and every

@@ -1,7 +1,6 @@
 package cube_test
 
 import (
-	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -153,41 +152,6 @@ func TestGroupByDeclines(t *testing.T) {
 		if _, ok := c.GroupBy(tc.attrs, tc.measure); ok {
 			t.Errorf("%s: cube answered, want decline", tc.name)
 		}
-	}
-}
-
-func TestRollupMergesCells(t *testing.T) {
-	base := testDataset(t)
-	coded := codedDataset(t, base)
-	c, err := cube.Build(coded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Groupings the prefix GroupBy declines: answered by merging the cells
-	// of the covering level with Stats.Add.
-	for _, attrs := range [][]string{{"district"}, {"village"}, {"district", "year"}, {"year"}} {
-		got, ok := c.Rollup(attrs, "severity")
-		if !ok {
-			t.Fatalf("Rollup(%v) declined", attrs)
-		}
-		want := agg.GroupBy(coded, attrs, "severity")
-		if len(got.Groups) != len(want.Groups) {
-			t.Fatalf("Rollup(%v): %d groups, scan has %d", attrs, len(got.Groups), len(want.Groups))
-		}
-		for i, g := range got.Groups {
-			w := want.Groups[i]
-			if g.Key() != w.Key() || g.Stats.Count != w.Stats.Count {
-				t.Fatalf("Rollup(%v) group %d: %+v, want %+v", attrs, i, g, w)
-			}
-			if rel := math.Abs(g.Stats.Sum-w.Stats.Sum) / math.Max(1, math.Abs(w.Stats.Sum)); rel > 1e-9 {
-				t.Fatalf("Rollup(%v) group %d sum %v, want %v", attrs, i, g.Stats.Sum, w.Stats.Sum)
-			}
-		}
-	}
-	// Prefix groupings roll up without any merging and stay exact.
-	got, _ := c.Rollup([]string{"region", "year"}, "rain")
-	if !got.Equal(agg.GroupBy(coded, []string{"region", "year"}, "rain")) {
-		t.Fatal("prefix Rollup differs from scan")
 	}
 }
 

@@ -31,14 +31,9 @@
 // the dictionaries, which a cube computes on its first query and keeps. It
 // implements agg.Materialized, so datasets carrying a cube attachment
 // (data.Dataset.SetRollup) accelerate agg.GroupBy transparently and
-// bit-identically. Cube.Rollup additionally answers arbitrary groupings over
-// hierarchy attributes — prefix or not — by merging the cells of the
-// coarsest covering level with Stats.Add instead of recomputing from rows;
-// merged sums may differ from a scan in the last floating-point bit because
-// merging reassociates the additions, so the transparent agg path never uses
-// it. HierarchyPaths enumerates a hierarchy's distinct full-depth paths for
-// the factorizer (factor.PathProvider) from the level that drills only that
-// hierarchy.
+// bit-identically. HierarchyPaths enumerates a hierarchy's distinct
+// full-depth paths for the factorizer (factor.PathProvider) from the level
+// that drills only that hierarchy.
 //
 // # Maintenance and persistence
 //

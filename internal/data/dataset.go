@@ -14,7 +14,6 @@ package data
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -359,18 +358,6 @@ func (d *Dataset) Select(idx []int) *Dataset {
 	return out
 }
 
-// Filter returns the rows satisfying pred as a new dataset. pred receives
-// the row index.
-func (d *Dataset) Filter(pred func(row int) bool) *Dataset {
-	var idx []int
-	for i := 0; i < d.n; i++ {
-		if pred(i) {
-			idx = append(idx, i)
-		}
-	}
-	return d.Select(idx)
-}
-
 // Predicate is a conjunction of attribute = value conditions.
 type Predicate map[string]string
 
@@ -417,23 +404,6 @@ func (d *Dataset) Where(p Predicate) *Dataset {
 	var idx []int
 	d.ForEachMatch(p, func(row int) { idx = append(idx, row) })
 	return d.Select(idx)
-}
-
-// Distinct returns the sorted distinct values of a dimension column.
-func (d *Dataset) Distinct(attr string) []string {
-	col := d.dim(attr)
-	seen := make([]bool, len(col.dict))
-	for _, c := range col.codes {
-		seen[c] = true
-	}
-	out := make([]string, 0, len(col.dict))
-	for c, present := range seen {
-		if present {
-			out = append(out, col.dict[c])
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // HierarchyOf returns the hierarchy containing attribute a, or false.

@@ -99,20 +99,6 @@ func TestSelectWithDuplicates(t *testing.T) {
 	}
 }
 
-func TestDistinctSorted(t *testing.T) {
-	d := demo()
-	got := d.Distinct("village")
-	want := []string{"Adishim", "Darube", "Kukufto", "Zata"}
-	if len(got) != len(want) {
-		t.Fatalf("Distinct = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Distinct = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestValidateOK(t *testing.T) {
 	if err := demo().Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -339,9 +325,6 @@ func TestCodesSurviveSelectAndClone(t *testing.T) {
 	if len(dict) != 2 || len(codes) != 2 || dict[codes[0]] != "b" || dict[codes[1]] != "b" {
 		t.Errorf("Select codes = %v %v", dict, codes)
 	}
-	if got := sub.Distinct("district"); len(got) != 1 || got[0] != "b" {
-		t.Errorf("Distinct over a subset = %v, want only the used value", got)
-	}
 	cl := d.Clone()
 	cl.AppendRowVals([]string{"c"}, []float64{5})
 	if dict, codes := cl.DimCodes("district"); len(dict) != 3 || len(codes) != 5 {
@@ -404,9 +387,6 @@ func TestSetDimValue(t *testing.T) {
 	if got := d.Dim("year"); got[0] != "1987" || got[1] != "2001" || got[2] != "1986" {
 		t.Errorf("year = %v", got)
 	}
-	if got := d.Distinct("year"); len(got) != 3 {
-		t.Errorf("Distinct = %v", got)
-	}
 }
 
 func TestParseHierarchySpec(t *testing.T) {
@@ -421,13 +401,5 @@ func TestParseHierarchySpec(t *testing.T) {
 		if _, err := ParseHierarchySpec(bad); err == nil {
 			t.Errorf("spec %q: expected error", bad)
 		}
-	}
-}
-
-func TestFilter(t *testing.T) {
-	d := demo()
-	sub := d.Filter(func(row int) bool { return d.Measure("severity")[row] >= 7 })
-	if sub.NumRows() != 3 {
-		t.Errorf("Filter rows = %d, want 3", sub.NumRows())
 	}
 }

@@ -92,9 +92,6 @@ func New(sources []*Source, depths []int) (*Factorizer, error) {
 // SetMode selects the drill-down recomputation strategy.
 func (f *Factorizer) SetMode(m DrillMode) { f.mode = m }
 
-// Mode returns the current recomputation strategy.
-func (f *Factorizer) Mode() DrillMode { return f.mode }
-
 func (f *Factorizer) cacheKey(src, depth int) string {
 	return fmt.Sprintf("%s/%d", f.sources[src].Name, depth)
 }
@@ -191,9 +188,6 @@ func (f *Factorizer) Leaves(pos int) float64 { return f.leaves[pos] }
 
 // ProdBefore returns the product of leaf counts of hierarchies before pos.
 func (f *Factorizer) ProdBefore(pos int) float64 { return f.prodBefore[pos] }
-
-// ProdAfter returns the product of leaf counts of hierarchies after pos.
-func (f *Factorizer) ProdAfter(pos int) float64 { return f.prodAfter[pos] }
 
 // SufTotal returns TOTAL_{A_i}: the size of the suffix join starting at
 // attribute i. Within a hierarchy it is independent of the level (every
@@ -316,9 +310,6 @@ func (f *Factorizer) MoveLast(pos int) {
 	f.order = append(append(f.order[:pos:pos], f.order[pos+1:]...), src)
 	f.refresh()
 }
-
-// Depth returns the current depth of the hierarchy at order position pos.
-func (f *Factorizer) Depth(pos int) int { return f.depth[f.order[pos]] }
 
 // Clone returns an independent copy sharing the immutable sources and chain
 // cache (chains themselves are immutable once built).

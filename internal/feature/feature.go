@@ -274,19 +274,6 @@ func (s *Set) Row(vals map[string]string) []float64 {
 	return row
 }
 
-// GroupRow renders one group's feature row.
-func (s *Set) GroupRow(groups *agg.Result, gi int) []float64 {
-	row := make([]float64, s.NumCols())
-	g := groups.Groups[gi]
-	for ci, c := range s.Cols {
-		row[ci] = c.Value(g.Vals[slices.Index(groups.Attrs, c.Attr)])
-	}
-	for ei, e := range s.Extra {
-		row[len(s.Cols)+ei] = e.Vals[gi]
-	}
-	return row
-}
-
 // FactorColumns renders the feature set as factorised columns over the
 // factorizer's attribute value tables. Sets containing multi-attribute group
 // features have no factorisation and return an error.

@@ -226,13 +226,6 @@ func TestDenseXShapeAndValues(t *testing.T) {
 			t.Errorf("intercept row %d = %v", i, x.At(i, 0))
 		}
 	}
-	// GroupRow agrees with DenseX.
-	row := set.GroupRow(groups, 2)
-	for j := range row {
-		if row[j] != x.At(2, j) {
-			t.Errorf("GroupRow[%d] = %v, want %v", j, row[j], x.At(2, j))
-		}
-	}
 }
 
 func TestFactorColumnsMatchDense(t *testing.T) {

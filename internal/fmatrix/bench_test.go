@@ -144,11 +144,12 @@ func BenchmarkClusterViews(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sink float64
-		if err := cl.ForEach(func(v *View) error {
+		for ci := 0; ci < cl.NumClusters(); ci++ {
+			v, err := cl.View(ci)
+			if err != nil {
+				b.Fatal(err)
+			}
 			sink += v.Gram().At(0, 0)
-			return nil
-		}); err != nil {
-			b.Fatal(err)
 		}
 		_ = sink
 	}

@@ -222,17 +222,3 @@ func (v *View) MulVec(w []float64) []float64 {
 	}
 	return out
 }
-
-// ForEach visits every cluster in row order.
-func (c *Clusters) ForEach(fn func(v *View) error) error {
-	for ci := 0; ci < c.NumClusters(); ci++ {
-		v, err := c.View(ci)
-		if err != nil {
-			return err
-		}
-		if err := fn(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}

@@ -263,16 +263,16 @@ func TestClustersPartitionRows(t *testing.T) {
 	}
 	total := 0
 	prevEnd := 0
-	err = cl.ForEach(func(v *View) error {
+	for ci := 0; ci < cl.NumClusters(); ci++ {
+		v, err := cl.View(ci)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if v.Start != prevEnd {
 			t.Errorf("cluster %d starts at %d, want %d", v.Index, v.Start, prevEnd)
 		}
 		prevEnd = v.Start + v.N
 		total += v.N
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if total != 6 {
 		t.Errorf("clusters cover %d rows, want 6", total)
@@ -305,7 +305,11 @@ func TestClusterOpsMatchNaiveProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		covered := 0
-		err = cl.ForEach(func(v *View) error {
+		for ci := 0; ci < cl.NumClusters(); ci++ {
+			v, err := cl.View(ci)
+			if err != nil {
+				t.Fatal(err)
+			}
 			// Slice the materialized matrix to this cluster.
 			sub := mat.New(v.N, x.Cols)
 			copy(sub.Data, x.Data[v.Start*x.Cols:(v.Start+v.N)*x.Cols])
@@ -335,10 +339,6 @@ func TestClusterOpsMatchNaiveProperty(t *testing.T) {
 					t.Fatalf("trial %d cluster %d: MulVec mismatch", trial, v.Index)
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 		if covered != int(m.N()) {
 			t.Fatalf("trial %d: clusters cover %d of %v rows", trial, covered, m.N())

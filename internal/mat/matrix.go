@@ -51,25 +51,9 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Diag returns a square matrix with v along the main diagonal.
-func Diag(v []float64) *Matrix {
-	m := New(len(v), len(v))
-	for i, x := range v {
-		m.Data[i*len(v)+i] = x
-	}
-	return m
-}
-
 // ColVec returns an n x 1 matrix holding v.
 func ColVec(v []float64) *Matrix {
 	m := New(len(v), 1)
-	copy(m.Data, v)
-	return m
-}
-
-// RowVec returns a 1 x n matrix holding v.
-func RowVec(v []float64) *Matrix {
-	m := New(1, len(v))
 	copy(m.Data, v)
 	return m
 }
@@ -300,16 +284,6 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 		}
 	}
 	return inv, nil
-}
-
-// Solve returns x with m*x = b for square m, using the inverse. b is a
-// column-major stack of right-hand sides.
-func (m *Matrix) Solve(b *Matrix) (*Matrix, error) {
-	inv, err := m.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	return inv.Mul(b), nil
 }
 
 // SolveVec returns x with m*x = b for a single right-hand side.

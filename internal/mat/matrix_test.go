@@ -191,17 +191,13 @@ func TestAddSubScale(t *testing.T) {
 }
 
 func TestDiagIdentityColRow(t *testing.T) {
-	d := Diag([]float64{2, 3})
-	if d.At(0, 0) != 2 || d.At(1, 1) != 3 || d.At(0, 1) != 0 {
-		t.Errorf("Diag = %v", d)
+	d := Identity(2)
+	if d.At(0, 0) != 1 || d.At(1, 1) != 1 || d.At(0, 1) != 0 {
+		t.Errorf("Identity = %v", d)
 	}
 	cv := ColVec([]float64{1, 2})
 	if cv.Rows != 2 || cv.Cols != 1 {
 		t.Errorf("ColVec shape %dx%d", cv.Rows, cv.Cols)
-	}
-	rv := RowVec([]float64{1, 2})
-	if rv.Rows != 1 || rv.Cols != 2 {
-		t.Errorf("RowVec shape %dx%d", rv.Rows, rv.Cols)
 	}
 }
 

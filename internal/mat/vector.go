@@ -52,15 +52,6 @@ func ScaleVec(a []float64, s float64) []float64 {
 	return out
 }
 
-// Norm2 returns the Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Sum returns the sum of all elements of v.
 func Sum(v []float64) float64 {
 	var s float64

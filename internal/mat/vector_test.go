@@ -27,9 +27,6 @@ func TestVecArith(t *testing.T) {
 	if got := ScaleVec(a, 2); got[0] != 2 || got[1] != 4 {
 		t.Errorf("ScaleVec = %v", got)
 	}
-	if got := Norm2([]float64{3, 4}); got != 5 {
-		t.Errorf("Norm2 = %v", got)
-	}
 }
 
 func TestSummaryStats(t *testing.T) {

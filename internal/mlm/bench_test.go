@@ -130,7 +130,7 @@ func BenchmarkFitEMFullZ(b *testing.B) {
 	d, y := benchData(b, 200, 20)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FitEM(d, y, Options{Iterations: 10}); err != nil {
+		if _, err := FitEMZ(d, d, y, Options{Iterations: 10}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -58,18 +58,6 @@ func (m *MultiLevel) ClusterOf(r int) int {
 	return lo
 }
 
-// PredictRow returns x·(β + b_cluster): the conditional prediction for a row
-// with features x belonging to the given cluster.
-func (m *MultiLevel) PredictRow(x []float64, cluster int) float64 {
-	return mat.Dot(x, m.Beta) + mat.Dot(x, m.B[cluster])
-}
-
-// FitEM trains the multi-level model with the default random-effects design
-// Z = X.
-func FitEM(b Backend, y []float64, opts Options) (*MultiLevel, error) {
-	return FitEMZ(b, b, y, opts)
-}
-
 // FitEMZ trains the multi-level model by maximum likelihood using the EM
 // updates of Appendix D. bx supplies the fixed-effects design X and bz the
 // random-effects design Z (usually a column subset of X, §3.3.4); both must
@@ -294,7 +282,7 @@ func fitEMScalarZ(model *MultiLevel, bx, bz Backend, y []float64, opts Options,
 }
 
 // Fitted returns the conditional fitted values Xβ + Zb̂ for every row. With
-// the default Z = X design pass the same backend twice (or use FittedX).
+// the default Z = X design pass the same backend twice.
 func (m *MultiLevel) Fitted(bx, bz Backend) []float64 {
 	out := bx.MulVec(m.Beta)
 	_, intercept := bz.(*InterceptZ)
@@ -313,9 +301,6 @@ func (m *MultiLevel) Fitted(bx, bz Backend) []float64 {
 	}
 	return out
 }
-
-// FittedX returns the fitted values for the default Z = X design.
-func (m *MultiLevel) FittedX(b Backend) []float64 { return m.Fitted(b, b) }
 
 // LogLik returns the marginal log-likelihood of y under the fitted model:
 // yᵢ ~ N(Xᵢβ, ZᵢΣZᵢᵀ + σ²I), evaluated per cluster with the Woodbury

@@ -179,11 +179,12 @@ func TestGoldenBits(t *testing.T) {
 			t.Fatal(err)
 		}
 		var starts []int
-		if err := cl.ForEach(func(v *fmatrix.View) error {
+		for ci := 0; ci < cl.NumClusters(); ci++ {
+			v, err := cl.View(ci)
+			if err != nil {
+				t.Fatal(err)
+			}
 			starts = append(starts, v.Start)
-			return nil
-		}); err != nil {
-			t.Fatal(err)
 		}
 		db, err := NewDense(x, starts)
 		if err != nil {

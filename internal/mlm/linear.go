@@ -33,9 +33,6 @@ func FitLinear(x *mat.Matrix, y []float64) (*Linear, error) {
 	return &Linear{Beta: beta, Sigma2: sigma2, N: len(y)}, nil
 }
 
-// Predict returns x·β for one feature row.
-func (l *Linear) Predict(x []float64) float64 { return mat.Dot(x, l.Beta) }
-
 // Fitted returns Xβ for every row of x.
 func (l *Linear) Fitted(x *mat.Matrix) []float64 { return x.MulVec(l.Beta) }
 

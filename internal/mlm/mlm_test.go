@@ -76,12 +76,12 @@ func TestFitEMCapturesClusterEffects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := FitEM(d, y, Options{Iterations: 30})
+	model, err := FitEMZ(d, d, y, Options{Iterations: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The fitted values should track y much better than OLS.
-	fitted := model.FittedX(d)
+	fitted := model.Fitted(d, d)
 	var mseEM float64
 	for i := range y {
 		dlt := fitted[i] - y[i]
@@ -111,7 +111,7 @@ func TestFitEMCapturesClusterEffects(t *testing.T) {
 
 func TestFitEMErrors(t *testing.T) {
 	d, _ := NewDense(mat.New(4, 1), []int{0, 2})
-	if _, err := FitEM(d, []float64{1}, Options{}); err == nil {
+	if _, err := FitEMZ(d, d, []float64{1}, Options{}); err == nil {
 		t.Error("expected length error")
 	}
 	if _, err := NewDense(mat.New(4, 1), []int{1}); err == nil {
@@ -206,11 +206,11 @@ func TestEMFactorisedMatchesDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := Options{Iterations: 8}
-		mf, err := FitEM(fb, y, opts)
+		mf, err := FitEMZ(fb, fb, y, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		md, err := FitEM(db, y, opts)
+		md, err := FitEMZ(db, db, y, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestLogLikMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	x, y, starts, _ := clusteredData(rng, 4, 6)
 	d, _ := NewDense(x, starts)
-	model, err := FitEM(d, y, Options{Iterations: 10})
+	model, err := FitEMZ(d, d, y, Options{Iterations: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +274,7 @@ func TestAICPrefersMultiLevelOnClusteredData(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	x, y, starts, _ := clusteredData(rng, 15, 20)
 	d, _ := NewDense(x, starts)
-	model, err := FitEM(d, y, Options{Iterations: 20})
+	model, err := FitEMZ(d, d, y, Options{Iterations: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,18 +294,6 @@ func TestClusterOf(t *testing.T) {
 		if got := m.ClusterOf(row); got != want {
 			t.Errorf("ClusterOf(%d) = %d, want %d", row, got, want)
 		}
-	}
-}
-
-func TestPredictRow(t *testing.T) {
-	m := &MultiLevel{
-		Beta: []float64{1, 2},
-		B:    [][]float64{{0.5, -1}},
-	}
-	got := m.PredictRow([]float64{1, 3}, 0)
-	want := 1.0*1 + 2*3 + 0.5*1 + (-1)*3
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("PredictRow = %v, want %v", got, want)
 	}
 }
 

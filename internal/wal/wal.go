@@ -210,9 +210,6 @@ func (w *WAL) LastSeq() uint64 { return w.seq }
 // Size returns the log's current byte length.
 func (w *WAL) Size() int64 { return w.size }
 
-// Frames returns the number of committed frames currently in the file.
-func (w *WAL) Frames() int { return w.frames }
-
 // Reset atomically replaces the log with an empty one that continues the
 // sequence numbering. Call it only once every logged batch is durably
 // captured elsewhere (a checkpoint snapshot): a crash before the rename

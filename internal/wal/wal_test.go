@@ -66,8 +66,8 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got[0].Rows, b1) || !reflect.DeepEqual(got[1].Rows, b2) {
 		t.Error("replayed rows differ from the committed batches")
 	}
-	if w.LastSeq() != 2 || w.Frames() != 2 {
-		t.Errorf("LastSeq=%d Frames=%d, want 2, 2", w.LastSeq(), w.Frames())
+	if w.LastSeq() != 2 || w.frames != 2 {
+		t.Errorf("LastSeq=%d Frames=%d, want 2, 2", w.LastSeq(), w.frames)
 	}
 	// The log stays appendable after a replaying open.
 	if seq, err := w.Append(testRows(1, 2)); err != nil || seq != 3 {
@@ -201,8 +201,8 @@ func TestResetContinuesSequence(t *testing.T) {
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Frames() != 0 || w.Size() != headerSize {
-		t.Errorf("after reset: frames=%d size=%d", w.Frames(), w.Size())
+	if w.frames != 0 || w.Size() != headerSize {
+		t.Errorf("after reset: frames=%d size=%d", w.frames, w.Size())
 	}
 	// Sequence numbering never repeats: the next append continues past the
 	// truncated frames, and the reset survives a reopen.
