@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -356,11 +357,19 @@ func (s *Session) recommend(rec SpanRecorder, c Complaint) (*Recommendation, err
 	}
 	best := &results[0]
 	for i := range results {
-		if results[i].BestScore < best.BestScore {
+		if scoreLess(results[i].BestScore, best.BestScore) {
 			best = &results[i]
 		}
 	}
 	return &Recommendation{Best: best, All: results}, nil
+}
+
+// scoreLess orders fcomp scores, lower first, with NaN (a custom fcomp or
+// repair may yield one) after every number: the one order both the groups
+// within a hierarchy and the hierarchies' best scores are ranked by, so a
+// NaN never wins by its position in the input.
+func scoreLess(a, b float64) bool {
+	return a < b || (math.IsNaN(b) && !math.IsNaN(a))
 }
 
 // forEach runs fn(0..n-1) on the engine's worker budget: inline when the
@@ -564,7 +573,7 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 		}
 		hr.Ranked = append(hr.Ranked, score(agg.Group{Vals: gvals}, pred))
 	}
-	sort.SliceStable(hr.Ranked, func(a, b int) bool { return hr.Ranked[a].Score < hr.Ranked[b].Score })
+	sort.SliceStable(hr.Ranked, func(a, b int) bool { return scoreLess(hr.Ranked[a].Score, hr.Ranked[b].Score) })
 	if e.opts.TopK > 0 && len(hr.Ranked) > e.opts.TopK {
 		hr.Ranked = hr.Ranked[:e.opts.TopK]
 	}
