@@ -99,6 +99,7 @@ import (
 	"fmt"
 	"log"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -114,39 +115,81 @@ import (
 var version = "dev"
 
 func main() {
+	if err := run(context.Background(), os.Args[1:]); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the daemon: it parses args, serves until ctx is cancelled or the
+// process is signalled (SIGINT/SIGTERM), then drains and closes the server.
+// It returns once every listener and dataset is shut down — nil after a
+// clean drain.
+func run(ctx context.Context, args []string) error {
+	fs := flag.NewFlagSet("reptiled", flag.ExitOnError)
 	var (
-		addr        = flag.String("addr", "127.0.0.1:8372", "listen address")
-		sessionTTL  = flag.Duration("session-ttl", 15*time.Minute, "idle session lifetime (renewed by every request)")
-		cacheSize   = flag.Int("cache-size", 256, "recommendation LRU capacity in entries (negative disables)")
-		maxInflight = flag.Int("max-inflight", 0, "concurrent recommendations per dataset (0 = the engine's worker count)")
-		queueWait   = flag.Duration("queue-wait", 100*time.Millisecond, "how long an over-limit recommendation waits before 429")
-		drain       = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
-		noCube      = flag.Bool("no-cube", false, "skip materializing rollup cubes for registered datasets")
-		shards      = flag.Int("shards", 0, "partition registered datasets into N shards (0 or 1 = unsharded)")
-		shardKey    = flag.String("shard-key", "", "partition dimension, a hierarchy root (default: the first hierarchy's root)")
-		mmapIO      = flag.Bool("mmap", false, "serve registered .rst snapshots memory-mapped instead of heap-decoded")
-		useWAL      = flag.Bool("wal", false, "write-ahead-log appends and micro-batch them into the serving state")
-		walDir      = flag.String("wal-dir", ".", "directory for write-ahead logs and checkpoints")
-		flushRows   = flag.Int("flush-rows", 256, "micro-batch flush threshold in rows")
-		flushBytes  = flag.Int("flush-bytes", 1<<20, "micro-batch flush threshold in bytes")
-		flushEvery  = flag.Duration("flush-interval", 200*time.Millisecond, "maximum time a logged row waits before flushing")
-		ckptBytes   = flag.Int64("checkpoint-bytes", 8<<20, "checkpoint and truncate a WAL once it outgrows this size (negative disables)")
-		retention   = flag.Duration("retention", 0, "drop rows this far behind the newest event time (0 keeps everything; e.g. 17520h = 2 years)")
-		retDim      = flag.String("retention-dim", "", "time dimension retention is measured on (required with -retention)")
-		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this extra address (empty disables)")
-		logRequests = flag.Bool("log-requests", false, "log one structured line per request to stderr")
-		showVersion = flag.Bool("version", false, "print the build version and exit")
+		addr        = fs.String("addr", "127.0.0.1:8372", "listen address")
+		sessionTTL  = fs.Duration("session-ttl", 15*time.Minute, "idle session lifetime (renewed by every request)")
+		cacheSize   = fs.Int("cache-size", 256, "recommendation LRU capacity in entries (negative disables)")
+		maxInflight = fs.Int("max-inflight", 0, "concurrent recommendations per dataset (0 = the engine's worker count)")
+		queueWait   = fs.Duration("queue-wait", 100*time.Millisecond, "how long an over-limit recommendation waits before 429")
+		drain       = fs.Duration("drain-timeout", 10*time.Second, "graceful shutdown deadline")
+		noCube      = fs.Bool("no-cube", false, "skip materializing rollup cubes for registered datasets")
+		shards      = fs.Int("shards", 0, "partition registered datasets into N shards (0 or 1 = unsharded)")
+		shardKey    = fs.String("shard-key", "", "partition dimension, a hierarchy root (default: the first hierarchy's root)")
+		mmapIO      = fs.Bool("mmap", false, "serve registered .rst snapshots memory-mapped instead of heap-decoded")
+		useWAL      = fs.Bool("wal", false, "write-ahead-log appends and micro-batch them into the serving state")
+		walDir      = fs.String("wal-dir", ".", "directory for write-ahead logs and checkpoints")
+		flushRows   = fs.Int("flush-rows", 256, "micro-batch flush threshold in rows")
+		flushBytes  = fs.Int("flush-bytes", 1<<20, "micro-batch flush threshold in bytes")
+		flushEvery  = fs.Duration("flush-interval", 200*time.Millisecond, "maximum time a logged row waits before flushing")
+		ckptBytes   = fs.Int64("checkpoint-bytes", 8<<20, "checkpoint and truncate a WAL once it outgrows this size (negative disables)")
+		retention   = fs.Duration("retention", 0, "drop rows this far behind the newest event time (0 keeps everything; e.g. 17520h = 2 years)")
+		retDim      = fs.String("retention-dim", "", "time dimension retention is measured on (required with -retention)")
+		pprofAddr   = fs.String("pprof-addr", "", "serve net/http/pprof on this extra address (empty disables)")
+		logRequests = fs.Bool("log-requests", false, "log one structured line per request to stderr")
+		showVersion = fs.Bool("version", false, "print the build version and exit")
 	)
-	flag.Parse()
+	fs.Parse(args) // ExitOnError: a bad flag ends the process with usage, as flag.Parse does
 
 	if *showVersion {
 		fmt.Printf("reptiled %s\n", version)
-		return
+		return nil
 	}
 
 	var reqLog *slog.Logger
 	if *logRequests {
 		reqLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
+	}
+
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	// Both listeners bind before anything is served, so a taken port is an
+	// error returned here. Asking for a profiler and silently not getting
+	// one wastes an incident.
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	if *pprofAddr != "" {
+		// pprof gets its own mux on its own listener: the default ServeMux
+		// would expose profiling on the API port, and the API mux never
+		// exposes profiling.
+		pl, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			ln.Close()
+			return fmt.Errorf("pprof listener: %w", err)
+		}
+		pm := http.NewServeMux()
+		pm.HandleFunc("/debug/pprof/", pprof.Index)
+		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		ps := &http.Server{Handler: pm}
+		go ps.Serve(pl) // ends with ErrServerClosed at the Close below
+		defer ps.Close()
+		log.Printf("reptiled pprof on %s", pl.Addr())
 	}
 
 	srv := server.New(server.Config{
@@ -169,52 +212,27 @@ func main() {
 		Version:         version,
 		RequestLog:      reqLog,
 	})
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	if *pprofAddr != "" {
-		// pprof gets its own mux on its own listener: the default ServeMux
-		// would expose profiling on the API port, and the API mux never
-		// exposes profiling. Failures here are fatal — asking for a profiler
-		// and silently not getting one wastes an incident.
-		pm := http.NewServeMux()
-		pm.HandleFunc("/debug/pprof/", pprof.Index)
-		pm.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		ps := &http.Server{Addr: *pprofAddr, Handler: pm}
-		go func() {
-			if err := ps.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				log.Fatalf("pprof listener: %v", err)
-			}
-		}()
-		defer ps.Close()
-		log.Printf("reptiled pprof on %s", *pprofAddr)
-	}
+	hs := &http.Server{Handler: srv.Handler()}
 
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("reptiled %s listening on %s", version, *addr)
+	go func() { errc <- hs.Serve(ln) }()
+	log.Printf("reptiled %s listening on %s", version, ln.Addr())
 
 	select {
 	case err := <-errc:
-		log.Fatal(err)
+		return errors.Join(err, srv.Close())
 	case <-ctx.Done():
-		stop()
-		log.Printf("reptiled shutting down (draining up to %s)", *drain)
-		sctx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := hs.Shutdown(sctx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-		if err := srv.Close(); err != nil {
-			log.Printf("ingestion shutdown: %v", err)
-		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Printf("serve: %v", err)
-		}
 	}
+	stop() // a second signal kills the process instead of waiting out the drain
+	log.Printf("reptiled shutting down (draining up to %s)", *drain)
+	sctx, cancel := context.WithTimeout(context.Background(), *drain)
+	defer cancel()
+	err = hs.Shutdown(sctx)
+	if cerr := srv.Close(); cerr != nil {
+		err = errors.Join(err, fmt.Errorf("ingestion shutdown: %w", cerr))
+	}
+	if serr := <-errc; !errors.Is(serr, http.ErrServerClosed) {
+		err = errors.Join(err, serr)
+	}
+	return err
 }
