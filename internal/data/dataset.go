@@ -14,6 +14,7 @@ package data
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 )
 
@@ -404,6 +405,23 @@ func (d *Dataset) Where(p Predicate) *Dataset {
 	var idx []int
 	d.ForEachMatch(p, func(row int) { idx = append(idx, row) })
 	return d.Select(idx)
+}
+
+// Distinct returns the sorted distinct values of a dimension column.
+func (d *Dataset) Distinct(attr string) []string {
+	col := d.dim(attr)
+	seen := make([]bool, len(col.dict))
+	for _, c := range col.codes {
+		seen[c] = true
+	}
+	out := make([]string, 0, len(col.dict))
+	for c, present := range seen {
+		if present {
+			out = append(out, col.dict[c])
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 // HierarchyOf returns the hierarchy containing attribute a, or false.

@@ -99,6 +99,20 @@ func TestSelectWithDuplicates(t *testing.T) {
 	}
 }
 
+func TestDistinctSorted(t *testing.T) {
+	d := demo()
+	got := d.Distinct("village")
+	want := []string{"Adishim", "Darube", "Kukufto", "Zata"}
+	if len(got) != len(want) {
+		t.Fatalf("Distinct = %v", got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("Distinct = %v, want %v", got, want)
+		}
+	}
+}
+
 func TestValidateOK(t *testing.T) {
 	if err := demo().Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
@@ -325,6 +339,9 @@ func TestCodesSurviveSelectAndClone(t *testing.T) {
 	if len(dict) != 2 || len(codes) != 2 || dict[codes[0]] != "b" || dict[codes[1]] != "b" {
 		t.Errorf("Select codes = %v %v", dict, codes)
 	}
+	if got := sub.Distinct("district"); len(got) != 1 || got[0] != "b" {
+		t.Errorf("Distinct over a subset = %v, want only the used value", got)
+	}
 	cl := d.Clone()
 	cl.AppendRowVals([]string{"c"}, []float64{5})
 	if dict, codes := cl.DimCodes("district"); len(dict) != 3 || len(codes) != 5 {
@@ -386,6 +403,9 @@ func TestSetDimValue(t *testing.T) {
 	d.SetDimValue("year", 1, "2001")
 	if got := d.Dim("year"); got[0] != "1987" || got[1] != "2001" || got[2] != "1986" {
 		t.Errorf("year = %v", got)
+	}
+	if got := d.Distinct("year"); len(got) != 3 {
+		t.Errorf("Distinct = %v", got)
 	}
 }
 

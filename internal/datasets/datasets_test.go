@@ -5,15 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/data"
 )
-
-// numValues is the size of a dimension's dictionary: the generators intern
-// exactly the values their rows use.
-func numValues(ds *data.Dataset, attr string) int {
-	dict, _ := ds.DimCodes(attr)
-	return len(dict)
-}
 
 func TestGenerateCovidUSShape(t *testing.T) {
 	ds := GenerateCovidUS(1)
@@ -24,7 +16,7 @@ func TestGenerateCovidUSShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 51 states/DC plus 4 barely-reporting territories.
-	if got := numValues(ds, "state"); got != 55 {
+	if got := len(ds.Distinct("state")); got != 55 {
 		t.Errorf("states = %d", got)
 	}
 	for _, v := range ds.Measure("confirmed") {
@@ -46,7 +38,7 @@ func TestGenerateCovidGlobalShape(t *testing.T) {
 	if ds.NumRows() != nc*CovidDays {
 		t.Fatalf("rows = %d, want %d", ds.NumRows(), nc*CovidDays)
 	}
-	if got := numValues(ds, "region"); got != 6 {
+	if got := len(ds.Distinct("region")); got != 6 {
 		t.Errorf("regions = %d", got)
 	}
 }
@@ -203,7 +195,9 @@ func TestGenerateFIST(t *testing.T) {
 		}
 	}
 	// Rainfall rows exist for every (village, year).
-	nv := numValues(f.DS, "village") * numValues(f.DS, "year")
+	villages := f.DS.Distinct("village")
+	years := f.DS.Distinct("year")
+	nv := len(villages) * len(years)
 	if f.Rainfall.NumRows() != nv {
 		t.Errorf("rainfall rows = %d, want %d", f.Rainfall.NumRows(), nv)
 	}
@@ -269,7 +263,7 @@ func TestGenerateAbsentee(t *testing.T) {
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := numValues(ds, "party"); got != 6 {
+	if got := len(ds.Distinct("party")); got != 6 {
 		t.Errorf("parties = %d", got)
 	}
 	// Default row count matches the paper.
@@ -284,10 +278,11 @@ func TestGenerateCompas(t *testing.T) {
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if days := numValues(ds, "day"); days > 704 {
-		t.Errorf("days = %d, want ≤ 704", days)
+	days := ds.Distinct("day")
+	if len(days) > 704 {
+		t.Errorf("days = %d, want ≤ 704", len(days))
 	}
-	if got := numValues(ds, "race"); got != 6 {
+	if got := len(ds.Distinct("race")); got != 6 {
 		t.Errorf("races = %d", got)
 	}
 	for _, s := range ds.Measure("score") {
