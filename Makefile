@@ -36,9 +36,9 @@ loc:
 
 # loc-check fails when loc's total exceeds LOC_CEILING: growth past it is a
 # one-line edit here, made on purpose, not something a re-anchor finds.
-LOC_CEILING = 20700
+LOC_CEILING = 20600
 loc-check:
-	@n=$$(find . $(LOC_FILES) -exec cat {} + | wc -l); \
+	@n=$$($(MAKE) -s loc | awk '$$1 == "total" { print $$2 }'); \
 	if [ $$n -gt $(LOC_CEILING) ]; then echo "non-test Go lines: $$n > LOC_CEILING $(LOC_CEILING) (see make loc)" >&2; exit 1; fi; \
 	echo "non-test Go lines: $$n <= $(LOC_CEILING)"
 
