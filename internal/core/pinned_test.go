@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
@@ -19,6 +21,17 @@ import (
 var updatePinned = flag.Bool("update", false, "rewrite testdata/pinned_recommendations.json from the current implementation")
 
 const pinnedPath = "testdata/pinned_recommendations.json"
+
+// pinnedStep is what one step of a walk records: the sha256 of the
+// recommendation JSON (every score, to the bit) and, beside it, the ranked
+// group keys per candidate hierarchy — the part of the answer a user acts on,
+// which a deliberate floating-point change may not reorder even as it moves
+// the digest. A step the engine refuses records the error instead.
+type pinnedStep struct {
+	SHA256 string            `json:"sha256,omitempty"`
+	Ranked map[string]string `json:"ranked,omitempty"` // per hierarchy, best first
+	Error  string            `json:"error,omitempty"`
+}
 
 // quickstartDataset rebuilds the examples/quickstart survey (same generator
 // and seed as the example program).
@@ -58,11 +71,11 @@ func quickstartDataset() *data.Dataset {
 // needs, it walks four drill steps from the undrilled view (recommend, drill
 // into the best hierarchy, narrow the complaint to its top-ranked group) with
 // the example's statistic, measure and direction, and compares the sha256 of
-// the recommendation JSON of every step with the digest recorded at the
-// commit before the EM kernel was rebuilt. A walk that runs out of
-// hierarchies pins the engine's error instead. Performance work on the model
-// code must leave every digest as recorded; regenerate with -update only for
-// a change that is meant to move the numbers.
+// the recommendation JSON of every step, and every hierarchy's ranking, with
+// what was recorded. A walk that runs out of hierarchies pins the engine's
+// error instead. Performance work on the model code must leave every digest
+// as recorded; regenerate with -update only for a change that is meant to
+// move the numbers, and then the rankings in the diff must not move.
 func TestPinnedRecommendations(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -104,7 +117,7 @@ func TestPinnedRecommendations(t *testing.T) {
 		{"naive-full", core.TrainerNaiveFull},
 	}
 
-	got := map[string]string{}
+	got := map[string]pinnedStep{}
 	for _, tc := range cases {
 		for _, tr := range trainers {
 			eng, err := core.NewEngine(tc.ds, core.Options{EMIterations: 6, Trainer: tr.kind, Workers: 2})
@@ -121,7 +134,7 @@ func TestPinnedRecommendations(t *testing.T) {
 				label := fmt.Sprintf("%s/%s/step%d", tc.name, tr.name, step)
 				rec, err := sess.Recommend(c)
 				if err != nil {
-					got[label] = "error: " + err.Error()
+					got[label] = pinnedStep{Error: err.Error()}
 					break
 				}
 				b, err := json.Marshal(rec)
@@ -129,7 +142,15 @@ func TestPinnedRecommendations(t *testing.T) {
 					t.Fatal(err)
 				}
 				sum := sha256.Sum256(b)
-				got[label] = hex.EncodeToString(sum[:])
+				ranked := map[string]string{}
+				for _, hr := range rec.All {
+					keys := make([]string, len(hr.Ranked))
+					for i, gs := range hr.Ranked {
+						keys[i] = strings.Join(gs.Group.Vals, "/")
+					}
+					ranked[hr.Hierarchy] = strings.Join(keys, ", ")
+				}
+				got[label] = pinnedStep{SHA256: hex.EncodeToString(sum[:]), Ranked: ranked}
 				if rec.Best == nil || len(rec.Best.Ranked) == 0 {
 					break
 				}
@@ -156,7 +177,7 @@ func TestPinnedRecommendations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want map[string]string
+	var want map[string]pinnedStep
 	if err := json.Unmarshal(raw, &want); err != nil {
 		t.Fatal(err)
 	}
@@ -164,8 +185,12 @@ func TestPinnedRecommendations(t *testing.T) {
 		t.Errorf("%d steps computed, %d recorded", len(got), len(want))
 	}
 	for label, w := range want {
-		if g := got[label]; g != w {
-			t.Errorf("%s: %q, recorded %q", label, g, w)
+		g := got[label]
+		if !reflect.DeepEqual(g.Ranked, w.Ranked) {
+			t.Errorf("%s: ranking %v, recorded %v", label, g.Ranked, w.Ranked)
+		}
+		if g.SHA256 != w.SHA256 || g.Error != w.Error {
+			t.Errorf("%s: digest %q error %q, recorded %q %q", label, g.SHA256, g.Error, w.SHA256, w.Error)
 		}
 	}
 }
