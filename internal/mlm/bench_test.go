@@ -136,17 +136,6 @@ func BenchmarkFitEMFullZ(b *testing.B) {
 	}
 }
 
-func BenchmarkFitIGLS(b *testing.B) {
-	d, y := benchData(b, 200, 20)
-	iz := NewInterceptZ(d)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := FitIGLS(d, iz, y, Options{Iterations: 10}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFitLinear(b *testing.B) {
 	d, y := benchData(b, 200, 20)
 	b.ResetTimer()

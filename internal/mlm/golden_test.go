@@ -156,7 +156,7 @@ func bitsDigest(t testing.TB, label string, m *MultiLevel, fitted []float64) str
 // TestGoldenBits pins the bits of Beta, B, Sigma, Sigma2 and Fitted for
 // FitEMZ — dense and factorised backends × intercept-only / one-column
 // subset / two-column subset / full Z × the scalar and general EM paths —
-// and for FitIGLS, over three seeded shapes and three degenerate ones: a
+// over three seeded shapes and three degenerate ones: a
 // single cluster, one row per cluster, and constant y (where σ² clamps at
 // 1e-12). Every output is finite on every case, and performance work on the
 // kernels must leave every digest as recorded; regenerate with -update only
@@ -240,13 +240,6 @@ func TestGoldenBits(t *testing.T) {
 					got[label] = bitsDigest(t, label, m, m.Fitted(bk.b, z.bz))
 				}
 			}
-			label := fmt.Sprintf("%s/igls/%s", s.name, bk.name)
-			iz := NewInterceptZ(bk.b)
-			m, err := FitIGLS(bk.b, iz, y, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			got[label] = bitsDigest(t, label, m, m.Fitted(bk.b, iz))
 		}
 	}
 
