@@ -142,3 +142,67 @@ func TestRightMulBitIdenticalToRowIterProperty(t *testing.T) {
 		t.Fatalf("%d trials with %d repeated neighbouring values: the zero-delta skip is not exercised", trials, zeroDeltas)
 	}
 }
+
+// Over the same random 1–3-hierarchy shapes (ragged children, single-row
+// clusters included), Clusters.ColSums equals the per-cluster column sums of
+// the materialized matrix, taken row by row. With column values on a dyadic
+// grid every sum is exact, so the two agree bit for bit whatever their order
+// of operations; with arbitrary values a column bound to the last attribute
+// still does (both add its values left to right) and a constant column's N·f
+// is the repeated addition to within rounding.
+func TestClusterColSumsMatchMaterializedProperty(t *testing.T) {
+	singleRow := 0
+	for trial := 0; trial < 120; trial++ {
+		r := rand.New(rand.NewSource(int64(2000 + trial)))
+		m := randomMatrix(r)
+		if m.N() > 3000 {
+			continue
+		}
+		for _, dyadic := range []bool{false, true} {
+			if dyadic {
+				for ci := range m.Cols {
+					for i := range m.Cols[ci].Vals {
+						m.Cols[ci].Vals[i] = float64(r.Intn(65)-32) / 8
+					}
+				}
+				// Columns were edited in place: rebuild, as above.
+				var err error
+				if m, err = New(m.F, m.Cols); err != nil {
+					t.Fatal(err)
+				}
+			}
+			x, err := m.Materialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl, err := m.Clusters()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := cl.ColSums()
+			k := len(m.Cols)
+			for ci := 0; ci < cl.NumClusters(); ci++ {
+				start, n := cl.Extent(ci)
+				if n == 1 {
+					singleRow++
+				}
+				want := make([]float64, k)
+				for row := start; row < start+n; row++ {
+					for j := range want {
+						want[j] += x.Data[row*k+j]
+					}
+				}
+				for j, w := range want {
+					g := got.Data[ci*k+j]
+					exact := dyadic || m.Cols[j].Attr == cl.lastAttr
+					if exact && math.Float64bits(g) != math.Float64bits(w) || math.Abs(g-w) > 1e-14*math.Abs(w) {
+						t.Fatalf("trial %d (dyadic %v), cluster %d, column %d: ColSums %v, row-by-row %v", trial, dyadic, ci, j, g, w)
+					}
+				}
+			}
+		}
+	}
+	if singleRow < 100 {
+		t.Fatalf("only %d single-row clusters seen", singleRow)
+	}
+}

@@ -61,6 +61,43 @@ func (c *Clusters) Extent(ci int) (start, n int) {
 	return ci/len(c.ranges)*c.rowsPer + r[0], r[1] - r[0]
 }
 
+// ColSums returns the G × k table whose row i is cluster i's column sums 1ᵀXᵢ
+// — the decomposed aggregates EM's cluster-level loop runs on. A column that
+// is constant across a cluster's N rows contributes N·f; one bound to the last
+// attribute contributes the sum of its values under the cluster's parent,
+// left to right. No row is visited.
+func (c *Clusters) ColSums() *mat.Matrix {
+	f, k, nr := c.m.F, len(c.m.Cols), len(c.ranges)
+	last := f.NumHierarchies() - 1
+	out := mat.New(c.NumClusters(), k)
+	for colIdx, col := range c.m.Cols {
+		a := f.Attrs()[col.Attr]
+		ch := f.Chain(a.Hier)
+		stride := 1 // prefix combinations per leaf of the column's hierarchy
+		for pos := a.Hier + 1; pos < last; pos++ {
+			stride *= f.Chain(pos).Leaves()
+		}
+		for pi, r := range c.ranges {
+			n := float64(r[1] - r[0])
+			var perParent float64 // of a column of the last hierarchy
+			switch {
+			case col.Attr == c.lastAttr:
+				perParent = mat.Sum(col.Vals[r[0]:r[1]])
+			case a.Hier == last:
+				perParent = n * col.Vals[ch.AncestorIdx(a.Level, r[0])]
+			}
+			for prefix := 0; prefix < c.numPrefix; prefix++ {
+				v := perParent
+				if a.Hier != last {
+					v = n * col.Vals[ch.AncestorIdx(a.Level, prefix/stride%ch.Leaves())]
+				}
+				out.Data[(prefix*nr+pi)*k+colIdx] = v
+			}
+		}
+	}
+	return out
+}
+
 // View describes one cluster and provides its factorised matrix operations.
 // The inter-cluster columns are constant across the cluster's rows; the
 // intra-cluster columns (those bound to the last attribute) vary.

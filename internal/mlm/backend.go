@@ -1,17 +1,20 @@
 // Package mlm implements Reptile's model layer: ordinary least squares as
 // the linear baseline, and the multi-level linear model of §3.2 fit by the
 // expectation-maximization algorithm of Appendix D. The EM core is
-// backend-agnostic — it consumes the six bottleneck matrix operations
-// (gram, left and right multiplication, and their per-cluster variants)
-// through an interface with a naive dense implementation (the paper's
-// Matlab/Lapack comparator) and a factorised implementation over package
-// fmatrix.
+// backend-agnostic — it consumes the six bottleneck matrix operations (gram,
+// left and right multiplication, and their per-cluster variants) and the
+// per-cluster column sums through an interface with a naive dense
+// implementation (the paper's Matlab/Lapack comparator) and a factorised
+// implementation over package fmatrix.
 //
-// An EM iteration is one X·β, one Xᵀv and one pass over the clusters: the
-// loop carries its residual y − Xβ from the M-step into the next E-step,
-// owns its n-vectors for the whole fit, and evaluates the random-intercept
-// design from the cluster extents alone, so what a fit costs is the
-// backend's two operators and nothing per cluster but arithmetic.
+// With one random-effect column — random intercepts, what the engine fits
+// whenever clusters are small — EM runs on cluster-level sufficient
+// statistics: set-up reads the rows once (XᵀX, the OLS solution and its
+// residual, the per-cluster column sums ZᵀX the decomposed aggregates already
+// hold) and an iteration is O(clusters·p + p²) arithmetic on them, so the
+// rows come back only for the fitted values. With more columns it is Appendix
+// D's loop as written: one X·β, one Xᵀv and one pass over the clusters per
+// iteration, the residual carried from the M-step into the next E-step.
 package mlm
 
 import (
@@ -43,6 +46,10 @@ type Backend interface {
 	ClusterRows(i int) (start, n int)
 	// Cluster returns the operations for cluster i.
 	Cluster(i int) ClusterOps
+	// ClusterColSums returns the G × m table whose row i is 1ᵀXᵢ, cluster i's
+	// column sums: ZᵀX for the random-intercept design, the one thing EM's
+	// cluster-level loop needs of X beyond the whole-matrix operators.
+	ClusterColSums() *mat.Matrix
 }
 
 // ClusterOps provides the per-cluster operations for one cluster's
@@ -117,6 +124,23 @@ func (d *Dense) Cluster(i int) ClusterOps {
 	start, n := d.ClusterRows(i)
 	k := d.X.Cols
 	return denseCluster{sub: &mat.Matrix{Rows: n, Cols: k, Data: d.X.Data[start*k : (start+n)*k : (start+n)*k]}}
+}
+
+// ClusterColSums implements Backend in one pass over X, every sum taken top
+// to bottom.
+func (d *Dense) ClusterColSums() *mat.Matrix {
+	k := d.X.Cols
+	out := mat.New(len(d.starts), k)
+	for i := range d.starts {
+		start, n := d.ClusterRows(i)
+		sums := out.Data[i*k : (i+1)*k]
+		for r := start; r < start+n; r++ {
+			for j, x := range d.X.Data[r*k : (r+1)*k] {
+				sums[j] += x
+			}
+		}
+	}
+	return out
 }
 
 type denseCluster struct{ sub *mat.Matrix }
@@ -218,6 +242,10 @@ func (f *Factorised) Cluster(i int) ClusterOps {
 	return factorCluster{v}
 }
 
+// ClusterColSums implements Backend from the decomposed aggregates; no row is
+// visited.
+func (f *Factorised) ClusterColSums() *mat.Matrix { return f.cl.ColSums() }
+
 // SubsetCols returns a Factorised backend over the selected columns; the
 // underlying factorizer (and therefore the cluster partition) is shared.
 func (f *Factorised) SubsetCols(mask []bool) (*Factorised, error) {
@@ -293,6 +321,15 @@ func (z *InterceptZ) ClusterRows(i int) (start, n int) { return z.starts[i], z.c
 
 // Cluster implements Backend.
 func (z *InterceptZ) Cluster(i int) ClusterOps { return interceptCluster{n: z.clusterN[i]} }
+
+// ClusterColSums implements Backend: the cluster sizes.
+func (z *InterceptZ) ClusterColSums() *mat.Matrix {
+	out := mat.New(len(z.clusterN), 1)
+	for i, cn := range z.clusterN {
+		out.Data[i] = float64(cn)
+	}
+	return out
+}
 
 type interceptCluster struct{ n int }
 

@@ -17,10 +17,6 @@ type Options struct {
 	Ridge float64
 }
 
-// disableScalarFastPath forces the general matrix EM path even for q = 1
-// designs; tests flip it to assert the two paths agree.
-var disableScalarFastPath = false
-
 func (o Options) withDefaults() Options {
 	if o.Iterations <= 0 {
 		o.Iterations = 20
@@ -65,11 +61,36 @@ func (m *MultiLevel) ClusterOf(r int) int {
 // operation, so the same code path runs over dense or factorised
 // representations.
 //
-// A fit of I iterations asks bx for one Gram, I+1 X·β and I+1 Xᵀv: the
-// residual r = y − Xβ that closes an M-step (Equation 14) is the one the next
-// E-step starts from, so it is carried over instead of recomputed, and the
-// n-vectors (r, Zb̂, y − Zb̂) are allocated once per fit.
+// A single random-effect column (q = 1: random intercepts, what the engine
+// fits whenever clusters are small) runs on cluster-level sufficient
+// statistics: the fit asks bx for one Gram, one X·β, two Xᵀv and one table of
+// per-cluster column sums whatever Options.Iterations is, and an iteration
+// costs O(clusters·p + p²). q > 1 runs Appendix D's loop as written, I + 1
+// X·β and Xᵀv for I iterations.
 func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
+	if bz.NumCols() == 1 {
+		return fitEM(bx, bz, y, opts, emClusterLevel)
+	}
+	return fitEM(bx, bz, y, opts, emGeneral)
+}
+
+// emStart is what either loop starts from: the validated inputs, XᵀX and its
+// ridge inverse, the OLS solution β₀, its residual r₀ = y − Xβ₀ and the
+// residual variance σ²₀ = r₀ᵀr₀/n.
+type emStart struct {
+	bx, bz        Backend
+	y             []float64
+	opts          Options
+	starts, sizes []int
+	gram, gramInv *mat.Matrix
+	beta, r       []float64
+	sigma2        float64
+}
+
+// fitEM validates the inputs, initializes β by (ridge) OLS and σ² by the
+// residual variance, and hands over to one of the two loops (the tests run
+// the general one on q = 1 inputs too).
+func fitEM(bx, bz Backend, y []float64, opts Options, loop func(*emStart) *MultiLevel) (*MultiLevel, error) {
 	opts = opts.withDefaults()
 	n, m := bx.NumRows(), bx.NumCols()
 	q := bz.NumCols()
@@ -83,37 +104,38 @@ func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 		return nil, fmt.Errorf("mlm: Z backend shape mismatch (%d rows, %d clusters; want %d, %d)",
 			bz.NumRows(), bz.NumClusters(), n, bx.NumClusters())
 	}
-	G := bx.NumClusters()
-	starts, sizes := clusterExtents(bz)
+	s := &emStart{bx: bx, bz: bz, y: y, opts: opts}
+	s.starts, s.sizes = clusterExtents(bz)
 	covered := 0
-	for _, cn := range sizes {
+	for _, cn := range s.sizes {
 		covered += cn
 	}
 	if covered != n {
 		return nil, fmt.Errorf("mlm: Z clusters cover %d of %d rows", covered, n)
 	}
 
-	// XᵀX once. Only the Z-side cluster operators are needed by the EM
-	// updates (the X-side appears through the whole-matrix operations).
-	gramInv := bx.Gram().RidgeInverse(opts.Ridge)
-
-	// Initialize β by (ridge) OLS, σ² by the residual variance and Σ by a
-	// scaled identity.
-	beta := gramInv.MulVec(bx.TMulVec(y))
-	r := make([]float64, n)
-	residual(r, bx, beta, y)
-	sigma2 := mat.Dot(r, r) / float64(n)
-	if sigma2 < 1e-12 {
-		sigma2 = 1e-12
+	s.gram = bx.Gram()
+	s.gramInv = s.gram.RidgeInverse(opts.Ridge)
+	s.beta = s.gramInv.MulVec(bx.TMulVec(y))
+	s.r = make([]float64, n)
+	residual(s.r, bx, s.beta, y)
+	s.sigma2 = mat.Dot(s.r, s.r) / float64(n)
+	if s.sigma2 < 1e-12 {
+		s.sigma2 = 1e-12
 	}
+	model := loop(s)
+	model.Starts, model.N = s.starts, n
+	return model, nil
+}
 
-	model := &MultiLevel{Starts: starts, N: n}
-	if q == 1 && !disableScalarFastPath {
-		// With a single random-effect column (e.g. random intercepts) every
-		// per-cluster matrix op degenerates to scalar arithmetic.
-		fitEMScalarZ(model, bx, bz, y, opts, gramInv, sizes, beta, r, sigma2)
-		return model, nil
-	}
+// emGeneral is Appendix D's loop for any q, Σ initialized to σ²₀·I. It keeps
+// three n-vectors for the whole fit and carries the residual r = y − Xβ that
+// closes an M-step (Equation 14) into the next E-step.
+func emGeneral(s *emStart) *MultiLevel {
+	bx, bz, y, opts := s.bx, s.bz, s.y, s.opts
+	n, G, q := len(y), len(s.starts), bz.NumCols()
+	starts, sizes, r := s.starts, s.sizes, s.r
+	beta, sigma2 := s.beta, s.sigma2
 
 	zClusters := make([]ClusterOps, G)
 	zClusterGram := make([]*mat.Matrix, G) // ZᵢᵀZᵢ
@@ -149,7 +171,7 @@ func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 		for j := range ymzb {
 			ymzb[j] = y[j] - zb[j]
 		}
-		beta = gramInv.MulVec(bx.TMulVec(ymzb))
+		beta = s.gramInv.MulVec(bx.TMulVec(ymzb))
 		// Σ = (1/G) Σᵢ E[bᵢbᵢᵀ].
 		sigma = mat.New(q, q)
 		for i := 0; i < G; i++ {
@@ -158,19 +180,17 @@ func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 		sigma = sigma.Scale(1 / float64(G))
 		// σ² per Equation 14.
 		residual(r, bx, beta, y)
-		s := mat.Dot(r, r)
+		sum := mat.Dot(r, r)
 		for i := 0; i < G; i++ {
-			s += zClusterGram[i].Mul(ebb[i]).Trace()
+			sum += zClusterGram[i].Mul(ebb[i]).Trace()
 		}
-		s -= 2 * mat.Dot(r, zb)
-		sigma2 = s / float64(n)
+		sum -= 2 * mat.Dot(r, zb)
+		sigma2 = sum / float64(n)
 		if sigma2 < 1e-12 || math.IsNaN(sigma2) {
 			sigma2 = 1e-12
 		}
 	}
-
-	model.Beta, model.B, model.Sigma, model.Sigma2 = beta, bi, sigma, sigma2
-	return model, nil
+	return &MultiLevel{Beta: beta, B: bi, Sigma: sigma, Sigma2: sigma2}
 }
 
 // clusterExtents reads every cluster's row range [start, start+size) once.
@@ -190,85 +210,83 @@ func residual(r []float64, bx Backend, beta, y []float64) {
 	}
 }
 
-// scalarZ prepares a single-column random-effects design for scalar
-// arithmetic: the per-cluster grams zᵢᵀzᵢ and the two per-cluster operators,
-// dot (zᵢᵀr) and fill (dst = zᵢ·b). The intercept design has closed forms — a
-// cluster's size, the sum of r left to right, a constant fill — and is served
-// from the cluster extents alone; any other column goes through its
-// ClusterOps, built once here.
-func scalarZ(bz Backend, sizes []int) (zg []float64, dot func(i int, r []float64) float64, fill func(i int, b float64, dst []float64)) {
-	zg = make([]float64, len(sizes))
-	if _, ok := bz.(*InterceptZ); ok {
-		for i, cn := range sizes {
-			zg[i] = float64(cn)
+// clusterTable reads the rows for the last time in a q = 1 fit: C = ZᵀX, one
+// row zᵢᵀXᵢ per cluster, with zᵢᵀzᵢ and u₀ᵢ = zᵢᵀr₀ beside it. The intercept
+// design has them in closed form — the backend's per-cluster column sums, the
+// cluster's size, the sum of r₀ left to right; any other column goes through
+// the two backends' ClusterOps.
+func (s *emStart) clusterTable() (c *mat.Matrix, zg, u0 []float64) {
+	G, p := len(s.starts), s.bx.NumCols()
+	zg, u0 = make([]float64, G), make([]float64, G)
+	if _, ok := s.bz.(*InterceptZ); ok {
+		for i, start := range s.starts {
+			zg[i] = float64(s.sizes[i])
+			u0[i] = mat.Sum(s.r[start : start+s.sizes[i]])
 		}
-		dot = func(_ int, r []float64) float64 { return mat.Sum(r) }
-		fill = func(_ int, b float64, dst []float64) {
-			for j := range dst {
-				dst[j] = b
-			}
-		}
-		return zg, dot, fill
+		return s.bx.ClusterColSums(), zg, u0
 	}
-	ops := make([]ClusterOps, len(sizes))
-	for i := range ops {
-		ops[i] = bz.Cluster(i)
-		zg[i] = ops[i].Gram().At(0, 0)
+	c = mat.New(G, p)
+	one := []float64{1}
+	for i, start := range s.starts {
+		zc := s.bz.Cluster(i)
+		zg[i] = zc.Gram().At(0, 0)
+		u0[i] = zc.TMulVec(s.r[start : start+s.sizes[i]])[0]
+		copy(c.Data[i*p:(i+1)*p], s.bx.Cluster(i).TMulVec(zc.MulVec(one)))
 	}
-	w := make([]float64, 1)
-	dot = func(i int, r []float64) float64 { return ops[i].TMulVec(r)[0] }
-	fill = func(i int, b float64, dst []float64) {
-		w[0] = b
-		copy(dst, ops[i].MulVec(w))
-	}
-	return zg, dot, fill
+	return c, zg, u0
 }
 
-// fitEMScalarZ runs the EM iterations for the q = 1 random-effects design
-// with scalar per-cluster arithmetic and fills in the model. It mirrors
-// FitEMZ's general loop exactly (the tests assert the two paths agree on
-// q = 1 inputs); r arrives as the residual of the initial β.
-func fitEMScalarZ(model *MultiLevel, bx, bz Backend, y []float64, opts Options,
-	gramInv *mat.Matrix, sizes []int, beta, r []float64, sigma2 float64) {
+// emClusterLevel is the same EM for a single random-effect column z, on
+// cluster-level sufficient statistics anchored at the OLS solution, so that
+// neither the rows nor y's magnitude enter the loop. With β = β₀ + d every
+// quantity an iteration needs follows from the set-up's C, zᵢᵀzᵢ, u₀ = Zᵀr₀,
+// ρ₀ = r₀ᵀr₀ and g = Xᵀr₀ (zero but for the ridge and rounding):
+//
+//	zᵢᵀr = u₀ᵢ − Cᵢ·d            Xᵀ(y − Zμ) = Xᵀy − Cᵀμ, so d = −(XᵀX + λI)⁻¹Cᵀμ
+//	rᵀZμ = Σᵢ μᵢ·zᵢᵀr            rᵀr = ρ₀ − 2dᵀg + dᵀ(XᵀX)d
+//
+// The last is a sum of non-negative terms up to g, not the difference of
+// large ones that expanding yᵀy − 2βᵀXᵀy + βᵀXᵀXβ would be.
+func emClusterLevel(s *emStart) *MultiLevel {
+	n, G, p := float64(len(s.y)), len(s.starts), s.bx.NumCols()
+	c, zg, u0 := s.clusterTable()
+	rho0, g := mat.Dot(s.r, s.r), s.bx.TMulVec(s.r)
 
-	n, G := len(y), len(sizes)
-	starts := model.Starts
-	zg, dotZ, fillZ := scalarZ(bz, sizes)
-	sigma := sigma2 // Σ is a scalar variance
-	bi := make([]float64, G)
-	ebb := make([]float64, G)
-	zb := make([]float64, n)
-	ymzb := make([]float64, n)
-
-	for iter := 0; iter < opts.Iterations; iter++ {
+	sigma, sigma2 := s.sigma2, s.sigma2 // Σ is a scalar variance
+	u := append([]float64(nil), u0...)  // zᵢᵀr at the current β
+	mu, ebb := make([]float64, G), make([]float64, G)
+	d, ctmu, gd := make([]float64, p), make([]float64, p), make([]float64, p)
+	for iter := 0; iter < s.opts.Iterations; iter++ {
 		// E-step.
-		sigmaInv := 1 / math.Max(sigma, 1e-12)
-		for i, start := range starts {
-			vi := 1 / (zg[i]/sigma2 + sigmaInv)
-			mu := vi * dotZ(i, r[start:start+sizes[i]]) / sigma2
-			bi[i] = mu
-			ebb[i] = vi + mu*mu
+		sigmaInv, sigma2Inv := 1/math.Max(sigma, 1e-12), 1/sigma2
+		clear(ctmu)
+		for i := range mu {
+			vi := 1 / (zg[i]*sigma2Inv + sigmaInv)
+			mu[i] = vi * u[i] * sigma2Inv
+			ebb[i] = vi + mu[i]*mu[i]
+			for j, x := range c.Data[i*p : (i+1)*p] {
+				ctmu[j] += mu[i] * x
+			}
 		}
 		// M-step.
-		for i, start := range starts {
-			fillZ(i, bi[i], zb[start:start+sizes[i]])
+		s.gramInv.MulVecTo(d, ctmu)
+		for j := range d {
+			d[j] = -d[j]
 		}
-		for j := range ymzb {
-			ymzb[j] = y[j] - zb[j]
-		}
-		beta = gramInv.MulVec(bx.TMulVec(ymzb))
-		var sAcc float64
-		for i := 0; i < G; i++ {
+		var sAcc, zge, rzb float64
+		for i := range mu {
+			var cd float64 // Cᵢ·d
+			for j, x := range c.Data[i*p : (i+1)*p] {
+				cd += x * d[j]
+			}
+			u[i] = u0[i] - cd
 			sAcc += ebb[i]
+			zge += zg[i] * ebb[i]
+			rzb += mu[i] * u[i]
 		}
 		sigma = sAcc / float64(G)
-		residual(r, bx, beta, y)
-		s := mat.Dot(r, r)
-		for i := 0; i < G; i++ {
-			s += zg[i] * ebb[i]
-		}
-		s -= 2 * mat.Dot(r, zb)
-		sigma2 = s / float64(n)
+		s.gram.MulVecTo(gd, d)
+		sigma2 = (rho0 - 2*mat.Dot(d, g) + mat.Dot(d, gd) + zge - 2*rzb) / n
 		if sigma2 < 1e-12 || math.IsNaN(sigma2) {
 			sigma2 = 1e-12
 		}
@@ -276,9 +294,9 @@ func fitEMScalarZ(model *MultiLevel, bx, bz Backend, y []float64, opts Options,
 
 	b := make([][]float64, G)
 	for i := range b {
-		b[i] = bi[i : i+1 : i+1]
+		b[i] = mu[i : i+1 : i+1]
 	}
-	model.Beta, model.B, model.Sigma, model.Sigma2 = beta, b, mat.FromRows([][]float64{{sigma}}), sigma2
+	return &MultiLevel{Beta: mat.AddVec(s.beta, d), B: b, Sigma: mat.FromRows([][]float64{{sigma}}), Sigma2: sigma2}
 }
 
 // Fitted returns the conditional fitted values Xβ + Zb̂ for every row. With

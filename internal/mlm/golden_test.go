@@ -224,16 +224,18 @@ func TestGoldenBits(t *testing.T) {
 			} {
 				for _, general := range []bool{false, true} {
 					if general && z.bz.NumCols() != 1 {
-						continue // q > 1 always takes the general path
+						continue // q > 1 always takes the general loop
 					}
 					path := "scalar"
 					if general || z.bz.NumCols() != 1 {
 						path = "general"
 					}
 					label := fmt.Sprintf("%s/em/%s/%s/%s", s.name, bk.name, z.name, path)
-					disableScalarFastPath = general
-					m, err := FitEMZ(bk.b, z.bz, y, opts)
-					disableScalarFastPath = false
+					loop := emClusterLevel
+					if path == "general" {
+						loop = emGeneral
+					}
+					m, err := fitEM(bk.b, z.bz, y, opts, loop)
 					if err != nil {
 						t.Fatalf("%s: %v", label, err)
 					}

@@ -3,6 +3,7 @@ package mlm
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/mat"
@@ -12,7 +13,7 @@ import (
 // (X·w in either form counts as a MulVec).
 type countingBackend struct {
 	Backend
-	gram, mulVec, tMulVec int
+	gram, mulVec, tMulVec, colSums int
 }
 
 func (c *countingBackend) Gram() *mat.Matrix { c.gram++; return c.Backend.Gram() }
@@ -32,45 +33,53 @@ func (c *countingBackend) TMulVec(v []float64) []float64 {
 	return c.Backend.TMulVec(v)
 }
 
-// One FitEMZ of I iterations asks the X backend for one Gram, I+1 MulVec and
-// I+1 TMulVec on either EM path: the residual that closes an M-step is
-// carried into the next E-step, not recomputed.
+func (c *countingBackend) ClusterColSums() *mat.Matrix {
+	c.colSums++
+	return c.Backend.ClusterColSums()
+}
+
+// A q = 1 fit asks the X backend for one Gram, one X·w, two Xᵀv and one
+// ClusterColSums whether it runs 1 iteration or 80: the rows are read at
+// set-up and the loop runs on the cluster table. The general loop asks for
+// I + 1 X·w and Xᵀv — its residual is carried from the M-step into the next
+// E-step, not recomputed — and never for the table.
 func TestFitEMZOperatorCounts(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	x, y, starts, _ := clusteredData(rng, 9, 7)
-	d, err := NewDense(x, starts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const iters = 7
-	for _, tc := range []struct {
-		name    string
-		general bool
-		z       func(bx Backend) Backend
-	}{
-		{"scalar", false, func(bx Backend) Backend { return NewInterceptZ(bx) }},
-		{"general q=1", true, func(bx Backend) Backend { return NewInterceptZ(bx) }},
-		{"general Z=X", false, func(bx Backend) Backend { return d }},
-	} {
-		bx := &countingBackend{Backend: d}
-		disableScalarFastPath = tc.general
-		_, err := FitEMZ(bx, tc.z(bx), y, Options{Iterations: iters})
-		disableScalarFastPath = false
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if bx.gram != 1 || bx.mulVec != iters+1 || bx.tMulVec != iters+1 {
-			t.Errorf("%s: %d Gram, %d MulVec, %d TMulVec; want 1, %d, %d",
-				tc.name, bx.gram, bx.mulVec, bx.tMulVec, iters+1, iters+1)
+	fm, yf := buildFactorMatrix(rand.New(rand.NewSource(4)))
+	fb, db := denseTwin(t, fm)
+	for _, bk := range []struct {
+		name string
+		b    Backend
+	}{{"dense", db}, {"factorised", fb}} {
+		for _, iters := range []int{1, 7, 20, 80} {
+			for _, tc := range []struct {
+				name string
+				loop func(*emStart) *MultiLevel
+				z    func(bx Backend) Backend
+				want [4]int // Gram, MulVec, TMulVec, ClusterColSums
+			}{
+				{"cluster-level", emClusterLevel, func(bx Backend) Backend { return NewInterceptZ(bx) }, [4]int{1, 1, 2, 1}},
+				{"general q=1", emGeneral, func(bx Backend) Backend { return NewInterceptZ(bx) }, [4]int{1, iters + 1, iters + 1, 0}},
+				{"general Z=X", emGeneral, func(Backend) Backend { return bk.b }, [4]int{1, iters + 1, iters + 1, 0}},
+			} {
+				bx := &countingBackend{Backend: bk.b}
+				if _, err := fitEM(bx, tc.z(bx), yf, Options{Iterations: iters}, tc.loop); err != nil {
+					t.Fatalf("%s/%s: %v", bk.name, tc.name, err)
+				}
+				if got := [4]int{bx.gram, bx.mulVec, bx.tMulVec, bx.colSums}; got != tc.want {
+					t.Errorf("%s/%s, %d iterations: Gram, MulVec, TMulVec, ClusterColSums = %v, want %v",
+						bk.name, tc.name, iters, got, tc.want)
+				}
+			}
 		}
 	}
 }
 
-// The scalar path allocates a small constant per iteration — the operators'
-// result vectors — and nothing per cluster: twenty more iterations cost the
-// same number of allocations for 10 clusters as for 1,000.
+// The cluster-level loop allocates nothing per iteration and nothing per
+// cluster: a fit makes the same number of allocations for 5 iterations as for
+// 80 and for 10 clusters as for 1,000 (the G × p table is one of them, its
+// size aside).
 func TestScalarEMAllocationsIndependentOfClusters(t *testing.T) {
-	perIteration := func(G int) float64 {
+	allocs := func(G, iters int) float64 {
 		rng := rand.New(rand.NewSource(5))
 		x, y, starts, _ := clusteredData(rng, G, 3)
 		d, err := NewDense(x, starts)
@@ -78,19 +87,43 @@ func TestScalarEMAllocationsIndependentOfClusters(t *testing.T) {
 			t.Fatal(err)
 		}
 		iz := NewInterceptZ(d)
-		allocs := func(iters int) float64 {
-			return testing.AllocsPerRun(5, func() {
-				if _, err := FitEMZ(d, iz, y, Options{Iterations: iters}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
-		return (allocs(40) - allocs(20)) / 20
+		return testing.AllocsPerRun(5, func() {
+			if _, err := FitEMZ(d, iz, y, Options{Iterations: iters}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
-	few, many := perIteration(10), perIteration(1000)
-	// A stray runtime allocation moves a count by 1 in 20 iterations; a
-	// per-cluster term would move it by hundreds.
-	if math.Abs(few-many) > 0.5 || few > 4 {
-		t.Errorf("allocations per iteration: %v with 10 clusters, %v with 1,000; want equal and at most 4", few, many)
+	base := allocs(10, 5)
+	for _, c := range [][2]int{{10, 80}, {1000, 5}, {1000, 80}} {
+		// A stray runtime allocation moves a count by a fraction; a
+		// per-iteration or per-cluster term would move it by tens.
+		if got := allocs(c[0], c[1]); math.Abs(got-base) > 0.5 {
+			t.Errorf("%d clusters, %d iterations: %v allocations per fit, %v with 10 clusters and 5 iterations", c[0], c[1], got, base)
+		}
+	}
+	if base > 40 {
+		t.Errorf("%v allocations per fit, want at most 40", base)
+	}
+}
+
+// ClusterColSums of the factorised backend equals that of its materialized
+// dense twin bit for bit on every golden design (their column values sit on a
+// half-integer grid, so each sum is exact; fmatrix's property test covers
+// random shapes), and the table the cluster-level loop assembles through
+// ClusterOps for the intercept column cut out of X is that same table.
+func TestClusterColSumsFactorisedMatchesDense(t *testing.T) {
+	for _, s := range goldenShapes {
+		fm, y := s.build(t)
+		fb, db := denseTwin(t, fm)
+		want := db.ClusterColSums()
+		if got := fb.ClusterColSums(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: factorised ClusterColSums %v, dense %v", s.name, got.Data, want.Data)
+		}
+		for _, bx := range []Backend{db, fb} {
+			sub0 := zDesigns(t, bx, db.X)[1].bz
+			if c, _, _ := (&emStart{bx: bx, bz: sub0, starts: db.starts, sizes: NewInterceptZ(db).clusterN, r: y}).clusterTable(); !reflect.DeepEqual(c, want) {
+				t.Errorf("%s: %T table through ClusterOps %v, ClusterColSums %v", s.name, bx, c.Data, want.Data)
+			}
+		}
 	}
 }
