@@ -15,6 +15,22 @@
 // rows come back only for the fitted values. With more columns it is Appendix
 // D's loop as written: one X·β, one Xᵀv and one pass over the clusters per
 // iteration, the residual carried from the M-step into the next E-step.
+//
+// Numerics. The q = 1 fit is held to a 256-bit transcription of Appendix D
+// (harness_test.go): within 1e-11 of the natural scale — max|y| for β, b̂ and
+// the fitted values, max|y|·σ₀ for Σ and σ² — or 64·ε·cond(XᵀX) where that is
+// larger. It is equivariant in y's units: the floor under σ² and Σ is
+// 1e-12·σ²₀, so c·y fits to c times the model of y from c = 1e-9 to 1e9, and
+// y of magnitude 1e15 loses only what float64 loses (a spread below
+// ε·max|y| is invisible to any kernel). Zero residual variance (constant y,
+// r₀ no more than the rounding of y) fits β and fitted values exactly, b̂ = 0
+// to rounding, and reports Σ and σ² at the absolute floor 1e-12. A single
+// cluster is an ordinary fit whose Σ is one term's E[b²]; single-row clusters
+// are fine. A singular XᵀX is ridged by Options.Ridge, growing tenfold until
+// it inverts. The q > 1 loop shares the σ² floor but regularizes Σ and the
+// per-cluster inverses in absolute units (Options.Ridge, mat.Inverse's 1e-12
+// pivot): it is reliable while the residual variance is between about 1e-10
+// and 1e10 — rescale y outside that.
 package mlm
 
 import (

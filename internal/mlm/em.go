@@ -75,8 +75,10 @@ func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 }
 
 // emStart is what either loop starts from: the validated inputs, XᵀX and its
-// ridge inverse, the OLS solution β₀, its residual r₀ = y − Xβ₀ and the
-// residual variance σ²₀ = r₀ᵀr₀/n.
+// ridge inverse, the OLS solution β₀, its residual r₀ = y − Xβ₀ with
+// ρ₀ = r₀ᵀr₀, the residual variance σ²₀ = ρ₀/n, and the floor under σ² and Σ:
+// 1e-12·σ²₀, in y's own units, so that a fit of c·y is c times the fit of y;
+// 1e-12 outright only when y leaves no residual but rounding (constant y).
 type emStart struct {
 	bx, bz        Backend
 	y             []float64
@@ -84,7 +86,8 @@ type emStart struct {
 	starts, sizes []int
 	gram, gramInv *mat.Matrix
 	beta, r       []float64
-	sigma2        float64
+	rho0, sigma2  float64
+	floor         float64
 }
 
 // fitEM validates the inputs, initializes β by (ridge) OLS and σ² by the
@@ -116,13 +119,18 @@ func fitEM(bx, bz Backend, y []float64, opts Options, loop func(*emStart) *Multi
 
 	s.gram = bx.Gram()
 	s.gramInv = s.gram.RidgeInverse(opts.Ridge)
-	s.beta = s.gramInv.MulVec(bx.TMulVec(y))
+	xty := bx.TMulVec(y)
+	s.beta = s.gramInv.MulVec(xty)
 	s.r = make([]float64, n)
 	residual(s.r, bx, s.beta, y)
-	s.sigma2 = mat.Dot(s.r, s.r) / float64(n)
-	if s.sigma2 < 1e-12 {
-		s.sigma2 = 1e-12
+	s.rho0 = mat.Dot(s.r, s.r)
+	s.floor = 1e-12 * s.rho0 / float64(n)
+	// β₀ᵀXᵀy = ‖Xβ₀‖²: a residual under 1e-9 of the fit is the rounding of y
+	// and of the Gram inverse, not variance.
+	if !(s.rho0 > 1e-18*mat.Dot(s.beta, xty)) {
+		s.floor = 1e-12
 	}
+	s.sigma2 = math.Max(s.rho0/float64(n), s.floor)
 	model := loop(s)
 	model.Starts, model.N = s.starts, n
 	return model, nil
@@ -186,8 +194,8 @@ func emGeneral(s *emStart) *MultiLevel {
 		}
 		sum -= 2 * mat.Dot(r, zb)
 		sigma2 = sum / float64(n)
-		if sigma2 < 1e-12 || math.IsNaN(sigma2) {
-			sigma2 = 1e-12
+		if sigma2 < s.floor || math.IsNaN(sigma2) {
+			sigma2 = s.floor
 		}
 	}
 	return &MultiLevel{Beta: beta, B: bi, Sigma: sigma, Sigma2: sigma2}
@@ -240,7 +248,7 @@ func (s *emStart) clusterTable() (c *mat.Matrix, zg, u0 []float64) {
 // cluster-level sufficient statistics anchored at the OLS solution, so that
 // neither the rows nor y's magnitude enter the loop. With β = β₀ + d every
 // quantity an iteration needs follows from the set-up's C, zᵢᵀzᵢ, u₀ = Zᵀr₀,
-// ρ₀ = r₀ᵀr₀ and g = Xᵀr₀ (zero but for the ridge and rounding):
+// ρ₀ and g = Xᵀr₀ (zero but for the ridge and rounding):
 //
 //	zᵢᵀr = u₀ᵢ − Cᵢ·d            Xᵀ(y − Zμ) = Xᵀy − Cᵀμ, so d = −(XᵀX + λI)⁻¹Cᵀμ
 //	rᵀZμ = Σᵢ μᵢ·zᵢᵀr            rᵀr = ρ₀ − 2dᵀg + dᵀ(XᵀX)d
@@ -250,7 +258,7 @@ func (s *emStart) clusterTable() (c *mat.Matrix, zg, u0 []float64) {
 func emClusterLevel(s *emStart) *MultiLevel {
 	n, G, p := float64(len(s.y)), len(s.starts), s.bx.NumCols()
 	c, zg, u0 := s.clusterTable()
-	rho0, g := mat.Dot(s.r, s.r), s.bx.TMulVec(s.r)
+	g := s.bx.TMulVec(s.r)
 
 	sigma, sigma2 := s.sigma2, s.sigma2 // Σ is a scalar variance
 	u := append([]float64(nil), u0...)  // zᵢᵀr at the current β
@@ -258,7 +266,7 @@ func emClusterLevel(s *emStart) *MultiLevel {
 	d, ctmu, gd := make([]float64, p), make([]float64, p), make([]float64, p)
 	for iter := 0; iter < s.opts.Iterations; iter++ {
 		// E-step.
-		sigmaInv, sigma2Inv := 1/math.Max(sigma, 1e-12), 1/sigma2
+		sigmaInv, sigma2Inv := 1/math.Max(sigma, s.floor), 1/sigma2
 		clear(ctmu)
 		for i := range mu {
 			vi := 1 / (zg[i]*sigma2Inv + sigmaInv)
@@ -286,9 +294,9 @@ func emClusterLevel(s *emStart) *MultiLevel {
 		}
 		sigma = sAcc / float64(G)
 		s.gram.MulVecTo(gd, d)
-		sigma2 = (rho0 - 2*mat.Dot(d, g) + mat.Dot(d, gd) + zge - 2*rzb) / n
-		if sigma2 < 1e-12 || math.IsNaN(sigma2) {
-			sigma2 = 1e-12
+		sigma2 = (s.rho0 - 2*mat.Dot(d, g) + mat.Dot(d, gd) + zge - 2*rzb) / n
+		if sigma2 < s.floor || math.IsNaN(sigma2) {
+			sigma2 = s.floor
 		}
 	}
 
