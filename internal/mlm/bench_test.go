@@ -126,6 +126,30 @@ func BenchmarkFitEMFactorisedVsDense(b *testing.B) {
 	}
 }
 
+// BenchmarkFitEMIterations fits the deep_fit shape with 5, 20 and 80 EM
+// iterations: the rows are read at set-up only, so ns/op grows by the
+// cluster-level loop's O(clusters·p) per iteration and by nothing in n, and
+// allocs/op does not grow at all.
+func BenchmarkFitEMIterations(b *testing.B) {
+	fb, db, y := deepFitDesign(b)
+	for _, bk := range []struct {
+		name string
+		b    Backend
+	}{{"factorised", fb}, {"dense", db}} {
+		iz := NewInterceptZ(bk.b)
+		for _, iters := range []int{5, 20, 80} {
+			b.Run(fmt.Sprintf("%s/iterations=%d", bk.name, iters), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := FitEMZ(bk.b, iz, y, Options{Iterations: iters}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 func BenchmarkFitEMFullZ(b *testing.B) {
 	d, y := benchData(b, 200, 20)
 	b.ResetTimer()
