@@ -82,22 +82,7 @@ func deepFitDesign(tb testing.TB) (*Factorised, *Dense, []float64) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	fb, err := NewFactorised(fm)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	x, err := fm.Materialize()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	starts := make([]int, fb.NumClusters())
-	for i := range starts {
-		starts[i], _ = fb.ClusterRows(i)
-	}
-	db, err := NewDense(x, starts)
-	if err != nil {
-		tb.Fatal(err)
-	}
+	fb, db := denseTwin(tb, fm)
 	y := make([]float64, fb.NumRows())
 	for i := range y {
 		y[i] = 50 + 10*rng.NormFloat64()

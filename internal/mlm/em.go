@@ -263,7 +263,7 @@ func emClusterLevel(s *emStart) *MultiLevel {
 	sigma, sigma2 := s.sigma2, s.sigma2 // Σ is a scalar variance
 	u := append([]float64(nil), u0...)  // zᵢᵀr at the current β
 	mu, ebb := make([]float64, G), make([]float64, G)
-	d, ctmu, gd := make([]float64, p), make([]float64, p), make([]float64, p)
+	d, ctmu, gd := make([]float64, p), make([]float64, p), make([]float64, p) // ctmu holds −Cᵀμ
 	for iter := 0; iter < s.opts.Iterations; iter++ {
 		// E-step.
 		sigmaInv, sigma2Inv := 1/math.Max(sigma, s.floor), 1/sigma2
@@ -273,14 +273,11 @@ func emClusterLevel(s *emStart) *MultiLevel {
 			mu[i] = vi * u[i] * sigma2Inv
 			ebb[i] = vi + mu[i]*mu[i]
 			for j, x := range c.Data[i*p : (i+1)*p] {
-				ctmu[j] += mu[i] * x
+				ctmu[j] -= mu[i] * x
 			}
 		}
 		// M-step.
 		s.gramInv.MulVecTo(d, ctmu)
-		for j := range d {
-			d[j] = -d[j]
-		}
 		var sAcc, zge, rzb float64
 		for i := range mu {
 			var cd float64 // Cᵢ·d

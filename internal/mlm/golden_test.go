@@ -166,30 +166,7 @@ func TestGoldenBits(t *testing.T) {
 	opts := Options{Iterations: 7}
 	for _, s := range goldenShapes {
 		fm, y := s.build(t)
-		fb, err := NewFactorised(fm)
-		if err != nil {
-			t.Fatal(err)
-		}
-		x, err := fm.Materialize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl, err := fm.Clusters()
-		if err != nil {
-			t.Fatal(err)
-		}
-		var starts []int
-		for ci := 0; ci < cl.NumClusters(); ci++ {
-			v, err := cl.View(ci)
-			if err != nil {
-				t.Fatal(err)
-			}
-			starts = append(starts, v.Start)
-		}
-		db, err := NewDense(x, starts)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fb, db := denseTwin(t, fm)
 		for _, bk := range []struct {
 			name   string
 			b      Backend
