@@ -122,7 +122,6 @@ func TestBuildMatchesStringReference(t *testing.T) {
 		}
 		return m
 	}}
-	bits := math.Float64bits
 	rng := rand.New(rand.NewSource(18))
 	for trial := 0; trial < 400; trial++ {
 		groups := randomGroups(rng)
@@ -137,41 +136,112 @@ func TestBuildMatchesStringReference(t *testing.T) {
 				spec.ExcludeFromZ = append(spec.ExcludeFromZ, name)
 			}
 		}
-		set, err := Build(groups, spec)
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
+		checkBuild(t, fmt.Sprintf("trial %d", trial), groups, spec)
+	}
+}
+
+// checkBuild holds Build's columns — names, defaults, Z membership and every
+// map entry, bit for bit — and the dense rendering and cluster boundaries
+// derived from them to the string-keyed reference.
+func checkBuild(t *testing.T, label string, groups *agg.Result, spec Spec) {
+	t.Helper()
+	bits := math.Float64bits
+	set, err := Build(groups, spec)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	want := referenceCols(groups, spec)
+	if len(set.Cols) != len(want) {
+		t.Fatalf("%s (%v): %d columns, want %d", label, groups.Attrs, len(set.Cols), len(want))
+	}
+	for ci, w := range want {
+		g := set.Cols[ci]
+		if g.Name != w.Name || g.Attr != w.Attr || g.InZ != w.InZ || bits(g.Default) != bits(w.Default) ||
+			len(g.Map) != len(w.Map) || (g.Map == nil) != (w.Map == nil) {
+			t.Fatalf("%s col %d: got %+v, want %+v", label, ci, g, w)
 		}
-		want := referenceCols(groups, spec)
-		if len(set.Cols) != len(want) {
-			t.Fatalf("trial %d (%v): %d columns, want %d", trial, groups.Attrs, len(set.Cols), len(want))
-		}
-		for ci, w := range want {
-			g := set.Cols[ci]
-			if g.Name != w.Name || g.Attr != w.Attr || g.InZ != w.InZ || bits(g.Default) != bits(w.Default) ||
-				len(g.Map) != len(w.Map) || (g.Map == nil) != (w.Map == nil) {
-				t.Fatalf("trial %d col %d: got %+v, want %+v", trial, ci, g, w)
+		for v, f := range w.Map {
+			if gf, ok := g.Map[v]; !ok || bits(gf) != bits(f) {
+				t.Fatalf("%s col %s value %q: got %v (%#x, present %v), want %v (%#x)", label, w.Name, v, gf, bits(gf), ok, f, bits(f))
 			}
-			for v, f := range w.Map {
-				if gf, ok := g.Map[v]; !ok || bits(gf) != bits(f) {
-					t.Fatalf("trial %d col %s value %q: got %v (present %v), want %v", trial, w.Name, v, gf, ok, f)
+		}
+	}
+	x := set.DenseX(groups)
+	var starts []int
+	for gi, g := range groups.Groups {
+		for ci, c := range want {
+			if f := c.Value(g.Vals[slices.Index(groups.Attrs, c.Attr)]); bits(x.At(gi, ci)) != bits(f) {
+				t.Fatalf("%s: DenseX[%d,%s] = %v, want %v", label, gi, c.Name, x.At(gi, ci), f)
+			}
+		}
+		last := len(g.Vals) - 1
+		if gi == 0 || !slices.Equal(g.Vals[:last], groups.Groups[gi-1].Vals[:last]) {
+			starts = append(starts, gi)
+		}
+	}
+	if got := ClusterStarts(groups); !slices.Equal(got, starts) {
+		t.Fatalf("%s: ClusterStarts = %v, want %v", label, got, starts)
+	}
+}
+
+// TestBuildDegenerateTargetsMatchReference holds the main effects to the
+// reference (mat.Median over each value's groups, in group order) where the
+// modeled statistic is degenerate: NaNs of several payloads and both signs,
+// +0 and −0 mixed, ±Inf, heavy ties, and well-spread values for contrast —
+// over buckets of one, two, odd and even sizes. Medians are compared by bits.
+func TestBuildDegenerateTargetsMatchReference(t *testing.T) {
+	nan := func(b uint64) float64 { return math.Float64frombits(b) }
+	negZero := math.Copysign(0, -1)
+	pools := []struct {
+		name string
+		ys   []float64
+	}{
+		{"nan payloads", []float64{nan(0x7ff8000000000001), nan(0xfff8000000000dea), nan(0x7ff0000000000003), math.NaN(), 1, -3, 2.5, 2.5}},
+		{"signed zeros", []float64{0, negZero, negZero, 0, 1, -1}},
+		{"only zeros", []float64{0, negZero}},
+		{"infinities", []float64{math.Inf(1), math.Inf(-1), 4, 4, -4, 0}},
+		{"ties", []float64{3, 3, 3, 7, -1}},
+		{"spread", nil},
+	}
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 600; trial++ {
+		pool := pools[trial%len(pools)]
+		attrs := [][]string{{"a"}, {"a", "b"}, {"b", "a"}, {"a", "b", "u"}, {"u", "b"}}[rng.Intn(5)]
+		na, nb := 1+rng.Intn(len(propertyValues)), 1+rng.Intn(len(propertyValues))
+		seen := map[string]bool{}
+		var groups []agg.Group
+		for i, n := 0, 1+rng.Intn(80); i < n; i++ {
+			a, b := propertyValues[rng.Intn(na)], propertyValues[rng.Intn(nb)]
+			v := map[string]string{"a": a, "b": b, "u": a + "/" + b}
+			vals := make([]string, len(attrs))
+			for ai, attr := range attrs {
+				vals[ai] = v[attr]
+			}
+			if key := fmt.Sprintf("%q", vals); !seen[key] {
+				seen[key] = true
+				y := rng.NormFloat64()
+				if pool.ys != nil {
+					y = pool.ys[rng.Intn(len(pool.ys))]
 				}
+				groups = append(groups, agg.Group{Vals: vals, Stats: agg.Stats{Count: 1, Sum: y}})
 			}
 		}
-		x := set.DenseX(groups)
-		var starts []int
-		for gi, g := range groups.Groups {
-			for ci, c := range want {
-				if f := c.Value(g.Vals[slices.Index(groups.Attrs, c.Attr)]); bits(x.At(gi, ci)) != bits(f) {
-					t.Fatalf("trial %d: DenseX[%d,%s] = %v, want %v", trial, gi, c.Name, x.At(gi, ci), f)
+		spec := Spec{Target: []agg.Func{agg.Sum, agg.Mean}[rng.Intn(2)], KeepLeaky: rng.Intn(2) == 0}
+		checkBuild(t, fmt.Sprintf("trial %d (%s)", trial, pool.name), agg.NewResult(attrs, "m", groups), spec)
+	}
+	// Full crosses: 99 × 101 groups, every bucket and the whole of odd size,
+	// and 100 × 100, all of even size.
+	for _, pool := range pools {
+		for _, side := range [][2]int{{99, 101}, {100, 100}} {
+			var groups []agg.Group
+			for i := 0; i < side[0]*side[1]; i++ {
+				y := rng.NormFloat64()
+				if pool.ys != nil {
+					y = pool.ys[rng.Intn(len(pool.ys))]
 				}
+				groups = append(groups, agg.Group{Vals: []string{fmt.Sprint(i / side[1]), fmt.Sprint(i % side[1])}, Stats: agg.Stats{Count: 1, Sum: y}})
 			}
-			last := len(g.Vals) - 1
-			if gi == 0 || !slices.Equal(g.Vals[:last], groups.Groups[gi-1].Vals[:last]) {
-				starts = append(starts, gi)
-			}
-		}
-		if got := ClusterStarts(groups); !slices.Equal(got, starts) {
-			t.Fatalf("trial %d: ClusterStarts = %v, want %v", trial, got, starts)
+			checkBuild(t, fmt.Sprintf("%s cross %v", pool.name, side), agg.NewResult([]string{"a", "b"}, "m", groups), Spec{Target: agg.Sum})
 		}
 	}
 }
