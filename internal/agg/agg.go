@@ -10,10 +10,10 @@
 // A group-by's Result is a coded relation. It owns its group list, code table
 // and the one string table the groups' values are windows of; the dictionaries
 // the codes index stay the dataset's (or cube's). Every producer assembles it
-// through FromCodes, the only place group order is decided. A Result is
+// through FromCodes, whose Order alone decides group order. A Result is
 // read-only once built (the engine memoises and shares them), except for the
-// key index, which Get builds under a sync.Once. Dictionary ranks, the sort
-// key, live with the owner of an immutable dictionary: a cube ranks each once.
+// key index, which Get builds under a sync.Once. Ranks, the sort key, live with
+// the owner of an immutable dictionary: a cube ranks dictionaries and paths once.
 package agg
 
 import (
@@ -161,41 +161,6 @@ func FromMoments(count, mean, std float64) Stats {
 	return s
 }
 
-// MergeMoments implements the Appendix A formulas for G over (count, mean,
-// std) triples directly. It exists to cross-check Merge; both agree exactly
-// on the derived aggregates.
-func MergeMoments(parts ...Stats) (count, mean, std float64) {
-	var n float64
-	for _, p := range parts {
-		n += p.Count
-	}
-	count = n
-	if n == 0 {
-		return 0, 0, 0
-	}
-	var ws float64
-	for _, p := range parts {
-		ws += p.Count * p.Mean()
-	}
-	mean = ws / n
-	if n < 2 {
-		return count, mean, 0
-	}
-	var acc float64
-	for _, p := range parts {
-		if p.Count >= 1 {
-			acc += (p.Count - 1) * p.Variance()
-			d := mean - p.Mean()
-			acc += p.Count * d * d
-		}
-	}
-	v := acc / (n - 1)
-	if v < 0 {
-		v = 0
-	}
-	return count, mean, math.Sqrt(v)
-}
-
 // Group is one output tuple of a group-by: its key values (in attribute
 // order) and statistics. Vals is a window of its result's one decoded string
 // table.
@@ -234,53 +199,121 @@ type Result struct {
 	index     map[string]int // Group.Key() → position; built by the first Get
 }
 
-// FromCodes assembles a Result from an unordered coded relation: group gi
-// carries stats[gi] and codes[gi*len(attrs):][:len(attrs)] into dicts. Groups
-// are ordered lexicographically by value strings, attribute by attribute, by
-// a stable LSD counting sort over dictionary ranks (see Ranks; nil ranks are
-// computed over the codes in use) — the same order, as distinct dictionary
-// strings have distinct ranks. Strings are decoded once, into one shared table.
-func FromCodes(attrs []string, measure string, dicts [][]string, ranks [][]uint32, codes []uint32, stats []Stats) *Result {
-	k, n := len(attrs), len(stats)
-	perm, next := make([]int, n), make([]int, n)
-	for i := range perm {
-		perm[i] = i
+// FromCodes assembles a Result from an unordered coded relation of distinct
+// tuples: group gi carries groups[gi].Stats and codes[gi*len(attrs):][:len(attrs)]
+// into dicts. Both slices become the result's, reordered in place by Order —
+// lexicographic by value strings, attribute by attribute, as distinct strings
+// have distinct ranks (nil ranks are computed over the codes in use). Strings
+// are decoded once, into one shared table.
+func FromCodes(attrs []string, measure string, dicts [][]string, ranks [][]uint32, codes []uint32, groups []Group) *Result {
+	k, n := len(attrs), len(groups)
+	if ranks == nil && n > 1 {
+		ranks = make([][]uint32, k)
+		for ai := range ranks {
+			ranks[ai] = rankCodes(dicts[ai], codes, k, ai)
+		}
 	}
-	for ai := k - 1; ai >= 0 && n > 1; ai-- {
-		var rank []uint32
-		if ranks != nil {
-			rank = ranks[ai]
-		} else {
-			rank = rankCodes(dicts[ai], codes, k, ai)
-		}
-		counts := make([]int, len(rank)+1)
-		for gi := 0; gi < n; gi++ {
-			counts[rank[codes[gi*k+ai]]+1]++
-		}
-		for r := 1; r < len(counts); r++ {
-			counts[r] += counts[r-1]
-		}
-		for _, gi := range perm {
-			r := rank[codes[gi*k+ai]]
-			next[counts[r]] = gi
-			counts[r]++
-		}
-		perm, next = next, perm
+	permute(Order(n, codes, ranks), k, codes, groups)
+	r := &Result{Attrs: attrs, Measure: measure, Groups: groups, Codes: codes, Dicts: dicts}
+	if k == 0 {
+		return r // the empty tuple keeps nil Vals, as data.DecodeKey has it
 	}
-	r := &Result{Attrs: attrs, Measure: measure, Groups: make([]Group, n), Dicts: dicts}
-	var vals []string
-	if k > 0 { // the empty tuple keeps nil Vals, as data.DecodeKey has it
-		r.Codes, vals = make([]uint32, n*k), make([]string, n*k)
-	}
-	for i, gi := range perm {
-		lo, hi := i*k, (i+1)*k
-		copy(r.Codes[lo:hi], codes[gi*k:])
-		for ai, c := range r.Codes[lo:hi] {
+	vals := make([]string, n*k)
+	for gi := range groups {
+		lo, hi := gi*k, (gi+1)*k
+		for ai, c := range codes[lo:hi] {
 			vals[lo+ai] = dicts[ai][c]
 		}
-		r.Groups[i] = Group{Vals: vals[lo:hi:hi], Stats: stats[gi]}
+		groups[gi].Vals = vals[lo:hi:hi]
 	}
 	return r
+}
+
+// Order returns the permutation that puts n distinct tuples (group-major
+// codes, stride len(ranks)) in group order: by rank, attribute by attribute.
+// ranks[ai][c] ranks attribute ai's code c below len(ranks[ai]); nil marks an
+// attribute a later one's rank orders too (an ancestor before its path rank,
+// internal/cube). The ranks pack into a mixed-radix key of as many 64-bit
+// words as they need: one word whose space is within data.TableSpacePerTuple
+// times the tuples is placed through a slot table, any other key radix-sorted
+// a word at a time, least significant first (data.SortKeys).
+func Order(n int, codes []uint32, ranks [][]uint32) []int32 {
+	k := len(ranks)
+	radix := func(ai int) uint64 { return uint64(max(len(ranks[ai]), 1)) } // 1 for nil
+	type word struct {
+		lo, hi int // attributes [lo, hi)
+		space  uint64
+	}
+	var words []word // least significant first
+	for hi := k; hi > 0; {
+		w := word{hi, hi, 1}
+		for ; w.lo > 0 && w.space <= math.MaxUint64/radix(w.lo-1); w.lo-- {
+			w.space *= radix(w.lo - 1)
+		}
+		words, hi = append(words, w), w.lo
+	}
+	key := func(w word, gi int32) uint64 {
+		row, key := codes[int(gi)*k:], uint64(0)
+		for ai := w.lo; ai < w.hi; ai++ {
+			if r := ranks[ai]; r != nil {
+				key = key*uint64(len(r)) + uint64(r[row[ai]])
+			}
+		}
+		return key
+	}
+	if len(words) == 1 && words[0].space >= uint64(n) && words[0].space <= data.TableSpacePerTuple*uint64(n) {
+		// Each tuple's id+1 goes to the slot its key addresses; the table then
+		// compacts into the ids. Two tuples sharing a key — which distinct ones
+		// do only under the path ranks of an inconsistent cube — sort instead.
+		table, gi := make([]int32, words[0].space), 0
+		for ; gi < n; gi++ {
+			slot := &table[key(words[0], int32(gi))]
+			if *slot != 0 {
+				break
+			}
+			*slot = int32(gi) + 1
+		}
+		if gi == n {
+			ids := table[:0]
+			for _, s := range table {
+				if s != 0 {
+					ids = append(ids, s-1)
+				}
+			}
+			return ids
+		}
+	}
+	ids, keys := make([]int32, n), make([]uint64, n)
+	for i := range ids {
+		ids[i] = int32(i)
+	}
+	for _, w := range words {
+		for i, gi := range ids {
+			keys[i] = key(w, gi)
+		}
+		data.SortKeys(keys, ids, w.space-1)
+	}
+	return ids
+}
+
+// permute reorders codes' rows of k and groups in place so that position i
+// holds what position order[i] held, walking each cycle of the permutation
+// once; order is consumed.
+func permute(order []int32, k int, codes []uint32, groups []Group) {
+	row := make([]uint32, k)
+	for i := range order {
+		if order[i] < 0 {
+			continue
+		}
+		copy(row, codes[i*k:])
+		g, j := groups[i], i
+		for src := int(order[i]); src != i; j, src = src, int(order[src]) {
+			copy(codes[j*k:(j+1)*k], codes[src*k:])
+			groups[j], order[j] = groups[src], -1
+		}
+		copy(codes[j*k:], row)
+		groups[j], order[j] = g, -1
+	}
 }
 
 // Ranks returns, per code of dict, the position of its string in the sorted
@@ -321,9 +354,9 @@ func NewResult(attrs []string, measure string, groups []Group) *Result {
 		interned[ai] = make(map[string]uint32)
 	}
 	codes := make([]uint32, 0, len(groups)*k)
-	stats := make([]Stats, len(groups))
+	owned := make([]Group, len(groups))
 	for gi, g := range groups {
-		stats[gi] = g.Stats
+		owned[gi].Stats = g.Stats
 		for ai, v := range g.Vals {
 			c, ok := interned[ai][v]
 			if !ok {
@@ -334,7 +367,7 @@ func NewResult(attrs []string, measure string, groups []Group) *Result {
 			codes = append(codes, c)
 		}
 	}
-	return FromCodes(attrs, measure, dicts, nil, codes, stats)
+	return FromCodes(attrs, measure, dicts, nil, codes, owned)
 }
 
 // Get returns the group with the given key values; the first call builds the
@@ -427,6 +460,10 @@ func scan(d *data.Dataset, attrs []string, measure string) *Result {
 			s.SumSq += v * v
 		}
 	}
+	groups := make([]Group, len(stats))
+	for gi, s := range stats {
+		groups[gi].Stats = s
+	}
 	dicts, codes := tuples.Codes()
-	return FromCodes(attrs, measure, dicts, nil, codes, stats)
+	return FromCodes(attrs, measure, dicts, nil, codes, groups)
 }

@@ -92,6 +92,40 @@ func TestMergeDistributivityProperty(t *testing.T) {
 	}
 }
 
+// MergeMoments implements the Appendix A formulas for G over (count, mean,
+// std) triples directly: the reference Merge is checked against.
+func MergeMoments(parts ...Stats) (count, mean, std float64) {
+	var n float64
+	for _, p := range parts {
+		n += p.Count
+	}
+	count = n
+	if n == 0 {
+		return 0, 0, 0
+	}
+	var ws float64
+	for _, p := range parts {
+		ws += p.Count * p.Mean()
+	}
+	mean = ws / n
+	if n < 2 {
+		return count, mean, 0
+	}
+	var acc float64
+	for _, p := range parts {
+		if p.Count >= 1 {
+			acc += (p.Count - 1) * p.Variance()
+			d := mean - p.Mean()
+			acc += p.Count * d * d
+		}
+	}
+	v := acc / (n - 1)
+	if v < 0 {
+		v = 0
+	}
+	return count, mean, math.Sqrt(v)
+}
+
 // MergeMoments (the literal Appendix A formulas) must agree with the
 // sum-of-squares merge.
 func TestMergeMomentsAgreesWithMerge(t *testing.T) {

@@ -18,7 +18,7 @@ import (
 // the same keys, groups and result) after the first dictionary has been
 // lengthened with entries no row uses until the key space is past 64 × rows,
 // which takes the hash map. Where the two differ is what the table buys at that
-// ratio; to see a table beyond the bound, raise data.tableSpacePerTuple and
+// ratio; to see a table beyond the bound, raise data.TableSpacePerTuple and
 // rerun — CHANGES.md PR 22 records that sweep.
 func BenchmarkScanGroupBy(b *testing.B) {
 	const rows = 1 << 18

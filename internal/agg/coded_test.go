@@ -168,6 +168,18 @@ func TestGroupByCodedMatchesStringPath(t *testing.T) {
 	check("wide", wide, "m", names[:7], names[:8], names[:9], names, []string{"d9", "d0", "d5"})
 }
 
+// TestOrderKeepsTuplesSharingAKey: Order returns a permutation of every tuple
+// even where two share a key — as distinct tuples do only under the path
+// ranks of an inconsistent cube — and orders those stably, in input order.
+func TestOrderKeepsTuplesSharingAKey(t *testing.T) {
+	// Attribute 0 is unranked, as an ancestor before its descendant's path
+	// rank; the keys are 2, 1, 0 and 1 in a space of 4, small enough to place.
+	codes := []uint32{0, 2, 1, 0, 2, 1, 0, 0}
+	if got, want := agg.Order(4, codes, [][]uint32{nil, {1, 0, 2, 3}}), []int32{2, 1, 3, 0}; !slices.Equal(got, want) {
+		t.Fatalf("Order = %v, want %v", got, want)
+	}
+}
+
 // paddedDataset builds rows over dictionaries of the given sizes, most of
 // whose entries no row uses: a column draws from at most `used` codes spread
 // over its dictionary, the last entry always among them (so the top of the key

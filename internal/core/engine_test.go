@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
@@ -136,6 +137,23 @@ func TestNewEngineRejectsBadData(t *testing.T) {
 		[]data.Hierarchy{{Name: "h", Attrs: []string{"missing"}}})
 	if _, err := NewEngine(bad, Options{}); err == nil {
 		t.Error("expected validation error")
+	}
+}
+
+// TestNewEngineRechecksFDAfterRowWrite: a dataset remembers the FDs it has
+// verified, and a row write forgets them — an FD broken after a successful
+// Validate still stops the engine.
+func TestNewEngineRechecksFDAfterRowWrite(t *testing.T) {
+	sc := buildScenario(5)
+	if err := sc.ds.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewEngine(sc.ds, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	sc.ds.SetDimValue("district", 0, "d4") // row 0's village, d0_v0, now lies in d0 and d4
+	if _, err := NewEngine(sc.ds, Options{}); err == nil || !strings.Contains(err.Error(), "FD violation") {
+		t.Fatalf("NewEngine after an FD-breaking write: err = %v, want an FD violation", err)
 	}
 }
 

@@ -147,16 +147,16 @@ func mergePartials(attrs []string, measure string, partials []*agg.Result) (*agg
 		total += len(p.Groups)
 	}
 	tuples := data.NewTupleIndex(sizes, nil, total)
-	var stats []agg.Stats
+	var groups []agg.Group
 	for _, p := range partials {
 		for gi, g := range p.Groups {
-			if id := tuples.AddCodes(p.Codes[gi*k : (gi+1)*k]); id == len(stats) {
-				stats = append(stats, g.Stats)
+			if id := tuples.AddCodes(p.Codes[gi*k : (gi+1)*k]); id == len(groups) {
+				groups = append(groups, agg.Group{Stats: g.Stats})
 			} else {
-				stats[id] = stats[id].Add(g.Stats)
+				groups[id].Stats = groups[id].Stats.Add(g.Stats)
 			}
 		}
 	}
 	_, codes := tuples.Codes()
-	return agg.FromCodes(attrs, measure, dicts, nil, codes, stats), nil
+	return agg.FromCodes(attrs, measure, dicts, nil, codes, groups), nil
 }

@@ -17,11 +17,11 @@ import (
 func TestMergePartialsByCode(t *testing.T) {
 	attrs := []string{"a"}
 	part := func(dict []string, codes ...uint32) *agg.Result {
-		stats := make([]agg.Stats, len(codes))
-		for i := range stats {
-			stats[i] = agg.Stats{Count: 1, Sum: float64(len(dict)), SumSq: 1}
+		groups := make([]agg.Group, len(codes))
+		for i := range groups {
+			groups[i].Stats = agg.Stats{Count: 1, Sum: float64(len(dict)), SumSq: 1}
 		}
-		return agg.FromCodes(attrs, "m", [][]string{dict}, nil, codes, stats)
+		return agg.FromCodes(attrs, "m", [][]string{dict}, nil, codes, groups)
 	}
 	short, grown := []string{"y", "x"}, []string{"y", "x", "w"}
 	got, err := mergePartials(attrs, "m", []*agg.Result{part(short, 0, 1), part(grown, 2, 1), part(short, 1)})

@@ -167,7 +167,11 @@ func leafShape(tb testing.TB, villages int) (*data.Dataset, []string) {
 // agg.GroupBy answers from the materialized level in O(groups) — first_drill
 // decodes and orders 100 cells instead of scanning 43200 rows, leaf the
 // 11,520 cells of a leaf-level drill state (the deep_fit shape), where the
-// group-by is a visible share of a cold recommend.
+// group-by is a visible share of a cold recommend. leaf asks in drill order,
+// every hierarchy's attributes together, so each is ordered by its path and
+// the sort key is placed directly; interleaved asks for the same cells with
+// the hierarchies' attributes alternating, which only dictionary ranks and a
+// radix sort can order.
 func BenchmarkGroupByCube(b *testing.B) {
 	benchFixtures(b)
 	leaf, leafAttrs := leafShape(b, 5)
@@ -179,6 +183,7 @@ func BenchmarkGroupByCube(b *testing.B) {
 	}{
 		{"first_drill", benchData.cubed, benchData.attrs, 100},
 		{"leaf", leaf, leafAttrs, 11520},
+		{"interleaved", leaf, []string{"year", "region", "category", "month", "district", "item", "village"}, 11520},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			measure := bc.ds.MeasureNames()[0]

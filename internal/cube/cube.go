@@ -61,9 +61,13 @@ type Cube struct {
 	prefixRadix [][]uint64
 	levels      []*level // in lattice order (latticeIndex over depth vectors)
 
-	// ranks[ai] is agg.Ranks of attribute ai's dictionary; see project.
+	// ranks[ai] is agg.Ranks of attribute ai's dictionary; pathRanks[ai] ranks
+	// the paths that end in attribute ai, indexed by their last code — nil when
+	// a value ends two paths (the rows break an FD). Both are agg.Order's sort
+	// keys (see project), computed by the first query.
 	ranksOnce sync.Once
 	ranks     [][]uint32
+	pathRanks [][]uint32
 }
 
 // skeleton builds an empty cube over the dataset's schema: flattened
@@ -347,35 +351,78 @@ func (c *Cube) GroupBy(attrs []string, measure string) (*agg.Result, bool) {
 	}
 	lv := c.levels[c.latticeIndex(depths)]
 	pos, dicts, ranks := c.project(lv, flat)
-	codes := make([]uint32, 0, len(lv.keys)*len(attrs))
-	stats := make([]agg.Stats, len(lv.keys))
-	cell := make([]uint64, len(lv.attrs))
-	for ci, k := range lv.keys {
-		c.decodeKey(lv, k, cell)
-		for _, p := range pos {
-			codes = append(codes, uint32(cell[p]))
+	k, cell := len(attrs), make([]uint64, len(lv.attrs))
+	codes, groups := make([]uint32, len(lv.keys)*k), make([]agg.Group, len(lv.keys))
+	for ci, key := range lv.keys {
+		c.decodeKey(lv, key, cell)
+		row := codes[ci*k : (ci+1)*k]
+		for qi, p := range pos {
+			row[qi] = uint32(cell[p])
 		}
-		stats[ci] = agg.Stats{Count: lv.counts[ci], Sum: lv.sums[mi][ci], SumSq: lv.sumsqs[mi][ci]}
+		groups[ci].Stats = agg.Stats{Count: lv.counts[ci], Sum: lv.sums[mi][ci], SumSq: lv.sumsqs[mi][ci]}
 	}
-	return agg.FromCodes(attrs, measure, dicts, ranks, codes, stats), true
+	return agg.FromCodes(attrs, measure, dicts, ranks, codes, groups), true
 }
 
 // project prepares reading the query attributes flat out of level lv's cells:
-// their positions in its canonical order, their dictionaries, and those
-// dictionaries' ranks (agg.FromCodes's sort key), built by the first query.
+// their positions in its canonical order, their dictionaries, and their ranks
+// for agg.Order. An attribute its ancestors precede in level order is ranked
+// by its path, which orders them too (they pass nil), so the key space is the
+// product of the drilled paths; any other by its dictionary.
 func (c *Cube) project(lv *level, flat []int) (pos []int, dicts [][]string, ranks [][]uint32) {
-	c.ranksOnce.Do(func() {
-		c.ranks = make([][]uint32, len(c.attrs))
-		for ai, a := range c.attrs {
-			c.ranks[ai] = agg.Ranks(a.dict)
-		}
-	})
+	c.ranksOnce.Do(c.rank)
 	pos, dicts, ranks = make([]int, len(flat)), make([][]string, len(flat)), make([][]uint32, len(flat))
 	for qi, ai := range flat {
 		pos[qi] = slices.Index(lv.attrs, ai)
 		dicts[qi], ranks[qi] = c.attrs[ai].dict, c.ranks[ai]
+		l := c.attrs[ai].level
+		path := qi >= l && c.pathRanks[ai] != nil
+		for j := 1; path && j <= l; j++ {
+			path = flat[qi-j] == ai-j // flattened indices of a hierarchy are consecutive
+		}
+		if path {
+			clear(ranks[qi-l : qi])
+			ranks[qi] = c.pathRanks[ai]
+		}
 	}
 	return pos, dicts, ranks
+}
+
+// rank computes every attribute's dictionary and path ranks. The level that
+// drills one hierarchy to an attribute holds exactly the paths ending in it;
+// agg.Order puts them in order by dictionary rank, attribute by attribute.
+func (c *Cube) rank() {
+	c.ranks, c.pathRanks = make([][]uint32, len(c.attrs)), make([][]uint32, len(c.attrs))
+	for ai, a := range c.attrs {
+		c.ranks[ai] = agg.Ranks(a.dict)
+	}
+	depths := make([]int, len(c.hiers))
+	for ai, a := range c.attrs {
+		depths[a.hier] = a.level + 1
+		lv := c.levels[c.latticeIndex(depths)]
+		depths[a.hier] = 0
+		d := len(lv.attrs) // the hierarchy's attributes up to ai, consecutive
+		codes, cell := make([]uint32, len(lv.keys)*d), make([]uint64, d)
+		for ci, key := range lv.keys {
+			c.decodeKey(lv, key, cell)
+			for i, code := range cell {
+				codes[ci*d+i] = uint32(code)
+			}
+		}
+		rank := make([]uint32, len(a.dict)) // path rank + 1, 0 for a value no path ends in
+		for r, ci := range agg.Order(len(lv.keys), codes, c.ranks[ai+1-d:ai+1]) {
+			last := &rank[codes[int(ci)*d+d-1]]
+			if *last != 0 {
+				rank = nil // two paths end in one value
+				break
+			}
+			*last = uint32(r) + 1
+		}
+		for i := range rank {
+			rank[i] = max(rank[i], 1) - 1
+		}
+		c.pathRanks[ai] = rank
+	}
 }
 
 // HierarchyPaths enumerates the distinct full-depth paths of hierarchy h

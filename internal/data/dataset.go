@@ -14,8 +14,8 @@ package data
 
 import (
 	"fmt"
-	"sort"
 	"strings"
+	"sync"
 )
 
 // Hierarchy is one dimension of the dataset: an ordered list of attributes
@@ -66,6 +66,10 @@ type Dataset struct {
 	// (agg.Materialized, factor.PathProvider); the data package never looks
 	// inside. Row-mutating operations drop it.
 	rollup any
+	// fds holds the FDs {child, parent} Validate has verified over the current
+	// rows (an engine over a snapshot the store validated rechecks none); row
+	// writes clear it.
+	fds sync.Map
 }
 
 // dimCol is one dimension column: codes index into dict, whose values are
@@ -290,6 +294,7 @@ func (d *Dataset) AppendRowVals(dimVals []string, measureVals []float64) {
 			len(dimVals), len(d.dimNames), len(measureVals), len(d.measureNames)))
 	}
 	d.rollup = nil // precomputed aggregates no longer cover every row
+	d.fds.Clear()
 	for i, c := range d.dimNames {
 		col := d.dims[c]
 		code, err := col.intern(dimVals[i])
@@ -318,6 +323,7 @@ func (d *Dataset) SetDimValue(name string, row int, v string) {
 		panic(fmt.Sprintf("data: SetDimValue dimension %q: %v", name, err))
 	}
 	d.rollup = nil
+	d.fds.Clear()
 	col.codes[row] = code
 }
 
@@ -407,23 +413,6 @@ func (d *Dataset) Where(p Predicate) *Dataset {
 	return d.Select(idx)
 }
 
-// Distinct returns the sorted distinct values of a dimension column.
-func (d *Dataset) Distinct(attr string) []string {
-	col := d.dim(attr)
-	seen := make([]bool, len(col.dict))
-	for _, c := range col.codes {
-		seen[c] = true
-	}
-	out := make([]string, 0, len(col.dict))
-	for c, present := range seen {
-		if present {
-			out = append(out, col.dict[c])
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // HierarchyOf returns the hierarchy containing attribute a, or false.
 func (d *Dataset) HierarchyOf(a string) (Hierarchy, bool) {
 	for _, h := range d.Hierarchies {
@@ -454,10 +443,14 @@ func (d *Dataset) Validate() error {
 			seen[a] = h.Name
 		}
 		for lvl := 1; lvl < len(h.Attrs); lvl++ {
-			child, parent := h.Attrs[lvl], h.Attrs[lvl-1]
-			if err := d.checkFD(child, parent); err != nil {
+			fd := [2]string{h.Attrs[lvl], h.Attrs[lvl-1]}
+			if _, verified := d.fds.Load(fd); verified {
+				continue
+			}
+			if err := d.checkFD(fd[0], fd[1]); err != nil {
 				return fmt.Errorf("data: hierarchy %q: %w", h.Name, err)
 			}
+			d.fds.Store(fd, true)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package data
 
 import (
 	"bytes"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -97,6 +98,24 @@ func TestSelectWithDuplicates(t *testing.T) {
 	if s.Dim("district")[2] != "Raya" {
 		t.Error("wrong row selected")
 	}
+}
+
+// Distinct returns the sorted distinct values of a dimension column (a test
+// helper: no shipped code asks for them).
+func (d *Dataset) Distinct(attr string) []string {
+	col := d.dim(attr)
+	seen := make([]bool, len(col.dict))
+	for _, c := range col.codes {
+		seen[c] = true
+	}
+	out := make([]string, 0, len(col.dict))
+	for c, present := range seen {
+		if present {
+			out = append(out, col.dict[c])
+		}
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestDistinctSorted(t *testing.T) {

@@ -3,6 +3,7 @@ package data
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
 )
 
 // TupleIndex numbers distinct code tuples in order of first appearance — the
@@ -18,7 +19,7 @@ import (
 //
 //   - table: the mixed-radix composite of the codes indexes a []int32 holding
 //     id+1, when the key space (the product of the sizes) is at most
-//     tableSpacePerTuple times the fed count. One array read per tuple.
+//     TableSpacePerTuple times the fed count. One array read per tuple.
 //   - narrow: the same uint64 composite probes a map, when the key space fits
 //     uint64 but not a table of that size.
 //   - wide: the codes' bytes as a string probe a map, when it does not fit
@@ -42,12 +43,13 @@ type TupleIndex struct {
 	tuples []uint32 // every tuple's codes, tuple-major in id order
 }
 
-// tableSpacePerTuple is how many table slots a fed tuple may cost before a
-// map takes over. BenchmarkScanGroupBy (internal/agg) sweeps the ratio from
-// 1/64 to 64: whole scans through the table are 1.4 to 3.8 times as fast as
-// through the map at every one, so no crossing in time bounds it. Memory does:
-// 4 caps the table at 16 bytes per fed tuple, about one map entry's cost.
-const tableSpacePerTuple = 4
+// TableSpacePerTuple is how many table slots a fed tuple may cost before a
+// map takes over (and, in agg.Order, a sort key before a radix sort does).
+// BenchmarkScanGroupBy (internal/agg) sweeps the ratio from 1/64 to 64: whole
+// scans through the table are 1.4 to 3.8 times as fast as through the map at
+// every one, so no crossing in time bounds it. Memory does: 4 caps the table
+// at 16 bytes per fed tuple, about one map entry's cost.
+const TableSpacePerTuple = 4
 
 // blockRows is how many rows AddRows keys at a time: the block's keys (8 KB)
 // and its window of every code column stay in the first-level cache.
@@ -87,7 +89,7 @@ func NewTupleIndex(sizes []int, cols [][]uint32, feed int) *TupleIndex {
 		t.buf = make([]byte, 4*len(sizes))
 	// Ids are int32 and a slot holds id+1, so a table cannot number more than
 	// MaxInt32-1 tuples.
-	case feed >= 0 && feed < math.MaxInt32 && space <= tableSpacePerTuple*uint64(feed):
+	case feed >= 0 && feed < math.MaxInt32 && space <= TableSpacePerTuple*uint64(feed):
 		t.table = make([]int32, space)
 	default:
 		t.narrow = make(map[uint64]int)
@@ -217,6 +219,48 @@ func (t *TupleIndex) Len() int { return t.n }
 // one code per attribute.
 func (t *TupleIndex) Codes() (dicts [][]string, codes []uint32) {
 	return t.dicts, t.tuples
+}
+
+// digitBits is the width of one SortKeys pass: a digit's 2,048 counters stay
+// in the first-level cache.
+const digitBits = 11
+
+// SortKeys sorts keys ascending, stably, and permutes ids alongside; no key
+// exceeds maxKey. It is an LSD radix sort on 11-bit digits up to maxKey's
+// highest bit: one pass over the keys counts every digit, and a digit all keys
+// share costs no pass.
+func SortKeys(keys []uint64, ids []int32, maxKey uint64) {
+	const size = 1 << digitBits
+	n, digits := len(keys), (bits.Len64(maxKey)+digitBits-1)/digitBits
+	if n < 2 {
+		return
+	}
+	hist := make([]int32, digits*size)
+	for _, key := range keys {
+		for d := range digits {
+			hist[d*size+int(key>>(d*digitBits)&(size-1))]++
+		}
+	}
+	out, outIDs := keys, ids
+	tk, ti := make([]uint64, n), make([]int32, n)
+	for d := range digits {
+		h, shift := hist[d*size:(d+1)*size], d*digitBits
+		if h[keys[0]>>shift&(size-1)] == int32(n) {
+			continue
+		}
+		sum := int32(0)
+		for i, c := range h {
+			h[i], sum = sum, sum+c
+		}
+		for i, key := range keys {
+			at := &h[key>>shift&(size-1)]
+			tk[*at], ti[*at] = key, ids[i]
+			*at++
+		}
+		keys, tk, ids, ti = tk, keys, ti, ids
+	}
+	copy(out, keys)
+	copy(outIDs, ids)
 }
 
 // Values decodes tuple id of an index over a dataset's attributes into its

@@ -8,7 +8,7 @@ import (
 )
 
 // TestTupleIndexRegime pins how the look-up is chosen from the sizes and the
-// fed count: a table while the key space is within tableSpacePerTuple times
+// fed count: a table while the key space is within TableSpacePerTuple times
 // the count and the count within what int32 slots can number, the narrow map
 // past either, the wide map past uint64.
 func TestTupleIndexRegime(t *testing.T) {

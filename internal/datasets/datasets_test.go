@@ -2,9 +2,11 @@ package datasets
 
 import (
 	"math"
+	"sort"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/data"
 )
 
 func TestGenerateCovidUSShape(t *testing.T) {
@@ -16,7 +18,7 @@ func TestGenerateCovidUSShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 51 states/DC plus 4 barely-reporting territories.
-	if got := len(ds.Distinct("state")); got != 55 {
+	if got := len(distinct(ds, "state")); got != 55 {
 		t.Errorf("states = %d", got)
 	}
 	for _, v := range ds.Measure("confirmed") {
@@ -38,7 +40,7 @@ func TestGenerateCovidGlobalShape(t *testing.T) {
 	if ds.NumRows() != nc*CovidDays {
 		t.Fatalf("rows = %d, want %d", ds.NumRows(), nc*CovidDays)
 	}
-	if got := len(ds.Distinct("region")); got != 6 {
+	if got := len(distinct(ds, "region")); got != 6 {
 		t.Errorf("regions = %d", got)
 	}
 }
@@ -195,8 +197,8 @@ func TestGenerateFIST(t *testing.T) {
 		}
 	}
 	// Rainfall rows exist for every (village, year).
-	villages := f.DS.Distinct("village")
-	years := f.DS.Distinct("year")
+	villages := distinct(f.DS, "village")
+	years := distinct(f.DS, "year")
 	nv := len(villages) * len(years)
 	if f.Rainfall.NumRows() != nv {
 		t.Errorf("rainfall rows = %d, want %d", f.Rainfall.NumRows(), nv)
@@ -263,7 +265,7 @@ func TestGenerateAbsentee(t *testing.T) {
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(ds.Distinct("party")); got != 6 {
+	if got := len(distinct(ds, "party")); got != 6 {
 		t.Errorf("parties = %d", got)
 	}
 	// Default row count matches the paper.
@@ -278,11 +280,11 @@ func TestGenerateCompas(t *testing.T) {
 	if err := ds.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	days := ds.Distinct("day")
+	days := distinct(ds, "day")
 	if len(days) > 704 {
 		t.Errorf("days = %d, want ≤ 704", len(days))
 	}
-	if got := len(ds.Distinct("race")); got != 6 {
+	if got := len(distinct(ds, "race")); got != 6 {
 		t.Errorf("races = %d", got)
 	}
 	for _, s := range ds.Measure("score") {
@@ -305,4 +307,21 @@ func TestIssueDirectionsAreConsistent(t *testing.T) {
 			}
 		}
 	}
+}
+
+// distinct returns the sorted distinct values of a dimension column.
+func distinct(ds *data.Dataset, attr string) []string {
+	dict, codes := ds.DimCodes(attr)
+	seen := make([]bool, len(dict))
+	for _, c := range codes {
+		seen[c] = true
+	}
+	var out []string
+	for c, ok := range seen {
+		if ok {
+			out = append(out, dict[c])
+		}
+	}
+	sort.Strings(out)
+	return out
 }

@@ -2,6 +2,7 @@ package feature
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/agg"
@@ -10,8 +11,10 @@ import (
 
 // BenchmarkFeatureBuild times the main-effect featurization of a leaf-level
 // drill state at the repository benchmark's deep_fit shape: 11,520 groups
-// over seven attributes (30 villages × 24 months × 16 items), the modeled
-// statistic integer-valued and rich in ties, as counts are.
+// over seven attributes (30 villages × 24 months × 16 items). In ties the
+// modeled statistic is integer-valued and rich in ties, as counts are; in nan
+// one group's is NaN, so every median takes mat.Median's definition, bucket
+// by bucket.
 func BenchmarkFeatureBuild(b *testing.B) {
 	attrs := []string{"year", "month", "category", "item", "region", "district", "village"}
 	ds := data.New("leaf", attrs, []string{"units"}, nil)
@@ -26,19 +29,27 @@ func BenchmarkFeatureBuild(b *testing.B) {
 			}
 		}
 	}
-	groups := agg.GroupBy(ds, attrs, "units")
-	if len(groups.Groups) != 11520 {
-		b.Fatalf("groups = %d", len(groups.Groups))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		set, err := Build(groups, Spec{Target: agg.Mean})
-		if err != nil {
-			b.Fatal(err)
+	ties := agg.GroupBy(ds, attrs, "units")
+	ds.Measure("units")[0] = math.NaN()
+	nan := agg.GroupBy(ds, attrs, "units")
+	for _, bc := range []struct {
+		name   string
+		groups *agg.Result
+	}{{"ties", ties}, {"nan", nan}} {
+		if len(bc.groups.Groups) != 11520 {
+			b.Fatalf("groups = %d", len(bc.groups.Groups))
 		}
-		if len(set.Cols) != 1+len(attrs) {
-			b.Fatalf("columns = %d", len(set.Cols))
-		}
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				set, err := Build(bc.groups, Spec{Target: agg.Mean})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(set.Cols) != 1+len(attrs) {
+					b.Fatalf("columns = %d", len(set.Cols))
+				}
+			}
+		})
 	}
 }

@@ -6,14 +6,15 @@
 // or as factorised columns over a factorizer's attribute values.
 //
 // Build and the dense rendering read a group-by's codes (agg.Result.Codes),
-// not its strings: main-effect medians are bucketed by a counting sort on the
-// codes and taken in place, a column is evaluated once per dictionary code.
+// not its strings: the target is sorted once and every main-effect median read
+// off one sweep over it; a column is evaluated once per dictionary code.
 // Col.Map stays the string-keyed view that custom and auxiliary features, Row
 // and FactorColumns consume. Nothing here writes to the result.
 package feature
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -111,44 +112,19 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 	s := &Set{Attrs: append([]string(nil), groups.Attrs...)}
 	s.Cols = append(s.Cols, Col{Name: "intercept", Attr: groups.Attrs[0], Default: 1, InZ: true})
 
-	y := make([]float64, len(groups.Groups))
-	for i, g := range groups.Groups {
-		y[i] = g.Stats.Get(spec.Target)
-	}
-
 	// Main effects per attribute. Values absent from the training groups
 	// default to the overall median, which no attribute changes.
 	k := len(groups.Attrs)
-	buf := slices.Clone(y) // scratch: y whole, then bucketed by each attribute's code
-	medianY := mat.MedianInPlace(buf)
-	var ends []int
+	medianY, med, sizes, offs := mainEffects(groups, spec.Target)
 	for ai, attr := range groups.Attrs {
-		// A counting sort on the codes: ends[c+1] counts code c, then starts
-		// its bucket, and after the fill (in group order) ends[c] closes it.
-		dict := groups.Dicts[ai]
-		ends = append(ends[:0], make([]int, len(dict)+1)...)
-		for gi := range y {
-			ends[groups.Codes[gi*k+ai]+1]++
+		dict, off := groups.Dicts[ai], offs[ai]
+		if !spec.KeepLeaky && slices.Max(sizes[off:off+len(dict)]) <= 1 {
+			continue // one-to-one: the median would equal the group's own statistic
 		}
-		oneToOne := true
-		for c := range dict {
-			oneToOne = oneToOne && ends[c+1] <= 1
-			ends[c+1] += ends[c]
-		}
-		if oneToOne && !spec.KeepLeaky {
-			continue // the median would equal the group's own statistic
-		}
-		for gi, v := range y {
-			c := groups.Codes[gi*k+ai]
-			buf[ends[c]] = v
-			ends[c]++
-		}
-		m := make(map[string]float64, min(len(dict), len(y)))
-		lo := 0
+		m := make(map[string]float64, min(len(dict), len(groups.Groups)))
 		for c, v := range dict {
-			if hi := ends[c]; hi > lo {
-				m[v] = mat.MedianInPlace(buf[lo:hi])
-				lo = hi
+			if sizes[off+c] > 0 {
+				m[v] = med[off+c]
 			}
 		}
 		name := "main:" + attr
@@ -203,6 +179,72 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 		})
 	}
 	return s, nil
+}
+
+// mainEffects returns the median of the target statistic y over every group
+// and over each attribute value's: med[offs[ai]+c] for attribute ai's code c,
+// which sizes[offs[ai]+c] groups carry. y is ordered once (a radix sort on
+// order-preserving bits); one sweep over the groups in ascending y then meets
+// each bucket's middle element, or two, for every attribute at once. A bucket
+// holding a NaN (ordered by nothing) or a −0 (tied with +0) has no order by
+// value: its median is mat.Median's, over the bucket in group order.
+func mainEffects(groups *agg.Result, target agg.Func) (medianY float64, med []float64, sizes []int32, offs []int) {
+	n, k := len(groups.Groups), len(groups.Attrs)
+	offs = make([]int, k+1)
+	for ai, dict := range groups.Dicts {
+		offs[ai+1] = offs[ai] + len(dict)
+	}
+	sizes, med = make([]int32, offs[k]), make([]float64, offs[k])
+	unordered := make([]bool, offs[k]) // buckets holding a NaN or a −0
+	y, keys, order := make([]float64, n), make([]uint64, n), make([]int32, n)
+	for gi, g := range groups.Groups {
+		v := g.Stats.Get(target)
+		odd := v != v || (v == 0 && math.Signbit(v))
+		for ai, c := range groups.Codes[gi*k : (gi+1)*k] {
+			sizes[offs[ai]+int(c)]++
+			unordered[offs[ai]+int(c)] = unordered[offs[ai]+int(c)] || odd
+		}
+		b := math.Float64bits(v)
+		if b>>63 == 1 {
+			b = ^b
+		} else {
+			b |= 1 << 63
+		}
+		y[gi], keys[gi], order[gi] = v, b, int32(gi)
+	}
+	data.SortKeys(keys, order, math.MaxUint64)
+	seen := make([]int32, offs[k])
+	for _, gi := range order {
+		for ai, c := range groups.Codes[int(gi)*k : (int(gi)+1)*k] {
+			s := offs[ai] + int(c)
+			if p, size := seen[s], sizes[s]; p == (size-1)/2 { // the middle, or the lower of two
+				med[s] = y[gi]
+			} else if p == size/2 {
+				med[s] = (med[s] + y[gi]) / 2
+			}
+			seen[s]++
+		}
+	}
+	if medianY = y[order[n/2]]; n%2 == 0 {
+		medianY = (y[order[n/2-1]] + medianY) / 2
+	}
+	if !slices.Contains(unordered, true) {
+		return medianY, med, sizes, offs
+	}
+	buckets := make([][]float64, offs[k])
+	for gi, v := range y {
+		for ai, c := range groups.Codes[gi*k : (gi+1)*k] {
+			if s := offs[ai] + int(c); unordered[s] {
+				buckets[s] = append(buckets[s], v)
+			}
+		}
+	}
+	for s, b := range buckets {
+		if b != nil {
+			med[s] = mat.Median(b)
+		}
+	}
+	return mat.Median(y), med, sizes, offs
 }
 
 // buildAuxCol aggregates the auxiliary measure per join value (mean when

@@ -92,91 +92,13 @@ func Median(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
 	}
-	c := make([]float64, len(v))
-	copy(c, v)
-	return sortedMedian(c)
-}
-
-// sortedMedian sorts v (non-empty) and returns its middle: the definition of
-// the median every other path must reproduce.
-func sortedMedian(v []float64) float64 {
-	sort.Float64s(v)
-	n := len(v)
+	c := slices.Clone(v)
+	sort.Float64s(c)
+	n := len(c)
 	if n%2 == 1 {
-		return v[n/2]
+		return c[n/2]
 	}
-	return (v[n/2-1] + v[n/2]) / 2
-}
-
-// MedianInPlace returns Median(v), bit for bit, reordering v instead of
-// copying it. Where v is totally ordered by its bits — it holds no NaN, which
-// compares with nothing, and no -0, which ties with +0 — the middle order
-// statistics are fixed by value alone and a selection finds them; otherwise
-// it runs the same sort as Median, on the same input order.
-func MedianInPlace(v []float64) float64 {
-	n := len(v)
-	if n == 0 {
-		return 0
-	}
-	for _, x := range v {
-		if x != x || (x == 0 && math.Signbit(x)) {
-			return sortedMedian(v)
-		}
-	}
-	hi := selectKth(v, n/2)
-	if n%2 == 1 {
-		return hi
-	}
-	return (slices.Max(v[:n/2]) + hi) / 2
-}
-
-// selectKth reorders v so that v[k] is its k-th smallest element with nothing
-// larger before it and nothing smaller after it, and returns it (Hoare's
-// quickselect, median-of-three pivots). v must hold no NaN.
-func selectKth(v []float64, k int) float64 {
-	lo, hi := 0, len(v)-1
-	for hi-lo > 12 {
-		mid := lo + (hi-lo)/2
-		if v[mid] < v[lo] {
-			v[mid], v[lo] = v[lo], v[mid]
-		}
-		if v[hi] < v[lo] {
-			v[hi], v[lo] = v[lo], v[hi]
-		}
-		if v[hi] < v[mid] {
-			v[hi], v[mid] = v[mid], v[hi]
-		}
-		pivot := v[mid]
-		i, j := lo, hi
-		for i <= j {
-			for v[i] < pivot {
-				i++
-			}
-			for v[j] > pivot {
-				j--
-			}
-			if i <= j {
-				v[i], v[j] = v[j], v[i]
-				i++
-				j--
-			}
-		}
-		// v[lo..j] ≤ pivot ≤ v[i..hi], and anything between j and i equals it.
-		switch {
-		case k <= j:
-			hi = j
-		case k >= i:
-			lo = i
-		default:
-			return v[k]
-		}
-	}
-	for i := lo + 1; i <= hi; i++ {
-		for j := i; j > lo && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-	return v[k]
+	return (c[n/2-1] + c[n/2]) / 2
 }
 
 // PrefixSum returns p with p[0] = 0 and p[i] = v[0] + ... + v[i-1], so a
@@ -225,32 +147,4 @@ func PearsonCorr(a, b []float64) float64 {
 		return 0
 	}
 	return num / math.Sqrt(da*db)
-}
-
-// Ranks returns the fractional ranks of v (ties averaged), 1-based.
-func Ranks(v []float64) []float64 {
-	n := len(v)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return v[idx[a]] < v[idx[b]] })
-	ranks := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && v[idx[j+1]] == v[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			ranks[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return ranks
-}
-
-// SpearmanCorr returns the Spearman rank correlation of a and b.
-func SpearmanCorr(a, b []float64) float64 {
-	return PearsonCorr(Ranks(a), Ranks(b))
 }

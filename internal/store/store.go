@@ -156,11 +156,11 @@ func (s *Snapshot) dim(name string) *Column {
 	return nil
 }
 
-// validate checks the snapshot's structural invariants (column lengths, code
-// ranges, dictionary contents, hierarchy attributes) and, via the derived
-// dataset, the hierarchy functional dependencies. It is run on every Open
-// and Append; over a mapped snapshot every pass streams through the mapping
-// with O(dictionary) heap.
+// validate checks the snapshot's invariants once each: column lengths and
+// dictionary contents here; code ranges, hierarchy attributes and FDs through
+// the derived dataset (which remembers the FDs for an engine over it). It runs
+// on every Open and Append; over a mapped snapshot every pass streams through
+// the mapping with O(dictionary) heap.
 func (s *Snapshot) validate() error {
 	for ci := range s.Dims {
 		c := &s.Dims[ci]
@@ -181,12 +181,6 @@ func (s *Snapshot) validate() error {
 			}
 			seen[v] = struct{}{}
 		}
-		for i, code := range c.Codes {
-			if int(code) >= len(c.Dict) {
-				return fmt.Errorf("store: dimension %q row %d: code %d out of range (dictionary size %d)",
-					c.Name, i, code, len(c.Dict))
-			}
-		}
 	}
 	for mi := range s.Measures {
 		m := &s.Measures[mi]
@@ -194,10 +188,7 @@ func (s *Snapshot) validate() error {
 			return fmt.Errorf("store: measure %q has %d rows, snapshot has %d", m.Name, len(m.Values), s.rows)
 		}
 	}
-	if len(s.Hierarchies) == 0 {
-		return nil // auxiliary tables carry no hierarchy metadata
-	}
-	ds, err := s.Dataset()
+	ds, err := s.Dataset() // data.FromColumns checks every code against its dictionary
 	if err != nil {
 		return err
 	}
