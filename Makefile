@@ -10,7 +10,7 @@ test: build
 	go test ./...
 
 race:
-	go test -race ./internal/agg/... ./internal/feature/... ./internal/factor/... ./internal/fmatrix/... ./internal/mlm/... ./internal/core/... ./internal/shard/... ./internal/ingest/... ./internal/server/... ./internal/store/... ./internal/cube/... ./internal/wal/... ./internal/obs/... ./reptile/... ./cmd/reptiled/...
+	go test -race ./internal/data/... ./internal/agg/... ./internal/feature/... ./internal/factor/... ./internal/fmatrix/... ./internal/mlm/... ./internal/core/... ./internal/shard/... ./internal/ingest/... ./internal/server/... ./internal/store/... ./internal/cube/... ./internal/wal/... ./internal/obs/... ./reptile/... ./cmd/reptiled/...
 
 # lint checks formatting, vets every package, and runs the full reptile-lint
 # static-analysis suite (import boundaries, determinism, close-check — see

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -135,6 +136,27 @@ func TestDistinctSorted(t *testing.T) {
 func TestValidateOK(t *testing.T) {
 	if err := demo().Validate(); err != nil {
 		t.Errorf("Validate: %v", err)
+	}
+}
+
+// TestValidateConcurrently: goroutines validating one dataset share the
+// memory of verified FDs (run under -race), and a later row write clears it.
+func TestValidateConcurrently(t *testing.T) {
+	d := demo()
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := d.Validate(); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	d.AppendRowVals([]string{"Raya", "Adishim", "1986"}, []float64{5})
+	if err := d.Validate(); err == nil || !strings.Contains(err.Error(), "FD violation") {
+		t.Fatalf("Validate after an FD-breaking append: %v", err)
 	}
 }
 
