@@ -24,13 +24,16 @@ const goldenPath = "testdata/golden_bits.json"
 
 // goldenShape describes one seeded design: per hierarchy, the child counts
 // below each level (a flat hierarchy is {n}; {3, 2} is three parents with two
-// children each, ±1 by the seed when jitter is set).
+// children each, ±1 by the seed when jitter is set). children, when set, gives
+// the last hierarchy's k-th root children[k] children instead, so it fixes
+// every cluster's size.
 type goldenShape struct {
-	name   string
-	seed   int64
-	hiers  [][]int
-	jitter bool
-	constY bool
+	name     string
+	seed     int64
+	hiers    [][]int
+	jitter   bool
+	constY   bool
+	children []int
 }
 
 var goldenShapes = []goldenShape{
@@ -58,8 +61,8 @@ func (s goldenShape) build(t testing.TB) (*fmatrix.Matrix, []float64) {
 			attrs[l] = fmt.Sprintf("h%d_l%d", h, l)
 		}
 		var paths [][]string
-		var walk func(prefix []string, l int)
-		walk = func(prefix []string, l int) {
+		var walk func(prefix []string, l, parent int)
+		walk = func(prefix []string, l, parent int) {
 			if l == len(fan) {
 				paths = append(paths, append([]string(nil), prefix...))
 				return
@@ -68,15 +71,18 @@ func (s goldenShape) build(t testing.TB) (*fmatrix.Matrix, []float64) {
 			if s.jitter && l > 0 {
 				n += rng.Intn(3) - 1
 			}
+			if s.children != nil && h == len(s.hiers)-1 && l == 1 {
+				n = s.children[parent]
+			}
 			for k := 0; k < n; k++ {
 				name := fmt.Sprintf("h%d_%d", h, k)
 				if l > 0 {
 					name = prefix[l-1] + "." + fmt.Sprint(k)
 				}
-				walk(append(prefix, name), l+1)
+				walk(append(prefix, name), l+1, k)
 			}
 		}
-		walk(nil, 0)
+		walk(nil, 0, 0)
 		src, err := factor.NewSource(fmt.Sprintf("h%d", h), attrs, paths)
 		if err != nil {
 			t.Fatal(err)

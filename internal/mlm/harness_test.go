@@ -237,13 +237,13 @@ func harnessCases(t testing.TB) []harnessCase {
 	// ragged clusters) with a cluster effect added to the synth group means,
 	// so Σ is a real variance component and not a vanishing one.
 	base := goldenShape{seed: 31, hiers: [][]int{{6}, {5, 6}}, jitter: true}
-	clustered := func() (*fmatrix.Matrix, []float64) {
-		fm, y := base.build(t)
+	withEffects := func(s goldenShape) (*fmatrix.Matrix, []float64) {
+		fm, y := s.build(t)
 		fb, err := NewFactorised(fm)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(base.seed + 100))
+		rng := rand.New(rand.NewSource(s.seed + 100))
 		for i := 0; i < fb.NumClusters(); i++ {
 			start, cn := fb.ClusterRows(i)
 			shift := 8 * rng.NormFloat64()
@@ -253,17 +253,31 @@ func harnessCases(t testing.TB) []harnessCase {
 		}
 		return fm, y
 	}
-	mapY := func(name string, f func(v float64) float64) {
-		fm, y := clustered()
+	clustered := func() (*fmatrix.Matrix, []float64) { return withEffects(base) }
+	mapY := func(name string, s goldenShape, f func(v float64) float64) {
+		fm, y := withEffects(s)
 		for i := range y {
 			y[i] = f(y[i])
 		}
 		cases = append(cases, harnessCase{name: name, fm: fm, y: y})
 	}
-	mapY("sweep/clustered", func(v float64) float64 { return v })
-	mapY("sweep/y*1e12", func(v float64) float64 { return v * 1e12 })
-	mapY("sweep/y*1e-3", func(v float64) float64 { return v * 1e-3 })
-	mapY("sweep/y+1e9", func(v float64) float64 { return v + 1e9 })
+	mapY("sweep/clustered", base, func(v float64) float64 { return v })
+	mapY("sweep/y*1e12", base, func(v float64) float64 { return v * 1e12 })
+	mapY("sweep/y*1e-3", base, func(v float64) float64 { return v * 1e-3 })
+	mapY("sweep/y+1e9", base, func(v float64) float64 { return v + 1e9 })
+	// Cluster-size classes (clusters of equal zᵢᵀzᵢ share their E-step
+	// weights): every cluster the same size, as at a leaf drill state; every
+	// cluster a different size; three ragged classes. Each also with y scaled
+	// and shifted.
+	for _, s := range []goldenShape{
+		{name: "classes/one", seed: 41, hiers: [][]int{{5}, {6, 4}}},
+		{name: "classes/every", seed: 42, hiers: [][]int{{9, 0}}, children: []int{1, 2, 3, 4, 5, 6, 7, 8, 9}},
+		{name: "classes/ragged", seed: 43, hiers: [][]int{{4}, {7, 0}}, children: []int{2, 5, 2, 3, 5, 3, 2}},
+	} {
+		mapY(s.name, s, func(v float64) float64 { return v })
+		mapY(s.name+"/y*1e12", s, func(v float64) float64 { return v * 1e12 })
+		mapY(s.name+"/y+1e9", s, func(v float64) float64 { return v + 1e9 })
+	}
 	for _, s := range []goldenShape{
 		{name: "sweep/single-row-clusters", seed: 21, hiers: [][]int{{6}, {7, 1}}},
 		{name: "sweep/one-cluster", seed: 22, hiers: [][]int{{40}}},

@@ -74,14 +74,21 @@ func TestFitEMZOperatorCounts(t *testing.T) {
 	}
 }
 
-// The cluster-level loop allocates nothing per iteration and nothing per
-// cluster: a fit makes the same number of allocations for 5 iterations as for
-// 80 and for 10 clusters as for 1,000 (the G × p table is one of them, its
-// size aside).
+// The cluster-level loop allocates nothing per iteration, per cluster or per
+// size class: a fit makes the same number of allocations for 5 iterations as
+// for 80, for 10 clusters as for 1,000, and for clusters of one size as for
+// clusters of 1, 2, 3, … rows (7 size classes at 30 rows, 76 at 3,000). The
+// tables it builds are a fixed number of them, their sizes aside.
 func TestScalarEMAllocationsIndependentOfClusters(t *testing.T) {
-	allocs := func(G, iters int) float64 {
+	allocs := func(G, iters int, ragged bool) float64 {
 		rng := rand.New(rand.NewSource(5))
 		x, y, starts, _ := clusteredData(rng, G, 3)
+		if ragged {
+			starts = starts[:0]
+			for s, size := 0, 1; s < len(y); s, size = s+size, size+1 {
+				starts = append(starts, s)
+			}
+		}
 		d, err := NewDense(x, starts)
 		if err != nil {
 			t.Fatal(err)
@@ -93,12 +100,16 @@ func TestScalarEMAllocationsIndependentOfClusters(t *testing.T) {
 			}
 		})
 	}
-	base := allocs(10, 5)
-	for _, c := range [][2]int{{10, 80}, {1000, 5}, {1000, 80}} {
+	base := allocs(10, 5, false)
+	for _, c := range []struct {
+		G, iters int
+		ragged   bool
+	}{{10, 80, false}, {1000, 5, false}, {1000, 80, false}, {10, 5, true}, {1000, 5, true}, {1000, 80, true}} {
 		// A stray runtime allocation moves a count by a fraction; a
-		// per-iteration or per-cluster term would move it by tens.
-		if got := allocs(c[0], c[1]); math.Abs(got-base) > 0.5 {
-			t.Errorf("%d clusters, %d iterations: %v allocations per fit, %v with 10 clusters and 5 iterations", c[0], c[1], got, base)
+		// per-iteration, per-cluster or per-class term would move it by tens.
+		if got := allocs(c.G, c.iters, c.ragged); math.Abs(got-base) > 0.5 {
+			t.Errorf("%d×3 rows, %d iterations, ragged %v: %v allocations per fit, %v with 10 equal clusters and 5 iterations",
+				c.G, c.iters, c.ragged, got, base)
 		}
 	}
 	if base > 40 {
