@@ -281,14 +281,39 @@ func reorderF64(s []float64, perm []int) {
 	copy(s, tmp)
 }
 
-// decodeKey splits a level's composite key into per-attribute codes, in the
-// level's canonical attribute order.
-func (c *Cube) decodeKey(lv *level, k uint64, out []uint64) {
-	for i := len(lv.attrs) - 1; i >= 0; i-- {
-		r := c.attrs[lv.attrs[i]].radix
-		out[i] = k % r
-		k /= r
+// odometer splits a level's keys into per-attribute codes, in the level's
+// canonical attribute order, reading the keys in their stored ascending order.
+// A key's codes are the previous key's plus the step between them: the step
+// is added to the last digit and carried up, with a division only where a
+// digit overflows. The first key, a step from zero, is split by division; at a
+// dense level a later one rarely needs any.
+type odometer struct {
+	radix, digits []uint64
+	prev          uint64
+}
+
+func (c *Cube) odometer(lv *level) odometer {
+	o := odometer{radix: make([]uint64, len(lv.attrs)), digits: make([]uint64, len(lv.attrs))}
+	for i, ai := range lv.attrs {
+		o.radix[i] = c.attrs[ai].radix
 	}
+	return o
+}
+
+// next returns key k's codes, which the following call overwrites. k must be
+// greater than the key before it (or the first).
+func (o *odometer) next(k uint64) []uint64 {
+	carry := k - o.prev
+	o.prev = k
+	for i := len(o.digits) - 1; carry > 0; i-- {
+		d, r := o.digits[i]+carry, o.radix[i]
+		if d < r {
+			o.digits[i] = d
+			break
+		}
+		o.digits[i], carry = d%r, d/r
+	}
+	return o.digits
 }
 
 // measureIndex returns the position of measure in the cube, or -1.
@@ -351,10 +376,10 @@ func (c *Cube) GroupBy(attrs []string, measure string) (*agg.Result, bool) {
 	}
 	lv := c.levels[c.latticeIndex(depths)]
 	pos, dicts, ranks := c.project(lv, flat)
-	k, cell := len(attrs), make([]uint64, len(lv.attrs))
+	k, od := len(attrs), c.odometer(lv)
 	codes, groups := make([]uint32, len(lv.keys)*k), make([]agg.Group, len(lv.keys))
 	for ci, key := range lv.keys {
-		c.decodeKey(lv, key, cell)
+		cell := od.next(key)
 		row := codes[ci*k : (ci+1)*k]
 		for qi, p := range pos {
 			row[qi] = uint32(cell[p])
@@ -402,10 +427,9 @@ func (c *Cube) rank() {
 		lv := c.levels[c.latticeIndex(depths)]
 		depths[a.hier] = 0
 		d := len(lv.attrs) // the hierarchy's attributes up to ai, consecutive
-		codes, cell := make([]uint32, len(lv.keys)*d), make([]uint64, d)
+		codes, od := make([]uint32, len(lv.keys)*d), c.odometer(lv)
 		for ci, key := range lv.keys {
-			c.decodeKey(lv, key, cell)
-			for i, code := range cell {
+			for i, code := range od.next(key) {
 				codes[ci*d+i] = uint32(code)
 			}
 		}
@@ -442,13 +466,12 @@ func (c *Cube) HierarchyPaths(h data.Hierarchy) ([][]string, bool) {
 	depths := make([]int, len(c.hiers))
 	depths[hi] = len(h.Attrs)
 	lv := c.levels[c.latticeIndex(depths)]
-	codes := make([]uint64, len(lv.attrs))
+	od := c.odometer(lv)
 	paths := make([][]string, 0, len(lv.keys))
 	for _, k := range lv.keys {
-		c.decodeKey(lv, k, codes)
 		p := make([]string, len(lv.attrs))
-		for i, ai := range lv.attrs {
-			p[i] = c.attrs[ai].dict[codes[i]]
+		for i, code := range od.next(k) {
+			p[i] = c.attrs[lv.attrs[i]].dict[code]
 		}
 		paths = append(paths, p)
 	}
@@ -505,12 +528,10 @@ func (c *Cube) Merge(delta *Cube) (*Cube, error) {
 		// Re-encode the base keys into the delta's (possibly larger) radix
 		// space; mixed-radix encoding preserves code-tuple order, so the
 		// re-encoded keys stay sorted and a linear merge-join suffices.
-		rekeys := make([]uint64, len(base.keys))
-		codes := make([]uint64, len(base.attrs))
+		rekeys, od := make([]uint64, len(base.keys)), c.odometer(base)
 		for i, k := range base.keys {
-			c.decodeKey(base, k, codes)
 			nk := uint64(0)
-			for ai, code := range codes {
+			for ai, code := range od.next(k) {
 				nk = nk*delta.attrs[base.attrs[ai]].radix + code
 			}
 			rekeys[i] = nk
