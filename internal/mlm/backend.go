@@ -11,8 +11,10 @@
 // whenever clusters are small — EM runs on cluster-level sufficient
 // statistics: set-up reads the rows once (XᵀX, the OLS solution and its
 // residual, the per-cluster column sums ZᵀX the decomposed aggregates already
-// hold) and an iteration is O(clusters·p + p²) arithmetic on them, so the
-// rows come back only for the fitted values. With more columns it is Appendix
+// hold) and sums them per cluster-size class, whose clusters share their
+// E-step weight. An iteration is O(classes·p²) arithmetic on those sums —
+// one class at a leaf drill state, however many clusters — so the rows come
+// back only for the fitted values. With more columns it is Appendix
 // D's loop as written: one X·β, one Xᵀv and one pass over the clusters per
 // iteration, the residual carried from the M-step into the next E-step.
 //

@@ -3,6 +3,7 @@ package mlm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/mat"
 )
@@ -64,9 +65,10 @@ func (m *MultiLevel) ClusterOf(r int) int {
 // A single random-effect column (q = 1: random intercepts, what the engine
 // fits whenever clusters are small) runs on cluster-level sufficient
 // statistics: the fit asks bx for one Gram, one X·β, two Xᵀv and one table of
-// per-cluster column sums whatever Options.Iterations is, and an iteration
-// costs O(clusters·p + p²). q > 1 runs Appendix D's loop as written, I + 1
-// X·β and Xᵀv for I iterations.
+// per-cluster column sums whatever Options.Iterations is. Set-up folds that
+// table into one set of sums per cluster-size class in O(clusters·p²), and an
+// iteration costs O(classes·p²), independent of the number of clusters. q > 1
+// runs Appendix D's loop as written, I + 1 X·β and Xᵀv for I iterations.
 func FitEMZ(bx, bz Backend, y []float64, opts Options) (*MultiLevel, error) {
 	if bz.NumCols() == 1 {
 		return fitEM(bx, bz, y, opts, emClusterLevel)
@@ -255,39 +257,78 @@ func (s *emStart) clusterTable() (c *mat.Matrix, zg, u0 []float64) {
 //
 // The last is a sum of non-negative terms up to g, not the difference of
 // large ones that expanding yᵀy − 2βᵀXᵀy + βᵀXᵀXβ would be.
+//
+// A cluster's E-step weight vᵢ = (zᵢᵀzᵢ/σ² + 1/Σ)⁻¹ depends on it only through
+// zᵢᵀzᵢ — for random intercepts its size — so the clusters fall into size
+// classes s that share wₛ = vₛ/σ², with μᵢ = wₛ·zᵢᵀr. Set-up reads C and u₀
+// once into each class's count, Σu₀ᵢ², aₛ = Σu₀ᵢCᵢ and Mₛ = ΣCᵢCᵢᵀ, and the
+// per-cluster sums an iteration needs follow in the same anchored form as rᵀr:
+//
+//	Cᵀμ = Σₛ wₛ(aₛ − Mₛd)        Σ_{i∈s} (zᵢᵀr)² = Σu₀ᵢ² − 2aₛ·d + dᵀMₛd
+//	rᵀZμ = Σₛ wₛ(Σu₀ᵢ² − aₛ·(d′ + d) + d′ᵀMₛd), d′ the E-step's d
+//
+// An iteration costs O(classes·p²) however many clusters there are: the
+// deep_fit leaf states are one class. μᵢ itself is formed once, after the
+// last E-step.
 func emClusterLevel(s *emStart) *MultiLevel {
 	n, G, p := float64(len(s.y)), len(s.starts), s.bx.NumCols()
 	c, zg, u0 := s.clusterTable()
 	g := s.bx.TMulVec(s.r)
 
+	// The classes are the distinct zᵢᵀzᵢ in ascending order; Mₛ is kept as
+	// its lower triangle, row by row.
+	sizes := slices.Clone(zg)
+	slices.Sort(sizes)
+	sizes = slices.Compact(sizes)
+	S, tri := len(sizes), p*(p+1)/2
+	classes, class := make([]sizeClass, S), make([]int32, G)
+	a, m, md := make([]float64, S*p), make([]float64, S*tri), make([]float64, S*p) // md holds Mₛd
+	for k, z := range sizes {
+		classes[k].zg = z
+	}
+	for i, z := range zg {
+		k, _ := slices.BinarySearch(sizes, z)
+		class[i] = int32(k)
+		classes[k].n++
+		classes[k].u0sq += u0[i] * u0[i]
+		ci, ak, mk := c.Data[i*p:(i+1)*p], a[k*p:(k+1)*p], m[k*tri:(k+1)*tri]
+		for j, x := range ci {
+			ak[j] += u0[i] * x
+			for l, xl := range ci[:j+1] {
+				mk[j*(j+1)/2+l] += x * xl
+			}
+		}
+	}
+
 	sigma, sigma2 := s.sigma2, s.sigma2 // Σ is a scalar variance
-	u := append([]float64(nil), u0...)  // zᵢᵀr at the current β
-	mu, ebb := make([]float64, G), make([]float64, G)
-	d, ctmu, gd := make([]float64, p), make([]float64, p), make([]float64, p) // ctmu holds −Cᵀμ
+	d, dE := make([]float64, p), make([]float64, p)
+	ctmu, gd := make([]float64, p), make([]float64, p) // ctmu holds −Cᵀμ
 	for iter := 0; iter < s.opts.Iterations; iter++ {
-		// E-step.
+		// E-step, with Σ's and σ²'s sums over the clusters in each class.
 		sigmaInv, sigma2Inv := 1/math.Max(sigma, s.floor), 1/sigma2
 		clear(ctmu)
-		for i := range mu {
-			vi := 1 / (zg[i]*sigma2Inv + sigmaInv)
-			mu[i] = vi * u[i] * sigma2Inv
-			ebb[i] = vi + mu[i]*mu[i]
-			for j, x := range c.Data[i*p : (i+1)*p] {
-				ctmu[j] -= mu[i] * x
+		var sAcc, zge float64
+		for k := range classes {
+			cl, ak, mdk := &classes[k], a[k*p:(k+1)*p], md[k*p:(k+1)*p]
+			v := 1 / (cl.zg*sigma2Inv + sigmaInv)
+			cl.w = v * sigma2Inv
+			ebb := cl.n*v + cl.w*cl.w*max(cl.u0sq-2*cl.ad+mat.Dot(d, mdk), 0) // Σ E[bᵢ²]
+			sAcc += ebb
+			zge += cl.zg * ebb
+			for j, x := range ak {
+				ctmu[j] -= cl.w * (x - mdk[j])
 			}
 		}
 		// M-step.
+		copy(dE, d)
 		s.gramInv.MulVecTo(d, ctmu)
-		var sAcc, zge, rzb float64
-		for i := range mu {
-			var cd float64 // Cᵢ·d
-			for j, x := range c.Data[i*p : (i+1)*p] {
-				cd += x * d[j]
-			}
-			u[i] = u0[i] - cd
-			sAcc += ebb[i]
-			zge += zg[i] * ebb[i]
-			rzb += mu[i] * u[i]
+		var rzb float64
+		for k := range classes {
+			cl, mdk := &classes[k], md[k*p:(k+1)*p]
+			symMulVec(mdk, m[k*tri:(k+1)*tri], d)
+			ad := mat.Dot(a[k*p:(k+1)*p], d)
+			rzb += cl.w * (cl.u0sq - cl.ad - ad + mat.Dot(dE, mdk))
+			cl.ad = ad
 		}
 		sigma = sAcc / float64(G)
 		s.gram.MulVecTo(gd, d)
@@ -297,11 +338,30 @@ func emClusterLevel(s *emStart) *MultiLevel {
 		}
 	}
 
-	b := make([][]float64, G)
-	for i := range b {
+	mu, b := make([]float64, G), make([][]float64, G)
+	for i, k := range class {
+		mu[i] = classes[k].w * (u0[i] - mat.Dot(c.Data[i*p:(i+1)*p], dE))
 		b[i] = mu[i : i+1 : i+1]
 	}
 	return &MultiLevel{Beta: mat.AddVec(s.beta, d), B: b, Sigma: mat.FromRows([][]float64{{sigma}}), Sigma2: sigma2}
+}
+
+// sizeClass is one size class of emClusterLevel: the clusters sharing zᵢᵀzᵢ,
+// their count, Σu₀ᵢ², and per iteration aₛ·d and the E-step weight wₛ.
+type sizeClass struct{ zg, n, u0sq, ad, w float64 }
+
+// symMulVec writes M·x into dst for a symmetric M given as its lower triangle,
+// row by row.
+func symMulVec(dst, lower, x []float64) {
+	clear(dst)
+	for j := range dst {
+		row := lower[j*(j+1)/2 : (j+1)*(j+2)/2]
+		for l, v := range row[:j] {
+			dst[j] += v * x[l]
+			dst[l] += v * x[j]
+		}
+		dst[j] += row[j] * x[j]
+	}
 }
 
 // Fitted returns the conditional fitted values Xβ + Zb̂ for every row. With
