@@ -275,14 +275,15 @@ func emClusterLevel(s *emStart) *MultiLevel {
 	c, zg, u0 := s.clusterTable()
 	g := s.bx.TMulVec(s.r)
 
-	// The classes are the distinct zᵢᵀzᵢ in ascending order; Mₛ is kept as
-	// its lower triangle, row by row.
+	// The classes are the distinct zᵢᵀzᵢ in ascending order. Set-up adds
+	// each CᵢCᵢᵀ into Mₛ's lower triangle and then mirrors it, so that an
+	// iteration reads Mₛ row by row.
 	sizes := slices.Clone(zg)
 	slices.Sort(sizes)
 	sizes = slices.Compact(sizes)
-	S, tri := len(sizes), p*(p+1)/2
+	S := len(sizes)
 	classes, class := make([]sizeClass, S), make([]int32, G)
-	a, m, md := make([]float64, S*p), make([]float64, S*tri), make([]float64, S*p) // md holds Mₛd
+	a, m, md := make([]float64, S*p), make([]float64, S*p*p), make([]float64, S*p) // md holds Mₛd
 	for k, z := range sizes {
 		classes[k].zg = z
 	}
@@ -291,11 +292,19 @@ func emClusterLevel(s *emStart) *MultiLevel {
 		class[i] = int32(k)
 		classes[k].n++
 		classes[k].u0sq += u0[i] * u0[i]
-		ci, ak, mk := c.Data[i*p:(i+1)*p], a[k*p:(k+1)*p], m[k*tri:(k+1)*tri]
+		ci, ak, mk := c.Data[i*p:(i+1)*p], a[k*p:(k+1)*p], m[k*p*p:(k+1)*p*p]
 		for j, x := range ci {
 			ak[j] += u0[i] * x
 			for l, xl := range ci[:j+1] {
-				mk[j*(j+1)/2+l] += x * xl
+				mk[j*p+l] += x * xl
+			}
+		}
+	}
+	for k := range classes {
+		mk := m[k*p*p : (k+1)*p*p]
+		for j := range p {
+			for l := range j {
+				mk[l*p+j] = mk[j*p+l]
 			}
 		}
 	}
@@ -312,7 +321,7 @@ func emClusterLevel(s *emStart) *MultiLevel {
 			cl, ak, mdk := &classes[k], a[k*p:(k+1)*p], md[k*p:(k+1)*p]
 			v := 1 / (cl.zg*sigma2Inv + sigmaInv)
 			cl.w = v * sigma2Inv
-			ebb := cl.n*v + cl.w*cl.w*max(cl.u0sq-2*cl.ad+mat.Dot(d, mdk), 0) // Σ E[bᵢ²]
+			ebb := cl.n*v + cl.w*cl.w*max(cl.u0sq-2*cl.ad+cl.dmd, 0) // Σ E[bᵢ²]
 			sAcc += ebb
 			zge += cl.zg * ebb
 			for j, x := range ak {
@@ -324,11 +333,21 @@ func emClusterLevel(s *emStart) *MultiLevel {
 		s.gramInv.MulVecTo(d, ctmu)
 		var rzb float64
 		for k := range classes {
-			cl, mdk := &classes[k], md[k*p:(k+1)*p]
-			symMulVec(mdk, m[k*tri:(k+1)*tri], d)
-			ad := mat.Dot(a[k*p:(k+1)*p], d)
-			rzb += cl.w * (cl.u0sq - cl.ad - ad + mat.Dot(dE, mdk))
-			cl.ad = ad
+			cl, ak, mk, mdk := &classes[k], a[k*p:(k+1)*p], m[k*p*p:(k+1)*p*p], md[k*p:(k+1)*p]
+			clear(mdk)
+			for l, dl := range d { // Mₛ is symmetric: add its rows, d[l] times each
+				for j, v := range mk[l*p : (l+1)*p] {
+					mdk[j] += v * dl
+				}
+			}
+			var ad, dEmd, dmd float64
+			for j, x := range mdk {
+				ad += ak[j] * d[j]
+				dEmd += dE[j] * x
+				dmd += d[j] * x
+			}
+			rzb += cl.w * (cl.u0sq - cl.ad - ad + dEmd)
+			cl.ad, cl.dmd = ad, dmd
 		}
 		sigma = sAcc / float64(G)
 		s.gram.MulVecTo(gd, d)
@@ -347,22 +366,8 @@ func emClusterLevel(s *emStart) *MultiLevel {
 }
 
 // sizeClass is one size class of emClusterLevel: the clusters sharing zᵢᵀzᵢ,
-// their count, Σu₀ᵢ², and per iteration aₛ·d and the E-step weight wₛ.
-type sizeClass struct{ zg, n, u0sq, ad, w float64 }
-
-// symMulVec writes M·x into dst for a symmetric M given as its lower triangle,
-// row by row.
-func symMulVec(dst, lower, x []float64) {
-	clear(dst)
-	for j := range dst {
-		row := lower[j*(j+1)/2 : (j+1)*(j+2)/2]
-		for l, v := range row[:j] {
-			dst[j] += v * x[l]
-			dst[l] += v * x[j]
-		}
-		dst[j] += row[j] * x[j]
-	}
-}
+// their count, Σu₀ᵢ², and per iteration aₛ·d, dᵀMₛd and the E-step weight wₛ.
+type sizeClass struct{ zg, n, u0sq, ad, dmd, w float64 }
 
 // Fitted returns the conditional fitted values Xβ + Zb̂ for every row. With
 // the default Z = X design pass the same backend twice.
