@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/factor"
 	"repro/internal/fmatrix"
+	"repro/internal/mat"
 )
 
 func benchData(b *testing.B, G, size int) (*Dense, []float64) {
@@ -112,21 +113,32 @@ func BenchmarkFitEMFactorisedVsDense(b *testing.B) {
 }
 
 // BenchmarkFitEMIterations fits the deep_fit shape with 5, 20 and 80 EM
-// iterations: the rows are read at set-up only, so ns/op grows by the
-// cluster-level loop's O(clusters·p) per iteration and by nothing in n, and
-// allocs/op does not grow at all.
+// iterations. The rows are read at set-up only and the random-intercept
+// iteration runs on one set of sums per cluster-size class — one class here,
+// as at every deep_fit leaf state — so ns/op and allocs/op stay flat as the
+// iterations grow. ragged is the worst case for the size classes: dense X with
+// a random Z column, so every one of the 2,304 clusters has its own zᵢᵀzᵢ and
+// is a class of its own, and an iteration costs O(clusters·p²).
 func BenchmarkFitEMIterations(b *testing.B) {
 	fb, db, y := deepFitDesign(b)
+	rng := rand.New(rand.NewSource(2))
+	zr := mat.New(db.X.Rows, 1)
+	for i := range zr.Data {
+		zr.Data[i] = rng.NormFloat64()
+	}
+	ragged, err := NewDense(zr, db.starts)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, bk := range []struct {
-		name string
-		b    Backend
-	}{{"factorised", fb}, {"dense", db}} {
-		iz := NewInterceptZ(bk.b)
+		name   string
+		bx, bz Backend
+	}{{"factorised", fb, NewInterceptZ(fb)}, {"dense", db, NewInterceptZ(db)}, {"ragged", db, ragged}} {
 		for _, iters := range []int{5, 20, 80} {
 			b.Run(fmt.Sprintf("%s/iterations=%d", bk.name, iters), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := FitEMZ(bk.b, iz, y, Options{Iterations: iters}); err != nil {
+					if _, err := FitEMZ(bk.bx, bk.bz, y, Options{Iterations: iters}); err != nil {
 						b.Fatal(err)
 					}
 				}
