@@ -281,23 +281,20 @@ func reorderF64(s []float64, perm []int) {
 	copy(s, tmp)
 }
 
-// odometer splits a level's keys into per-attribute codes, in the level's
-// canonical attribute order, reading the keys in their stored ascending order.
-// A key's codes are the previous key's plus the step between them: the step
-// is added to the last digit and carried up, with a division only where a
-// digit overflows. The first key, a step from zero, is split by division; at a
-// dense level a later one rarely needs any.
+// odometer splits a level's keys, read in their stored ascending order, into
+// per-attribute codes in the level's canonical attribute order: each key's
+// step from the previous one is added to the last digit and carried up,
+// dividing only where a digit overflows (the first key, a step from zero, is
+// split by division; at a dense level a later one rarely divides at all).
 type odometer struct {
-	radix, digits []uint64
-	prev          uint64
+	c      *Cube
+	attrs  []int
+	digits []uint64
+	prev   uint64
 }
 
 func (c *Cube) odometer(lv *level) odometer {
-	o := odometer{radix: make([]uint64, len(lv.attrs)), digits: make([]uint64, len(lv.attrs))}
-	for i, ai := range lv.attrs {
-		o.radix[i] = c.attrs[ai].radix
-	}
-	return o
+	return odometer{c: c, attrs: lv.attrs, digits: make([]uint64, len(lv.attrs))}
 }
 
 // next returns key k's codes, which the following call overwrites. k must be
@@ -306,7 +303,7 @@ func (o *odometer) next(k uint64) []uint64 {
 	carry := k - o.prev
 	o.prev = k
 	for i := len(o.digits) - 1; carry > 0; i-- {
-		d, r := o.digits[i]+carry, o.radix[i]
+		d, r := o.digits[i]+carry, o.c.attrs[o.attrs[i]].radix
 		if d < r {
 			o.digits[i] = d
 			break

@@ -259,39 +259,30 @@ func (s *emStart) clusterTable() (c *mat.Matrix, zg, u0 []float64) {
 // large ones that expanding yᵀy − 2βᵀXᵀy + βᵀXᵀXβ would be.
 //
 // A cluster's E-step weight vᵢ = (zᵢᵀzᵢ/σ² + 1/Σ)⁻¹ depends on it only through
-// zᵢᵀzᵢ — for random intercepts its size — so the clusters fall into size
-// classes s that share wₛ = vₛ/σ², with μᵢ = wₛ·zᵢᵀr. Set-up reads C and u₀
-// once into each class's count, Σu₀ᵢ², aₛ = Σu₀ᵢCᵢ and Mₛ = ΣCᵢCᵢᵀ, and the
-// per-cluster sums an iteration needs follow in the same anchored form as rᵀr:
+// zᵢᵀzᵢ (for random intercepts, its size), so clusters of equal zᵢᵀzᵢ form a
+// size class s sharing wₛ = vₛ/σ², μᵢ = wₛ·zᵢᵀr. Set-up sums each class's
+// count, Σu₀ᵢ², aₛ = Σu₀ᵢCᵢ and Mₛ = ΣCᵢCᵢᵀ, and an iteration costs
+// O(classes·p²), in the anchored form rᵀr takes (d′ is the E-step's d):
 //
 //	Cᵀμ = Σₛ wₛ(aₛ − Mₛd)        Σ_{i∈s} (zᵢᵀr)² = Σu₀ᵢ² − 2aₛ·d + dᵀMₛd
-//	rᵀZμ = Σₛ wₛ(Σu₀ᵢ² − aₛ·(d′ + d) + d′ᵀMₛd), d′ the E-step's d
+//	rᵀZμ = Σₛ wₛ(Σu₀ᵢ² − aₛ·(d′ + d) + d′ᵀMₛd)
 //
-// An iteration costs O(classes·p²) however many clusters there are: the
-// deep_fit leaf states are one class. μᵢ itself is formed once, after the
-// last E-step.
+// μᵢ itself is formed once, after the last E-step.
 func emClusterLevel(s *emStart) *MultiLevel {
 	n, G, p := float64(len(s.y)), len(s.starts), s.bx.NumCols()
 	c, zg, u0 := s.clusterTable()
 	g := s.bx.TMulVec(s.r)
 
-	// The classes are the distinct zᵢᵀzᵢ in ascending order. Set-up adds
-	// each CᵢCᵢᵀ into Mₛ's lower triangle and then mirrors it, so that an
-	// iteration reads Mₛ row by row.
+	// The classes are the distinct zᵢᵀzᵢ, ascending. Mₛ is summed as its
+	// lower triangle and mirrored, so that an iteration adds its rows.
 	sizes := slices.Clone(zg)
 	slices.Sort(sizes)
 	sizes = slices.Compact(sizes)
-	S := len(sizes)
-	classes, class := make([]sizeClass, S), make([]int32, G)
-	a, m, md := make([]float64, S*p), make([]float64, S*p*p), make([]float64, S*p) // md holds Mₛd
-	for k, z := range sizes {
-		classes[k].zg = z
-	}
+	classes, class := make([]sizeClass, len(sizes)), make([]int32, G)
+	a, m, md := make([]float64, len(sizes)*p), make([]float64, len(sizes)*p*p), make([]float64, len(sizes)*p) // md holds Mₛd
 	for i, z := range zg {
 		k, _ := slices.BinarySearch(sizes, z)
-		class[i] = int32(k)
-		classes[k].n++
-		classes[k].u0sq += u0[i] * u0[i]
+		class[i], classes[k].n, classes[k].u0sq = int32(k), classes[k].n+1, classes[k].u0sq+u0[i]*u0[i]
 		ci, ak, mk := c.Data[i*p:(i+1)*p], a[k*p:(k+1)*p], m[k*p*p:(k+1)*p*p]
 		for j, x := range ci {
 			ak[j] += u0[i] * x
@@ -300,12 +291,9 @@ func emClusterLevel(s *emStart) *MultiLevel {
 			}
 		}
 	}
-	for k := range classes {
-		mk := m[k*p*p : (k+1)*p*p]
-		for j := range p {
-			for l := range j {
-				mk[l*p+j] = mk[j*p+l]
-			}
+	for x := range m { // entry (j, l) of block k, above the diagonal
+		if k, j, l := x/(p*p), x/p%p, x%p; l > j {
+			m[x] = m[k*p*p+l*p+j]
 		}
 	}
 
@@ -319,11 +307,11 @@ func emClusterLevel(s *emStart) *MultiLevel {
 		var sAcc, zge float64
 		for k := range classes {
 			cl, ak, mdk := &classes[k], a[k*p:(k+1)*p], md[k*p:(k+1)*p]
-			v := 1 / (cl.zg*sigma2Inv + sigmaInv)
+			v := 1 / (sizes[k]*sigma2Inv + sigmaInv)
 			cl.w = v * sigma2Inv
-			ebb := cl.n*v + cl.w*cl.w*max(cl.u0sq-2*cl.ad+cl.dmd, 0) // Σ E[bᵢ²]
+			ebb := cl.n*v + cl.w*cl.w*max(cl.u0sq-2*cl.ad+mat.Dot(d, mdk), 0) // Σ E[bᵢ²]
 			sAcc += ebb
-			zge += cl.zg * ebb
+			zge += sizes[k] * ebb
 			for j, x := range ak {
 				ctmu[j] -= cl.w * (x - mdk[j])
 			}
@@ -335,19 +323,14 @@ func emClusterLevel(s *emStart) *MultiLevel {
 		for k := range classes {
 			cl, ak, mk, mdk := &classes[k], a[k*p:(k+1)*p], m[k*p*p:(k+1)*p*p], md[k*p:(k+1)*p]
 			clear(mdk)
-			for l, dl := range d { // Mₛ is symmetric: add its rows, d[l] times each
+			for l, dl := range d { // add Mₛ's rows, d[l] times row l
 				for j, v := range mk[l*p : (l+1)*p] {
 					mdk[j] += v * dl
 				}
 			}
-			var ad, dEmd, dmd float64
-			for j, x := range mdk {
-				ad += ak[j] * d[j]
-				dEmd += dE[j] * x
-				dmd += d[j] * x
-			}
-			rzb += cl.w * (cl.u0sq - cl.ad - ad + dEmd)
-			cl.ad, cl.dmd = ad, dmd
+			ad := mat.Dot(ak, d)
+			rzb += cl.w * (cl.u0sq - cl.ad - ad + mat.Dot(dE, mdk))
+			cl.ad = ad
 		}
 		sigma = sAcc / float64(G)
 		s.gram.MulVecTo(gd, d)
@@ -365,9 +348,9 @@ func emClusterLevel(s *emStart) *MultiLevel {
 	return &MultiLevel{Beta: mat.AddVec(s.beta, d), B: b, Sigma: mat.FromRows([][]float64{{sigma}}), Sigma2: sigma2}
 }
 
-// sizeClass is one size class of emClusterLevel: the clusters sharing zᵢᵀzᵢ,
-// their count, Σu₀ᵢ², and per iteration aₛ·d, dᵀMₛd and the E-step weight wₛ.
-type sizeClass struct{ zg, n, u0sq, ad, dmd, w float64 }
+// sizeClass is one size class of emClusterLevel: its count and Σu₀ᵢ², and per
+// iteration aₛ·d and the E-step weight wₛ.
+type sizeClass struct{ n, u0sq, ad, w float64 }
 
 // Fitted returns the conditional fitted values Xβ + Zb̂ for every row. With
 // the default Z = X design pass the same backend twice.
