@@ -9,6 +9,8 @@ build:
 test: build
 	go test ./...
 
+# race runs -race over every package whose state is shared across goroutines
+# (CI's race step runs this target).
 race:
 	go test -race ./internal/data/... ./internal/agg/... ./internal/feature/... ./internal/factor/... ./internal/fmatrix/... ./internal/mlm/... ./internal/core/... ./internal/shard/... ./internal/ingest/... ./internal/server/... ./internal/store/... ./internal/cube/... ./internal/wal/... ./internal/obs/... ./reptile/... ./cmd/reptiled/...
 
