@@ -395,15 +395,6 @@ func (r *Result) Equal(o *Result) bool {
 		})
 }
 
-// Total merges every group back into one statistic (G over the partition).
-func (r *Result) Total() Stats {
-	var out Stats
-	for _, g := range r.Groups {
-		out = out.Add(g.Stats)
-	}
-	return out
-}
-
 // Materialized is the interface of a precomputed-aggregate provider attached
 // to a dataset via data.Dataset.SetRollup (internal/cube's Cube implements
 // it). GroupBy reports ok=false when it cannot answer the grouping — the

@@ -254,7 +254,10 @@ func TestGroupBy(t *testing.T) {
 func TestGroupByTotalEqualsWhole(t *testing.T) {
 	d := buildDemo()
 	res := GroupBy(d, []string{"village"}, "severity")
-	total := res.Total()
+	var total Stats
+	for _, g := range res.Groups {
+		total = total.Add(g.Stats)
+	}
 	whole := FromValues(d.Measure("severity"))
 	if total != whole {
 		t.Errorf("Total = %+v, want %+v", total, whole)

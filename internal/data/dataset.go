@@ -482,14 +482,6 @@ func (d *Dataset) checkFD(child, parent string) error {
 // DecodeKey round-trip on every tuple a dataset can hold.
 func EncodeKey(vals []string) string { return strings.Join(vals, keySep) }
 
-// DecodeKey splits a group key back into its dimension values.
-func DecodeKey(key string) []string {
-	if key == "" {
-		return nil
-	}
-	return strings.Split(key, keySep)
-}
-
 // RowKey returns the group key of row over the given attributes.
 func (d *Dataset) RowKey(row int, attrs []string) string {
 	vals := make([]string, len(attrs))

@@ -3,6 +3,7 @@ package factor
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -175,12 +176,19 @@ func TestCofCrossHierarchy(t *testing.T) {
 	}
 }
 
+// rowValues enumerates every row's attribute value indices from the row
+// iterator (exponential in the number of hierarchies: a test reference).
+func rowValues(f *Factorizer) [][]int {
+	var out [][]int
+	for it := f.Rows(); it.Next() != nil; {
+		out = append(out, slices.Clone(it.Cur()))
+	}
+	return out
+}
+
 func TestRowIterMaterialize(t *testing.T) {
 	f := paperFactorizer(t)
-	rows, err := f.MaterializeValues()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowValues(f)
 	if len(rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(rows))
 	}
@@ -224,10 +232,7 @@ func TestRowIterChangesAreMinimal(t *testing.T) {
 
 // Brute-force reference: enumerate the cross product of paths and count.
 func bruteCounts(f *Factorizer) (sufTotals []float64, counts []map[int]float64, cofs map[[2]int]map[[2]int]float64) {
-	rows, err := f.MaterializeValues()
-	if err != nil {
-		panic(err)
-	}
+	rows := rowValues(f)
 	d := f.NumAttrs()
 	sufTotals = make([]float64, d)
 	counts = make([]map[int]float64, d)
@@ -461,24 +466,6 @@ func TestRowIndexOfAndLeafIndex(t *testing.T) {
 	}
 	if got := f.LeafIndex(1, "nope"); got != -1 {
 		t.Errorf("LeafIndex missing = %d, want -1", got)
-	}
-}
-
-func TestMoveLast(t *testing.T) {
-	f := paperFactorizer(t)
-	pos, _ := f.OrderPos("time")
-	f.MoveLast(pos)
-	if f.HierarchyName(f.NumHierarchies()-1) != "time" {
-		t.Error("MoveLast failed")
-	}
-	// Attribute order now Geo first: D, V, T.
-	if f.Attrs()[0].Name != "D" || f.Attrs()[2].Name != "T" {
-		t.Errorf("attr order = %v", f.Attrs())
-	}
-	// Moving the already-last hierarchy is a no-op.
-	f.MoveLast(f.NumHierarchies() - 1)
-	if f.HierarchyName(f.NumHierarchies()-1) != "time" {
-		t.Error("MoveLast no-op failed")
 	}
 }
 

@@ -299,18 +299,6 @@ func (f *Factorizer) DrillDown(pos int) error {
 	return nil
 }
 
-// MoveLast moves the hierarchy at order position pos to the end of the
-// order without drilling (used when evaluating which hierarchy to recommend:
-// the candidate must be ordered last).
-func (f *Factorizer) MoveLast(pos int) {
-	if pos == len(f.order)-1 {
-		return
-	}
-	src := f.order[pos]
-	f.order = append(append(f.order[:pos:pos], f.order[pos+1:]...), src)
-	f.refresh()
-}
-
 // Clone returns an independent copy sharing the immutable sources and chain
 // cache (chains themselves are immutable once built).
 func (f *Factorizer) Clone() *Factorizer {

@@ -108,10 +108,7 @@ func TestGeneralAggregatesMatchBruteForce(t *testing.T) {
 		if f.N() > 3000 {
 			continue
 		}
-		rows, err := f.MaterializeValues()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := rowValues(f)
 		for i := 0; i < f.NumAttrs(); i++ {
 			_, counts := f.CountVals(i)
 			brute := make([]float64, len(counts))
@@ -138,10 +135,7 @@ func TestGeneralRowIterConsistency(t *testing.T) {
 		if f.N() > 2000 {
 			continue
 		}
-		rows, err := f.MaterializeValues()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := rowValues(f)
 		if len(rows) != int(f.N()) {
 			t.Fatalf("trial %d: %d rows, want %v", trial, len(rows), f.N())
 		}

@@ -138,28 +138,6 @@ func (f *Factorizer) Transitions(pos int) Transitions {
 	return t
 }
 
-// MaterializeValues enumerates every row's attribute value indices. It is
-// exponential in the number of hierarchies and exists for tests and for the
-// naive (Lapack-style) baseline.
-func (f *Factorizer) MaterializeValues() ([][]int, error) {
-	n, err := f.RowCount()
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int, 0, n)
-	it := f.Rows()
-	for {
-		chg := it.Next()
-		if chg == nil {
-			break
-		}
-		row := make([]int, f.NumAttrs())
-		copy(row, it.Cur())
-		out = append(out, row)
-	}
-	return out, nil
-}
-
 // RowIndexOf returns the row index of the given per-attribute value indices
 // in iteration order. Used to align dense y vectors with the matrix rows.
 func (f *Factorizer) RowIndexOf(leafPerHier []int) int {

@@ -3,8 +3,21 @@ package fmatrix
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/factor"
 )
+
+// rowValues enumerates every row's attribute value indices from the row
+// iterator (exponential in the number of hierarchies: a test reference).
+func rowValues(f *factor.Factorizer) [][]int {
+	var out [][]int
+	for it := f.Rows(); it.Next() != nil; {
+		out = append(out, slices.Clone(it.Cur()))
+	}
+	return out
+}
 
 // randomMultiMatrix extends a random matrix with 1–2 multi-attribute
 // columns over random attribute subsets.
@@ -64,16 +77,13 @@ func TestForEachRunPartitionsRows(t *testing.T) {
 		if f.N() > 2000 {
 			continue
 		}
-		rows, err := f.MaterializeValues()
-		if err != nil {
-			t.Fatal(err)
-		}
+		rows := rowValues(f)
 		na := f.NumAttrs()
 		size := 1 + r.Intn(na)
 		attrs := r.Perm(na)[:size]
 		sortInts(attrs)
 		covered := 0
-		err = f.ForEachRun(attrs, func(start, length int, vals []int) {
+		err := f.ForEachRun(attrs, func(start, length int, vals []int) {
 			if start != covered {
 				t.Fatalf("trial %d: run starts at %d, want %d", trial, start, covered)
 			}
@@ -102,15 +112,12 @@ func TestForEachRunMaximal(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	m := randomMatrix(r)
 	f := m.F
-	rows, err := f.MaterializeValues()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowValues(f)
 	attrs := []int{0}
 	if f.NumAttrs() > 1 {
 		attrs = []int{0, f.NumAttrs() - 1}
 	}
-	err = f.ForEachRun(attrs, func(start, length int, vals []int) {
+	err := f.ForEachRun(attrs, func(start, length int, vals []int) {
 		if start == 0 {
 			return
 		}
@@ -275,7 +282,10 @@ func TestMultiGramAgainstHandComputed(t *testing.T) {
 	}
 	// The multi column in row order: t1: (0,1,2), t2: (10,11,12).
 	want := []float64{0, 1, 2, 10, 11, 12}
-	col := x.Col(x.Cols - 1)
+	col := make([]float64, x.Rows)
+	for i := range col {
+		col[i] = x.At(i, x.Cols-1)
+	}
 	for i := range want {
 		if col[i] != want[i] {
 			t.Fatalf("multi column = %v, want %v", col, want)

@@ -71,15 +71,6 @@ func (m *Matrix) Row(i int) []float64 {
 	return out
 }
 
-// Col returns a copy of column j.
-func (m *Matrix) Col(j int) []float64 {
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = m.Data[i*m.Cols+j]
-	}
-	return out
-}
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.Rows, m.Cols)
@@ -194,16 +185,6 @@ func (m *Matrix) Add(other *Matrix) *Matrix {
 	return out
 }
 
-// Sub returns m - other.
-func (m *Matrix) Sub(other *Matrix) *Matrix {
-	m.checkSameShape(other, "Sub")
-	out := m.Clone()
-	for i, v := range other.Data {
-		out.Data[i] -= v
-	}
-	return out
-}
-
 // Scale returns m * s.
 func (m *Matrix) Scale(s float64) *Matrix {
 	out := m.Clone()
@@ -284,15 +265,6 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 		}
 	}
 	return inv, nil
-}
-
-// SolveVec returns x with m*x = b for a single right-hand side.
-func (m *Matrix) SolveVec(b []float64) ([]float64, error) {
-	inv, err := m.Inverse()
-	if err != nil {
-		return nil, err
-	}
-	return inv.MulVec(b), nil
 }
 
 // RidgeInverse returns (m + eps*I)⁻¹, retrying with growing eps until the

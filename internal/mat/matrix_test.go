@@ -22,9 +22,6 @@ func TestFromRowsAndAccessors(t *testing.T) {
 	if r := m.Row(1); r[0] != 4 || r[1] != 5 || r[2] != 6 {
 		t.Errorf("Row(1) = %v", r)
 	}
-	if c := m.Col(2); c[0] != 3 || c[1] != 6 {
-		t.Errorf("Col(2) = %v", c)
-	}
 }
 
 func TestFromRowsRaggedPanics(t *testing.T) {
@@ -135,18 +132,6 @@ func TestInverseRandomProperty(t *testing.T) {
 	}
 }
 
-func TestSolveVec(t *testing.T) {
-	m := FromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := m.SolveVec([]float64{5, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := m.MulVec(x)
-	if math.Abs(got[0]-5) > 1e-10 || math.Abs(got[1]-10) > 1e-10 {
-		t.Errorf("solve residual %v", got)
-	}
-}
-
 func TestRidgeInverseSingular(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {2, 4}})
 	inv := m.RidgeInverse(1e-9)
@@ -173,9 +158,6 @@ func TestAddSubScale(t *testing.T) {
 	b := FromRows([][]float64{{3, 4}})
 	if got := a.Add(b); got.At(0, 0) != 4 || got.At(0, 1) != 6 {
 		t.Errorf("Add = %v", got)
-	}
-	if got := b.Sub(a); got.At(0, 0) != 2 || got.At(0, 1) != 2 {
-		t.Errorf("Sub = %v", got)
 	}
 	if got := a.Scale(3); got.At(0, 0) != 3 || got.At(0, 1) != 6 {
 		t.Errorf("Scale = %v", got)
