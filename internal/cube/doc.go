@@ -26,13 +26,14 @@
 //
 // Cube.GroupBy answers any grouping whose attributes form per-hierarchy
 // prefixes (in any attribute order) straight from a materialized level: a
-// cell's key splits into dictionary codes, which go to agg.FromCodes with the
-// statistics. Group order is decided there, by ranks a cube computes on its
-// first query: per dictionary, and per hierarchy path (keyed by its last
-// value), so a drill-down sorts on the product of its path counts. It
-// implements agg.Materialized, so datasets carrying a cube attachment
-// (data.Dataset.SetRollup) accelerate agg.GroupBy transparently and
-// bit-identically. HierarchyPaths enumerates a hierarchy's distinct
+// cell's key splits into dictionary codes — an odometer over the level's
+// ascending keys, dividing only where a digit overflows — which go to
+// agg.FromCodes with the statistics. Group order is decided there, by ranks
+// a cube computes on its first query: per dictionary, and per hierarchy path
+// (keyed by its last value), so a drill-down sorts on the product of its
+// path counts. It implements agg.Materialized, so datasets carrying a cube
+// attachment (data.Dataset.SetRollup) accelerate agg.GroupBy transparently
+// and bit-identically. HierarchyPaths enumerates a hierarchy's distinct
 // full-depth paths for the factorizer (factor.PathProvider) from the level
 // that drills only that hierarchy.
 //
