@@ -260,28 +260,6 @@ func TestMergeRejectsSchemaMismatch(t *testing.T) {
 	}
 }
 
-func TestBinaryRoundTrip(t *testing.T) {
-	coded := codedDataset(t, testDataset(t))
-	c, err := cube.Build(coded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := c.AppendBinary(nil)
-	back, err := cube.Decode(payload, coded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, c) {
-		t.Fatal("decoded cube differs from original")
-	}
-	// Truncations of the payload fail cleanly at every length.
-	for cut := 0; cut < len(payload); cut++ {
-		if _, err := cube.Decode(payload[:cut], coded); err == nil {
-			t.Fatalf("truncation at %d decoded successfully", cut)
-		}
-	}
-}
-
 func TestBuildDeclines(t *testing.T) {
 	// A lattice wider than maxLevels: 13 single-attribute hierarchies give
 	// 2^13 > 4096 groupings.

@@ -68,7 +68,7 @@ func reappended(ds *data.Dataset, n int) *data.Dataset {
 }
 
 // TestGoldenCubes pins the bytes of a built cube — level order, cell order,
-// every key, count and math.Float64bits of every sum, as AppendBinary lays
+// every key, count and math.Float64bits of every sum, as EncodeV1 lays
 // them out — for each dataset the examples/ programs run on and one random
 // survey with non-integer measures: of Build over all rows, of the BuildRows
 // delta over the last fifth of them, and of that delta merged into the cube of
@@ -82,7 +82,7 @@ func TestGoldenCubes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		sum := sha256.Sum256(c.AppendBinary(nil))
+		sum := sha256.Sum256(cube.EncodeV1(c))
 		got[label] = hex.EncodeToString(sum[:])
 		return c
 	}

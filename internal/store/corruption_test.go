@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -66,6 +67,29 @@ func TestCubeSectionRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(again.Bytes(), b) {
 		t.Error("re-serialized snapshot differs from the original bytes")
+	}
+}
+
+// TestBinaryRoundTrip writes a cube-carrying snapshot to disk and opens it
+// eager and mapped: either open's cube equals the one that was written, cell
+// table by cell table.
+func TestBinaryRoundTrip(t *testing.T) {
+	snap := FromDataset(quickstartDataset())
+	if err := snap.BuildCube(); err != nil {
+		t.Fatal(err)
+	}
+	path := writeSnapshotFile(t, snap)
+	for _, mapped := range []bool{false, true} {
+		_, shards, err := openPath(path, mapped, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(shards[0].Cube(), snap.Cube()) {
+			t.Errorf("mapped=%v: opened cube differs from the written one", mapped)
+		}
+		if err := shards[0].Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -7,11 +7,16 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/agg"
+	"repro/internal/cube"
 	"repro/internal/data"
 	"repro/internal/datasets"
 )
@@ -42,14 +47,92 @@ func randomSurvey(seed int64, rows int) *data.Dataset {
 	return ds
 }
 
+// latticeGroupings lists every grouping over hierarchy prefixes: one per
+// lattice level, the empty one included.
+func latticeGroupings(hiers []data.Hierarchy) [][]string {
+	out := [][]string{nil}
+	for _, h := range hiers {
+		var next [][]string
+		for _, g := range out {
+			for d := 0; d <= len(h.Attrs); d++ {
+				next = append(next, append(slices.Clip(g), h.Attrs[:d]...))
+			}
+		}
+		out = next
+	}
+	return out
+}
+
+// sameBits reports whether two group-by results hold the same groups in the
+// same order with the same statistics, bit for bit.
+func sameBits(a, b *agg.Result) bool {
+	if !a.Equal(b) || !slices.Equal(a.Codes, b.Codes) {
+		return false
+	}
+	for i, g := range a.Groups {
+		h := b.Groups[i].Stats
+		if math.Float64bits(g.Stats.Count) != math.Float64bits(h.Count) ||
+			math.Float64bits(g.Stats.Sum) != math.Float64bits(h.Sum) ||
+			math.Float64bits(g.Stats.SumSq) != math.Float64bits(h.SumSq) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkCubeAnswers opens the cube-carrying snapshot file at path eager and
+// mapped and holds its cube to cube.Build over ds, the same rows: every
+// lattice level's GroupBy for every measure, every hierarchy's paths and the
+// cell count, bit for bit.
+func checkCubeAnswers(t *testing.T, label, path string, ds *data.Dataset) {
+	t.Helper()
+	want, err := cube.Build(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mapped := range []bool{false, true} {
+		_, shards, err := openPath(path, mapped, true)
+		if err != nil {
+			t.Fatalf("%s (mapped=%v): %v", label, mapped, err)
+		}
+		got := shards[0].Cube()
+		if got == nil {
+			t.Fatalf("%s (mapped=%v): opened without its cube", label, mapped)
+		}
+		if got.NumCells() != want.NumCells() {
+			t.Errorf("%s (mapped=%v): %d cells, built %d", label, mapped, got.NumCells(), want.NumCells())
+		}
+		for _, attrs := range latticeGroupings(ds.Hierarchies) {
+			for _, m := range ds.MeasureNames() {
+				g, gok := got.GroupBy(attrs, m)
+				w, wok := want.GroupBy(attrs, m)
+				if gok != wok || (wok && !sameBits(g, w)) {
+					t.Errorf("%s (mapped=%v): GroupBy(%v, %s) differs from the built cube", label, mapped, attrs, m)
+				}
+			}
+		}
+		for _, h := range ds.Hierarchies {
+			g, gok := got.HierarchyPaths(h)
+			w, wok := want.HierarchyPaths(h)
+			if gok != wok || !reflect.DeepEqual(g, w) {
+				t.Errorf("%s (mapped=%v): HierarchyPaths(%s) differs from the built cube", label, mapped, h.Name)
+			}
+		}
+		if err := shards[0].Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestGoldenFiles pins the bytes of every .rst file the two writers produce —
 // Snapshot.Write with and without a cube section, WriteSharded over 2 and 3
 // shards — for each dataset the examples/ programs run on and one random
 // survey. Every file is then re-opened from disk eagerly and memory-mapped
 // and written again: a reader that decodes what the writer laid out must
-// reproduce the file to the byte. Work on the writers must leave every digest
-// as recorded; regenerate with -update only for a change that is meant to
-// move the bytes.
+// reproduce the file to the byte. A cube-carrying file's cube must answer
+// exactly as cube.Build over the same rows, opened either way. Work on the
+// writers must leave every digest as recorded; regenerate with -update only
+// for a change that is meant to move the bytes.
 func TestGoldenFiles(t *testing.T) {
 	got := map[string]string{}
 	dir := t.TempDir()
@@ -116,6 +199,11 @@ func TestGoldenFiles(t *testing.T) {
 			t.Fatal(err)
 		}
 		pin(tc.name+"/cube", buf.Bytes())
+		cubePath := filepath.Join(dir, "cube.rst")
+		if err := os.WriteFile(cubePath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		checkCubeAnswers(t, tc.name, cubePath, tc.ds)
 
 		key := tc.ds.Hierarchies[0].Attrs[0]
 		for _, n := range []int{2, 3} {
