@@ -12,6 +12,9 @@
 //	        -hierarchies "geo:region,district,village;time:year" \
 //	        -measures severity -out survey.rst [-cube] [-shards N] [-shard-key dim]
 //
+// A -data path ending in .rst is rewritten in the current format instead: it
+// carries its own schema, so -hierarchies and -measures are then omitted.
+//
 // With -cube the snapshot additionally materializes the hierarchy rollup
 // cube (internal/cube): group-bys over hierarchy prefixes are then answered
 // from precomputed cells when the snapshot is loaded, here or by reptiled.
@@ -130,15 +133,16 @@ func main() {
 }
 
 // runConvert implements "reptile convert": load a CSV dataset (validating
-// its hierarchy metadata) and persist it as a .rst binary snapshot, which
-// later runs load without reparsing or re-deriving dictionaries.
+// its hierarchy metadata), or a .rst snapshot, and persist it as a .rst
+// binary snapshot, which later runs load without reparsing or re-deriving
+// dictionaries.
 func runConvert(args []string) error {
 	fs := flag.NewFlagSet("reptile convert", flag.ExitOnError)
 	var (
-		in          = fs.String("data", "", "input CSV path (required)")
+		in          = fs.String("data", "", "input CSV or .rst path (required)")
 		out         = fs.String("out", "", "output .rst path (required)")
-		hierSpec    = fs.String("hierarchies", "", `hierarchies, e.g. "geo:region,district,village;time:year" (required)`)
-		measureList = fs.String("measures", "", "comma-separated measure columns (required)")
+		hierSpec    = fs.String("hierarchies", "", `hierarchies, e.g. "geo:region,district,village;time:year" (required for CSV)`)
+		measureList = fs.String("measures", "", "comma-separated measure columns (required for CSV)")
 		name        = fs.String("name", "", "dataset name stored in the snapshot (default: the input path)")
 		withCube    = fs.Bool("cube", false, "materialize the hierarchy rollup cube into the snapshot")
 		shards      = fs.Int("shards", 0, "write a partitioned snapshot with N shards (0 or 1 = plain snapshot)")
@@ -147,13 +151,16 @@ func runConvert(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *in == "" || *out == "" || *hierSpec == "" || *measureList == "" {
+	if *in == "" || *out == "" || (!strings.HasSuffix(*in, ".rst") && (*hierSpec == "" || *measureList == "")) {
 		fs.Usage()
 		os.Exit(2)
 	}
-	opts := []reptile.Option{
-		reptile.WithMeasures(splitNonEmpty(*measureList, ",")...),
-		reptile.WithHierarchies(*hierSpec),
+	var opts []reptile.Option
+	if *measureList != "" {
+		opts = append(opts, reptile.WithMeasures(splitNonEmpty(*measureList, ",")...))
+	}
+	if *hierSpec != "" {
+		opts = append(opts, reptile.WithHierarchies(*hierSpec))
 	}
 	if *name != "" {
 		opts = append(opts, reptile.WithName(*name))

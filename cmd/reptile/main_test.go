@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/store"
 	"repro/reptile"
 )
 
@@ -146,5 +147,26 @@ func TestConvertAndSnapshotLoad(t *testing.T) {
 	}
 	if !bytes.Equal(recs[0], recs[1]) {
 		t.Errorf("CSV and snapshot recommendations differ:\ncsv: %s\nrst: %s", recs[0], recs[1])
+	}
+}
+
+// TestConvertRewritesVersion1CubeSection converts a snapshot written with a
+// version-1 (varint) cube section, which opens without its cube: with -cube
+// the output carries the cube again, in the current section layout.
+func TestConvertRewritesVersion1CubeSection(t *testing.T) {
+	const old = "../../internal/store/testdata/cube_v1.rst"
+	if s, err := store.OpenFile(old); err != nil || s.Cube() != nil {
+		t.Fatalf("version-1 fixture: err %v, cube %v", err, s != nil && s.Cube() != nil)
+	}
+	out := filepath.Join(t.TempDir(), "converted.rst")
+	if err := runConvert([]string{"-data", old, "-out", out, "-cube"}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.OpenFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Cube() == nil || s.NumRows() != 300 {
+		t.Fatalf("converted snapshot: cube %v, %d rows", s.Cube() != nil, s.NumRows())
 	}
 }

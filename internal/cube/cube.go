@@ -583,6 +583,56 @@ func (lv *level) appendCell(k uint64, stats []agg.Stats) {
 	}
 }
 
+// Table is one lattice level's cells in storage order: strictly ascending
+// composite keys, each cell's row count, and per measure the cells' sums and
+// sums of squares. internal/store persists a cube as its tables.
+type Table struct {
+	Keys   []uint64
+	Counts []float64
+	Sums   [][]float64 // per measure, aligned with Keys
+	SumSqs [][]float64
+}
+
+// Tables returns the cube's cell tables in lattice order. They are the
+// cube's own: callers must not modify them.
+func (c *Cube) Tables() []Table {
+	out := make([]Table, len(c.levels))
+	for li, lv := range c.levels {
+		out[li] = Table{Keys: lv.keys, Counts: lv.counts, Sums: lv.sums, SumSqs: lv.sumsqs}
+	}
+	return out
+}
+
+// FromTables assembles the cube of ds from its cell tables in lattice order,
+// as Tables returned them, and validates them against ds. It keeps the
+// tables without copying, so views over a file mapping stay views and die
+// with the mapping.
+func FromTables(ds *data.Dataset, tables []Table) (*Cube, error) {
+	c, err := skeleton(ds)
+	if err != nil {
+		return nil, err
+	}
+	if len(tables) != len(c.levels) {
+		return nil, fmt.Errorf("cube: %d cell tables, schema lattice has %d levels", len(tables), len(c.levels))
+	}
+	for li, t := range tables {
+		n := len(t.Keys)
+		ragged := len(t.Counts) != n || len(t.Sums) != len(c.measures) || len(t.SumSqs) != len(c.measures)
+		for mi := 0; !ragged && mi < len(t.Sums); mi++ {
+			ragged = len(t.Sums[mi]) != n || len(t.SumSqs[mi]) != n
+		}
+		if ragged {
+			return nil, fmt.Errorf("cube: level %d: cell table columns differ in length", li)
+		}
+		lv := c.levels[li]
+		lv.keys, lv.counts, lv.sums, lv.sumsqs = t.Keys, t.Counts, t.Sums, t.SumSqs
+	}
+	if err := c.validate(); err != nil {
+		return nil, err
+	}
+	return c, nil
+}
+
 // NumRows returns the number of rows the cube summarizes.
 func (c *Cube) NumRows() int { return c.rows }
 
@@ -598,7 +648,7 @@ func (c *Cube) NumCells() int {
 	return n
 }
 
-// validate checks the structural invariants a decoded cube must satisfy:
+// validate checks the structural invariants stored cell tables must satisfy:
 // strictly ascending in-range keys, positive integral counts, and every
 // level partitioning exactly the cube's rows.
 func (c *Cube) validate() error {

@@ -2,9 +2,18 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/agg"
+	"repro/internal/core"
+	"repro/internal/data"
 )
 
 // cubeSnapshotBytes serializes the demo dataset with a materialized cube.
@@ -148,13 +157,37 @@ func TestOpenRejectsResealedTruncation(t *testing.T) {
 	}
 }
 
+// cellTable returns where level li's keys and counts start in the cube
+// section at sec of a file whose lattice has levels levels and whose schema
+// has measures measures (the layout doc.go describes).
+func cellTable(b []byte, sec, levels, measures, li int) (keys, counts int) {
+	dir := sec + 8
+	keys = dir + 8*levels
+	for l := 0; l < li; l++ {
+		keys += 8 * int(binary.LittleEndian.Uint64(b[dir+8*l:])) * (2 + 2*measures)
+	}
+	return keys, keys + 8*int(binary.LittleEndian.Uint64(b[dir+8*li:]))
+}
+
 // TestOpenRejectsCubeSectionDamage corrupts the cube section in targeted
 // ways — with the outer file checksum re-sealed each time, so the section's
-// own defenses (tag, version, length, inner CRC, structural validation) are
-// what reject the file.
+// own defenses (tag, version, zero padding, the level directory's bounds)
+// and the cube's validation of its cell tables (key order and range, counts
+// integral and covering the rows) are what reject the file, identically
+// through the eager and the mapped open.
 func TestOpenRejectsCubeSectionDamage(t *testing.T) {
 	good := cubeSnapshotBytes(t)
 	plain := noCubeLen(t) // offset where the cube section begins
+	// The demo lattice: geo (district, village) × time (year), 6 levels in
+	// order (geo depth, year depth); level 1 groups by year alone, two cells
+	// keyed 0 (1986, 5 rows) and 1 (1987, 1 row).
+	dir := plain + 8
+	keys1, counts1 := cellTable(good, plain, 6, 1, 1)
+	last := int(binary.LittleEndian.Uint64(good[dir+8*5:]))
+	u64 := func(off int, v uint64) func([]byte) {
+		return func(b []byte) { binary.LittleEndian.PutUint64(b[off:], v) }
+	}
+	f64 := func(off int, v float64) func([]byte) { return u64(off, math.Float64bits(v)) }
 	cases := []struct {
 		name   string
 		mutate func(b []byte)
@@ -162,19 +195,38 @@ func TestOpenRejectsCubeSectionDamage(t *testing.T) {
 	}{
 		{"bad tag", func(b []byte) { b[plain] = 'X' }, "unknown trailing section"},
 		{"future section version", func(b []byte) { b[plain+4] = CubeFormatVersion + 1 }, "cube section version"},
-		{"payload bit flip", func(b []byte) { b[plain+8] ^= 0x20 }, "checksum mismatch"},
-		// Zeroing the payload length leaves the payload bytes dangling after
-		// the (now empty, wrong-checksum) section.
-		{"zero payload length", func(b []byte) { b[plain+5] = 0 }, "checksum mismatch"},
+		{"nonzero padding", func(b []byte) { b[plain+5] = 1 }, "nonzero alignment padding"},
+		// The lowest mantissa bit of a count of 5.
+		{"payload bit flip", func(b []byte) { b[counts1] ^= 0x01 }, "bad count"},
+		// Level 0's one cell shifts onto level 1 and the last level's arrays
+		// end short of the section.
+		{"zero payload length", u64(dir, 0), "trailing bytes"},
+		{"descending keys", func(b []byte) { u64(keys1, 1)(b); u64(keys1+8, 0)(b) }, "keys not strictly ascending"},
+		{"duplicate key", u64(keys1+8, 0), "keys not strictly ascending"},
+		{"key outside the key space", u64(keys1+8, 2), "out of range"},
+		{"zero count", f64(counts1, 0), "bad count"},
+		{"non-integral count", f64(counts1, 4.5), "bad count"},
+		{"counts short of the rows", f64(counts1, 4), "covers 5 rows"},
+		{"directory overruns the file", u64(dir+8*5, 1<<40), "overrun the section"},
+		{"one cell too many", u64(dir+8*5, uint64(last+1)), "overrun the section"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			b := append([]byte(nil), good...)
 			tc.mutate(b)
 			reseal(b)
-			_, err := Open(bytes.NewReader(b))
-			if err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("err = %v, want %q", err, tc.want)
+			if _, err := Open(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("eager err = %v, want %q", err, tc.want)
+			}
+			path := filepath.Join(t.TempDir(), "damaged.rst")
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := OpenMappedFile(path); err == nil || !strings.Contains(err.Error(), tc.want) {
+				if err == nil {
+					s.Close()
+				}
+				t.Fatalf("mapped err = %v, want %q", err, tc.want)
 			}
 		})
 	}
@@ -202,4 +254,64 @@ func TestWriteFileOpenFilePreservesCube(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertDatasetsEqual(t, back, demoDataset())
+}
+
+// TestOpenVersion1CubeSection opens a file written with a version-1 (varint)
+// cube section, testdata/cube_v1.rst, eager and mapped: it opens without its
+// cube and without an error, holds the quickstart survey, and recommends
+// byte-identically to an engine whose dataset carries a built cube.
+func TestOpenVersion1CubeSection(t *testing.T) {
+	complaint := core.Complaint{Agg: agg.Std, Measure: "severity", Tuple: data.Predicate{"district": "Ofla", "year": "1986"}, Direction: core.TooHigh}
+	recommend := func(ds *data.Dataset) []byte {
+		t.Helper()
+		eng, err := core.NewEngine(ds, core.Options{EMIterations: 4, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := eng.NewSession([]string{"district", "year"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := sess.Recommend(complaint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for _, mapped := range []bool{false, true} {
+		_, shards, err := openPath("testdata/cube_v1.rst", mapped, true)
+		if err != nil {
+			t.Fatalf("mapped=%v: %v", mapped, err)
+		}
+		s := shards[0]
+		if s.Cube() != nil {
+			t.Fatalf("mapped=%v: a version-1 cube section yielded a cube", mapped)
+		}
+		ds, err := s.Dataset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDatasetsEqual(t, ds, quickstartDataset())
+		cubed := FromDataset(ds)
+		if err := cubed.BuildCube(); err != nil {
+			t.Fatal(err)
+		}
+		withCube, err := cubed.Dataset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if withCube.Rollup() == nil {
+			t.Fatal("reference dataset carries no cube")
+		}
+		if got, want := recommend(ds), recommend(withCube); !bytes.Equal(got, want) {
+			t.Errorf("mapped=%v: recommendation without the cube differs from the cube-built one:\n%.400s\n%.400s", mapped, got, want)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

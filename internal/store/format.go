@@ -30,8 +30,10 @@ const FormatVersion = 2
 // cubeTag introduces the optional materialized-cube section.
 var cubeTag = [4]byte{'C', 'U', 'B', 'E'}
 
-// CubeFormatVersion is the current cube section format version.
-const CubeFormatVersion = 1
+// CubeFormatVersion is the current cube section format version: fixed-width,
+// 8-byte-aligned cell tables. Version 1 (varint keys and counts) is skipped
+// on open, which leaves the file without its cube.
+const CubeFormatVersion = 2
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -170,14 +172,21 @@ func writeLayout(w io.Writer, key string, shards []*Snapshot) error {
 		}
 	}
 	if plain && first.cube != nil {
-		payload := first.cube.AppendBinary(nil)
+		tables := first.cube.Tables()
 		we.bytes(cubeTag[:])
 		we.byte(CubeFormatVersion)
-		we.uvarint(uint64(len(payload)))
-		we.bytes(payload)
-		var sum [4]byte
-		binary.LittleEndian.PutUint32(sum[:], crc32.Checksum(payload, castagnoli))
-		we.bytes(sum[:])
+		we.pad(3)
+		for _, t := range tables {
+			we.words([]uint64{uint64(len(t.Keys))})
+		}
+		for _, t := range tables {
+			we.words(t.Keys)
+			we.floats(t.Counts)
+			for mi := range t.Sums {
+				we.floats(t.Sums[mi])
+				we.floats(t.SumSqs[mi])
+			}
+		}
 	}
 	if we.err == nil {
 		we.err = bw.Flush()
@@ -348,10 +357,10 @@ func decodeSnapshot(d *decoder, m *mapping) (*Snapshot, error) {
 		return nil, err
 	}
 	s := h.snapshot(d, m, h.rows, h.dimOff, h.msOff)
-	var cubePayload []byte
+	var tables []cube.Table
 	if d.err == nil && h.cubeOff != 0 {
 		d.off = h.cubeOff
-		cubePayload = d.cubeSection()
+		tables = d.cubeSection(h.hierarchies, len(h.measureNames), m != nil)
 		if d.err == nil && d.off != len(d.b) {
 			return nil, fmt.Errorf("store: %d trailing bytes after snapshot payload", len(d.b)-d.off)
 		}
@@ -359,26 +368,26 @@ func decodeSnapshot(d *decoder, m *mapping) (*Snapshot, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("store: decoding snapshot: %w", d.err)
 	}
-	return finishSnapshot(s, cubePayload)
+	return finishSnapshot(s, tables)
 }
 
 // finishSnapshot runs post-decode validation and cube attachment.
-func finishSnapshot(s *Snapshot, cubePayload []byte) (*Snapshot, error) {
+func finishSnapshot(s *Snapshot, tables []cube.Table) (*Snapshot, error) {
 	if err := s.validate(); err != nil {
 		return nil, err
 	}
-	if cubePayload != nil {
+	if tables != nil {
 		// The snapshot's own invariants hold, so the derived dataset exists;
-		// decode the cube against it and attach (validate-on-open included).
-		// cube.Decode copies everything it keeps, so the cube stays valid
-		// independent of a mapping's lifetime.
+		// assemble the cube over it and attach (validate-on-open included).
+		// The cube keeps the tables as read: on a mapped open they are views
+		// over the mapping and, like the columns, die with it.
 		ds, err := s.Dataset()
 		if err != nil {
 			return nil, err
 		}
-		c, err := cube.Decode(cubePayload, ds)
+		c, err := cube.FromTables(ds, tables)
 		if err != nil {
-			return nil, fmt.Errorf("store: decoding cube section: %w", err)
+			return nil, fmt.Errorf("store: cube section: %w", err)
 		}
 		s.attachCube(c)
 	}
@@ -422,11 +431,11 @@ func (sc *schemaV2) snapshot(d *decoder, m *mapping, rows int, dimOff, msOff []i
 	}
 	for i, dim := range sc.dims {
 		d.off = dimOff[i]
-		s.Dims[i] = Column{Name: dim.name, Dict: dim.dict, Codes: d.codes(rows, m != nil)}
+		s.Dims[i] = Column{Name: dim.name, Dict: dim.dict, Codes: elems[uint32](d, rows, m != nil)}
 	}
 	for i, name := range sc.measureNames {
 		d.off = msOff[i]
-		s.Measures[i] = MeasureColumn{Name: name, Values: d.floats(rows, m != nil)}
+		s.Measures[i] = MeasureColumn{Name: name, Values: elems[float64](d, rows, m != nil)}
 	}
 	return s
 }
@@ -563,29 +572,62 @@ func checkPadding(b []byte, from, to int) error {
 	return nil
 }
 
-// cubeSection parses the optional trailing cube section and returns its
-// checksum-verified payload.
-func (d *decoder) cubeSection() []byte {
+// cubeSection parses the optional trailing cube section into one cell table
+// per lattice level of hiers, with measures sums and sums of squares per
+// cell: views over the payload bytes when mapped (see elems). It checks what
+// the cube cannot — the zero padding, and every level's arrays against the
+// section's end — and leaves the tables' contents to cube.FromTables. A
+// version-1 (varint) section yields no tables: the file opens without its
+// cube, and serving builds one or scans.
+func (d *decoder) cubeSection(hiers []data.Hierarchy, measures int, mapped bool) []cube.Table {
 	var tag [4]byte
 	copy(tag[:], d.bytes(len(tag)))
 	if d.err == nil && tag != cubeTag {
 		d.fail("unknown trailing section %q", tag[:])
 		return nil
 	}
-	if v := d.byte(); d.err == nil && v != CubeFormatVersion {
+	switch v := d.byte(); {
+	case d.err != nil:
+		return nil
+	case v == 1:
+		d.off = len(d.b) // the tail CRC covered it; there is nothing to decode it with
+		return nil
+	case v != CubeFormatVersion:
 		d.fail("unsupported cube section version %d (want %d)", v, CubeFormatVersion)
 		return nil
 	}
-	payload := d.bytes(d.count())
-	sum := d.bytes(4)
-	if d.err != nil {
+	if d.err = checkPadding(d.b, d.off, align8(d.off)); d.err != nil {
 		return nil
 	}
-	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(sum); got != want {
-		d.fail("cube section checksum mismatch (file %08x, computed %08x)", want, got)
-		return nil
+	d.off = align8(d.off)
+	// The level directory holds a cell count per lattice level: one level
+	// per depth vector, Π (depth + 1) over the hierarchies.
+	levels := 1
+	for _, hr := range hiers {
+		if levels > (len(d.b)-d.off)/8/(len(hr.Attrs)+1) {
+			d.fail("cube level directory overruns the section")
+			return nil
+		}
+		levels *= len(hr.Attrs) + 1
 	}
-	return payload
+	cells := elems[uint64](d, levels, false)
+	width := 8 * (2 + 2*measures) // a cell's key, count, and sum and sum of squares per measure
+	tables := make([]cube.Table, len(cells))
+	for li, n := range cells {
+		if n > uint64((len(d.b)-d.off)/width) {
+			d.fail("cube level %d: %d cells overrun the section", li, n)
+			return nil
+		}
+		t := &tables[li]
+		t.Keys = elems[uint64](d, int(n), mapped)
+		t.Counts = elems[float64](d, int(n), mapped)
+		t.Sums, t.SumSqs = make([][]float64, measures), make([][]float64, measures)
+		for mi := range t.Sums {
+			t.Sums[mi] = elems[float64](d, int(n), mapped)
+			t.SumSqs[mi] = elems[float64](d, int(n), mapped)
+		}
+	}
+	return tables
 }
 
 // encoder writes the primitive field types, latching the first error.
@@ -623,6 +665,14 @@ func (e *encoder) codes(cs []uint32) {
 	var buf [4]byte
 	for _, c := range cs {
 		binary.LittleEndian.PutUint32(buf[:], c)
+		e.bytes(buf[:])
+	}
+}
+
+func (e *encoder) words(vs []uint64) {
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], v)
 		e.bytes(buf[:])
 	}
 }
@@ -718,40 +768,34 @@ func (d *decoder) string() string {
 	return string(d.bytes(n))
 }
 
-// codes reads one dimension payload of rows codes at the decoder's offset:
-// as a view over the payload bytes when they belong to a file mapping (and
-// view can serve them), decoded onto the heap otherwise.
-func (d *decoder) codes(rows int, mapped bool) []uint32 {
-	raw := d.bytes(4 * rows)
+// elems reads n fixed-width little-endian elements at the decoder's offset —
+// a column payload or a cube cell table: as a view over the payload bytes
+// when they belong to a file mapping (and view can serve them), decoded onto
+// the heap otherwise.
+func elems[T uint32 | uint64 | float64](d *decoder, n int, mapped bool) []T {
+	raw := d.bytes(binary.Size(*new(T)) * n)
 	if raw == nil {
 		return nil
 	}
 	if mapped {
-		if out, ok := view[uint32](raw); ok {
+		if out, ok := view[T](raw); ok {
 			return out
 		}
 	}
-	out := make([]uint32, rows)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(raw[4*i:])
-	}
-	return out
-}
-
-// floats reads one measure payload of rows values; see codes.
-func (d *decoder) floats(rows int, mapped bool) []float64 {
-	raw := d.bytes(8 * rows)
-	if raw == nil {
-		return nil
-	}
-	if mapped {
-		if out, ok := view[float64](raw); ok {
-			return out
+	out := make([]T, n)
+	switch o := any(out).(type) {
+	case []uint32:
+		for i := range o {
+			o[i] = binary.LittleEndian.Uint32(raw[4*i:])
 		}
-	}
-	out := make([]float64, rows)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+	case []uint64:
+		for i := range o {
+			o[i] = binary.LittleEndian.Uint64(raw[8*i:])
+		}
+	case []float64:
+		for i := range o {
+			o[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
 	}
 	return out
 }

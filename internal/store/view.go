@@ -9,8 +9,8 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// view reinterprets b — a column payload of fixed-width little-endian
-// elements inside a file mapping — as a []T over the same memory, without
+// view reinterprets b — a column payload or a cube cell table of fixed-width
+// little-endian elements inside a file mapping — as a []T over the same memory, without
 // copying. The directory validation has already placed b on an 8-byte file
 // offset and bounded it by the file; view checks what is left to check, and
 // reports ok=false — the caller then decodes b element by element onto the
@@ -22,7 +22,7 @@ var hostLittleEndian = func() bool {
 //
 // This is the repository's only use of unsafe (reptile-lint's boundaries
 // analyzer holds every other package to that).
-func view[T uint32 | float64](b []byte) (out []T, ok bool) {
+func view[T uint32 | uint64 | float64](b []byte) (out []T, ok bool) {
 	var zero T
 	size := int(unsafe.Sizeof(zero))
 	if !hostLittleEndian || len(b)%size != 0 {
