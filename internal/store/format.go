@@ -173,12 +173,14 @@ func writeLayout(w io.Writer, key string, shards []*Snapshot) error {
 	}
 	if plain && first.cube != nil {
 		tables := first.cube.Tables()
+		cells := make([]uint64, len(tables))
+		for li, t := range tables {
+			cells[li] = uint64(len(t.Keys))
+		}
 		we.bytes(cubeTag[:])
 		we.byte(CubeFormatVersion)
-		we.pad(3)
-		for _, t := range tables {
-			we.words([]uint64{uint64(len(t.Keys))})
-		}
+		we.pad(3) // to the next 8-byte boundary
+		we.words(cells)
 		for _, t := range tables {
 			we.words(t.Keys)
 			we.floats(t.Counts)
