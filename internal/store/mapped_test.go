@@ -146,8 +146,9 @@ func TestOpenMappedRejectsTruncationEverywhere(t *testing.T) {
 // TestMappedViewCannotFault opens a snapshot "mapped" over heap buffers that
 // break what the view helper relies on — every misalignment of the base
 // address, and every truncation at every misalignment — and asserts the open
-// either errors or decodes the affected columns eagerly into the same
-// dataset; it never panics and never serves a misaligned view.
+// either errors or decodes the affected columns and cube cell tables eagerly
+// into the same dataset and cube; it never panics and never serves a
+// misaligned view.
 func TestMappedViewCannotFault(t *testing.T) {
 	good := cubeSnapshotBytes(t)
 	eager, err := Open(bytes.NewReader(good))
@@ -175,6 +176,9 @@ func TestMappedViewCannotFault(t *testing.T) {
 			t.Fatalf("shift %d: %v", shift, err)
 		}
 		assertDatasetsEqual(t, got, want)
+		if !reflect.DeepEqual(s.Cube().Tables(), eager.Cube().Tables()) {
+			t.Errorf("shift %d: cube cell tables differ from the eager open's", shift)
+		}
 		for cut := 0; cut < len(good); cut++ {
 			if _, _, err := openShards(b[:cut], &mapping{data: b[:cut]}, true); err == nil {
 				t.Fatalf("shift %d: truncation at %d/%d opened", shift, cut, len(good))
@@ -189,6 +193,9 @@ func TestMappedViewCannotFault(t *testing.T) {
 	}
 	if _, ok := view[float64](raw[4:20]); ok {
 		t.Error("view served float64s from a 4-byte-aligned address")
+	}
+	if _, ok := view[uint64](raw[4:20]); ok {
+		t.Error("view served uint64s from a 4-byte-aligned address")
 	}
 	if _, ok := view[uint32](raw[1:9]); ok {
 		t.Error("view served uint32s from an odd address")
