@@ -47,6 +47,9 @@
 // addition, so — unlike built cubes — a merged cube's sums can differ from a
 // full rescan in the last floating-point bit when the batch carried
 // non-integral values (counts stay exact; see Merge). internal/store
-// persists cubes as an optional, versioned, checksummed trailing section of
-// the .rst format; files without the section load exactly as before.
+// persists a cube as its cell tables (Tables), fixed-width arrays in an
+// optional trailing section of the .rst format, and reassembles it with
+// FromTables, which validates the tables and keeps them without copying — on
+// a mapped open they stay views over the file. The cube package parses no
+// bytes; files without the section load exactly as before.
 package cube

@@ -11,16 +11,17 @@
 // data.Dataset (data.FromColumns) shares those slices, so agg.GroupBy, the
 // factorizer and the cube builder scan the snapshot's own arrays.
 //
-// Snapshots open in two modes. Open/OpenFile decode every column into heap
-// slices (eager). OpenMappedFile memory-maps the file instead: only the
-// header — schema, dictionaries, offset directory — is parsed, and each
-// column is a typed view ([]uint32, []float64) over its payload inside the
+// Snapshots open in two modes. Open/OpenFile decode every column and cube
+// cell table into heap slices (eager). OpenMappedFile memory-maps the file
+// instead: only the header — schema, dictionaries, offset directory — and
+// the cube's level directory are parsed, and each column and cell table is a
+// typed view ([]uint32, []uint64, []float64) over its payload inside the
 // mapping, built by the alignment-checked helper in view.go (a big-endian
 // host or a misaligned buffer falls back to decoding onto the heap). Every
 // validation pass of the eager open — header CRC, offset directory and
 // zero padding, code ranges, dictionary contents, hierarchy functional
-// dependencies — runs over the views, so residency stays O(dictionaries +
-// cube) regardless of the row count. Both modes produce byte-identical
+// dependencies, the cube's key order and row coverage — runs over the views,
+// so residency stays O(dictionaries) regardless of the row and cell counts. Both modes produce byte-identical
 // query results; mapped snapshots (Snapshot.Mapped) reject mutation
 // (appending, partitioning, retention) and must be released with Close,
 // after which neither the snapshot nor any dataset derived from it may be
@@ -64,10 +65,27 @@
 // byte of 1, plain or partitioned, gets one dedicated error asking for a
 // re-run of `reptile convert` from the source CSV.
 //
-// The optional cube section:
+// The optional cube section (cube format version 2) holds the cube's cell
+// tables (internal/cube's Table) in the columns' representation, so a mapped
+// open views them in place too:
 //
-//	tag "CUBE" | cube format version byte | payload length uv
-//	payload (internal/cube encoding) | cube CRC u32
+//	tag "CUBE" | cube format version byte = 2 | zero padding to 8
+//	level directory: one u64 cell count per lattice level, in lattice
+//	                 order (Π (depth + 1) levels over the hierarchies)
+//	per level: cells × u64 keys (strictly ascending composite keys)
+//	           cells × u64 float64 bits of the counts
+//	           per measure: cells × u64 float64 bits of the sums, then
+//	                        cells × u64 float64 bits of the sums of squares
+//
+// Every array starts 8-aligned because every element is 8 bytes wide. The
+// decoder checks the padding and that every level's arrays end inside the
+// section, which must end the file's payload; cube.FromTables checks the
+// tables' contents (keys ascending inside the level's key space, counts
+// integral, positive and covering the rows). The section has no CRC of its
+// own: the tail CRC covers it. A version-1 section (varint keys and counts,
+// its own CRC) is skipped: the file opens without its cube, as a cubeless
+// file does, and `reptile convert` rewrites it in the current layout. Any
+// other section version is refused.
 //
 // # Partitioned file format
 //

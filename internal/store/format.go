@@ -19,7 +19,8 @@ import (
 // The .rst binary layouts are documented in doc.go. Version 2 (the current
 // writer output) separates a self-describing header — schema, dictionaries,
 // and a CRC-checked byte-offset directory — from fixed-width, 8-byte-aligned
-// column payloads, so OpenMappedFile can expose columns straight out of a
+// column payloads, so OpenMappedFile can expose columns (and the cube
+// section's cell tables, laid out the same way) straight out of a
 // memory-mapped file without decoding them into heap slices. Version 1
 // (inline payloads) is no longer readable.
 var magic = [7]byte{'R', 'S', 'T', 'S', 'N', 'A', 'P'}

@@ -88,9 +88,10 @@ func (s *Snapshot) ResidentColumnBytes() int64 {
 // OpenMappedFile memory-maps a .rst snapshot instead of decoding it onto the
 // heap: the header (schema, dictionaries, offset directory) is parsed and
 // CRC-checked, every validation pass streams over the mapped payloads, and
-// the returned snapshot's Codes/Values are typed views over the mapping (see
-// view). Heap cost is O(dictionaries + cube), not O(rows), so datasets
-// larger than RAM serve with flat residency. Release the mapping with Close.
+// the returned snapshot's Codes/Values and its cube's cell tables are typed
+// views over the mapping (see view). Heap cost is O(dictionaries), not
+// O(rows) or O(cells), so datasets larger than RAM serve with flat
+// residency. Release the mapping with Close.
 func OpenMappedFile(path string) (*Snapshot, error) {
 	return single(openPath(path, true, true))
 }
