@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -105,6 +106,80 @@ func TestSourceFromDatasetCodedMatchesStringPath(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("source != string-reference source:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// TestSourceFromDatasetKeyRegimes holds a source's paths to the string
+// reference over every shape of key space a scan's bucketing can meet —
+// dictionaries mostly unused, their product far below, exactly at and just
+// past four times the row count, far past it within uint64 (six attributes of
+// 1,000 entries) and past uint64 (seven) — at row counts on both sides of a
+// 1,024-row boundary, whole and as a Where subset keeping the dictionaries.
+// Each row takes one of at most five paths, named by its last attribute's
+// value, so the hierarchy's dependencies hold and the source must build; a
+// hierarchy of no attributes must be refused.
+func TestSourceFromDatasetKeyRegimes(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for _, rows := range []int{1, 1023, 1024, 1025, 3*1024 + 7} {
+		for _, sizes := range [][]int{
+			{},
+			{1},
+			{1, 5},
+			{7, 6},
+			{4 * rows},
+			{4*rows + 1},
+			{4, rows},
+			{2, 2*rows + 1},
+			{1000, 1000, 1000, 1000, 1000, 1000},
+			{1000, 1000, 1000, 1000, 1000, 1000, 1000},
+		} {
+			dims := make([]data.DimColumn, len(sizes))
+			h := data.Hierarchy{Name: "h"}
+			for ai, size := range sizes {
+				dict := make([]string, size)
+				for c := range dict {
+					dict[c] = fmt.Sprintf("a%d_%d", ai, size-c)
+				}
+				dims[ai] = data.DimColumn{Name: fmt.Sprintf("a%d", ai), Dict: dict, Codes: make([]uint32, rows)}
+				h.Attrs = append(h.Attrs, dims[ai].Name)
+			}
+			for row := 0; row < rows; row++ {
+				// The i'th of an attribute's at most five codes in use (its
+				// dictionary's last among them) determines its parent's.
+				i := rng.Intn(5)
+				for ai := len(sizes) - 1; ai >= 0; ai-- {
+					used := min(5, sizes[ai])
+					i %= used
+					dims[ai].Codes[row] = uint32(sizes[ai] - 1 - i*(sizes[ai]/used))
+				}
+			}
+			d, err := data.FromColumns("padded", dims, []data.MeasureColumn{{Name: "m", Values: make([]float64, rows)}}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			subset := d.Where(data.Predicate{})
+			if len(sizes) > 0 {
+				subset = d.Where(data.Predicate{h.Attrs[0]: d.Dim(h.Attrs[0])[0]})
+			}
+			for _, sub := range []*data.Dataset{d, subset} {
+				got, err := SourceFromDataset(sub, h)
+				if len(sizes) == 0 {
+					if err == nil {
+						t.Errorf("%d rows: a hierarchy of no attributes built a source", sub.NumRows())
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("%d of %d rows, dictionaries %v: %v", sub.NumRows(), rows, sizes, err)
+				}
+				want := referencePaths(sub, h)
+				slices.SortFunc(want, func(a, b []string) int { return slices.Compare(a, b) })
+				if !reflect.DeepEqual(got.Paths, want) {
+					t.Errorf("%d of %d rows, dictionaries %v: source paths != sorted string reference:\n got %v\nwant %v",
+						sub.NumRows(), rows, sizes, got.Paths, want)
+				}
+			}
+		}
 	}
 }
 

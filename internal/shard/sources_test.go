@@ -77,9 +77,21 @@ func randomSurvey(rng *rand.Rand) (names []string, hs []data.Hierarchy, rows []s
 // Result.Equal to the unsharded agg.GroupBy, a recommendation's observed groups
 // are the reference children and its zero-count groups the reference empty
 // siblings, and the whole recommendation is byte-identical to the row scan's.
+// It runs under the default trainer and again under TrainerFactorised, where
+// every recommendation also builds each hierarchy's factor source from its
+// source's paths.
 func TestSourcesAgreeWithRowScanReference(t *testing.T) {
+	for _, trainer := range []struct {
+		name string
+		kind core.TrainerKind
+	}{{"auto", core.TrainerAuto}, {"factorised", core.TrainerFactorised}} {
+		t.Run(trainer.name, func(t *testing.T) { checkSourcesAgree(t, trainer.kind) })
+	}
+}
+
+func checkSourcesAgree(t *testing.T, trainer core.TrainerKind) {
 	rng := rand.New(rand.NewSource(21))
-	opts := core.Options{EMIterations: 2, Workers: 2}
+	opts := core.Options{EMIterations: 2, Workers: 2, Trainer: trainer}
 	for round := 0; round < 6; round++ {
 		names, hs, rows, nbase := randomSurvey(rng)
 		full := data.New("survey", names, []string{"m"}, hs)
