@@ -221,7 +221,7 @@ func TestConcurrentTrainCrossSharesFactorizer(t *testing.T) {
 				t.Error(err)
 				return nil
 			}
-			fz, err := eng.factorizer(h, depth)
+			fz, err := eng.factorizer(h, depth, "severity")
 			if err != nil {
 				t.Error(err)
 				return nil

@@ -111,11 +111,11 @@ type Engine struct {
 	ds   *data.Dataset
 	opts Options
 
-	// src is the data plane, the only thing aggregations and path extractions
-	// ask (see shard.go): LocalShard(ds), or for NewShardedEngine a gather over
-	// the partitions — ds is then the schema dataset (the first shard's, by
-	// convention), consulted for hierarchies and measure names only, and shards
-	// and shardKey report the partitioning.
+	// src is the data plane, the only thing every aggregation (hierarchy paths
+	// included) asks (see shard.go): LocalShard(ds), or for NewShardedEngine a
+	// gather over the partitions — ds is then the schema dataset (the first
+	// shard's, by convention), consulted for hierarchies and measure names
+	// only, and shards and shardKey report the partitioning.
 	src      ShardWorker
 	shards   int
 	shardKey string
@@ -135,13 +135,19 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 }
 
 // sourceFor returns the factorizer source of a hierarchy (the §4.4 caching
-// regime: distinct hierarchy paths never change), built from the data plane's
-// distinct paths.
-func (e *Engine) sourceFor(h data.Hierarchy) (*factor.Source, error) {
+// regime: distinct hierarchy paths never change). A hierarchy's paths are the
+// groups of γ over its own attributes, so they come from the memoised
+// group-by, over any measure: a drill state whose drilled relation is h's
+// path set shares that one call.
+func (e *Engine) sourceFor(h data.Hierarchy, measure string) (*factor.Source, error) {
 	return memoGet(e.memo, fmt.Sprintf("source %q", h.Name), func() (*factor.Source, error) {
-		paths, err := e.src.HierarchyPaths(h)
+		groups, err := e.groups(nil, h.Attrs, measure)
 		if err != nil {
 			return nil, err
+		}
+		paths := make([][]string, len(groups.Groups))
+		for gi, g := range groups.Groups {
+			paths[gi] = g.Vals
 		}
 		return factor.NewSource(h.Name, h.Attrs, paths)
 	}, func(src *factor.Source) int { return len(src.Paths) })
@@ -670,7 +676,7 @@ func (e *Engine) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *featu
 	var fz *factor.Factorizer
 	if kind == TrainerAuto || kind == TrainerFactorised || kind == TrainerNaiveFull {
 		var err error
-		fz, err = e.factorizer(h, depth)
+		fz, err = e.factorizer(h, depth, groups.Measure)
 		if err != nil {
 			return nil, err
 		}
@@ -723,8 +729,9 @@ func allTrue(mask []bool) bool {
 // factorizer returns the factorised representation of the view drilled one
 // level into h: every hierarchy at its current depth, the drilled hierarchy
 // one level deeper and ordered last. It is memoised per drilled view and only
-// read after construction, so the per-statistic fits share it.
-func (e *Engine) factorizer(h data.Hierarchy, depth map[string]int) (*factor.Factorizer, error) {
+// read after construction, so the per-statistic fits share it. measure names
+// the group-by a missing source is read from; the view does not depend on it.
+func (e *Engine) factorizer(h data.Hierarchy, depth map[string]int, measure string) (*factor.Factorizer, error) {
 	key := fmt.Sprintf("factorizer %q", e.drillAttrs(h, depth))
 	return memoGet(e.memo, key, func() (*factor.Factorizer, error) {
 		var sources []*factor.Source
@@ -737,14 +744,14 @@ func (e *Engine) factorizer(h data.Hierarchy, depth map[string]int) (*factor.Fac
 			if d == 0 {
 				continue // hierarchy not part of the view
 			}
-			src, err := e.sourceFor(other)
+			src, err := e.sourceFor(other, measure)
 			if err != nil {
 				return nil, err
 			}
 			sources = append(sources, src)
 			depths = append(depths, d)
 		}
-		src, err := e.sourceFor(h)
+		src, err := e.sourceFor(h, measure)
 		if err != nil {
 			return nil, err
 		}

@@ -33,11 +33,6 @@ func (c *countingShard) PartialGroupBy(attrs []string, measure string) (*agg.Res
 	return c.inner.PartialGroupBy(attrs, measure)
 }
 
-func (c *countingShard) HierarchyPaths(h data.Hierarchy) ([][]string, error) {
-	c.count("paths " + h.Name)
-	return c.inner.HierarchyPaths(h)
-}
-
 func mustJSON(t *testing.T, s *Session, c Complaint) []byte {
 	t.Helper()
 	rec, err := s.Recommend(c)
@@ -53,8 +48,8 @@ func mustJSON(t *testing.T, s *Session, c Complaint) []byte {
 
 // TestSessionsShareEngineState asserts that what depends only on the dataset
 // is computed once per engine, not once per session or per complaint: two
-// sessions at the same drill state cost one shard group-by per (attrs,
-// measure) and one path extraction per hierarchy, whatever the aggregates
+// sessions at the same drill state cost one shard group-by per distinct
+// (attrs, measure), hierarchy paths included, whatever the aggregates
 // complained about, and a drilled session aggregates at the new granularity.
 func TestSessionsShareEngineState(t *testing.T) {
 	sc := buildScenario(13)
@@ -75,14 +70,14 @@ func TestSessionsShareEngineState(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// One group-by per candidate hierarchy and one path extraction per
-	// hierarchy: everything one recommend asks of the data plane, and
-	// everything the later ones at this drill state share.
+	// One group-by per distinct (attrs, measure): each candidate's drilled
+	// relation and each factor source's paths, where geo's paths are the geo
+	// drill-down's own relation. That is everything one recommend asks of the
+	// data plane, and everything the later ones at this drill state share.
 	wantCalls := map[string]int{
 		`groupby ["district" "village"] "severity"`: 1,
 		`groupby ["district" "year"] "severity"`:    1,
-		"paths geo":                                 1,
-		"paths time":                                1,
+		`groupby ["year"] "severity"`:               1,
 	}
 	checkCalls := func(when string) {
 		t.Helper()
@@ -227,12 +222,13 @@ func TestMemoBudget(t *testing.T) {
 		if _, kept := eng.memo.entries[`groups ["district"] "severity"`]; kept {
 			t.Errorf("budget %d: the first state's group-by survived, so the table never reset", budget)
 		}
-		_, deepest := eng.memo.entries[`groups ["year" "district" "village"] "severity"`]
-		if budget < 120 && deepest {
+		if _, deepest := eng.memo.entries[`groups ["year" "district" "village"] "severity"`]; budget < 120 && deepest {
 			t.Errorf("budget %d: a 120-group entry was retained", budget)
 		}
-		if budget >= 120 && !deepest {
-			t.Errorf("budget %d: the last group-by built, which fits, was not retained", budget)
+		// The last entry the walk builds is the deepest drill-down's
+		// factorizer, after the group-bys its sources are read from.
+		if _, kept := eng.memo.entries[`factorizer ["year" "district" "village"]`]; !kept {
+			t.Errorf("budget %d: the last entry built, which fits, was not retained", budget)
 		}
 	}
 }
@@ -248,10 +244,6 @@ func (f *flakyShard) PartialGroupBy(attrs []string, measure string) (*agg.Result
 		panic("flaky shard")
 	}
 	return f.inner.PartialGroupBy(attrs, measure)
-}
-
-func (f *flakyShard) HierarchyPaths(h data.Hierarchy) ([][]string, error) {
-	return f.inner.HierarchyPaths(h)
 }
 
 // TestPanickingBuildLeavesNoEntry: a shard worker that panics on its first

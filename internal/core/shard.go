@@ -6,35 +6,33 @@ import (
 
 	"repro/internal/agg"
 	"repro/internal/data"
-	"repro/internal/factor"
 )
 
-// ShardWorker is the engine's data plane: the one source Recommend asks, for
-// γ (PartialGroupBy) and for a hierarchy's distinct paths (HierarchyPaths).
-// Two questions suffice because the complained tuple's children (σ) and empty
-// siblings (∖) are read off the drilled relation, whose groups already hold
-// every row's (ancestors, attribute) path. Schema questions are answered by
-// the engine's schema dataset, never by a worker. The interface is small and
-// value-oriented so a later implementation can proxy a remote shard server;
-// every method may therefore fail.
+// ShardWorker is the engine's data plane: the one source Recommend asks, and
+// the one question it asks is γ (PartialGroupBy). One suffices because the
+// complained tuple's children (σ) and empty siblings (∖) are read off the
+// drilled relation, whose groups already hold every row's (ancestors,
+// attribute) path, and a hierarchy's distinct paths are the groups of γ over
+// its own attributes. Schema questions are answered by the engine's schema
+// dataset, never by a worker. The interface is small and value-oriented so a
+// later implementation can proxy a remote shard server; the call may
+// therefore fail.
 //
-// Determinism contract: each method returns exactly what a row scan over the
-// worker's rows would — the agg.GroupBy result, the distinct full-depth paths
-// (any order). Workers gathered into one engine code their results against
-// dictionaries shared up to append-only growth: per attribute each worker's
-// is a prefix of the longest (a shard.Set's are — a shard an Append leaves
-// untouched keeps its cube's shorter ones); the gather refuses anything else.
-// It merges in shard-index order, so results are reproducible run to run, and
-// is itself a ShardWorker: an engine cannot tell one worker from many.
+// Determinism contract: PartialGroupBy returns exactly what a row scan over
+// the worker's rows would, the agg.GroupBy result. Workers gathered into one
+// engine code their results against dictionaries shared up to append-only
+// growth: per attribute each worker's is a prefix of the longest (a
+// shard.Set's are — a shard an Append leaves untouched keeps its cube's
+// shorter ones); the gather refuses anything else. It merges in shard-index
+// order, so results are reproducible run to run, and is itself a ShardWorker:
+// an engine cannot tell one worker from many.
 type ShardWorker interface {
 	// PartialGroupBy aggregates the worker's rows at the given granularity.
 	PartialGroupBy(attrs []string, measure string) (*agg.Result, error)
-	// HierarchyPaths enumerates the worker's distinct full-depth paths of h.
-	HierarchyPaths(h data.Hierarchy) ([][]string, error)
 }
 
 // localShard is the in-process ShardWorker: a dataset queried directly, from
-// its cube or by row scan as agg.GroupBy and factor.DistinctPaths decide.
+// its cube or by row scan as agg.GroupBy decides.
 type localShard struct{ ds *data.Dataset }
 
 // LocalShard wraps one shard's dataset as an in-process ShardWorker. The
@@ -43,10 +41,6 @@ func LocalShard(ds *data.Dataset) ShardWorker { return localShard{ds: ds} }
 
 func (l localShard) PartialGroupBy(attrs []string, measure string) (*agg.Result, error) {
 	return agg.GroupBy(l.ds, attrs, measure), nil
-}
-
-func (l localShard) HierarchyPaths(h data.Hierarchy) ([][]string, error) {
-	return factor.DistinctPaths(l.ds, h), nil
 }
 
 // NewShardedEngine builds an engine whose data plane is partitioned across
@@ -82,7 +76,7 @@ func (e *Engine) NumShards() int { return e.shards }
 // for a single-node engine.
 func (e *Engine) ShardKey() string { return e.shardKey }
 
-// gather is the ShardWorker made of ShardWorkers: it puts each question to
+// gather is the ShardWorker made of ShardWorkers: it puts the question to
 // its workers and merges their answers.
 type gather struct {
 	workers []ShardWorker
@@ -101,21 +95,6 @@ func (g *gather) PartialGroupBy(attrs []string, measure string) (*agg.Result, er
 		}
 	}
 	return mergePartials(attrs, measure, partials)
-}
-
-// HierarchyPaths unions the workers' path sets; factor.NewSource sorts and
-// deduplicates, so the engine's source is identical to a single worker's (and
-// its FD check still sees cross-shard violations).
-func (g *gather) HierarchyPaths(h data.Hierarchy) ([][]string, error) {
-	var all [][]string
-	for i, w := range g.workers {
-		paths, err := w.HierarchyPaths(h)
-		if err != nil {
-			return nil, fmt.Errorf("core: shard %d hierarchy paths: %w", i, err)
-		}
-		all = append(all, paths...)
-	}
-	return all, nil
 }
 
 // mergePartials combines per-shard group-bys by code tuple: groups sharing a

@@ -446,35 +446,6 @@ func (c *Cube) rank() {
 	}
 }
 
-// HierarchyPaths enumerates the distinct full-depth paths of hierarchy h
-// from the level that drills only h, without touching rows. It implements
-// factor.PathProvider; ok=false when the hierarchy is not the cube's.
-func (c *Cube) HierarchyPaths(h data.Hierarchy) ([][]string, bool) {
-	hi := -1
-	for i, ch := range c.hiers {
-		if ch.Name == h.Name && slices.Equal(ch.Attrs, h.Attrs) {
-			hi = i
-			break
-		}
-	}
-	if hi < 0 {
-		return nil, false
-	}
-	depths := make([]int, len(c.hiers))
-	depths[hi] = len(h.Attrs)
-	lv := c.levels[c.latticeIndex(depths)]
-	od := c.odometer(lv)
-	paths := make([][]string, 0, len(lv.keys))
-	for _, k := range lv.keys {
-		p := make([]string, len(lv.attrs))
-		for i, code := range od.next(k) {
-			p[i] = c.attrs[lv.attrs[i]].dict[code]
-		}
-		paths = append(paths, p)
-	}
-	return paths, true
-}
-
 // Merge folds a delta cube (built over an appended batch with BuildRows)
 // into c, producing the successor version's cube: cells present in both are
 // merged with Stats.Add, and c's keys are re-encoded into the delta's radix

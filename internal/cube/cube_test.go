@@ -155,30 +155,29 @@ func TestGroupByDeclines(t *testing.T) {
 	}
 }
 
-func TestHierarchyPaths(t *testing.T) {
+// TestGroupByWholeHierarchy: the groups of γ over a hierarchy's own
+// attributes, the factorizer's source, are exactly the rows' distinct paths.
+func TestGroupByWholeHierarchy(t *testing.T) {
 	base := testDataset(t)
 	coded := codedDataset(t, base)
 	c, err := cube.Build(coded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, ok := c.HierarchyPaths(coded.Hierarchies[0])
+	res, ok := c.GroupBy(coded.Hierarchies[0].Attrs, "severity")
 	if !ok {
-		t.Fatal("HierarchyPaths declined the dataset's own hierarchy")
+		t.Fatal("GroupBy declined the dataset's own hierarchy")
 	}
 	seen := make(map[string]bool)
-	for _, p := range paths {
-		seen[strings.Join(p, "/")] = true
+	for _, g := range res.Groups {
+		seen[strings.Join(g.Vals, "/")] = true
 	}
 	want := make(map[string]bool)
 	for row := 0; row < coded.NumRows(); row++ {
 		want[coded.Dim("region")[row]+"/"+coded.Dim("district")[row]+"/"+coded.Dim("village")[row]] = true
 	}
-	if !reflect.DeepEqual(seen, want) {
-		t.Fatalf("paths = %v, want %v", seen, want)
-	}
-	if _, ok := c.HierarchyPaths(data.Hierarchy{Name: "geo", Attrs: []string{"region"}}); ok {
-		t.Error("HierarchyPaths accepted a truncated hierarchy")
+	if len(res.Groups) != len(seen) || !reflect.DeepEqual(seen, want) {
+		t.Fatalf("%d groups %v, want the paths %v", len(res.Groups), seen, want)
 	}
 }
 
@@ -299,10 +298,6 @@ func TestConcurrentQueries(t *testing.T) {
 				got, ok := c.GroupBy([]string{"region", "year"}, "severity")
 				if !ok || !got.Equal(want) {
 					t.Error("concurrent GroupBy diverged")
-					return
-				}
-				if _, ok := c.HierarchyPaths(data.Hierarchy{Name: "time", Attrs: []string{"year"}}); !ok {
-					t.Error("concurrent HierarchyPaths declined")
 					return
 				}
 			}

@@ -107,9 +107,9 @@ func randomKeys(rng *rand.Rand, c *Cube) {
 	}
 }
 
-// checkReaders holds every reader of c's levels to per-key division: GroupBy
+// checkReaders holds the reader of c's levels to per-key division: GroupBy
 // over each level's attributes (its codes, cell by cell, matched through the
-// count) and HierarchyPaths (its paths in key order).
+// count), a level that drills one hierarchy alone, its paths, included.
 func checkReaders(t *testing.T, label string, c *Cube) {
 	t.Helper()
 	for li, lv := range c.levels {
@@ -135,30 +135,14 @@ func checkReaders(t *testing.T, label string, c *Cube) {
 			}
 		}
 	}
-	for hi, h := range c.hiers {
-		depths := make([]int, len(c.hiers))
-		depths[hi] = len(h.Attrs)
-		lv := c.levels[c.latticeIndex(depths)]
-		paths, ok := c.HierarchyPaths(h)
-		if !ok || len(paths) != len(lv.keys) {
-			t.Fatalf("%s %s: HierarchyPaths ok=%v, %d paths for %d cells", label, h.Name, ok, len(paths), len(lv.keys))
-		}
-		for pi, p := range paths {
-			for i, code := range divide(c, lv, lv.keys[pi]) {
-				if p[i] != c.attrs[lv.attrs[i]].dict[code] {
-					t.Fatalf("%s %s: path %d is %q, key %d decodes to codes %v", label, h.Name, pi, p, lv.keys[pi], divide(c, lv, lv.keys[pi]))
-				}
-			}
-		}
-	}
 }
 
 // TestDecodeMatchesDivision holds every reader of a level — GroupBy, the
-// ranks GroupBy orders by, HierarchyPaths and Merge's re-encode — to per-key
-// division, on cubes whose levels are replaced by random ascending keys (dense
-// runs, sparse multi-digit jumps, single cells, empty levels) over one-value
-// and larger dictionaries, on an empty cube, and on merges whose delta grows
-// every dictionary (a one-value one included).
+// ranks GroupBy orders by and Merge's re-encode — to per-key division, on
+// cubes whose levels are replaced by random ascending keys (dense runs, sparse
+// multi-digit jumps, single cells, empty levels) over one-value and larger
+// dictionaries, on an empty cube, and on merges whose delta grows every
+// dictionary (a one-value one included).
 func TestDecodeMatchesDivision(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	var radix1, carries int

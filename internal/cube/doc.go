@@ -33,9 +33,9 @@
 // (keyed by its last value), so a drill-down sorts on the product of its
 // path counts. It implements agg.Materialized, so datasets carrying a cube
 // attachment (data.Dataset.SetRollup) accelerate agg.GroupBy transparently
-// and bit-identically. HierarchyPaths enumerates a hierarchy's distinct
-// full-depth paths for the factorizer (factor.PathProvider) from the level
-// that drills only that hierarchy.
+// and bit-identically. A hierarchy's distinct full-depth paths, the
+// factorizer's sources, are one such grouping: the level that drills only
+// that hierarchy.
 //
 // # Maintenance and persistence
 //

@@ -61,9 +61,9 @@ type Dataset struct {
 	measures     map[string][]float64
 	n            int
 	// rollup is an opaque acceleration attachment (e.g. internal/cube's
-	// materialized aggregate lattice) installed by bulk loaders. Consumers
-	// discover capabilities by type-asserting it against their own interfaces
-	// (agg.Materialized, factor.PathProvider); the data package never looks
+	// materialized aggregate lattice) installed by bulk loaders. Its one
+	// reader, agg.GroupBy, type-asserts it against agg.Materialized (hierarchy
+	// paths included: they are a group-by too); the data package never looks
 	// inside. Row-mutating operations drop it.
 	rollup any
 	// fds holds the FDs {child, parent} Validate has verified over the current

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/agg"
 	"repro/internal/data"
 )
 
@@ -98,46 +99,20 @@ func newSource(name string, attrs []string, paths [][]string, enforceFD bool) (*
 	return &Source{Name: name, Attrs: attrs, Paths: dedup}, nil
 }
 
-// PathProvider is implemented by precomputed-aggregate attachments
-// (data.Dataset.SetRollup, e.g. internal/cube's Cube) that can enumerate a
-// hierarchy's distinct full-depth paths without scanning rows. ok=false
-// means the provider does not cover the hierarchy; callers fall back to a
-// row scan.
-type PathProvider interface {
-	HierarchyPaths(h data.Hierarchy) ([][]string, bool)
-}
-
-// SourceFromDataset extracts the distinct hierarchy paths present in d.
-// When the dataset carries a materialized cube covering the hierarchy, the
-// paths come from its cells in O(paths) instead of a row scan; the derived
-// source is identical either way (NewSource sorts and deduplicates).
+// SourceFromDataset builds hierarchy h's source from the paths present in d:
+// the groups of agg.GroupBy over h's attributes and d's first measure, read
+// from d's cube when it carries one and by row scan otherwise.
 func SourceFromDataset(d *data.Dataset, h data.Hierarchy) (*Source, error) {
-	return NewSource(h.Name, h.Attrs, DistinctPaths(d, h))
-}
-
-// DistinctPaths returns the distinct full-depth paths of hierarchy h present
-// in d, in no particular order. Sharded engines union the per-shard path sets
-// before building the source; NewSource's sort+dedup makes the union
-// identical to the whole-dataset extraction. A materialized cube covering
-// the hierarchy answers from its cells; otherwise one scan dedupes the rows
-// on their dictionary-code tuple and decodes each distinct path once.
-func DistinctPaths(d *data.Dataset, h data.Hierarchy) [][]string {
-	if pp, ok := d.Rollup().(PathProvider); ok {
-		if paths, ok := pp.HierarchyPaths(h); ok {
-			return paths
-		}
+	measures := d.MeasureNames()
+	if len(measures) == 0 {
+		return nil, fmt.Errorf("factor: dataset %q has no measure to group hierarchy %q by", d.Name, h.Name)
 	}
-	n := d.NumRows()
-	tuples := d.NewTupleIndex(h.Attrs, n)
-	var ids [1024]int32
-	for lo := 0; lo < n; lo += len(ids) {
-		tuples.AddRows(lo, min(lo+len(ids), n), ids[:])
+	groups := agg.GroupBy(d, h.Attrs, measures[0]).Groups
+	paths := make([][]string, len(groups))
+	for gi, g := range groups {
+		paths[gi] = g.Vals
 	}
-	paths := make([][]string, tuples.Len())
-	for i := range paths {
-		paths[i] = tuples.Values(i)
-	}
-	return paths
+	return NewSource(h.Name, h.Attrs, paths)
 }
 
 func lessPath(a, b []string) bool {

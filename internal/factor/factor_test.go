@@ -107,10 +107,10 @@ func TestBuildChainStructure(t *testing.T) {
 }
 
 func TestSourceFromDataset(t *testing.T) {
-	d := data.New("x", []string{"D", "V"}, nil, nil)
-	d.AppendRowVals([]string{"d1", "v1"}, nil)
-	d.AppendRowVals([]string{"d1", "v1"}, nil)
-	d.AppendRowVals([]string{"d2", "v3"}, nil)
+	d := data.New("x", []string{"D", "V"}, []string{"m"}, nil)
+	d.AppendRowVals([]string{"d1", "v1"}, []float64{1})
+	d.AppendRowVals([]string{"d1", "v1"}, []float64{2})
+	d.AppendRowVals([]string{"d2", "v3"}, []float64{3})
 	src, err := SourceFromDataset(d, data.Hierarchy{Name: "geo", Attrs: []string{"D", "V"}})
 	if err != nil {
 		t.Fatal(err)

@@ -79,9 +79,6 @@ func FuzzOpenSnapshot(f *testing.F) {
 						c.GroupBy(attrs, ms.Name)
 					}
 				}
-				for _, h := range s.Hierarchies {
-					c.HierarchyPaths(h)
-				}
 			}
 		}
 	})
