@@ -670,7 +670,8 @@ func (e *Engine) fitInputs(groups *agg.Result, stat agg.Func) (*feature.Set, []f
 func (e *Engine) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *feature.Set, y []float64, depth map[string]int) (*statModel, error) {
 	kind := e.opts.Trainer
 	if len(fs.Extra) > 0 {
-		// Multi-attribute features have no factorised form (Appendix H).
+		// This reproduction has no factorised form for multi-attribute
+		// features (Appendix H's): they train naively.
 		kind = TrainerNaive
 	}
 	var fz *factor.Factorizer

@@ -116,15 +116,3 @@ func BenchmarkRowIterator(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkBuildPlan(b *testing.B) {
-	srcs := benchSources(b, 1000)
-	f, err := New(srcs, []int{3, 3, 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.BuildPlan()
-	}
-}

@@ -1,8 +1,10 @@
 // Package factor implements Reptile's factorised representation of the
 // attribute matrix (§2.2, §3.4, Appendix C): per-hierarchy chain relations in
 // BCNF, the decomposed count aggregates TOTAL / COUNT / COF (§4.2.1) computed
-// with the multi-query plan of Appendix I, a row iterator over the implicit
-// cross-product matrix (Algorithm 1) together with the per-hierarchy
+// with Appendix I's work sharing (ComputeAggregates: COUNT derived down each
+// chain, cross-hierarchy COF never materialized) — the sharing itself, not
+// Appendix I's plan DAG as a data structure — a row iterator over the
+// implicit cross-product matrix (Algorithm 1) together with the per-hierarchy
 // transition tables that let operators replay it without iterating, and the
 // drill-down update strategies Static / Dynamic / Cache+Dynamic of §4.4 and
 // Appendix J.
@@ -37,24 +39,10 @@ type Source struct {
 	Paths [][]string // sorted, deduplicated; each has len == len(Attrs)
 }
 
-// NewGeneralSource builds a source without enforcing functional dependencies
-// inside the hierarchy — the general factorised representation of Appendix
-// G. The chain then stores one node per (parent, value) occurrence, so the
-// same value string may appear as several nodes on a level; aggregation
-// results become ordered per-occurrence lists (Example 9's ordered COUNT)
-// rather than per-value maps, and ValueIndex/LeafIndex resolve to the first
-// occurrence only. Every matrix operation works unchanged because the
-// operators address nodes by index, never by value.
-func NewGeneralSource(name string, attrs []string, paths [][]string) (*Source, error) {
-	return newSource(name, attrs, paths, false)
-}
-
-// NewSource builds a source from raw paths, sorting and deduplicating them.
+// NewSource builds a source from raw paths, sorting and deduplicating them,
+// and checks the hierarchy's functional dependencies: each value determines
+// its parent, so the most specific one determines the whole path.
 func NewSource(name string, attrs []string, paths [][]string) (*Source, error) {
-	return newSource(name, attrs, paths, true)
-}
-
-func newSource(name string, attrs []string, paths [][]string, enforceFD bool) (*Source, error) {
 	if len(attrs) == 0 {
 		return nil, fmt.Errorf("factor: hierarchy %q has no attributes", name)
 	}
@@ -73,27 +61,24 @@ func newSource(name string, attrs []string, paths [][]string, enforceFD bool) (*
 		}
 		dedup = append(dedup, p)
 	}
-	if enforceFD {
-		// Enforce the FD: the most specific value determines the whole
-		// path, so no leaf value may appear on two distinct paths.
-		leafSeen := make(map[string]int, len(dedup))
-		for i, p := range dedup {
-			leaf := p[len(p)-1]
-			if j, ok := leafSeen[leaf]; ok {
-				return nil, fmt.Errorf("factor: hierarchy %q: FD violation: leaf %q on paths %v and %v", name, leaf, dedup[j], p)
-			}
-			leafSeen[leaf] = i
+	// No leaf value may appear on two distinct paths.
+	leafSeen := make(map[string]int, len(dedup))
+	for i, p := range dedup {
+		leaf := p[len(p)-1]
+		if j, ok := leafSeen[leaf]; ok {
+			return nil, fmt.Errorf("factor: hierarchy %q: FD violation: leaf %q on paths %v and %v", name, leaf, dedup[j], p)
 		}
-		// The FD must hold at every level, not just at the leaves.
-		for lvl := 1; lvl < len(attrs); lvl++ {
-			parent := make(map[string]string)
-			for _, p := range dedup {
-				if prev, ok := parent[p[lvl]]; ok && prev != p[lvl-1] {
-					return nil, fmt.Errorf("factor: hierarchy %q: FD violation: %s=%q under both %q and %q",
-						name, attrs[lvl], p[lvl], prev, p[lvl-1])
-				}
-				parent[p[lvl]] = p[lvl-1]
+		leafSeen[leaf] = i
+	}
+	// The FD must hold at every level, not just at the leaves.
+	for lvl := 1; lvl < len(attrs); lvl++ {
+		parent := make(map[string]string)
+		for _, p := range dedup {
+			if prev, ok := parent[p[lvl]]; ok && prev != p[lvl-1] {
+				return nil, fmt.Errorf("factor: hierarchy %q: FD violation: %s=%q under both %q and %q",
+					name, attrs[lvl], p[lvl], prev, p[lvl-1])
 			}
+			parent[p[lvl]] = p[lvl-1]
 		}
 	}
 	return &Source{Name: name, Attrs: attrs, Paths: dedup}, nil
@@ -256,11 +241,7 @@ func BuildChain(src *Source, depth int) (*Chain, error) {
 	for l := 0; l < depth; l++ {
 		m := make(map[string]int, len(c.Levels[l].Vals))
 		for i, v := range c.Levels[l].Vals {
-			// General (non-FD) chains may repeat a value across nodes; the
-			// lookup resolves to the first occurrence.
-			if _, ok := m[v]; !ok {
-				m[v] = i
-			}
+			m[v] = i // the FDs make a level's values distinct
 		}
 		c.valIdx[l] = m
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/factor"
-	"repro/internal/mat"
 )
 
 // benchMatrix builds a 4-hierarchy, w=10 matrix (10^4 rows, 12 columns).
@@ -152,30 +151,5 @@ func BenchmarkClusterViews(b *testing.B) {
 			sink += v.Gram().At(0, 0)
 		}
 		_ = sink
-	}
-}
-
-var benchSink *mat.Matrix
-
-func BenchmarkMultiGram(b *testing.B) {
-	m := benchMatrix(b)
-	mc := MultiColumn{Name: "m", Attrs: []int{0, 3}, Vals: map[string]float64{}}
-	rng := rand.New(rand.NewSource(4))
-	for i := 0; i < 10; i++ {
-		for j := 0; j < 10; j++ {
-			mc.Vals[MultiKey(i, j)] = rng.NormFloat64()
-		}
-	}
-	mm, err := NewMulti(m.F, m.Cols, []MultiColumn{mc})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g, err := mm.Gram()
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink = g
 	}
 }

@@ -150,6 +150,23 @@ func TestVecHelpers(t *testing.T) {
 	}
 }
 
+// TestMulVecLengthError: over a random matrix, MulVec refuses a weight vector
+// one longer than the columns, and MulVecTo a destination one longer than the
+// rows.
+func TestMulVecLengthError(t *testing.T) {
+	m := randomMatrix(rand.New(rand.NewSource(5)))
+	if _, err := m.MulVec(make([]float64, len(m.Cols)+1)); err == nil {
+		t.Error("expected length error")
+	}
+	n, err := m.F.RowCount()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.MulVecTo(make([]float64, n+1), make([]float64, len(m.Cols))); err == nil {
+		t.Error("expected destination length error")
+	}
+}
+
 // randomMatrix builds a random forest of hierarchies with random feature
 // columns (possibly several per attribute).
 func randomMatrix(r *rand.Rand) *Matrix {
