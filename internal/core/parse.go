@@ -19,7 +19,8 @@ import (
 // Values containing spaces are double-quoted (district="New York"); quotes
 // may wrap the value or the whole field and are stripped. Recognized keys are
 // agg, measure, dir (high, low, or should), and target (required when
-// dir=should); every other key becomes a tuple condition. The recognized
+// dir=should); every other key becomes a tuple condition. A key may appear
+// once: a repeated one is an error, not a silent overwrite. The recognized
 // keys are reserved: a dimension attribute literally named "agg", "measure",
 // "dir" or "target" cannot be expressed as a tuple condition in this
 // notation (construct the Complaint directly instead).
@@ -29,12 +30,17 @@ func ParseComplaint(spec string) (Complaint, error) {
 	if err != nil {
 		return c, err
 	}
-	sawTarget := false
+	seen := make(map[string]bool, len(fields))
 	for _, kv := range fields {
 		k, v, ok := strings.Cut(kv, "=")
 		if !ok {
 			return c, fmt.Errorf("core: bad complaint field %q", kv)
 		}
+		// A repeated key would silently overwrite the earlier one.
+		if seen[k] {
+			return c, fmt.Errorf("core: complaint key %q given twice", k)
+		}
+		seen[k] = true
 		switch k {
 		case "agg":
 			f, err := agg.ParseFunc(v)
@@ -66,7 +72,6 @@ func ParseComplaint(spec string) (Complaint, error) {
 				return c, fmt.Errorf("core: non-finite target %q", v)
 			}
 			c.Target = t
-			sawTarget = true
 		default:
 			c.Tuple[k] = v
 		}
@@ -74,13 +79,13 @@ func ParseComplaint(spec string) (Complaint, error) {
 	if c.Agg == "" || c.Measure == "" {
 		return c, fmt.Errorf("core: complaint needs agg= and measure=")
 	}
-	if c.Direction == ShouldBe && !sawTarget {
+	if c.Direction == ShouldBe && !seen["target"] {
 		return c, fmt.Errorf("core: dir=should needs target=")
 	}
 	// target= must not silently swallow what a user meant as a tuple
 	// condition on a dimension named "target": outside dir=should it is a
 	// hard error, never a dropped filter.
-	if sawTarget && c.Direction != ShouldBe {
+	if seen["target"] && c.Direction != ShouldBe {
 		return c, fmt.Errorf("core: target= is only valid with dir=should")
 	}
 	return c, nil

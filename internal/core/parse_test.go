@@ -1,6 +1,8 @@
 package core
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
@@ -31,6 +33,19 @@ func TestParseComplaint(t *testing.T) {
 	} {
 		if _, err := ParseComplaint(bad); err == nil {
 			t.Errorf("spec %q: expected error", bad)
+		}
+	}
+	// A repeated key is refused, naming the key, instead of overwriting the
+	// earlier value: tuple conditions and recognized keys alike.
+	for bad, key := range map[string]string{
+		"agg=mean measure=m district=a district=b":        "district",
+		"agg=mean agg=sum measure=m":                      "agg",
+		"agg=mean measure=m measure=m":                    "measure",
+		`agg=mean measure=m dir=low "dir=high"`:           "dir",
+		"agg=mean measure=m dir=should target=1 target=2": "target",
+	} {
+		if _, err := ParseComplaint(bad); err == nil || !strings.Contains(err.Error(), strconv.Quote(key)) {
+			t.Errorf("spec %q: error %v, want one naming %q", bad, err, key)
 		}
 	}
 }
