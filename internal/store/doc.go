@@ -91,8 +91,9 @@
 //
 // A partitioned snapshot holds one dataset hashed into N shards on a
 // hierarchy-root dimension; dictionaries are shared across shards and
-// written once. Cubes are not persisted (they are cheap to rebuild per
-// shard at registration time).
+// written once. Cubes are not persisted: per-shard cubes are rebuilt from
+// the rows after an open (shard.Set.BuildCubes), at a cost above that of a
+// whole one-shot session over the file. Persisting them is ROADMAP item 4.
 //
 // The layout (version byte 2) mirrors the single-snapshot design — one
 // CRC-checked header with a shard-major offset directory, then aligned

@@ -13,8 +13,9 @@ import (
 // keeps a CRC-checked byte-offset directory in the header and 8-byte-aligned
 // per-shard column payloads, so a mapped OpenShardsFile serves every shard out
 // of one file mapping; version 1 (inline shard sections) is no longer
-// readable. Materialized cubes are not persisted: per-shard cubes are cheap
-// to rebuild at registration time.
+// readable. Materialized cubes are not persisted: per-shard cubes are rebuilt
+// from the rows after an open (shard.Set.BuildCubes), at a cost above that of
+// a whole one-shot session over the file. Persisting them is ROADMAP item 4.
 var shardMagic = [8]byte{'R', 'S', 'T', 'S', 'H', 'A', 'R', 'D'}
 
 // ShardFormatVersion is the current partitioned .rst format version.
