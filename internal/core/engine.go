@@ -671,7 +671,7 @@ func (e *Engine) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *featu
 	kind := e.opts.Trainer
 	if len(fs.Extra) > 0 {
 		// This reproduction has no factorised form for multi-attribute
-		// features (Appendix H's): they train naively.
+		// features (Appendix H): they train naively.
 		kind = TrainerNaive
 	}
 	var fz *factor.Factorizer

@@ -2,8 +2,7 @@
 // attribute matrix (§2.2, §3.4, Appendix C): per-hierarchy chain relations in
 // BCNF, the decomposed count aggregates TOTAL / COUNT / COF (§4.2.1) computed
 // with Appendix I's work sharing (ComputeAggregates: COUNT derived down each
-// chain, cross-hierarchy COF never materialized) — the sharing itself, not
-// Appendix I's plan DAG as a data structure — a row iterator over the
+// chain, cross-hierarchy COF never materialized), a row iterator over the
 // implicit cross-product matrix (Algorithm 1) together with the per-hierarchy
 // transition tables that let operators replay it without iterating, and the
 // drill-down update strategies Static / Dynamic / Cache+Dynamic of §4.4 and
