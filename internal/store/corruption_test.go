@@ -89,7 +89,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 	}
 	path := writeSnapshotFile(t, snap)
 	for _, mapped := range []bool{false, true} {
-		_, shards, err := openPath(path, mapped, true)
+		_, shards, err := openPath(path, mapped)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestOpenVersion1CubeSection(t *testing.T) {
 		return b
 	}
 	for _, mapped := range []bool{false, true} {
-		_, shards, err := openPath("testdata/cube_v1.rst", mapped, true)
+		_, shards, err := openPath("testdata/cube_v1.rst", mapped)
 		if err != nil {
 			t.Fatalf("mapped=%v: %v", mapped, err)
 		}

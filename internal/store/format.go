@@ -255,18 +255,26 @@ func Open(r io.Reader) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: reading snapshot: %w", err)
 	}
-	return single(openShards(b, nil, true))
+	return single(openShards(b, nil))
 }
 
 // OpenFile loads a .rst snapshot from disk.
 func OpenFile(path string) (*Snapshot, error) {
-	return single(openPath(path, false, true))
+	return single(openPath(path, false))
 }
 
-// single unwraps the one snapshot of a plain open.
+// single unwraps the snapshot of a one-shard file. A file of more shards is
+// refused, and its shards released: the single-snapshot opens serve no
+// partition.
 func single(_ string, shards []*Snapshot, err error) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
+	}
+	if len(shards) > 1 {
+		for _, s := range shards {
+			s.Close()
+		}
+		return nil, fmt.Errorf("store: file is a partitioned snapshot of %d shards; open it with OpenShardsFile", len(shards))
 	}
 	return shards[0], nil
 }
@@ -275,22 +283,21 @@ func single(_ string, shards []*Snapshot, err error) (*Snapshot, error) {
 var errFormatV1 = errors.New("store: format version 1 is no longer readable; re-run `reptile convert` from the source CSV")
 
 // openPath opens the .rst file at path — eagerly from one read, or mapped —
-// and adds the path to any decode error. plainOnly refuses the partitioned
-// layout (the single-snapshot opens).
-func openPath(path string, mapped, plainOnly bool) (key string, shards []*Snapshot, err error) {
+// and adds the path to any decode error.
+func openPath(path string, mapped bool) (key string, shards []*Snapshot, err error) {
 	if mapped {
 		f, ferr := os.Open(path)
 		if ferr != nil {
 			return "", nil, ferr
 		}
 		defer f.Close()
-		key, shards, err = openMapped(f, plainOnly)
+		key, shards, err = openMapped(f)
 	} else {
 		b, rerr := os.ReadFile(path)
 		if rerr != nil {
 			return "", nil, rerr
 		}
-		key, shards, err = openShards(b, nil, plainOnly)
+		key, shards, err = openShards(b, nil)
 	}
 	if err != nil {
 		return "", nil, fmt.Errorf("store: %s: %w", path, err)
@@ -298,86 +305,100 @@ func openPath(path string, mapped, plainOnly bool) (key string, shards []*Snapsh
 	return key, shards, nil
 }
 
-// openShards decodes either .rst layout from b, sniffing the magic once: a
-// plain snapshot is the one-shard partition with no key. With m set, b is
-// m's mapped bytes and the shards' columns are views over it; otherwise
-// every column is decoded onto the heap.
-func openShards(b []byte, m *mapping, plainOnly bool) (string, []*Snapshot, error) {
-	d, sharded, err := openEnvelope(b)
-	if err != nil {
-		return "", nil, err
-	}
-	switch {
-	case sharded && plainOnly:
-		return "", nil, fmt.Errorf("store: file is a partitioned snapshot; open it with OpenShardsFile")
-	case sharded:
-		return decodeSharded(d, m)
-	}
-	s, err := decodeSnapshot(d, m)
-	if err != nil {
-		return "", nil, err
-	}
-	return "", []*Snapshot{s}, nil
+// layout is what a file's magic and version byte say about its header.
+type layout struct {
+	// rowsFirst marks a version-2 plain file: one shard with no key, its row
+	// count written before the schema.
+	rowsFirst bool
+	// cubeOffs marks a directory whose shard slots close with a cube section
+	// offset; version-2 partitioned files have none.
+	cubeOffs bool
 }
 
-// openEnvelope verifies the parts common to both layouts — minimum length,
+// openShards decodes a .rst file from b into its shards and partition key
+// ("" for a file of one unkeyed shard). With m set, b is m's mapped bytes and
+// the shards' columns and cube cell tables are views over it; otherwise
+// every payload is decoded onto the heap. The shards are validated — their
+// structural invariants, hierarchy functional dependencies and cubes — in
+// shard order.
+func openShards(b []byte, m *mapping) (string, []*Snapshot, error) {
+	d, lay, err := openEnvelope(b)
+	if err != nil {
+		return "", nil, err
+	}
+	h, next, err := parseHeader(d, lay)
+	if err != nil {
+		return "", nil, err
+	}
+	shards := make([]*Snapshot, len(h.shards))
+	tables := make([][]cube.Table, len(h.shards))
+	for si, sl := range h.shards {
+		if next, err = h.checkPayloads(d.b, next, si, sl); err != nil {
+			return "", nil, err
+		}
+		shards[si] = h.snapshot(d, m, sl)
+		if sl.cubeOff != 0 {
+			if sl.cubeOff != next {
+				return "", nil, fmt.Errorf("store: shard %d cube section offset %d, expected %d", si, sl.cubeOff, next)
+			}
+			d.off = next
+			tables[si] = d.cubeSection(h.hierarchies, len(h.measureNames), m != nil)
+			next = d.off
+		}
+		if d.err != nil {
+			return "", nil, fmt.Errorf("store: decoding snapshot: %w", d.err)
+		}
+	}
+	if next != len(d.b) {
+		return "", nil, fmt.Errorf("store: %d trailing bytes after snapshot payload", len(d.b)-next)
+	}
+	for si, s := range shards {
+		if err := finishSnapshot(s, tables[si]); err != nil {
+			return "", nil, fmt.Errorf("store: shard %d: %w", si, err)
+		}
+	}
+	return h.key, shards, nil
+}
+
+// openEnvelope verifies what every layout shares — minimum length,
 // whole-file tail CRC, magic, format version — and returns a decoder
-// positioned after the version byte plus which layout the magic announced.
-func openEnvelope(b []byte) (d *decoder, sharded bool, err error) {
+// positioned after the version byte plus the layout the two announce.
+func openEnvelope(b []byte) (*decoder, layout, error) {
 	if len(b) < len(magic)+1+4 {
-		return nil, false, fmt.Errorf("store: snapshot truncated (%d bytes)", len(b))
+		return nil, layout{}, fmt.Errorf("store: snapshot truncated (%d bytes)", len(b))
 	}
 	payload, tail := b[:len(b)-4], b[len(b)-4:]
 	if got, want := crc32.Checksum(payload, castagnoli), binary.LittleEndian.Uint32(tail); got != want {
-		return nil, false, fmt.Errorf("store: snapshot checksum mismatch (file %08x, computed %08x)", want, got)
+		return nil, layout{}, fmt.Errorf("store: snapshot checksum mismatch (file %08x, computed %08x)", want, got)
 	}
-	d = &decoder{b: payload}
-	want := byte(FormatVersion)
+	d := &decoder{b: payload}
+	sharded := bytes.HasPrefix(payload, shardMagic[:])
 	switch {
+	case sharded:
+		d.off = len(shardMagic)
 	case bytes.HasPrefix(payload, magic[:]):
 		d.off = len(magic)
-	case bytes.HasPrefix(payload, shardMagic[:]):
-		d.off, sharded, want = len(shardMagic), true, ShardFormatVersion
 	default:
-		return nil, false, fmt.Errorf("store: bad magic %q: not a .rst snapshot", payload[:len(magic)])
+		return nil, layout{}, fmt.Errorf("store: bad magic %q: not a .rst snapshot", payload[:len(magic)])
 	}
 	switch v := d.byte(); {
 	case d.err != nil:
-		return nil, false, fmt.Errorf("store: decoding snapshot: %w", d.err)
+		return nil, layout{}, fmt.Errorf("store: decoding snapshot: %w", d.err)
 	case v == 1:
-		return nil, false, errFormatV1
-	case v != want:
-		return nil, false, fmt.Errorf("store: unsupported format version %d (want %d)", v, want)
+		return nil, layout{}, errFormatV1
+	case v == 2 && sharded:
+		return d, layout{}, nil
+	case v == 2:
+		return d, layout{rowsFirst: true, cubeOffs: true}, nil
+	default:
+		return nil, layout{}, fmt.Errorf("store: unsupported format version %d (want %d)", v, FormatVersion)
 	}
-	return d, sharded, nil
-}
-
-// decodeSnapshot builds a plain snapshot — eager, or mapped over m — from a
-// decoder positioned after the version byte.
-func decodeSnapshot(d *decoder, m *mapping) (*Snapshot, error) {
-	h, err := parseHeaderV2(d)
-	if err != nil {
-		return nil, err
-	}
-	s := h.snapshot(d, m, h.rows, h.dimOff, h.msOff)
-	var tables []cube.Table
-	if d.err == nil && h.cubeOff != 0 {
-		d.off = h.cubeOff
-		tables = d.cubeSection(h.hierarchies, len(h.measureNames), m != nil)
-		if d.err == nil && d.off != len(d.b) {
-			return nil, fmt.Errorf("store: %d trailing bytes after snapshot payload", len(d.b)-d.off)
-		}
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("store: decoding snapshot: %w", d.err)
-	}
-	return finishSnapshot(s, tables)
 }
 
 // finishSnapshot runs post-decode validation and cube attachment.
-func finishSnapshot(s *Snapshot, tables []cube.Table) (*Snapshot, error) {
+func finishSnapshot(s *Snapshot, tables []cube.Table) error {
 	if err := s.validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if tables != nil {
 		// The snapshot's own invariants hold, so the derived dataset exists;
@@ -386,15 +407,15 @@ func finishSnapshot(s *Snapshot, tables []cube.Table) (*Snapshot, error) {
 		// over the mapping and, like the columns, die with it.
 		ds, err := s.Dataset()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		c, err := cube.FromTables(ds, tables)
 		if err != nil {
-			return nil, fmt.Errorf("store: cube section: %w", err)
+			return fmt.Errorf("store: cube section: %w", err)
 		}
 		s.attachCube(c)
 	}
-	return s, nil
+	return nil
 }
 
 // dimSchema is a dimension's header entry: its name and dictionary.
@@ -403,55 +424,89 @@ type dimSchema struct {
 	dict []string
 }
 
-// headerV2 is the parsed v2 header: schema plus the validated byte-offset
-// directory. Offsets are absolute file offsets into the payload (the file
-// minus its tail CRC).
-type headerV2 struct {
-	schemaV2
+// header is a parsed header: the dataset's identity, partition key and
+// column schema, dictionaries included, which every shard shares, and each
+// shard's slot of the CRC-trusted byte-offset directory. Offsets are
+// absolute file offsets into the payload (the file minus its tail CRC).
+type header struct {
+	name         string
+	version      uint64
+	key          string
+	hierarchies  []data.Hierarchy
+	dims         []dimSchema
+	measureNames []string
+	shards       []shardSlot
+}
+
+// shardSlot is one shard's row count and directory slot.
+type shardSlot struct {
 	rows    int
 	dimOff  []int
 	msOff   []int
 	cubeOff int // 0 = no cube section
 }
 
-// schemaV2 is what the plain and the partitioned header share: the dataset's
-// identity and column schema, dictionaries included.
-type schemaV2 struct {
-	name         string
-	version      uint64
-	hierarchies  []data.Hierarchy
-	dims         []dimSchema
-	measureNames []string
+// parseHeader parses a header from a decoder positioned after the version
+// byte — field structure, the partition key, the header's own CRC — and
+// returns it with the offset where the first payload must start. The
+// directory is CRC-trusted after it returns; openShards checks it against
+// the payloads shard by shard.
+func parseHeader(d *decoder, lay layout) (*header, int, error) {
+	h := &header{name: d.string(), version: d.uvarint()}
+	if lay.rowsFirst {
+		h.shards = []shardSlot{{rows: d.count()}}
+	} else {
+		h.key = d.string()
+	}
+	h.decodeSchema(d)
+	if !lay.rowsFirst {
+		n := d.count()
+		if d.err == nil && n == 0 {
+			return nil, 0, fmt.Errorf("store: snapshot has no shards")
+		}
+		for si := 0; si < n && d.err == nil; si++ {
+			h.shards = append(h.shards, shardSlot{rows: d.count()})
+		}
+	}
+	for si := range h.shards {
+		sl := &h.shards[si]
+		sl.dimOff, sl.msOff = make([]int, len(h.dims)), make([]int, len(h.measureNames))
+		for i := range sl.dimOff {
+			sl.dimOff[i] = d.offset()
+		}
+		for i := range sl.msOff {
+			sl.msOff[i] = d.offset()
+		}
+		if lay.cubeOffs {
+			sl.cubeOff = d.offset()
+		}
+	}
+	hdrEnd := d.off
+	sum := d.bytes(4)
+	if d.err != nil {
+		return nil, 0, fmt.Errorf("store: decoding snapshot header: %w", d.err)
+	}
+	if got, want := crc32.Checksum(d.b[:hdrEnd], castagnoli), binary.LittleEndian.Uint32(sum); got != want {
+		return nil, 0, fmt.Errorf("store: header checksum mismatch (file %08x, computed %08x)", want, got)
+	}
+	if h.key != "" || len(h.shards) > 1 {
+		if err := checkShardKey(h.key, h.hierarchies); err != nil {
+			return nil, 0, err
+		}
+	}
+	next := align8(d.off)
+	return h, next, checkPadding(d.b, d.off, next)
 }
 
-// snapshot assembles one snapshot of rows rows from a validated offset
-// directory. Without a mapping every column payload is decoded into heap
-// slices; with one, Codes and Values are typed views over the mapped file.
-func (sc *schemaV2) snapshot(d *decoder, m *mapping, rows int, dimOff, msOff []int) *Snapshot {
-	s := &Snapshot{
-		Name: sc.name, Version: sc.version, Hierarchies: sc.hierarchies, rows: rows, m: m,
-		Dims: make([]Column, len(sc.dims)), Measures: make([]MeasureColumn, len(sc.measureNames)),
-	}
-	for i, dim := range sc.dims {
-		d.off = dimOff[i]
-		s.Dims[i] = Column{Name: dim.name, Dict: dim.dict, Codes: elems[uint32](d, rows, m != nil)}
-	}
-	for i, name := range sc.measureNames {
-		d.off = msOff[i]
-		s.Measures[i] = MeasureColumn{Name: name, Values: elems[float64](d, rows, m != nil)}
-	}
-	return s
-}
-
-// decodeSchema reads the column schema both headers carry after their leading
-// fields: hierarchies, dimensions with their dictionaries, measure names.
-func (sc *schemaV2) decodeSchema(d *decoder) {
+// decodeSchema reads the column schema: hierarchies, dimensions with their
+// dictionaries, measure names.
+func (h *header) decodeSchema(d *decoder) {
 	for i, nh := 0, d.count(); i < nh && d.err == nil; i++ {
 		hr := data.Hierarchy{Name: d.string()}
 		for j, na := 0, d.count(); j < na && d.err == nil; j++ {
 			hr.Attrs = append(hr.Attrs, d.string())
 		}
-		sc.hierarchies = append(sc.hierarchies, hr)
+		h.hierarchies = append(h.hierarchies, hr)
 	}
 	for i, nd := 0, d.count(); i < nd && d.err == nil; i++ {
 		ds := dimSchema{name: d.string()}
@@ -460,106 +515,60 @@ func (sc *schemaV2) decodeSchema(d *decoder) {
 		for j := 0; j < ndict && d.err == nil; j++ {
 			ds.dict = append(ds.dict, d.string())
 		}
-		sc.dims = append(sc.dims, ds)
+		h.dims = append(h.dims, ds)
 	}
 	for i, nm := 0, d.count(); i < nm && d.err == nil; i++ {
-		sc.measureNames = append(sc.measureNames, d.string())
+		h.measureNames = append(h.measureNames, d.string())
 	}
 }
 
-// decodeOffsets reads one snapshot's slice of the offset directory.
-func (sc *schemaV2) decodeOffsets(d *decoder) (dimOff, msOff []int) {
-	dimOff = make([]int, len(sc.dims))
-	for i := range dimOff {
-		dimOff[i] = d.offset()
+// snapshot assembles shard sl's snapshot from its checked directory slot.
+// Without a mapping every column payload is decoded into heap slices; with
+// one, Codes and Values are typed views over the mapped file.
+func (h *header) snapshot(d *decoder, m *mapping, sl shardSlot) *Snapshot {
+	s := &Snapshot{
+		Name: h.name, Version: h.version, Hierarchies: h.hierarchies, rows: sl.rows, m: m,
+		Dims: make([]Column, len(h.dims)), Measures: make([]MeasureColumn, len(h.measureNames)),
 	}
-	msOff = make([]int, len(sc.measureNames))
-	for i := range msOff {
-		msOff[i] = d.offset()
+	for i, dim := range h.dims {
+		d.off = sl.dimOff[i]
+		s.Dims[i] = Column{Name: dim.name, Dict: dim.dict, Codes: elems[uint32](d, sl.rows, m != nil)}
 	}
-	return dimOff, msOff
+	for i, name := range h.measureNames {
+		d.off = sl.msOff[i]
+		s.Measures[i] = MeasureColumn{Name: name, Values: elems[float64](d, sl.rows, m != nil)}
+	}
+	return s
 }
 
-// headerEnd closes a header of the given kind at the decoder's position: it
-// reports a decoding error latched so far, verifies the header's own CRC, and
-// returns where the first payload must start — the next 8-byte boundary, the
-// gap holding zero bytes. The directory is CRC-trusted after it returns.
-func (d *decoder) headerEnd(kind string) (int, error) {
-	hdrEnd := d.off
-	sum := d.bytes(4)
-	if d.err != nil {
-		return 0, fmt.Errorf("store: decoding %s header: %w", kind, d.err)
-	}
-	if got, want := crc32.Checksum(d.b[:hdrEnd], castagnoli), binary.LittleEndian.Uint32(sum); got != want {
-		return 0, fmt.Errorf("store: header checksum mismatch (file %08x, computed %08x)", want, got)
-	}
-	expected := align8(d.off)
-	return expected, checkPadding(d.b, d.off, expected)
-}
-
-// checkPayloads verifies that one snapshot's slice of a CRC-trusted directory
-// describes the file b: the writer packs payloads contiguously on 8-byte
-// boundaries, padding with zero bytes, so each column of rows rows starts at
-// the expected offset and ends, padding included, inside the file. It returns
-// where the next payload must start; prefix ("shard N ", or none) names the
-// snapshot in errors.
-func (sc *schemaV2) checkPayloads(b []byte, expected, rows int, dimOff, msOff []int, prefix string) (int, error) {
+// checkPayloads verifies that shard si's directory slot describes the file
+// b: the writer packs payloads contiguously on 8-byte boundaries, padding
+// with zero bytes, so each column starts at the expected offset and ends,
+// padding included, inside the file. It returns where the next section must
+// start.
+func (h *header) checkPayloads(b []byte, expected, si int, sl shardSlot) (int, error) {
 	check := func(kind, name string, off, width int) error {
 		if off != expected {
-			return fmt.Errorf("store: %s%s %q payload offset %d, expected %d", prefix, kind, name, off, expected)
+			return fmt.Errorf("store: shard %d %s %q payload offset %d, expected %d", si, kind, name, off, expected)
 		}
-		end := off + width*rows
+		end := off + width*sl.rows
 		expected = align8(end)
 		if expected > len(b) {
-			return fmt.Errorf("store: %s%s %q payload exceeds file (ends %d, payload %d bytes)", prefix, kind, name, expected, len(b))
+			return fmt.Errorf("store: shard %d %s %q payload exceeds file (ends %d, payload %d bytes)", si, kind, name, expected, len(b))
 		}
 		return checkPadding(b, end, expected)
 	}
-	for i, off := range dimOff {
-		if err := check("dimension", sc.dims[i].name, off, 4); err != nil {
+	for i, off := range sl.dimOff {
+		if err := check("dimension", h.dims[i].name, off, 4); err != nil {
 			return 0, err
 		}
 	}
-	for i, off := range msOff {
-		if err := check("measure", sc.measureNames[i], off, 8); err != nil {
+	for i, off := range sl.msOff {
+		if err := check("measure", h.measureNames[i], off, 8); err != nil {
 			return 0, err
 		}
 	}
 	return expected, nil
-}
-
-// parseHeaderV2 parses and fully validates a v2 header from a decoder
-// positioned after the version byte: field structure, the header's own CRC,
-// and the offset directory (in-bounds, contiguous, 8-aligned, zero padding).
-// After it returns, every column payload's location is trusted.
-func parseHeaderV2(d *decoder) (*headerV2, error) {
-	h := &headerV2{}
-	h.name = d.string()
-	h.version = d.uvarint()
-	rows := d.uvarint()
-	if rows > maxSaneCount {
-		return nil, fmt.Errorf("store: implausible row count %d", rows)
-	}
-	h.rows = int(rows)
-	h.decodeSchema(d)
-	h.dimOff, h.msOff = h.decodeOffsets(d)
-	h.cubeOff = d.offset()
-	expected, err := d.headerEnd("snapshot")
-	if err != nil {
-		return nil, err
-	}
-	if expected, err = h.checkPayloads(d.b, expected, h.rows, h.dimOff, h.msOff, ""); err != nil {
-		return nil, err
-	}
-	switch {
-	case h.cubeOff == 0:
-		if expected != len(d.b) {
-			return nil, fmt.Errorf("store: %d trailing bytes after snapshot payload", len(d.b)-expected)
-		}
-	case h.cubeOff != expected:
-		return nil, fmt.Errorf("store: cube section offset %d, expected %d", h.cubeOff, expected)
-	}
-	return h, nil
 }
 
 // checkPadding verifies the alignment gap [from, to) holds only zero bytes.

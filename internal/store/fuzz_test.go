@@ -62,7 +62,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 		// wherever the fuzzer's buffer happens to sit: views or eager
 		// fallback, never a fault.
 		for _, m := range []*mapping{nil, {data: b}} {
-			_, shards, err := openShards(b, m, false)
+			_, shards, err := openShards(b, m)
 			if err != nil {
 				continue
 			}

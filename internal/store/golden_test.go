@@ -90,7 +90,7 @@ func checkCubeAnswers(t *testing.T, label, path string, ds *data.Dataset) {
 		t.Fatal(err)
 	}
 	for _, mapped := range []bool{false, true} {
-		_, shards, err := openPath(path, mapped, true)
+		_, shards, err := openPath(path, mapped)
 		if err != nil {
 			t.Fatalf("%s (mapped=%v): %v", label, mapped, err)
 		}

@@ -163,7 +163,7 @@ func TestMappedViewCannotFault(t *testing.T) {
 	for shift := 0; shift < 8; shift++ {
 		b := backing[shift : shift+len(good)]
 		copy(b, good)
-		_, shards, err := openShards(b, &mapping{data: b}, true)
+		_, shards, err := openShards(b, &mapping{data: b})
 		if err != nil {
 			t.Fatalf("shift %d: %v", shift, err)
 		}
@@ -180,7 +180,7 @@ func TestMappedViewCannotFault(t *testing.T) {
 			t.Errorf("shift %d: cube cell tables differ from the eager open's", shift)
 		}
 		for cut := 0; cut < len(good); cut++ {
-			if _, _, err := openShards(b[:cut], &mapping{data: b[:cut]}, true); err == nil {
+			if _, _, err := openShards(b[:cut], &mapping{data: b[:cut]}); err == nil {
 				t.Fatalf("shift %d: truncation at %d/%d opened", shift, cut, len(good))
 			}
 		}
@@ -453,7 +453,7 @@ func TestOpenShardedRejectsTruncationEverywhere(t *testing.T) {
 	good := buf.Bytes()
 	path := filepath.Join(t.TempDir(), "cut.rst")
 	for cut := 0; cut < len(good); cut++ {
-		if _, _, err := openShards(good[:cut], nil, false); err == nil {
+		if _, _, err := openShards(good[:cut], nil); err == nil {
 			t.Fatalf("truncation at offset %d/%d opened successfully", cut, len(good))
 		}
 		if err := os.WriteFile(path, good[:cut], 0o644); err != nil {
@@ -469,7 +469,7 @@ func TestOpenShardedRejectsTruncationEverywhere(t *testing.T) {
 	for cut := 0; cut < len(good)-4; cut++ {
 		b := append(append([]byte(nil), good[:cut]...), 0, 0, 0, 0)
 		reseal(b)
-		if _, _, err := openShards(b, nil, false); err == nil {
+		if _, _, err := openShards(b, nil); err == nil {
 			t.Fatalf("resealed truncation at offset %d/%d opened successfully", cut, len(good))
 		}
 	}
@@ -514,7 +514,7 @@ func TestOpenShardedRejectsDirectoryTampering(t *testing.T) {
 			b := append([]byte(nil), good...)
 			tc.mutate(b)
 			reseal(b)
-			if _, _, err := openShards(b, nil, false); err == nil || !strings.Contains(err.Error(), tc.want) {
+			if _, _, err := openShards(b, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("eager err = %v, want %q", err, tc.want)
 			}
 			path := filepath.Join(t.TempDir(), "tampered.rst")

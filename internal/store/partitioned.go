@@ -111,84 +111,5 @@ func equalDict(a, b []string) bool {
 // shards are typed views over one file mapping, released when the last of
 // them is Closed.
 func OpenShardsFile(path string, mapped bool) (key string, shards []*Snapshot, err error) {
-	return openPath(path, mapped, false)
-}
-
-// decodeSharded builds the shard snapshots of a partitioned file from a
-// decoder positioned after the version byte — eagerly, or as views over m
-// (see decodeSnapshot) — then validates the partition key and
-// every shard's structural invariants.
-func decodeSharded(d *decoder, m *mapping) (string, []*Snapshot, error) {
-	h, err := parseShardHeaderV2(d)
-	if err != nil {
-		return "", nil, err
-	}
-	if err := checkShardKey(h.key, h.hierarchies); err != nil {
-		return "", nil, err
-	}
-	shards := make([]*Snapshot, len(h.shardRows))
-	for si, rows := range h.shardRows {
-		s := h.snapshot(d, m, rows, h.dimOff[si], h.msOff[si])
-		if d.err != nil {
-			return "", nil, fmt.Errorf("store: decoding partitioned snapshot: %w", d.err)
-		}
-		if err := s.validate(); err != nil {
-			return "", nil, fmt.Errorf("store: shard %d: %w", si, err)
-		}
-		shards[si] = s
-	}
-	return h.key, shards, nil
-}
-
-// shardHeaderV2 is the parsed v2 partitioned header: shared schema plus the
-// validated per-shard byte-offset directory.
-type shardHeaderV2 struct {
-	schemaV2
-	key       string
-	shardRows []int
-	dimOff    [][]int // [shard][dim] absolute payload offsets
-	msOff     [][]int // [shard][measure]
-}
-
-// parseShardHeaderV2 parses and fully validates a v2 partitioned header from
-// a decoder positioned after the version byte: field structure, the header's
-// own CRC, and the offset directory (in-bounds, contiguous, 8-aligned, zero
-// padding, ending exactly at the file's tail CRC). After it returns, every
-// shard payload's location is trusted.
-func parseShardHeaderV2(d *decoder) (*shardHeaderV2, error) {
-	h := &shardHeaderV2{}
-	h.name = d.string()
-	h.version = d.uvarint()
-	h.key = d.string()
-	h.decodeSchema(d)
-	nshards := d.count()
-	if d.err == nil && nshards == 0 {
-		return nil, fmt.Errorf("store: partitioned snapshot has no shards")
-	}
-	for si := 0; si < nshards && d.err == nil; si++ {
-		rows := d.uvarint()
-		if rows > maxSaneCount {
-			return nil, fmt.Errorf("store: shard %d: implausible row count %d", si, rows)
-		}
-		h.shardRows = append(h.shardRows, int(rows))
-	}
-	for range h.shardRows {
-		dimOff, msOff := h.decodeOffsets(d)
-		h.dimOff = append(h.dimOff, dimOff)
-		h.msOff = append(h.msOff, msOff)
-	}
-	expected, err := d.headerEnd("partitioned snapshot")
-	if err != nil {
-		return nil, err
-	}
-	for si, rows := range h.shardRows {
-		if expected, err = h.checkPayloads(d.b, expected, rows, h.dimOff[si], h.msOff[si], fmt.Sprintf("shard %d ", si)); err != nil {
-			return nil, err
-		}
-	}
-	// Partitioned files carry no cube section: the payloads end the file.
-	if expected != len(d.b) {
-		return nil, fmt.Errorf("store: %d trailing bytes after partitioned snapshot payload", len(d.b)-expected)
-	}
-	return h, nil
+	return openPath(path, mapped)
 }
