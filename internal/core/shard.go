@@ -20,12 +20,11 @@ import (
 //
 // Determinism contract: PartialGroupBy returns exactly what a row scan over
 // the worker's rows would, the agg.GroupBy result. Workers gathered into one
-// engine code their results against dictionaries shared up to append-only
-// growth: per attribute each worker's is a prefix of the longest (a
-// shard.Set's are — a shard an Append leaves untouched keeps its cube's
-// shorter ones); the gather refuses anything else. It merges in shard-index
-// order, so results are reproducible run to run, and is itself a ShardWorker:
-// an engine cannot tell one worker from many.
+// engine code their results against one set of dictionaries (a shard.Set's
+// shards share theirs, and each shard's cube is keyed to them); the gather
+// refuses anything else. It merges in shard-index order, so results are
+// reproducible run to run, and is itself a ShardWorker: an engine cannot tell
+// one worker from many.
 type ShardWorker interface {
 	// PartialGroupBy aggregates the worker's rows at the given granularity.
 	PartialGroupBy(attrs []string, measure string) (*agg.Result, error)
@@ -101,21 +100,15 @@ func (g *gather) PartialGroupBy(attrs []string, measure string) (*agg.Result, er
 // tuple add their statistics (Stats.Add, the Appendix A merge function G) in
 // shard-index order, and agg.FromCodes — the sort every GroupBy path funnels
 // through — orders the merged relation, so it cannot drift from one worker's.
-// Codes are read against each attribute's longest dictionary, which every
-// other partial's must be a prefix of.
+// Every partial must code against the same dictionaries.
 func mergePartials(attrs []string, measure string, partials []*agg.Result) (*agg.Result, error) {
 	k := len(attrs)
-	dicts := make([][]string, k)
-	for ai := range dicts {
-		for i, p := range partials {
-			short, long := dicts[ai], p.Dicts[ai]
-			if len(short) > len(long) {
-				short, long = long, short
+	dicts := partials[0].Dicts
+	for i, p := range partials[1:] {
+		for ai, dict := range p.Dicts {
+			if !sameDict(dict, dicts[ai]) {
+				return nil, fmt.Errorf("core: shard %d codes %q against a dictionary its siblings do not share", i+1, attrs[ai])
 			}
-			if !slices.Equal(short, long[:len(short)]) {
-				return nil, fmt.Errorf("core: shard %d codes %q against a dictionary that is not a prefix of its siblings'", i, attrs[ai])
-			}
-			dicts[ai] = long
 		}
 	}
 	sizes, total := make([]int, k), 0
@@ -138,4 +131,11 @@ func mergePartials(attrs []string, measure string, partials []*agg.Result) (*agg
 	}
 	_, codes := tuples.Codes()
 	return agg.FromCodes(attrs, measure, dicts, nil, codes, groups), nil
+}
+
+// sameDict reports whether two dictionaries hold the same values in the same
+// order. The shards of a shard.Set share one backing array, so the common
+// case short-circuits on identity.
+func sameDict(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }

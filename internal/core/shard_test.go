@@ -11,34 +11,34 @@ import (
 	"repro/internal/data"
 )
 
-// TestMergePartialsByCode: partials coded against dictionaries that differ
-// only by append-only growth merge on the longest one, in shard order;
-// dictionaries that disagree anywhere else are refused, not re-interned.
+// TestMergePartialsByCode: partials coded against one dictionary merge by
+// code, in shard order; a partial whose dictionary differs in any way — a
+// prefix, a reordering, a divergence — is refused, not re-interned.
 func TestMergePartialsByCode(t *testing.T) {
 	attrs := []string{"a"}
 	part := func(dict []string, codes ...uint32) *agg.Result {
 		groups := make([]agg.Group, len(codes))
 		for i := range groups {
-			groups[i].Stats = agg.Stats{Count: 1, Sum: float64(len(dict)), SumSq: 1}
+			groups[i].Stats = agg.Stats{Count: 1, Sum: float64(codes[i]), SumSq: 1}
 		}
 		return agg.FromCodes(attrs, "m", [][]string{dict}, nil, codes, groups)
 	}
-	short, grown := []string{"y", "x"}, []string{"y", "x", "w"}
-	got, err := mergePartials(attrs, "m", []*agg.Result{part(short, 0, 1), part(grown, 2, 1), part(short, 1)})
+	dict := []string{"y", "x", "w"}
+	got, err := mergePartials(attrs, "m", []*agg.Result{part(dict, 0, 1), part(dict, 2, 1), part(slices.Clone(dict), 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := agg.NewResult(attrs, "m", []agg.Group{
-		{Vals: []string{"w"}, Stats: agg.Stats{Count: 1, Sum: 3, SumSq: 1}},
-		{Vals: []string{"x"}, Stats: agg.Stats{Count: 3, Sum: 2 + 3 + 2, SumSq: 3}},
-		{Vals: []string{"y"}, Stats: agg.Stats{Count: 1, Sum: 2, SumSq: 1}},
+		{Vals: []string{"w"}, Stats: agg.Stats{Count: 1, Sum: 2, SumSq: 1}},
+		{Vals: []string{"x"}, Stats: agg.Stats{Count: 3, Sum: 3, SumSq: 3}},
+		{Vals: []string{"y"}, Stats: agg.Stats{Count: 1, Sum: 0, SumSq: 1}},
 	})
 	if !got.Equal(want) {
 		t.Errorf("merged groups %+v, want %+v", got.Groups, want.Groups)
 	}
-	for name, other := range map[string][]string{"reordered": {"x", "y"}, "diverging past the prefix": {"y", "x", "v"}} {
-		_, err := mergePartials(attrs, "m", []*agg.Result{part(grown, 0), part(other, 0)})
-		if err == nil || !strings.Contains(err.Error(), "not a prefix") {
+	for name, other := range map[string][]string{"prefix": {"y", "x"}, "reordered": {"x", "y", "w"}, "diverging": {"y", "x", "v"}} {
+		_, err := mergePartials(attrs, "m", []*agg.Result{part(dict, 0), part(other, 0)})
+		if err == nil || !strings.Contains(err.Error(), "do not share") {
 			t.Errorf("%s dictionary: error %v, want a refusal", name, err)
 		}
 	}

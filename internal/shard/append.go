@@ -11,9 +11,9 @@ import (
 // keep serving the old Set unchanged). The batch is validated and encoded
 // once (store.EncodeBatch): dictionary growth happens in batch row order and
 // the grown dictionaries are shared by every shard of the successor;
-// untouched shards share their code and measure slices with the predecessor
-// and keep their cubes, touched shards merge a delta cube built over just
-// their appended rows. A batch that violates a hierarchy functional
+// untouched shards share their code and measure slices with the predecessor,
+// touched shards merge a delta cube built over just their appended rows, and
+// every cube is re-keyed to the grown dictionaries (store.Batch.Extend). A batch that violates a hierarchy functional
 // dependency — within one shard or across shards — is rejected whole.
 func (s *Set) Append(rows []store.Row) (*Set, error) {
 	if len(rows) == 0 {

@@ -32,9 +32,8 @@
 // are shared across shards: a shard's columns hold codes into the same
 // dictionary slices as its siblings, so partitioning costs one pass over the
 // codes and no string is stored twice — and the engine merges per-shard
-// group-bys by code, never by string (after an Append a shard's cube may hold
-// a shorter, predecessor dictionary: a prefix of its siblings', which is all
-// the merge requires). Within a shard, rows keep their
+// group-bys by code, never by string: every shard's cube is keyed to the
+// shared dictionaries too (see Appends). Within a shard, rows keep their
 // original relative order, which makes partitioning deterministic and
 // per-shard scans reproducible.
 //
@@ -64,9 +63,12 @@
 // Set.Append validates and dictionary-encodes the batch once
 // (store.EncodeBatch, in batch row order, so codes are deterministic), routes
 // each appended row to its owning shard, and produces a successor Set with
-// every shard at Version+1 (store.Batch.Extend per shard): untouched
-// shards share their columns and keep their cubes, touched shards get a
-// delta cube built over just their new rows and merged in (cube.Merge), and
-// a cross-shard functional-dependency check rejects batches whose violations
-// span shards — a per-shard validation alone cannot see those.
+// every shard at Version+1 (store.Batch.Extend per shard). Untouched shards
+// share their columns; touched shards get a delta cube built over just their
+// new rows and merged in (cube.Merge). A batch that grew a dictionary re-keys
+// every shard's cube to it, an untouched shard's by merging the empty delta,
+// so each cube codes against the dictionaries its shard persists and the
+// gather merges on. A cross-shard functional-dependency check rejects batches
+// whose violations span shards — a per-shard validation alone cannot see
+// those.
 package shard

@@ -151,8 +151,7 @@ func (b *Batch) Pick(rows []int) *Batch {
 // was encoded against or a shard sharing its dictionaries. The successor is
 // validated (hierarchy functional dependencies included) and base is never
 // mutated. An empty batch still moves the version and dictionaries along,
-// sharing base's columns and cube; otherwise base's cube is maintained by
-// merging a delta built over just the appended rows.
+// sharing base's columns; base's cube is carried over as carryCube says.
 func (b *Batch) Extend(base *Snapshot) (*Snapshot, error) {
 	next := &Snapshot{
 		Name:        base.Name,
@@ -188,10 +187,13 @@ func (b *Batch) Extend(base *Snapshot) (*Snapshot, error) {
 }
 
 // carryCube maintains base's materialized cube across an append without
-// rebuilding it: an untouched successor keeps the cube as-is (it still
-// aggregates exactly its rows); otherwise a delta cube is built over just
-// the appended rows and merged in (Stats.Add per shared cell, re-keying the
-// base cells where new values grew the dictionaries). When the grown
+// rebuilding it: a delta cube built over just the appended rows is merged in
+// (Stats.Add per shared cell), and the merge re-keys base's cells into the
+// grown dictionaries' radix space. A successor that gained no rows still
+// merges the empty delta when the batch grew a dictionary, so every cube
+// codes against its own snapshot's dictionaries — the ones a file persists
+// beside it and a gather merges shards on. Only an append that neither adds
+// rows nor grows a dictionary keeps the cube as-is. When the grown
 // dictionaries push the successor outside what the cube subsystem
 // materializes (e.g. the composite key space overflows), the successor
 // simply carries no cube and serving falls back to row scans.
@@ -199,7 +201,11 @@ func carryCube(base, next *Snapshot) error {
 	if base.cube == nil {
 		return nil
 	}
-	if next.rows == base.rows {
+	grew := false
+	for ci := range next.Dims {
+		grew = grew || len(next.Dims[ci].Dict) != len(base.Dims[ci].Dict)
+	}
+	if next.rows == base.rows && !grew {
 		next.attachCube(base.cube)
 		return nil
 	}
