@@ -147,13 +147,10 @@ func (s *Set) Close() error {
 	return first
 }
 
-// Write serializes the Set in the layout its shard count selects: one shard
-// writes the plain snapshot layout (cube section included), byte-identical to
-// Snapshot.Write; more write the partitioned layout.
+// Write serializes the Set as one .rst file: its key, and per shard the
+// columns and the cube, if the shard has one. A one-shard Set with no key
+// writes the bytes of Snapshot.Write.
 func (s *Set) Write(w io.Writer) error {
-	if len(s.Snaps) == 1 {
-		return s.Snaps[0].Write(w)
-	}
 	return store.WriteSharded(w, s.Key, s.Snaps)
 }
 

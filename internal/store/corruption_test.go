@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -31,17 +32,6 @@ func cubeSnapshotBytes(t *testing.T) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
-}
-
-// noCubeLen returns the byte length of the same snapshot without its cube
-// section — the one truncation point that yields a valid (pre-cube) file.
-func noCubeLen(t *testing.T) int {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := FromDataset(demoDataset()).Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Len() - 4 // minus the file checksum, which truncation removes too
 }
 
 func TestCubeSectionRoundTrip(t *testing.T) {
@@ -125,16 +115,55 @@ func TestOpenWithoutCubeSectionStillWorks(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsTruncationEverywhere cuts a cube-carrying .rst at every
-// byte offset — which covers every section boundary: inside the magic,
-// header varints, dictionary strings, code and measure arrays, and the cube
-// tag, version, length, payload and checksums — and asserts Open fails with
-// a clean error (never a panic) on each.
+// layoutCase is one .rst file shape the damage suites run over.
+type layoutCase struct {
+	name   string
+	shards []*Snapshot
+	file   []byte
+}
+
+// layoutCases writes demoDataset7 as 1 and as 2 shards (rows round-robin),
+// each without and with per-shard cubes: every shape of the one layout.
+func layoutCases(t *testing.T) []layoutCase {
+	t.Helper()
+	var out []layoutCase
+	for _, n := range []int{1, 2} {
+		for _, cubed := range []bool{false, true} {
+			lc := layoutCase{name: fmt.Sprintf("shards=%d", n), shards: splitShards(t, demoDataset7(), n)}
+			if cubed {
+				lc.name += "+cube"
+				for _, s := range lc.shards {
+					if err := s.BuildCube(); err != nil || s.Cube() == nil {
+						t.Fatalf("%s: no cube built: %v", lc.name, err)
+					}
+				}
+			}
+			key := ""
+			if n > 1 {
+				key = "district"
+			}
+			var buf bytes.Buffer
+			if err := WriteSharded(&buf, key, lc.shards); err != nil {
+				t.Fatal(err)
+			}
+			lc.file = buf.Bytes()
+			out = append(out, lc)
+		}
+	}
+	return out
+}
+
+// TestOpenRejectsTruncationEverywhere cuts every layout at every byte
+// offset — which covers every section boundary: inside the magic, header
+// varints, dictionary strings, the directory, code and measure arrays, each
+// shard's cube section and the checksums — and asserts the decoder fails
+// with a clean error (never a panic) on each.
 func TestOpenRejectsTruncationEverywhere(t *testing.T) {
-	good := cubeSnapshotBytes(t)
-	for cut := 0; cut < len(good); cut++ {
-		if _, err := Open(bytes.NewReader(good[:cut])); err == nil {
-			t.Fatalf("truncation at offset %d/%d opened successfully", cut, len(good))
+	for _, lc := range layoutCases(t) {
+		for cut := 0; cut < len(lc.file); cut++ {
+			if _, _, err := openShards(lc.file[:cut], nil); err == nil {
+				t.Fatalf("%s: truncation at offset %d/%d opened successfully", lc.name, cut, len(lc.file))
+			}
 		}
 	}
 }
@@ -143,17 +172,36 @@ func TestOpenRejectsTruncationEverywhere(t *testing.T) {
 // truncation, so the damage reaches the section decoders instead of being
 // caught by the whole-file CRC — the hardening the header CRC, the offset
 // directory bounds checks, and the length checks inside the dictionary and
-// cube sections provide. Unlike format v1 (where cutting exactly the cube
-// section yielded a valid pre-cube file), v2 records the cube's offset in
-// the CRC-protected header, so EVERY resealed truncation must fail cleanly.
+// cube sections provide. The header records every shard's payload and cube
+// offsets under its CRC, so EVERY resealed truncation must fail cleanly.
 func TestOpenRejectsResealedTruncation(t *testing.T) {
-	good := cubeSnapshotBytes(t)
-	for cut := 0; cut < len(good)-4; cut++ {
-		b := append(append([]byte(nil), good[:cut]...), 0, 0, 0, 0)
-		reseal(b)
-		if _, err := Open(bytes.NewReader(b)); err == nil {
-			t.Fatalf("resealed truncation at offset %d/%d opened successfully", cut, len(good))
+	for _, lc := range layoutCases(t) {
+		for cut := 0; cut < len(lc.file)-4; cut++ {
+			b := append(append([]byte(nil), lc.file[:cut]...), 0, 0, 0, 0)
+			reseal(b)
+			if _, _, err := openShards(b, nil); err == nil {
+				t.Fatalf("%s: resealed truncation at offset %d/%d opened successfully", lc.name, cut, len(lc.file))
+			}
 		}
+	}
+}
+
+// openDamaged asserts that b fails to open with an error containing want,
+// eagerly and through a file mapping.
+func openDamaged(t *testing.T, b []byte, want string) {
+	t.Helper()
+	if _, _, err := openShards(b, nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("eager err = %v, want %q", err, want)
+	}
+	path := filepath.Join(t.TempDir(), "damaged.rst")
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ss, err := OpenShardsFile(path, true); err == nil || !strings.Contains(err.Error(), want) {
+		for _, s := range ss {
+			s.Close()
+		}
+		t.Fatalf("mapped err = %v, want %q", err, want)
 	}
 }
 
@@ -169,64 +217,85 @@ func cellTable(b []byte, sec, levels, measures, li int) (keys, counts int) {
 	return keys, keys + 8*int(binary.LittleEndian.Uint64(b[dir+8*li:]))
 }
 
-// TestOpenRejectsCubeSectionDamage corrupts the cube section in targeted
-// ways — with the outer file checksum re-sealed each time, so the section's
-// own defenses (tag, version, zero padding, the level directory's bounds)
-// and the cube's validation of its cell tables (key order and range, counts
-// integral and covering the rows) are what reject the file, identically
-// through the eager and the mapped open.
+// TestOpenRejectsCubeSectionDamage corrupts a cube section in targeted
+// ways — the one shard's of a plain file, and the second shard's of a
+// 2-shard file — with the outer file checksum re-sealed each time, so the
+// section's own defenses (tag, version, zero padding, the level directory's
+// bounds) and the cube's validation of its cell tables (key order and range,
+// counts integral and covering the rows) are what reject the file,
+// identically through the eager and the mapped open.
 func TestOpenRejectsCubeSectionDamage(t *testing.T) {
-	good := cubeSnapshotBytes(t)
-	plain := noCubeLen(t) // offset where the cube section begins
-	// The demo lattice: geo (district, village) × time (year), 6 levels in
-	// order (geo depth, year depth); level 1 groups by year alone, two cells
-	// keyed 0 (1986, 5 rows) and 1 (1987, 1 row).
-	dir := plain + 8
-	keys1, counts1 := cellTable(good, plain, 6, 1, 1)
-	last := int(binary.LittleEndian.Uint64(good[dir+8*5:]))
-	u64 := func(off int, v uint64) func([]byte) {
-		return func(b []byte) { binary.LittleEndian.PutUint64(b[off:], v) }
+	// The damaged section always holds the demo dataset's cube, so an edit
+	// placed relative to it fails the same way in both files. Its lattice: geo (district, village) ×
+	// time (year), 6 levels in order (geo depth, year depth); level 1 groups
+	// by year alone, two cells keyed 0 (1986, 5 rows) and 1 (1987, 1 row).
+	files := []struct {
+		name   string
+		shards []*Snapshot
+	}{
+		{"shards=1", shardsOf(t, demoDataset(), []int{0, 1, 2, 3, 4, 5})},
+		{"shards=2", shardsOf(t, demoDataset(), []int{0, 5}, []int{0, 1, 2, 3, 4, 5})},
 	}
-	f64 := func(off int, v float64) func([]byte) { return u64(off, math.Float64bits(v)) }
+	// where locates the damaged section of one file.
+	type where struct {
+		good                             []byte
+		sec, dir, keys1, counts1, cells5 int
+	}
+	var wheres []where
+	for _, fc := range files {
+		key := ""
+		if len(fc.shards) > 1 {
+			key = "district"
+		}
+		for _, s := range fc.shards {
+			if err := s.BuildCube(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteSharded(&buf, key, fc.shards); err != nil {
+			t.Fatal(err)
+		}
+		w := where{good: buf.Bytes()}
+		w.sec = int(binary.LittleEndian.Uint64(w.good[dirEntry(headerCRCAt(t, w.good[:len(w.good)-4]), fc.shards, len(fc.shards)-1, 4):]))
+		w.dir = w.sec + 8
+		w.keys1, w.counts1 = cellTable(w.good, w.sec, 6, 1, 1)
+		w.cells5 = int(binary.LittleEndian.Uint64(w.good[w.dir+8*5:]))
+		wheres = append(wheres, w)
+	}
+	u64 := func(b []byte, off int, v uint64) { binary.LittleEndian.PutUint64(b[off:], v) }
+	f64 := func(b []byte, off int, v float64) { u64(b, off, math.Float64bits(v)) }
 	cases := []struct {
 		name   string
-		mutate func(b []byte)
+		mutate func(b []byte, w where)
 		want   string
 	}{
-		{"bad tag", func(b []byte) { b[plain] = 'X' }, "unknown trailing section"},
-		{"future section version", func(b []byte) { b[plain+4] = CubeFormatVersion + 1 }, "cube section version"},
-		{"nonzero padding", func(b []byte) { b[plain+5] = 1 }, "nonzero alignment padding"},
+		{"bad tag", func(b []byte, w where) { b[w.sec] = 'X' }, "unknown trailing section"},
+		{"future section version", func(b []byte, w where) { b[w.sec+4] = CubeFormatVersion + 1 }, "cube section version"},
+		{"nonzero padding", func(b []byte, w where) { b[w.sec+5] = 1 }, "nonzero alignment padding"},
 		// The lowest mantissa bit of a count of 5.
-		{"payload bit flip", func(b []byte) { b[counts1] ^= 0x01 }, "bad count"},
+		{"payload bit flip", func(b []byte, w where) { b[w.counts1] ^= 0x01 }, "bad count"},
 		// Level 0's one cell shifts onto level 1 and the last level's arrays
 		// end short of the section.
-		{"zero payload length", u64(dir, 0), "trailing bytes"},
-		{"descending keys", func(b []byte) { u64(keys1, 1)(b); u64(keys1+8, 0)(b) }, "keys not strictly ascending"},
-		{"duplicate key", u64(keys1+8, 0), "keys not strictly ascending"},
-		{"key outside the key space", u64(keys1+8, 2), "out of range"},
-		{"zero count", f64(counts1, 0), "bad count"},
-		{"non-integral count", f64(counts1, 4.5), "bad count"},
-		{"counts short of the rows", f64(counts1, 4), "covers 5 rows"},
-		{"directory overruns the file", u64(dir+8*5, 1<<40), "overrun the section"},
-		{"one cell too many", u64(dir+8*5, uint64(last+1)), "overrun the section"},
+		{"zero payload length", func(b []byte, w where) { u64(b, w.dir, 0) }, "trailing bytes"},
+		{"descending keys", func(b []byte, w where) { u64(b, w.keys1, 1); u64(b, w.keys1+8, 0) }, "keys not strictly ascending"},
+		{"duplicate key", func(b []byte, w where) { u64(b, w.keys1+8, 0) }, "keys not strictly ascending"},
+		{"key outside the key space", func(b []byte, w where) { u64(b, w.keys1+8, 2) }, "out of range"},
+		{"zero count", func(b []byte, w where) { f64(b, w.counts1, 0) }, "bad count"},
+		{"non-integral count", func(b []byte, w where) { f64(b, w.counts1, 4.5) }, "bad count"},
+		{"counts short of the rows", func(b []byte, w where) { f64(b, w.counts1, 4) }, "covers 5 rows"},
+		{"directory overruns the file", func(b []byte, w where) { u64(b, w.dir+8*5, 1<<40) }, "overrun the section"},
+		{"one cell too many", func(b []byte, w where) { u64(b, w.dir+8*5, uint64(w.cells5+1)) }, "overrun the section"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := append([]byte(nil), good...)
-			tc.mutate(b)
-			reseal(b)
-			if _, err := Open(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("eager err = %v, want %q", err, tc.want)
-			}
-			path := filepath.Join(t.TempDir(), "damaged.rst")
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if s, err := OpenMappedFile(path); err == nil || !strings.Contains(err.Error(), tc.want) {
-				if err == nil {
-					s.Close()
-				}
-				t.Fatalf("mapped err = %v, want %q", err, tc.want)
+			for fi, w := range wheres {
+				t.Run(files[fi].name, func(t *testing.T) {
+					b := append([]byte(nil), w.good...)
+					tc.mutate(b, w)
+					reseal(b)
+					openDamaged(t, b, tc.want)
+				})
 			}
 		})
 	}

@@ -26,7 +26,7 @@ import (
 var magic = [7]byte{'R', 'S', 'T', 'S', 'N', 'A', 'P'}
 
 // FormatVersion is the current .rst format version.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // cubeTag introduces the optional materialized-cube section.
 var cubeTag = [4]byte{'C', 'U', 'B', 'E'}
@@ -47,26 +47,21 @@ const maxSaneCount = 1 << 31
 // aligned addresses.
 func align8(n int) int { return (n + 7) &^ 7 }
 
-// Write serializes the snapshot in .rst format version 2, checksum included.
-// Mapped snapshots stream straight out of their mapping, so Save works
-// without materializing columns on the heap.
+// Write serializes the snapshot as the one-shard .rst file, checksum
+// included. Mapped snapshots stream straight out of their mapping, so Save
+// works without materializing columns on the heap.
 func (s *Snapshot) Write(w io.Writer) error {
-	return writeLayout(w, "", []*Snapshot{s})
+	return WriteSharded(w, "", []*Snapshot{s})
 }
 
-// writeLayout is the one .rst writer. Both layouts (doc.go) are the same five
-// stages — staged header, schema, offset directory sealed by the header CRC,
-// aligned column payloads, tail CRC — and differ only in what frames them: an
-// empty key writes the single-snapshot layout of shards[0] (row count in the
-// header, a cube offset closing the directory, the cube section after the
-// payloads), a key the partitioned one (the key and per-shard row counts in
-// the header, a shard-major directory, no cubes). The shards share the schema
-// and dictionaries of shards[0] (WriteSharded checks).
+// writeLayout is the one .rst writer (layout in doc.go): a staged header —
+// identity, key, schema, per-shard row counts — then the shard-major offset
+// directory sealed by the header CRC, then per shard its aligned column
+// payloads and its cube section, if it has a cube, and the tail CRC. The
+// shards share the schema and dictionaries of shards[0] (WriteSharded
+// checks).
 func writeLayout(w io.Writer, key string, shards []*Snapshot) error {
-	first, plain, kind := shards[0], key == "", "snapshot"
-	if !plain {
-		kind = "partitioned snapshot"
-	}
+	first := shards[0]
 	// Stage the header in memory: the byte-offset directory holds absolute
 	// payload offsets, so the header's size must be known before the first
 	// payload byte is placed. The header is small — schema plus
@@ -75,20 +70,11 @@ func writeLayout(w io.Writer, key string, shards []*Snapshot) error {
 	var hb bytes.Buffer
 	hw := bufio.NewWriterSize(&hb, 1<<12)
 	e := &encoder{w: hw}
-	if plain {
-		e.bytes(magic[:])
-		e.byte(FormatVersion)
-	} else {
-		e.bytes(shardMagic[:])
-		e.byte(ShardFormatVersion)
-	}
+	e.bytes(magic[:])
+	e.byte(FormatVersion)
 	e.string(first.Name)
 	e.uvarint(first.Version)
-	if plain {
-		e.uvarint(uint64(first.rows))
-	} else {
-		e.string(key)
-	}
+	e.string(key)
 	e.uvarint(uint64(len(first.Hierarchies)))
 	for _, hr := range first.Hierarchies {
 		e.string(hr.Name)
@@ -109,26 +95,20 @@ func writeLayout(w io.Writer, key string, shards []*Snapshot) error {
 	for _, m := range first.Measures {
 		e.string(m.Name)
 	}
-	if !plain {
-		e.uvarint(uint64(len(shards)))
-		for _, s := range shards {
-			e.uvarint(uint64(s.rows))
-		}
+	e.uvarint(uint64(len(shards)))
+	for _, s := range shards {
+		e.uvarint(uint64(s.rows))
 	}
 	if e.err == nil {
 		e.err = hw.Flush()
 	}
 	if e.err != nil {
-		return fmt.Errorf("store: writing %s: %w", kind, e.err)
+		return fmt.Errorf("store: writing snapshot: %w", e.err)
 	}
 
-	// Directory: per shard, one u64 offset per dimension then per measure;
-	// the single-snapshot layout closes it with the cube section offset
-	// (0 = no cube). Then the header CRC.
-	nOff := len(shards) * (len(first.Dims) + len(first.Measures))
-	if plain {
-		nOff++
-	}
+	// Directory: per shard, one u64 offset per dimension, then per measure,
+	// then its cube section's (0 = no cube). Then the header CRC.
+	nOff := len(shards) * (len(first.Dims) + len(first.Measures) + 1)
 	headerLen := hb.Len() + 8*nOff + 4
 	off := align8(headerLen)
 	offs := make([]uint64, 0, nOff)
@@ -141,11 +121,10 @@ func writeLayout(w io.Writer, key string, shards []*Snapshot) error {
 			offs = append(offs, uint64(off))
 			off = align8(off + 8*s.rows)
 		}
-	}
-	if plain {
 		cubeOff := uint64(0)
-		if first.cube != nil {
+		if s.cube != nil {
 			cubeOff = uint64(off)
+			off += cubeSectionLen(s.cube.Tables(), len(s.Measures))
 		}
 		offs = append(offs, cubeOff)
 	}
@@ -171,40 +150,55 @@ func writeLayout(w io.Writer, key string, shards []*Snapshot) error {
 			we.floats(m.Values)
 			we.pad(align8(8*s.rows) - 8*s.rows)
 		}
-	}
-	if plain && first.cube != nil {
-		tables := first.cube.Tables()
-		cells := make([]uint64, len(tables))
-		for li, t := range tables {
-			cells[li] = uint64(len(t.Keys))
-		}
-		we.bytes(cubeTag[:])
-		we.byte(CubeFormatVersion)
-		we.pad(3) // to the next 8-byte boundary
-		we.words(cells)
-		for _, t := range tables {
-			we.words(t.Keys)
-			we.floats(t.Counts)
-			for mi := range t.Sums {
-				we.floats(t.Sums[mi])
-				we.floats(t.SumSqs[mi])
-			}
+		if s.cube != nil {
+			we.cubeSection(s.cube.Tables())
 		}
 	}
 	if we.err == nil {
 		we.err = bw.Flush()
 	}
 	if we.err != nil {
-		return fmt.Errorf("store: writing %s: %w", kind, we.err)
+		return fmt.Errorf("store: writing snapshot: %w", we.err)
 	}
 	// The checksum covers everything flushed so far and is written to the
 	// destination only (hashing it too would make verification impossible).
 	var sum [4]byte
 	binary.LittleEndian.PutUint32(sum[:], h.Sum32())
 	if _, err := w.Write(sum[:]); err != nil {
-		return fmt.Errorf("store: writing %s checksum: %w", kind, err)
+		return fmt.Errorf("store: writing snapshot checksum: %w", err)
 	}
 	return nil
+}
+
+// cubeSectionLen is the byte length of the cube section holding tables:
+// tag, version and padding, the level directory, and per level each cell's
+// key, count, and sum and sum of squares per measure.
+func cubeSectionLen(tables []cube.Table, measures int) int {
+	n := 8 + 8*len(tables)
+	for _, t := range tables {
+		n += 8 * (2 + 2*measures) * len(t.Keys)
+	}
+	return n
+}
+
+// cubeSection writes a cube section holding tables (layout in doc.go).
+func (e *encoder) cubeSection(tables []cube.Table) {
+	cells := make([]uint64, len(tables))
+	for li, t := range tables {
+		cells[li] = uint64(len(t.Keys))
+	}
+	e.bytes(cubeTag[:])
+	e.byte(CubeFormatVersion)
+	e.pad(3) // to the next 8-byte boundary
+	e.words(cells)
+	for _, t := range tables {
+		e.words(t.Keys)
+		e.floats(t.Counts)
+		for mi := range t.Sums {
+			e.floats(t.Sums[mi])
+			e.floats(t.SumSqs[mi])
+		}
+	}
 }
 
 // WriteFile writes the snapshot to path atomically (temp file + rename).
@@ -390,6 +384,8 @@ func openEnvelope(b []byte) (*decoder, layout, error) {
 		return d, layout{}, nil
 	case v == 2:
 		return d, layout{rowsFirst: true, cubeOffs: true}, nil
+	case v == FormatVersion && !sharded:
+		return d, layout{cubeOffs: true}, nil
 	default:
 		return nil, layout{}, fmt.Errorf("store: unsupported format version %d (want %d)", v, FormatVersion)
 	}

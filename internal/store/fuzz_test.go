@@ -12,10 +12,11 @@ import (
 // re-materialize into a Dataset without panicking, and a cube it carries
 // must answer every lattice level's group-by and every hierarchy's paths
 // without panicking (a mapped cube's cell tables are trusted once validated).
-// Seeds cover every on-disk shape the writers produce (v2, v2 with a cube
-// section, a sharded container), a hand-built v1 envelope, a file with a
-// version-1 cube section, plus a truncation of a valid file (the likeliest
-// real-world corruption).
+// Seeds cover every shape of the written layout (one shard with and without
+// a cube section, 2 shards without and with a cube each), both version-2
+// layouts — a plain file with a version-1 cube section and a partitioned
+// one — a hand-built v1 envelope, plus a truncation of a valid file (the
+// likeliest real-world corruption).
 func FuzzOpenSnapshot(f *testing.F) {
 	snap := FromDataset(demoDataset())
 	var v2 bytes.Buffer
@@ -51,6 +52,24 @@ func FuzzOpenSnapshot(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(old)
+
+	cubedShards := splitShards(f, demoDataset7(), 2)
+	for _, s := range cubedShards {
+		if err := s.BuildCube(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var shc bytes.Buffer
+	if err := WriteSharded(&shc, "district", cubedShards); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(shc.Bytes())
+
+	partitionedV2, err := os.ReadFile("testdata/quickstart_v2_shards2.rst")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(partitionedV2)
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if s, err := Open(bytes.NewReader(b)); err == nil && s != nil {

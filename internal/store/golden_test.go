@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
@@ -79,49 +80,57 @@ func sameBits(a, b *agg.Result) bool {
 	return true
 }
 
-// checkCubeAnswers opens the cube-carrying snapshot file at path eager and
-// mapped and holds its cube to cube.Build over ds, the same rows: every
-// lattice level's GroupBy for every measure (every hierarchy's paths among
-// them) and the cell count, bit for bit.
-func checkCubeAnswers(t *testing.T, label, path string, ds *data.Dataset) {
+// checkCubeAnswers opens the .rst file at path eager and mapped and holds
+// every shard's cube to cube.Build over that shard's rows: every lattice
+// level's GroupBy for every measure (every hierarchy's paths among them) and
+// the cell count, bit for bit.
+func checkCubeAnswers(t *testing.T, label, path string) {
 	t.Helper()
-	want, err := cube.Build(ds)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, mapped := range []bool{false, true} {
-		_, shards, err := openPath(path, mapped)
+		_, shards, err := OpenShardsFile(path, mapped)
 		if err != nil {
 			t.Fatalf("%s (mapped=%v): %v", label, mapped, err)
 		}
-		got := shards[0].Cube()
-		if got == nil {
-			t.Fatalf("%s (mapped=%v): opened without its cube", label, mapped)
-		}
-		if got.NumCells() != want.NumCells() {
-			t.Errorf("%s (mapped=%v): %d cells, built %d", label, mapped, got.NumCells(), want.NumCells())
-		}
-		for _, attrs := range latticeGroupings(ds.Hierarchies) {
-			for _, m := range ds.MeasureNames() {
-				g, gok := got.GroupBy(attrs, m)
-				w, wok := want.GroupBy(attrs, m)
-				if gok != wok || (wok && !sameBits(g, w)) {
-					t.Errorf("%s (mapped=%v): GroupBy(%v, %s) differs from the built cube", label, mapped, attrs, m)
+		for si, s := range shards {
+			got := s.Cube()
+			if got == nil {
+				t.Fatalf("%s (mapped=%v): shard %d opened without its cube", label, mapped, si)
+			}
+			rows, err := data.FromColumns(s.Name, s.Dims, s.Measures, append([]data.Hierarchy(nil), s.Hierarchies...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := cube.Build(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.NumCells() != want.NumCells() {
+				t.Errorf("%s (mapped=%v) shard %d: %d cells, built %d", label, mapped, si, got.NumCells(), want.NumCells())
+			}
+			for _, attrs := range latticeGroupings(s.Hierarchies) {
+				for _, m := range rows.MeasureNames() {
+					g, gok := got.GroupBy(attrs, m)
+					w, wok := want.GroupBy(attrs, m)
+					if gok != wok || (wok && !sameBits(g, w)) {
+						t.Errorf("%s (mapped=%v) shard %d: GroupBy(%v, %s) differs from the built cube", label, mapped, si, attrs, m)
+					}
 				}
 			}
 		}
-		if err := shards[0].Close(); err != nil {
-			t.Fatal(err)
+		for _, s := range shards {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 }
 
-// TestGoldenFiles pins the bytes of every .rst file the two writers produce —
-// Snapshot.Write with and without a cube section, WriteSharded over 2 and 3
-// shards — for each dataset the examples/ programs run on and one random
+// TestGoldenFiles pins the bytes of every shape of the .rst layout — one
+// shard with and without a cube section, 2 and 3 shards, 2 shards with a
+// cube each — for each dataset the examples/ programs run on and one random
 // survey. Every file is then re-opened from disk eagerly and memory-mapped
 // and written again: a reader that decodes what the writer laid out must
-// reproduce the file to the byte. A cube-carrying file's cube must answer
+// reproduce the file to the byte. A cube-carrying file's cubes must answer
 // exactly as cube.Build over the same rows, opened either way. Work on the
 // writers must leave every digest as recorded; regenerate with -update only
 // for a change that is meant to move the bytes.
@@ -129,12 +138,13 @@ func TestGoldenFiles(t *testing.T) {
 	got := map[string]string{}
 	dir := t.TempDir()
 	// pin records label's digest, then round-trips the bytes through a file:
-	// opened either way, the shards write back to the same bytes.
-	pin := func(label string, file []byte) {
+	// opened either way, the shards write back to the same bytes. It returns
+	// the file's path.
+	pin := func(label string, file []byte) string {
 		t.Helper()
 		sum := sha256.Sum256(file)
 		got[label] = hex.EncodeToString(sum[:])
-		path := filepath.Join(dir, "golden.rst")
+		path := filepath.Join(dir, strings.ReplaceAll(label, "/", "_")+".rst")
 		if err := os.WriteFile(path, file, 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -144,12 +154,7 @@ func TestGoldenFiles(t *testing.T) {
 				t.Fatalf("%s (mapped=%v): %v", label, mapped, err)
 			}
 			var again bytes.Buffer
-			if key == "" {
-				err = shards[0].Write(&again)
-			} else {
-				err = WriteSharded(&again, key, shards)
-			}
-			if err != nil {
+			if err := WriteSharded(&again, key, shards); err != nil {
 				t.Fatalf("%s (mapped=%v): rewriting: %v", label, mapped, err)
 			}
 			if !bytes.Equal(again.Bytes(), file) {
@@ -161,6 +166,7 @@ func TestGoldenFiles(t *testing.T) {
 				}
 			}
 		}
+		return path
 	}
 	for _, tc := range []struct {
 		name string
@@ -190,12 +196,7 @@ func TestGoldenFiles(t *testing.T) {
 		if err := snap.Write(&buf); err != nil {
 			t.Fatal(err)
 		}
-		pin(tc.name+"/cube", buf.Bytes())
-		cubePath := filepath.Join(dir, "cube.rst")
-		if err := os.WriteFile(cubePath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		checkCubeAnswers(t, tc.name, cubePath, tc.ds)
+		checkCubeAnswers(t, tc.name, pin(tc.name+"/cube", buf.Bytes()))
 
 		key := tc.ds.Hierarchies[0].Attrs[0]
 		for _, n := range []int{2, 3} {
@@ -205,6 +206,17 @@ func TestGoldenFiles(t *testing.T) {
 			}
 			pin(fmt.Sprintf("%s/shards=%d", tc.name, n), buf.Bytes())
 		}
+		cubed := splitShards(t, tc.ds, 2)
+		for _, s := range cubed {
+			if err := s.BuildCube(); err != nil || s.Cube() == nil {
+				t.Fatalf("%s: no shard cube built: %v", tc.name, err)
+			}
+		}
+		buf.Reset()
+		if err := WriteSharded(&buf, key, cubed); err != nil {
+			t.Fatal(err)
+		}
+		checkCubeAnswers(t, tc.name+" shards", pin(tc.name+"/shards=2+cube", buf.Bytes()))
 	}
 
 	if *updateGolden {

@@ -126,19 +126,22 @@ func TestFormatV1Rejected(t *testing.T) {
 }
 
 // TestOpenMappedRejectsTruncationEverywhere is the mapped twin of the eager
-// sweep: every byte-level truncation must fail cleanly through the mmap path
-// too (and must not leak the mapping — the -race/leak canary is that no cut
-// ever opens).
+// sweep: every byte-level truncation of every layout must fail cleanly
+// through the mmap path too (and must not leak the mapping — the -race/leak
+// canary is that no cut ever opens).
 func TestOpenMappedRejectsTruncationEverywhere(t *testing.T) {
-	good := cubeSnapshotBytes(t)
 	path := filepath.Join(t.TempDir(), "cut.rst")
-	for cut := 0; cut < len(good); cut++ {
-		if err := os.WriteFile(path, good[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if s, err := OpenMappedFile(path); err == nil {
-			s.Close()
-			t.Fatalf("truncation at offset %d/%d mapped successfully", cut, len(good))
+	for _, lc := range layoutCases(t) {
+		for cut := 0; cut < len(lc.file); cut++ {
+			if err := os.WriteFile(path, lc.file[:cut], 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, ss, err := OpenShardsFile(path, true); err == nil {
+				for _, s := range ss {
+					s.Close()
+				}
+				t.Fatalf("%s: truncation at offset %d/%d mapped successfully", lc.name, cut, len(lc.file))
+			}
 		}
 	}
 }
@@ -208,9 +211,9 @@ func TestMappedViewCannotFault(t *testing.T) {
 	}
 }
 
-// headerCRCAt locates the v2 header checksum by scanning for the offset
-// whose stored word matches the CRC of everything before it (the header
-// length is not recorded explicitly). payload excludes the tail CRC.
+// headerCRCAt locates the header checksum by scanning for the offset whose
+// stored word matches the CRC of everything before it (the header length is
+// not recorded explicitly). payload excludes the tail CRC.
 func headerCRCAt(t *testing.T, payload []byte) int {
 	t.Helper()
 	for end := len(magic) + 1; end+4 <= len(payload); end++ {
@@ -218,70 +221,72 @@ func headerCRCAt(t *testing.T, payload []byte) int {
 			return end
 		}
 	}
-	t.Fatal("v2 header checksum not found")
+	t.Fatal("header checksum not found")
 	return 0
 }
 
-// resealHeader recomputes the v2 header checksum after a deliberate edit.
+// resealHeader recomputes the header checksum after a deliberate edit.
 func resealHeader(b []byte, hdrEnd int) {
 	binary.LittleEndian.PutUint32(b[hdrEnd:], crcOf(b[:hdrEnd]))
 }
 
-// TestOpenRejectsDirectoryTampering damages the v2 offset directory and its
-// surroundings with every checksum re-sealed, so the structural validation —
-// offset contiguity, cube-offset consistency, zero padding — is what rejects
-// the file, identically through the eager and mapped paths.
-func TestOpenRejectsDirectoryTampering(t *testing.T) {
-	snap := FromDataset(demoDataset7())
-	var buf bytes.Buffer
-	if err := snap.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	hdrEnd := headerCRCAt(t, good[:len(good)-4])
-	entries := len(snap.Dims) + len(snap.Measures) + 1 // offsets + cubeOff
-	dirStart := hdrEnd - 8*entries
-	dimOff0 := int(binary.LittleEndian.Uint64(good[dirStart:]))
+// dirEntry returns where, in a file written from shards whose header
+// checksum sits at hdrEnd, shard si's directory entry j sits: j counts its
+// dimension offsets, then its measure offsets, then its cube offset.
+func dirEntry(hdrEnd int, shards []*Snapshot, si, j int) int {
+	slot := len(shards[0].Dims) + len(shards[0].Measures) + 1
+	return hdrEnd - 8*slot*(len(shards)-si) + 8*j
+}
 
+// TestOpenRejectsDirectoryTampering damages the offset directory and its
+// surroundings in every layout with every checksum re-sealed, so the
+// structural validation — offset contiguity across the shards, cube-offset
+// consistency, zero padding — is what rejects the file, identically through
+// the eager and mapped paths.
+func TestOpenRejectsDirectoryTampering(t *testing.T) {
+	u64 := func(b []byte, off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
+	// shift moves shard si's first dimension offset by 8 bytes.
+	shift := func(b []byte, hdrEnd int, shards []*Snapshot, si int) {
+		e := dirEntry(hdrEnd, shards, si, 0)
+		binary.LittleEndian.PutUint64(b[e:], uint64(u64(b, e)+8))
+		resealHeader(b, hdrEnd)
+	}
 	cases := []struct {
 		name   string
-		mutate func(b []byte)
+		mutate func(b []byte, hdrEnd int, shards []*Snapshot)
 		want   string
 	}{
-		{"shifted dimension offset", func(b []byte) {
-			binary.LittleEndian.PutUint64(b[dirStart:], uint64(dimOff0+8))
-			resealHeader(b, hdrEnd)
+		{"shifted dimension offset", func(b []byte, hdrEnd int, shards []*Snapshot) {
+			shift(b, hdrEnd, shards, 0)
 		}, "payload offset"},
-		{"bogus cube offset", func(b []byte) {
-			binary.LittleEndian.PutUint64(b[hdrEnd-8:], 16)
+		{"shifted shard offset", func(b []byte, hdrEnd int, shards []*Snapshot) {
+			shift(b, hdrEnd, shards, len(shards)-1)
+		}, "payload offset"},
+		{"bogus cube offset", func(b []byte, hdrEnd int, shards []*Snapshot) {
+			binary.LittleEndian.PutUint64(b[dirEntry(hdrEnd, shards, 0, len(shards[0].Dims)+len(shards[0].Measures)):], 16)
 			resealHeader(b, hdrEnd)
 		}, "cube section offset"},
-		{"header bit flip", func(b []byte) {
+		{"header bit flip", func(b []byte, hdrEnd int, shards []*Snapshot) {
 			b[len(magic)+2] ^= 0x20
 		}, "header checksum mismatch"},
-		{"nonzero payload padding", func(b []byte) {
-			// 7 rows × 4 bytes = 28: the first code payload ends 4 bytes
-			// short of its 8-byte boundary.
-			b[dimOff0+4*snap.NumRows()] = 0xFF
+		{"nonzero payload padding", func(b []byte, hdrEnd int, shards []*Snapshot) {
+			// The last shard holds an odd row count (7 of 7, or 3 of 7):
+			// its first code payload ends 4 bytes short of the 8-byte
+			// boundary.
+			last := len(shards) - 1
+			b[u64(b, dirEntry(hdrEnd, shards, last, 0))+4*shards[last].NumRows()] = 0xFF
 		}, "nonzero alignment padding"},
 	}
+	layouts := layoutCases(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			b := append([]byte(nil), good...)
-			tc.mutate(b)
-			reseal(b)
-			if _, err := Open(bytes.NewReader(b)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("eager err = %v, want %q", err, tc.want)
-			}
-			path := filepath.Join(t.TempDir(), "tampered.rst")
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if s, err := OpenMappedFile(path); err == nil || !strings.Contains(err.Error(), tc.want) {
-				if err == nil {
-					s.Close()
-				}
-				t.Fatalf("mapped err = %v, want %q", err, tc.want)
+			for _, lc := range layouts {
+				t.Run(lc.name, func(t *testing.T) {
+					b := append([]byte(nil), lc.file...)
+					tc.mutate(b, headerCRCAt(t, b[:len(b)-4]), lc.shards)
+					reseal(b)
+					openDamaged(t, b, tc.want)
+				})
 			}
 		})
 	}
@@ -349,13 +354,20 @@ func TestBuilderAppendRejectsMappedSnapshot(t *testing.T) {
 // is an engine concern).
 func splitShards(t testing.TB, ds *data.Dataset, n int) []*Snapshot {
 	t.Helper()
+	parts := make([][]int, n)
+	for r := 0; r < ds.NumRows(); r++ {
+		parts[r%n] = append(parts[r%n], r)
+	}
+	return shardsOf(t, ds, parts...)
+}
+
+// shardsOf builds one shard per part, holding the dataset's rows the part
+// lists in that order, every shard sharing the dataset's dictionaries.
+func shardsOf(t testing.TB, ds *data.Dataset, parts ...[]int) []*Snapshot {
+	t.Helper()
 	src := FromDataset(ds)
-	shards := make([]*Snapshot, n)
-	for si := 0; si < n; si++ {
-		var rows []int
-		for r := si; r < src.NumRows(); r += n {
-			rows = append(rows, r)
-		}
+	shards := make([]*Snapshot, len(parts))
+	for si, rows := range parts {
 		dims := make([]Column, len(src.Dims))
 		for ci, c := range src.Dims {
 			codes := make([]uint32, len(rows))
@@ -438,95 +450,5 @@ func TestOpenShardedMappedRoundTrip(t *testing.T) {
 	}
 	if m.data != nil {
 		t.Fatal("mapping still live after the last shard closed")
-	}
-}
-
-// TestOpenShardedRejectsTruncationEverywhere cuts a v2 partitioned file at
-// every byte offset — plain and with the tail CRC re-sealed — and asserts
-// both the eager and mapped decoders fail cleanly on each.
-func TestOpenShardedRejectsTruncationEverywhere(t *testing.T) {
-	shards := splitShards(t, demoDataset7(), 2)
-	var buf bytes.Buffer
-	if err := WriteSharded(&buf, "district", shards); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	path := filepath.Join(t.TempDir(), "cut.rst")
-	for cut := 0; cut < len(good); cut++ {
-		if _, _, err := openShards(good[:cut], nil); err == nil {
-			t.Fatalf("truncation at offset %d/%d opened successfully", cut, len(good))
-		}
-		if err := os.WriteFile(path, good[:cut], 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, ss, err := OpenShardsFile(path, true); err == nil {
-			for _, s := range ss {
-				s.Close()
-			}
-			t.Fatalf("truncation at offset %d/%d mapped successfully", cut, len(good))
-		}
-	}
-	for cut := 0; cut < len(good)-4; cut++ {
-		b := append(append([]byte(nil), good[:cut]...), 0, 0, 0, 0)
-		reseal(b)
-		if _, _, err := openShards(b, nil); err == nil {
-			t.Fatalf("resealed truncation at offset %d/%d opened successfully", cut, len(good))
-		}
-	}
-}
-
-// TestOpenShardedRejectsDirectoryTampering is the partitioned twin of the
-// directory-tampering suite: every checksum is re-sealed so the shard-major
-// offset directory's own validation rejects the file.
-func TestOpenShardedRejectsDirectoryTampering(t *testing.T) {
-	snap := FromDataset(demoDataset7())
-	shards := splitShards(t, demoDataset7(), 3)
-	var buf bytes.Buffer
-	if err := WriteSharded(&buf, "district", shards); err != nil {
-		t.Fatal(err)
-	}
-	good := buf.Bytes()
-	hdrEnd := headerCRCAt(t, good[:len(good)-4])
-	entries := 3 * (len(snap.Dims) + len(snap.Measures))
-	dirStart := hdrEnd - 8*entries
-	dimOff0 := int(binary.LittleEndian.Uint64(good[dirStart:]))
-
-	cases := []struct {
-		name   string
-		mutate func(b []byte)
-		want   string
-	}{
-		{"shifted shard offset", func(b []byte) {
-			binary.LittleEndian.PutUint64(b[dirStart:], uint64(dimOff0+8))
-			resealHeader(b, hdrEnd)
-		}, "payload offset"},
-		{"header bit flip", func(b []byte) {
-			b[len(shardMagic)+2] ^= 0x10
-		}, "header checksum mismatch"},
-		{"nonzero payload padding", func(b []byte) {
-			// Shard 0 holds 3 of the 7 rows: its 12-byte code payload ends
-			// 4 bytes short of the 8-byte boundary.
-			b[dimOff0+4*shards[0].NumRows()] = 0xFF
-		}, "nonzero alignment padding"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			b := append([]byte(nil), good...)
-			tc.mutate(b)
-			reseal(b)
-			if _, _, err := openShards(b, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("eager err = %v, want %q", err, tc.want)
-			}
-			path := filepath.Join(t.TempDir(), "tampered.rst")
-			if err := os.WriteFile(path, b, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if _, ss, err := OpenShardsFile(path, true); err == nil || !strings.Contains(err.Error(), tc.want) {
-				for _, s := range ss {
-					s.Close()
-				}
-				t.Fatalf("mapped err = %v, want %q", err, tc.want)
-			}
-		})
 	}
 }

@@ -41,8 +41,10 @@ func checkShardSet(key string, shards []*Snapshot) error {
 		return fmt.Errorf("store: partitioned snapshot needs at least one shard")
 	}
 	first := shards[0]
-	if err := checkShardKey(key, first.Hierarchies); err != nil {
-		return err
+	if key != "" || len(shards) > 1 {
+		if err := checkShardKey(key, first.Hierarchies); err != nil {
+			return err
+		}
 	}
 	for i, s := range shards[1:] {
 		si := i + 1
