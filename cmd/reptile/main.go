@@ -16,13 +16,14 @@
 // carries its own schema, so -hierarchies and -measures are then omitted.
 //
 // With -cube the snapshot additionally materializes the hierarchy rollup
-// cube (internal/cube): group-bys over hierarchy prefixes are then answered
-// from precomputed cells when the snapshot is loaded, here or by reptiled.
+// cube (internal/cube), one per shard: group-bys over hierarchy prefixes are
+// then answered from precomputed cells when the snapshot is loaded, here or
+// by reptiled.
 // With -shards N (N ≥ 2) the output is a partitioned snapshot: rows are
 // hashed on a hierarchy-root dimension (-shard-key, default: the first
-// hierarchy's root) into N per-shard column sections sharing one dictionary
-// set, and loading it — here or in reptiled — serves it through the sharded
-// scatter-gather engine.
+// hierarchy's root) into N per-shard column sections, each with its cube
+// under -cube, sharing one dictionary set, and loading it — here or in
+// reptiled — serves it through the sharded scatter-gather engine.
 //
 // Usage:
 //
@@ -165,9 +166,7 @@ func runConvert(args []string) error {
 	if *name != "" {
 		opts = append(opts, reptile.WithName(*name))
 	}
-	// Partitioned snapshots do not store cubes (loaders rebuild per-shard
-	// cubes at registration), so skip the wasted build.
-	if *withCube && *shards < 2 {
+	if *withCube {
 		opts = append(opts, reptile.WithCube())
 	}
 	if *shards >= 2 {
@@ -186,9 +185,7 @@ func runConvert(args []string) error {
 	}
 	cubeNote := ""
 	if *withCube {
-		if *shards >= 2 {
-			cubeNote = ", cube: not stored in partitioned snapshots (rebuilt at load)"
-		} else if info.CubeLevels > 0 {
+		if info.CubeLevels > 0 {
 			cubeNote = fmt.Sprintf(", cube: %d groupings / %d cells", info.CubeLevels, info.CubeCells)
 		} else {
 			cubeNote = ", cube: skipped (dataset not cubable)"

@@ -170,3 +170,70 @@ func TestConvertRewritesVersion1CubeSection(t *testing.T) {
 		t.Fatalf("converted snapshot: cube %v, %d rows", s.Cube() != nil, s.NumRows())
 	}
 }
+
+// TestConvertStoresShardCubes: convert -cube -shards 2 writes every shard's
+// cube, and the file reopens, eager and mapped, with all of them.
+func TestConvertStoresShardCubes(t *testing.T) {
+	csvPath := writeTestCSV(t)
+	out := filepath.Join(t.TempDir(), "sharded.rst")
+	err := runConvert([]string{
+		"-data", csvPath, "-out", out, "-cube", "-shards", "2",
+		"-hierarchies", testHierarchies, "-measures", "severity",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mapped := range []bool{false, true} {
+		_, shards, err := store.OpenShardsFile(out, mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shards) != 2 {
+			t.Fatalf("mapped=%v: %d shards, want 2", mapped, len(shards))
+		}
+		for si, s := range shards {
+			if s.Cube() == nil {
+				t.Errorf("mapped=%v: shard %d reopened without its cube", mapped, si)
+			}
+			s.Close()
+		}
+	}
+}
+
+// TestConvertRewritesVersion2Files: convert rewrites each version-2 file —
+// plain with a cube, and partitioned — in the current format with the same
+// shards, keeping the cube it carries.
+func TestConvertRewritesVersion2Files(t *testing.T) {
+	for _, tc := range []struct {
+		path   string
+		shards int
+		cubed  bool
+	}{
+		{"../../internal/store/testdata/quickstart_v2_cube.rst", 1, true},
+		{"../../internal/store/testdata/quickstart_v2_shards2.rst", 2, false},
+	} {
+		out := filepath.Join(t.TempDir(), "converted.rst")
+		if err := runConvert([]string{"-data", tc.path, "-out", out}); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(b, []byte("RSTSNAP")) || b[7] != store.FormatVersion {
+			t.Errorf("%s: converted file starts %q, want RSTSNAP version %d", tc.path, b[:8], store.FormatVersion)
+		}
+		_, shards, err := store.OpenShardsFile(out, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(shards) != tc.shards {
+			t.Errorf("%s: %d shards, want %d", tc.path, len(shards), tc.shards)
+		}
+		for si, s := range shards {
+			if (s.Cube() != nil) != tc.cubed {
+				t.Errorf("%s: shard %d cube %v, want %v", tc.path, si, s.Cube() != nil, tc.cubed)
+			}
+		}
+	}
+}

@@ -106,7 +106,7 @@ func mergePartials(attrs []string, measure string, partials []*agg.Result) (*agg
 	dicts := partials[0].Dicts
 	for i, p := range partials[1:] {
 		for ai, dict := range p.Dicts {
-			if !sameDict(dict, dicts[ai]) {
+			if !data.SameDict(dict, dicts[ai]) {
 				return nil, fmt.Errorf("core: shard %d codes %q against a dictionary its siblings do not share", i+1, attrs[ai])
 			}
 		}
@@ -131,11 +131,4 @@ func mergePartials(attrs []string, measure string, partials []*agg.Result) (*agg
 	}
 	_, codes := tuples.Codes()
 	return agg.FromCodes(attrs, measure, dicts, nil, codes, groups), nil
-}
-
-// sameDict reports whether two dictionaries hold the same values in the same
-// order. The shards of a shard.Set share one backing array, so the common
-// case short-circuits on identity.
-func sameDict(a, b []string) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }

@@ -14,6 +14,7 @@ package data
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -91,6 +92,13 @@ type DimColumn struct {
 	Name  string
 	Dict  []string
 	Codes []uint32
+}
+
+// SameDict reports whether two dictionaries hold the same values in the same
+// order. Shards of one dataset share one backing array, so the common case
+// short-circuits on identity.
+func SameDict(a, b []string) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }
 
 // MeasureColumn is one numeric measure column handed to FromColumns.

@@ -18,11 +18,12 @@
 // a one-shard Set needs no Key (tables without hierarchies qualify), Engine
 // hands the engine the shard's dataset as its data plane instead of gathering
 // over one part — the engine runs the same code either way; only the scatter
-// span and NumShards() == 0 tell — Append extends the one snapshot without routing or the cross-shard FD
-// check (the snapshot's own validation already covers every dependency), and
-// Write emits the plain RSTSNAP layout — cube section included —
-// byte-identical to Snapshot.Write. Everything else (Retain, BuildCubes,
-// Rows, Close) is the same loop over one element.
+// span and NumShards() == 0 tell — and Append extends the one snapshot
+// without routing or the cross-shard FD check (the snapshot's own validation
+// already covers every dependency). Everything else (Write, Retain,
+// BuildCubes, Rows, Close) is the same loop over one element: a .rst file is
+// N ≥ 1 shards, each with its own cube section, and the one-shard Set with
+// no key writes the bytes of Snapshot.Write.
 //
 // # Partitioning
 //

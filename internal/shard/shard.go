@@ -124,10 +124,10 @@ func Partition(snap *store.Snapshot, n int, key string) (*Set, error) {
 	return set, nil
 }
 
-// Open loads a .rst file of either layout into a Set, sniffing the magic
-// once: a partitioned file yields its N shards, a plain snapshot the
-// one-shard Set. With mapped set, every shard serves its columns from one
-// shared file mapping (see store.OpenShardsFile), released by Close.
+// Open loads a .rst file into a Set: its key and its N ≥ 1 shards, with the
+// cubes the file stores. With mapped set, every shard serves its columns and
+// cube from one shared file mapping (see store.OpenShardsFile), released by
+// Close.
 func Open(path string, mapped bool) (*Set, error) {
 	key, snaps, err := store.OpenShardsFile(path, mapped)
 	if err != nil {

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -287,6 +288,72 @@ func TestAppendMaintainsCubes(t *testing.T) {
 					t.Fatalf("shard %d %v/%s: merged cube diverges from rebuild", si, attrs, measure)
 				}
 			}
+		}
+	}
+}
+
+// TestAppendRekeysPersistedCubes appends, to a cubed 2-shard set, a batch
+// that grows a dictionary and lands on one shard only, writes the successor
+// and reopens it eager and mapped: every shard's stored cube, the untouched
+// one's included, answers every lattice GroupBy bit-identically to
+// cube.Build over that shard's rows.
+func TestAppendRekeysPersistedCubes(t *testing.T) {
+	a, b := ownerSplit(t, 2)
+	ds := data.New("cities", []string{"region", "city", "year"}, []string{"pop", "one"}, testDataset().Hierarchies)
+	for i, city := range []string{"c1", "c2", "c3", "c4"} {
+		region := []string{a, b}[i%2]
+		for _, year := range []string{"2020", "2021"} {
+			ds.AppendRowVals([]string{region, city, year}, []float64{float64(10*i + len(year)), 1})
+		}
+	}
+	set := mustPartition(t, ds, 2, "")
+	if err := set.BuildCubes(); err != nil {
+		t.Fatal(err)
+	}
+	// A new city under region a: the city dictionary grows, and only a's
+	// owner gets the row.
+	next, err := set.Append([]store.Row{{Dims: []string{a, "c5", "2021"}, Measures: []float64{5, 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	untouched := Owner(b, 2)
+	if n := next.Snaps[untouched].NumRows(); n == 0 || n != set.Snaps[untouched].NumRows() {
+		t.Fatalf("shard %d holds %d rows, want its predecessor's %d > 0", untouched, n, set.Snaps[untouched].NumRows())
+	}
+	path := filepath.Join(t.TempDir(), "appended.rst")
+	if err := next.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	for _, mapped := range []bool{false, true} {
+		got, err := Open(path, mapped)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for si, sn := range got.Snaps {
+			c := sn.Cube()
+			if c == nil {
+				t.Fatalf("mapped=%v: shard %d reopened without its cube", mapped, si)
+			}
+			rows, err := data.FromColumns(sn.Name, sn.Dims, sn.Measures, append([]data.Hierarchy(nil), sn.Hierarchies...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := cube.Build(rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, attrs := range latticeGroupings(sn.Hierarchies) {
+				for _, m := range []string{"pop", "one"} {
+					g, gok := c.GroupBy(attrs, m)
+					w, wok := want.GroupBy(attrs, m)
+					if gok != wok || (gok && (!g.Equal(w) || !slices.Equal(g.Codes, w.Codes))) {
+						t.Errorf("mapped=%v shard %d: GroupBy(%v, %s) differs from cube.Build", mapped, si, attrs, m)
+					}
+				}
+			}
+		}
+		if err := got.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

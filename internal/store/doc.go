@@ -21,53 +21,63 @@
 // validation pass of the eager open — header CRC, offset directory and
 // zero padding, code ranges, dictionary contents, hierarchy functional
 // dependencies, the cube's key order and row coverage — runs over the views,
-// so residency stays O(dictionaries) regardless of the row and cell counts. Both modes produce byte-identical
-// query results; mapped snapshots (Snapshot.Mapped) reject mutation
-// (appending, partitioning, retention) and must be released with Close,
-// after which neither the snapshot nor any dataset derived from it may be
-// read. OpenShardsFile takes either file layout below, dispatching on the
-// magic after one read (or one mapping): a plain snapshot is the one-shard
-// partition.
+// so residency stays O(dictionaries) regardless of the row and cell counts.
+// Both modes produce byte-identical query results; mapped snapshots
+// (Snapshot.Mapped) reject mutation (appending, partitioning, retention) and
+// must be released with Close, after which neither the snapshot nor any
+// dataset derived from it may be read.
 //
-// # Single-snapshot file format
+// # File format
+//
+// A .rst file holds one dataset version as N ≥ 1 shards: rows hashed on a
+// hierarchy-root dimension (the partition key) into per-shard column
+// payloads, each shard followed by its own cube section when it has a cube.
+// A plain snapshot is the one-shard case, with no key. Dictionaries are
+// shared across the shards and written once. OpenShardsFile returns every
+// shard; OpenFile and OpenMappedFile return the one shard of a one-shard
+// file and refuse more.
 //
 // All integers are little-endian; "uv" is an unsigned varint; "str" is a
 // uv length followed by that many UTF-8 bytes; every CRC is CRC-32C
-// (Castagnoli). The whole file minus its last 4 bytes is covered by a tail
-// CRC.
+// (Castagnoli). A self-describing header is followed by fixed-width,
+// 8-byte-aligned payloads located by a byte-offset directory, which is what
+// makes the mapped open possible (version byte 3):
 //
-// The format (version byte 2) separates a self-describing header from
-// fixed-width, 8-byte-aligned column payloads located by a byte-offset
-// directory, which is what makes the mapped open possible:
-//
-//	magic "RSTSNAP" | version byte = 2
-//	name str | dataset version uv | rows uv
+//	magic "RSTSNAP" | version byte = 3
+//	name str | dataset version uv | partition key str ("" allowed for one shard)
 //	#hierarchies uv { name str | #attrs uv { attr str } }
 //	#dims uv { name str | #dict uv { value str } }
 //	#measures uv { name str }
-//	directory: one u64 absolute offset per dim, then per measure,
-//	           then cubeOff (0 = no cube section)
+//	#shards uv { shard rows uv }
+//	directory, shard-major: per shard, one u64 absolute offset per dim,
+//	           then per measure, then its cubeOff (0 = no cube section)
 //	header CRC u32 (covers everything above)
 //	zero padding to an 8-byte boundary
-//	per dim:     rows × u32 codes, zero-padded to an 8-byte boundary
-//	per measure: rows × u64 float64 bits, zero-padded likewise
-//	optional cube section at cubeOff (see below)
-//	tail CRC u32
+//	per shard: per dim rows × u32 codes, zero-padded to an 8-byte boundary
+//	           per measure rows × u64 float64 bits, zero-padded likewise
+//	           its cube section at cubeOff, if any (see below)
+//	tail CRC u32 (covers the whole file before it)
 //
 // The decoder trusts nothing: after the header CRC verifies, every directory
 // offset must be exactly where the contiguous-packing rule puts it, every
-// alignment gap must be zero, and cubeOff must either be 0 (and the payloads
-// must end the file) or equal the payload end. A v2 file therefore has no
-// valid truncations, even re-sealed ones.
+// alignment gap must be zero, a shard's cubeOff must be 0 or equal the end
+// of its payloads, and the last section must end the file. A file therefore
+// has no valid truncations, even re-sealed ones.
 //
-// Version 1 interleaved dictionaries with inline payloads. Nothing has
-// written it since version 2 landed and it is no longer readable: a version
-// byte of 1, plain or partitioned, gets one dedicated error asking for a
-// re-run of `reptile convert` from the source CSV.
+// Version 2 wrote the same design as two layouts, and both are still read as
+// the version-3 cases they are. A plain version-2 file (magic "RSTSNAP") is
+// one shard with no key: its header holds the row count right after the
+// dataset version instead of a key, and no shard count. A partitioned
+// version-2 file (magic "RSTSHARD") has the key and shard counts of version 3
+// but no cube offsets in its directory: its shards have no cubes. `reptile
+// convert` rewrites either as version 3. Version 1 interleaved dictionaries
+// with inline payloads and is no longer readable: a version byte of 1, under
+// either magic, gets one dedicated error asking for a re-run of `reptile
+// convert` from the source CSV.
 //
-// The optional cube section (cube format version 2) holds the cube's cell
-// tables (internal/cube's Table) in the columns' representation, so a mapped
-// open views them in place too:
+// A cube section (cube format version 2) holds the shard's cube's cell tables
+// (internal/cube's Table) in the columns' representation, so a mapped open
+// views them in place too:
 //
 //	tag "CUBE" | cube format version byte = 2 | zero padding to 8
 //	level directory: one u64 cell count per lattice level, in lattice
@@ -78,38 +88,15 @@
 //	                        cells × u64 float64 bits of the sums of squares
 //
 // Every array starts 8-aligned because every element is 8 bytes wide. The
-// decoder checks the padding and that every level's arrays end inside the
-// section, which must end the file's payload; cube.FromTables checks the
-// tables' contents (keys ascending inside the level's key space, counts
-// integral, positive and covering the rows). The section has no CRC of its
-// own: the tail CRC covers it. A version-1 section (varint keys and counts,
-// its own CRC) is skipped: the file opens without its cube, as a cubeless
-// file does, and `reptile convert` rewrites it in the current layout. Any
+// keys are composites over the shared dictionaries' sizes, so a cube must
+// be keyed to its shard's current dictionaries (Batch.Extend re-keys a
+// carried cube when an append grows them). The decoder checks the padding
+// and that every level's arrays end inside the file, and the section must
+// end where the next shard's payloads begin, or the file; cube.FromTables
+// checks the tables' contents (keys ascending inside the level's key space,
+// counts integral, positive and covering the shard's rows). The section has
+// no CRC of its own: the tail CRC covers it. A version-1 section (varint keys
+// and counts, its own CRC), which only a plain version-2 file can hold, is
+// skipped: the file opens without its cube, as a cubeless file does. Any
 // other section version is refused.
-//
-// # Partitioned file format
-//
-// A partitioned snapshot holds one dataset hashed into N shards on a
-// hierarchy-root dimension; dictionaries are shared across shards and
-// written once. Cubes are not persisted: per-shard cubes are rebuilt from
-// the rows after an open (shard.Set.BuildCubes), at a cost above that of a
-// whole one-shot session over the file. Persisting them is ROADMAP item 4.
-//
-// The layout (version byte 2) mirrors the single-snapshot design — one
-// CRC-checked header with a shard-major offset directory, then aligned
-// per-shard payloads — so a mapped OpenShardsFile serves every shard out of
-// one refcounted file mapping, and one writer (writeLayout) lays out both:
-//
-//	magic "RSTSHARD" | version byte = 2
-//	name str | dataset version uv | partition key str
-//	#hierarchies uv { name str | #attrs uv { attr str } }
-//	#dims uv { name str | #dict uv { value str } }
-//	#measures uv { name str }
-//	#shards uv { shard rows uv }
-//	directory, shard-major: per shard, one u64 offset per dim then
-//	                        per measure
-//	header CRC u32 | zero padding to an 8-byte boundary
-//	per shard: per dim rows × u32 codes (8-aligned, zero-padded),
-//	           then per measure rows × u64 float64 bits (likewise)
-//	tail CRC u32
 package store

@@ -16,14 +16,15 @@ import (
 	"repro/internal/data"
 )
 
-// The .rst binary layouts are documented in doc.go. Version 2 (the current
-// writer output) separates a self-describing header — schema, dictionaries,
-// and a CRC-checked byte-offset directory — from fixed-width, 8-byte-aligned
-// column payloads, so OpenMappedFile can expose columns (and the cube
-// section's cell tables, laid out the same way) straight out of a
-// memory-mapped file without decoding them into heap slices. Version 1
-// (inline payloads) is no longer readable.
+// The .rst binary layout is documented in doc.go. A self-describing header —
+// schema, dictionaries, and a CRC-checked byte-offset directory — precedes
+// fixed-width, 8-byte-aligned column payloads and cube sections, so a mapped
+// open can expose columns and cell tables straight out of a memory-mapped
+// file without decoding them into heap slices.
 var magic = [7]byte{'R', 'S', 'T', 'S', 'N', 'A', 'P'}
+
+// shardMagic introduces a version-2 partitioned file, which is still read.
+var shardMagic = [8]byte{'R', 'S', 'T', 'S', 'H', 'A', 'R', 'D'}
 
 // FormatVersion is the current .rst format version.
 const FormatVersion = 3
@@ -52,6 +53,84 @@ func align8(n int) int { return (n + 7) &^ 7 }
 // works without materializing columns on the heap.
 func (s *Snapshot) Write(w io.Writer) error {
 	return WriteSharded(w, "", []*Snapshot{s})
+}
+
+// WriteSharded serializes the shards of one dataset version as one .rst file,
+// checksum included: per shard its columns, and its cube if it has one. Every
+// shard must carry the same name, version, hierarchies, column schema and —
+// payloads and cube keys hold codes only — identical dictionaries, each cube
+// keyed to them. key names the hierarchy-root dimension the rows were
+// partitioned on; one shard may have none.
+func WriteSharded(w io.Writer, key string, shards []*Snapshot) error {
+	if err := checkShardSet(key, shards); err != nil {
+		return err
+	}
+	return writeLayout(w, key, shards)
+}
+
+// checkShardSet verifies the writer's preconditions: a non-empty shard list
+// sharing one schema and one set of dictionary contents, partitioned on a
+// hierarchy-root dimension when there is more than one shard or a key.
+func checkShardSet(key string, shards []*Snapshot) error {
+	if len(shards) == 0 {
+		return fmt.Errorf("store: snapshot needs at least one shard")
+	}
+	first := shards[0]
+	if key != "" || len(shards) > 1 {
+		if err := checkShardKey(key, first.Hierarchies); err != nil {
+			return err
+		}
+	}
+	for i, s := range shards[1:] {
+		si := i + 1
+		if s.Name != first.Name || s.Version != first.Version {
+			return fmt.Errorf("store: shard %d is %q v%d, shard 0 is %q v%d", si, s.Name, s.Version, first.Name, first.Version)
+		}
+		if len(s.Dims) != len(first.Dims) || len(s.Measures) != len(first.Measures) {
+			return fmt.Errorf("store: shard %d schema differs from shard 0", si)
+		}
+		for ci, c := range s.Dims {
+			fc := first.Dims[ci]
+			if c.Name != fc.Name {
+				return fmt.Errorf("store: shard %d dimension %d is %q, shard 0 has %q", si, ci, c.Name, fc.Name)
+			}
+			if !data.SameDict(c.Dict, fc.Dict) {
+				return fmt.Errorf("store: shard %d dimension %q dictionary differs from shard 0 (dictionaries must be shared)", si, c.Name)
+			}
+		}
+		for mi, m := range s.Measures {
+			if m.Name != first.Measures[mi].Name {
+				return fmt.Errorf("store: shard %d measure %d is %q, shard 0 has %q", si, mi, m.Name, first.Measures[mi].Name)
+			}
+		}
+	}
+	return nil
+}
+
+// checkShardKey verifies the partition key is the root attribute of one of
+// the hierarchies — the invariant the byte-identity guarantee rests on.
+func checkShardKey(key string, hierarchies []data.Hierarchy) error {
+	if key == "" {
+		return fmt.Errorf("store: partitioned snapshot needs a partition key")
+	}
+	for _, h := range hierarchies {
+		if len(h.Attrs) > 0 && h.Attrs[0] == key {
+			return nil
+		}
+	}
+	return fmt.Errorf("store: partition key %q is not the root attribute of any hierarchy", key)
+}
+
+// OpenShardsFile loads a .rst file as its partition key and shard list,
+// reading (or, with mapped set, memory-mapping) the file once. The shards
+// share one set of dictionary slices, in shard order, and carry their cubes;
+// a file of one unkeyed shard yields no key. Every open verifies the file and
+// header checksums, each shard's structural invariants and hierarchy
+// functional dependencies, and each cube against its shard. Mapped shards
+// and their cubes are typed views over one file mapping, released when the
+// last shard is Closed.
+func OpenShardsFile(path string, mapped bool) (key string, shards []*Snapshot, err error) {
+	return openPath(path, mapped)
 }
 
 // writeLayout is the one .rst writer (layout in doc.go): a staged header —
@@ -580,13 +659,13 @@ func checkPadding(b []byte, from, to int) error {
 	return nil
 }
 
-// cubeSection parses the optional trailing cube section into one cell table
-// per lattice level of hiers, with measures sums and sums of squares per
-// cell: views over the payload bytes when mapped (see elems). It checks what
-// the cube cannot — the zero padding, and every level's arrays against the
-// section's end — and leaves the tables' contents to cube.FromTables. A
-// version-1 (varint) section yields no tables: the file opens without its
-// cube, and serving builds one or scans.
+// cubeSection parses a shard's cube section into one cell table per lattice
+// level of hiers, with measures sums and sums of squares per cell: views
+// over the payload bytes when mapped (see elems). It checks what the cube
+// cannot — the zero padding, and every level's arrays against the file's
+// end — and leaves the tables' contents to cube.FromTables. A version-1
+// (varint) section, which runs to the end of the file, yields no tables: the
+// file opens without its cube, and serving builds one or scans.
 func (d *decoder) cubeSection(hiers []data.Hierarchy, measures int, mapped bool) []cube.Table {
 	var tag [4]byte
 	copy(tag[:], d.bytes(len(tag)))

@@ -382,8 +382,8 @@ type SnapshotInfo struct {
 	Rows     int
 	Dims     int
 	Measures int
-	// Shards is the partition count of a partitioned snapshot (0 when the
-	// snapshot is a plain, unsharded one).
+	// Shards is the partition count of a sharded engine's snapshot (0 when
+	// the engine is unsharded and the file holds its one shard).
 	Shards int
 	// CubeLevels and CubeCells describe the materialized rollup cube
 	// (0/0 when the snapshot carries none; cells sum across shards).
@@ -393,13 +393,12 @@ type SnapshotInfo struct {
 
 // Save persists the engine's dataset as a dictionary-encoded .rst snapshot
 // at path, durably: the file is fsynced before it is renamed into place and
-// its directory after. A sharded engine writes a partitioned snapshot
-// (per-shard column sections sharing one dictionary set) that Open serves
-// sharded again; an unsharded engine writes a plain snapshot. With WithCube()
-// among the engine's open options (or when the engine was opened from a
-// cube-carrying snapshot), plain snapshots store the cube too, so later Opens
-// skip both CSV parsing and cube building. Loading the written file yields
-// byte-identical recommendations to this engine.
+// its directory after. The file holds the engine's shards — one for an
+// unsharded engine — sharing one dictionary set, and Open serves it with the
+// same shards again. With WithCube() among the engine's open options (or when
+// the engine was opened from a cube-carrying snapshot), every shard's cube is
+// stored too, so later Opens skip both CSV parsing and cube building. Loading
+// the written file yields byte-identical recommendations to this engine.
 //
 // With WithWAL, a successful Save doubles as a checkpoint: once the file is
 // durable the write-ahead log truncates (its sequence numbering continues),
