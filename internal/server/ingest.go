@@ -61,13 +61,15 @@ func newIngester(s *Server, ent *engineEntry) *ingester {
 
 // enqueue commits rows to the log and queues them for the next flush. It
 // returns the batch's sequence number — the rows are durable — and the
-// pending row count, this batch included.
+// pending row count, this batch included. An empty batch logs nothing and
+// reports the newest sequence and the pending count as they stand, the no-op
+// a synchronous append makes of it.
 func (ing *ingester) enqueue(rows []store.Row) (seq uint64, pendingRows int, err error) {
-	if len(rows) == 0 {
-		return 0, 0, fmt.Errorf("server: empty append batch")
-	}
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
+	if len(rows) == 0 {
+		return ing.lastSeq, len(ing.pending), nil
+	}
 	if ing.closed {
 		return 0, 0, fmt.Errorf("server: dataset %q: ingestion is shut down", ing.ent.name)
 	}

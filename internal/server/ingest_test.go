@@ -437,6 +437,38 @@ func TestAppendCSVRowErrors(t *testing.T) {
 	}
 }
 
+// TestEmptyAppendIsNoOp: a header-only append CSV is a no-op on a
+// synchronous and on a WAL-backed server alike — 200 with appended 0, the
+// served version unchanged, and nothing logged.
+func TestEmptyAppendIsNoOp(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"sync", Config{}},
+		{"wal", Config{WAL: true, WALDir: t.TempDir(), FlushInterval: time.Hour, CheckpointBytes: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, tc.cfg)
+			register(t, ts.URL, droughtRequest())
+			code, b := post(t, ts.URL+"/v1/datasets/drought/append", api.AppendRequest{CSV: "district,village,year,severity\n"})
+			if code != http.StatusOK {
+				t.Fatalf("append: %d %s", code, b)
+			}
+			var ar api.AppendResponse
+			if err := json.Unmarshal(b, &ar); err != nil {
+				t.Fatal(err)
+			}
+			if ar.Appended != 0 || ar.WALSeq != 0 || ar.PendingRows != 0 || ar.Version != 1 || ar.Rows != 8 {
+				t.Errorf("empty append ack = %+v, want appended 0 at version 1 with 8 rows", ar)
+			}
+			if seq, _ := entry(t, s, "drought").ds.LogStatus(); seq != 0 {
+				t.Errorf("empty append logged a batch: sequence %d", seq)
+			}
+		})
+	}
+}
+
 // TestServerCloseDrainsPending is the graceful-shutdown contract: Close folds
 // the pending micro-batch into the serving state before releasing the logs,
 // and later appends fail instead of silently losing rows.
