@@ -288,29 +288,15 @@ func (s *Server) regDefaults(opts core.Options) ingest.Options {
 }
 
 // RegisterDataset adds a named dataset to the registry, wrapped as a
-// store.Snapshot so it can later take appends. It is the programmatic twin
-// of POST /v1/datasets (preloading, tests).
+// one-shard store.Snapshot set so it can later take appends. It is the
+// programmatic twin of POST /v1/datasets (preloading, tests). When
+// Config.Shards asks for sharded serving, the set is partitioned first, and
+// unless Config.DisableCube is set every shard's rollup cube is materialized.
+// With Config.WAL set, the dataset's durable state recovers first — the
+// newest checkpoint supersedes ds, the log's surviving batches fold in — so a
+// re-registration after a crash serves every acknowledged row.
 func (s *Server) RegisterDataset(name string, ds *data.Dataset, opts core.Options) error {
-	return s.RegisterSnapshot(name, store.FromDataset(ds), opts)
-}
-
-// RegisterSnapshot adds a named columnar snapshot to the registry as the
-// one-shard set; see RegisterSharded. When Config.Shards asks for sharded
-// serving, the snapshot is partitioned first.
-func (s *Server) RegisterSnapshot(name string, snap *store.Snapshot, opts core.Options) error {
-	return s.RegisterSharded(name, shard.Single(snap), opts)
-}
-
-// RegisterSharded adds a shard set to the registry, building the engine
-// shared by every session over it (scatter-gather across the shards when
-// there are several). Unless Config.DisableCube is set, every shard's rollup
-// cube is materialized first (or adopted from the .rst file it was loaded
-// from), so hierarchy-prefix group-bys never rescan rows. With Config.WAL
-// set, the dataset's durable state recovers first — the newest checkpoint
-// supersedes set, the log's surviving batches fold in — so a re-registration
-// after a crash serves every acknowledged row.
-func (s *Server) RegisterSharded(name string, set *shard.Set, opts core.Options) error {
-	_, err := s.register(name, set, s.regDefaults(opts))
+	_, err := s.register(name, shard.Single(store.FromDataset(ds)), s.regDefaults(opts))
 	return err
 }
 
