@@ -69,17 +69,14 @@ func WriteSharded(w io.Writer, key string, shards []*Snapshot) error {
 }
 
 // checkShardSet verifies the writer's preconditions: a non-empty shard list
-// sharing one schema and one set of dictionary contents, partitioned on a
-// hierarchy-root dimension when there is more than one shard or a key.
+// sharing one schema and one set of dictionary contents, and its key.
 func checkShardSet(key string, shards []*Snapshot) error {
 	if len(shards) == 0 {
 		return fmt.Errorf("store: snapshot needs at least one shard")
 	}
 	first := shards[0]
-	if key != "" || len(shards) > 1 {
-		if err := checkShardKey(key, first.Hierarchies); err != nil {
-			return err
-		}
+	if err := checkShardKey(key, first.Hierarchies, len(shards)); err != nil {
+		return err
 	}
 	for i, s := range shards[1:] {
 		si := i + 1
@@ -107,10 +104,14 @@ func checkShardSet(key string, shards []*Snapshot) error {
 	return nil
 }
 
-// checkShardKey verifies the partition key is the root attribute of one of
-// the hierarchies — the invariant the byte-identity guarantee rests on.
-func checkShardKey(key string, hierarchies []data.Hierarchy) error {
+// checkShardKey verifies the partition key of a file of n shards: one shard
+// may have none, and a key is the root attribute of one of the hierarchies —
+// the invariant the byte-identity guarantee rests on.
+func checkShardKey(key string, hierarchies []data.Hierarchy, n int) error {
 	if key == "" {
+		if n == 1 {
+			return nil
+		}
 		return fmt.Errorf("store: partitioned snapshot needs a partition key")
 	}
 	for _, h := range hierarchies {
@@ -564,10 +565,8 @@ func parseHeader(d *decoder, lay layout) (*header, int, error) {
 	if got, want := crc32.Checksum(d.b[:hdrEnd], castagnoli), binary.LittleEndian.Uint32(sum); got != want {
 		return nil, 0, fmt.Errorf("store: header checksum mismatch (file %08x, computed %08x)", want, got)
 	}
-	if h.key != "" || len(h.shards) > 1 {
-		if err := checkShardKey(h.key, h.hierarchies); err != nil {
-			return nil, 0, err
-		}
+	if err := checkShardKey(h.key, h.hierarchies, len(h.shards)); err != nil {
+		return nil, 0, err
 	}
 	next := align8(d.off)
 	return h, next, checkPadding(d.b, d.off, next)
