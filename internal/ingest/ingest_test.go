@@ -257,9 +257,8 @@ func TestLifecycleAcrossShardsAndCubes(t *testing.T) {
 }
 
 // TestSetWritePinsFileLayouts pins the bytes the lifecycle writes: the
-// one-shard set is the plain RSTSNAP layout (cube section included),
-// byte-equal to Snapshot.WriteFile; two shards are the partitioned layout,
-// byte-equal to store.WriteSharded.
+// one-shard set writes what Snapshot.WriteFile writes, cube section
+// included, and two shards write what store.WriteSharded writes.
 func TestSetWritePinsFileLayouts(t *testing.T) {
 	dir := t.TempDir()
 	snap := baseSet(t).Snaps[0]

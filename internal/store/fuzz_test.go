@@ -19,11 +19,11 @@ import (
 // likeliest real-world corruption).
 func FuzzOpenSnapshot(f *testing.F) {
 	snap := FromDataset(demoDataset())
-	var v2 bytes.Buffer
-	if err := snap.Write(&v2); err != nil {
+	var plain bytes.Buffer
+	if err := snap.Write(&plain); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2.Bytes())
+	f.Add(plain.Bytes())
 
 	f.Add(v1Envelope(magic[:]))
 
@@ -31,11 +31,11 @@ func FuzzOpenSnapshot(f *testing.F) {
 	if err := cubed.BuildCube(); err != nil {
 		f.Fatal(err)
 	}
-	var v2c bytes.Buffer
-	if err := cubed.Write(&v2c); err != nil {
+	var plainCube bytes.Buffer
+	if err := cubed.Write(&plainCube); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v2c.Bytes())
+	f.Add(plainCube.Bytes())
 
 	var sh bytes.Buffer
 	if err := WriteSharded(&sh, "district", splitShards(f, demoDataset7(), 2)); err != nil {
@@ -43,7 +43,7 @@ func FuzzOpenSnapshot(f *testing.F) {
 	}
 	f.Add(sh.Bytes())
 
-	f.Add(v2.Bytes()[:v2.Len()/2])
+	f.Add(plain.Bytes()[:plain.Len()/2])
 	f.Add([]byte("RSTSNAP"))
 	f.Add([]byte{})
 
