@@ -122,66 +122,92 @@ type layoutCase struct {
 	file   []byte
 }
 
-// layoutCases writes demoDataset7 as 1 and as 2 shards (rows round-robin),
-// each without and with per-shard cubes: every shape of the one layout.
-func layoutCases(t *testing.T) []layoutCase {
+// layoutCases writes demoDataset7 as n shards (rows round-robin), without
+// and with per-shard cubes. The damage suites run over n = 1 (a plain file)
+// and n = 2 (a partitioned one): every shape of the one layout.
+func layoutCases(t *testing.T, n int) []layoutCase {
 	t.Helper()
 	var out []layoutCase
-	for _, n := range []int{1, 2} {
-		for _, cubed := range []bool{false, true} {
-			lc := layoutCase{name: fmt.Sprintf("shards=%d", n), shards: splitShards(t, demoDataset7(), n)}
-			if cubed {
-				lc.name += "+cube"
-				for _, s := range lc.shards {
-					if err := s.BuildCube(); err != nil || s.Cube() == nil {
-						t.Fatalf("%s: no cube built: %v", lc.name, err)
-					}
+	for _, cubed := range []bool{false, true} {
+		lc := layoutCase{name: fmt.Sprintf("shards=%d", n), shards: splitShards(t, demoDataset7(), n)}
+		if cubed {
+			lc.name += "+cube"
+			for _, s := range lc.shards {
+				if err := s.BuildCube(); err != nil || s.Cube() == nil {
+					t.Fatalf("%s: no cube built: %v", lc.name, err)
 				}
 			}
-			key := ""
-			if n > 1 {
-				key = "district"
-			}
-			var buf bytes.Buffer
-			if err := WriteSharded(&buf, key, lc.shards); err != nil {
-				t.Fatal(err)
-			}
-			lc.file = buf.Bytes()
-			out = append(out, lc)
 		}
+		key := ""
+		if n > 1 {
+			key = "district"
+		}
+		var buf bytes.Buffer
+		if err := WriteSharded(&buf, key, lc.shards); err != nil {
+			t.Fatal(err)
+		}
+		lc.file = buf.Bytes()
+		out = append(out, lc)
 	}
 	return out
 }
 
-// TestOpenRejectsTruncationEverywhere cuts every layout at every byte
+// TestOpenRejectsTruncationEverywhere cuts every plain layout at every byte
 // offset — which covers every section boundary: inside the magic, header
-// varints, dictionary strings, the directory, code and measure arrays, each
-// shard's cube section and the checksums — and asserts the decoder fails
-// with a clean error (never a panic) on each.
+// varints, dictionary strings, the directory, code and measure arrays, the
+// cube section and the checksums — and asserts the decoder fails with a
+// clean error (never a panic) on each.
 func TestOpenRejectsTruncationEverywhere(t *testing.T) {
-	for _, lc := range layoutCases(t) {
-		for cut := 0; cut < len(lc.file); cut++ {
-			if _, _, err := openShards(lc.file[:cut], nil); err == nil {
-				t.Fatalf("%s: truncation at offset %d/%d opened successfully", lc.name, cut, len(lc.file))
-			}
-		}
+	for _, lc := range layoutCases(t, 1) {
+		rejectTruncations(t, lc)
 	}
 }
 
 // TestOpenRejectsResealedTruncation re-seals the file checksum after each
-// truncation, so the damage reaches the section decoders instead of being
-// caught by the whole-file CRC — the hardening the header CRC, the offset
-// directory bounds checks, and the length checks inside the dictionary and
-// cube sections provide. The header records every shard's payload and cube
-// offsets under its CRC, so EVERY resealed truncation must fail cleanly.
+// truncation of every plain layout, so the damage reaches the section
+// decoders instead of being caught by the whole-file CRC — the hardening the
+// header CRC, the offset directory bounds checks, and the length checks
+// inside the dictionary and cube sections provide. The header records every
+// shard's payload and cube offsets under its CRC, so EVERY resealed
+// truncation must fail cleanly.
 func TestOpenRejectsResealedTruncation(t *testing.T) {
-	for _, lc := range layoutCases(t) {
-		for cut := 0; cut < len(lc.file)-4; cut++ {
-			b := append(append([]byte(nil), lc.file[:cut]...), 0, 0, 0, 0)
-			reseal(b)
-			if _, _, err := openShards(b, nil); err == nil {
-				t.Fatalf("%s: resealed truncation at offset %d/%d opened successfully", lc.name, cut, len(lc.file))
-			}
+	for _, lc := range layoutCases(t, 1) {
+		rejectResealedTruncations(t, lc)
+	}
+}
+
+// TestOpenShardedRejectsTruncationEverywhere runs the three truncation
+// sweeps — eager, mapped and re-sealed cuts — over the 2-shard layouts,
+// where every cut also lands inside the second shard's payloads and cube
+// section.
+func TestOpenShardedRejectsTruncationEverywhere(t *testing.T) {
+	for _, lc := range layoutCases(t, 2) {
+		rejectTruncations(t, lc)
+		rejectMappedTruncations(t, lc)
+		rejectResealedTruncations(t, lc)
+	}
+}
+
+// rejectTruncations asserts that every byte-level cut of lc fails to open
+// eagerly.
+func rejectTruncations(t *testing.T, lc layoutCase) {
+	t.Helper()
+	for cut := 0; cut < len(lc.file); cut++ {
+		if _, _, err := openShards(lc.file[:cut], nil); err == nil {
+			t.Fatalf("%s: truncation at offset %d/%d opened successfully", lc.name, cut, len(lc.file))
+		}
+	}
+}
+
+// rejectResealedTruncations asserts that every cut of lc whose file checksum
+// is re-sealed fails to open.
+func rejectResealedTruncations(t *testing.T, lc layoutCase) {
+	t.Helper()
+	for cut := 0; cut < len(lc.file)-4; cut++ {
+		b := append(append([]byte(nil), lc.file[:cut]...), 0, 0, 0, 0)
+		reseal(b)
+		if _, _, err := openShards(b, nil); err == nil {
+			t.Fatalf("%s: resealed truncation at offset %d/%d opened successfully", lc.name, cut, len(lc.file))
 		}
 	}
 }

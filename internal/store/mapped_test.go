@@ -126,22 +126,29 @@ func TestFormatV1Rejected(t *testing.T) {
 }
 
 // TestOpenMappedRejectsTruncationEverywhere is the mapped twin of the eager
-// sweep: every byte-level truncation of every layout must fail cleanly
+// sweep: every byte-level truncation of every plain layout must fail cleanly
 // through the mmap path too (and must not leak the mapping — the -race/leak
 // canary is that no cut ever opens).
 func TestOpenMappedRejectsTruncationEverywhere(t *testing.T) {
+	for _, lc := range layoutCases(t, 1) {
+		rejectMappedTruncations(t, lc)
+	}
+}
+
+// rejectMappedTruncations asserts that every byte-level cut of lc, written
+// to a file, fails to open mapped.
+func rejectMappedTruncations(t *testing.T, lc layoutCase) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "cut.rst")
-	for _, lc := range layoutCases(t) {
-		for cut := 0; cut < len(lc.file); cut++ {
-			if err := os.WriteFile(path, lc.file[:cut], 0o644); err != nil {
-				t.Fatal(err)
+	for cut := 0; cut < len(lc.file); cut++ {
+		if err := os.WriteFile(path, lc.file[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ss, err := OpenShardsFile(path, true); err == nil {
+			for _, s := range ss {
+				s.Close()
 			}
-			if _, ss, err := OpenShardsFile(path, true); err == nil {
-				for _, s := range ss {
-					s.Close()
-				}
-				t.Fatalf("%s: truncation at offset %d/%d mapped successfully", lc.name, cut, len(lc.file))
-			}
+			t.Fatalf("%s: truncation at offset %d/%d mapped successfully", lc.name, cut, len(lc.file))
 		}
 	}
 }
@@ -239,11 +246,24 @@ func dirEntry(hdrEnd int, shards []*Snapshot, si, j int) int {
 }
 
 // TestOpenRejectsDirectoryTampering damages the offset directory and its
-// surroundings in every layout with every checksum re-sealed, so the
-// structural validation — offset contiguity across the shards, cube-offset
-// consistency, zero padding — is what rejects the file, identically through
-// the eager and mapped paths.
+// surroundings in every plain layout with every checksum re-sealed, so the
+// structural validation — offset consistency, cube-offset consistency, zero
+// padding — is what rejects the file, identically through the eager and
+// mapped paths.
 func TestOpenRejectsDirectoryTampering(t *testing.T) {
+	tamperDirectory(t, layoutCases(t, 1))
+}
+
+// TestOpenShardedRejectsDirectoryTampering runs the same damage over the
+// 2-shard layouts, where the shard-major directory's contiguity across the
+// shards is checked too.
+func TestOpenShardedRejectsDirectoryTampering(t *testing.T) {
+	tamperDirectory(t, layoutCases(t, 2))
+}
+
+// tamperDirectory applies each directory damage to each of layouts as a
+// subtest named after the damage, then the layout.
+func tamperDirectory(t *testing.T, layouts []layoutCase) {
 	u64 := func(b []byte, off int) int { return int(binary.LittleEndian.Uint64(b[off:])) }
 	// shift moves shard si's first dimension offset by 8 bytes.
 	shift := func(b []byte, hdrEnd int, shards []*Snapshot, si int) {
@@ -277,7 +297,6 @@ func TestOpenRejectsDirectoryTampering(t *testing.T) {
 			b[u64(b, dirEntry(hdrEnd, shards, last, 0))+4*shards[last].NumRows()] = 0xFF
 		}, "nonzero alignment padding"},
 	}
-	layouts := layoutCases(t)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, lc := range layouts {
