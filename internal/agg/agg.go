@@ -7,13 +7,16 @@
 // (count, sum, sum of squares), from which every supported aggregate and the
 // merge function are derived exactly.
 //
-// A group-by's Result is a coded relation. It owns its group list, code table
-// and the one string table the groups' values are windows of; the dictionaries
-// the codes index stay the dataset's (or cube's). Every producer assembles it
-// through FromCodes, whose Order alone decides group order. A Result is
-// read-only once built (the engine memoises and shares them), except for the
-// key index, which Get builds under a sync.Once. Ranks, the sort key, live with
-// the owner of an immutable dictionary: a cube ranks dictionaries and paths once.
+// A group-by's Result is a coded relation: a code table and pointer-free
+// statistics in group order, beside the dictionaries the codes index, which
+// stay the dataset's (or cube's). Every producer assembles it through
+// FromCodes, whose Order alone decides group order and which decodes no
+// string. GroupByCodes is the group-by the engine reads; GroupBy, NewResult
+// and Decode are the string edges, which build the decoded view (Groups) as a
+// new Result. A Result is read-only once built (the engine memoises and shares
+// them), except for the key index, which Get builds under a sync.Once. Ranks,
+// the sort key, live with the owner of an immutable dictionary: a cube ranks
+// dictionaries and paths once.
 package agg
 
 import (
@@ -161,9 +164,8 @@ func FromMoments(count, mean, std float64) Stats {
 	return s
 }
 
-// Group is one output tuple of a group-by: its key values (in attribute
-// order) and statistics. Vals is a window of its result's one decoded string
-// table.
+// Group is one decoded output tuple of a group-by: its key values (in
+// attribute order) and statistics.
 type Group struct {
 	Vals  []string // one value per group-by attribute
 	Stats Stats
@@ -183,50 +185,71 @@ func (g Group) Value(attrs []string, a string) (string, bool) {
 	return "", false
 }
 
-// Result is the output of a group-by aggregation: the ordered group list
-// and, beside it, the same tuples as dictionary codes. Group gi's value for
-// attribute ai is Dicts[ai][Codes[gi*len(Attrs)+ai]]; the dictionaries are
-// the source columns' own (entries no group uses included), so codes are
-// comparable only within one result.
+// Result is the output of a group-by aggregation, a coded relation: group gi
+// carries Stats[gi], and its value for attribute ai is
+// Dicts[ai][Codes[gi*len(Attrs)+ai]]. The dictionaries are the source
+// columns' own (entries no group uses included), so codes are comparable only
+// within one result. Groups is the decoded view of the same tuples, which
+// only Decode fills in.
 type Result struct {
 	Attrs   []string
 	Measure string
-	Groups  []Group
 	Codes   []uint32   // group-major, stride len(Attrs)
 	Dicts   [][]string // per attribute
+	Stats   []Stats    // per group
+	Groups  []Group    // decoded view: nil unless built by Decode
 
 	indexOnce sync.Once
-	index     map[string]int // Group.Key() → position; built by the first Get
+	index     map[string]int // group key → position; built by the first Get
 }
 
 // FromCodes assembles a Result from an unordered coded relation of distinct
-// tuples: group gi carries groups[gi].Stats and codes[gi*len(attrs):][:len(attrs)]
+// tuples: group gi carries stats[gi] and codes[gi*len(attrs):][:len(attrs)]
 // into dicts. Both slices become the result's, reordered in place by Order —
 // lexicographic by value strings, attribute by attribute, as distinct strings
-// have distinct ranks (nil ranks are computed over the codes in use). Strings
-// are decoded once, into one shared table.
-func FromCodes(attrs []string, measure string, dicts [][]string, ranks [][]uint32, codes []uint32, groups []Group) *Result {
-	k, n := len(attrs), len(groups)
+// have distinct ranks (nil ranks are computed over the codes in use). No
+// string is decoded.
+func FromCodes(attrs []string, measure string, dicts [][]string, ranks [][]uint32, codes []uint32, stats []Stats) *Result {
+	k, n := len(attrs), len(stats)
 	if ranks == nil && n > 1 {
 		ranks = make([][]uint32, k)
 		for ai := range ranks {
 			ranks[ai] = rankCodes(dicts[ai], codes, k, ai)
 		}
 	}
-	permute(Order(n, codes, ranks), k, codes, groups)
-	r := &Result{Attrs: attrs, Measure: measure, Groups: groups, Codes: codes, Dicts: dicts}
-	if k == 0 {
-		return r // the empty tuple keeps nil Vals, as data.DecodeKey has it
+	permute(Order(n, codes, ranks), k, codes, stats)
+	return &Result{Attrs: attrs, Measure: measure, Codes: codes, Dicts: dicts, Stats: stats}
+}
+
+// Len returns the number of groups.
+func (r *Result) Len() int { return len(r.Stats) }
+
+// Group decodes group gi: its values, freshly allocated (nil for the empty
+// tuple, as data.DecodeKey has it), and statistics.
+func (r *Result) Group(gi int) Group {
+	k := len(r.Attrs)
+	g := Group{Vals: slices.Grow([]string(nil), k), Stats: r.Stats[gi]}
+	for ai, c := range r.Codes[gi*k : (gi+1)*k] {
+		g.Vals = append(g.Vals, r.Dicts[ai][c])
 	}
-	vals := make([]string, n*k)
+	return g
+}
+
+// Decode returns a new Result holding r's relation and its decoded view,
+// Groups, whose values are windows of one string table. r is not written, so
+// a shared result may be decoded by any reader.
+func (r *Result) Decode() *Result {
+	k, vals := len(r.Attrs), make([]string, len(r.Codes))
+	for i, c := range r.Codes {
+		vals[i] = r.Dicts[i%k][c]
+	}
+	groups := make([]Group, r.Len())
 	for gi := range groups {
-		lo, hi := gi*k, (gi+1)*k
-		for ai, c := range codes[lo:hi] {
-			vals[lo+ai] = dicts[ai][c]
+		if groups[gi].Stats = r.Stats[gi]; k > 0 {
+			groups[gi].Vals = vals[gi*k : (gi+1)*k : (gi+1)*k]
 		}
-		groups[gi].Vals = vals[lo:hi:hi]
 	}
-	return r
+	return &Result{Attrs: r.Attrs, Measure: r.Measure, Codes: r.Codes, Dicts: r.Dicts, Stats: r.Stats, Groups: groups}
 }
 
 // Order returns the permutation that puts n distinct tuples (group-major
@@ -296,23 +319,23 @@ func Order(n int, codes []uint32, ranks [][]uint32) []int32 {
 	return ids
 }
 
-// permute reorders codes' rows of k and groups in place so that position i
+// permute reorders codes' rows of k and stats in place so that position i
 // holds what position order[i] held, walking each cycle of the permutation
 // once; order is consumed.
-func permute(order []int32, k int, codes []uint32, groups []Group) {
+func permute(order []int32, k int, codes []uint32, stats []Stats) {
 	row := make([]uint32, k)
 	for i := range order {
 		if order[i] < 0 {
 			continue
 		}
 		copy(row, codes[i*k:])
-		g, j := groups[i], i
+		s, j := stats[i], i
 		for src := int(order[i]); src != i; j, src = src, int(order[src]) {
 			copy(codes[j*k:(j+1)*k], codes[src*k:])
-			groups[j], order[j] = groups[src], -1
+			stats[j], order[j] = stats[src], -1
 		}
 		copy(codes[j*k:], row)
-		groups[j], order[j] = g, -1
+		stats[j], order[j] = s, -1
 	}
 }
 
@@ -344,9 +367,9 @@ func rankCodes(dict []string, codes []uint32, k, ai int) []uint32 {
 	return rank
 }
 
-// NewResult assembles a Result from unordered string groups (callers that
-// hold no codes — today, tests): it interns every attribute's values into a
-// dictionary of its own and funnels into FromCodes.
+// NewResult assembles a decoded Result from unordered string groups (callers
+// that hold no codes — today, tests): it interns every attribute's values into
+// a dictionary of its own and funnels into FromCodes.
 func NewResult(attrs []string, measure string, groups []Group) *Result {
 	k := len(attrs)
 	dicts, interned := make([][]string, k), make([]map[string]uint32, k)
@@ -354,9 +377,9 @@ func NewResult(attrs []string, measure string, groups []Group) *Result {
 		interned[ai] = make(map[string]uint32)
 	}
 	codes := make([]uint32, 0, len(groups)*k)
-	owned := make([]Group, len(groups))
+	stats := make([]Stats, len(groups))
 	for gi, g := range groups {
-		owned[gi].Stats = g.Stats
+		stats[gi] = g.Stats
 		for ai, v := range g.Vals {
 			c, ok := interned[ai][v]
 			if !ok {
@@ -367,42 +390,51 @@ func NewResult(attrs []string, measure string, groups []Group) *Result {
 			codes = append(codes, c)
 		}
 	}
-	return FromCodes(attrs, measure, dicts, nil, codes, owned)
+	return FromCodes(attrs, measure, dicts, nil, codes, stats).Decode()
 }
 
-// Get returns the group with the given key values; the first call builds the
-// key index, once however many goroutines share the result.
+// Get returns the (decoded) group with the given key values; the first call
+// builds the key index from the codes, once however many goroutines share the
+// result.
 func (r *Result) Get(vals []string) (Group, bool) {
 	r.indexOnce.Do(func() {
-		r.index = make(map[string]int, len(r.Groups))
-		for i, g := range r.Groups {
-			r.index[g.Key()] = i
+		r.index = make(map[string]int, r.Len())
+		for gi := range r.Stats {
+			r.index[r.Group(gi).Key()] = gi
 		}
 	})
-	i, ok := r.index[data.EncodeKey(vals)]
+	gi, ok := r.index[data.EncodeKey(vals)]
 	if !ok {
 		return Group{}, false
 	}
-	return r.Groups[i], true
+	return r.Group(gi), true
 }
 
 // Equal reports whether r and o hold the same relation (attributes, measure,
-// groups by value and statistics, in order), whatever their codes index.
+// groups by value and statistics, in order), whatever their codes index and
+// whether or not either is decoded.
 func (r *Result) Equal(o *Result) bool {
-	return slices.Equal(r.Attrs, o.Attrs) && r.Measure == o.Measure &&
-		slices.EqualFunc(r.Groups, o.Groups, func(a, b Group) bool {
-			return a.Stats == b.Stats && slices.Equal(a.Vals, b.Vals)
-		})
+	if !slices.Equal(r.Attrs, o.Attrs) || r.Measure != o.Measure || !slices.Equal(r.Stats, o.Stats) {
+		return false
+	}
+	for i, c := range r.Codes {
+		ai := i % len(r.Attrs)
+		if r.Dicts[ai][c] != o.Dicts[ai][o.Codes[i]] {
+			return false
+		}
+	}
+	return true
 }
 
 // Materialized is the interface of a precomputed-aggregate provider attached
 // to a dataset via data.Dataset.SetRollup (internal/cube's Cube implements
 // it). GroupBy reports ok=false when it cannot answer the grouping — the
-// caller then falls back to a row scan. A provider must return results
-// equal to the scan it replaces, freshly allocated per call: bit-identical
-// when built directly from the rows (internal/cube's build path), and at
-// worst reassociating the floating-point sums of incrementally merged
-// partitions (its append path) — counts are always exact.
+// caller then falls back to a row scan. A provider must return the coded
+// relation the scan it replaces would (FromCodes's, undecoded), freshly
+// allocated per call: bit-identical when built directly from the rows
+// (internal/cube's build path), and at worst reassociating the floating-point
+// sums of incrementally merged partitions (its append path) — counts are
+// always exact.
 type Materialized interface {
 	GroupBy(attrs []string, measure string) (*Result, bool)
 }
@@ -414,13 +446,13 @@ func MaterializedOf(d *data.Dataset) (Materialized, bool) {
 	return m, ok
 }
 
-// GroupBy aggregates measure over the given attributes. Groups are sorted by
-// their key values lexicographically, attribute by attribute. When the
-// dataset carries a materialized aggregate attachment that covers the
-// grouping (a hierarchy-prefix cube), the answer comes from precomputed
-// cells in O(groups); otherwise one scan over the dictionary codes buckets
-// the rows. Both produce identical results.
-func GroupBy(d *data.Dataset, attrs []string, measure string) *Result {
+// GroupByCodes aggregates measure over the given attributes into a coded
+// relation, whose groups are sorted by their key values lexicographically,
+// attribute by attribute. When the dataset carries a materialized aggregate
+// attachment that covers the grouping (a hierarchy-prefix cube), the answer
+// comes from precomputed cells in O(groups); otherwise one scan over the
+// dictionary codes buckets the rows. Both produce identical results.
+func GroupByCodes(d *data.Dataset, attrs []string, measure string) *Result {
 	if m, ok := MaterializedOf(d); ok {
 		if r, ok := m.GroupBy(attrs, measure); ok {
 			return r
@@ -429,10 +461,15 @@ func GroupBy(d *data.Dataset, attrs []string, measure string) *Result {
 	return scan(d, attrs, measure)
 }
 
+// GroupBy is GroupByCodes decoded: the string edge for callers that read
+// Groups.
+func GroupBy(d *data.Dataset, attrs []string, measure string) *Result {
+	return GroupByCodes(d, attrs, measure).Decode()
+}
+
 // scan is the row-scan group-by: rows are bucketed, a block at a time, by the
-// tuple of their per-attribute dictionary codes (data.TupleIndex), statistics
-// accumulate in row order, and a group's string values are decoded once per
-// group rather than once per row.
+// tuple of their per-attribute dictionary codes (data.TupleIndex), and
+// statistics accumulate in row order.
 func scan(d *data.Dataset, attrs []string, measure string) *Result {
 	col := d.Measure(measure)
 	tuples := d.NewTupleIndex(attrs, len(col))
@@ -451,10 +488,6 @@ func scan(d *data.Dataset, attrs []string, measure string) *Result {
 			s.SumSq += v * v
 		}
 	}
-	groups := make([]Group, len(stats))
-	for gi, s := range stats {
-		groups[gi].Stats = s
-	}
 	dicts, codes := tuples.Codes()
-	return FromCodes(attrs, measure, dicts, nil, codes, groups)
+	return FromCodes(attrs, measure, dicts, nil, codes, stats)
 }

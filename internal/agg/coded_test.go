@@ -3,6 +3,7 @@ package agg_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -49,11 +50,11 @@ func checkCoded(t *testing.T, label string, got *agg.Result, attrs []string, mea
 	if !slices.Equal(got.Attrs, attrs) || got.Measure != measure {
 		t.Fatalf("%s: result is over (%v, %q), want (%v, %q)", label, got.Attrs, got.Measure, attrs, measure)
 	}
-	if len(got.Groups) != len(want) || len(got.Codes) != len(want)*k || len(got.Dicts) != k {
+	if got.Len() != len(want) || len(got.Codes) != len(want)*k || len(got.Dicts) != k {
 		t.Fatalf("%s: %d groups, %d codes, %d dictionaries; want %d groups over %d attributes",
-			label, len(got.Groups), len(got.Codes), len(got.Dicts), len(want), k)
+			label, got.Len(), len(got.Codes), len(got.Dicts), len(want), k)
 	}
-	for gi, g := range got.Groups {
+	for gi, g := range got.Decode().Groups {
 		if !slices.Equal(g.Vals, want[gi].Vals) || (k == 0) != (g.Vals == nil) || g.Stats != want[gi].Stats {
 			t.Fatalf("%s: group %d = %q %+v, want %q %+v", label, gi, g.Vals, g.Stats, want[gi].Vals, want[gi].Stats)
 		}
@@ -85,6 +86,11 @@ func TestGroupByCodedMatchesStringPath(t *testing.T) {
 			want := referenceGroups(d, attrs, measure)
 			scanned := agg.GroupBy(d, attrs, measure)
 			checkCoded(t, label+" scan", scanned, attrs, measure, want)
+			coded := agg.GroupByCodes(d, attrs, measure)
+			checkCoded(t, label+" coded scan", coded, attrs, measure, want)
+			if coded.Groups != nil || !coded.Equal(scanned) {
+				t.Fatalf("%s: GroupByCodes decoded %d groups (want none), or is not GroupBy's relation", label, len(coded.Groups))
+			}
 
 			shuffled := slices.Clone(want)
 			rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
@@ -249,6 +255,21 @@ func TestScanKeyRegimes(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCodedResultHoldsNoPointers: a coded Result's per-group data is codes
+// and statistics, neither of which the garbage collector has to scan.
+func TestCodedResultHoldsNoPointers(t *testing.T) {
+	st := reflect.TypeFor[agg.Stats]()
+	for i := range st.NumField() {
+		if k := st.Field(i).Type.Kind(); k != reflect.Float64 {
+			t.Errorf("agg.Stats field %s is a %v, want float64", st.Field(i).Name, k)
+		}
+	}
+	f, _ := reflect.TypeFor[agg.Result]().FieldByName("Codes")
+	if k := f.Type.Elem().Kind(); k != reflect.Uint32 {
+		t.Errorf("agg.Result.Codes holds %v, want uint32", k)
 	}
 }
 

@@ -138,15 +138,17 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 // regime: distinct hierarchy paths never change). A hierarchy's paths are the
 // groups of γ over its own attributes, so they come from the memoised
 // group-by, over any measure: a drill state whose drilled relation is h's
-// path set shares that one call.
+// path set shares that one call. The paths are the one group-by the engine
+// decodes whole.
 func (e *Engine) sourceFor(h data.Hierarchy, measure string) (*factor.Source, error) {
 	return memoGet(e.memo, fmt.Sprintf("source %q", h.Name), func() (*factor.Source, error) {
 		groups, err := e.groups(nil, h.Attrs, measure)
 		if err != nil {
 			return nil, err
 		}
-		paths := make([][]string, len(groups.Groups))
-		for gi, g := range groups.Groups {
+		decoded := groups.Decode().Groups
+		paths := make([][]string, len(decoded))
+		for gi, g := range decoded {
 			paths[gi] = g.Vals
 		}
 		return factor.NewSource(h.Name, h.Attrs, paths)
@@ -278,7 +280,8 @@ func (s *Session) Drill(hierarchy string) error {
 	return fmt.Errorf("core: unknown hierarchy %q", hierarchy)
 }
 
-// GroupScore is one ranked drill-down group: its statistics, the model's
+// GroupScore is one ranked drill-down group: its values and statistics,
+// decoded from the drilled relation for the ranked groups alone, the model's
 // expected values, and the complaint score after repairing it.
 type GroupScore struct {
 	Group     agg.Group
@@ -435,7 +438,7 @@ func (e *Engine) groups(rec SpanRecorder, attrs []string, measure string) (*agg.
 			defer startSpan(rec, "scatter")()
 		}
 		return e.src.PartialGroupBy(attrs, measure)
-	}, func(res *agg.Result) int { return len(res.Groups) })
+	}, (*agg.Result).Len)
 }
 
 // drillAttrs returns the canonical attribute order after drilling hierarchy
@@ -501,7 +504,7 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 	seen := make([]uint8, len(groups.Dicts[last]))
 	var children []int
 	var total agg.Stats // the complained tuple's own statistics: G over its children
-	for gi := range groups.Groups {
+	for gi, s := range groups.Stats {
 		codes := groups.Codes[gi*k : (gi+1)*k]
 		if !matchCodes(anc, codes) {
 			continue
@@ -510,7 +513,7 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 		if matchCodes(rest, codes) {
 			seen[codes[last]] |= observed
 			children = append(children, gi)
-			total = total.Add(groups.Groups[gi].Stats)
+			total = total.Add(s)
 		}
 	}
 	if len(children) == 0 {
@@ -551,7 +554,7 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 
 	hr := &HierarchyResult{Hierarchy: h.Name, Attr: attr, Current: current}
 	for _, gi := range children {
-		g := groups.Groups[gi]
+		g := groups.Group(gi)
 		pred := make(map[agg.Func]float64, len(models))
 		for f, sm := range models {
 			pred[f] = sm.preds[gi]
@@ -658,9 +661,9 @@ func (e *Engine) fitInputs(groups *agg.Result, stat agg.Func) (*feature.Set, []f
 	if err != nil {
 		return nil, nil, err
 	}
-	y := make([]float64, len(groups.Groups))
-	for gi, g := range groups.Groups {
-		y[gi] = g.Stats.Get(stat)
+	y := make([]float64, groups.Len())
+	for gi, s := range groups.Stats {
+		y[gi] = s.Get(stat)
 	}
 	return fs, y, nil
 }
@@ -684,7 +687,7 @@ func (e *Engine) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *featu
 		if kind == TrainerAuto {
 			if _, err := fz.RowCount(); err != nil {
 				kind = TrainerNaive
-			} else if float64(len(groups.Groups))/fz.N() < factorisedFillThreshold {
+			} else if float64(groups.Len())/fz.N() < factorisedFillThreshold {
 				kind = TrainerNaive
 			} else {
 				kind = TrainerFactorised
@@ -795,7 +798,7 @@ func trainNaive(groups *agg.Result, fs *feature.Set, y []float64, opts mlm.Optio
 	if err != nil {
 		return nil, err
 	}
-	zmask := zMaskFor(re, fs.ZMask(), float64(len(groups.Groups))/float64(len(starts)))
+	zmask := zMaskFor(re, fs.ZMask(), float64(groups.Len())/float64(len(starts)))
 	bz, err := zBackend(backend, zmask)
 	if err != nil {
 		return nil, err
@@ -886,17 +889,17 @@ func trainCross(fz *factor.Factorizer, groups *agg.Result, fs *feature.Set, y []
 		return nil, err
 	}
 	yd := make([]float64, backend.NumRows())
-	for gi := range groups.Groups {
-		yd[rowOf[gi]] = y[gi]
+	for gi, row := range rowOf {
+		yd[row] = y[gi]
 	}
 	model, err := mlm.FitEMZ(backend, bz, yd, opts)
 	if err != nil {
 		return nil, err
 	}
 	fitted := model.Fitted(backend, bz)
-	out := make([]float64, len(groups.Groups))
-	for gi := range groups.Groups {
-		out[gi] = fitted[rowOf[gi]]
+	out := make([]float64, len(rowOf))
+	for gi, row := range rowOf {
+		out[gi] = fitted[row]
 	}
 	return &statModel{
 		fs:      fs,
@@ -910,8 +913,8 @@ func trainCross(fz *factor.Factorizer, groups *agg.Result, fs *feature.Set, y []
 // group-by attributes and returns each group's expected value of stat,
 // together with the group-by result. It exposes the model-based expectation
 // on its own, without complaint-driven ranking — the basis of the Outlier
-// baseline (§5.2.3). It always trains naively, and the result is the caller's
-// own: nothing it returns is shared with the engine's memo.
+// baseline (§5.2.3). It always trains naively, and the result, decoded, is
+// the caller's own: nothing it returns is shared with the engine's memo.
 func (e *Engine) PredictGroupStats(attrs []string, measure string, stat agg.Func) ([]float64, *agg.Result, error) {
 	groups, err := e.src.PartialGroupBy(attrs, measure)
 	if err != nil {
@@ -925,7 +928,7 @@ func (e *Engine) PredictGroupStats(attrs []string, measure string, stat agg.Func
 	if err != nil {
 		return nil, nil, err
 	}
-	return sm.preds, groups, nil
+	return sm.preds, groups.Decode(), nil
 }
 
 // groupRowIndex maps every observed group to its row in the factorised
@@ -950,7 +953,7 @@ func groupRowIndex(fz *factor.Factorizer, groups *agg.Result) ([]int, error) {
 			leafOf[pos][code] = fz.LeafIndex(pos, v)
 		}
 	}
-	rowOf := make([]int, len(groups.Groups))
+	rowOf := make([]int, groups.Len())
 	leaf := make([]int, nh)
 	for gi := range rowOf {
 		for pos, ai := range deepAttr {

@@ -14,8 +14,11 @@ import "sync"
 //
 // Read-only contract: a value is published to every concurrent and later
 // caller, so nothing may write to a memoised *agg.Result, *factor.Source or
-// *factor.Factorizer after its build returns. Per-call results (models,
-// rankings, prediction maps) are assembled in fresh slices and maps.
+// *factor.Factorizer after its build returns. A memoised group-by is the coded
+// relation; a reader that needs strings decodes one group (Result.Group) or
+// takes a decoded view, which is a new Result (Result.Decode). Per-call
+// results (models, rankings, prediction maps) are assembled in fresh slices
+// and maps.
 //
 // Budget: the table retains at most memoBudget groups (every kind of value
 // has a size in groups). When publishing an entry would exceed the budget the

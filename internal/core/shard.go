@@ -19,7 +19,9 @@ import (
 // therefore fail.
 //
 // Determinism contract: PartialGroupBy returns exactly what a row scan over
-// the worker's rows would, the agg.GroupBy result. Workers gathered into one
+// the worker's rows would: the coded relation of agg.GroupByCodes, which
+// agg.GroupBy decodes. Nothing in the engine reads a worker's strings beyond
+// its dictionaries. Workers gathered into one
 // engine code their results against one set of dictionaries (a shard.Set's
 // shards share theirs, and each shard's cube is keyed to them); the gather
 // refuses anything else. It merges in shard-index order, so results are
@@ -39,7 +41,7 @@ type localShard struct{ ds *data.Dataset }
 func LocalShard(ds *data.Dataset) ShardWorker { return localShard{ds: ds} }
 
 func (l localShard) PartialGroupBy(attrs []string, measure string) (*agg.Result, error) {
-	return agg.GroupBy(l.ds, attrs, measure), nil
+	return agg.GroupByCodes(l.ds, attrs, measure), nil
 }
 
 // NewShardedEngine builds an engine whose data plane is partitioned across
@@ -116,19 +118,19 @@ func mergePartials(attrs []string, measure string, partials []*agg.Result) (*agg
 		sizes[ai] = len(dict)
 	}
 	for _, p := range partials {
-		total += len(p.Groups)
+		total += p.Len()
 	}
 	tuples := data.NewTupleIndex(sizes, nil, total)
-	var groups []agg.Group
+	var stats []agg.Stats
 	for _, p := range partials {
-		for gi, g := range p.Groups {
-			if id := tuples.AddCodes(p.Codes[gi*k : (gi+1)*k]); id == len(groups) {
-				groups = append(groups, agg.Group{Stats: g.Stats})
+		for gi, s := range p.Stats {
+			if id := tuples.AddCodes(p.Codes[gi*k : (gi+1)*k]); id == len(stats) {
+				stats = append(stats, s)
 			} else {
-				groups[id].Stats = groups[id].Stats.Add(g.Stats)
+				stats[id] = stats[id].Add(s)
 			}
 		}
 	}
 	_, codes := tuples.Codes()
-	return agg.FromCodes(attrs, measure, dicts, nil, codes, groups), nil
+	return agg.FromCodes(attrs, measure, dicts, nil, codes, stats), nil
 }

@@ -17,11 +17,11 @@ import (
 func TestMergePartialsByCode(t *testing.T) {
 	attrs := []string{"a"}
 	part := func(dict []string, codes ...uint32) *agg.Result {
-		groups := make([]agg.Group, len(codes))
-		for i := range groups {
-			groups[i].Stats = agg.Stats{Count: 1, Sum: float64(codes[i]), SumSq: 1}
+		stats := make([]agg.Stats, len(codes))
+		for i := range stats {
+			stats[i] = agg.Stats{Count: 1, Sum: float64(codes[i]), SumSq: 1}
 		}
-		return agg.FromCodes(attrs, "m", [][]string{dict}, nil, codes, groups)
+		return agg.FromCodes(attrs, "m", [][]string{dict}, nil, codes, stats)
 	}
 	dict := []string{"y", "x", "w"}
 	got, err := mergePartials(attrs, "m", []*agg.Result{part(dict, 0, 1), part(dict, 2, 1), part(slices.Clone(dict), 1)})
@@ -34,7 +34,7 @@ func TestMergePartialsByCode(t *testing.T) {
 		{Vals: []string{"y"}, Stats: agg.Stats{Count: 1, Sum: 0, SumSq: 1}},
 	})
 	if !got.Equal(want) {
-		t.Errorf("merged groups %+v, want %+v", got.Groups, want.Groups)
+		t.Errorf("merged groups %+v, want %+v", got.Decode().Groups, want.Groups)
 	}
 	for name, other := range map[string][]string{"prefix": {"y", "x"}, "reordered": {"x", "y", "w"}, "diverging": {"y", "x", "v"}} {
 		_, err := mergePartials(attrs, "m", []*agg.Result{part(dict, 0), part(other, 0)})

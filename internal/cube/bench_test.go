@@ -120,8 +120,8 @@ func BenchmarkGroupByCoded(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				r := agg.GroupBy(bc.ds, benchData.attrs, benchData.measure)
-				if len(r.Groups) != 100 {
-					b.Fatalf("groups = %d", len(r.Groups))
+				if r.Len() != 100 {
+					b.Fatalf("groups = %d", r.Len())
 				}
 			}
 		})
@@ -163,42 +163,46 @@ func leafShape(tb testing.TB, villages int) (*data.Dataset, []string) {
 	return cubed, []string{"year", "month", "category", "item", "region", "district", "village"}
 }
 
-// BenchmarkGroupByCube is the same call against a cube-attached dataset:
-// agg.GroupBy answers from the materialized level in O(groups) — first_drill
-// decodes and orders 100 cells instead of scanning 43200 rows, leaf the
-// 11,520 cells of a leaf-level drill state (the deep_fit shape), where the
-// group-by is a visible share of a cold recommend. leaf asks in drill order,
-// every hierarchy's attributes together, so each is ordered by its path and
-// the sort key is placed directly; interleaved asks for the same cells with
-// the hierarchies' attributes alternating, which only dictionary ranks and a
-// radix sort can order.
+// BenchmarkGroupByCube is the coded group-by the engine calls
+// (agg.GroupByCodes) against a cube-attached dataset: it answers from the
+// materialized level in O(groups) — first_drill orders 100 cells instead of
+// scanning 43200 rows, leaf the 11,520 cells of a leaf-level drill state (the
+// deep_fit shape), where the group-by is a visible share of a cold recommend.
+// leaf asks in drill order, every hierarchy's attributes together, so each is
+// ordered by its path and the sort key is placed directly; interleaved asks
+// for the same cells with the hierarchies' attributes alternating, which only
+// dictionary ranks and a radix sort can order. decoded is leaf through
+// agg.GroupBy, the string edge, which also decodes every group's values.
 func BenchmarkGroupByCube(b *testing.B) {
 	benchFixtures(b)
 	leaf, leafAttrs := leafShape(b, 5)
 	for _, bc := range []struct {
-		name   string
-		ds     *data.Dataset
-		attrs  []string
-		groups int
+		name    string
+		ds      *data.Dataset
+		attrs   []string
+		groups  int
+		groupBy func(*data.Dataset, []string, string) *agg.Result
 	}{
-		{"first_drill", benchData.cubed, benchData.attrs, 100},
-		{"leaf", leaf, leafAttrs, 11520},
-		{"interleaved", leaf, []string{"year", "region", "category", "month", "district", "item", "village"}, 11520},
+		{"first_drill", benchData.cubed, benchData.attrs, 100, agg.GroupByCodes},
+		{"leaf", leaf, leafAttrs, 11520, agg.GroupByCodes},
+		{"interleaved", leaf, []string{"year", "region", "category", "month", "district", "item", "village"}, 11520, agg.GroupByCodes},
+		{"decoded", leaf, leafAttrs, 11520, agg.GroupBy},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			measure := bc.ds.MeasureNames()[0]
 			for i := 0; i < b.N; i++ {
-				if r := agg.GroupBy(bc.ds, bc.attrs, measure); len(r.Groups) != bc.groups {
-					b.Fatalf("groups = %d", len(r.Groups))
+				if r := bc.groupBy(bc.ds, bc.attrs, measure); r.Len() != bc.groups {
+					b.Fatalf("groups = %d", r.Len())
 				}
 			}
 		})
 	}
 }
 
-// TestCubeGroupByAllocations: a cube group-by hands codes over and decodes
-// strings into one table, so the number of allocations per call is a small
-// constant of the grouping's shape — not a function of its group count.
+// TestCubeGroupByAllocations: the coded group-by the engine calls hands codes
+// and statistics over and decodes no string, so the number of allocations per
+// call is a small constant of the grouping's shape — not a function of its
+// group count.
 func TestCubeGroupByAllocations(t *testing.T) {
 	allocs := func(villages int) (float64, int) {
 		ds, attrs := leafShape(t, villages)
@@ -212,7 +216,7 @@ func TestCubeGroupByAllocations(t *testing.T) {
 			if !ok {
 				t.Fatal("cube declined the leaf grouping")
 			}
-			groups = len(r.Groups)
+			groups = r.Len()
 		}), groups
 	}
 	small, nSmall := allocs(1)

@@ -374,16 +374,16 @@ func (c *Cube) GroupBy(attrs []string, measure string) (*agg.Result, bool) {
 	lv := c.levels[c.latticeIndex(depths)]
 	pos, dicts, ranks := c.project(lv, flat)
 	k, od := len(attrs), c.odometer(lv)
-	codes, groups := make([]uint32, len(lv.keys)*k), make([]agg.Group, len(lv.keys))
+	codes, stats := make([]uint32, len(lv.keys)*k), make([]agg.Stats, len(lv.keys))
 	for ci, key := range lv.keys {
 		cell := od.next(key)
 		row := codes[ci*k : (ci+1)*k]
 		for qi, p := range pos {
 			row[qi] = uint32(cell[p])
 		}
-		groups[ci].Stats = agg.Stats{Count: lv.counts[ci], Sum: lv.sums[mi][ci], SumSq: lv.sumsqs[mi][ci]}
+		stats[ci] = agg.Stats{Count: lv.counts[ci], Sum: lv.sums[mi][ci], SumSq: lv.sumsqs[mi][ci]}
 	}
-	return agg.FromCodes(attrs, measure, dicts, ranks, codes, groups), true
+	return agg.FromCodes(attrs, measure, dicts, ranks, codes, stats), true
 }
 
 // project prepares reading the query attributes flat out of level lv's cells:

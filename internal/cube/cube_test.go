@@ -100,7 +100,7 @@ func TestGroupByMatchesScanExactly(t *testing.T) {
 			}
 			if !got.Equal(want) {
 				t.Fatalf("GroupBy(%v, %s) differs from scan:\ncube: %+v\nscan: %+v",
-					attrs, measure, got.Groups[:min(3, len(got.Groups))], want.Groups[:min(3, len(want.Groups))])
+					attrs, measure, got.Decode().Groups[:min(3, got.Len())], want.Groups[:min(3, len(want.Groups))])
 			}
 		}
 	}
@@ -169,15 +169,15 @@ func TestGroupByWholeHierarchy(t *testing.T) {
 		t.Fatal("GroupBy declined the dataset's own hierarchy")
 	}
 	seen := make(map[string]bool)
-	for _, g := range res.Groups {
+	for _, g := range res.Decode().Groups {
 		seen[strings.Join(g.Vals, "/")] = true
 	}
 	want := make(map[string]bool)
 	for row := 0; row < coded.NumRows(); row++ {
 		want[coded.Dim("region")[row]+"/"+coded.Dim("district")[row]+"/"+coded.Dim("village")[row]] = true
 	}
-	if len(res.Groups) != len(seen) || !reflect.DeepEqual(seen, want) {
-		t.Fatalf("%d groups %v, want the paths %v", len(res.Groups), seen, want)
+	if res.Len() != len(seen) || !reflect.DeepEqual(seen, want) {
+		t.Fatalf("%d groups %v, want the paths %v", res.Len(), seen, want)
 	}
 }
 

@@ -121,12 +121,12 @@ func checkReaders(t *testing.T, label string, c *Cube) {
 			names[i] = c.attrs[ai].name
 		}
 		res, ok := c.GroupBy(names, "m")
-		if !ok || len(res.Groups) != len(lv.keys) {
+		if !ok || res.Len() != len(lv.keys) {
 			t.Fatalf("%s level %d: GroupBy ok=%v, want %d groups", label, li, ok, len(lv.keys))
 		}
 		k := len(names)
-		for gi, g := range res.Groups {
-			ci := int(g.Stats.Count) - 1
+		for gi, s := range res.Stats {
+			ci := int(s.Count) - 1
 			want := divide(c, lv, lv.keys[ci])
 			for i, code := range res.Codes[gi*k : (gi+1)*k] {
 				if uint64(code) != want[i] {

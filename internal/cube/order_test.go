@@ -161,11 +161,11 @@ func orderReference(ds *data.Dataset, attrs []string) []agg.Group {
 func checkOrder(t *testing.T, label string, got *agg.Result, want []agg.Group) {
 	t.Helper()
 	k := len(got.Attrs)
-	if len(got.Groups) != len(want) || len(got.Codes) != k*len(want) {
-		t.Fatalf("%s: %d groups, %d codes; want %d groups", label, len(got.Groups), len(got.Codes), len(want))
+	if got.Len() != len(want) || len(got.Codes) != k*len(want) {
+		t.Fatalf("%s: %d groups, %d codes; want %d groups", label, got.Len(), len(got.Codes), len(want))
 	}
 	bits := math.Float64bits
-	for gi, g := range got.Groups {
+	for gi, g := range got.Decode().Groups {
 		w := want[gi]
 		if !slices.Equal(g.Vals, w.Vals) || bits(g.Stats.Count) != bits(w.Stats.Count) ||
 			bits(g.Stats.Sum) != bits(w.Stats.Sum) || bits(g.Stats.SumSq) != bits(w.Stats.SumSq) {

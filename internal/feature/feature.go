@@ -5,11 +5,13 @@
 // that can be rendered either as a dense design matrix over observed groups
 // or as factorised columns over a factorizer's attribute values.
 //
-// Build and the dense rendering read a group-by's codes (agg.Result.Codes),
-// not its strings: the target is sorted once and every main-effect median read
-// off one sweep over it; a column is evaluated once per dictionary code.
-// Col.Map stays the string-keyed view that custom and auxiliary features, Row
-// and FactorColumns consume. Nothing here writes to the result.
+// Build and the dense rendering read a group-by's coded relation
+// (agg.Result's Codes, Dicts and Stats), not its decoded view: the target is
+// sorted once and every main-effect median read off one sweep over it; a
+// column is evaluated once per dictionary code. Col.Map stays the string-keyed
+// view that custom and auxiliary features, Row and FactorColumns consume. User
+// callbacks (Custom.Fn, GroupFeature.Fn) receive the result decoded, as a new
+// agg.Result when the caller's is not. Nothing here writes to the result.
 package feature
 
 import (
@@ -36,8 +38,8 @@ type Aux struct {
 }
 
 // Custom is a user-defined per-attribute featurization (§3.3.3): Fn receives
-// the attribute's distinct values and the per-group statistics and returns a
-// value→feature mapping.
+// the attribute's distinct values and the group-by, decoded (its Groups set),
+// and returns a value→feature mapping.
 type Custom struct {
 	Name string
 	Attr string
@@ -103,7 +105,7 @@ func (s *Set) NumCols() int { return len(s.Cols) + len(s.Extra) }
 // Spec.KeepLeaky). Auxiliary features are z-scored; the intercept is always
 // the first column.
 func Build(groups *agg.Result, spec Spec) (*Set, error) {
-	if len(groups.Groups) == 0 {
+	if groups.Len() == 0 {
 		return nil, fmt.Errorf("feature: no groups to featurize")
 	}
 	if len(groups.Attrs) == 0 {
@@ -121,7 +123,7 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 		if !spec.KeepLeaky && slices.Max(sizes[off:off+len(dict)]) <= 1 {
 			continue // one-to-one: the median would equal the group's own statistic
 		}
-		m := make(map[string]float64, min(len(dict), len(groups.Groups)))
+		m := make(map[string]float64, min(len(dict), groups.Len()))
 		for c, v := range dict {
 			if sizes[off+c] > 0 {
 				m[v] = med[off+c]
@@ -166,7 +168,7 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 			}
 		}
 		sort.Strings(vals)
-		m := c.Fn(vals, groups)
+		m := c.Fn(vals, decoded(groups))
 		if m == nil {
 			return nil, fmt.Errorf("feature: custom feature %q returned nil", c.Name)
 		}
@@ -189,7 +191,7 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 // holding a NaN (ordered by nothing) or a −0 (tied with +0) has no order by
 // value: its median is mat.Median's, over the bucket in group order.
 func mainEffects(groups *agg.Result, target agg.Func) (medianY float64, med []float64, sizes []int32, offs []int) {
-	n, k := len(groups.Groups), len(groups.Attrs)
+	n, k := groups.Len(), len(groups.Attrs)
 	offs = make([]int, k+1)
 	for ai, dict := range groups.Dicts {
 		offs[ai+1] = offs[ai] + len(dict)
@@ -197,8 +199,8 @@ func mainEffects(groups *agg.Result, target agg.Func) (medianY float64, med []fl
 	sizes, med = make([]int32, offs[k]), make([]float64, offs[k])
 	unordered := make([]bool, offs[k]) // buckets holding a NaN or a −0
 	y, keys, order := make([]float64, n), make([]uint64, n), make([]int32, n)
-	for gi, g := range groups.Groups {
-		v := g.Stats.Get(target)
+	for gi, st := range groups.Stats {
+		v := st.Get(target)
 		odd := v != v || (v == 0 && math.Signbit(v))
 		for ai, c := range groups.Codes[gi*k : (gi+1)*k] {
 			sizes[offs[ai]+int(c)]++
@@ -285,7 +287,7 @@ func buildAuxCol(aux Aux) (Col, error) {
 // group (in group order), group-feature columns last. A column's value is
 // looked up once per dictionary code of its attribute, not once per group.
 func (s *Set) DenseX(groups *agg.Result) *mat.Matrix {
-	x := mat.New(len(groups.Groups), s.NumCols())
+	x := mat.New(groups.Len(), s.NumCols())
 	k := len(groups.Attrs)
 	for ci, c := range s.Cols {
 		ai := slices.Index(groups.Attrs, c.Attr)
@@ -293,7 +295,7 @@ func (s *Set) DenseX(groups *agg.Result) *mat.Matrix {
 		for code, v := range groups.Dicts[ai] {
 			byCode[code] = c.Value(v)
 		}
-		for gi := range groups.Groups {
+		for gi := range groups.Len() {
 			x.Set(gi, ci, byCode[groups.Codes[gi*k+ai]])
 		}
 	}
@@ -339,6 +341,16 @@ func (s *Set) FactorColumns(f *factor.Factorizer) ([]fmatrix.Column, error) {
 	return out, nil
 }
 
+// decoded returns groups with its decoded view, the form user callbacks
+// (Custom.Fn, GroupFeature.Fn) receive: groups itself when it carries one,
+// else a new Result.
+func decoded(groups *agg.Result) *agg.Result {
+	if groups.Groups != nil {
+		return groups
+	}
+	return groups.Decode()
+}
+
 // ZMask returns, per column, whether it participates in the random-effects
 // design Z (group-feature columns included, in dense column order).
 func (s *Set) ZMask() []bool {
@@ -358,7 +370,7 @@ func (s *Set) ZMask() []bool {
 func ClusterStarts(groups *agg.Result) []int {
 	k := len(groups.Attrs)
 	var starts []int
-	for gi := range groups.Groups {
+	for gi := range groups.Len() {
 		if gi == 0 || !slices.Equal(groups.Codes[gi*k:gi*k+k-1], groups.Codes[(gi-1)*k:gi*k-1]) {
 			starts = append(starts, gi)
 		}

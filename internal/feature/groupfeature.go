@@ -13,7 +13,8 @@ import (
 // GroupFeature is a multi-attribute feature (Appendix H): a feature whose
 // value depends on the whole group key rather than a single attribute —
 // e.g. a temporal lag ("this location's statistic on the previous day").
-// Fn returns one value per group, aligned with groups.Groups.
+// Fn receives the group-by decoded (its Groups set) and returns one value per
+// group, aligned with groups.Groups.
 //
 // Because a multi-attribute feature has no single-attribute factorisation,
 // its columns exist only in the dense rendering; building factorised columns
@@ -37,17 +38,21 @@ type extraCol struct {
 }
 
 // BuildWithGroupFeatures constructs the feature set and appends the
-// materialized multi-attribute features.
+// materialized multi-attribute features. With any group feature, groups is
+// decoded once, and Build and every Fn see that decoded result.
 func BuildWithGroupFeatures(groups *agg.Result, spec Spec, gfs []GroupFeature) (*Set, error) {
+	if len(gfs) > 0 {
+		groups = decoded(groups)
+	}
 	s, err := Build(groups, spec)
 	if err != nil {
 		return nil, err
 	}
 	for _, gf := range gfs {
 		vals := gf.Fn(groups, spec.Target)
-		if len(vals) != len(groups.Groups) {
+		if len(vals) != groups.Len() {
 			return nil, fmt.Errorf("feature: group feature %q returned %d values for %d groups",
-				gf.Name, len(vals), len(groups.Groups))
+				gf.Name, len(vals), groups.Len())
 		}
 		name := "group:" + gf.Name
 		s.Extra = append(s.Extra, extraCol{

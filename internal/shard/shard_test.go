@@ -390,6 +390,7 @@ func TestMergedStatsMatchWholeCube(t *testing.T) {
 			// scan is the same ground truth for it.
 			cells = agg.GroupBy(coded, attrs, "one")
 		}
+		cells = cells.Decode()
 		merged := make(map[string]agg.Stats)
 		var order []string
 		for _, sds := range shardDS {

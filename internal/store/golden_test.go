@@ -69,11 +69,11 @@ func sameBits(a, b *agg.Result) bool {
 	if !a.Equal(b) || !slices.Equal(a.Codes, b.Codes) {
 		return false
 	}
-	for i, g := range a.Groups {
-		h := b.Groups[i].Stats
-		if math.Float64bits(g.Stats.Count) != math.Float64bits(h.Count) ||
-			math.Float64bits(g.Stats.Sum) != math.Float64bits(h.Sum) ||
-			math.Float64bits(g.Stats.SumSq) != math.Float64bits(h.SumSq) {
+	for i, g := range a.Stats {
+		h := b.Stats[i]
+		if math.Float64bits(g.Count) != math.Float64bits(h.Count) ||
+			math.Float64bits(g.Sum) != math.Float64bits(h.Sum) ||
+			math.Float64bits(g.SumSq) != math.Float64bits(h.SumSq) {
 			return false
 		}
 	}
