@@ -2,6 +2,8 @@ package core
 
 import (
 	"encoding/json"
+	"fmt"
+	"math"
 
 	"repro/internal/agg"
 )
@@ -37,13 +39,45 @@ type jsonRecommendation struct {
 	Hierarchies []jsonHierarchyResult `json:"hierarchies"`
 }
 
-// MarshalJSON encodes the recommendation deterministically.
+// NonFiniteError is MarshalJSON's refusal of a recommendation holding a NaN
+// or an infinity, which JSON has no number for: finite measures whose squares
+// overflow make std statistics NaN, and a custom repair may return one.
+type NonFiniteError struct {
+	Hierarchy string
+	Field     string // e.g. "current", "ranked[2].predicted.std"
+	Value     float64
+}
+
+func (e *NonFiniteError) Error() string {
+	return fmt.Sprintf("core: hierarchy %q: %s is %v, which JSON cannot encode", e.Hierarchy, e.Field, e.Value)
+}
+
+// finite returns a *NonFiniteError for the first of vals JSON cannot hold,
+// naming it names[i], within ranked group j when j ≥ 0.
+func finite(hierarchy string, j int, names []string, vals ...float64) error {
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			field := names[i]
+			if j >= 0 {
+				field = fmt.Sprintf("ranked[%d].%s", j, field)
+			}
+			return &NonFiniteError{Hierarchy: hierarchy, Field: field, Value: v}
+		}
+	}
+	return nil
+}
+
+// MarshalJSON encodes the recommendation deterministically, or returns a
+// *NonFiniteError naming the first value JSON cannot hold.
 func (r *Recommendation) MarshalJSON() ([]byte, error) {
 	out := jsonRecommendation{Hierarchies: make([]jsonHierarchyResult, len(r.All))}
 	if r.Best != nil {
 		out.Best = r.Best.Hierarchy
 	}
 	for i, hr := range r.All {
+		if err := finite(hr.Hierarchy, -1, []string{"current", "best_score"}, hr.Current, hr.BestScore); err != nil {
+			return nil, err
+		}
 		jh := jsonHierarchyResult{
 			Hierarchy: hr.Hierarchy,
 			Attr:      hr.Attr,
@@ -52,6 +86,18 @@ func (r *Recommendation) MarshalJSON() ([]byte, error) {
 			Ranked:    make([]jsonGroupScore, len(hr.Ranked)),
 		}
 		for j, gs := range hr.Ranked {
+			if err := finite(hr.Hierarchy, j, []string{"repaired", "score", "gain"}, gs.Repaired, gs.Score, gs.Gain); err != nil {
+				return nil, err
+			}
+			var bad agg.Func // the least non-finite statistic, whatever the map's order
+			for f, v := range gs.Predicted {
+				if (math.IsNaN(v) || math.IsInf(v, 0)) && (bad == "" || f < bad) {
+					bad = f
+				}
+			}
+			if bad != "" {
+				return nil, finite(hr.Hierarchy, j, []string{"predicted." + string(bad)}, gs.Predicted[bad])
+			}
 			jh.Ranked[j] = jsonGroupScore{
 				Group:     gs.Group.Vals,
 				Predicted: gs.Predicted,

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
 	"slices"
 	"strings"
@@ -102,4 +104,45 @@ func scores(ranked []GroupScore) []float64 {
 		out[i] = gs.Score
 	}
 	return out
+}
+
+// TestNaNRepairRefusedByMarshalJSON: TestNaNScoresRankLast's NaN repair
+// leaves geo with NaN scores, which JSON has no number for. MarshalJSON
+// refuses the recommendation with a *NonFiniteError naming the hierarchy and
+// the field, and encoding/json passes it on unwrapped by errors.As.
+func TestNaNRepairRefusedByMarshalJSON(t *testing.T) {
+	sc := buildScenario(31)
+	sc.corruptMean("d0_v2", "1993", -4)
+	eng, err := NewEngine(sc.ds, Options{EMIterations: 5, Workers: 1, Repair: func(s agg.Stats, pred map[agg.Func]float64) agg.Stats {
+		if s.Count == 60 {
+			return agg.Stats{Count: s.Count, Sum: math.NaN(), SumSq: math.NaN()}
+		}
+		return s.WithAggregate(agg.Mean, pred[agg.Mean])
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := eng.NewSession([]string{"district"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := s.Recommend(Complaint{Agg: agg.Mean, Measure: "severity", Tuple: data.Predicate{"district": "d0"}, Direction: TooLow})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = json.Marshal(rec)
+	var nf *NonFiniteError
+	if !errors.As(err, &nf) {
+		t.Fatalf("json.Marshal error %v, want a *NonFiniteError", err)
+	}
+	if nf.Hierarchy != "geo" || nf.Field != "best_score" || !math.IsNaN(nf.Value) {
+		t.Errorf("NonFiniteError = %+v, want geo's NaN best_score", nf)
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"geo"`) || !strings.Contains(msg, "best_score") {
+		t.Errorf("error message %q names neither the hierarchy nor the field", msg)
+	}
+	rec.All = rec.All[1:] // time alone scores numbers, and encodes
+	if _, err := json.Marshal(rec); err != nil {
+		t.Errorf("a finite recommendation: %v", err)
+	}
 }
