@@ -23,10 +23,11 @@ func secs(d time.Duration) string {
 // the exposition (session counts, cache size, build info) beyond what the
 // registry itself tracks.
 type Gauge struct {
-	Name   string
-	Help   string
-	Labels string // rendered verbatim inside {}, may be empty
-	Value  float64
+	Name    string
+	Help    string
+	Labels  string // rendered verbatim inside {}, may be empty
+	Value   float64
+	Counter bool // typed counter: a cumulative total that never decreases
 }
 
 // WriteProm renders every endpoint's counters and histogram, the aggregated
@@ -106,7 +107,11 @@ func (r *Registry) WriteProm(w io.Writer, extra []Gauge) {
 	fmt.Fprintf(w, "reptile_uptime_seconds %s\n", secs(time.Since(r.Start)))
 
 	for _, g := range extra {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n", g.Name, g.Help, g.Name)
+		typ := "gauge"
+		if g.Counter {
+			typ = "counter"
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", g.Name, g.Help, g.Name, typ)
 		if g.Labels != "" {
 			fmt.Fprintf(w, "%s{%s} %s\n", g.Name, g.Labels, strconv.FormatFloat(g.Value, 'g', -1, 64))
 		} else {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"net/http"
 	"runtime"
+	"runtime/metrics"
 	"time"
 
 	"repro/internal/core"
@@ -96,11 +97,33 @@ func (s *Server) instrument(ep obs.Endpoint, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
+// goRuntime is the Go runtime's garbage-collector state, read from
+// runtime/metrics when a scrape asks and kept nowhere between scrapes.
+func goRuntime() []obs.Gauge {
+	out := []obs.Gauge{
+		{Name: "reptile_go_gc_cycles_total", Help: "Completed GC cycles.", Counter: true},
+		{Name: "reptile_go_gc_cpu_seconds_total", Help: "Estimated CPU time spent in GC tasks.", Counter: true},
+		{Name: "reptile_go_heap_allocs_bytes_total", Help: "Bytes allocated on the heap.", Counter: true},
+		{Name: "reptile_go_heap_live_bytes", Help: "Heap bytes live after the last GC cycle."},
+	}
+	samples := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}, {Name: "/cpu/classes/gc/total:cpu-seconds"},
+		{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/live:bytes"}}
+	metrics.Read(samples)
+	for i, s := range samples {
+		if s.Value.Kind() == metrics.KindFloat64 {
+			out[i].Value = s.Value.Float64()
+		} else if s.Value.Kind() == metrics.KindUint64 {
+			out[i].Value = float64(s.Value.Uint64())
+		}
+	}
+	return out
+}
+
 // handleMetrics serves the Prometheus text exposition: every endpoint's
 // request/error/in-flight counters and latency histogram, the recommend
-// pipeline's per-stage totals, and registry-level gauges. The handler takes
-// no recommendation slot, so metrics stay scrapable while every dataset is at
-// its concurrency limit.
+// pipeline's per-stage totals, registry-level gauges and the Go runtime's GC
+// state. The handler takes no recommendation slot, so metrics stay scrapable
+// while every dataset is at its concurrency limit.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.sweepExpiredLocked(s.now())
@@ -108,11 +131,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	cs := s.cacheStats()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.obs.WriteProm(w, []obs.Gauge{
+	s.obs.WriteProm(w, append([]obs.Gauge{
 		{Name: "reptile_datasets", Help: "Registered datasets.", Value: float64(nd)},
 		{Name: "reptile_sessions", Help: "Live drill-down sessions.", Value: float64(ns)},
 		{Name: "reptile_recommend_cache_entries", Help: "Recommendation cache size in entries.", Value: float64(cs.Size)},
-	})
+	}, goRuntime()...))
 }
 
 // serverInfo identifies the process for GET /v1/stats.

@@ -344,3 +344,64 @@ func TestMetricsScrapeDuringShardedIngest(t *testing.T) {
 	}()
 	wg.Wait()
 }
+
+// TestMetricsGoRuntime scrapes /v1/metrics twice around an allocation and a
+// GC cycle: the Go runtime's four series are present under their types, and
+// no counter goes down between scrapes (heap allocations go up).
+func TestMetricsGoRuntime(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	types := map[string]string{
+		"reptile_go_gc_cycles_total":         "counter",
+		"reptile_go_gc_cpu_seconds_total":    "counter",
+		"reptile_go_heap_allocs_bytes_total": "counter",
+		"reptile_go_heap_live_bytes":         "gauge",
+	}
+	scrape := func() map[string]float64 {
+		t.Helper()
+		code, b := get(t, ts.URL+"/v1/metrics")
+		if code != http.StatusOK {
+			t.Fatalf("metrics: %d %s", code, b)
+		}
+		got := map[string]float64{}
+		for _, line := range strings.Split(string(b), "\n") {
+			for name, typ := range types {
+				if line == "# TYPE "+name+" "+typ {
+					got["type "+name] = 1
+				}
+				if v, ok := strings.CutPrefix(line, name+" "); ok {
+					f, err := strconv.ParseFloat(v, 64)
+					if err != nil {
+						t.Fatalf("%s: %v", line, err)
+					}
+					got[name] = f
+				}
+			}
+		}
+		for name := range types {
+			if _, ok := got[name]; !ok || got["type "+name] != 1 {
+				t.Fatalf("exposition lacks %s as a %s", name, types[name])
+			}
+		}
+		return got
+	}
+	before := scrape()
+	sink := make([][]byte, 64)
+	for i := range sink {
+		sink[i] = make([]byte, 64<<10)
+	}
+	runtime.GC()
+	after := scrape()
+	runtime.KeepAlive(sink)
+	for name, typ := range types {
+		if typ == "counter" && after[name] < before[name] {
+			t.Errorf("%s went from %v to %v", name, before[name], after[name])
+		}
+	}
+	if after["reptile_go_heap_allocs_bytes_total"] < before["reptile_go_heap_allocs_bytes_total"]+4<<20 {
+		t.Errorf("heap allocations went from %v to %v bytes around a 4 MiB allocation",
+			before["reptile_go_heap_allocs_bytes_total"], after["reptile_go_heap_allocs_bytes_total"])
+	}
+	if after["reptile_go_gc_cycles_total"] <= before["reptile_go_gc_cycles_total"] {
+		t.Errorf("GC cycles went from %v to %v around runtime.GC", before["reptile_go_gc_cycles_total"], after["reptile_go_gc_cycles_total"])
+	}
+}
