@@ -21,12 +21,11 @@ import (
 // Determinism contract: PartialGroupBy returns exactly what a row scan over
 // the worker's rows would: the coded relation of agg.GroupByCodes, which
 // agg.GroupBy decodes. Nothing in the engine reads a worker's strings beyond
-// its dictionaries. Workers gathered into one
-// engine code their results against one set of dictionaries (a shard.Set's
-// shards share theirs, and each shard's cube is keyed to them); the gather
-// refuses anything else. It merges in shard-index order, so results are
-// reproducible run to run, and is itself a ShardWorker: an engine cannot tell
-// one worker from many.
+// its dictionaries. Workers gathered into one engine code their results
+// against one set of dictionaries (a shard.Set's shards share theirs, and each
+// shard's cube is keyed to them); the gather refuses anything else. It merges
+// in shard-index order, so results are reproducible run to run, and is itself
+// a ShardWorker: an engine cannot tell one worker from many.
 type ShardWorker interface {
 	// PartialGroupBy aggregates the worker's rows at the given granularity.
 	PartialGroupBy(attrs []string, measure string) (*agg.Result, error)

@@ -354,7 +354,8 @@ func (c *Cube) resolve(attrs []string) (flat []int, depths, maxLvl []int, ok boo
 // materialized level, in O(groups) and without touching rows. The attributes
 // may arrive in any order (the engine orders the drilled hierarchy last) as
 // long as, within each hierarchy, the ones present form a prefix. The result
-// is bit-identical to agg.GroupBy's row scan and freshly allocated per call.
+// is the row scan's coded relation (agg.GroupByCodes), bit-identical and
+// freshly allocated per call; no string is decoded.
 // ok=false means the grouping or measure is outside the cube; callers fall
 // back to a scan. GroupBy implements agg.Materialized.
 func (c *Cube) GroupBy(attrs []string, measure string) (*agg.Result, bool) {

@@ -445,10 +445,12 @@ func (s *Server) handleRecommend(w http.ResponseWriter, r *http.Request) {
 	endEncode := tr.StartSpan("encode")
 	raw, err := json.Marshal(rec)
 	endEncode()
-	if nf := (*core.NonFiniteError)(nil); errors.As(err, &nf) {
+	var nf *core.NonFiniteError
+	if errors.As(err, &nf) {
 		writeError(w, api.CodeUnprocessable, nf) // the data, not the server, has no answer JSON can hold
 		return
-	} else if err != nil {
+	}
+	if err != nil {
 		writeError(w, api.CodeInternal, err)
 		return
 	}

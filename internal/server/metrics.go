@@ -110,10 +110,11 @@ func goRuntime() []obs.Gauge {
 		{Name: "/gc/heap/allocs:bytes"}, {Name: "/gc/heap/live:bytes"}}
 	metrics.Read(samples)
 	for i, s := range samples {
-		if s.Value.Kind() == metrics.KindFloat64 {
-			out[i].Value = s.Value.Float64()
-		} else if s.Value.Kind() == metrics.KindUint64 {
+		switch s.Value.Kind() {
+		case metrics.KindUint64:
 			out[i].Value = float64(s.Value.Uint64())
+		case metrics.KindFloat64:
+			out[i].Value = s.Value.Float64()
 		}
 	}
 	return out
