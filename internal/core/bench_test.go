@@ -50,9 +50,9 @@ func BenchmarkColdRecommendLeaf(b *testing.B) {
 
 // coldLeafBudget bounds the bytes one cold leaf recommend allocates on one
 // worker, averaged over the pin states and aggregates: the coded drilled
-// relation's figure (2.71 MB on linux/amd64) plus 15 %. Decoding every
-// group's values into the drilled relation, as the engine once did, makes it
-// 4.13 MB.
+// relation's figure (2.71 MB on linux/amd64) plus 15 %. Decoding the whole
+// drilled relation into strings adds ≈ 1.4 MB, which the budget does not
+// leave room for.
 const coldLeafBudget = 3_120_000
 
 // TestColdLeafRecommendAllocations holds a cold leaf recommend to its byte
