@@ -99,3 +99,72 @@ func TestScatterSpanOnlyOverPartitions(t *testing.T) {
 		}
 	}
 }
+
+// TestGatherMergeKeysEveryAttribute: two shards, each validated over its own
+// rows, file one village under different districts and regions. Either shard
+// may bucket its own rows by the village alone, since its rows satisfy the
+// hierarchy's FDs; the union's do not, so the gather's merge keys every
+// attribute. Its PartialGroupBy equals the string reference over the union of
+// the rows, for every subset of the hierarchy in both orders.
+func TestGatherMergeKeysEveryAttribute(t *testing.T) {
+	h := []data.Hierarchy{{Name: "geo", Attrs: []string{"region", "district", "village"}}}
+	union := data.New("split", []string{"region", "district", "village"}, []string{"m"}, h)
+	var shardRows [2][]int
+	for i := range 2100 { // both shards span a 1,024-row block edge
+		r := []string{"north", "d1", "v1"}
+		switch {
+		case i%5 == 0:
+			r = []string{"south", "d3", "v3"}
+		case i%7 == 0:
+			r = []string{"north", "d1", "v2"}
+		case i%2 == 1:
+			r = []string{"south", "d2", "v1"} // shard 1 re-files v1
+		}
+		union.AppendRowVals(r, []float64{float64(i % 11)})
+		shardRows[i%2] = append(shardRows[i%2], i)
+	}
+	if union.Clone().Validate() == nil {
+		t.Fatal("test premise: the union's rows satisfy every FD")
+	}
+	workers := make([]ShardWorker, 2)
+	shards := make([]*data.Dataset, 2)
+	for si, rows := range shardRows {
+		shards[si] = union.Select(rows)
+		if err := shards[si].Validate(); err != nil {
+			t.Fatalf("shard %d: %v", si, err)
+		}
+		workers[si] = LocalShard(shards[si])
+	}
+	eng, err := NewShardedEngine(shards[0], workers, "region", Options{EMIterations: 2, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, attrs := range [][]string{
+		{"region"}, {"region", "district"}, {"region", "district", "village"},
+		{"region", "village"}, {"district", "village"}, {"village"},
+		{"village", "district", "region"}, {"village", "region"},
+	} {
+		index := map[string]int{}
+		var groups []agg.Group
+		for row, v := range union.Measure("m") {
+			vals := make([]string, len(attrs))
+			for i, a := range attrs {
+				vals[i] = union.Dim(a)[row]
+			}
+			gi, ok := index[data.EncodeKey(vals)]
+			if !ok {
+				gi = len(groups)
+				index[data.EncodeKey(vals)] = gi
+				groups = append(groups, agg.Group{Vals: vals})
+			}
+			groups[gi].Stats = groups[gi].Stats.Add(agg.Stats{Count: 1, Sum: v, SumSq: v * v})
+		}
+		got, err := eng.src.PartialGroupBy(attrs, "m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := agg.NewResult(attrs, "m", groups); !got.Equal(want) {
+			t.Errorf("%v: gathered %+v, want %+v", attrs, got.Decode().Groups, want.Groups)
+		}
+	}
+}
