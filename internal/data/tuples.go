@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // TupleIndex numbers distinct code tuples in order of first appearance — the
@@ -13,13 +14,26 @@ import (
 // paths, then a lattice level's cells as tuples of path ids). Tuples are keyed
 // by their codes, never by strings.
 //
-// How a key finds its id is chosen once, in the constructor, from what the
-// code observes — the attributes' sizes and the number of tuples the caller
-// says it will feed — never from a flag:
+// A key is made of the codes of the key attributes. Over a dataset
+// ((*Dataset).NewTupleIndex) those are the grouping's attributes less every
+// one that a deeper attribute of the grouping in the same hierarchy
+// determines, by FDs Validate has verified over the dataset's current rows:
+// [region district village] is keyed by village alone. The determined codes
+// follow from the key on every row, so the tuples, their ids and their order
+// are what keying every attribute gives; a new tuple still records every
+// attribute's code. Over caller-supplied columns or code tuples
+// (NewTupleIndex) every attribute is a key attribute — the shard gather's
+// merge relies on that, since each shard verified its FDs over its own rows
+// only.
 //
-//   - table: the mixed-radix composite of the codes indexes a []int32 holding
-//     id+1, when the key space (the product of the sizes) is at most
-//     TableSpacePerTuple times the fed count. One array read per tuple.
+// How a key finds its id is chosen once, in the constructor, from what the
+// code observes — the key attributes' sizes and the number of tuples the
+// caller says it will feed — never from a flag:
+//
+//   - table: the mixed-radix composite of the key codes indexes a []int32
+//     holding id+1, when the key space (the product of the key attributes'
+//     sizes) is at most TableSpacePerTuple times the fed count. One array read
+//     per tuple.
 //   - narrow: the same uint64 composite probes a map, when the key space fits
 //     uint64 but not a table of that size.
 //   - wide: the codes' bytes as a string probe a map, when it does not fit
@@ -31,8 +45,12 @@ import (
 // empty tuple.
 type TupleIndex struct {
 	dicts [][]string // the attributes' dictionaries, for an index over a dataset's
-	radix []uint64   // per attribute: its size, the key's mixed radix
-	cols  [][]uint32 // the code columns AddRows reads
+	cols  [][]uint32 // every attribute's code column, which a new tuple's codes are copied from
+	key   []int      // the positions of the attributes a key is made of
+	// keyCols are the key attributes' code columns, which AddRows keys on, and
+	// radix their sizes, the key's mixed radix.
+	keyCols [][]uint32
+	radix   []uint64
 	// table, narrow and wide map a tuple's key to its id; exactly one is in use.
 	table  []int32 // id+1 by key, 0 for a key not seen
 	narrow map[uint64]int
@@ -57,28 +75,81 @@ const blockRows = 1024
 
 // NewTupleIndex starts an empty index over the given attributes of d, fed by
 // row range (AddRows). feed is the number of rows the caller will add — the
-// length of its range, not of the dataset.
+// length of its range, not of the dataset. The key leaves out every attribute
+// another of attrs determines over d's rows (keyAttrs).
 func (d *Dataset) NewTupleIndex(attrs []string, feed int) *TupleIndex {
 	dicts, cols, sizes := make([][]string, len(attrs)), make([][]uint32, len(attrs)), make([]int, len(attrs))
 	for i, a := range attrs {
 		dicts[i], cols[i] = d.DimCodes(a)
 		sizes[i] = len(dicts[i])
 	}
-	t := NewTupleIndex(sizes, cols, feed)
+	t := newTupleIndex(sizes, cols, d.keyAttrs(attrs), feed)
 	t.dicts = dicts
 	return t
 }
 
+// keyAttrs returns the positions of the attributes a tuple of attrs must be
+// keyed by over d's rows: all but those a deeper attribute of attrs in the
+// same hierarchy determines, through FDs Validate has verified on every level
+// between the two. Such an attribute's code is a function of the deeper one's
+// on every row, so leaving it out merges no two tuples. A dataset that was
+// never validated, or whose rows were written since, keys every attribute.
+func (d *Dataset) keyAttrs(attrs []string) []int {
+	key := make([]int, 0, len(attrs))
+	for i, a := range attrs {
+		if !d.determined(a, attrs) {
+			key = append(key, i)
+		}
+	}
+	return key
+}
+
+// determined reports whether a deeper attribute of attrs in a's hierarchy
+// determines a through verified FDs.
+func (d *Dataset) determined(a string, attrs []string) bool {
+	h, ok := d.HierarchyOf(a)
+	if !ok {
+		return false
+	}
+	for l := h.Level(a) + 1; l < len(h.Attrs); l++ {
+		if _, verified := d.fds.Load([2]string{h.Attrs[l], h.Attrs[l-1]}); !verified {
+			return false
+		}
+		if slices.Contains(attrs, h.Attrs[l]) {
+			return true
+		}
+	}
+	return false
+}
+
 // NewTupleIndex starts an empty index over tuples of one code below each of
 // sizes, feed of them: the rows of the code columns cols (AddRows), or with nil
-// cols whatever code tuples the caller hands over (AddCodes).
+// cols whatever code tuples the caller hands over (AddCodes). Every attribute
+// is part of the key.
 func NewTupleIndex(sizes []int, cols [][]uint32, feed int) *TupleIndex {
-	t := &TupleIndex{radix: make([]uint64, len(sizes)), cols: cols}
+	key := make([]int, len(sizes))
+	for i := range key {
+		key[i] = i
+	}
+	return newTupleIndex(sizes, cols, key, feed)
+}
+
+// newTupleIndex starts an index over attributes of the given sizes and code
+// columns (nil for AddCodes) whose key is made of the attributes at the
+// positions key; the look-up is chosen from the key attributes' sizes alone.
+func newTupleIndex(sizes []int, cols [][]uint32, key []int, feed int) *TupleIndex {
+	t := &TupleIndex{cols: cols, key: key, radix: make([]uint64, len(key))}
+	if cols != nil {
+		t.keyCols = make([][]uint32, len(key))
+	}
 	space, fits := uint64(1), true
-	for i, size := range sizes {
-		t.radix[i] = uint64(size)
+	for i, a := range key {
+		t.radix[i] = uint64(sizes[a])
+		if cols != nil {
+			t.keyCols[i] = cols[a]
+		}
 		// A size of zero means an empty column: there is no tuple to add.
-		if size > 1 && fits {
+		if t.radix[i] > 1 && fits {
 			fits = space <= math.MaxUint64/t.radix[i]
 			space *= t.radix[i]
 		}
@@ -86,7 +157,7 @@ func NewTupleIndex(sizes []int, cols [][]uint32, feed int) *TupleIndex {
 	switch {
 	case !fits:
 		t.wide = make(map[string]int)
-		t.buf = make([]byte, 4*len(sizes))
+		t.buf = make([]byte, 4*len(key))
 	// Ids are int32 and a slot holds id+1, so a table cannot number more than
 	// MaxInt32-1 tuples.
 	case feed >= 0 && feed < math.MaxInt32 && space <= TableSpacePerTuple*uint64(feed):
@@ -112,7 +183,7 @@ func (t *TupleIndex) AddRows(lo, hi int, ids []int32) {
 func (t *TupleIndex) addBlock(lo, hi int, ids []int32) {
 	if t.wide != nil {
 		for row := lo; row < hi; row++ {
-			for i, cs := range t.cols {
+			for i, cs := range t.keyCols {
 				binary.LittleEndian.PutUint32(t.buf[4*i:], cs[row])
 			}
 			id, ok := t.wide[string(t.buf)]
@@ -129,7 +200,7 @@ func (t *TupleIndex) addBlock(lo, hi int, ids []int32) {
 	}
 	keys := t.keys[:hi-lo]
 	clear(keys)
-	for i, cs := range t.cols {
+	for i, cs := range t.keyCols {
 		radix := t.radix[i]
 		for j, c := range cs[lo:hi] {
 			keys[j] = keys[j]*radix + uint64(c)
@@ -179,8 +250,8 @@ func (t *TupleIndex) add() int {
 // tuple's id equals Len() before the call.
 func (t *TupleIndex) AddCodes(codes []uint32) int {
 	if t.wide != nil {
-		for i, c := range codes {
-			binary.LittleEndian.PutUint32(t.buf[4*i:], c)
+		for i, a := range t.key {
+			binary.LittleEndian.PutUint32(t.buf[4*i:], codes[a])
 		}
 		id, ok := t.wide[string(t.buf)]
 		if !ok {
@@ -191,8 +262,8 @@ func (t *TupleIndex) AddCodes(codes []uint32) int {
 		return id
 	}
 	k := uint64(0)
-	for i, c := range codes {
-		k = k*t.radix[i] + uint64(c)
+	for i, a := range t.key {
+		k = k*t.radix[i] + uint64(codes[a])
 	}
 	if t.table != nil {
 		slot := &t.table[k]

@@ -1,6 +1,7 @@
 package data
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -98,4 +99,70 @@ func TestTupleIndexRegimesAgree(t *testing.T) {
 	if n := len(wantCodes) / len(sizes); n != 35 {
 		t.Fatalf("%d distinct tuples, want all 35", n)
 	}
+}
+
+// TestTupleIndexKeysUndeterminedAttributes pins which attributes a dataset's
+// index keys on: every one until Validate has verified the FDs over the rows,
+// then all but those a deeper attribute of the grouping determines through
+// verified FDs — again every one after a row write, and over a Where subset,
+// whose rows Validate has not seen.
+func TestTupleIndexKeysUndeterminedAttributes(t *testing.T) {
+	h := []Hierarchy{{Name: "geo", Attrs: []string{"region", "district", "village"}}, {Name: "time", Attrs: []string{"year"}}}
+	d := New("geo", []string{"region", "district", "village", "year", "flat"}, []string{"m"}, h)
+	for i := range 20 {
+		v := i % 10
+		d.AppendRowVals([]string{fmt.Sprint("r", v/6), fmt.Sprint("d", v/2), fmt.Sprint("v", v), fmt.Sprint(i % 4), "x"}, []float64{1})
+	}
+	keyOf := func(d *Dataset, attrs ...string) []string {
+		var out []string
+		for _, i := range d.NewTupleIndex(attrs, d.NumRows()).key {
+			out = append(out, attrs[i])
+		}
+		return out
+	}
+	cases := []struct {
+		attrs, validated []string
+	}{
+		{[]string{"region", "district", "village"}, []string{"village"}},
+		{[]string{"village", "region"}, []string{"village"}},
+		{[]string{"region", "district"}, []string{"district"}},
+		{[]string{"district", "year", "region", "flat"}, []string{"district", "year", "flat"}},
+		{[]string{"region", "year"}, []string{"region", "year"}},
+		{[]string{"village", "village"}, []string{"village", "village"}},
+		{nil, nil},
+	}
+	check := func(label string, d *Dataset, validated bool) {
+		t.Helper()
+		for _, tc := range cases {
+			want := tc.attrs
+			if validated {
+				want = tc.validated
+			}
+			if got := keyOf(d, tc.attrs...); !slices.Equal(got, want) {
+				t.Errorf("%s: %v keyed by %v, want %v", label, tc.attrs, got, want)
+			}
+		}
+	}
+	check("never validated", d, false)
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	check("validated", d, true)
+	check("Where subset", d.Where(Predicate{"region": "r0"}), false)
+	check("Clone", d.Clone(), false)
+
+	// One verified level determines its parent, not what lies above it.
+	partial := d.Clone()
+	partial.fds.Store([2]string{"village", "district"}, true)
+	if got := keyOf(partial, "region", "district", "village"); !slices.Equal(got, []string{"region", "village"}) {
+		t.Errorf("village → district verified alone: keyed by %v, want [region village]", got)
+	}
+
+	// The table sizes the reduced key space: 2 · 5 · 10 codes over 20 rows
+	// would take the map, 10 takes the table.
+	if x := d.NewTupleIndex([]string{"region", "district", "village"}, d.NumRows()); x.table == nil || len(x.table) != 10 {
+		t.Errorf("validated: %d table slots, want 10", len(x.table))
+	}
+	d.SetDimValue("village", 0, "v9")
+	check("after SetDimValue", d, false)
 }
