@@ -434,15 +434,26 @@ func (d *Dataset) HierarchyOf(a string) (Hierarchy, bool) {
 // Validate checks structural invariants: every hierarchy attribute exists as
 // a dimension, hierarchies do not share attributes, and within each hierarchy
 // every more specific attribute functionally determines its parent (the FD
-// A_n → A_m for m < n required by the problem definition).
-func (d *Dataset) Validate() error {
+// A_n → A_m for m < n required by the problem definition). Each FD it verifies
+// is recorded until the next row write, and rechecked by no later Validate.
+func (d *Dataset) Validate() error { return ValidateShards([]*Dataset{d}) }
+
+// ValidateShards is Validate over the union of the shards' rows: shards of one
+// dataset, which share its schema, read off the first, and its dictionaries.
+// Every hierarchy FD is checked in one pass over all the shards' columns —
+// a violation whose two witnesses sit in different shards included — and then
+// recorded as verified on each shard, whose rows are a subset of the union.
+// A shard's own record does not cover the union, so only a lone dataset skips
+// the FDs it has verified already.
+func ValidateShards(shards []*Dataset) error {
+	first := shards[0]
 	seen := make(map[string]string)
-	for _, h := range d.Hierarchies {
+	for _, h := range first.Hierarchies {
 		if len(h.Attrs) == 0 {
 			return fmt.Errorf("data: hierarchy %q has no attributes", h.Name)
 		}
 		for _, a := range h.Attrs {
-			if !d.HasDim(a) {
+			if !first.HasDim(a) {
 				return fmt.Errorf("data: hierarchy %q references unknown attribute %q", h.Name, a)
 			}
 			if prev, dup := seen[a]; dup {
@@ -452,34 +463,44 @@ func (d *Dataset) Validate() error {
 		}
 		for lvl := 1; lvl < len(h.Attrs); lvl++ {
 			fd := [2]string{h.Attrs[lvl], h.Attrs[lvl-1]}
-			if _, verified := d.fds.Load(fd); verified {
+			if _, verified := first.fds.Load(fd); verified && len(shards) == 1 {
 				continue
 			}
-			if err := d.checkFD(fd[0], fd[1]); err != nil {
+			if err := checkFD(shards, fd[0], fd[1]); err != nil {
 				return fmt.Errorf("data: hierarchy %q: %w", h.Name, err)
 			}
-			d.fds.Store(fd, true)
+			for _, d := range shards {
+				d.fds.Store(fd, true)
+			}
 		}
 	}
 	return nil
 }
 
 // checkFD verifies the functional dependency child → parent in one pass over
-// the two code columns; heap is bounded by the child dictionary's size.
-func (d *Dataset) checkFD(child, parent string) error {
-	cc, pc := d.dims[child], d.dims[parent]
+// the two code columns of every shard; heap is bounded by the child
+// dictionary's size. Every shard must code both attributes against the first
+// one's dictionaries.
+func checkFD(shards []*Dataset, child, parent string) error {
+	cdict, pdict := shards[0].dims[child].dict, shards[0].dims[parent].dict
 	const unset = -1
-	m := make([]int64, len(cc.dict))
+	m := make([]int64, len(cdict))
 	for i := range m {
 		m[i] = unset
 	}
-	for i, c := range cc.codes {
-		p := int64(pc.codes[i])
-		if prev := m[c]; prev == unset {
-			m[c] = p
-		} else if prev != p {
-			return fmt.Errorf("FD violation: %s=%q maps to %s=%q and %q",
-				child, cc.dict[c], parent, pc.dict[prev], pc.dict[p])
+	for si, d := range shards {
+		cc, pc := d.dims[child], d.dims[parent]
+		if cc == nil || pc == nil || !SameDict(cc.dict, cdict) || !SameDict(pc.dict, pdict) {
+			return fmt.Errorf("shard %d does not share shard 0's %s and %s dictionaries", si, child, parent)
+		}
+		for i, c := range cc.codes {
+			p := int64(pc.codes[i])
+			if prev := m[c]; prev == unset {
+				m[c] = p
+			} else if prev != p {
+				return fmt.Errorf("FD violation: %s=%q maps to %s=%q and %q",
+					child, cdict[c], parent, pdict[prev], pdict[p])
+			}
 		}
 	}
 	return nil

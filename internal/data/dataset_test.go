@@ -160,6 +160,37 @@ func TestValidateConcurrently(t *testing.T) {
 	}
 }
 
+// TestValidateShards: shards that each satisfy village → district but file
+// one village under two districts between them fail as their union does, and
+// shards that agree are validated together and record the FDs on each.
+func TestValidateShards(t *testing.T) {
+	d := demo()
+	d.AppendRowVals([]string{"Raya", "Adishim", "1986"}, []float64{5})
+	shards := []*Dataset{d.Select([]int{0, 1, 2, 3, 4}), d.Select([]int{5, 6})}
+	for si, s := range shards {
+		if err := s.Clone().Validate(); err != nil {
+			t.Fatalf("test premise: shard %d on its own: %v", si, err)
+		}
+	}
+	if err := ValidateShards(shards); err == nil || !strings.Contains(err.Error(), `hierarchy "geo": FD violation`) {
+		t.Fatalf("ValidateShards over disagreeing shards: %v", err)
+	}
+	agree := []*Dataset{d.Select([]int{0, 1, 2}), d.Select([]int{3, 4})}
+	if err := ValidateShards(agree); err != nil {
+		t.Fatal(err)
+	}
+	for si, s := range agree {
+		if _, ok := s.fds.Load([2]string{"village", "district"}); !ok {
+			t.Errorf("shard %d does not record village → district", si)
+		}
+	}
+	other := demo()
+	other.AppendRowVals([]string{"Ofla", "Mekelle", "1988"}, []float64{1}) // a longer village dictionary
+	if err := ValidateShards([]*Dataset{agree[0], other}); err == nil || !strings.Contains(err.Error(), "does not share") {
+		t.Fatalf("ValidateShards over unshared dictionaries: %v", err)
+	}
+}
+
 func TestValidateFDViolation(t *testing.T) {
 	d := demo()
 	// The same village under two districts violates village → district.

@@ -3,6 +3,7 @@ package shard
 import (
 	"fmt"
 
+	"repro/internal/data"
 	"repro/internal/store"
 )
 
@@ -61,46 +62,21 @@ func (s *Set) Append(rows []store.Row) (*Set, error) {
 }
 
 // validateFDs checks every hierarchy functional dependency across the whole
-// Set. Per-shard validation (Batch.Extend) sees only one shard's rows,
-// so a violation whose two witnesses land on different shards — the child
-// value lives in one shard, its conflicting re-parenting in another — slips
-// through it; dictionaries are shared, so the cross-shard check runs over
-// global codes without touching a string.
+// Set (data.ValidateShards). Per-shard validation (Batch.Extend) sees only one
+// shard's rows, so a violation whose two witnesses land on different shards —
+// the child value lives in one shard, its conflicting re-parenting in another
+// — slips through it; dictionaries are shared, so the cross-shard check runs
+// over global codes without touching a string.
 func (s *Set) validateFDs() error {
-	first := s.Snaps[0]
-	dimIdx := make(map[string]int, len(first.Dims))
-	for i, c := range first.Dims {
-		dimIdx[c.Name] = i
-	}
-	for _, h := range first.Hierarchies {
-		for lvl := 1; lvl < len(h.Attrs); lvl++ {
-			child, parent := h.Attrs[lvl], h.Attrs[lvl-1]
-			ci, ok := dimIdx[child]
-			if !ok {
-				return fmt.Errorf("shard: hierarchy %q references unknown attribute %q", h.Name, child)
-			}
-			pi, ok := dimIdx[parent]
-			if !ok {
-				return fmt.Errorf("shard: hierarchy %q references unknown attribute %q", h.Name, parent)
-			}
-			const unset = -1
-			parentOf := make([]int64, len(first.Dims[ci].Dict))
-			for i := range parentOf {
-				parentOf[i] = unset
-			}
-			for _, sn := range s.Snaps {
-				cc, pc := sn.Dims[ci].Codes, sn.Dims[pi].Codes
-				for row := range cc {
-					c, p := cc[row], int64(pc[row])
-					if prev := parentOf[c]; prev == unset {
-						parentOf[c] = p
-					} else if prev != p {
-						return fmt.Errorf("shard: hierarchy %q: FD violation across shards: %s=%q maps to %s=%q and %q",
-							h.Name, child, sn.Dims[ci].Dict[c], parent, sn.Dims[pi].Dict[prev], sn.Dims[pi].Dict[p])
-					}
-				}
-			}
+	ds := make([]*data.Dataset, len(s.Snaps))
+	for i, sn := range s.Snaps {
+		var err error
+		if ds[i], err = sn.Dataset(); err != nil {
+			return err
 		}
+	}
+	if err := data.ValidateShards(ds); err != nil {
+		return fmt.Errorf("shard: %w", err)
 	}
 	return nil
 }

@@ -19,8 +19,7 @@
 // hands the engine the shard's dataset as its data plane instead of gathering
 // over one part — the engine runs the same code either way; only the scatter
 // span and NumShards() == 0 tell — and Append extends the one snapshot
-// without routing or the cross-shard FD check (the snapshot's own validation
-// already covers every dependency). Everything else (Write, Retain,
+// without routing (the snapshot's own validation covers every dependency). Everything else (Write, Retain,
 // BuildCubes, Rows, Close) is the same loop over one element: a .rst file is
 // N ≥ 1 shards, each with its own cube section, and the one-shard Set with
 // no key writes the bytes of Snapshot.Write.
@@ -72,4 +71,16 @@
 // gather merges on. A cross-shard functional-dependency check rejects batches
 // whose violations span shards — a per-shard validation alone cannot see
 // those.
+//
+// # Functional dependencies
+//
+// Every hierarchy FD is checked over the union of a Set's rows, never shard
+// by shard alone: by Append, as above, and at Open, where one pass over all
+// the shards' columns (data.ValidateShards) stands in for each shard's own
+// FD pass. A partitioned file whose shards each satisfy an FD but disagree on
+// it — one month under two years, in two shards — is refused at open, as the
+// same rows in one file are. Each shard's dataset records the FDs as
+// verified, so its row scans key a hierarchy prefix by its deepest attribute
+// (data.TupleIndex); the engine's gather still merges partials on every
+// attribute.
 package shard

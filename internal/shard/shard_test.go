@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -244,6 +245,46 @@ func TestAppendRejectsCrossShardFDViolation(t *testing.T) {
 	// The same city under its original region is fine.
 	if _, err := set.Append([]store.Row{{Dims: []string{ra, "springfield"}, Measures: []float64{2}}}); err != nil {
 		t.Fatalf("valid append rejected: %v", err)
+	}
+}
+
+// TestOpenRejectsCrossShardFDViolation: a partitioned file whose shards each
+// satisfy every FD but disagree on one — shard 0 files month m1 under year
+// y1, shard 1 under y2 — is refused at open, eager and mapped, naming the
+// hierarchy, as the same rows in one file are.
+func TestOpenRejectsCrossShardFDViolation(t *testing.T) {
+	ra, rb := ownerSplit(t, 2)
+	h := []data.Hierarchy{{Name: "geo", Attrs: []string{"region"}}, {Name: "time", Attrs: []string{"year", "month"}}}
+	dicts := [][]string{{ra, rb}, {"y1", "y2"}, {"m1"}}
+	shards := make([]*store.Snapshot, 2)
+	for si := range shards {
+		var dims []store.Column
+		for ci, name := range []string{"region", "year", "month"} {
+			code := uint32(si)
+			if name == "month" {
+				code = 0
+			}
+			dims = append(dims, store.Column{Name: name, Dict: dicts[ci], Codes: []uint32{code, code}})
+		}
+		var err error
+		shards[si], err = store.NewSnapshot("split", 1, h, dims, []store.MeasureColumn{{Name: "m", Values: []float64{1, 2}}}, 2)
+		if err != nil {
+			t.Fatalf("shard %d on its own: %v", si, err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "split.rst")
+	if err := store.WriteFileAtomic(path, false, func(w io.Writer) error { return store.WriteSharded(w, "region", shards) }); err != nil {
+		t.Fatal(err)
+	}
+	for _, mapped := range []bool{false, true} {
+		set, err := Open(path, mapped)
+		if err == nil {
+			set.Close()
+			t.Fatalf("mapped %v: a file whose shards disagree on month → year opened", mapped)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `hierarchy "time"`) || !strings.Contains(msg, "FD violation") {
+			t.Errorf("mapped %v: error %q does not name the hierarchy's FD violation", mapped, msg)
+		}
 	}
 }
 

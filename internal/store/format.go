@@ -126,8 +126,9 @@ func checkShardKey(key string, hierarchies []data.Hierarchy, n int) error {
 // reading (or, with mapped set, memory-mapping) the file once. The shards
 // share one set of dictionary slices, in shard order, and carry their cubes;
 // a file of one unkeyed shard yields no key. Every open verifies the file and
-// header checksums, each shard's structural invariants and hierarchy
-// functional dependencies, and each cube against its shard. Mapped shards
+// header checksums, each shard's structural invariants, every hierarchy
+// functional dependency across all the shards' rows, and each cube against
+// its shard. Mapped shards
 // and their cubes are typed views over one file mapping, released when the
 // last shard is Closed.
 func OpenShardsFile(path string, mapped bool) (key string, shards []*Snapshot, err error) {
@@ -392,9 +393,9 @@ type layout struct {
 // openShards decodes a .rst file from b into its shards and partition key
 // ("" for a file of one unkeyed shard). With m set, b is m's mapped bytes and
 // the shards' columns and cube cell tables are views over it; otherwise
-// every payload is decoded onto the heap. The shards are validated — their
-// structural invariants, hierarchy functional dependencies and cubes — in
-// shard order.
+// every payload is decoded onto the heap. The shards are validated — each
+// one's columns in shard order, then every hierarchy functional dependency
+// across all of them in one pass, then each one's cube.
 func openShards(b []byte, m *mapping) (string, []*Snapshot, error) {
 	d, lay, err := openEnvelope(b)
 	if err != nil {
@@ -427,7 +428,15 @@ func openShards(b []byte, m *mapping) (string, []*Snapshot, error) {
 		return "", nil, fmt.Errorf("store: %d trailing bytes after snapshot payload", len(d.b)-next)
 	}
 	for si, s := range shards {
-		if err := finishSnapshot(s, tables[si]); err != nil {
+		if err := s.checkColumns(); err != nil {
+			return "", nil, fmt.Errorf("store: shard %d: %w", si, err)
+		}
+	}
+	if err := validateShards(shards); err != nil {
+		return "", nil, err
+	}
+	for si, s := range shards {
+		if err := attachTables(s, tables[si]); err != nil {
 			return "", nil, fmt.Errorf("store: shard %d: %w", si, err)
 		}
 	}
@@ -471,26 +480,19 @@ func openEnvelope(b []byte) (*decoder, layout, error) {
 	}
 }
 
-// finishSnapshot runs post-decode validation and cube attachment.
-func finishSnapshot(s *Snapshot, tables []cube.Table) error {
-	if err := s.validate(); err != nil {
-		return err
+// attachTables assembles a validated snapshot's cube from its decoded cell
+// tables, if it has any, and attaches it (validate-on-open included). The
+// cube keeps the tables as read: on a mapped open they are views over the
+// mapping and, like the columns, die with it.
+func attachTables(s *Snapshot, tables []cube.Table) error {
+	if tables == nil {
+		return nil
 	}
-	if tables != nil {
-		// The snapshot's own invariants hold, so the derived dataset exists;
-		// assemble the cube over it and attach (validate-on-open included).
-		// The cube keeps the tables as read: on a mapped open they are views
-		// over the mapping and, like the columns, die with it.
-		ds, err := s.Dataset()
-		if err != nil {
-			return err
-		}
-		c, err := cube.FromTables(ds, tables)
-		if err != nil {
-			return fmt.Errorf("store: cube section: %w", err)
-		}
-		s.attachCube(c)
+	c, err := cube.FromTables(s.ds, tables)
+	if err != nil {
+		return fmt.Errorf("store: cube section: %w", err)
 	}
+	s.attachCube(c)
 	return nil
 }
 

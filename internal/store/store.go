@@ -156,12 +156,20 @@ func (s *Snapshot) dim(name string) *Column {
 	return nil
 }
 
-// validate checks the snapshot's invariants once each: column lengths and
-// dictionary contents here; code ranges, hierarchy attributes and FDs through
-// the derived dataset (which remembers the FDs for an engine over it). It runs
-// on every Open and Append; over a mapped snapshot every pass streams through
-// the mapping with O(dictionary) heap.
+// validate checks the snapshot's invariants once each: its columns
+// (checkColumns), then its hierarchies and their FDs (validateShards). It runs
+// on every Append; over a mapped snapshot every pass streams through the
+// mapping with O(dictionary) heap.
 func (s *Snapshot) validate() error {
+	if err := s.checkColumns(); err != nil {
+		return err
+	}
+	return validateShards([]*Snapshot{s})
+}
+
+// checkColumns checks column lengths and dictionary contents here, and code
+// ranges through the derived dataset, which it leaves memoized.
+func (s *Snapshot) checkColumns() error {
 	for ci := range s.Dims {
 		c := &s.Dims[ci]
 		if len(c.Codes) != s.rows {
@@ -188,12 +196,22 @@ func (s *Snapshot) validate() error {
 			return fmt.Errorf("store: measure %q has %d rows, snapshot has %d", m.Name, len(m.Values), s.rows)
 		}
 	}
-	ds, err := s.Dataset() // data.FromColumns checks every code against its dictionary
-	if err != nil {
-		return err
+	_, err := s.Dataset() // data.FromColumns checks every code against its dictionary
+	return err
+}
+
+// validateShards checks the hierarchies of shards that passed checkColumns
+// and share their dictionaries, and every hierarchy FD over the union of their
+// rows, in one pass over each shard's columns (data.ValidateShards). Each
+// shard's dataset remembers the FDs, for an engine over it and for the row
+// scan's keys.
+func validateShards(shards []*Snapshot) error {
+	ds := make([]*data.Dataset, len(shards))
+	for i, s := range shards {
+		ds[i] = s.ds
 	}
-	if err := ds.Validate(); err != nil {
-		return fmt.Errorf("store: snapshot %q: %w", s.Name, err)
+	if err := data.ValidateShards(ds); err != nil {
+		return fmt.Errorf("store: snapshot %q: %w", shards[0].Name, err)
 	}
 	return nil
 }
