@@ -20,8 +20,22 @@ import (
 // which takes the hash map. Where the two differ is what the table buys at that
 // ratio; to see a table beyond the bound, raise data.TableSpacePerTuple and
 // rerun — CHANGES.md PR 22 records that sweep.
+//
+// prefix groups the same number of rows by a whole three-level hierarchy —
+// 16 regions, 256 districts, 4,096 villages, each value under one parent —
+// whose dictionaries multiply to 64 times the rows. unvalidated keys every
+// attribute and takes the map; validated keys the village alone, which the
+// verified FDs determine the rest from, and takes a table of 4,096 slots.
 func BenchmarkScanGroupBy(b *testing.B) {
 	const rows = 1 << 18
+	scan := func(b *testing.B, d *data.Dataset, attrs []string) {
+		groups := 0
+		for i := 0; i < b.N; i++ {
+			groups = len(agg.GroupBy(d, attrs, "m").Groups)
+		}
+		b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+		b.ReportMetric(float64(groups), "groups")
+	}
 	for _, bc := range []struct {
 		ratio string
 		side  int
@@ -46,14 +60,40 @@ func BenchmarkScanGroupBy(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run("space÷rows="+bc.ratio+"/"+v.name, func(b *testing.B) {
-				groups := 0
-				for i := 0; i < b.N; i++ {
-					groups = len(agg.GroupBy(d, []string{"a", "b"}, "m").Groups)
-				}
-				b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
-				b.ReportMetric(float64(groups), "groups")
-			})
+			b.Run("space÷rows="+bc.ratio+"/"+v.name, func(b *testing.B) { scan(b, d, []string{"a", "b"}) })
 		}
+	}
+
+	rng := rand.New(rand.NewSource(34))
+	levels := []string{"region", "district", "village"}
+	cols := make([][]uint32, len(levels))
+	dims := make([]data.DimColumn, len(levels))
+	for l, name := range levels {
+		dict := make([]string, 16<<(4*l))
+		for c := range dict {
+			dict[c] = name + strconv.Itoa(c)
+		}
+		cols[l] = make([]uint32, rows)
+		dims[l] = data.DimColumn{Name: name, Dict: dict, Codes: cols[l]}
+	}
+	m := make([]float64, rows)
+	for row := range m {
+		v := uint32(rng.Intn(4096))
+		cols[0][row], cols[1][row], cols[2][row], m[row] = v>>8, v>>4, v, rng.NormFloat64()
+	}
+	h := []data.Hierarchy{{Name: "geo", Attrs: levels}}
+	for _, validated := range []bool{false, true} {
+		d, err := data.FromColumns("prefix", dims, []data.MeasureColumn{{Name: "m", Values: m}}, h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		name := "prefix/unvalidated"
+		if validated {
+			if err := d.Validate(); err != nil {
+				b.Fatal(err)
+			}
+			name = "prefix/validated"
+		}
+		b.Run(name, func(b *testing.B) { scan(b, d, levels) })
 	}
 }
