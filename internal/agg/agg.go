@@ -469,7 +469,11 @@ func GroupBy(d *data.Dataset, attrs []string, measure string) *Result {
 
 // scan is the row-scan group-by: rows are bucketed, a block at a time, by the
 // tuple of their per-attribute dictionary codes (data.TupleIndex), and
-// statistics accumulate in row order.
+// statistics accumulate in row order. Over a validated dataset the bucket key
+// holds only the codes the hierarchies' FDs leave undetermined — a drilled
+// hierarchy's deepest attribute stands for its ancestors — so the key space,
+// and with it the table-or-map choice, is that of the attributes the groups
+// actually vary on; the groups and their statistics are the same.
 func scan(d *data.Dataset, attrs []string, measure string) *Result {
 	col := d.Measure(measure)
 	tuples := d.NewTupleIndex(attrs, len(col))

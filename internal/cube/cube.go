@@ -161,7 +161,9 @@ func Build(ds *data.Dataset) (*Cube, error) {
 //
 // Rows are bucketed twice, both times by data.TupleIndex. First per hierarchy
 // and depth: the rows' paths over the hierarchy's prefix are numbered, giving a
-// path-id column and, per path, its composite key. Then level by level: a cell
+// path-id column and, per path, its composite key. When ds has verified the
+// hierarchy's FDs a path is keyed by its deepest code alone, whose dictionary
+// bounds the key space; otherwise by every code of the prefix. Then level by level: a cell
 // is a tuple of path ids, one per drilled hierarchy, so its key space is the
 // product of the path counts the rows exhibit — what the hierarchies' FDs
 // bound — not of the dictionary sizes. A new cell's stored key is assembled
