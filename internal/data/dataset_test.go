@@ -139,8 +139,9 @@ func TestValidateOK(t *testing.T) {
 	}
 }
 
-// TestValidateConcurrently: goroutines validating one dataset share the
-// memory of verified FDs (run under -race), and a later row write clears it.
+// TestValidateConcurrently: goroutines validating one dataset, and keying
+// tuple indexes over it, share the memory of verified FDs (run under -race),
+// and a later row write clears it.
 func TestValidateConcurrently(t *testing.T) {
 	d := demo()
 	var wg sync.WaitGroup
@@ -151,6 +152,7 @@ func TestValidateConcurrently(t *testing.T) {
 			if err := d.Validate(); err != nil {
 				t.Error(err)
 			}
+			d.NewTupleIndex([]string{"district", "village"}, d.NumRows()).AddRows(0, d.NumRows(), make([]int32, d.NumRows()))
 		}()
 	}
 	wg.Wait()

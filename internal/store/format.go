@@ -128,9 +128,8 @@ func checkShardKey(key string, hierarchies []data.Hierarchy, n int) error {
 // a file of one unkeyed shard yields no key. Every open verifies the file and
 // header checksums, each shard's structural invariants, every hierarchy
 // functional dependency across all the shards' rows, and each cube against
-// its shard. Mapped shards
-// and their cubes are typed views over one file mapping, released when the
-// last shard is Closed.
+// its shard. Mapped shards and their cubes are typed views over one file
+// mapping, released when the last shard is Closed.
 func OpenShardsFile(path string, mapped bool) (key string, shards []*Snapshot, err error) {
 	return openPath(path, mapped)
 }
