@@ -148,10 +148,8 @@ func FromColumns(name string, dims []DimColumn, measures []MeasureColumn, hierar
 		if len(c.Codes) != d.n {
 			return nil, fmt.Errorf("data: column %q has %d rows, dataset %q has %d", c.Name, len(c.Codes), name, d.n)
 		}
-		for i, code := range c.Codes {
-			if int(code) >= len(c.Dict) {
-				return nil, fmt.Errorf("data: dimension %q row %d: code %d out of range (dictionary size %d)", c.Name, i, code, len(c.Dict))
-			}
+		if i := firstCodeOutOf(c.Codes, len(c.Dict)); i >= 0 {
+			return nil, fmt.Errorf("data: dimension %q row %d: code %d out of range (dictionary size %d)", c.Name, i, c.Codes[i], len(c.Dict))
 		}
 		d.dimNames = append(d.dimNames, c.Name)
 		d.dims[c.Name] = &dimCol{dict: c.Dict[:len(c.Dict):len(c.Dict)], codes: c.Codes[:d.n:d.n]}
@@ -164,6 +162,18 @@ func FromColumns(name string, dims []DimColumn, measures []MeasureColumn, hierar
 		d.measures[m.Name] = m.Values[:d.n:d.n]
 	}
 	return d, nil
+}
+
+// firstCodeOutOf returns the index of the first code not below size, or -1.
+// FromColumns' range check runs over every code of a file it opens; as a loop
+// of its own it holds size in a register rather than reloading it per code.
+func firstCodeOutOf(codes []uint32, size int) int {
+	for i, code := range codes {
+		if int(code) >= size {
+			return i
+		}
+	}
+	return -1
 }
 
 // NumRows returns the number of rows.
