@@ -456,6 +456,12 @@ func (c *Cube) rank() {
 // append-only, so codes — and therefore key order — are preserved). Neither
 // input is modified.
 //
+// Cost: each merged level is allocated once, at len(base)+len(delta) cells.
+// Per delta cell, a binary search finds its place among c's cells, and the
+// run of c's cells before it is copied as a block, so a level costs one copy
+// of its tables plus O(delta · log base) comparisons. Only a level one of
+// whose own attributes' dictionaries grew is re-keyed, one key at a time.
+//
 // Exactness: counts merge exactly, and a cell untouched by the delta is
 // copied verbatim. A cell present in both sides gains the delta's subtotal
 // in one addition, where a row scan of the combined rows would have added
@@ -495,66 +501,75 @@ func (c *Cube) Merge(delta *Cube) (*Cube, error) {
 		levels:      make([]*level, len(c.levels)),
 	}
 	for li, base := range c.levels {
-		dlv := delta.levels[li]
-		// Re-encode the base keys into the delta's (possibly larger) radix
-		// space; mixed-radix encoding preserves code-tuple order, so the
-		// re-encoded keys stay sorted and a linear merge-join suffices.
-		rekeys, od := make([]uint64, len(base.keys)), c.odometer(base)
-		for i, k := range base.keys {
-			nk := uint64(0)
-			for ai, code := range od.next(k) {
-				nk = nk*delta.attrs[base.attrs[ai]].radix + code
-			}
-			rekeys[i] = nk
-		}
-		mlv := &level{depths: base.depths, attrs: base.attrs}
-		mlv.sums = make([][]float64, len(c.measures))
-		mlv.sumsqs = make([][]float64, len(c.measures))
-		bi, di := 0, 0
-		for bi < len(rekeys) || di < len(dlv.keys) {
-			switch {
-			case di == len(dlv.keys) || (bi < len(rekeys) && rekeys[bi] < dlv.keys[di]):
-				mlv.appendCell(rekeys[bi], base.cell(bi))
-				bi++
-			case bi == len(rekeys) || dlv.keys[di] < rekeys[bi]:
-				mlv.appendCell(dlv.keys[di], dlv.cell(di))
-				di++
-			default: // equal keys: merge the partitions' statistics
-				bc, dc := base.cell(bi), dlv.cell(di)
-				merged := make([]agg.Stats, len(bc))
-				for mi := range bc {
-					merged[mi] = bc[mi].Add(dc[mi])
-				}
-				mlv.appendCell(rekeys[bi], merged)
-				bi++
-				di++
-			}
-		}
-		out.levels[li] = mlv
+		out.levels[li] = base.merge(c.rekey(base, delta), delta.levels[li])
 	}
 	return out, nil
 }
 
-// cell returns the per-measure statistics of cell ci.
-func (lv *level) cell(ci int) []agg.Stats {
-	out := make([]agg.Stats, len(lv.sums))
-	for mi := range lv.sums {
-		out[mi] = agg.Stats{Count: lv.counts[ci], Sum: lv.sums[mi][ci], SumSq: lv.sumsqs[mi][ci]}
+// rekey returns base's keys in delta's radix space: base's own keys when none
+// of the level's attributes' dictionaries grew, else each key re-encoded.
+// Mixed-radix encoding preserves code-tuple order, so either stays sorted.
+func (c *Cube) rekey(base *level, delta *Cube) []uint64 {
+	grew := false
+	for _, ai := range base.attrs {
+		grew = grew || delta.attrs[ai].radix != c.attrs[ai].radix
 	}
-	if len(out) == 0 {
-		out = []agg.Stats{{Count: lv.counts[ci]}}
+	if !grew {
+		return base.keys
 	}
-	return out
+	keys, od := make([]uint64, len(base.keys)), c.odometer(base)
+	for i, k := range base.keys {
+		nk := uint64(0)
+		for ai, code := range od.next(k) {
+			nk = nk*delta.attrs[base.attrs[ai]].radix + code
+		}
+		keys[i] = nk
+	}
+	return keys
 }
 
-// appendCell appends one cell given its per-measure statistics.
-func (lv *level) appendCell(k uint64, stats []agg.Stats) {
-	lv.keys = append(lv.keys, k)
-	lv.counts = append(lv.counts, stats[0].Count)
-	for mi := range lv.sums {
-		lv.sums[mi] = append(lv.sums[mi], stats[mi].Sum)
-		lv.sumsqs[mi] = append(lv.sumsqs[mi], stats[mi].SumSq)
+// merge merge-joins base's cells, keyed by keys, with the delta level's: each
+// delta cell's place among base's is found by binary search, the base cells
+// before it are copied as one run, and a cell both hold adds its statistics.
+func (base *level) merge(keys []uint64, dlv *level) *level {
+	n := len(keys) + len(dlv.keys)
+	out := &level{depths: base.depths, attrs: base.attrs,
+		keys: make([]uint64, 0, n), counts: make([]float64, 0, n),
+		sums: make([][]float64, len(base.sums)), sumsqs: make([][]float64, len(base.sums))}
+	for mi := range out.sums {
+		out.sums[mi], out.sumsqs[mi] = make([]float64, 0, n), make([]float64, 0, n)
 	}
+	// run copies base cells [lo, hi).
+	run := func(lo, hi int) {
+		out.keys, out.counts = append(out.keys, keys[lo:hi]...), append(out.counts, base.counts[lo:hi]...)
+		for mi := range out.sums {
+			out.sums[mi] = append(out.sums[mi], base.sums[mi][lo:hi]...)
+			out.sumsqs[mi] = append(out.sumsqs[mi], base.sumsqs[mi][lo:hi]...)
+		}
+	}
+	bi := 0
+	for di, k := range dlv.keys {
+		j, shared := slices.BinarySearch(keys[bi:], k)
+		run(bi, bi+j)
+		bi += j
+		cnt := dlv.counts[di]
+		if shared {
+			cnt += base.counts[bi]
+		}
+		out.keys, out.counts = append(out.keys, k), append(out.counts, cnt)
+		for mi := range out.sums {
+			s := agg.Stats{Sum: dlv.sums[mi][di], SumSq: dlv.sumsqs[mi][di]}
+			if shared {
+				s = agg.Stats{Sum: base.sums[mi][bi], SumSq: base.sumsqs[mi][bi]}.Add(s)
+			}
+			out.sums[mi], out.sumsqs[mi] = append(out.sums[mi], s.Sum), append(out.sumsqs[mi], s.SumSq)
+		}
+		if shared {
+			bi++
+		}
+	}
+	run(bi, len(keys))
+	return out
 }
 
 // Table is one lattice level's cells in storage order: strictly ascending

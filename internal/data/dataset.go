@@ -67,10 +67,21 @@ type Dataset struct {
 	// paths included: they are a group-by too); the data package never looks
 	// inside. Row-mutating operations drop it.
 	rollup any
-	// fds holds the FDs {child, parent} Validate has verified over the current
-	// rows (an engine over a snapshot the store validated rechecks none); row
-	// writes clear it.
+	// fds maps each FD {child, parent} Validate has verified over the current
+	// rows to its *fdTable (an engine over a snapshot the store validated
+	// rechecks none, and a successor checks only its appended rows against
+	// the table); row writes clear it.
 	fds sync.Map
+}
+
+// fdTable is a verified FD child → parent as a code table: per child code,
+// its parent's code plus one, 0 for a child code no verified row holds. The
+// shards validated together share one table over the union of their rows.
+// A table is never written once stored: a successor that adds a child code
+// copies it first.
+type fdTable struct {
+	parent []uint32
+	rows   int // the rows it covers: the sum over the shards validated together
 }
 
 // dimCol is one dimension column: codes index into dict, whose values are
@@ -132,6 +143,19 @@ func New(name string, dimNames, measureNames []string, hierarchies []Hierarchy) 
 // dictionary contents (distinct, separator-free values) are the loader's
 // responsibility — internal/store checks them on every open.
 func FromColumns(name string, dims []DimColumn, measures []MeasureColumn, hierarchies []Hierarchy) (*Dataset, error) {
+	return fromColumns(name, dims, measures, hierarchies, 0)
+}
+
+// FromColumnsAfter is FromColumns for the columns of base's successor: base's
+// rows followed by appended ones, over base's dictionaries or grown copies of
+// them. base checked its own codes, so only the codes past its rows are
+// range-checked. ValidateAppend then checks the successor's FDs.
+func FromColumnsAfter(base *Dataset, dims []DimColumn, measures []MeasureColumn) (*Dataset, error) {
+	return fromColumns(base.Name, dims, measures, slices.Clone(base.Hierarchies), base.n)
+}
+
+// fromColumns is FromColumns, range-checking the codes of rows from checked on.
+func fromColumns(name string, dims []DimColumn, measures []MeasureColumn, hierarchies []Hierarchy, checked int) (*Dataset, error) {
 	d := &Dataset{
 		Name:        name,
 		Hierarchies: hierarchies,
@@ -148,7 +172,8 @@ func FromColumns(name string, dims []DimColumn, measures []MeasureColumn, hierar
 		if len(c.Codes) != d.n {
 			return nil, fmt.Errorf("data: column %q has %d rows, dataset %q has %d", c.Name, len(c.Codes), name, d.n)
 		}
-		if i := firstCodeOutOf(c.Codes, len(c.Dict)); i >= 0 {
+		if i := firstCodeOutOf(c.Codes[checked:], len(c.Dict)); i >= 0 {
+			i += checked
 			return nil, fmt.Errorf("data: dimension %q row %d: code %d out of range (dictionary size %d)", c.Name, i, c.Codes[i], len(c.Dict))
 		}
 		d.dimNames = append(d.dimNames, c.Name)
@@ -445,17 +470,29 @@ func (d *Dataset) HierarchyOf(a string) (Hierarchy, bool) {
 // a dimension, hierarchies do not share attributes, and within each hierarchy
 // every more specific attribute functionally determines its parent (the FD
 // A_n → A_m for m < n required by the problem definition). Each FD it verifies
-// is recorded until the next row write, and rechecked by no later Validate.
+// is kept as a child → parent code table until the next row write, and
+// rechecked by no later Validate.
 func (d *Dataset) Validate() error { return ValidateShards([]*Dataset{d}) }
 
 // ValidateShards is Validate over the union of the shards' rows: shards of one
 // dataset, which share its schema, read off the first, and its dictionaries.
 // Every hierarchy FD is checked in one pass over all the shards' columns —
-// a violation whose two witnesses sit in different shards included — and then
-// recorded as verified on each shard, whose rows are a subset of the union.
-// A shard's own record does not cover the union, so only a lone dataset skips
-// the FDs it has verified already.
-func ValidateShards(shards []*Dataset) error {
+// a violation whose two witnesses sit in different shards included — and its
+// table over the union is then kept by each shard, whose rows are a subset of
+// the union. A shard's own table does not cover the union, so only a lone
+// dataset skips the FDs it has verified already.
+func ValidateShards(shards []*Dataset) error { return validate(nil, shards) }
+
+// ValidateAppend is ValidateShards over successors: shards[i] holds the rows
+// of bases[i] followed by appended ones, over the same or grown dictionaries.
+// An FD whose table the bases share, over exactly their rows, is checked over
+// the appended rows alone against that table, which the successors extend
+// copy-on-write. Any other FD — the bases hold no table, or tables that differ
+// or cover other rows (retention, a Where/Select/Clone result, a row write)
+// — gets ValidateShards' full pass.
+func ValidateAppend(bases, shards []*Dataset) error { return validate(bases, shards) }
+
+func validate(bases, shards []*Dataset) error {
 	first := shards[0]
 	seen := make(map[string]string)
 	for _, h := range first.Hierarchies {
@@ -476,44 +513,79 @@ func ValidateShards(shards []*Dataset) error {
 			if _, verified := first.fds.Load(fd); verified && len(shards) == 1 {
 				continue
 			}
-			if err := checkFD(shards, fd[0], fd[1]); err != nil {
+			t, from := sharedTable(bases, fd), make([]int, len(shards))
+			if t == nil {
+				t = &fdTable{}
+			} else {
+				for i, b := range bases {
+					from[i] = b.n
+				}
+			}
+			t, err := checkFD(shards, from, t, fd[0], fd[1])
+			if err != nil {
 				return fmt.Errorf("data: hierarchy %q: %w", h.Name, err)
 			}
 			for _, d := range shards {
-				d.fds.Store(fd, true)
+				d.fds.Store(fd, t)
 			}
 		}
 	}
 	return nil
 }
 
-// checkFD verifies the functional dependency child → parent in one pass over
-// the two code columns of every shard; heap is bounded by the child
-// dictionary's size. Every shard must code both attributes against the first
-// one's dictionaries.
-func checkFD(shards []*Dataset, child, parent string) error {
-	cdict, pdict := shards[0].dims[child].dict, shards[0].dims[parent].dict
-	const unset = -1
-	m := make([]int64, len(cdict))
-	for i := range m {
-		m[i] = unset
+// sharedTable returns fd's table when every base holds the same one over
+// exactly their rows, or nil.
+func sharedTable(bases []*Dataset, fd [2]string) *fdTable {
+	var t *fdTable
+	rows := 0
+	for _, b := range bases {
+		v, ok := b.fds.Load(fd)
+		if !ok || (t != nil && v.(*fdTable) != t) {
+			return nil
+		}
+		t, rows = v.(*fdTable), rows+b.n
 	}
+	if t == nil || t.rows != rows {
+		return nil
+	}
+	return t
+}
+
+// checkFD verifies the functional dependency child → parent over the rows of
+// every shard from from[i] on, against t, a table over the rows before them:
+// one pass over the two code columns, with heap bounded by the child
+// dictionary's size. It returns the table over all the shards' rows, which
+// shares t's codes when no row adds a child code. Every shard must code both
+// attributes against the first one's dictionaries.
+func checkFD(shards []*Dataset, from []int, t *fdTable, child, parent string) (*fdTable, error) {
+	cdict, pdict := shards[0].dims[child].dict, shards[0].dims[parent].dict
+	parents, copied, rows := t.parent, false, 0
 	for si, d := range shards {
 		cc, pc := d.dims[child], d.dims[parent]
 		if cc == nil || pc == nil || !SameDict(cc.dict, cdict) || !SameDict(pc.dict, pdict) {
-			return fmt.Errorf("shard %d does not share shard 0's %s and %s dictionaries", si, child, parent)
+			return nil, fmt.Errorf("shard %d does not share shard 0's %s and %s dictionaries", si, child, parent)
 		}
-		for i, c := range cc.codes {
-			p := int64(pc.codes[i])
-			if prev := m[c]; prev == unset {
-				m[c] = p
-			} else if prev != p {
-				return fmt.Errorf("FD violation: %s=%q maps to %s=%q and %q",
-					child, cdict[c], parent, pdict[prev], pdict[p])
+		rows += d.n
+		pcodes := pc.codes[from[si]:]
+		for i, c := range cc.codes[from[si]:] {
+			p := pcodes[i] + 1
+			if int(c) < len(parents) {
+				if q := parents[c]; q == p {
+					continue
+				} else if q != 0 {
+					return nil, fmt.Errorf("FD violation: %s=%q maps to %s=%q and %q",
+						child, cdict[c], parent, pdict[q-1], pdict[p-1])
+				}
 			}
+			if !copied {
+				grown := make([]uint32, len(cdict))
+				copy(grown, parents)
+				parents, copied = grown, true
+			}
+			parents[c] = p
 		}
 	}
-	return nil
+	return &fdTable{parent: parents, rows: rows}, nil
 }
 
 // EncodeKey joins dimension values into a group key. Dictionaries never

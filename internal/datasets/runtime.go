@@ -96,3 +96,43 @@ func GenerateCompas(seed int64, rows int) *data.Dataset {
 // CompasDrillOrder is the paper's arbitrary drill sequence for Figure 10:
 // three time levels, then age, race and charge degree.
 var CompasDrillOrder = []string{"time", "time", "time", "age", "race", "charge"}
+
+// GenerateTall builds a dataset of the repository benchmark's tall shape: geo
+// of depth 3 (480 villages), time and prod of depth 2 (48 months, 12 items),
+// 60 % of the leaf combinations present with a geometric number of rows each
+// (≈ 300k), shuffled, two integer-valued measures — a 36-level lattice of
+// ≈ 166k leaf cells.
+func GenerateTall() *data.Dataset {
+	rng := rand.New(rand.NewSource(1))
+	h := []data.Hierarchy{
+		{Name: "geo", Attrs: []string{"region", "district", "village"}},
+		{Name: "time", Attrs: []string{"year", "month"}},
+		{Name: "prod", Attrs: []string{"category", "item"}},
+	}
+	var leaves [][3]int
+	for v := 0; v < 480; v++ {
+		for m := 0; m < 48; m++ {
+			for it := 0; it < 12; it++ {
+				if rng.Float64() >= 0.6 {
+					continue
+				}
+				leaves = append(leaves, [3]int{v, m, it})
+				for rng.Float64() < 0.8/1.8 { // 0.8 further rows in the mean
+					leaves = append(leaves, [3]int{v, m, it})
+				}
+			}
+		}
+	}
+	rng.Shuffle(len(leaves), func(a, b int) { leaves[a], leaves[b] = leaves[b], leaves[a] })
+	ds := data.New("tall", []string{"region", "district", "village", "year", "month", "category", "item"}, []string{"units", "cost"}, h)
+	for _, l := range leaves {
+		v, m, it := l[0], l[1], l[2]
+		units := float64(80 + rng.Intn(40))
+		ds.AppendRowVals([]string{
+			fmt.Sprintf("r%02d", v/60), fmt.Sprintf("r%02d-d%02d", v/60, v/10%6), fmt.Sprintf("r%02d-d%02d-v%02d", v/60, v/10%6, v%10),
+			fmt.Sprintf("%d", 2015+m/12), fmt.Sprintf("%d-%02d", 2015+m/12, m%12+1),
+			fmt.Sprintf("c%02d", it/4), fmt.Sprintf("c%02d-i%02d", it/4, it%4),
+		}, []float64{units, 3*units + float64(rng.Intn(30))})
+	}
+	return ds
+}

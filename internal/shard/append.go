@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 
-	"repro/internal/data"
 	"repro/internal/store"
 )
 
@@ -26,57 +25,31 @@ func (s *Set) Append(rows []store.Row) (*Set, error) {
 		return nil, err
 	}
 	n := len(s.Snaps)
-	next := &Set{Key: s.Key, Snaps: make([]*store.Snapshot, n)}
-	if n == 1 {
-		// One shard owns every row, and its own validation already covers
-		// every functional dependency: no routing, no cross-shard check.
-		if next.Snaps[0], err = batch.Extend(first); err != nil {
-			return nil, err
+	parts := []*store.Batch{batch}
+	if n > 1 {
+		keyIdx := -1
+		for i, c := range first.Dims {
+			if c.Name == s.Key {
+				keyIdx = i
+				break
+			}
 		}
-		return next, nil
-	}
-	keyIdx := -1
-	for i, c := range first.Dims {
-		if c.Name == s.Key {
-			keyIdx = i
-			break
+		if keyIdx < 0 {
+			return nil, fmt.Errorf("shard: partition key %q is not a dimension of %q", s.Key, first.Name)
 		}
-	}
-	if keyIdx < 0 {
-		return nil, fmt.Errorf("shard: partition key %q is not a dimension of %q", s.Key, first.Name)
-	}
-	perShard := make([][]int, n)
-	for ri, r := range rows {
-		si := Owner(r.Dims[keyIdx], n)
-		perShard[si] = append(perShard[si], ri)
-	}
-	for si, base := range s.Snaps {
-		if next.Snaps[si], err = batch.Pick(perShard[si]).Extend(base); err != nil {
-			return nil, fmt.Errorf("shard: shard %d: %w", si, err)
+		perShard := make([][]int, n)
+		for ri, r := range rows {
+			si := Owner(r.Dims[keyIdx], n)
+			perShard[si] = append(perShard[si], ri)
+		}
+		parts = make([]*store.Batch, n)
+		for si := range parts {
+			parts[si] = batch.Pick(perShard[si])
 		}
 	}
-	if err := next.validateFDs(); err != nil {
-		return nil, err
+	snaps, err := store.ExtendShards(s.Snaps, parts)
+	if err != nil {
+		return nil, fmt.Errorf("shard: %w", err)
 	}
-	return next, nil
-}
-
-// validateFDs checks every hierarchy functional dependency across the whole
-// Set (data.ValidateShards). Per-shard validation (Batch.Extend) sees only one
-// shard's rows, so a violation whose two witnesses land on different shards —
-// the child value lives in one shard, its conflicting re-parenting in another
-// — slips through it; dictionaries are shared, so the cross-shard check runs
-// over global codes without touching a string.
-func (s *Set) validateFDs() error {
-	ds := make([]*data.Dataset, len(s.Snaps))
-	for i, sn := range s.Snaps {
-		var err error
-		if ds[i], err = sn.Dataset(); err != nil {
-			return err
-		}
-	}
-	if err := data.ValidateShards(ds); err != nil {
-		return fmt.Errorf("shard: %w", err)
-	}
-	return nil
+	return &Set{Key: s.Key, Snaps: snaps}, nil
 }

@@ -1,8 +1,10 @@
 package store
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -151,3 +153,78 @@ func BenchmarkLoadSnapshot(b *testing.B) { benchOpen(b, OpenFile) }
 // residency is O(dictionaries + cube level directory), not O(rows) or
 // O(cells).
 func BenchmarkOpenMapped(b *testing.B) { benchOpen(b, OpenMappedFile) }
+
+// flushLineage starts an append lineage on the cubed snapshot of the
+// repository benchmark's tall shape (≈ 300k rows) and returns it with
+// 200-row flush batches re-drawn from the dataset's own rows, measures
+// changed.
+func flushLineage(tb testing.TB, batches int) (*Builder, [][]Row) {
+	tb.Helper()
+	ds := datasets.GenerateTall()
+	snap := FromDataset(ds)
+	if err := snap.BuildCube(); err != nil || snap.Cube() == nil {
+		tb.Fatalf("cube: %v", err)
+	}
+	dims := make([][]string, len(snap.Dims))
+	for i, c := range snap.Dims {
+		dims[i] = ds.Dim(c.Name)
+	}
+	rng := rand.New(rand.NewSource(1))
+	out := make([][]Row, batches)
+	for bi := range out {
+		out[bi] = make([]Row, 200)
+		for ri := range out[bi] {
+			r := rng.Intn(ds.NumRows())
+			row := Row{Dims: make([]string, len(dims)), Measures: []float64{float64(rng.Intn(100)), float64(rng.Intn(300))}}
+			for i := range dims {
+				row.Dims[i] = dims[i][r]
+			}
+			out[bi][ri] = row
+		}
+	}
+	return NewBuilder(snap), out
+}
+
+// TestFlushAllocatesByBatch: the second 200-row flush of a lineage onto the
+// tall snapshot — the first copied the columns, which the snapshot shares
+// with its dataset — allocates less than one copy of the cube's cell tables
+// plus one column, and nothing per cell.
+func TestFlushAllocatesByBatch(t *testing.T) {
+	b, batches := flushLineage(t, 2)
+	if _, err := b.Append(batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	base := b.Snapshot()
+	cells := base.Cube().NumCells()
+	tables := uint64(cells) * uint64(8*(2+2*len(base.Measures))) // key, count, per measure sum and sum of squares
+	column := uint64(8 * base.NumRows())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	next, err := b.Append(batches[1])
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.NumRows() != base.NumRows()+200 || next.Cube() == nil {
+		t.Fatalf("flush gave %d rows, cube %v", next.NumRows(), next.Cube() != nil)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= tables+column {
+		t.Errorf("flush allocated %d bytes, want under one copy of the cell tables (%d) plus one column (%d)", got, tables, column)
+	}
+	if got := after.Mallocs - before.Mallocs; got >= uint64(cells/20) {
+		t.Errorf("flush made %d allocations over %d cells, want under %d", got, cells, cells/20)
+	}
+}
+
+// BenchmarkBuilderAppend measures a lineage of 200-row flushes onto the tall
+// snapshot: encode, grow the columns, check the batch, merge its delta cube.
+func BenchmarkBuilderAppend(b *testing.B) {
+	bld, batches := flushLineage(b, 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bld.Append(batches[i%len(batches)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/cube"
 	"repro/internal/data"
@@ -149,41 +151,129 @@ func (b *Batch) Pick(rows []int) *Batch {
 // Extend returns base's successor at Version+1: base's rows followed by the
 // batch's, over the grown dictionaries. base must be the snapshot the batch
 // was encoded against or a shard sharing its dictionaries. The successor is
-// validated (hierarchy functional dependencies included) and base is never
-// mutated. An empty batch still moves the version and dictionaries along,
-// sharing base's columns; base's cube is carried over as carryCube says.
+// validated (hierarchy functional dependencies included) and base's rows are
+// never changed. An empty batch still moves the version and dictionaries
+// along, sharing base's columns; base's cube is carried over as carryCube
+// says. A flush costs O(batch) — columns, checks and cube merge — but for one
+// copy of the cube's cell tables and, once in a while, of the columns (see
+// grow).
 func (b *Batch) Extend(base *Snapshot) (*Snapshot, error) {
-	next := &Snapshot{
+	next, err := ExtendShards([]*Snapshot{base}, []*Batch{b})
+	if err != nil {
+		return nil, err
+	}
+	return next[0], nil
+}
+
+// ExtendShards extends each shard of a set by its part of one batch (parts[i]
+// is bases[i]'s, from Batch.Pick) and returns the successors. Each shard's
+// columns grow as Extend's do, and its cube is carried over, but the hierarchy
+// FDs are checked once, over the union of the successors' rows: every appended
+// row against the bases' shared FD tables (data.ValidateAppend), or, where the
+// bases share none, every row. A violation anywhere rejects every part.
+func ExtendShards(bases []*Snapshot, parts []*Batch) ([]*Snapshot, error) {
+	next, claimed := make([]*Snapshot, len(bases)), make([]bool, len(bases))
+	for i, base := range bases {
+		next[i], claimed[i] = parts[i].grow(base)
+	}
+	err := validateAppend(bases, next)
+	for i := 0; err == nil && i < len(next); i++ {
+		err = carryCube(bases[i], next[i])
+	}
+	if err != nil {
+		// The successors are discarded: hand the spare capacity they claimed
+		// back to their bases.
+		for i, c := range claimed {
+			if c {
+				next[i].claim.CompareAndSwap(int64(next[i].rows), int64(bases[i].rows))
+			}
+		}
+		return nil, err
+	}
+	return next, nil
+}
+
+// grow returns base's successor, unvalidated: its columns are base's followed
+// by the batch's rows. They grow in place, into the spare capacity append left
+// behind the base's rows, when this successor is the first to claim it: the
+// base's lineage shares a claim, the row count of the one successor that may
+// write past it, and grow takes it by moving it from base.rows to its own row
+// count (claimed reports that). Any later successor of the same base finds the
+// claim moved on and copies the columns, starting a claim of its own; so do
+// the successors of a snapshot whose columns the store does not own (FromDataset,
+// retention, Partition, file opens), which carry no claim. Two successors of one
+// base thus never share a tail, and a copy is paid once per growth of append's
+// capacity, not per flush.
+func (b *Batch) grow(base *Snapshot) (next *Snapshot, claimed bool) {
+	next = &Snapshot{
 		Name:        base.Name,
 		Version:     base.Version + 1,
 		Hierarchies: base.Hierarchies,
 		Dims:        make([]Column, len(base.Dims)),
 		Measures:    make([]MeasureColumn, len(base.Measures)),
 		rows:        base.rows + b.n,
+		claim:       base.claim,
+	}
+	switch {
+	case b.n == 0: // the successor shares base's columns, and so their claim
+	case base.claim != nil && base.claim.CompareAndSwap(int64(base.rows), int64(next.rows)):
+		claimed = true
+	default:
+		next.claim = new(atomic.Int64)
+		next.claim.Store(int64(next.rows))
 	}
 	for ci, c := range base.Dims {
 		codes := c.Codes
 		if b.n > 0 {
-			codes = append(c.Codes[:len(c.Codes):len(c.Codes)], b.codes[ci]...)
+			if !claimed {
+				codes = codes[:len(codes):len(codes)]
+			}
+			codes = append(codes, b.codes[ci]...)
 		}
 		next.Dims[ci] = Column{Name: c.Name, Dict: b.dicts[ci], Codes: codes}
 	}
 	for mi, m := range base.Measures {
 		vals := m.Values
 		if b.n > 0 {
-			vals = append(m.Values[:len(m.Values):len(m.Values)], b.values[mi]...)
+			if !claimed {
+				vals = vals[:len(vals):len(vals)]
+			}
+			vals = append(vals, b.values[mi]...)
 		}
 		next.Measures[mi] = MeasureColumn{Name: m.Name, Values: vals}
 	}
-	// The batch may introduce an inconsistency the per-row checks cannot see
-	// (typically an FD violation against existing rows).
-	if err := next.validate(); err != nil {
-		return nil, err
+	return next, claimed
+}
+
+// validateAppend validates the successors grow built: their datasets, which
+// range-check only the appended codes when the base's dataset checked the
+// rest, then the hierarchy FDs across all of them (data.ValidateAppend).
+// EncodeBatch admitted every value the dictionaries gained, so, unlike
+// validate, it does not re-read the dictionaries.
+func validateAppend(bases, next []*Snapshot) error {
+	bds, nds := make([]*data.Dataset, len(bases)), make([]*data.Dataset, len(next))
+	for i, n := range next {
+		bds[i] = bases[i].ds
+		var err error
+		if bds[i] == nil {
+			nds[i], err = n.Dataset()
+		} else if nds[i], err = data.FromColumnsAfter(bds[i], n.Dims, n.Measures); err == nil {
+			n.ds = nds[i]
+		}
+		if err != nil {
+			return fmt.Errorf("store: snapshot %q: %w", n.Name, err)
+		}
 	}
-	if err := carryCube(base, next); err != nil {
-		return nil, err
+	var err error
+	if slices.Contains(bds, nil) {
+		err = data.ValidateShards(nds)
+	} else {
+		err = data.ValidateAppend(bds, nds)
 	}
-	return next, nil
+	if err != nil {
+		return fmt.Errorf("store: snapshot %q: %w", next[0].Name, err)
+	}
+	return nil
 }
 
 // carryCube maintains base's materialized cube across an append without

@@ -102,7 +102,8 @@ func RetainAfter(s *Snapshot, dim string, horizon time.Time) (*Snapshot, int, er
 // WithVersion returns a snapshot sharing every column of s but stamped with
 // the given version — the cheap way to move an untouched shard to its
 // siblings' new version after retention dropped rows elsewhere. The cube
-// carries over as-is: the rows are identical.
+// carries over as-is: the rows are identical, and so is the claim on the
+// columns' spare capacity (see Batch.grow).
 func WithVersion(s *Snapshot, version uint64) *Snapshot {
 	next := &Snapshot{
 		Name:        s.Name,
@@ -111,6 +112,7 @@ func WithVersion(s *Snapshot, version uint64) *Snapshot {
 		Dims:        s.Dims,
 		Measures:    s.Measures,
 		rows:        s.rows,
+		claim:       s.claim,
 	}
 	if s.cube != nil {
 		next.attachCube(s.cube)

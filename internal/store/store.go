@@ -5,6 +5,7 @@ package store
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/cube"
 	"repro/internal/data"
@@ -35,6 +36,11 @@ type Snapshot struct {
 	// ds memoizes Dataset(): snapshots are immutable, so the derived dataset
 	// is built once and shared by every caller.
 	ds *data.Dataset
+	// claim is shared by the snapshots whose columns grew in place from one
+	// another's backing arrays: the row count of the one that may append past
+	// its rows into their spare capacity (see Batch.grow). nil for columns the
+	// store does not own.
+	claim *atomic.Int64
 	// cube is the snapshot's materialized rollup lattice, if one was built
 	// (BuildCube), loaded from the .rst cube section, or maintained through
 	// an append. It is attached to the derived dataset so agg.GroupBy and
