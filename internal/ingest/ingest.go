@@ -11,7 +11,9 @@
 //     and build the engine.
 //   - Apply folds rows into a successor Version: Set.Append, retention,
 //     engine, atomic swap. Set.Append never mutates its receiver, so a failed
-//     apply leaves the served Version exactly as it was.
+//     apply leaves the served Version exactly as it was. Fold does the same
+//     for a list of logged batches, skipping the rejected ones whole, as
+//     Recover's replay does.
 //   - Save/Checkpoint serialize the current Version through a temp file,
 //     fsync, rename and directory sync, and only then truncate the log.
 //
@@ -133,13 +135,13 @@ func Recover(dir, name string, base *shard.Set, o Options) (*Dataset, error) {
 		log.Close()
 		return nil, err
 	}
-	live := batches[:0]
+	var live [][]store.Row
 	for _, b := range batches {
 		if b.Seq > ckptSeq {
-			live = append(live, b)
+			live = append(live, b.Rows)
 		}
 	}
-	base, d.Skipped = fold(base, live)
+	base, d.Skipped, _ = fold(base, live)
 	if err := d.start(base); err != nil {
 		log.Close()
 		return nil, err
@@ -147,28 +149,31 @@ func Recover(dir, name string, base *shard.Set, o Options) (*Dataset, error) {
 	return d, nil
 }
 
-// fold replays recovered batches onto a set. The whole backlog is coalesced
-// into one rebuild first; if that fails (a poisoned batch), it falls back
-// batch by batch, skipping the bad ones, so damaged history can never make a
-// dataset unopenable. Returns the folded set and the number of skipped rows.
-func fold(set *shard.Set, batches []wal.Batch) (*shard.Set, uint64) {
+// fold folds log batches onto a set: the whole list is coalesced into one
+// append first; if that is rejected (a poisoned batch), it falls back batch by
+// batch, skipping the rejected ones whole, so damaged history can never make
+// a dataset unopenable and a batch is never split. Recovery and the WAL
+// flusher (Fold) both fold with it, so a served row is one recovery keeps.
+// Returns the folded set, the number of skipped rows and the first rejection.
+func fold(set *shard.Set, batches [][]store.Row) (*shard.Set, uint64, error) {
 	var all []store.Row
 	for _, b := range batches {
-		all = append(all, b.Rows...)
+		all = append(all, b...)
 	}
-	if next, err := set.Append(all); err == nil {
-		return next, 0
+	next, first := set.Append(all)
+	if first == nil {
+		return next, 0, nil
 	}
 	var skipped uint64
 	for _, b := range batches {
-		next, err := set.Append(b.Rows)
+		next, err := set.Append(b)
 		if err != nil {
-			skipped += uint64(len(b.Rows))
+			skipped += uint64(len(b))
 			continue
 		}
 		set = next
 	}
-	return set, skipped
+	return set, skipped, first
 }
 
 // start builds the first version over set: partitioning when asked, the
@@ -259,6 +264,34 @@ func (d *Dataset) apply(rows []store.Row) (*Version, error) {
 	if err != nil {
 		return nil, err
 	}
+	return d.swap(cur, next)
+}
+
+// Fold folds logged batches into one successor version as recovery replays
+// them (see fold) and swaps it in: a rejected batch is skipped whole and its
+// rows counted in skipped; err is the first rejection. A failure to build the
+// successor leaves the served version untouched and counts every row skipped.
+func (d *Dataset) Fold(batches [][]store.Row) (v *Version, skipped uint64, err error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	cur := d.cur.Load()
+	next, skipped, err := fold(cur.Set, batches)
+	if next == cur.Set {
+		return cur, skipped, err
+	}
+	v, serr := d.swap(cur, next)
+	if serr != nil {
+		skipped = 0
+		for _, b := range batches {
+			skipped += uint64(len(b))
+		}
+		return cur, skipped, serr
+	}
+	return v, skipped, err
+}
+
+// swap builds the version over next — retention, engine — and serves it.
+func (d *Dataset) swap(cur *Version, next *shard.Set) (*Version, error) {
 	v, err := d.retain(next, cur)
 	if err != nil {
 		return nil, err

@@ -26,15 +26,16 @@ import (
 	"repro/reptile/api"
 )
 
-// ingester is one dataset's micro-batch pipeline: the pending rows already
-// committed to the dataset's log, and the flusher goroutine folding them into
-// the serving state.
+// ingester is one dataset's micro-batch pipeline: the pending log batches
+// already committed to the dataset's log, and the flusher goroutine folding
+// them into the serving state.
 type ingester struct {
 	srv *Server
 	ent *engineEntry
 
 	mu           sync.Mutex
-	pending      []store.Row
+	pending      [][]store.Row // one entry per log batch, in sequence order
+	pendingRows  int
 	pendingBytes int
 	lastSeq      uint64 // newest sequence committed to the log
 	flushedSeq   uint64 // newest sequence folded into the serving state
@@ -68,7 +69,7 @@ func (ing *ingester) enqueue(rows []store.Row) (seq uint64, pendingRows int, err
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
 	if len(rows) == 0 {
-		return ing.lastSeq, len(ing.pending), nil
+		return ing.lastSeq, ing.pendingRows, nil
 	}
 	if ing.closed {
 		return 0, 0, fmt.Errorf("server: dataset %q: ingestion is shut down", ing.ent.name)
@@ -78,15 +79,16 @@ func (ing *ingester) enqueue(rows []store.Row) (seq uint64, pendingRows int, err
 		return 0, 0, err
 	}
 	ing.lastSeq = seq
-	ing.pending = append(ing.pending, rows...)
+	ing.pending = append(ing.pending, rows)
+	ing.pendingRows += len(rows)
 	ing.pendingBytes += rowsBytes(rows)
-	if len(ing.pending) >= ing.srv.cfg.FlushRows || ing.pendingBytes >= ing.srv.cfg.FlushBytes {
+	if ing.pendingRows >= ing.srv.cfg.FlushRows || ing.pendingBytes >= ing.srv.cfg.FlushBytes {
 		select {
 		case ing.kick <- struct{}{}:
 		default:
 		}
 	}
-	return seq, len(ing.pending), nil
+	return seq, ing.pendingRows, nil
 }
 
 // run is the flusher loop: it folds the pending micro-batch on every kick
@@ -107,35 +109,26 @@ func (ing *ingester) run() {
 }
 
 // flush steals the pending micro-batch and folds it into the serving state
-// with a single rebuild. The ingester mutex is NOT held across the rebuild,
-// so appends keep landing in the log while the successor version builds. A
-// batch the builder rejects wholesale (e.g. one poisoned row tripping an FD
-// check) is retried row by row so one bad row cannot sink its neighbours;
-// rejected rows are counted, recorded, and skipped the same way on replay.
+// with a single rebuild (ingest.Fold). The ingester mutex is NOT held across
+// the rebuild, so appends keep landing in the log while the successor version
+// builds. The micro-batch is folded as recovery replays the log: a log batch
+// the builder rejects (e.g. one poisoned row tripping an FD check) is skipped
+// whole, counted and recorded, so every row served is one recovery keeps.
 func (ing *ingester) flush() {
 	ing.mu.Lock()
-	rows := ing.pending
+	batches := ing.pending
 	seq := ing.lastSeq
-	ing.pending = nil
-	ing.pendingBytes = 0
+	ing.pending, ing.pendingRows, ing.pendingBytes = nil, 0, 0
 	ing.mu.Unlock()
 
-	if len(rows) > 0 {
-		ds := ing.ent.ds
-		if _, err := ds.Apply(rows); err != nil {
-			var bad uint64
-			for _, row := range rows {
-				if _, rerr := ds.Apply([]store.Row{row}); rerr != nil {
-					bad++
-				}
-			}
-			ing.mu.Lock()
-			ing.lastErr = err
-			ing.dropped += bad
-			ing.mu.Unlock()
-		}
+	if len(batches) > 0 {
+		_, skipped, err := ing.ent.ds.Fold(batches)
 		ing.srv.invalidateDataset(ing.ent)
 		ing.mu.Lock()
+		if err != nil {
+			ing.lastErr = err
+		}
+		ing.dropped += skipped
 		ing.flushedSeq = seq
 		ing.flushes++
 		ing.lastFlush = time.Now()
@@ -176,7 +169,7 @@ func (ing *ingester) status() *api.WALStatus {
 	ws := &api.WALStatus{
 		LastSeq:      ing.lastSeq,
 		FlushedSeq:   ing.flushedSeq,
-		PendingRows:  len(ing.pending),
+		PendingRows:  ing.pendingRows,
 		PendingBytes: ing.pendingBytes,
 		SizeBytes:    size,
 		Flushes:      ing.flushes,

@@ -582,3 +582,52 @@ func TestConcurrentIngestRetentionSharded(t *testing.T) {
 		t.Errorf("final recommendation misses the last appended village:\n%s", rec)
 	}
 }
+
+// TestWALFlushServesWhatRecoveryKeeps: the flusher folds the log batches it
+// holds as recovery replays them, whole: a batch that re-parents Zata is
+// skipped with its good row, the batches around it are served. After a crash
+// the recovered dataset has the same rows, the same dropped count and the
+// same answers as the one that served them.
+func TestWALFlushServesWhatRecoveryKeeps(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{
+		WAL: true, WALDir: dir,
+		// Only the explicit flush below folds anything.
+		FlushRows: 1 << 30, FlushBytes: 1 << 30, FlushInterval: time.Hour,
+		CheckpointBytes: -1,
+	}
+	s1, ts1 := newTestServer(t, cfg)
+	register(t, ts1.URL, droughtRequest())
+	for _, csv := range []string{
+		"Raya,Kukufto,1988,5\n",
+		"Raya,Bora,1986,3\nRaya,Zata,1988,4\n", // Zata belongs to Ofla
+		"Ofla,Adishim,1988,6\n",
+	} {
+		if code, b := post(t, ts1.URL+"/v1/datasets/drought/append", api.AppendRequest{CSV: "district,village,year,severity\n" + csv}); code != http.StatusOK {
+			t.Fatalf("append: %d %s", code, b)
+		}
+	}
+	ent1 := entry(t, s1, "drought")
+	ent1.ing.flush()
+	served := datasetStats(t, ts1.URL, "drought")
+	if served.Rows != 10 || served.WAL == nil || served.WAL.DroppedRows != 2 {
+		t.Fatalf("served stats = %+v, want 10 rows and the poisoned batch's 2 dropped", served)
+	}
+	complaint := "agg=mean measure=severity dir=low district=Raya year=1986"
+	want := recommendBytes(t, ts1.URL, createSession(t, ts1.URL), complaint)
+
+	// Crash, then recover from the log alone.
+	if err := ent1.ing.close(false); err != nil {
+		t.Fatal(err)
+	}
+	ts1.Close()
+	_, ts2 := newTestServer(t, cfg)
+	register(t, ts2.URL, droughtRequest())
+	recovered := datasetStats(t, ts2.URL, "drought")
+	if recovered.Rows != served.Rows || recovered.WAL == nil || recovered.WAL.DroppedRows != served.WAL.DroppedRows {
+		t.Fatalf("recovered stats = %+v, served %+v", recovered, served)
+	}
+	if got := recommendBytes(t, ts2.URL, createSession(t, ts2.URL), complaint); !bytes.Equal(got, want) {
+		t.Errorf("recovered recommendation differs from the served one:\nrecovered: %s\nserved:    %s", got, want)
+	}
+}

@@ -390,9 +390,9 @@ type WALStatus struct {
 	SizeBytes    int64 `json:"size_bytes"`
 	// Flushes counts coalesced folds into the serving state since startup.
 	Flushes uint64 `json:"flushes"`
-	// DroppedRows counts logged rows the flusher could not fold (e.g. an FD
-	// violation discovered at build time); they remain in the log but are
-	// skipped on replay too.
+	// DroppedRows counts logged rows the flusher could not fold: every row
+	// of a log batch it rejected (e.g. an FD violation discovered at build
+	// time). They remain in the log, and replay skips the same batches.
 	DroppedRows uint64 `json:"dropped_rows,omitempty"`
 	// LastFlush is the RFC 3339 time of the newest successful flush; empty
 	// before the first one.
