@@ -530,7 +530,8 @@ func (c *Cube) rekey(base *level, delta *Cube) []uint64 {
 
 // merge merge-joins base's cells, keyed by keys, with the delta level's: each
 // delta cell's place among base's is found by binary search, the base cells
-// before it are copied as one run, and a cell both hold adds its statistics.
+// before it are copied as one run, and a cell both hold adds the delta's
+// statistics to base's (the one addition per field Stats.Add makes).
 func (base *level) merge(keys []uint64, dlv *level) *level {
 	n := len(keys) + len(dlv.keys)
 	out := &level{depths: base.depths, attrs: base.attrs,
@@ -539,37 +540,35 @@ func (base *level) merge(keys []uint64, dlv *level) *level {
 	for mi := range out.sums {
 		out.sums[mi], out.sumsqs[mi] = make([]float64, 0, n), make([]float64, 0, n)
 	}
-	// run copies base cells [lo, hi).
-	run := func(lo, hi int) {
-		out.keys, out.counts = append(out.keys, keys[lo:hi]...), append(out.counts, base.counts[lo:hi]...)
-		for mi := range out.sums {
-			out.sums[mi] = append(out.sums[mi], base.sums[mi][lo:hi]...)
-			out.sumsqs[mi] = append(out.sumsqs[mi], base.sumsqs[mi][lo:hi]...)
-		}
-	}
 	bi := 0
 	for di, k := range dlv.keys {
 		j, shared := slices.BinarySearch(keys[bi:], k)
-		run(bi, bi+j)
-		bi += j
-		cnt := dlv.counts[di]
-		if shared {
-			cnt += base.counts[bi]
+		if !shared {
+			out.copyRun(base, keys, bi, bi+j)
+			out.copyRun(dlv, dlv.keys, di, di+1)
+			bi += j
+			continue
 		}
-		out.keys, out.counts = append(out.keys, k), append(out.counts, cnt)
+		out.copyRun(base, keys, bi, bi+j+1)
+		bi += j + 1
+		last := len(out.keys) - 1
+		out.counts[last] += dlv.counts[di]
 		for mi := range out.sums {
-			s := agg.Stats{Sum: dlv.sums[mi][di], SumSq: dlv.sumsqs[mi][di]}
-			if shared {
-				s = agg.Stats{Sum: base.sums[mi][bi], SumSq: base.sumsqs[mi][bi]}.Add(s)
-			}
-			out.sums[mi], out.sumsqs[mi] = append(out.sums[mi], s.Sum), append(out.sumsqs[mi], s.SumSq)
-		}
-		if shared {
-			bi++
+			out.sums[mi][last] += dlv.sums[mi][di]
+			out.sumsqs[mi][last] += dlv.sumsqs[mi][di]
 		}
 	}
-	run(bi, len(keys))
+	out.copyRun(base, keys, bi, len(keys))
 	return out
+}
+
+// copyRun appends src's cells [lo, hi), keyed by keys, as one block per column.
+func (lv *level) copyRun(src *level, keys []uint64, lo, hi int) {
+	lv.keys, lv.counts = append(lv.keys, keys[lo:hi]...), append(lv.counts, src.counts[lo:hi]...)
+	for mi := range lv.sums {
+		lv.sums[mi] = append(lv.sums[mi], src.sums[mi][lo:hi]...)
+		lv.sumsqs[mi] = append(lv.sumsqs[mi], src.sumsqs[mi][lo:hi]...)
+	}
 }
 
 // Table is one lattice level's cells in storage order: strictly ascending

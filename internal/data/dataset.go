@@ -513,14 +513,7 @@ func validate(bases, shards []*Dataset) error {
 			if _, verified := first.fds.Load(fd); verified && len(shards) == 1 {
 				continue
 			}
-			t, from := sharedTable(bases, fd), make([]int, len(shards))
-			if t == nil {
-				t = &fdTable{}
-			} else {
-				for i, b := range bases {
-					from[i] = b.n
-				}
-			}
+			t, from := sharedTable(bases, fd, len(shards))
 			t, err := checkFD(shards, from, t, fd[0], fd[1])
 			if err != nil {
 				return fmt.Errorf("data: hierarchy %q: %w", h.Name, err)
@@ -534,21 +527,23 @@ func validate(bases, shards []*Dataset) error {
 }
 
 // sharedTable returns fd's table when every base holds the same one over
-// exactly their rows, or nil.
-func sharedTable(bases []*Dataset, fd [2]string) *fdTable {
+// exactly their rows, with each shard's first row past its base's: the rows
+// left to check. Otherwise it returns an empty table and every row.
+func sharedTable(bases []*Dataset, fd [2]string, shards int) (*fdTable, []int) {
+	from, rows := make([]int, shards), 0
 	var t *fdTable
-	rows := 0
-	for _, b := range bases {
-		v, ok := b.fds.Load(fd)
-		if !ok || (t != nil && v.(*fdTable) != t) {
-			return nil
+	for i, b := range bases {
+		v, _ := b.fds.Load(fd)
+		bt, _ := v.(*fdTable)
+		if bt == nil || (t != nil && bt != t) {
+			return &fdTable{}, make([]int, shards)
 		}
-		t, rows = v.(*fdTable), rows+b.n
+		t, from[i], rows = bt, b.n, rows+b.n
 	}
 	if t == nil || t.rows != rows {
-		return nil
+		return &fdTable{}, make([]int, shards)
 	}
-	return t
+	return t, from
 }
 
 // checkFD verifies the functional dependency child → parent over the rows of
@@ -560,32 +555,52 @@ func sharedTable(bases []*Dataset, fd [2]string) *fdTable {
 func checkFD(shards []*Dataset, from []int, t *fdTable, child, parent string) (*fdTable, error) {
 	cdict, pdict := shards[0].dims[child].dict, shards[0].dims[parent].dict
 	parents, copied, rows := t.parent, false, 0
+	if len(parents) < len(cdict) {
+		// The dictionary grew past the table (or there is none yet): copy it
+		// to the dictionary's size, which covers every code.
+		parents, copied = make([]uint32, len(cdict)), true
+		copy(parents, t.parent)
+	}
 	for si, d := range shards {
 		cc, pc := d.dims[child], d.dims[parent]
 		if cc == nil || pc == nil || !SameDict(cc.dict, cdict) || !SameDict(pc.dict, pdict) {
 			return nil, fmt.Errorf("shard %d does not share shard 0's %s and %s dictionaries", si, child, parent)
 		}
 		rows += d.n
-		pcodes := pc.codes[from[si]:]
-		for i, c := range cc.codes[from[si]:] {
-			p := pcodes[i] + 1
-			if int(c) < len(parents) {
-				if q := parents[c]; q == p {
-					continue
-				} else if q != 0 {
+		ccodes, pcodes := cc.codes[from[si]:], pc.codes[from[si]:]
+		if !copied {
+			// Copy on write: only a row the table does not hold yet needs one.
+			i := firstUnrecorded(ccodes, pcodes, parents)
+			if i < 0 {
+				continue
+			}
+			parents, copied = slices.Clone(parents), true
+			ccodes, pcodes = ccodes[i:], pcodes[i:]
+		}
+		// pcodes[i] is read again, not held in a variable the error path
+		// needs: that would be spilled to the stack on every row.
+		for i, c := range ccodes {
+			if q := parents[c]; q != pcodes[i]+1 {
+				if q != 0 {
 					return nil, fmt.Errorf("FD violation: %s=%q maps to %s=%q and %q",
-						child, cdict[c], parent, pdict[q-1], pdict[p-1])
+						child, cdict[c], parent, pdict[q-1], pdict[pcodes[i]])
 				}
+				parents[c] = pcodes[i] + 1
 			}
-			if !copied {
-				grown := make([]uint32, len(cdict))
-				copy(grown, parents)
-				parents, copied = grown, true
-			}
-			parents[c] = p
 		}
 	}
 	return &fdTable{parent: parents, rows: rows}, nil
+}
+
+// firstUnrecorded returns the index of the first row whose child → parent
+// pair parents does not hold, or -1.
+func firstUnrecorded(ccodes, pcodes, parents []uint32) int {
+	for i, c := range ccodes {
+		if parents[c] != pcodes[i]+1 {
+			return i
+		}
+	}
+	return -1
 }
 
 // EncodeKey joins dimension values into a group key. Dictionaries never

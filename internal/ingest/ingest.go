@@ -271,23 +271,21 @@ func (d *Dataset) apply(rows []store.Row) (*Version, error) {
 // them (see fold) and swaps it in: a rejected batch is skipped whole and its
 // rows counted in skipped; err is the first rejection. A failure to build the
 // successor leaves the served version untouched and counts every row skipped.
-func (d *Dataset) Fold(batches [][]store.Row) (v *Version, skipped uint64, err error) {
+func (d *Dataset) Fold(batches [][]store.Row) (skipped uint64, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	cur := d.cur.Load()
 	next, skipped, err := fold(cur.Set, batches)
 	if next == cur.Set {
-		return cur, skipped, err
+		return skipped, err
 	}
-	v, serr := d.swap(cur, next)
-	if serr != nil {
-		skipped = 0
+	if _, serr := d.swap(cur, next); serr != nil {
+		skipped, err = 0, serr
 		for _, b := range batches {
 			skipped += uint64(len(b))
 		}
-		return cur, skipped, serr
 	}
-	return v, skipped, err
+	return skipped, err
 }
 
 // swap builds the version over next — retention, engine — and serves it.

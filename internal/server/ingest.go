@@ -122,7 +122,7 @@ func (ing *ingester) flush() {
 	ing.mu.Unlock()
 
 	if len(batches) > 0 {
-		_, skipped, err := ing.ent.ds.Fold(batches)
+		skipped, err := ing.ent.ds.Fold(batches)
 		ing.srv.invalidateDataset(ing.ent)
 		ing.mu.Lock()
 		if err != nil {
