@@ -41,9 +41,10 @@
 //
 // Cubes are immutable and safe for concurrent use. Live ingestion maintains
 // them without rebuilding: BuildRows computes a delta cube over just the
-// appended batch, and Merge folds it into the predecessor version cell by
-// cell (Stats.Add), re-keying the predecessor's cells when appended values
-// grew the dictionaries. Merged cells absorb the batch's subtotal in one
+// appended batch, and Merge folds it into the predecessor version (Stats.Add
+// per cell both hold, the predecessor's other cells copied as runs),
+// re-keying the levels whose attributes' dictionaries the appended values
+// grew. Merged cells absorb the batch's subtotal in one
 // addition, so — unlike built cubes — a merged cube's sums can differ from a
 // full rescan in the last floating-point bit when the batch carried
 // non-integral values (counts stay exact; see Merge). internal/store

@@ -10,11 +10,15 @@ import (
 // at Version+1, leaving the receiver untouched (callers that fail mid-swap
 // keep serving the old Set unchanged). The batch is validated and encoded
 // once (store.EncodeBatch): dictionary growth happens in batch row order and
-// the grown dictionaries are shared by every shard of the successor;
-// untouched shards share their code and measure slices with the predecessor,
-// touched shards merge a delta cube built over just their appended rows, and
-// every cube is re-keyed to the grown dictionaries (store.Batch.Extend). A batch that violates a hierarchy functional
-// dependency — within one shard or across shards — is rejected whole.
+// the grown dictionaries are shared by every shard of the successor. The
+// shards then grow together (store.ExtendShards): untouched shards share
+// their code and measure slices with the predecessor, touched shards grow
+// theirs and merge a delta cube built over just their appended rows, and
+// every cube is re-keyed to the grown dictionaries. Every hierarchy
+// functional dependency is checked once, across all shards: the batch's rows
+// against the one FD table the shards share over the union of their rows (or
+// every row, where they share none), so a batch that violates one — within
+// one shard or across shards — is rejected whole.
 func (s *Set) Append(rows []store.Row) (*Set, error) {
 	if len(rows) == 0 {
 		return s, nil

@@ -63,24 +63,28 @@
 // Set.Append validates and dictionary-encodes the batch once
 // (store.EncodeBatch, in batch row order, so codes are deterministic), routes
 // each appended row to its owning shard, and produces a successor Set with
-// every shard at Version+1 (store.Batch.Extend per shard). Untouched shards
-// share their columns; touched shards get a delta cube built over just their
-// new rows and merged in (cube.Merge). A batch that grew a dictionary re-keys
-// every shard's cube to it, an untouched shard's by merging the empty delta,
-// so each cube codes against the dictionaries its shard persists and the
-// gather merges on. A cross-shard functional-dependency check rejects batches
-// whose violations span shards — a per-shard validation alone cannot see
-// those.
+// every shard at Version+1 (store.ExtendShards). Untouched shards share their
+// columns; touched shards grow theirs and get a delta cube built over just
+// their new rows and merged in (cube.Merge). A batch that grew a dictionary
+// re-keys every shard's cube to it, an untouched shard's by merging the empty
+// delta, so each cube codes against the dictionaries its shard persists and
+// the gather merges on.
 //
 // # Functional dependencies
 //
 // Every hierarchy FD is checked over the union of a Set's rows, never shard
-// by shard alone: by Append, as above, and at Open, where one pass over all
-// the shards' columns (data.ValidateShards) stands in for each shard's own
-// FD pass. A partitioned file whose shards each satisfy an FD but disagree on
-// it — one month under two years, in two shards — is refused at open, as the
-// same rows in one file are. Each shard's dataset records the FDs as
-// verified, so its row scans key a hierarchy prefix by its deepest attribute
+// by shard alone. At Open, one pass over all the shards' columns
+// (data.ValidateShards) stands in for each shard's own FD pass. A partitioned
+// file whose shards each satisfy an FD but disagree on it — one month under
+// two years, in two shards — is refused at open, as the same rows in one file
+// are. The pass leaves every shard's dataset holding the same table per FD,
+// child code → parent code over the union. Append checks only the batch's
+// rows, against that one table, copied when the batch adds a child value
+// (data.ValidateAppend), and the successors share the extended table. Shards
+// that hold no common table — just partitioned, or after retention dropped
+// rows from some of them — get the full pass over every shard's rows once,
+// which leaves them one. Each shard's dataset records the FDs as verified, so
+// its row scans key a hierarchy prefix by its deepest attribute
 // (data.TupleIndex); the engine's gather still merges partials on every
 // attribute.
 package shard

@@ -19,10 +19,15 @@ type Row struct {
 }
 
 // Builder appends rows to a snapshot lineage. Each Append produces a new
-// immutable Snapshot with Version+1 — the base snapshot, and every dataset or
-// engine derived from it, is never mutated (dictionaries are extended
-// copy-on-write, so unchanged prefixes are shared). A Builder is not safe for
-// concurrent use; callers serialize Appends per dataset.
+// immutable Snapshot with Version+1 — the base snapshot's rows, and every
+// dataset or engine derived from it, are never changed (dictionaries are
+// extended copy-on-write, so unchanged prefixes are shared). A successor's
+// columns are the base's backing arrays grown in place, past the base's rows,
+// when it is the first successor to claim their spare capacity, and a copy
+// otherwise (Batch.grow); a flush checks only the batch (Batch.Extend). A
+// Builder is not safe for concurrent use; callers serialize Appends per
+// dataset. Snapshots extended concurrently by several callers each still get
+// their own rows.
 type Builder struct {
 	base *Snapshot
 }
@@ -37,8 +42,9 @@ func (b *Builder) Snapshot() *Snapshot { return b.base }
 
 // Append encodes rows against the current snapshot and returns the new
 // version. New dimension values extend the dictionaries; the result is
-// validated (hierarchy functional dependencies included) before it becomes
-// the builder's new base, so a bad batch leaves the lineage unchanged.
+// validated (hierarchy functional dependencies included, over the batch's
+// rows) before it becomes the builder's new base, so a bad batch leaves the
+// lineage unchanged.
 func (b *Builder) Append(rows []Row) (*Snapshot, error) {
 	if len(rows) == 0 {
 		return b.base, nil
@@ -151,12 +157,18 @@ func (b *Batch) Pick(rows []int) *Batch {
 // Extend returns base's successor at Version+1: base's rows followed by the
 // batch's, over the grown dictionaries. base must be the snapshot the batch
 // was encoded against or a shard sharing its dictionaries. The successor is
-// validated (hierarchy functional dependencies included) and base's rows are
-// never changed. An empty batch still moves the version and dictionaries
-// along, sharing base's columns; base's cube is carried over as carryCube
-// says. A flush costs O(batch) — columns, checks and cube merge — but for one
-// copy of the cube's cell tables and, once in a while, of the columns (see
-// grow).
+// validated and base's rows are never changed. An empty batch still moves the
+// version and dictionaries along, sharing base's columns; base's cube is
+// carried over as carryCube says.
+//
+// A flush costs O(batch) but for one copy of the cube's cell tables and, once
+// per growth of append's capacity, of the columns (see grow). What it checks:
+// the batch's codes against the grown dictionaries, and every hierarchy FD
+// over the batch's rows against the base's verified FD tables. EncodeBatch
+// admitted the values the dictionaries gained, and base checked its own rows,
+// so neither is re-read. A base without tables over exactly its rows — a
+// snapshot whose dataset was never built, a shard of a partitioned file
+// extended on its own — gets the full FD pass over every row.
 func (b *Batch) Extend(base *Snapshot) (*Snapshot, error) {
 	next, err := ExtendShards([]*Snapshot{base}, []*Batch{b})
 	if err != nil {
@@ -278,13 +290,16 @@ func validateAppend(bases, next []*Snapshot) error {
 
 // carryCube maintains base's materialized cube across an append without
 // rebuilding it: a delta cube built over just the appended rows is merged in
-// (Stats.Add per shared cell), and the merge re-keys base's cells into the
-// grown dictionaries' radix space. A successor that gained no rows still
-// merges the empty delta when the batch grew a dictionary, so every cube
-// codes against its own snapshot's dictionaries — the ones a file persists
-// beside it and a gather merges shards on. Only an append that neither adds
-// rows nor grows a dictionary keeps the cube as-is. When the grown
-// dictionaries push the successor outside what the cube subsystem
+// (Stats.Add per shared cell, base's cells between them copied as runs; see
+// cube.Merge), and the merge re-keys base's cells into the grown
+// dictionaries' radix space at the levels whose attributes' dictionaries
+// grew. The merged cell tables are the successor's own: a flush copies every
+// table once, where its columns mostly grow in place. A successor that gained
+// no rows still merges the empty delta when the batch grew a dictionary, so
+// every cube codes against its own snapshot's dictionaries — the ones a file
+// persists beside it and a gather merges shards on. Only an append that
+// neither adds rows nor grows a dictionary keeps the cube as-is. When the
+// grown dictionaries push the successor outside what the cube subsystem
 // materializes (e.g. the composite key space overflows), the successor
 // simply carries no cube and serving falls back to row scans.
 func carryCube(base, next *Snapshot) error {

@@ -1,9 +1,10 @@
 // Package store is Reptile's persistent storage layer: an immutable,
 // dictionary-encoded columnar snapshot of a data.Dataset, a versioned binary
 // file format (.rst) that round-trips snapshots without reparsing CSV, and
-// the one batch-append routine (EncodeBatch, Batch.Extend) that produces new
-// snapshot versions for live ingestion — Builder.Append and internal/shard's
-// Set.Append are both thin callers of it.
+// the one batch-append routine (EncodeBatch, then Batch.Extend or, for the
+// shards of a set, ExtendShards) that produces new snapshot versions for live
+// ingestion — Builder.Append and internal/shard's Set.Append are both thin
+// callers of it.
 //
 // A Snapshot keeps each dimension as a dictionary of distinct strings plus
 // one uint32 code per row, and each measure as a raw []float64 — the one
