@@ -454,38 +454,3 @@ func TestAppendRefusesFDViolationsOfTheBatch(t *testing.T) {
 	m.add(rows)
 	sameSnapshot(t, "after the refusals", next, m.snapshot(t))
 }
-
-// TestExtendShardAloneChecksItsOwnRows: the shards of a partitioned file
-// share one FD table over the union of their rows, so a shard extended on its
-// own checks its batch against its own rows, not that table: a city its
-// sibling files under another region is new to it. Extended together, the
-// shards refuse the same row.
-func TestExtendShardAloneChecksItsOwnRows(t *testing.T) {
-	h := []data.Hierarchy{{Name: "geo", Attrs: []string{"region", "city"}}}
-	ds := data.New("split", []string{"region", "city"}, []string{"m"}, h)
-	ds.AppendRowVals([]string{"north", "oslo"}, []float64{1})
-	ds.AppendRowVals([]string{"south", "rome"}, []float64{2})
-	var buf bytes.Buffer
-	if err := WriteSharded(&buf, "region", shardsOf(t, ds, []int{0}, []int{1})); err != nil {
-		t.Fatal(err)
-	}
-	_, shards, err := openShards(buf.Bytes(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := []Row{{Dims: []string{"north", "rome"}, Measures: []float64{3}}}
-	batch, err := EncodeBatch(shards[0], rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next, err := batch.Extend(shards[0])
-	if err != nil {
-		t.Fatalf("shard 0 alone: %v", err)
-	}
-	if got, _ := next.Dataset(); got.NumRows() != 2 || got.Dim("city")[1] != "rome" {
-		t.Fatalf("shard 0 alone holds %v", got.Dim("city"))
-	}
-	if _, err := ExtendShards(shards, []*Batch{batch, batch.Pick(nil)}); err == nil || !strings.Contains(err.Error(), `city="rome"`) {
-		t.Fatalf("both shards: err = %v, want an FD violation on rome", err)
-	}
-}
