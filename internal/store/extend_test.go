@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -40,5 +41,43 @@ func TestExtendShardAloneChecksItsOwnRows(t *testing.T) {
 	}
 	if _, err := ExtendShards(shards, []*Batch{batch, batch.Pick(nil)}); err == nil || !strings.Contains(err.Error(), `city="rome"`) {
 		t.Fatalf("both shards: err = %v, want an FD violation on rome", err)
+	}
+}
+
+// TestBranchesKeepTheirOwnFDTables: two successors of one base each file a
+// village under a different district. The base's dictionary holds the village
+// but no row of it (a shard that took none of the batch that brought it in),
+// so the first row of it is a new entry in the base's FD table, which each
+// successor adds to its own copy: both are accepted, and each then refuses
+// the other's parent for the village.
+func TestBranchesKeepTheirOwnFDTables(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := newLineageModel([]string{"units", "cost"})
+	m.add(lineageRows(rng, 300, 0, 40, 0, 12, 2, 2))
+	row := func(district string) Row {
+		return Row{Dims: []string{"r0", district, "new-v", "2015", "2015-01", "k0"}, Measures: []float64{1, 2}}
+	}
+	first := extendRows(t, m.snapshot(t), lineageRows(rng, 20, 0, 40, 0, 12, 2, 2))
+	grown, err := EncodeBatch(first, []Row{row("r0-d0")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := grown.Pick(nil).Extend(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := extendRows(t, base, []Row{row("r0-d0")})
+	b := extendRows(t, base, []Row{row("r0-d1")})
+	for _, tc := range []struct {
+		s        *Snapshot
+		district string
+	}{{a, "r0-d1"}, {b, "r0-d0"}} {
+		batch, err := EncodeBatch(tc.s, []Row{row(tc.district)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := batch.Extend(tc.s); err == nil || !strings.Contains(err.Error(), `village="new-v"`) {
+			t.Errorf("new-v under %s: err = %v, want an FD violation", tc.district, err)
+		}
 	}
 }
