@@ -163,9 +163,9 @@ func (s *Snapshot) dim(name string) *Column {
 }
 
 // validate checks the snapshot's invariants once each: its columns
-// (checkColumns), then its hierarchies and their FDs (validateShards). It runs
-// on every Append; over a mapped snapshot every pass streams through the
-// mapping with O(dictionary) heap.
+// (checkColumns), then its hierarchies and their FDs (validateShards). An
+// append checks only its batch (validateAppend). Over a mapped snapshot every
+// pass streams through the mapping with O(dictionary) heap.
 func (s *Snapshot) validate() error {
 	if err := s.checkColumns(); err != nil {
 		return err
