@@ -44,12 +44,12 @@
 // reports each dataset's shard count and per-shard row counts.
 //
 // -mmap serves registered .rst snapshots out of memory-mapped files instead
-// of decoding their columns onto the heap: residency stays
-// O(dictionaries + cube) rather than O(rows), so snapshots larger than RAM
-// serve with flat RSS, and recommendations are byte-identical to an eager
-// load. CSV registrations are unaffected; appends to a mapped dataset are
-// rejected (re-register without -mmap to ingest). GET /v1/stats reports each
-// dataset's open mode and resident column bytes.
+// of one heap read of each, whose payloads an eager open views in place:
+// residency stays O(dictionaries + cube) rather than O(file), so snapshots
+// larger than RAM serve with flat RSS, and recommendations are byte-identical
+// to an eager load. CSV registrations are unaffected; appends to a mapped
+// dataset are rejected (re-register without -mmap to ingest). GET /v1/stats
+// reports each dataset's open mode and resident column bytes.
 //
 // Registering a path ending in .rst loads a dictionary-encoded binary
 // snapshot (see internal/store and "reptile convert") instead of reparsing
@@ -136,7 +136,7 @@ func run(ctx context.Context, args []string) error {
 		noCube      = fs.Bool("no-cube", false, "skip materializing rollup cubes for registered datasets")
 		shards      = fs.Int("shards", 0, "partition registered datasets into N shards (0 or 1 = unsharded)")
 		shardKey    = fs.String("shard-key", "", "partition dimension, a hierarchy root (default: the first hierarchy's root)")
-		mmapIO      = fs.Bool("mmap", false, "serve registered .rst snapshots memory-mapped instead of heap-decoded")
+		mmapIO      = fs.Bool("mmap", false, "serve registered .rst snapshots memory-mapped instead of read onto the heap (eager: one read, payloads viewed in place)")
 		useWAL      = fs.Bool("wal", false, "write-ahead-log appends and micro-batch them into the serving state")
 		walDir      = fs.String("wal-dir", ".", "directory for write-ahead logs and checkpoints")
 		flushRows   = fs.Int("flush-rows", 256, "micro-batch flush threshold in rows")

@@ -41,7 +41,7 @@ var absenteeHierarchies = []data.Hierarchy{
 	{Name: "gender", Attrs: []string{"gender"}},
 }
 
-func loadBenchFixtures(b *testing.B) {
+func loadBenchFixtures(tb testing.TB) {
 	lb := &loadBench
 	lb.once.Do(func() {
 		lb.err = func() error {
@@ -85,7 +85,7 @@ func loadBenchFixtures(b *testing.B) {
 		}()
 	})
 	if lb.err != nil {
-		b.Fatal(lb.err)
+		tb.Fatal(lb.err)
 	}
 }
 
@@ -146,6 +146,39 @@ func benchOpen(b *testing.B, open func(string) (*Snapshot, error)) {
 // dataset materialization, (coded) hierarchy validation and, in the cube
 // case, reading and validating the cell tables.
 func BenchmarkLoadSnapshot(b *testing.B) { benchOpen(b, OpenFile) }
+
+// TestEagerOpenAllocatesTheFileOnce: an eager open of each load benchmark
+// fixture, its validated dataset included, allocates the file once — the one
+// read its columns and cube cell tables are views into — plus its
+// dictionaries and under 64 KB of anything else.
+func TestEagerOpenAllocatesTheFileOnce(t *testing.T) {
+	loadBenchFixtures(t)
+	for _, fx := range loadBench.rst {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		snap, err := OpenFile(fx.path)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if snap.ds == nil || (snap.Cube() != nil) != (fx.name == "cube") {
+			t.Fatalf("%s: dataset %v, cube %v", fx.name, snap.ds != nil, snap.Cube() != nil)
+		}
+		dicts := 0
+		for _, c := range snap.Dims {
+			dicts += 16 * len(c.Dict) // string headers
+			for _, v := range c.Dict {
+				dicts += len(v)
+			}
+		}
+		got, budget := after.TotalAlloc-before.TotalAlloc, uint64(fx.bytes)+uint64(dicts)+64<<10
+		t.Logf("%s: %d bytes allocated opening a %d-byte file with %d bytes of dictionaries", fx.name, got, fx.bytes, dicts)
+		if got > budget {
+			t.Errorf("%s: eager open allocated %d bytes, want at most the file (%d) plus dictionaries (%d) plus 64 KB", fx.name, got, fx.bytes, dicts)
+		}
+	}
+}
 
 // BenchmarkOpenMapped measures the mmap-backed open: header parse and
 // validation streamed over the mapping, no column or cell-table

@@ -12,21 +12,21 @@
 // data.Dataset (data.FromColumns) shares those slices, so agg.GroupBy, the
 // factorizer and the cube builder scan the snapshot's own arrays.
 //
-// Snapshots open in two modes. Open/OpenFile decode every column and cube
-// cell table into heap slices (eager). OpenMappedFile memory-maps the file
-// instead: only the header — schema, dictionaries, offset directory — and
-// the cube's level directory are parsed, and each column and cell table is a
-// typed view ([]uint32, []uint64, []float64) over its payload inside the
-// mapping, built by the alignment-checked helper in view.go (a big-endian
-// host or a misaligned buffer falls back to decoding onto the heap). Every
-// validation pass of the eager open — header CRC, offset directory and
-// zero padding, code ranges, dictionary contents, hierarchy functional
-// dependencies, the cube's key order and row coverage — runs over the views,
-// so residency stays O(dictionaries) regardless of the row and cell counts.
-// Both modes produce byte-identical query results; mapped snapshots
-// (Snapshot.Mapped) reject mutation (appending, partitioning, retention) and
-// must be released with Close, after which neither the snapshot nor any
-// dataset derived from it may be read.
+// Snapshots open in two modes that decode alike: only the header — schema,
+// dictionaries, offset directory — and the cube's level directory are
+// parsed, and each column and cube cell table is a typed view ([]uint32,
+// []uint64, []float64) over its payload, built by the alignment-checked
+// helper in view.go (a big-endian host or a misaligned buffer falls back to
+// decoding onto the heap). Every validation pass — header CRC, offset
+// directory and zero padding, code ranges, dictionary contents, hierarchy
+// functional dependencies, the cube's key order and row coverage — runs over
+// the views, and both modes give byte-identical query results. Open/OpenFile
+// (eager) read the file onto the heap once and view the payloads in place;
+// the buffer lives until no snapshot or dataset from that open is reachable.
+// OpenMappedFile memory-maps the file, so residency stays O(dictionaries)
+// whatever the row and cell counts; mapped snapshots (Snapshot.Mapped) reject
+// mutation (appending, partitioning, retention) and must be released with
+// Close, after which neither they nor their datasets may be read.
 //
 // # File format
 //

@@ -18,9 +18,9 @@ import (
 
 // The .rst binary layout is documented in doc.go. A self-describing header —
 // schema, dictionaries, and a CRC-checked byte-offset directory — precedes
-// fixed-width, 8-byte-aligned column payloads and cube sections, so a mapped
-// open can expose columns and cell tables straight out of a memory-mapped
-// file without decoding them into heap slices.
+// fixed-width, 8-byte-aligned column payloads and cube sections, so every
+// open serves columns and cell tables as views over the bytes it read or
+// mapped, without decoding them a second time.
 var magic = [7]byte{'R', 'S', 'T', 'S', 'N', 'A', 'P'}
 
 // shardMagic introduces a version-2 partitioned file, which is still read.
@@ -356,8 +356,8 @@ func single(_ string, shards []*Snapshot, err error) (*Snapshot, error) {
 // errFormatV1 answers every open of a version-1 file, plain or partitioned.
 var errFormatV1 = errors.New("store: format version 1 is no longer readable; re-run `reptile convert` from the source CSV")
 
-// openPath opens the .rst file at path — eagerly from one read, or mapped —
-// and adds the path to any decode error.
+// openPath opens the .rst file at path — eagerly from one heap read, which
+// the shards then own, or mapped — and adds the path to any decode error.
 func openPath(path string, mapped bool) (key string, shards []*Snapshot, err error) {
 	if mapped {
 		f, ferr := os.Open(path)
@@ -390,9 +390,9 @@ type layout struct {
 }
 
 // openShards decodes a .rst file from b into its shards and partition key
-// ("" for a file of one unkeyed shard). With m set, b is m's mapped bytes and
-// the shards' columns and cube cell tables are views over it; otherwise
-// every payload is decoded onto the heap. The shards are validated — each
+// ("" for a file of one unkeyed shard). Their columns and cube cell tables
+// are views over b (see elems), so they take b over: m's mapped bytes, or an
+// eager read the caller must not reuse. The shards are validated — each
 // one's columns in shard order, then every hierarchy functional dependency
 // across all of them in one pass, then each one's cube.
 func openShards(b []byte, m *mapping) (string, []*Snapshot, error) {
@@ -416,7 +416,7 @@ func openShards(b []byte, m *mapping) (string, []*Snapshot, error) {
 				return "", nil, fmt.Errorf("store: shard %d cube section offset %d, expected %d", si, sl.cubeOff, next)
 			}
 			d.off = next
-			tables[si] = d.cubeSection(h.hierarchies, len(h.measureNames), m != nil)
+			tables[si] = d.cubeSection(h.hierarchies, len(h.measureNames))
 			next = d.off
 		}
 		if d.err != nil {
@@ -597,9 +597,8 @@ func (h *header) decodeSchema(d *decoder) {
 	}
 }
 
-// snapshot assembles shard sl's snapshot from its checked directory slot.
-// Without a mapping every column payload is decoded into heap slices; with
-// one, Codes and Values are typed views over the mapped file.
+// snapshot assembles shard sl's snapshot from its checked directory slot,
+// its Codes and Values views over d's bytes (see elems); m is their mapping.
 func (h *header) snapshot(d *decoder, m *mapping, sl shardSlot) *Snapshot {
 	s := &Snapshot{
 		Name: h.name, Version: h.version, Hierarchies: h.hierarchies, rows: sl.rows, m: m,
@@ -607,11 +606,11 @@ func (h *header) snapshot(d *decoder, m *mapping, sl shardSlot) *Snapshot {
 	}
 	for i, dim := range h.dims {
 		d.off = sl.dimOff[i]
-		s.Dims[i] = Column{Name: dim.name, Dict: dim.dict, Codes: elems[uint32](d, sl.rows, m != nil)}
+		s.Dims[i] = Column{Name: dim.name, Dict: dim.dict, Codes: elems[uint32](d, sl.rows)}
 	}
 	for i, name := range h.measureNames {
 		d.off = sl.msOff[i]
-		s.Measures[i] = MeasureColumn{Name: name, Values: elems[float64](d, sl.rows, m != nil)}
+		s.Measures[i] = MeasureColumn{Name: name, Values: elems[float64](d, sl.rows)}
 	}
 	return s
 }
@@ -661,12 +660,12 @@ func checkPadding(b []byte, from, to int) error {
 
 // cubeSection parses a shard's cube section into one cell table per lattice
 // level of hiers, with measures sums and sums of squares per cell: views
-// over the payload bytes when mapped (see elems). It checks what the cube
+// over the payload bytes (see elems). It checks what the cube
 // cannot — the zero padding, and every level's arrays against the file's
 // end — and leaves the tables' contents to cube.FromTables. A version-1
 // (varint) section, which runs to the end of the file, yields no tables: the
 // file opens without its cube, and serving builds one or scans.
-func (d *decoder) cubeSection(hiers []data.Hierarchy, measures int, mapped bool) []cube.Table {
+func (d *decoder) cubeSection(hiers []data.Hierarchy, measures int) []cube.Table {
 	var tag [4]byte
 	copy(tag[:], d.bytes(len(tag)))
 	if d.err == nil && tag != cubeTag {
@@ -697,7 +696,7 @@ func (d *decoder) cubeSection(hiers []data.Hierarchy, measures int, mapped bool)
 		}
 		levels *= len(hr.Attrs) + 1
 	}
-	cells := elems[uint64](d, levels, false)
+	cells := elems[uint64](d, levels)
 	width := 8 * (2 + 2*measures) // a cell's key, count, and sum and sum of squares per measure
 	tables := make([]cube.Table, len(cells))
 	for li, n := range cells {
@@ -706,12 +705,12 @@ func (d *decoder) cubeSection(hiers []data.Hierarchy, measures int, mapped bool)
 			return nil
 		}
 		t := &tables[li]
-		t.Keys = elems[uint64](d, int(n), mapped)
-		t.Counts = elems[float64](d, int(n), mapped)
+		t.Keys = elems[uint64](d, int(n))
+		t.Counts = elems[float64](d, int(n))
 		t.Sums, t.SumSqs = make([][]float64, measures), make([][]float64, measures)
 		for mi := range t.Sums {
-			t.Sums[mi] = elems[float64](d, int(n), mapped)
-			t.SumSqs[mi] = elems[float64](d, int(n), mapped)
+			t.Sums[mi] = elems[float64](d, int(n))
+			t.SumSqs[mi] = elems[float64](d, int(n))
 		}
 	}
 	return tables
@@ -856,18 +855,15 @@ func (d *decoder) string() string {
 }
 
 // elems reads n fixed-width little-endian elements at the decoder's offset —
-// a column payload or a cube cell table: as a view over the payload bytes
-// when they belong to a file mapping (and view can serve them), decoded onto
-// the heap otherwise.
-func elems[T uint32 | uint64 | float64](d *decoder, n int, mapped bool) []T {
+// a column payload or a cube cell table — as a view over the decoder's bytes,
+// read or mapped, decoding them onto the heap only where view cannot serve.
+func elems[T uint32 | uint64 | float64](d *decoder, n int) []T {
 	raw := d.bytes(binary.Size(*new(T)) * n)
 	if raw == nil {
 		return nil
 	}
-	if mapped {
-		if out, ok := view[T](raw); ok {
-			return out
-		}
+	if out, ok := view[T](raw); ok {
+		return out
 	}
 	out := make([]T, n)
 	switch o := any(out).(type) {

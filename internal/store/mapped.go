@@ -53,9 +53,9 @@ func openMapping(f *os.File) (*mapping, error) {
 func (s *Snapshot) Mapped() bool { return s.m != nil }
 
 // Close releases the snapshot's file mapping, if any; eager snapshots are
-// no-ops. Shards decoded from one partitioned file share a mapping, which is
-// released when the last of them closes. The snapshot (and every dataset
-// derived from it) must not be used afterwards.
+// no-ops, their one heap read freed once unreachable. Shards decoded from one
+// partitioned file share a mapping, released when the last of them closes.
+// The snapshot (and every dataset derived from it) must not be used after.
 func (s *Snapshot) Close() error {
 	if s.m == nil {
 		return nil
@@ -66,11 +66,11 @@ func (s *Snapshot) Close() error {
 }
 
 // ResidentColumnBytes reports the heap bytes held by column payloads (4 per
-// code, 8 per measure value) — the dominant per-dataset resident cost. A
-// mapped snapshot's columns contribute nothing: their payloads stay in the
-// page cache (where view has to fall back to decoding, the copies go
-// uncounted, as the whole-file read of mmap_other.go always has).
-// Dictionaries are heap-resident in both modes and are not counted.
+// code, 8 per measure value), the dominant per-dataset resident cost: an
+// eager open's views into its one heap read. A mapped snapshot's columns
+// contribute nothing, their payloads staying in the page cache (view's
+// fallback copies go uncounted, as mmap_other.go's whole-file read always
+// has). Dictionaries are heap-resident in both modes and are not counted.
 func (s *Snapshot) ResidentColumnBytes() int64 {
 	if s.Mapped() {
 		return 0
@@ -85,7 +85,7 @@ func (s *Snapshot) ResidentColumnBytes() int64 {
 	return n
 }
 
-// OpenMappedFile memory-maps a .rst snapshot instead of decoding it onto the
+// OpenMappedFile memory-maps a .rst snapshot instead of reading it onto the
 // heap: the header (schema, dictionaries, offset directory) is parsed and
 // CRC-checked, every validation pass streams over the mapped payloads, and
 // the returned snapshot's Codes/Values and its cube's cell tables are typed

@@ -10,15 +10,15 @@ var hostLittleEndian = func() bool {
 }()
 
 // view reinterprets b — a column payload or a cube cell table of fixed-width
-// little-endian elements inside a file mapping — as a []T over the same memory, without
-// copying. The directory validation has already placed b on an 8-byte file
-// offset and bounded it by the file; view checks what is left to check, and
-// reports ok=false — the caller then decodes b element by element onto the
-// heap, the same platform fallback mmap_other.go is for mmap itself — when
-// the host is big-endian or b's address is not aligned for T (a mapping is
-// page-aligned, so only a foreign buffer can be). The result has
-// cap == len: appending to it copies to the heap rather than touching the
-// read-only mapping. It must not outlive the mapping.
+// little-endian elements inside the bytes an open read or mapped — as a []T
+// over the same memory, without copying. The directory validation has
+// already placed b on an 8-byte file offset and bounded it by the file; view
+// checks what is left to check, and reports ok=false — the caller then
+// decodes b element by element onto the heap, the same platform fallback
+// mmap_other.go is for mmap itself — when the host is big-endian or b's
+// address is not aligned for T (a mapping or a whole-file read never is, so
+// only a foreign buffer can be). The result has cap == len: appending to it
+// copies. A view keeps an eager read alive; it must not outlive a mapping.
 //
 // This is the repository's only use of unsafe (reptile-lint's boundaries
 // analyzer holds every other package to that).

@@ -361,7 +361,8 @@ type DatasetStats struct {
 	Shards    int   `json:"shards,omitempty"`
 	ShardRows []int `json:"shard_rows,omitempty"`
 	// OpenMode reports how the serving snapshot holds its columns: "eager"
-	// (heap slices) or "mapped" (views over a memory-mapped .rst file).
+	// (heap slices; from a .rst file, views into one heap read of it) or
+	// "mapped" (views over a memory-mapped .rst file).
 	// ResidentColumnBytes is the heap footprint of column payloads — 0 for a mapped dataset, whose payloads stay in the
 	// page cache.
 	OpenMode            string `json:"open_mode"`

@@ -154,9 +154,10 @@ func WithShards(n int) Option { return func(c *config) { c.shards = n } }
 func WithShardKey(dim string) Option { return func(c *config) { c.shardKey = dim } }
 
 // WithMappedIO serves the opened .rst snapshot (partitioned or not) out of a
-// memory-mapped file instead of decoding its columns onto the heap: residency
-// stays O(dictionaries + cube) rather than O(rows), so snapshots larger than
-// RAM serve with flat RSS, at the price of page-cache reads on cold columns.
+// memory-mapped file instead of one heap read of it, whose payloads an eager
+// open views in place: residency stays O(dictionaries + cube) rather than
+// O(file), so snapshots larger than RAM serve with flat RSS, at the price of
+// page-cache reads on cold columns.
 // Recommendations are byte-identical to an eager open. Only .rst paths accept
 // the option — CSVs are parsed into memory and have no column payloads to
 // map. Call Engine.Close to release the mapping.
