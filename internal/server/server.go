@@ -93,8 +93,8 @@ type Config struct {
 	// hierarchy's root.
 	ShardKey string
 	// MappedIO serves registered .rst files (partitioned or not) out of
-	// memory-mapped column payloads instead of decoding them onto the heap:
-	// per-dataset residency stays O(dictionaries + cube) rather than O(rows),
+	// memory-mapped column payloads instead of one heap read of each file:
+	// per-dataset residency stays O(dictionaries + cube) rather than O(file),
 	// so snapshots larger than RAM serve with flat RSS. CSV registrations are
 	// unaffected (they are encoded in memory and have no file to map). Mapped
 	// datasets reject appends — re-register eagerly to ingest.

@@ -77,9 +77,9 @@ func FuzzOpenSnapshot(f *testing.F) {
 				t.Fatalf("accepted snapshot failed to materialize: %v", err)
 			}
 		}
-		// The eager decoders, then the mapped ones over the same bytes,
-		// wherever the fuzzer's buffer happens to sit: views or eager
-		// fallback, never a fault.
+		// An eager open, then a mapped one over the same bytes, wherever the
+		// fuzzer's buffer happens to sit: views or the decoding fallback,
+		// never a fault.
 		for _, m := range []*mapping{nil, {data: b}} {
 			_, shards, err := openShards(b, m)
 			if err != nil {
