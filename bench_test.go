@@ -19,13 +19,13 @@ func BenchmarkFig7MatrixOps(b *testing.B) {
 
 func BenchmarkFig8MultiQuery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig8([]int{200, 400}, 1)
+		experiments.Fig8([]int{200, 400})
 	}
 }
 
 func BenchmarkFig9DrillDown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		experiments.Fig9(4000, 1)
+		experiments.Fig9(4000)
 	}
 }
 

@@ -52,7 +52,7 @@ func main() {
 		if full {
 			cards = []int{200, 400, 800, 1600, 3200}
 		}
-		_, t := experiments.Fig8(cards, *seed)
+		_, t := experiments.Fig8(cards)
 		fmt.Println(t)
 	})
 	run("fig9", func() {
@@ -60,7 +60,7 @@ func main() {
 		if full {
 			leaves = 100000
 		}
-		_, t := experiments.Fig9(leaves, *seed)
+		_, t := experiments.Fig9(leaves)
 		fmt.Println(t)
 	})
 	run("fig10", func() {

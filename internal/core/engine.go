@@ -934,7 +934,7 @@ func (e *Engine) PredictGroupStats(attrs []string, measure string, stat agg.Func
 // groupRowIndex maps every observed group to its row in the factorised
 // matrix's iteration order.
 func groupRowIndex(fz *factor.Factorizer, groups *agg.Result) ([]int, error) {
-	// Per hierarchy-order position, the deepest attribute's index within
+	// Per hierarchy position, the deepest attribute's index within
 	// groups.Attrs.
 	nh := fz.NumHierarchies()
 	deepAttr := make([]int, nh)

@@ -2,10 +2,13 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"repro/internal/factor"
+	"repro/internal/fmatrix"
 	"repro/internal/synth"
 )
 
@@ -46,7 +49,7 @@ func TestFig7SmallRunsAndVerifies(t *testing.T) {
 }
 
 func TestFig8SharedIsFasterAtScale(t *testing.T) {
-	rows, _ := Fig8([]int{400, 800}, 1)
+	rows, _ := Fig8([]int{400, 800})
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -58,29 +61,105 @@ func TestFig8SharedIsFasterAtScale(t *testing.T) {
 	}
 }
 
+// Property: Figure 8's serial baseline computes the XᵀX that fmatrix.Gram
+// serves, to a relative 1e-9, over random chains of 2–3 hierarchies with one
+// or two columns per attribute. Every third trial makes the first hierarchy
+// one attribute deep, and the next trial gives the last a single leaf.
+func TestSerialGramMatchesServedGramProperty(t *testing.T) {
+	for trial := 0; trial < 60; trial++ {
+		r := rand.New(rand.NewSource(int64(trial)))
+		nh := 2 + r.Intn(2)
+		srcs := make([]*factor.Source, nh)
+		depths := make([]int, nh)
+		for h := range srcs {
+			depth := 1 + r.Intn(3)
+			if h == 0 && trial%3 == 0 {
+				depth = 1
+			}
+			fan := func() int { return 1 + r.Intn(4) }
+			if h == nh-1 && trial%3 == 1 {
+				fan = func() int { return 1 }
+			}
+			srcs[h] = randomChain(fmt.Sprintf("h%d", h), depth, fan)
+			depths[h] = 1 + r.Intn(depth)
+		}
+		fz, err := factor.New(srcs, depths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cols []fmatrix.Column
+		for ai := 0; ai < fz.NumAttrs(); ai++ {
+			vals, _ := fz.CountVals(ai)
+			for c := 0; c < 1+r.Intn(2); c++ {
+				fv := make([]float64, len(vals))
+				for v := range fv {
+					fv[v] = 0.5 + r.Float64()
+				}
+				cols = append(cols, fmatrix.Column{Name: fmt.Sprintf("a%d_%d", ai, c), Attr: ai, Vals: fv})
+			}
+		}
+		m, err := fmatrix.New(fz, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if served, serial := m.Gram(), serialGram(m); !gramsAgree(served, serial, 1e-9) {
+			t.Fatalf("trial %d: serial XᵀX\n%v\ndiffers from served\n%v", trial, serial.Data, served.Data)
+		}
+	}
+}
+
+// randomChain builds a hierarchy of the given depth in which every value
+// has fan() children.
+func randomChain(name string, depth int, fan func() int) *factor.Source {
+	attrs := make([]string, depth)
+	for l := range attrs {
+		attrs[l] = fmt.Sprintf("%s_a%d", name, l)
+	}
+	var paths [][]string
+	var build func(prefix []string)
+	id := 0
+	build = func(prefix []string) {
+		if len(prefix) == depth {
+			paths = append(paths, slices.Clone(prefix))
+			return
+		}
+		for k := fan(); k > 0; k-- {
+			id++
+			build(append(prefix, fmt.Sprintf("%s_v%d", name, id)))
+		}
+	}
+	build(nil)
+	src, err := factor.NewSource(name, attrs, paths)
+	if err != nil {
+		panic(err)
+	}
+	return src
+}
+
 func TestFig9ModesOrdering(t *testing.T) {
 	// Wall-clock assertions are noisy under parallel bench runs; retry a
 	// few times and only fail if the ordering never holds.
 	var lastErr string
 	for attempt := 0; attempt < 3; attempt++ {
-		rows, _ := Fig9(4000, 1)
+		rows, _ := Fig9(4000)
 		if len(rows) != 9 {
 			t.Fatalf("rows = %d, want 9", len(rows))
 		}
-		// For each B depth, Cache+Dynamic must not be slower than Static by
-		// more than noise; typically Static is the slowest.
-		byN := map[int]map[factor.DrillMode]int64{}
+		// Fig9 itself panics unless the three configurations recommend
+		// byte-identical JSON. For each B depth, Cache+Dynamic must not be
+		// slower than Static by more than noise.
+		byN := map[int]map[string]int64{}
 		for _, r := range rows {
 			if byN[r.PreDrilledB] == nil {
-				byN[r.PreDrilledB] = map[factor.DrillMode]int64{}
+				byN[r.PreDrilledB] = map[string]int64{}
 			}
 			byN[r.PreDrilledB][r.Mode] = r.Total.Nanoseconds()
 		}
 		lastErr = ""
 		for n, m := range byN {
-			if m[factor.CacheDynamic] > m[factor.Static]*2 {
+			if m["Cache+Dynamic"] > m["Static"]*2 {
 				lastErr = fmt.Sprintf("n=%d: cache+dynamic %v much slower than static %v",
-					n, m[factor.CacheDynamic], m[factor.Static])
+					n, m["Cache+Dynamic"], m["Static"])
 			}
 		}
 		if lastErr == "" {

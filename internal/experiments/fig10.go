@@ -23,27 +23,10 @@ type Fig10Row struct {
 // scripted hierarchy and extending the complaint tuple with the top group's
 // value.
 func runEndToEnd(ds *data.Dataset, measure string, drillOrder []string, trainer core.TrainerKind, emIters int) (int, time.Duration) {
-	// This is a timing experiment: unless a pool size is requested
-	// explicitly, pin the engine to the sequential path so the reported
-	// end-to-end runtimes reproduce the paper's single-threaded regime and
-	// don't vary with the host's core count.
-	workers := Workers
-	if workers == 0 {
-		workers = 1
-	}
 	// A fresh engine per timed run: an engine memoises group-bys and
 	// factorizers, and this walk visits each drill state once, so every timed
 	// step below is cold.
-	eng, err := core.NewEngine(ds, core.Options{
-		EMIterations: emIters,
-		Trainer:      trainer,
-		TopK:         5,
-		Workers:      workers,
-	})
-	if err != nil {
-		panic(err)
-	}
-	sess, err := eng.NewSession(nil)
+	sess, err := timingEngine(ds, trainer, emIters).NewSession(nil)
 	if err != nil {
 		panic(err)
 	}
@@ -83,6 +66,22 @@ func runEndToEnd(ds *data.Dataset, measure string, drillOrder []string, trainer 
 		tuple[hr.Attr] = top.Group.Vals[idx]
 	}
 	return invocations, time.Since(start)
+}
+
+// timingEngine builds the engine of a timing experiment. Unless a pool size
+// is requested explicitly, it is pinned to the sequential path, so reported
+// runtimes reproduce the paper's single-threaded regime and don't vary with
+// the host's core count.
+func timingEngine(ds *data.Dataset, trainer core.TrainerKind, emIters int) *core.Engine {
+	workers := Workers
+	if workers == 0 {
+		workers = 1
+	}
+	eng, err := core.NewEngine(ds, core.Options{EMIterations: emIters, Trainer: trainer, TopK: 5, Workers: workers})
+	if err != nil {
+		panic(err)
+	}
+	return eng
 }
 
 // Fig10 measures end-to-end runtimes on the Absentee and COMPAS datasets,

@@ -2,14 +2,17 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/factor"
+	"repro/internal/fmatrix"
+	"repro/internal/mat"
 )
 
 // Fig8Row is one measurement of the Figure 8 multi-query execution
-// comparison: the work-shared plan vs the serial (LMFAO-style) plan that
-// materializes cross-hierarchy COF products.
+// comparison over one XᵀX: the served work-shared plan (fmatrix.Gram) vs the
+// serial, COF-materialising (LMFAO-style) plan.
 type Fig8Row struct {
 	Cardinality int
 	Shared      time.Duration
@@ -65,48 +68,106 @@ func pow(b, e int) int {
 	return r
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// fig8Matrix is the matrix Figure 8 multiplies out: three 3-level chains of
+// about w leaves each, one feature column per attribute, each value's feature
+// a fixed positive number (so no cell of XᵀX cancels toward zero, and a
+// relative comparison of two plans stays meaningful).
+func fig8Matrix(w int) *fmatrix.Matrix {
+	fz, err := factor.New([]*factor.Source{chainSource("h0", 3, w), chainSource("h1", 3, w), chainSource("h2", 3, w)}, []int{3, 3, 3})
+	if err != nil {
+		panic(err)
 	}
-	return b
+	cols := make([]fmatrix.Column, fz.NumAttrs())
+	for ai := range cols {
+		vals, _ := fz.CountVals(ai)
+		fv := make([]float64, len(vals))
+		for v := range fv {
+			fv[v] = 1 + float64((7*v+3*ai)%13)/13
+		}
+		cols[ai] = fmatrix.Column{Name: fmt.Sprintf("a%d", ai), Attr: ai, Vals: fv}
+	}
+	m, err := fmatrix.New(fz, cols)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
-// Fig8 sweeps the attribute cardinality and measures computing the full set
-// of decomposed aggregates (COUNT, TOTAL and every COF pair): the
-// work-shared plan reuses the chains' extension counts and keeps
-// cross-hierarchy COF factorised; the serial baseline rescans per query and
-// materializes the cross products.
-func Fig8(cards []int, seed int64) ([]Fig8Row, *Table) {
+// serialGram is Figure 8's baseline, a serial LMFAO-style plan for the XᵀX
+// fmatrix.Gram serves: every cell is its own query, and no aggregate is
+// shared between cells. A cell over one attribute reads COUNT afresh; any
+// other cell materialises COF as a dense |dom(p)|×|dom(q)| table,
+// cross-hierarchy pairs included — the product the served plan never builds.
+// It reads the factorizer only through exported methods.
+func serialGram(m *fmatrix.Matrix) *mat.Matrix {
+	f := m.F
+	k := len(m.Cols)
+	out := mat.New(k, k)
+	for i := 0; i < k; i++ {
+		for j := i; j < k; j++ {
+			p, q := m.Cols[i].Attr, m.Cols[j].Attr
+			fp, fq := m.Cols[i].Vals, m.Cols[j].Vals
+			if p > q {
+				p, q = q, p
+				fp, fq = fq, fp
+			}
+			var s float64
+			if p == q {
+				_, counts := f.CountVals(p)
+				for v, cnt := range counts {
+					s += cnt * fp[v] * fq[v]
+				}
+			} else {
+				cof := make([]float64, len(fp)*len(fq))
+				f.Cof(p, q, func(vp, vq int, cnt float64) { cof[vp*len(fq)+vq] += cnt })
+				for vp, a := range fp {
+					for vq, b := range fq {
+						s += cof[vp*len(fq)+vq] * a * b
+					}
+				}
+			}
+			cell := s * f.N() / f.SufTotal(p)
+			out.Set(i, j, cell)
+			out.Set(j, i, cell)
+		}
+	}
+	return out
+}
+
+// gramsAgree reports whether every cell of a and b agrees to within rel of
+// the larger magnitude.
+func gramsAgree(a, b *mat.Matrix, rel float64) bool {
+	for i, x := range a.Data {
+		y := b.Data[i]
+		if math.Abs(x-y) > rel*math.Max(math.Abs(x), math.Abs(y)) {
+			return false
+		}
+	}
+	return true
+}
+
+// Fig8 sweeps the attribute cardinality over three 3-level hierarchies and
+// times one XᵀX with one column per attribute, computed two ways: by the
+// served work-shared plan (fmatrix.Gram: COUNT shared through the chains'
+// extension counts, cross-hierarchy COF kept factorised) and by the serial
+// baseline (serialGram). The two matrices must agree to a relative 1e-9.
+func Fig8(cards []int) ([]Fig8Row, *Table) {
 	if len(cards) == 0 {
 		cards = []int{200, 400, 800, 1600}
 	}
-	_ = seed
 	var rows []Fig8Row
 	for _, w := range cards {
-		srcs := []*factor.Source{
-			chainSource("h0", 3, w),
-			chainSource("h1", 3, w),
-			chainSource("h2", 3, w),
-		}
-		fz, err := factor.New(srcs, []int{3, 3, 3})
-		if err != nil {
-			panic(err)
-		}
-		var shared, serial *factor.Aggregates
-		tShared := timeIt(func() { shared = fz.ComputeAggregates() })
-		tSerial := timeIt(func() { serial = fz.ComputeAggregatesSerial() })
-		// Cross-check the two plans.
-		for k, v := range shared.CofChecksums {
-			s := serial.CofChecksums[k]
-			if s < v*(1-1e-9)-1e-9 || s > v*(1+1e-9)+1e-9 {
-				panic(fmt.Sprintf("fig8: checksum mismatch at %v: %v vs %v", k, v, s))
-			}
+		m := fig8Matrix(w)
+		var shared, serial *mat.Matrix
+		tShared := timeIt(func() { shared = m.Gram() })
+		tSerial := timeIt(func() { serial = serialGram(m) })
+		if !gramsAgree(shared, serial, 1e-9) {
+			panic(fmt.Sprintf("fig8: served and serial XᵀX disagree at cardinality %d", w))
 		}
 		rows = append(rows, Fig8Row{Cardinality: w, Shared: tShared, Serial: tSerial})
 	}
 	t := &Table{
-		Title:  "Figure 8: multi-query execution, work-shared vs serial (LMFAO-style)",
+		Title:  "Figure 8: XᵀX, served work-shared plan (fmatrix.Gram) vs serial COF-materialising plan (LMFAO-style)",
 		Header: []string{"cardinality", "serial", "shared", "speedup"},
 	}
 	for _, r := range rows {

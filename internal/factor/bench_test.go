@@ -64,45 +64,6 @@ func BenchmarkBuildChain(b *testing.B) {
 	}
 }
 
-func BenchmarkComputeAggregatesShared(b *testing.B) {
-	srcs := benchSources(b, 2000)
-	f, err := New(srcs, []int{3, 3, 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ComputeAggregates()
-	}
-}
-
-func BenchmarkComputeAggregatesSerial(b *testing.B) {
-	srcs := benchSources(b, 2000)
-	f, err := New(srcs, []int{3, 3, 3})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.ComputeAggregatesSerial()
-	}
-}
-
-func BenchmarkDrillDownDynamic(b *testing.B) {
-	srcs := benchSources(b, 2000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f, err := New(srcs, []int{2, 2, 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		f.SetMode(Dynamic)
-		if err := f.DrillDown(0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRowIterator(b *testing.B) {
 	srcs := []*Source{benchChainSource(b, 0, 100), benchChainSource(b, 1, 100)}
 	f, err := New(srcs, []int{3, 3})

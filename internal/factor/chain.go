@@ -1,15 +1,14 @@
 // Package factor implements Reptile's factorised representation of the
 // attribute matrix (§2.2, §3.4, Appendix C): per-hierarchy chain relations in
-// BCNF, the decomposed count aggregates TOTAL / COUNT / COF (§4.2.1) computed
-// with Appendix I's work sharing (ComputeAggregates: COUNT derived down each
-// chain, cross-hierarchy COF never materialized), a row iterator over the
-// implicit cross-product matrix (Algorithm 1) together with the per-hierarchy
-// transition tables that let operators replay it without iterating, and the
-// drill-down update strategies Static / Dynamic / Cache+Dynamic of §4.4 and
-// Appendix J.
+// BCNF, the decomposed count aggregates TOTAL / COUNT / COF (§4.2.1) read off
+// the chains (COUNT from each level's leaf-extension counts, cross-hierarchy
+// COF in factorised form, never materialized), a row iterator over the
+// implicit cross-product matrix (Algorithm 1), and the per-hierarchy
+// transition tables that let operators replay it without iterating.
+// internal/fmatrix builds the served XᵀX and matrix products on these reads.
 //
 // Attributes are indexed 0..d-1 left to right, hierarchy by hierarchy (in
-// hierarchy order, the drill-down hierarchy last) and least to most specific
+// source order, the drill-down hierarchy last) and least to most specific
 // within a hierarchy. With that convention the paper's suffix aggregates
 // translate to:
 //

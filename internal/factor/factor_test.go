@@ -346,116 +346,6 @@ func TestAggregatesMatchBruteForceProperty(t *testing.T) {
 	}
 }
 
-func TestDrillDownMovesHierarchyLast(t *testing.T) {
-	f := paperFactorizer(t)
-	// Start over at depth 1 for geo.
-	f2, err := New(paperSources(t), []int{1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f2.N() != 4 { // 2 times × 2 districts
-		t.Fatalf("N = %v, want 4", f2.N())
-	}
-	pos, ok := f2.OrderPos("geo")
-	if !ok {
-		t.Fatal("geo not found")
-	}
-	if !f2.CanDrill(pos) {
-		t.Fatal("geo should be drillable")
-	}
-	if err := f2.DrillDown(pos); err != nil {
-		t.Fatal(err)
-	}
-	if f2.N() != 6 {
-		t.Errorf("after drill N = %v, want 6", f2.N())
-	}
-	// Geo must now be last in order.
-	if f2.HierarchyName(f2.NumHierarchies()-1) != "geo" {
-		t.Error("drilled hierarchy not last")
-	}
-	// Aggregates must equal the fully rebuilt factorizer's.
-	for i := 0; i < f2.NumAttrs(); i++ {
-		// f (built fresh at same depths with same order) serves as reference.
-		if f2.SufTotal(i) != f.SufTotal(i) {
-			t.Errorf("SufTotal(%d) = %v, want %v", i, f2.SufTotal(i), f.SufTotal(i))
-		}
-	}
-	// Fully drilled → CanDrill false, DrillDown errors.
-	if f2.CanDrill(f2.NumHierarchies() - 1) {
-		t.Error("geo should be fully drilled")
-	}
-	if err := f2.DrillDown(f2.NumHierarchies() - 1); err == nil {
-		t.Error("expected error drilling a fully drilled hierarchy")
-	}
-}
-
-// Property: Dynamic and CacheDynamic drill-downs produce identical aggregates
-// to a Static rebuild.
-func TestDrillModesAgreeProperty(t *testing.T) {
-	for trial := 0; trial < 40; trial++ {
-		r := rand.New(rand.NewSource(int64(1000 + trial)))
-		base := randomFactorizer(r)
-		// Only exercise drillable configurations.
-		var drillable []int
-		for pos := 0; pos < base.NumHierarchies(); pos++ {
-			if base.CanDrill(pos) {
-				drillable = append(drillable, pos)
-			}
-		}
-		if len(drillable) == 0 {
-			continue
-		}
-		pos := drillable[r.Intn(len(drillable))]
-		variants := make([]*Factorizer, 3)
-		for mi, mode := range []DrillMode{Static, Dynamic, CacheDynamic} {
-			v := base.Clone()
-			v.SetMode(mode)
-			if err := v.DrillDown(pos); err != nil {
-				t.Fatal(err)
-			}
-			variants[mi] = v
-		}
-		for _, v := range variants[1:] {
-			if v.N() != variants[0].N() || v.NumAttrs() != variants[0].NumAttrs() {
-				t.Fatalf("trial %d: shape mismatch across modes", trial)
-			}
-			for i := 0; i < v.NumAttrs(); i++ {
-				if v.SufTotal(i) != variants[0].SufTotal(i) {
-					t.Fatalf("trial %d: SufTotal(%d) differs across modes", trial, i)
-				}
-				_, a := v.CountVals(i)
-				_, b := variants[0].CountVals(i)
-				for k := range a {
-					if a[k] != b[k] {
-						t.Fatalf("trial %d: COUNT(%d) differs across modes", trial, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestComputeAggregatesSharedVsSerial(t *testing.T) {
-	f := paperFactorizer(t)
-	shared := f.ComputeAggregates()
-	serial := f.ComputeAggregatesSerial()
-	for i := range shared.SufTotal {
-		if shared.SufTotal[i] != serial.SufTotal[i] {
-			t.Errorf("SufTotal[%d]: shared %v serial %v", i, shared.SufTotal[i], serial.SufTotal[i])
-		}
-		for v := range shared.Counts[i] {
-			if shared.Counts[i][v] != serial.Counts[i][v] {
-				t.Errorf("Counts[%d][%d] differ", i, v)
-			}
-		}
-	}
-	for k, v := range shared.CofChecksums {
-		if s := serial.CofChecksums[k]; s < v-1e-9 || s > v+1e-9 {
-			t.Errorf("CofChecksum[%v]: shared %v serial %v", k, v, s)
-		}
-	}
-}
-
 func TestRowIndexOfAndLeafIndex(t *testing.T) {
 	f := paperFactorizer(t)
 	if got := f.RowIndexOf([]int{1, 2}); got != 5 {
@@ -466,14 +356,5 @@ func TestRowIndexOfAndLeafIndex(t *testing.T) {
 	}
 	if got := f.LeafIndex(1, "nope"); got != -1 {
 		t.Errorf("LeafIndex missing = %d, want -1", got)
-	}
-}
-
-func TestDrillModeString(t *testing.T) {
-	if Static.String() != "Static" || Dynamic.String() != "Dynamic" || CacheDynamic.String() != "Cache+Dynamic" {
-		t.Error("DrillMode strings wrong")
-	}
-	if DrillMode(99).String() == "" {
-		t.Error("unknown mode should still render")
 	}
 }

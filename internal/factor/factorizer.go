@@ -1,146 +1,72 @@
 package factor
 
-import (
-	"fmt"
-)
+import "fmt"
 
 // Attr identifies one attribute (column) of the implicit attribute matrix.
 type Attr struct {
 	Name  string
-	Hier  int // position in the current hierarchy order
+	Hier  int // hierarchy position: its source's index in New
 	Level int // depth within the hierarchy chain
 }
 
-// DrillMode selects the §4.4 recomputation strategy benchmarked in Figure 9.
-type DrillMode int
-
-const (
-	// Static recomputes every hierarchy's aggregates from scratch.
-	Static DrillMode = iota
-	// Dynamic recomputes only the drilled hierarchy and updates the rest in
-	// O(1) via the independence between hierarchies.
-	Dynamic
-	// CacheDynamic additionally reuses chains cached by earlier evaluations.
-	CacheDynamic
-)
-
-func (m DrillMode) String() string {
-	switch m {
-	case Static:
-		return "Static"
-	case Dynamic:
-		return "Dynamic"
-	case CacheDynamic:
-		return "Cache+Dynamic"
-	}
-	return fmt.Sprintf("DrillMode(%d)", int(m))
-}
-
 // Factorizer stores the factorised attribute matrix: one chain per hierarchy
-// at its current drill-down depth, in hierarchy order (the hierarchy to drill
-// down is last), plus the cross-hierarchy scalars that make the decomposed
+// at its drill-down depth, in source order (callers put the hierarchy to
+// drill down last), plus the cross-hierarchy scalars that make the decomposed
 // aggregates O(1) to combine.
 type Factorizer struct {
-	sources []*Source
-	order   []int    // hierarchy order: positions into sources
-	depth   []int    // current depth per source
-	chains  []*Chain // per source (indexed like sources)
-	cache   map[string]*Chain
-	mode    DrillMode
-
-	// Derived, recomputed by refresh().
+	chains     []*Chain  // per hierarchy position
 	attrs      []Attr    // flattened attribute order
-	attrOfHier [][]int   // attr indices per hierarchy-order position
-	leaves     []float64 // per hierarchy-order position
+	attrOfHier [][]int   // attr indices per hierarchy position
+	leaves     []float64 // per hierarchy position
 	prodBefore []float64 // product of leaves of hierarchies before position
 	prodAfter  []float64 // product of leaves of hierarchies after position
 	n          float64   // total implicit row count
 }
 
-// New builds a factorizer over the given hierarchies at the given initial
-// depths (attribute counts; 0 selects depth 1). The hierarchy order is the
-// source order.
+// New builds a factorizer over the given hierarchies at the given depths
+// (attribute counts; 0 selects depth 1). Hierarchy position pos is
+// sources[pos]. A Factorizer is read-only after New: no method writes to it,
+// so goroutines may share one, and the engine memoises one per drilled view.
 func New(sources []*Source, depths []int) (*Factorizer, error) {
 	if len(sources) == 0 {
 		return nil, fmt.Errorf("factor: no hierarchies")
 	}
+	nh := len(sources)
 	f := &Factorizer{
-		sources: sources,
-		order:   make([]int, len(sources)),
-		depth:   make([]int, len(sources)),
-		chains:  make([]*Chain, len(sources)),
-		cache:   map[string]*Chain{},
-		mode:    CacheDynamic,
+		chains:     make([]*Chain, nh),
+		attrOfHier: make([][]int, nh),
+		leaves:     make([]float64, nh),
+		prodBefore: make([]float64, nh),
+		prodAfter:  make([]float64, nh),
 	}
-	for i := range sources {
-		f.order[i] = i
+	for pos, src := range sources {
 		d := 1
-		if depths != nil && depths[i] > 0 {
-			d = depths[i]
+		if depths != nil && depths[pos] > 0 {
+			d = depths[pos]
 		}
-		f.depth[i] = d
-		ch, err := f.buildChain(i, d)
+		ch, err := BuildChain(src, d)
 		if err != nil {
 			return nil, err
 		}
-		f.chains[i] = ch
-	}
-	f.refresh()
-	return f, nil
-}
-
-// SetMode selects the drill-down recomputation strategy.
-func (f *Factorizer) SetMode(m DrillMode) { f.mode = m }
-
-func (f *Factorizer) cacheKey(src, depth int) string {
-	return fmt.Sprintf("%s/%d", f.sources[src].Name, depth)
-}
-
-func (f *Factorizer) buildChain(src, depth int) (*Chain, error) {
-	if f.mode == CacheDynamic {
-		if ch, ok := f.cache[f.cacheKey(src, depth)]; ok {
-			return ch, nil
-		}
-	}
-	ch, err := BuildChain(f.sources[src], depth)
-	if err != nil {
-		return nil, err
-	}
-	if f.mode == CacheDynamic {
-		f.cache[f.cacheKey(src, depth)] = ch
-	}
-	return ch, nil
-}
-
-// refresh recomputes the flattened attribute order and cross-hierarchy
-// scalars. With Dynamic or CacheDynamic mode this is the only work performed
-// for non-drilled hierarchies (O(|H|), the paper's O(1)-per-aggregate
-// update); with Static mode callers additionally rebuild every chain.
-func (f *Factorizer) refresh() {
-	f.attrs = f.attrs[:0]
-	f.attrOfHier = make([][]int, len(f.order))
-	f.leaves = make([]float64, len(f.order))
-	for pos, src := range f.order {
-		ch := f.chains[src]
+		f.chains[pos] = ch
 		f.leaves[pos] = float64(ch.Leaves())
-		for l := 0; l < ch.Depth(); l++ {
+		for l, lv := range ch.Levels {
 			f.attrOfHier[pos] = append(f.attrOfHier[pos], len(f.attrs))
-			f.attrs = append(f.attrs, Attr{Name: ch.Levels[l].Attr, Hier: pos, Level: l})
+			f.attrs = append(f.attrs, Attr{Name: lv.Attr, Hier: pos, Level: l})
 		}
 	}
-	f.prodBefore = make([]float64, len(f.order))
-	f.prodAfter = make([]float64, len(f.order))
 	p := 1.0
-	for pos := range f.order {
+	for pos := range nh {
 		f.prodBefore[pos] = p
 		p *= f.leaves[pos]
 	}
 	f.n = p
 	p = 1.0
-	for pos := len(f.order) - 1; pos >= 0; pos-- {
+	for pos := nh - 1; pos >= 0; pos-- {
 		f.prodAfter[pos] = p
 		p *= f.leaves[pos]
 	}
+	return f, nil
 }
 
 // Attrs returns the flattened attribute order.
@@ -155,23 +81,13 @@ func (f *Factorizer) NumAttrs() int { return len(f.attrs) }
 func (f *Factorizer) N() float64 { return f.n }
 
 // NumHierarchies returns the number of hierarchies.
-func (f *Factorizer) NumHierarchies() int { return len(f.order) }
+func (f *Factorizer) NumHierarchies() int { return len(f.chains) }
 
-// Chain returns the chain at hierarchy-order position pos.
-func (f *Factorizer) Chain(pos int) *Chain { return f.chains[f.order[pos]] }
+// Chain returns the chain at hierarchy position pos.
+func (f *Factorizer) Chain(pos int) *Chain { return f.chains[pos] }
 
-// HierarchyName returns the name of the hierarchy at order position pos.
-func (f *Factorizer) HierarchyName(pos int) string { return f.sources[f.order[pos]].Name }
-
-// OrderPos returns the hierarchy-order position of the named hierarchy.
-func (f *Factorizer) OrderPos(name string) (int, bool) {
-	for pos, src := range f.order {
-		if f.sources[src].Name == name {
-			return pos, true
-		}
-	}
-	return 0, false
-}
+// HierarchyName returns the name of the hierarchy at position pos.
+func (f *Factorizer) HierarchyName(pos int) string { return f.chains[pos].Name }
 
 // AttrIndex returns the flattened index of the named attribute.
 func (f *Factorizer) AttrIndex(name string) (int, bool) {
@@ -183,7 +99,7 @@ func (f *Factorizer) AttrIndex(name string) (int, bool) {
 	return 0, false
 }
 
-// Leaves returns the path count of the hierarchy at order position pos.
+// Leaves returns the path count of the hierarchy at position pos.
 func (f *Factorizer) Leaves(pos int) float64 { return f.leaves[pos] }
 
 // ProdBefore returns the product of leaf counts of hierarchies before pos.
@@ -251,65 +167,4 @@ func (f *Factorizer) Cof(i, j int, fn func(vi, vj int, count float64)) {
 // SameHierarchy reports whether attributes i and j are in the same hierarchy.
 func (f *Factorizer) SameHierarchy(i, j int) bool {
 	return f.attrs[i].Hier == f.attrs[j].Hier
-}
-
-// CanDrill reports whether the hierarchy at order position pos has a deeper
-// attribute to drill into.
-func (f *Factorizer) CanDrill(pos int) bool {
-	src := f.order[pos]
-	return f.depth[src] < len(f.sources[src].Attrs)
-}
-
-// DrillDown extends the hierarchy at order position pos by one attribute and
-// moves it to the end of the hierarchy order (the paper requires the
-// drill-down hierarchy to be ordered last). Recomputation follows the
-// configured DrillMode: the drilled chain is always (re)built; with Static
-// every other chain is rebuilt too; with Dynamic/CacheDynamic the other
-// hierarchies' aggregates are reused and only the O(|H|) scalars refresh.
-func (f *Factorizer) DrillDown(pos int) error {
-	if pos < 0 || pos >= len(f.order) {
-		return fmt.Errorf("factor: hierarchy position %d out of range", pos)
-	}
-	src := f.order[pos]
-	if !f.CanDrill(pos) {
-		return fmt.Errorf("factor: hierarchy %q is fully drilled", f.sources[src].Name)
-	}
-	f.depth[src]++
-	ch, err := f.buildChain(src, f.depth[src])
-	if err != nil {
-		f.depth[src]--
-		return err
-	}
-	f.chains[src] = ch
-	if f.mode == Static {
-		for s := range f.sources {
-			if s == src {
-				continue
-			}
-			rebuilt, err := BuildChain(f.sources[s], f.depth[s])
-			if err != nil {
-				return err
-			}
-			f.chains[s] = rebuilt
-		}
-	}
-	// Move the drilled hierarchy to the end of the order.
-	f.order = append(append(f.order[:pos:pos], f.order[pos+1:]...), src)
-	f.refresh()
-	return nil
-}
-
-// Clone returns an independent copy sharing the immutable sources and chain
-// cache (chains themselves are immutable once built).
-func (f *Factorizer) Clone() *Factorizer {
-	c := &Factorizer{
-		sources: f.sources,
-		order:   append([]int(nil), f.order...),
-		depth:   append([]int(nil), f.depth...),
-		chains:  append([]*Chain(nil), f.chains...),
-		cache:   f.cache,
-		mode:    f.mode,
-	}
-	c.refresh()
-	return c
 }

@@ -19,7 +19,7 @@ type Change struct {
 // ancestor levels whose value changed.
 type RowIter struct {
 	f       *Factorizer
-	leaf    []int // current leaf index per hierarchy-order position
+	leaf    []int // current leaf index per hierarchy position
 	cur     []int // current value index per attribute
 	buf     []Change
 	started bool
@@ -116,7 +116,7 @@ type Transitions struct {
 	Wrap  []Change   // the leaf returns from the last leaf to leaf 0
 }
 
-// Transitions tabulates the hierarchy at order position pos.
+// Transitions tabulates the hierarchy at position pos.
 func (f *Factorizer) Transitions(pos int) Transitions {
 	it := f.Rows()
 	leaves := f.Chain(pos).Leaves()
@@ -149,7 +149,7 @@ func (f *Factorizer) RowIndexOf(leafPerHier []int) int {
 }
 
 // LeafIndex returns the leaf (deepest-level) value index of value v in the
-// hierarchy at order position pos, or -1 when absent.
+// hierarchy at position pos, or -1 when absent.
 func (f *Factorizer) LeafIndex(pos int, v string) int {
 	ch := f.Chain(pos)
 	return ch.ValueIndex(ch.Depth()-1, v)

@@ -317,7 +317,7 @@ func (m *Matrix) TMulVec(v []float64) ([]float64, error) {
 var prefixPool sync.Pool
 
 // leftMulColumn evaluates row·col for one column given the row's prefix
-// sums. The column of an attribute at hierarchy-order position h consists of
+// sums. The column of an attribute at hierarchy position h consists of
 // ProdBefore(h) repetitions of its suffix pattern; within one repetition each
 // value v occupies Count[v] consecutive rows in path-sorted order.
 func (m *Matrix) leftMulColumn(prefix []float64, c Column) float64 {
