@@ -2,7 +2,7 @@
 // attribute matrix (§2.2, §3.4, Appendix C): per-hierarchy chain relations in
 // BCNF, the decomposed count aggregates TOTAL / COUNT / COF (§4.2.1) read off
 // the chains (COUNT from each level's leaf-extension counts, cross-hierarchy
-// COF in factorised form, never materialized), a row iterator over the
+// COF as a product of COUNTs, never stored), a row iterator over the
 // implicit cross-product matrix (Algorithm 1), and the per-hierarchy
 // transition tables that let operators replay it without iterating.
 // internal/fmatrix builds the served XᵀX and matrix products on these reads.
