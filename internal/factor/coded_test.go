@@ -3,8 +3,6 @@ package factor
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
-	"slices"
 	"testing"
 
 	"repro/internal/data"
@@ -33,10 +31,11 @@ func referencePaths(d *data.Dataset, h data.Hierarchy) [][]string {
 	return paths
 }
 
-// TestSourceFromDatasetCodedMatchesStringPath verifies the group-by behind
-// SourceFromDataset against the string reference, sorted and checked by
-// NewSource alike, over prefixes, subsets, empty datasets and key spaces past
-// uint64; a dataset of no measures has nothing to group by and is refused.
+// TestSourceFromDatasetCodedMatchesStringPath holds SourceFromDataset's
+// chains to the string reference (checkChainsMatchReference), and its errors
+// to NewSource's over the reference paths, over prefixes, subsets, empty
+// datasets and key spaces past uint64; a dataset of no measures has nothing
+// to group by and is refused.
 func TestSourceFromDatasetCodedMatchesStringPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	h := data.Hierarchy{Name: "geo", Attrs: []string{"region", "district", "village"}}
@@ -84,14 +83,14 @@ func TestSourceFromDatasetCodedMatchesStringPath(t *testing.T) {
 		{"wide 8", wide, data.Hierarchy{Name: "w", Attrs: names[:8]}},
 		{"wide 10", wide, data.Hierarchy{Name: "w", Attrs: names}},
 	} {
-		got, err := SourceFromDataset(tc.d, tc.h)
-		want, wantErr := NewSource(tc.h.Name, tc.h.Attrs, referencePaths(tc.d, tc.h))
+		_, err := SourceFromDataset(tc.d, tc.h)
+		_, wantErr := NewSource(tc.h.Name, tc.h.Attrs, referencePaths(tc.d, tc.h))
 		if (err == nil) != (wantErr == nil) {
 			t.Errorf("%s: error %v, string reference's %v", tc.name, err, wantErr)
 			continue
 		}
-		if err == nil && !slices.EqualFunc(got.Paths, want.Paths, slices.Equal) {
-			t.Errorf("%s: source paths != string reference:\n got %v\nwant %v", tc.name, got.Paths, want.Paths)
+		if err == nil {
+			checkChainsMatchReference(t, tc.name, tc.d, tc.h)
 		}
 	}
 	if _, err := SourceFromDataset(data.New("e", h.Attrs, nil, nil), h); err == nil {
@@ -99,9 +98,9 @@ func TestSourceFromDatasetCodedMatchesStringPath(t *testing.T) {
 	}
 }
 
-// TestSourceFromDatasetKeyRegimes holds a source's paths to the string
-// reference over every shape of key space a scan's bucketing can meet —
-// dictionaries mostly unused, their product far below, exactly at and just
+// TestSourceFromDatasetKeyRegimes holds a source's chains to the string
+// reference (checkChainsMatchReference) over every shape of key space a
+// scan's bucketing can meet — dictionaries mostly unused, their product far below, exactly at and just
 // past four times the row count, far past it within uint64 (six attributes of
 // 1,000 entries) and past uint64 (seven) — at row counts on both sides of a
 // 1,024-row boundary, whole and as a Where subset keeping the dictionaries.
@@ -152,7 +151,7 @@ func TestSourceFromDatasetKeyRegimes(t *testing.T) {
 				subset = d.Where(data.Predicate{h.Attrs[0]: d.Dim(h.Attrs[0])[0]})
 			}
 			for _, sub := range []*data.Dataset{d, subset} {
-				got, err := SourceFromDataset(sub, h)
+				_, err := SourceFromDataset(sub, h)
 				if len(sizes) == 0 {
 					if err == nil {
 						t.Errorf("%d rows: a hierarchy of no attributes built a source", sub.NumRows())
@@ -162,12 +161,7 @@ func TestSourceFromDatasetKeyRegimes(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%d of %d rows, dictionaries %v: %v", sub.NumRows(), rows, sizes, err)
 				}
-				want := referencePaths(sub, h)
-				slices.SortFunc(want, func(a, b []string) int { return slices.Compare(a, b) })
-				if !reflect.DeepEqual(got.Paths, want) {
-					t.Errorf("%d of %d rows, dictionaries %v: source paths != sorted string reference:\n got %v\nwant %v",
-						sub.NumRows(), rows, sizes, got.Paths, want)
-				}
+				checkChainsMatchReference(t, fmt.Sprintf("%d of %d rows, dictionaries %v", sub.NumRows(), rows, sizes), sub, h)
 			}
 		}
 	}

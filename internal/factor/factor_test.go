@@ -47,6 +47,10 @@ func TestNewSourceValidation(t *testing.T) {
 	if _, err := NewSource("h", []string{"a", "b"}, [][]string{{"p1", "c"}, {"p2", "c"}}); err == nil {
 		t.Error("expected FD violation error")
 	}
+	// The same, its two parents apart in path order.
+	if _, err := NewSource("h", []string{"a", "b"}, [][]string{{"p1", "c"}, {"p2", "x"}, {"p3", "c"}}); err == nil {
+		t.Error("expected FD violation error for parents apart in path order")
+	}
 	// Mid-level FD violation with distinct leaves.
 	if _, err := NewSource("h", []string{"a", "b", "c"}, [][]string{
 		{"p1", "m", "l1"}, {"p2", "m", "l2"},
