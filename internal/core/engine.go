@@ -138,21 +138,16 @@ func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
 // regime: distinct hierarchy paths never change). A hierarchy's paths are the
 // groups of γ over its own attributes, so they come from the memoised
 // group-by, over any measure: a drill state whose drilled relation is h's
-// path set shares that one call. The paths are the one group-by the engine
-// decodes whole.
+// path set shares that one call. The source keeps the γ's codes and
+// dictionaries; nothing is decoded.
 func (e *Engine) sourceFor(h data.Hierarchy, measure string) (*factor.Source, error) {
 	return memoGet(e.memo, fmt.Sprintf("source %q", h.Name), func() (*factor.Source, error) {
 		groups, err := e.groups(nil, h.Attrs, measure)
 		if err != nil {
 			return nil, err
 		}
-		decoded := groups.Decode().Groups
-		paths := make([][]string, len(decoded))
-		for gi, g := range decoded {
-			paths[gi] = g.Vals
-		}
-		return factor.NewSource(h.Name, h.Attrs, paths)
-	}, func(src *factor.Source) int { return len(src.Paths) })
+		return factor.NewCodedSource(h.Name, groups)
+	}, (*factor.Source).Len)
 }
 
 // Dataset returns the engine's dataset. On a sharded engine this is the
@@ -932,33 +927,31 @@ func (e *Engine) PredictGroupStats(attrs []string, measure string, stat agg.Func
 }
 
 // groupRowIndex maps every observed group to its row in the factorised
-// matrix's iteration order.
+// matrix's iteration order. The group-by codes against its sources'
+// dictionaries, so a group's leaf is read off the deepest level's code →
+// position table.
 func groupRowIndex(fz *factor.Factorizer, groups *agg.Result) ([]int, error) {
 	// Per hierarchy position, the deepest attribute's index within
-	// groups.Attrs.
+	// groups.Attrs and that level's code → leaf table.
 	nh := fz.NumHierarchies()
-	deepAttr := make([]int, nh)
+	deepAttr, leafOf := make([]int, nh), make([][]int32, nh)
 	for pos := 0; pos < nh; pos++ {
 		ch := fz.Chain(pos)
-		name := ch.Levels[ch.Depth()-1].Attr
-		if deepAttr[pos] = slices.Index(groups.Attrs, name); deepAttr[pos] < 0 {
-			return nil, fmt.Errorf("core: factorizer attribute %q missing from group-by %v", name, groups.Attrs)
+		lv := ch.Levels[ch.Depth()-1]
+		if deepAttr[pos] = slices.Index(groups.Attrs, lv.Attr); deepAttr[pos] < 0 {
+			return nil, fmt.Errorf("core: factorizer attribute %q missing from group-by %v", lv.Attr, groups.Attrs)
 		}
-	}
-	// One LeafIndex look-up per dictionary code (-1: not in the factorizer).
-	leafOf := make([][]int, nh)
-	for pos, ai := range deepAttr {
-		leafOf[pos] = make([]int, len(groups.Dicts[ai]))
-		for code, v := range groups.Dicts[ai] {
-			leafOf[pos][code] = fz.LeafIndex(pos, v)
+		if !data.SameDict(groups.Dicts[deepAttr[pos]], lv.Dict) {
+			return nil, fmt.Errorf("core: group-by codes %q against a dictionary its factor source does not share", lv.Attr)
 		}
+		leafOf[pos] = lv.Index
 	}
 	rowOf := make([]int, groups.Len())
 	leaf := make([]int, nh)
 	for gi := range rowOf {
 		for pos, ai := range deepAttr {
 			code := groups.Codes[gi*len(groups.Attrs)+ai]
-			if leaf[pos] = leafOf[pos][code]; leaf[pos] < 0 {
+			if leaf[pos] = int(leafOf[pos][code]); leaf[pos] < 0 {
 				return nil, fmt.Errorf("core: value %q not in factorizer hierarchy %q", groups.Dicts[ai][code], fz.HierarchyName(pos))
 			}
 		}

@@ -16,7 +16,9 @@ import "sync"
 // caller, so nothing may write to a memoised *agg.Result, *factor.Source or
 // *factor.Factorizer after its build returns. A memoised group-by is the coded
 // relation; a reader that needs strings decodes one group (Result.Group) or
-// takes a decoded view, which is a new Result (Result.Decode). Per-call
+// takes a decoded view, which is a new Result (Result.Decode). A factor source
+// is a hierarchy's group-by kept in codes: it shares that Result's
+// dictionaries, and its chains share its levels. Per-call
 // results (models, rankings, prediction maps) are assembled in fresh slices
 // and maps.
 //

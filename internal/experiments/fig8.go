@@ -22,7 +22,18 @@ type Fig8Row struct {
 // chainSource builds a t-level hierarchy with roughly w leaves arranged as a
 // balanced tree.
 func chainSource(name string, t, w int) *factor.Source {
-	attrs := make([]string, t)
+	attrs, paths := chainPaths(name, t, w)
+	src, err := factor.NewSource(name, attrs, paths)
+	if err != nil {
+		panic(err)
+	}
+	return src
+}
+
+// chainPaths returns chainSource's attributes and paths, in the order the
+// tree is built.
+func chainPaths(name string, t, w int) (attrs []string, paths [][]string) {
+	attrs = make([]string, t)
 	for l := range attrs {
 		attrs[l] = fmt.Sprintf("%s_a%d", name, l)
 	}
@@ -31,7 +42,6 @@ func chainSource(name string, t, w int) *factor.Source {
 	for pow(fan+1, t) <= w {
 		fan++
 	}
-	var paths [][]string
 	var build func(prefix []string, level, id int)
 	next := 0
 	build = func(prefix []string, level, id int) {
@@ -53,11 +63,7 @@ func chainSource(name string, t, w int) *factor.Source {
 		}
 	}
 	build(nil, 0, 0)
-	src, err := factor.NewSource(name, attrs, paths)
-	if err != nil {
-		panic(err)
-	}
-	return src
+	return attrs, paths
 }
 
 func pow(b, e int) int {

@@ -71,16 +71,20 @@ func Fig9(leafCount int) ([]Fig9Row, *Table) {
 }
 
 // fig9Dataset builds Figure 9's data: hierarchies A and B of six attributes,
-// each chainSource's balanced tree of about leafCount leaves, and a row per
+// each chainPaths' balanced tree of about leafCount leaves, and a row per
 // leaf of A, paired with a leaf of B by a fixed stride, plus a second row for
 // the first quarter of A's leaves, so the COUNT complaint has groups to tell
-// apart. Its FDs are verified here, before any timing.
+// apart. Rows walk each hierarchy's paths in lexicographic order. Its FDs are
+// verified here, before any timing.
 func fig9Dataset(leafCount int) *data.Dataset {
-	a, b := chainSource("A", 6, leafCount), chainSource("B", 6, leafCount)
-	ds := data.New("fig9", slices.Concat(a.Attrs, b.Attrs), []string{"m"},
-		[]data.Hierarchy{{Name: "A", Attrs: a.Attrs}, {Name: "B", Attrs: b.Attrs}})
-	for i := range len(a.Paths) * 5 / 4 {
-		ds.AppendRowVals(slices.Concat(a.Paths[i%len(a.Paths)], b.Paths[7*i%len(b.Paths)]), []float64{float64(i % 10)})
+	aAttrs, a := chainPaths("A", 6, leafCount)
+	bAttrs, b := chainPaths("B", 6, leafCount)
+	slices.SortFunc(a, slices.Compare)
+	slices.SortFunc(b, slices.Compare)
+	ds := data.New("fig9", slices.Concat(aAttrs, bAttrs), []string{"m"},
+		[]data.Hierarchy{{Name: "A", Attrs: aAttrs}, {Name: "B", Attrs: bAttrs}})
+	for i := range len(a) * 5 / 4 {
+		ds.AppendRowVals(slices.Concat(a[i%len(a)], b[7*i%len(b)]), []float64{float64(i % 10)})
 	}
 	if err := ds.Validate(); err != nil {
 		panic(err)

@@ -2,37 +2,54 @@ package factor
 
 import (
 	"testing"
+
+	"repro/internal/cube"
+	"repro/internal/data"
 )
 
-func benchSources(b *testing.B, w int) []*Source {
+// benchDataset is a validated, cubed dataset over hierarchies of three
+// levels, each of w leaves: w/10 roots of two children of five leaves. Row i
+// takes every hierarchy's i'th leaf, so each hierarchy has w paths.
+func benchDataset(b *testing.B, hierarchies, w int) *data.Dataset {
 	b.Helper()
-	var srcs []*Source
-	for h := 0; h < 3; h++ {
-		srcs = append(srcs, benchChainSource(b, h, w))
+	var hs []data.Hierarchy
+	var dims []string
+	for h := range hierarchies {
+		attrs := []string{name(h, 0), name(h, 1), name(h, 2)}
+		hs, dims = append(hs, data.Hierarchy{Name: name(h, 99), Attrs: attrs}), append(dims, attrs...)
 	}
-	return srcs
-}
-
-func benchChainSource(b *testing.B, h, w int) *Source {
-	b.Helper()
-	attrs := []string{name(h, 0), name(h, 1), name(h, 2)}
-	var paths [][]string
-	id := 0
-	for p := 0; p < w/10; p++ {
-		for m := 0; m < 2; m++ {
-			for c := 0; c < 5; c++ {
-				id++
-				paths = append(paths, []string{
-					valName(h, 0, p), valName(h, 1, p*2+m), valName(h, 2, id),
-				})
-			}
+	ds := data.New("bench", dims, []string{"m"}, hs)
+	vals := make([]string, len(dims))
+	for id := range w / 10 * 10 {
+		for h := range hierarchies {
+			p := id / 10
+			vals[3*h], vals[3*h+1], vals[3*h+2] = valName(h, 0, p), valName(h, 1, id/5), valName(h, 2, id+1)
 		}
+		ds.AppendRowVals(vals, []float64{float64(id % 7)})
 	}
-	src, err := NewSource(name(h, 99), attrs, paths)
+	if err := ds.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	c, err := cube.Build(ds)
 	if err != nil {
 		b.Fatal(err)
 	}
-	return src
+	ds.SetRollup(c)
+	return ds
+}
+
+// benchSources returns every hierarchy's source over benchDataset.
+func benchSources(b *testing.B, hierarchies, w int) []*Source {
+	b.Helper()
+	ds := benchDataset(b, hierarchies, w)
+	srcs := make([]*Source, hierarchies)
+	for h, hier := range ds.Hierarchies {
+		var err error
+		if srcs[h], err = SourceFromDataset(ds, hier); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return srcs
 }
 
 func name(h, l int) string { return "h" + string(rune('a'+h)) + "_a" + string(rune('0'+l)) }
@@ -54,8 +71,20 @@ func itoa(i int) string {
 	return string(buf[pos:])
 }
 
+// BenchmarkSourceFromDataset builds a 5,000-path hierarchy's source from the
+// cube's group-by over its attributes.
+func BenchmarkSourceFromDataset(b *testing.B) {
+	ds := benchDataset(b, 1, 5000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SourceFromDataset(ds, ds.Hierarchies[0]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkBuildChain(b *testing.B) {
-	srcs := benchSources(b, 5000)
+	srcs := benchSources(b, 1, 5000)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := BuildChain(srcs[0], 3); err != nil {
@@ -65,8 +94,7 @@ func BenchmarkBuildChain(b *testing.B) {
 }
 
 func BenchmarkRowIterator(b *testing.B) {
-	srcs := []*Source{benchChainSource(b, 0, 100), benchChainSource(b, 1, 100)}
-	f, err := New(srcs, []int{3, 3})
+	f, err := New(benchSources(b, 2, 100), []int{3, 3})
 	if err != nil {
 		b.Fatal(err)
 	}

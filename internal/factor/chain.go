@@ -7,6 +7,14 @@
 // transition tables that let operators replay it without iterating.
 // internal/fmatrix builds the served XᵀX and matrix products on these reads.
 //
+// A hierarchy's Source is the coded γ over its attributes, kept in codes: the
+// group-by is already in path order and coded against the dataset's
+// dictionaries, so one pass over its code table lays out every level, and a
+// per-level code → position table both checks the hierarchy's functional
+// dependencies and maps a group's code to its leaf. Strings appear only as
+// dictionary headers (Level.Vals) and at the string edges, NewSource and
+// LeafIndex.
+//
 // Attributes are indexed 0..d-1 left to right, hierarchy by hierarchy (in
 // source order, the drill-down hierarchy last) and least to most specific
 // within a hierarchy. With that convention the paper's suffix aggregates
@@ -22,203 +30,188 @@ package factor
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/agg"
 	"repro/internal/data"
 )
 
-// Source is the full, immutable definition of one hierarchy: its attribute
-// chain (least → most specific) and the set of distinct full-depth paths.
-// Paths are kept sorted lexicographically; all derived chains are prefixes.
+// Source is one hierarchy's distinct full-depth paths, kept as the coded γ
+// over its attributes (an agg.Result, in path order: lexicographic by value,
+// attribute by attribute). Its levels are the chain relations of the deepest
+// chain without Ext; a chain at any depth reuses its first levels. A Source is
+// read-only once built, except for the string index LeafIndex builds on its
+// first call, under a sync.Once.
 type Source struct {
-	Name  string
-	Attrs []string
-	Paths [][]string // sorted, deduplicated; each has len == len(Attrs)
+	Name   string
+	Attrs  []string
+	levels []Level // Ext nil
+
+	byValOnce sync.Once
+	byVal     []map[string]int // per level, value → position; built by LeafIndex
 }
 
-// NewSource builds a source from raw paths, sorting and deduplicating them,
-// and checks the hierarchy's functional dependencies: each value determines
-// its parent, so the most specific one determines the whole path.
-func NewSource(name string, attrs []string, paths [][]string) (*Source, error) {
-	if len(attrs) == 0 {
+// NewCodedSource builds hierarchy name's source from paths, the coded γ over
+// its attributes, in one pass and without decoding: a level's node starts
+// where a path's prefix through that level first differs from the previous
+// path's. Each level's code → position table is the check of the hierarchy's
+// functional dependencies: in path order a value under one parent enters its
+// level once, so a code that enters twice has two parents.
+func NewCodedSource(name string, paths *agg.Result) (*Source, error) {
+	k := len(paths.Attrs)
+	if k == 0 {
 		return nil, fmt.Errorf("factor: hierarchy %q has no attributes", name)
 	}
-	for _, p := range paths {
+	s := &Source{Name: name, Attrs: paths.Attrs, levels: make([]Level, k)}
+	for l := range s.levels {
+		lv := &s.levels[l]
+		lv.Attr, lv.Dict = paths.Attrs[l], paths.Dicts[l]
+		lv.Index = make([]int32, len(lv.Dict))
+		for c := range lv.Index {
+			lv.Index[c] = -1
+		}
+	}
+	var prev []uint32
+	for gi := range paths.Len() {
+		path := paths.Codes[gi*k : (gi+1)*k]
+		div := 0
+		for prev != nil && div < k && path[div] == prev[div] {
+			div++
+		}
+		for l := div; l < k; l++ {
+			lv, c := &s.levels[l], path[l]
+			if lv.Index[c] >= 0 {
+				return nil, fmt.Errorf("factor: hierarchy %q: FD violation: %s=%q on two paths", name, lv.Attr, lv.Dict[c])
+			}
+			lv.Index[c] = int32(len(lv.Codes))
+			lv.Codes = append(lv.Codes, c)
+			lv.Vals = append(lv.Vals, lv.Dict[c])
+			if l > 0 {
+				lv.Parent = append(lv.Parent, len(s.levels[l-1].Codes)-1)
+			}
+		}
+		prev = path
+	}
+	for l := 0; l+1 < k; l++ {
+		lv := &s.levels[l]
+		lv.ChildOff = make([]int, len(lv.Codes)+1)
+		for _, parent := range s.levels[l+1].Parent {
+			lv.ChildOff[parent+1]++
+		}
+		for i := 1; i < len(lv.ChildOff); i++ {
+			lv.ChildOff[i] += lv.ChildOff[i-1]
+		}
+	}
+	return s, nil
+}
+
+// NewSource builds a source from raw string paths (callers that hold no
+// codes: tests and the experiments' synthetic hierarchies), duplicates
+// allowed: it interns them through agg.NewResult into NewCodedSource.
+func NewSource(name string, attrs []string, paths [][]string) (*Source, error) {
+	groups := make([]agg.Group, len(paths))
+	for i, p := range paths {
 		if len(p) != len(attrs) {
 			return nil, fmt.Errorf("factor: hierarchy %q: path %v has %d values, want %d", name, p, len(p), len(attrs))
 		}
+		groups[i].Vals = p
 	}
-	sorted := make([][]string, len(paths))
-	copy(sorted, paths)
-	sort.Slice(sorted, func(a, b int) bool { return lessPath(sorted[a], sorted[b]) })
-	var dedup [][]string
-	for i, p := range sorted {
-		if i > 0 && equalPath(p, sorted[i-1]) {
-			continue
-		}
-		dedup = append(dedup, p)
-	}
-	// No leaf value may appear on two distinct paths.
-	leafSeen := make(map[string]int, len(dedup))
-	for i, p := range dedup {
-		leaf := p[len(p)-1]
-		if j, ok := leafSeen[leaf]; ok {
-			return nil, fmt.Errorf("factor: hierarchy %q: FD violation: leaf %q on paths %v and %v", name, leaf, dedup[j], p)
-		}
-		leafSeen[leaf] = i
-	}
-	// The FD must hold at every level, not just at the leaves.
-	for lvl := 1; lvl < len(attrs); lvl++ {
-		parent := make(map[string]string)
-		for _, p := range dedup {
-			if prev, ok := parent[p[lvl]]; ok && prev != p[lvl-1] {
-				return nil, fmt.Errorf("factor: hierarchy %q: FD violation: %s=%q under both %q and %q",
-					name, attrs[lvl], p[lvl], prev, p[lvl-1])
-			}
-			parent[p[lvl]] = p[lvl-1]
-		}
-	}
-	return &Source{Name: name, Attrs: attrs, Paths: dedup}, nil
+	return NewCodedSource(name, agg.NewResult(attrs, "", groups))
 }
 
 // SourceFromDataset builds hierarchy h's source from the paths present in d:
-// the groups of agg.GroupBy over h's attributes and d's first measure, read
-// from d's cube when it carries one and by row scan otherwise.
+// the groups of agg.GroupByCodes over h's attributes and d's first measure,
+// read from d's cube when it carries one and by row scan otherwise.
 func SourceFromDataset(d *data.Dataset, h data.Hierarchy) (*Source, error) {
 	measures := d.MeasureNames()
 	if len(measures) == 0 {
 		return nil, fmt.Errorf("factor: dataset %q has no measure to group hierarchy %q by", d.Name, h.Name)
 	}
-	groups := agg.GroupBy(d, h.Attrs, measures[0]).Groups
-	paths := make([][]string, len(groups))
-	for gi, g := range groups {
-		paths[gi] = g.Vals
-	}
-	return NewSource(h.Name, h.Attrs, paths)
+	return NewCodedSource(h.Name, agg.GroupByCodes(d, h.Attrs, measures[0]))
 }
 
-func lessPath(a, b []string) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
+// Len returns the number of distinct full-depth paths.
+func (s *Source) Len() int { return len(s.levels[len(s.levels)-1].Codes) }
+
+// position returns the index of value v at level l, or -1.
+func (s *Source) position(l int, v string) int {
+	s.byValOnce.Do(func() {
+		s.byVal = make([]map[string]int, len(s.levels))
+		for l, lv := range s.levels {
+			s.byVal[l] = make(map[string]int, len(lv.Vals))
+			for i, v := range lv.Vals {
+				s.byVal[l][v] = i
+			}
 		}
+	})
+	if i, ok := s.byVal[l][v]; ok {
+		return i
 	}
-	return false
+	return -1
 }
 
-func equalPath(a, b []string) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Level is one attribute's node layer in a chain: the distinct values at
-// this depth in path-sorted order, the parent linkage, child offsets into
-// the next level, and the within-hierarchy leaf-extension counts Ext.
+// Level is one attribute's node layer in a chain, in path order: the codes
+// present, their values, the parent linkage, child offsets into the next
+// level, and the within-hierarchy leaf-extension counts Ext. Every slice but
+// Ext is its source's, shared by the chains of every depth.
 type Level struct {
 	Attr     string
-	Vals     []string
-	Parent   []int // index into previous level's Vals; nil at level 0
-	ChildOff []int // len(Vals)+1 offsets into next level; nil at the last level
-	Ext      []int // leaf paths below each value (1 at the deepest level)
+	Dict     []string // the dictionary Codes index: the γ's, shared
+	Codes    []uint32 // the codes present, in path order
+	Vals     []string // Dict[Codes[i]], for the readers of strings
+	Index    []int32  // code → its position in Codes, -1 when absent; len(Dict)
+	Parent   []int    // index into previous level's Codes; nil at level 0
+	ChildOff []int    // len(Codes)+1 offsets into next level; nil at the last level
+	Ext      []int    // leaf paths below each value (1 at the deepest level)
 }
 
 // Chain is a hierarchy truncated to its current drill-down depth: the BCNF
-// chain relations of Appendix C, stored level by level in path-sorted order.
+// chain relations of Appendix C, stored level by level in path order.
 type Chain struct {
 	Name   string
 	Attrs  []string
 	Levels []Level
-	// ancIdx[l][leaf] is the index into Levels[l].Vals of the level-l
-	// ancestor of the leaf'th deepest-level value.
+	// ancIdx[l][leaf] is the index into Levels[l] of the level-l ancestor of
+	// the leaf'th deepest-level value.
 	ancIdx [][]int
-	// valIdx[l] maps a value at level l to its index in Levels[l].Vals.
-	valIdx []map[string]int
+	src    *Source
 }
 
 // Depth returns the number of attributes in the chain.
 func (c *Chain) Depth() int { return len(c.Levels) }
 
 // Leaves returns the number of distinct paths (deepest-level values).
-func (c *Chain) Leaves() int { return len(c.Levels[len(c.Levels)-1].Vals) }
+func (c *Chain) Leaves() int { return len(c.Levels[len(c.Levels)-1].Codes) }
 
-// AncestorIdx returns the index (into Levels[level].Vals) of the level-l
-// ancestor of leaf leafIdx.
+// AncestorIdx returns the index (into Levels[level]) of the level-l ancestor
+// of leaf leafIdx.
 func (c *Chain) AncestorIdx(level, leafIdx int) int { return c.ancIdx[level][leafIdx] }
 
 // BuildChain derives the chain at the given depth (1-based attribute count)
-// from a source. The cost is O(paths × depth), which models the paper's
-// "recompute the drill-down hierarchy's aggregates" step.
+// from a source: its first depth levels, with the deepest one's child offsets
+// dropped, plus what depends on the depth — Ext and the ancestor index, both
+// O(paths × depth).
 func BuildChain(src *Source, depth int) (*Chain, error) {
 	if depth < 1 || depth > len(src.Attrs) {
 		return nil, fmt.Errorf("factor: hierarchy %q: depth %d out of range 1..%d", src.Name, depth, len(src.Attrs))
 	}
-	if len(src.Paths) == 0 {
+	if src.Len() == 0 {
 		return nil, fmt.Errorf("factor: hierarchy %q has no paths", src.Name)
 	}
-	c := &Chain{Name: src.Name, Attrs: src.Attrs[:depth]}
-	c.Levels = make([]Level, depth)
-	for l := 0; l < depth; l++ {
-		c.Levels[l].Attr = src.Attrs[l]
-	}
-	// Because paths are sorted, distinct prefixes appear as contiguous runs.
-	// prevIdx[l] is the index of the current value at level l.
-	prevIdx := make([]int, depth)
-	for l := range prevIdx {
-		prevIdx[l] = -1
-	}
-	var prevPath []string
-	for _, p := range src.Paths {
-		// Find the first level where this path diverges from the previous.
-		div := 0
-		if prevPath != nil {
-			for div < depth && p[div] == prevPath[div] {
-				div++
-			}
-		}
-		if prevPath != nil && div == depth {
-			continue // same prefix (deeper attrs differ only beyond depth)
-		}
-		for l := div; l < depth; l++ {
-			lv := &c.Levels[l]
-			lv.Vals = append(lv.Vals, p[l])
-			if l > 0 {
-				lv.Parent = append(lv.Parent, prevIdx[l-1])
-			}
-			prevIdx[l] = len(lv.Vals) - 1
-		}
-		prevPath = p
-	}
-	// Child offsets per level from parent linkage.
-	for l := 0; l+1 < depth; l++ {
-		lv := &c.Levels[l]
-		next := &c.Levels[l+1]
-		lv.ChildOff = make([]int, len(lv.Vals)+1)
-		for _, parent := range next.Parent {
-			lv.ChildOff[parent+1]++
-		}
-		for i := 1; i <= len(lv.Vals); i++ {
-			lv.ChildOff[i] += lv.ChildOff[i-1]
-		}
-	}
-	// Ext bottom-up.
+	c := &Chain{Name: src.Name, Attrs: src.Attrs[:depth], Levels: slices.Clone(src.levels[:depth]), src: src}
 	last := &c.Levels[depth-1]
-	last.Ext = make([]int, len(last.Vals))
+	last.ChildOff = nil
+	last.Ext = make([]int, len(last.Codes))
 	for i := range last.Ext {
 		last.Ext[i] = 1
 	}
-	for l := depth - 2; l >= 0; l-- {
+	for l := depth - 1; l > 0; l-- {
 		lv := &c.Levels[l]
-		child := c.Levels[l+1]
-		lv.Ext = make([]int, len(lv.Vals))
-		for i := range lv.Vals {
-			for j := lv.ChildOff[i]; j < lv.ChildOff[i+1]; j++ {
-				lv.Ext[i] += child.Ext[j]
-			}
+		up := &c.Levels[l-1]
+		up.Ext = make([]int, len(up.Codes))
+		for i, parent := range lv.Parent {
+			up.Ext[parent] += lv.Ext[i]
 		}
 	}
 	// Leaf ancestor index per level.
@@ -235,21 +228,5 @@ func BuildChain(src *Source, depth int) (*Chain, error) {
 			c.ancIdx[l][j] = childLevel.Parent[c.ancIdx[l+1][j]]
 		}
 	}
-	c.valIdx = make([]map[string]int, depth)
-	for l := 0; l < depth; l++ {
-		m := make(map[string]int, len(c.Levels[l].Vals))
-		for i, v := range c.Levels[l].Vals {
-			m[v] = i // the FDs make a level's values distinct
-		}
-		c.valIdx[l] = m
-	}
 	return c, nil
-}
-
-// ValueIndex returns the index of value v at the given level, or -1.
-func (c *Chain) ValueIndex(level int, v string) int {
-	if i, ok := c.valIdx[level][v]; ok {
-		return i
-	}
-	return -1
 }

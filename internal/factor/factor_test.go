@@ -62,8 +62,8 @@ func TestNewSourceValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(src.Paths) != 2 {
-		t.Errorf("dedup paths = %d, want 2", len(src.Paths))
+	if src.Len() != 2 {
+		t.Errorf("dedup paths = %d, want 2", src.Len())
 	}
 }
 
@@ -94,8 +94,11 @@ func TestBuildChainStructure(t *testing.T) {
 	if ch.AncestorIdx(0, 2) != 1 {
 		t.Errorf("AncestorIdx(0, v3) = %d", ch.AncestorIdx(0, 2))
 	}
-	if ch.ValueIndex(1, "v2") != 1 || ch.ValueIndex(1, "nope") != -1 {
-		t.Error("ValueIndex wrong")
+	// Index maps each village's code back to its position.
+	for i, c := range ch.Levels[1].Codes {
+		if ch.Levels[1].Index[c] != int32(i) || ch.Levels[1].Dict[c] != ch.Levels[1].Vals[i] {
+			t.Errorf("village %d: code %d indexes %d, names %q", i, c, ch.Levels[1].Index[c], ch.Levels[1].Dict[c])
+		}
 	}
 	// Truncated chain: depth 1 keeps only districts.
 	ch1, err := BuildChain(srcs[1], 1)
@@ -119,8 +122,8 @@ func TestSourceFromDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(src.Paths) != 2 {
-		t.Errorf("paths = %v", src.Paths)
+	if src.Len() != 2 {
+		t.Errorf("paths = %d, want 2", src.Len())
 	}
 }
 

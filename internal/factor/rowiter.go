@@ -149,8 +149,10 @@ func (f *Factorizer) RowIndexOf(leafPerHier []int) int {
 }
 
 // LeafIndex returns the leaf (deepest-level) value index of value v in the
-// hierarchy at position pos, or -1 when absent.
+// hierarchy at position pos, or -1 when absent. It is the string edge: a
+// reader holding the γ's codes reads the deepest level's Index instead. The
+// first call builds its source's string index.
 func (f *Factorizer) LeafIndex(pos int, v string) int {
 	ch := f.Chain(pos)
-	return ch.ValueIndex(ch.Depth()-1, v)
+	return ch.src.position(ch.Depth()-1, v)
 }
