@@ -56,8 +56,8 @@ func BenchmarkColdRecommendLeaf(b *testing.B) {
 const coldLeafBudget = 3_120_000
 
 // TestColdLeafRecommendAllocations holds a cold leaf recommend to its byte
-// budget: strings are decoded only for the groups an answer returns and for
-// hierarchy paths, not for the ≈ 10k groups of the drilled relation.
+// budget: strings are decoded only for the groups an answer returns, not for
+// the ≈ 10k groups of the drilled relation nor for hierarchy paths.
 func TestColdLeafRecommendAllocations(t *testing.T) {
 	ds := leafEngine(t, leafDataset(1), leafConfig{cube: true, shards: 1}).Dataset()
 	ops := coldLeafOps(ds)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/data"
@@ -364,4 +365,36 @@ func TestRowIndexOfAndLeafIndex(t *testing.T) {
 	if got := f.LeafIndex(1, "nope"); got != -1 {
 		t.Errorf("LeafIndex missing = %d, want -1", got)
 	}
+}
+
+// TestLeafIndexSharedSource calls LeafIndex from several goroutines at once
+// on two factorizers whose chains cut one source at different depths: the
+// source's string index is built once, under its sync.Once, and serves both.
+func TestLeafIndexSharedSource(t *testing.T) {
+	srcs := paperSources(t)
+	deep, err := New(srcs, []int{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cut, err := New(srcs, []int{1, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := deep.LeafIndex(1, "v3"); got != 2 {
+				t.Errorf("depth 2: LeafIndex(v3) = %d, want 2", got)
+			}
+			if got := cut.LeafIndex(1, "d2"); got != 1 {
+				t.Errorf("depth 1: LeafIndex(d2) = %d, want 1", got)
+			}
+			if got := cut.LeafIndex(1, "v3"); got != -1 {
+				t.Errorf("depth 1: LeafIndex(v3) = %d, want -1", got)
+			}
+		}()
+	}
+	wg.Wait()
 }
