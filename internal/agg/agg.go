@@ -368,27 +368,28 @@ func rankCodes(dict []string, codes []uint32, k, ai int) []uint32 {
 }
 
 // NewResult assembles a decoded Result from unordered string groups (callers
-// that hold no codes — today, tests): it interns every attribute's values into
-// a dictionary of its own and funnels into FromCodes.
+// that hold no codes: tests and factor.NewSource). It interns every
+// attribute's values into a dictionary of its own through data.Interner and
+// funnels into FromCodes. Like the generators' row API, it panics on a value
+// no dictionary admits (data.ValidDimValue).
 func NewResult(attrs []string, measure string, groups []Group) *Result {
 	k := len(attrs)
-	dicts, interned := make([][]string, k), make([]map[string]uint32, k)
-	for ai := range interned {
-		interned[ai] = make(map[string]uint32)
-	}
+	interners := make([]data.Interner, k)
 	codes := make([]uint32, 0, len(groups)*k)
 	stats := make([]Stats, len(groups))
 	for gi, g := range groups {
 		stats[gi] = g.Stats
 		for ai, v := range g.Vals {
-			c, ok := interned[ai][v]
-			if !ok {
-				c = uint32(len(dicts[ai]))
-				interned[ai][v] = c
-				dicts[ai] = append(dicts[ai], v)
+			c, err := interners[ai].Intern(v)
+			if err != nil {
+				panic(fmt.Sprintf("agg: NewResult attribute %q: %v", attrs[ai], err))
 			}
 			codes = append(codes, c)
 		}
+	}
+	dicts := make([][]string, k)
+	for ai := range interners {
+		dicts[ai] = interners[ai].Dict()
 	}
 	return FromCodes(attrs, measure, dicts, nil, codes, stats).Decode()
 }

@@ -6,8 +6,76 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 )
+
+// CSVReader is the one CSV reader: ReadCSV loads through it, and the HTTP
+// append body is read through it, so both take the same header, quoting and
+// measure rules. The first record is the header, whose names must be
+// distinct. Data records count as rows from 1, and the header is line 1, so
+// row r is line r+1; every error names the row and the line, and a field's
+// error the column.
+type CSVReader struct {
+	Header []string
+	what   string // names the input in errors: "CSV", "append CSV"
+	cr     *csv.Reader
+	row    int
+}
+
+// NewCSVReader reads r's header; what names the input in errors.
+func NewCSVReader(r io.Reader, what string) (*CSVReader, error) {
+	cr := csv.NewReader(r)
+	cr.ReuseRecord = true
+	header, err := cr.Read()
+	if err != nil {
+		return nil, fmt.Errorf("reading %s header: %w", what, err)
+	}
+	header = slices.Clone(header)
+	// Reject duplicate names: columns are looked up by name, so a later
+	// duplicate would silently clobber the earlier column's values.
+	seen := make(map[string]bool, len(header))
+	for _, c := range header {
+		if seen[c] {
+			return nil, fmt.Errorf("duplicate column %q in %s header", c, what)
+		}
+		seen[c] = true
+	}
+	return &CSVReader{Header: header, what: what, cr: cr}, nil
+}
+
+// Read returns the next record, in Header order, or io.EOF after the last.
+// The next Read reuses the slice; its fields are strings of their own.
+func (r *CSVReader) Read() ([]string, error) {
+	rec, err := r.cr.Read()
+	if err == io.EOF {
+		return nil, err
+	}
+	r.row++
+	if err != nil {
+		return nil, fmt.Errorf("reading %s row %d (line %d): %w", r.what, r.row, r.row+1, err)
+	}
+	return rec, nil
+}
+
+// Measure parses field col of the record Read returned as a measure value.
+// ParseFloat accepts "NaN" and "±Inf", which would silently poison every
+// downstream Sum/SumSq and model fit, so a measure must also be finite.
+func (r *CSVReader) Measure(rec []string, col int) (float64, error) {
+	v, err := strconv.ParseFloat(rec[col], 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("non-finite measure value %q", rec[col])
+	}
+	if err != nil {
+		return 0, r.FieldError(col, err)
+	}
+	return v, nil
+}
+
+// FieldError locates err at field col of the record Read returned.
+func (r *CSVReader) FieldError(col int, err error) error {
+	return fmt.Errorf("%s row %d (line %d) column %q: %w", r.what, r.row, r.row+1, r.Header[col], err)
+}
 
 // ReadCSV loads a dataset from CSV. Columns named in measureNames are parsed
 // as float64 measures; all other columns become dimensions. The header row is
@@ -20,27 +88,14 @@ import (
 // Dictionaries are in first-appearance order, which store.FromDataset
 // reuses, so CSV → snapshot conversion is deterministic.
 func ReadCSV(r io.Reader, name string, measureNames []string, hierarchies []Hierarchy) (*Dataset, error) {
-	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
-	header, err := cr.Read()
+	cr, err := NewCSVReader(r, "CSV")
 	if err != nil {
-		return nil, fmt.Errorf("data: reading CSV header: %w", err)
+		return nil, fmt.Errorf("data: %w", err)
 	}
-	header = append([]string(nil), header...)
-
-	// Reject duplicate header names: columns land in name-keyed maps, so a
-	// later duplicate would silently clobber the earlier column's values.
-	seen := make(map[string]bool, len(header))
-	for _, c := range header {
-		if seen[c] {
-			return nil, fmt.Errorf("data: duplicate column %q in CSV header", c)
-		}
-		seen[c] = true
-	}
-
+	header := cr.Header
 	isMeasure := make(map[string]bool, len(measureNames))
 	for _, m := range measureNames {
-		if !seen[m] {
+		if !slices.Contains(header, m) {
 			return nil, fmt.Errorf("data: measure column %q not in CSV header", m)
 		}
 		isMeasure[m] = true
@@ -70,33 +125,26 @@ func ReadCSV(r io.Reader, name string, measureNames []string, hierarchies []Hier
 		}
 	}
 
-	line := 1
 	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("data: reading CSV line %d: %w", line+1, err)
+			return nil, fmt.Errorf("data: %w", err)
 		}
-		line++
-		for col, c := range header {
+		for col := range header {
 			if e := dimCols[col]; e != nil {
-				code, err := e.intern(rec[col])
+				code, err := e.Intern(rec[col])
 				if err != nil {
-					return nil, fmt.Errorf("data: line %d column %q: %w", line, c, err)
+					return nil, fmt.Errorf("data: %w", cr.FieldError(col, err))
 				}
 				e.codes = append(e.codes, code)
 				continue
 			}
-			v, err := strconv.ParseFloat(rec[col], 64)
+			v, err := cr.Measure(rec, col)
 			if err != nil {
-				return nil, fmt.Errorf("data: line %d column %q: %w", line, c, err)
-			}
-			// ParseFloat accepts "NaN" and "±Inf", which would silently
-			// poison every downstream Sum/SumSq and model fit.
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("data: line %d column %q: non-finite measure value %q", line, c, rec[col])
+				return nil, fmt.Errorf("data: %w", err)
 			}
 			vals[msSlot[col]] = append(vals[msSlot[col]], v)
 		}

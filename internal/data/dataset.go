@@ -84,17 +84,59 @@ type fdTable struct {
 	rows   int // the rows it covers: the sum over the shards validated together
 }
 
-// dimCol is one dimension column: codes index into dict, whose values are
-// distinct. Columns handed out to derived datasets (Clone, Select) and
-// columns adopted from a caller (FromColumns) keep capacity pinned to
-// length, so appending to one dataset reallocates instead of writing into an
-// array another dataset — or a read-only file mapping — still reads.
+// dimCol is one dimension column: codes index into the dictionary its
+// Interner grows. Columns handed out to derived datasets (Clone, Select) and
+// columns adopted from a caller (FromColumns) start their Interner from the
+// shared dictionary, so appending to one dataset copies it instead of writing
+// into an array another dataset — or a read-only file mapping — still reads.
 type dimCol struct {
-	dict  []string
+	Interner
 	codes []uint32
-	// index maps value → code. It is built on the first intern: bulk-loaded
-	// and derived datasets that are never appended to do not pay for it.
+}
+
+// Interner grows one dimension dictionary, and is the one place a value
+// enters a dictionary: ReadCSV and AppendRowVals intern through a dataset
+// column's, store.EncodeBatch through one per dimension of a batch, and
+// agg.NewResult through one per attribute. Codes are first-appearance order,
+// so the same values in the same order get the same codes on every path. The
+// zero Interner is an empty dictionary.
+type Interner struct {
+	dict []string
+	// index maps value → code. It is built on the first Intern: dictionaries
+	// that are never grown do not pay for it.
 	index map[string]uint32
+}
+
+// NewInterner starts from dict, which it never writes: the first new value
+// copies it.
+func NewInterner(dict []string) Interner {
+	return Interner{dict: dict[:len(dict):len(dict)]}
+}
+
+// Dict returns the dictionary grown so far.
+func (in *Interner) Dict() []string { return in.dict }
+
+// Intern returns v's code, admitting v to the dictionary when it is new and
+// ValidDimValue accepts it. The dictionary keeps a clone: v may alias a larger
+// buffer (a CSV record, a request body) that a dictionary must not pin.
+func (in *Interner) Intern(v string) (uint32, error) {
+	if in.index == nil {
+		in.index = make(map[string]uint32, len(in.dict))
+		for code, dv := range in.dict {
+			in.index[dv] = uint32(code)
+		}
+	}
+	code, ok := in.index[v]
+	if !ok {
+		if err := ValidDimValue(v); err != nil {
+			return 0, err
+		}
+		v = strings.Clone(v)
+		code = uint32(len(in.dict))
+		in.dict = append(in.dict, v)
+		in.index[v] = code
+	}
+	return code, nil
 }
 
 // DimColumn is one dictionary-coded dimension column handed to FromColumns:
@@ -177,7 +219,7 @@ func fromColumns(name string, dims []DimColumn, measures []MeasureColumn, hierar
 			return nil, fmt.Errorf("data: dimension %q row %d: code %d out of range (dictionary size %d)", c.Name, i, c.Codes[i], len(c.Dict))
 		}
 		d.dimNames = append(d.dimNames, c.Name)
-		d.dims[c.Name] = &dimCol{dict: c.Dict[:len(c.Dict):len(c.Dict)], codes: c.Codes[:d.n:d.n]}
+		d.dims[c.Name] = &dimCol{Interner: NewInterner(c.Dict), codes: c.Codes[:d.n:d.n]}
 	}
 	for _, m := range measures {
 		if len(m.Values) != d.n {
@@ -270,38 +312,15 @@ func (d *Dataset) Rollup() any { return d.rollup }
 // dictionary admits one: see ValidDimValue.
 const keySep = "\x1f"
 
-// ValidDimValue reports whether v may enter a dimension dictionary. Every
-// place a dictionary grows — intern here, store.EncodeBatch, and snapshot
-// open — calls it, so group keys built from dictionary values always decode
-// back to the tuple they encode.
+// ValidDimValue reports whether v may enter a dimension dictionary. Interner,
+// where every dictionary grows, and the snapshot open, which checks a file's
+// dictionaries, call it, so group keys built from dictionary values always
+// decode back to the tuple they encode.
 func ValidDimValue(v string) error {
 	if strings.Contains(v, keySep) {
 		return fmt.Errorf("dimension value %q contains the reserved group-key separator %q", v, keySep)
 	}
 	return nil
-}
-
-// intern returns v's code, admitting v to the dictionary when it is new.
-func (c *dimCol) intern(v string) (uint32, error) {
-	if c.index == nil {
-		c.index = make(map[string]uint32, len(c.dict))
-		for code, dv := range c.dict {
-			c.index[dv] = uint32(code)
-		}
-	}
-	code, ok := c.index[v]
-	if !ok {
-		if err := ValidDimValue(v); err != nil {
-			return 0, err
-		}
-		// Clone: v may alias a larger buffer (a CSV record) that the
-		// dictionary must not pin.
-		v = strings.Clone(v)
-		code = uint32(len(c.dict))
-		c.dict = append(c.dict, v)
-		c.index[v] = code
-	}
-	return code, nil
 }
 
 // AppendRow adds one row. dims and measures are keyed by column name; every
@@ -340,7 +359,7 @@ func (d *Dataset) AppendRowVals(dimVals []string, measureVals []float64) {
 	d.fds.Clear()
 	for i, c := range d.dimNames {
 		col := d.dims[c]
-		code, err := col.intern(dimVals[i])
+		code, err := col.Intern(dimVals[i])
 		if err != nil {
 			// Take the half-appended row back out before reporting.
 			for _, prev := range d.dimNames[:i] {
@@ -361,7 +380,7 @@ func (d *Dataset) AppendRowVals(dimVals []string, measureVals []float64) {
 // by AppendRow*, or a Clone), like every in-place write to Measure's slice.
 func (d *Dataset) SetDimValue(name string, row int, v string) {
 	col := d.dim(name)
-	code, err := col.intern(v)
+	code, err := col.Intern(v)
 	if err != nil {
 		panic(fmt.Sprintf("data: SetDimValue dimension %q: %v", name, err))
 	}
@@ -375,7 +394,7 @@ func (d *Dataset) SetDimValue(name string, row int, v string) {
 func (d *Dataset) Clone() *Dataset {
 	c := New(d.Name, d.dimNames, d.measureNames, d.Hierarchies)
 	for name, col := range d.dims {
-		c.dims[name] = &dimCol{dict: col.dict[:len(col.dict):len(col.dict)], codes: append([]uint32(nil), col.codes...)}
+		c.dims[name] = &dimCol{Interner: NewInterner(col.dict), codes: append([]uint32(nil), col.codes...)}
 	}
 	for name, col := range d.measures {
 		c.measures[name] = append([]float64(nil), col...)
@@ -395,7 +414,7 @@ func (d *Dataset) Select(idx []int) *Dataset {
 		for i, r := range idx {
 			sel[i] = col.codes[r]
 		}
-		out.dims[name] = &dimCol{dict: col.dict[:len(col.dict):len(col.dict)], codes: sel}
+		out.dims[name] = &dimCol{Interner: NewInterner(col.dict), codes: sel}
 	}
 	for name, col := range d.measures {
 		sel := make([]float64, len(idx))

@@ -1,13 +1,12 @@
 package server
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -246,71 +245,49 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// parseAppendCSV decodes appended rows against the snapshot's schema. The
-// header must name every column exactly once; column order is free.
+// parseAppendCSV reads appended rows with data's CSV reader and maps them onto
+// the snapshot's schema: the header must name every column exactly once, in
+// any order.
 func parseAppendCSV(snap *store.Snapshot, content string) ([]store.Row, error) {
-	cr := csv.NewReader(strings.NewReader(content))
-	header, err := cr.Read()
+	cr, err := data.NewCSVReader(strings.NewReader(content), "append CSV")
 	if err != nil {
-		return nil, fmt.Errorf("reading append CSV header: %w", err)
-	}
-	col := make(map[string]int, len(header))
-	for i, c := range header {
-		if _, dup := col[c]; dup {
-			return nil, fmt.Errorf("duplicate column %q in append CSV header", c)
-		}
-		col[c] = i
+		return nil, err
 	}
 	dimIdx := make([]int, len(snap.Dims))
 	for i, c := range snap.Dims {
-		j, ok := col[c.Name]
-		if !ok {
+		if dimIdx[i] = slices.Index(cr.Header, c.Name); dimIdx[i] < 0 {
 			return nil, fmt.Errorf("append CSV is missing dimension column %q", c.Name)
 		}
-		dimIdx[i] = j
 	}
 	msIdx := make([]int, len(snap.Measures))
 	for i, m := range snap.Measures {
-		j, ok := col[m.Name]
-		if !ok {
+		if msIdx[i] = slices.Index(cr.Header, m.Name); msIdx[i] < 0 {
 			return nil, fmt.Errorf("append CSV is missing measure column %q", m.Name)
 		}
-		msIdx[i] = j
 	}
-	if len(col) != len(snap.Dims)+len(snap.Measures) {
-		return nil, fmt.Errorf("append CSV has %d columns, dataset has %d", len(col), len(snap.Dims)+len(snap.Measures))
+	if len(cr.Header) != len(snap.Dims)+len(snap.Measures) {
+		return nil, fmt.Errorf("append CSV has %d columns, dataset has %d", len(cr.Header), len(snap.Dims)+len(snap.Measures))
 	}
 	var rows []store.Row
-	// row is 1-based over data rows; the header is CSV line 1, so data row r
-	// sits on line r+1 — errors cite both so they are findable in either
-	// numbering.
-	for row := 1; ; row++ {
+	for {
 		rec, err := cr.Read()
 		if err == io.EOF {
-			break
+			return rows, nil
 		}
 		if err != nil {
-			return nil, fmt.Errorf("reading append CSV row %d (line %d): %w", row, row+1, err)
+			return nil, err
 		}
 		r := store.Row{Dims: make([]string, len(dimIdx)), Measures: make([]float64, len(msIdx))}
 		for i, j := range dimIdx {
 			r.Dims[i] = rec[j]
 		}
 		for i, j := range msIdx {
-			v, err := strconv.ParseFloat(rec[j], 64)
-			if err != nil {
-				return nil, fmt.Errorf("append CSV row %d (line %d) column %q: %w",
-					row, row+1, snap.Measures[i].Name, err)
+			if r.Measures[i], err = cr.Measure(rec, j); err != nil {
+				return nil, err
 			}
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("append CSV row %d (line %d) column %q: non-finite measure value %q",
-					row, row+1, snap.Measures[i].Name, rec[j])
-			}
-			r.Measures[i] = v
 		}
 		rows = append(rows, r)
 	}
-	return rows, nil
 }
 
 func (s *Server) handleCreateSession(w http.ResponseWriter, r *http.Request) {

@@ -73,10 +73,10 @@ type Batch struct {
 	values [][]float64 // per measure: one value per batch row
 }
 
-// EncodeBatch validates rows against base's schema (arity, finite measures,
-// admissible dimension values) and encodes them against its dictionaries, growing them in batch row order
-// — copy-on-write, so base and its siblings keep their own. Mapped snapshots
-// reject appends.
+// EncodeBatch validates rows against base's schema (arity, finite measures)
+// and interns their dimension values into base's dictionaries through
+// data.Interner, growing them in batch row order — copy-on-write, so base and
+// its siblings keep their own. Mapped snapshots reject appends.
 func EncodeBatch(base *Snapshot, rows []Row) (*Batch, error) {
 	if base.Mapped() {
 		// Extending a mapped snapshot would have to materialize every column
@@ -102,28 +102,18 @@ func EncodeBatch(base *Snapshot, rows []Row) (*Batch, error) {
 		values: make([][]float64, len(base.Measures)),
 	}
 	for ci, c := range base.Dims {
-		idx := make(map[string]uint32, len(c.Dict))
-		for code, v := range c.Dict {
-			idx[v] = uint32(code)
-		}
-		// The full slice expression pins capacity to length, so growth copies
-		// instead of scribbling over a sibling version's backing array.
-		dict := c.Dict[:len(c.Dict):len(c.Dict)]
+		// The interner copies c.Dict before growing it, so base and its
+		// siblings keep their own.
+		in := data.NewInterner(c.Dict)
 		codes := make([]uint32, len(rows))
 		for ri, r := range rows {
-			v := r.Dims[ci]
-			code, ok := idx[v]
-			if !ok {
-				if err := data.ValidDimValue(v); err != nil {
-					return nil, fmt.Errorf("store: append row %d dimension %q: %w", ri, c.Name, err)
-				}
-				code = uint32(len(dict))
-				dict = append(dict, v)
-				idx[v] = code
+			code, err := in.Intern(r.Dims[ci])
+			if err != nil {
+				return nil, fmt.Errorf("store: append row %d dimension %q: %w", ri, c.Name, err)
 			}
 			codes[ri] = code
 		}
-		b.dicts[ci], b.codes[ci] = dict, codes
+		b.dicts[ci], b.codes[ci] = in.Dict(), codes
 	}
 	for mi := range base.Measures {
 		vals := make([]float64, len(rows))

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/data"
 )
@@ -79,5 +80,31 @@ func TestBranchesKeepTheirOwnFDTables(t *testing.T) {
 		if _, err := batch.Extend(tc.s); err == nil || !strings.Contains(err.Error(), `village="new-v"`) {
 			t.Errorf("new-v under %s: err = %v, want an FD violation", tc.district, err)
 		}
+	}
+}
+
+// TestEncodeBatchClonesNewValues: a value a batch adds to a dictionary is a
+// copy, so the dictionary does not pin the larger string (a CSV record, a
+// request body) the row's value was sliced from.
+func TestEncodeBatchClonesNewValues(t *testing.T) {
+	ds := data.New("clone", []string{"city"}, []string{"m"}, nil)
+	ds.AppendRowVals([]string{"oslo"}, []float64{1})
+	base := FromDataset(ds)
+	record := "rome,2,and the rest of a long record"
+	city := record[:strings.IndexByte(record, ',')]
+	batch, err := EncodeBatch(base, []Row{{Dims: []string{city}, Measures: []float64{2}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	next, err := batch.Extend(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dict := next.Dims[0].Dict
+	if len(dict) != 2 || dict[1] != "rome" {
+		t.Fatalf("dictionary %q, want [oslo rome]", dict)
+	}
+	if unsafe.StringData(dict[1]) == unsafe.StringData(city) {
+		t.Error("the dictionary's new value shares memory with the row value it came from")
 	}
 }
