@@ -46,13 +46,15 @@ loc-check:
 
 # fuzz-smoke runs each native fuzz target briefly (FUZZTIME overrides the
 # per-target budget): the binary parsers (.rst snapshots, WAL frames,
-# complaint specs, CSV) must error, never panic, on arbitrary bytes.
+# complaint specs, CSV files and append bodies) must error, never panic, on
+# arbitrary bytes.
 FUZZTIME ?= 10s
 fuzz-smoke:
 	go test -run '^$$' -fuzz '^FuzzOpenSnapshot$$' -fuzztime $(FUZZTIME) ./internal/store
 	go test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal
 	go test -run '^$$' -fuzz '^FuzzParseComplaint$$' -fuzztime $(FUZZTIME) ./internal/core
 	go test -run '^$$' -fuzz '^FuzzReadCSV$$' -fuzztime $(FUZZTIME) ./internal/data
+	go test -run '^$$' -fuzz '^FuzzAppendCSV$$' -fuzztime $(FUZZTIME) ./internal/server
 
 # bench-check compiles and smoke-tests the benchmark module. benchmark/ is its
 # own module (replace repro => ../), so `go build ./...` and `go test ./...`
