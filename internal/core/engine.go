@@ -115,10 +115,8 @@ type Engine struct {
 	// included) asks (see shard.go): LocalShard(ds), or for NewShardedEngine a
 	// gather over the partitions — ds is then the schema dataset (the first
 	// shard's, by convention), consulted for hierarchies and measure names
-	// only, and shards and shardKey report the partitioning.
-	src      ShardWorker
-	shards   int
-	shardKey string
+	// only.
+	src ShardWorker
 
 	memo *memo
 }
@@ -429,7 +427,7 @@ func (e *Engine) forEach(n int, fn func(i int)) {
 // scatter-gather, which rec, when non-nil, records as a "scatter" span.
 func (e *Engine) groups(rec SpanRecorder, attrs []string, measure string) (*agg.Result, error) {
 	return memoGet(e.memo, fmt.Sprintf("groups %q %q", attrs, measure), func() (*agg.Result, error) {
-		if e.shards > 0 {
+		if _, ok := e.src.(*gather); ok {
 			defer startSpan(rec, "scatter")()
 		}
 		return e.src.PartialGroupBy(attrs, measure)

@@ -125,7 +125,7 @@ func leafEngine(t testing.TB, ds *data.Dataset, cfg leafConfig) *Engine {
 	for s, rows := range parts {
 		workers[s] = LocalShard(withCube(ds.Select(rows)))
 	}
-	eng, err := NewShardedEngine(withCube(ds.Select(parts[0])), workers, "region", opts)
+	eng, err := NewShardedEngine(withCube(ds.Select(parts[0])), workers, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

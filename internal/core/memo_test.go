@@ -54,7 +54,7 @@ func mustJSON(t *testing.T, s *Session, c Complaint) []byte {
 func TestSessionsShareEngineState(t *testing.T) {
 	sc := buildScenario(13)
 	shard := &countingShard{inner: LocalShard(sc.ds), calls: map[string]int{}}
-	eng, err := NewShardedEngine(sc.ds, []ShardWorker{shard}, "district",
+	eng, err := NewShardedEngine(sc.ds, []ShardWorker{shard},
 		Options{EMIterations: 4, Trainer: TrainerFactorised})
 	if err != nil {
 		t.Fatal(err)
@@ -254,7 +254,7 @@ func TestPanickingBuildLeavesNoEntry(t *testing.T) {
 	c := Complaint{Agg: agg.Mean, Measure: "severity", Tuple: data.Predicate{"district": "d3"}, Direction: TooLow}
 	opts := Options{EMIterations: 4, Trainer: TrainerNaive}
 	answer := func(w ShardWorker, wantPanic bool) []byte {
-		eng, err := NewShardedEngine(sc.ds, []ShardWorker{w}, "district", opts)
+		eng, err := NewShardedEngine(sc.ds, []ShardWorker{w}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,10 @@ import (
 // drilled relation, whose groups already hold every row's (ancestors,
 // attribute) path, and a hierarchy's distinct paths are the groups of γ over
 // its own attributes. Schema questions are answered by the engine's schema
-// dataset, never by a worker. The interface is small and value-oriented so a
-// later implementation can proxy a remote shard server; the call may
-// therefore fail.
+// dataset, never by a worker. The call may fail. The interface stays as the
+// seam the engine's memo tests substitute (countingShard and flakyShard in
+// memo_test.go); remote shard workers, which it was shaped for, are parked
+// until in-process shards show a measured win (ROADMAP.md).
 //
 // Determinism contract: PartialGroupBy returns exactly what a row scan over
 // the worker's rows would: the coded relation of agg.GroupByCodes, which
@@ -46,11 +47,11 @@ func (l localShard) PartialGroupBy(attrs []string, measure string) (*agg.Result,
 // NewShardedEngine builds an engine whose data plane is partitioned across
 // workers. The schema dataset supplies hierarchies and measure names (by
 // convention the first shard's dataset — appends keep every shard's schema
-// identical); shardKey names the hierarchy-root dimension the rows were
-// partitioned on. The gathered group-bys are byte-identical to one worker's
-// over all the rows under the conditions internal/shard's package
-// documentation states (shard-pure groups, or integer measures).
-func NewShardedEngine(schema *data.Dataset, workers []ShardWorker, shardKey string, opts Options) (*Engine, error) {
+// identical). The partitioning is the caller's to own and check (a
+// shard.Set); the gathered group-bys are byte-identical to one worker's over
+// all the rows under the conditions internal/shard's package documentation
+// states (shard-pure groups, or integer measures).
+func NewShardedEngine(schema *data.Dataset, workers []ShardWorker, opts Options) (*Engine, error) {
 	if len(workers) == 0 {
 		return nil, fmt.Errorf("core: sharded engine needs at least one shard worker")
 	}
@@ -58,23 +59,9 @@ func NewShardedEngine(schema *data.Dataset, workers []ShardWorker, shardKey stri
 	if err != nil {
 		return nil, err
 	}
-	if shardKey == "" {
-		return nil, fmt.Errorf("core: sharded engine needs the shard-key dimension")
-	}
-	if !slices.ContainsFunc(schema.Hierarchies, func(h data.Hierarchy) bool { return h.Attrs[0] == shardKey }) {
-		return nil, fmt.Errorf("core: shard key %q is not the root attribute of any hierarchy", shardKey)
-	}
 	eng.src = &gather{workers: slices.Clone(workers), forEach: eng.forEach}
-	eng.shards, eng.shardKey = len(workers), shardKey
 	return eng, nil
 }
-
-// NumShards returns the engine's shard count: 0 for a single-node engine.
-func (e *Engine) NumShards() int { return e.shards }
-
-// ShardKey returns the dimension the engine's rows are partitioned on, or ""
-// for a single-node engine.
-func (e *Engine) ShardKey() string { return e.shardKey }
 
 // gather is the ShardWorker made of ShardWorkers: it puts the question to
 // its workers and merges their answers.

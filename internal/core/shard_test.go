@@ -73,16 +73,17 @@ func TestScatterSpanOnlyOverPartitions(t *testing.T) {
 			even = append(even, row)
 		}
 	}
-	sharded, err := NewShardedEngine(sc.ds, []ShardWorker{LocalShard(sc.ds.Select(odd)), LocalShard(sc.ds.Select(even))}, "district", opts)
+	sharded, err := NewShardedEngine(sc.ds, []ShardWorker{LocalShard(sc.ds.Select(odd)), LocalShard(sc.ds.Select(even))}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
+		name string
 		eng  *Engine
 		want []string
 	}{
-		{plain, []string{"fit", "groupby"}},
-		{sharded, []string{"fit", "groupby", "scatter"}},
+		{"plain", plain, []string{"fit", "groupby"}},
+		{"sharded", sharded, []string{"fit", "groupby", "scatter"}},
 	} {
 		s, err := tc.eng.NewSession([]string{"district"})
 		if err != nil {
@@ -95,7 +96,7 @@ func TestScatterSpanOnlyOverPartitions(t *testing.T) {
 		}
 		slices.Sort(rec.names)
 		if got := slices.Compact(rec.names); !slices.Equal(got, tc.want) {
-			t.Errorf("%d shards: spans %v, want %v", tc.eng.NumShards(), got, tc.want)
+			t.Errorf("%s: spans %v, want %v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -135,7 +136,7 @@ func TestGatherMergeKeysEveryAttribute(t *testing.T) {
 		}
 		workers[si] = LocalShard(shards[si])
 	}
-	eng, err := NewShardedEngine(shards[0], workers, "region", Options{EMIterations: 2, Workers: 1})
+	eng, err := NewShardedEngine(shards[0], workers, Options{EMIterations: 2, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -129,12 +129,8 @@ func runLifecycle(t *testing.T, shards int, cube bool) lifecycle {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantShards := shards
-	if shards == 1 {
-		wantShards = 0 // the one-shard set builds the single-node engine
-	}
-	if got := d.Version().Eng.NumShards(); got != wantShards {
-		t.Fatalf("engine reports %d shards, want %d", got, wantShards)
+	if got := d.Version().Set.N(); got != shards {
+		t.Fatalf("version holds %d shards, want %d", got, shards)
 	}
 	var lc lifecycle
 	lc.live = append(lc.live, answers(t, d.Version()))
@@ -197,8 +193,8 @@ func runLifecycle(t *testing.T, shards int, cube bool) lifecycle {
 	}
 	defer re.Close()
 	lc.reopened, lc.skipped, lc.rows = answers(t, re.Version()), re.Skipped, re.Version().Set.TotalRows()
-	if got := re.Version().Eng.NumShards(); got != wantShards {
-		t.Fatalf("reopened engine reports %d shards, want %d", got, wantShards)
+	if got := re.Version().Set.N(); got != shards {
+		t.Fatalf("reopened version holds %d shards, want %d", got, shards)
 	}
 	if (re.Version().Set.Schema().Cube() != nil) != cube {
 		t.Fatalf("reopened cube presence = %v, want %v", !cube, cube)

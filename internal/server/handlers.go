@@ -171,15 +171,15 @@ func datasetInfo(name string, v *ingest.Version) api.DatasetInfo {
 	for i, m := range schema.Measures {
 		measures[i] = m.Name
 	}
-	return api.DatasetInfo{
+	info := api.DatasetInfo{
 		Name:        name,
 		Rows:        v.Set.TotalRows(),
 		Version:     v.Set.Version(),
 		Hierarchies: names,
 		Measures:    measures,
-		// 0 on the single-node engine a one-shard set builds.
-		Shards: v.Eng.NumShards(),
 	}
+	info.Shards, _ = v.Set.Partitioning()
+	return info
 }
 
 // handleListDatasets reports every registered dataset's currently-served
@@ -539,11 +539,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Version:             v.Set.Version(),
 			Rows:                v.Set.TotalRows(),
 			Sessions:            perDataset[name],
-			Shards:              v.Eng.NumShards(),
 			OpenMode:            "eager",
 			ResidentColumnBytes: v.Set.ResidentColumnBytes(),
 			Retention:           retentionStatus(ent.ds.Options(), v),
 		}
+		d.Shards, _ = v.Set.Partitioning()
 		if v.Set.Mapped() {
 			d.OpenMode = "mapped"
 		}

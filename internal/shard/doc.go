@@ -5,9 +5,15 @@
 // partial (count, sum, sum-of-squares) statistics with agg.Stats.Add — the
 // Appendix A merge function G — before any model fits. This is the
 // decomposition-then-combine structure that makes Reptile's aggregates
-// distributive, applied across process-internal partitions; the
-// core.ShardWorker seam the engine talks through is the point a later change
-// swaps local workers for remote shard servers speaking the wire protocol.
+// distributive, applied across process-internal partitions. The
+// core.ShardWorker seam the engine talks through stays because the engine's
+// memo tests substitute their own workers for it (countingShard and
+// flakyShard); remote shard workers behind it are parked until in-process
+// shards show a measured win (ROADMAP.md).
+//
+// The Set owns the topology. The engine only gathers; the SDK, the server's
+// dataset info and /v1/stats read the shard count and key off the Set
+// (Partitioning), which reports them only for N > 1.
 //
 // # One shard
 //
@@ -17,8 +23,8 @@
 // not". What the shard count changes is decided here, from the count itself:
 // a one-shard Set needs no Key (tables without hierarchies qualify), Engine
 // hands the engine the shard's dataset as its data plane instead of gathering
-// over one part — the engine runs the same code either way; only the scatter
-// span and NumShards() == 0 tell — and Append extends the one snapshot
+// over one part — the engine runs the same code either way; only the missing
+// scatter span tells — and Append extends the one snapshot
 // without routing (the snapshot's own validation covers every dependency). Everything else (Write, Retain,
 // BuildCubes, Rows, Close) is the same loop over one element: a .rst file is
 // N ≥ 1 shards, each with its own cube section, and the one-shard Set with
@@ -28,7 +34,8 @@
 //
 // Rows are routed by an FNV-1a hash of their shard-key value modulo the
 // shard count. The key must be the root attribute of one of the dataset's
-// hierarchies (the default is the first hierarchy's root), and dictionaries
+// hierarchies (the default is the first hierarchy's root; store.CheckShardKey
+// is the one check, at partitioning, write and open), and dictionaries
 // are shared across shards: a shard's columns hold codes into the same
 // dictionary slices as its siblings, so partitioning costs one pass over the
 // codes and no string is stored twice — and the engine merges per-shard

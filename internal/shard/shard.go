@@ -60,7 +60,9 @@ func Partition(snap *store.Snapshot, n int, key string) (*Set, error) {
 	if key == "" {
 		key = DefaultKey(snap.Hierarchies)
 	}
-	if err := validateKey(key, snap.Hierarchies); err != nil {
+	// n ≥ 2 shards need a key, so a dataset with no hierarchy to derive one
+	// from is refused.
+	if err := store.CheckShardKey(key, snap.Hierarchies, n); err != nil {
 		return nil, err
 	}
 	if snap.Mapped() {
@@ -163,6 +165,15 @@ func (s *Set) WriteFile(path string) error {
 // N returns the shard count.
 func (s *Set) N() int { return len(s.Snaps) }
 
+// Partitioning reports the topology a partitioned Set serves from: its shard
+// count and key, or 0 and "" for the one-shard Set.
+func (s *Set) Partitioning() (n int, key string) {
+	if len(s.Snaps) == 1 {
+		return 0, ""
+	}
+	return len(s.Snaps), s.Key
+}
+
 // Version returns the Set's snapshot version (shared by every shard).
 func (s *Set) Version() uint64 { return s.Snaps[0].Version }
 
@@ -232,7 +243,7 @@ func (s *Set) CubeSize() (levels, cells int) {
 // Engine assembles the core engine over the Set: an in-process worker per
 // shard, the first shard's dataset as the schema plane. The only choice made
 // here is whether to gather — one shard is the engine's data plane as it is
-// (no scatter span, NumShards() == 0), more are gathered behind the same seam.
+// (no scatter span), more are gathered behind the same seam.
 func (s *Set) Engine(opts core.Options) (*core.Engine, error) {
 	workers := make([]core.ShardWorker, len(s.Snaps))
 	var schema *data.Dataset
@@ -249,20 +260,5 @@ func (s *Set) Engine(opts core.Options) (*core.Engine, error) {
 	if len(workers) == 1 {
 		return core.NewEngine(schema, opts)
 	}
-	return core.NewShardedEngine(schema, workers, s.Key, opts)
-}
-
-// validateKey checks the partition key is the root attribute of one of the
-// hierarchies — the invariant the byte-identity guarantee rests on (see the
-// package documentation).
-func validateKey(key string, hierarchies []data.Hierarchy) error {
-	if key == "" {
-		return fmt.Errorf("shard: dataset has no hierarchies to derive a partition key from")
-	}
-	for _, h := range hierarchies {
-		if len(h.Attrs) > 0 && h.Attrs[0] == key {
-			return nil
-		}
-	}
-	return fmt.Errorf("shard: partition key %q is not the root attribute of any hierarchy", key)
+	return core.NewShardedEngine(schema, workers, opts)
 }

@@ -62,7 +62,7 @@ func TestVersion2Fixtures(t *testing.T) {
 
 	for _, fx := range version2Fixtures {
 		for _, mapped := range []bool{false, true} {
-			key, shards, err := OpenShardsFile(fx.path, mapped)
+			_, shards, err := OpenShardsFile(fx.path, mapped)
 			if err != nil {
 				t.Fatalf("%s (mapped=%v): %v", fx.path, mapped, err)
 			}
@@ -112,7 +112,7 @@ func TestVersion2Fixtures(t *testing.T) {
 			if len(shards) == 1 {
 				got = recommend(core.NewEngine(schema, opts))
 			} else {
-				got = recommend(core.NewShardedEngine(schema, workers, key, opts))
+				got = recommend(core.NewShardedEngine(schema, workers, opts))
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s (mapped=%v): recommendation differs from the CSV-built engine's:\n%.400s\n%.400s", fx.path, mapped, got, want)

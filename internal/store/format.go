@@ -75,7 +75,7 @@ func checkShardSet(key string, shards []*Snapshot) error {
 		return fmt.Errorf("store: snapshot needs at least one shard")
 	}
 	first := shards[0]
-	if err := checkShardKey(key, first.Hierarchies, len(shards)); err != nil {
+	if err := CheckShardKey(key, first.Hierarchies, len(shards)); err != nil {
 		return err
 	}
 	for i, s := range shards[1:] {
@@ -107,7 +107,7 @@ func checkShardSet(key string, shards []*Snapshot) error {
 // checkShardKey verifies the partition key of a file of n shards: one shard
 // may have none, and a key is the root attribute of one of the hierarchies —
 // the invariant the byte-identity guarantee rests on.
-func checkShardKey(key string, hierarchies []data.Hierarchy, n int) error {
+func CheckShardKey(key string, hierarchies []data.Hierarchy, n int) error {
 	if key == "" {
 		if n == 1 {
 			return nil
@@ -566,7 +566,7 @@ func parseHeader(d *decoder, lay layout) (*header, int, error) {
 	if got, want := crc32.Checksum(d.b[:hdrEnd], castagnoli), binary.LittleEndian.Uint32(sum); got != want {
 		return nil, 0, fmt.Errorf("store: header checksum mismatch (file %08x, computed %08x)", want, got)
 	}
-	if err := checkShardKey(h.key, h.hierarchies, len(h.shards)); err != nil {
+	if err := CheckShardKey(h.key, h.hierarchies, len(h.shards)); err != nil {
 		return nil, 0, err
 	}
 	next := align8(d.off)

@@ -364,11 +364,17 @@ func (e *Engine) Workers() int { return e.ds.Version().Eng.Workers() }
 
 // Shards returns the number of partitions the engine serves from, 0 when
 // unsharded.
-func (e *Engine) Shards() int { return e.ds.Version().Eng.NumShards() }
+func (e *Engine) Shards() int {
+	n, _ := e.ds.Version().Set.Partitioning()
+	return n
+}
 
 // ShardKey returns the dimension the engine's shards are partitioned on,
 // "" when unsharded.
-func (e *Engine) ShardKey() string { return e.ds.Version().Eng.ShardKey() }
+func (e *Engine) ShardKey() string {
+	_, key := e.ds.Version().Set.Partitioning()
+	return key
+}
 
 // Close releases the engine's file-backed resources: the memory mapping of a
 // WithMappedIO open and the write-ahead log of a WithWAL open (the log file
@@ -412,7 +418,8 @@ func (e *Engine) Save(path string) (*SnapshotInfo, error) {
 		return nil, err
 	}
 	schema := v.Set.Schema()
-	info := &SnapshotInfo{Rows: v.Set.TotalRows(), Dims: len(schema.Dims), Measures: len(schema.Measures), Shards: v.Eng.NumShards()}
+	info := &SnapshotInfo{Rows: v.Set.TotalRows(), Dims: len(schema.Dims), Measures: len(schema.Measures)}
+	info.Shards, _ = v.Set.Partitioning()
 	info.CubeLevels, info.CubeCells = v.Set.CubeSize()
 	return info, nil
 }
