@@ -3,6 +3,13 @@
 // measures, hierarchy (dimension) metadata with functional-dependency
 // validation, filtering with provenance, and CSV I/O.
 //
+// A value enters a dictionary one way: Interner, which ReadCSV and
+// AppendRowVals use per dataset column, store.EncodeBatch per append batch
+// and agg.NewResult per attribute. A CSV body is read one way: CSVReader,
+// which ReadCSV and the HTTP append handler use. The package imports neither
+// internal/store nor internal/cube: a store.Snapshot wraps a Dataset, and a
+// cube is attached to one only as an opaque rollup (SetRollup).
+//
 // There is one column representation. A dimension is a dictionary of its
 // distinct values plus one uint32 code per row; a measure is a []float64.
 // Whether the backing arrays live on the heap (CSV loads, generators, eager
@@ -94,11 +101,9 @@ type dimCol struct {
 	codes []uint32
 }
 
-// Interner grows one dimension dictionary, and is the one place a value
-// enters a dictionary: ReadCSV and AppendRowVals intern through a dataset
-// column's, store.EncodeBatch through one per dimension of a batch, and
-// agg.NewResult through one per attribute. Codes are first-appearance order,
-// so the same values in the same order get the same codes on every path. The
+// Interner grows one dimension dictionary; it is the one place a value enters
+// a dictionary (see the package comment). Codes are first-appearance order, so
+// the same values in the same order get the same codes on every path. The
 // zero Interner is an empty dictionary.
 type Interner struct {
 	dict []string

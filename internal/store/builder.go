@@ -62,10 +62,12 @@ func (b *Builder) Append(rows []Row) (*Snapshot, error) {
 }
 
 // Batch is one append batch validated and dictionary-encoded, column by
-// column, against a snapshot's dictionaries. It is the single ingestion
+// column, against a snapshot's dictionaries. It is the store's one append
 // routine: Builder.Append extends one snapshot with it, internal/shard routes
 // its rows across the shards of a set (Pick) and extends each, so dictionary
-// growth happens once and every shard of the successor shares it.
+// growth happens once and every shard of the successor shares it. Its values
+// enter the dictionaries through data.Interner, as a CSV load's do, so
+// appending rows codes them as loading them with the base's rows would.
 type Batch struct {
 	n      int         // batch rows
 	dicts  [][]string  // per dimension: the base dictionary grown by the batch
