@@ -368,10 +368,9 @@ func rankCodes(dict []string, codes []uint32, k, ai int) []uint32 {
 }
 
 // NewResult assembles a decoded Result from unordered string groups (callers
-// that hold no codes: tests and factor.NewSource). It interns every
-// attribute's values into a dictionary of its own through data.Interner and
-// funnels into FromCodes. Like the generators' row API, it panics on a value
-// no dictionary admits (data.ValidDimValue).
+// that hold no codes: tests and factor.NewSource), interning each attribute's
+// values through a data.Interner of its own, into FromCodes. Like the
+// generators' row API, it panics on a value no dictionary admits.
 func NewResult(attrs []string, measure string, groups []Group) *Result {
 	k := len(attrs)
 	interners := make([]data.Interner, k)

@@ -10,12 +10,9 @@ import (
 	"strconv"
 )
 
-// CSVReader is the one CSV reader: ReadCSV loads through it, and the HTTP
-// append body is read through it, so both take the same header, quoting and
-// measure rules. The first record is the header, whose names must be
-// distinct. Data records count as rows from 1, and the header is line 1, so
-// row r is line r+1; every error names the row and the line, and a field's
-// error the column.
+// CSVReader is the one CSV reader (see the package comment): a header of
+// distinct names, then records, row r being line r+1. Every error names the
+// row and the line, and a field's the column.
 type CSVReader struct {
 	Header []string
 	what   string // names the input in errors: "CSV", "append CSV"
@@ -32,8 +29,7 @@ func NewCSVReader(r io.Reader, what string) (*CSVReader, error) {
 		return nil, fmt.Errorf("reading %s header: %w", what, err)
 	}
 	header = slices.Clone(header)
-	// Reject duplicate names: columns are looked up by name, so a later
-	// duplicate would silently clobber the earlier column's values.
+	// Columns are looked up by name: a duplicate would clobber the earlier.
 	seen := make(map[string]bool, len(header))
 	for _, c := range header {
 		if seen[c] {
@@ -58,9 +54,8 @@ func (r *CSVReader) Read() ([]string, error) {
 	return rec, nil
 }
 
-// Measure parses field col of the record Read returned as a measure value.
-// ParseFloat accepts "NaN" and "±Inf", which would silently poison every
-// downstream Sum/SumSq and model fit, so a measure must also be finite.
+// Measure parses field col of the record Read returned as a measure, which
+// must be finite: "NaN" and "±Inf" would poison every Sum/SumSq and fit.
 func (r *CSVReader) Measure(rec []string, col int) (float64, error) {
 	v, err := strconv.ParseFloat(rec[col], 64)
 	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
@@ -80,49 +75,36 @@ func (r *CSVReader) FieldError(col int, err error) error {
 // ReadCSV loads a dataset from CSV. Columns named in measureNames are parsed
 // as float64 measures; all other columns become dimensions. The header row is
 // required. hierarchies may be nil and attached later.
-//
-// Rows stream into the dataset's dictionary-coded columns: each dimension
-// keeps one interned copy of every distinct value plus a uint32 code per row,
-// so resident memory is bounded by the size of the encoded output (what a
-// .rst snapshot of the dataset would hold), not by the raw input text.
-// Dictionaries are in first-appearance order, which store.FromDataset
-// reuses, so CSV → snapshot conversion is deterministic.
+// Rows stream into the dictionary-coded columns, so resident memory is
+// bounded by the encoded output, not the input text.
 func ReadCSV(r io.Reader, name string, measureNames []string, hierarchies []Hierarchy) (*Dataset, error) {
 	cr, err := NewCSVReader(r, "CSV")
 	if err != nil {
 		return nil, fmt.Errorf("data: %w", err)
 	}
 	header := cr.Header
-	isMeasure := make(map[string]bool, len(measureNames))
+	isMeasure := make([]bool, len(header))
 	for _, m := range measureNames {
-		if !slices.Contains(header, m) {
+		col := slices.Index(header, m)
+		if col < 0 {
 			return nil, fmt.Errorf("data: measure column %q not in CSV header", m)
 		}
-		isMeasure[m] = true
+		isMeasure[col] = true
 	}
 	var dimNames, msNames []string
-	for _, c := range header {
-		if isMeasure[c] {
+	for col, c := range header {
+		if isMeasure[col] {
 			msNames = append(msNames, c)
 		} else {
 			dimNames = append(dimNames, c)
 		}
 	}
-
-	// Header position → the dataset column it feeds: a dimension column, or
-	// (where dimCols is nil) the msSlot-th measure.
 	d := New(name, dimNames, msNames, hierarchies)
-	dimCols := make([]*dimCol, len(header))
-	msSlot := make([]int, len(header))
-	vals := make([][]float64, len(msNames))
-	mi := 0
+	// By header position: the dimension column it feeds (nil for a measure),
+	// and a measure's values.
+	dimCols, vals := make([]*dimCol, len(header)), make([][]float64, len(header))
 	for col, c := range header {
-		if isMeasure[c] {
-			msSlot[col] = mi
-			mi++
-		} else {
-			dimCols[col] = d.dims[c]
-		}
+		dimCols[col] = d.dims[c]
 	}
 
 	for {
@@ -133,8 +115,8 @@ func ReadCSV(r io.Reader, name string, measureNames []string, hierarchies []Hier
 		if err != nil {
 			return nil, fmt.Errorf("data: %w", err)
 		}
-		for col := range header {
-			if e := dimCols[col]; e != nil {
+		for col, e := range dimCols {
+			if e != nil {
 				code, err := e.Intern(rec[col])
 				if err != nil {
 					return nil, fmt.Errorf("data: %w", cr.FieldError(col, err))
@@ -146,12 +128,14 @@ func ReadCSV(r io.Reader, name string, measureNames []string, hierarchies []Hier
 			if err != nil {
 				return nil, fmt.Errorf("data: %w", err)
 			}
-			vals[msSlot[col]] = append(vals[msSlot[col]], v)
+			vals[col] = append(vals[col], v)
 		}
 		d.n++
 	}
-	for i, c := range d.measureNames {
-		d.measures[c] = vals[i]
+	for col, c := range header {
+		if isMeasure[col] {
+			d.measures[c] = vals[col]
+		}
 	}
 	// Validate hierarchy metadata at load time so hierarchies referencing
 	// columns absent from the CSV fail here, with the file context, instead

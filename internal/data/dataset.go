@@ -92,31 +92,23 @@ type fdTable struct {
 }
 
 // dimCol is one dimension column: codes index into the dictionary its
-// Interner grows. Columns handed out to derived datasets (Clone, Select) and
-// columns adopted from a caller (FromColumns) start their Interner from the
-// shared dictionary, so appending to one dataset copies it instead of writing
-// into an array another dataset — or a read-only file mapping — still reads.
+// Interner grows. Derived (Clone, Select) and adopted (FromColumns) columns
+// start their Interner from the shared dictionary, which it copies before
+// growing: another dataset, or a read-only file mapping, still reads it.
 type dimCol struct {
 	Interner
 	codes []uint32
 }
 
-// Interner grows one dimension dictionary; it is the one place a value enters
-// a dictionary (see the package comment). Codes are first-appearance order, so
-// the same values in the same order get the same codes on every path. The
-// zero Interner is an empty dictionary.
+// Interner grows one dimension dictionary in first-appearance order, the one
+// way a value enters a dictionary. The zero Interner is an empty dictionary.
 type Interner struct {
-	dict []string
-	// index maps value → code. It is built on the first Intern: dictionaries
-	// that are never grown do not pay for it.
-	index map[string]uint32
+	dict  []string
+	index map[string]uint32 // value → code, built by the first Intern
 }
 
-// NewInterner starts from dict, which it never writes: the first new value
-// copies it.
-func NewInterner(dict []string) Interner {
-	return Interner{dict: dict[:len(dict):len(dict)]}
-}
+// NewInterner starts from dict, which it copies before growing.
+func NewInterner(dict []string) Interner { return Interner{dict: dict[:len(dict):len(dict)]} }
 
 // Dict returns the dictionary grown so far.
 func (in *Interner) Dict() []string { return in.dict }

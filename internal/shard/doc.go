@@ -5,15 +5,10 @@
 // partial (count, sum, sum-of-squares) statistics with agg.Stats.Add — the
 // Appendix A merge function G — before any model fits. This is the
 // decomposition-then-combine structure that makes Reptile's aggregates
-// distributive, applied across process-internal partitions. The
-// core.ShardWorker seam the engine talks through stays because the engine's
-// memo tests substitute their own workers for it (countingShard and
-// flakyShard); remote shard workers behind it are parked until in-process
-// shards show a measured win (ROADMAP.md).
-//
-// The Set owns the topology. The engine only gathers; the SDK, the server's
-// dataset info and /v1/stats read the shard count and key off the Set
-// (Partitioning), which reports them only for N > 1.
+// distributive, applied across process-internal partitions. The Set owns the
+// topology (Partitioning reports it); the engine only gathers, through the
+// core.ShardWorker seam, which stays as the one the engine's memo tests
+// substitute (countingShard, flakyShard). Remote workers are parked.
 //
 // # One shard
 //
@@ -35,7 +30,7 @@
 // Rows are routed by an FNV-1a hash of their shard-key value modulo the
 // shard count. The key must be the root attribute of one of the dataset's
 // hierarchies (the default is the first hierarchy's root; store.CheckShardKey
-// is the one check, at partitioning, write and open), and dictionaries
+// checks it), and dictionaries
 // are shared across shards: a shard's columns hold codes into the same
 // dictionary slices as its siblings, so partitioning costs one pass over the
 // codes and no string is stored twice — and the engine merges per-shard

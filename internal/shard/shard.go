@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/data"
@@ -60,8 +61,7 @@ func Partition(snap *store.Snapshot, n int, key string) (*Set, error) {
 	if key == "" {
 		key = DefaultKey(snap.Hierarchies)
 	}
-	// n ≥ 2 shards need a key, so a dataset with no hierarchy to derive one
-	// from is refused.
+	// n ≥ 2 shards need a key: a dataset with no hierarchy to derive one fails.
 	if err := store.CheckShardKey(key, snap.Hierarchies, n); err != nil {
 		return nil, err
 	}
@@ -71,13 +71,7 @@ func Partition(snap *store.Snapshot, n int, key string) (*Set, error) {
 		// partitioned file mapped.
 		return nil, fmt.Errorf("shard: cannot partition memory-mapped snapshot %q; re-open it eagerly to partition", snap.Name)
 	}
-	keyIdx := -1
-	for i, c := range snap.Dims {
-		if c.Name == key {
-			keyIdx = i
-			break
-		}
-	}
+	keyIdx := slices.IndexFunc(snap.Dims, func(c store.Column) bool { return c.Name == key })
 	if keyIdx < 0 {
 		return nil, fmt.Errorf("shard: partition key %q is not a dimension of %q", key, snap.Name)
 	}

@@ -4,15 +4,9 @@
 // the one batch-append routine (EncodeBatch, then Batch.Extend or, for the
 // shards of a set, ExtendShards) that produces new snapshot versions for live
 // ingestion — Builder.Append and internal/shard's Set.Append are both thin
-// callers of it. The store encodes no value itself: a batch's values enter
-// the dictionaries through data.Interner, the interner CSV loads use, and an
-// HTTP append body is read by data.CSVReader, the reader CSV loads use.
-//
-// A Snapshot wraps a data.Dataset (Snapshot.Dataset shares the columns;
-// FromDataset adopts a dataset's) rather than the two being one type, because
-// the layering runs one way: data imports neither store nor cube, so the
-// version, the append claim, the cube and the file mapping live here, and a
-// dataset carries the cube only as an opaque attachment (data.SetRollup).
+// callers of it. A batch's values enter the dictionaries through
+// data.Interner, as a CSV load's do. A Snapshot wraps a data.Dataset rather
+// than being one, because data imports neither store nor cube.
 //
 // A Snapshot keeps each dimension as a dictionary of distinct strings plus
 // one uint32 code per row, and each measure as a raw []float64 — the one

@@ -364,17 +364,11 @@ func (e *Engine) Workers() int { return e.ds.Version().Eng.Workers() }
 
 // Shards returns the number of partitions the engine serves from, 0 when
 // unsharded.
-func (e *Engine) Shards() int {
-	n, _ := e.ds.Version().Set.Partitioning()
-	return n
-}
+func (e *Engine) Shards() int { n, _ := e.ds.Version().Set.Partitioning(); return n }
 
 // ShardKey returns the dimension the engine's shards are partitioned on,
 // "" when unsharded.
-func (e *Engine) ShardKey() string {
-	_, key := e.ds.Version().Set.Partitioning()
-	return key
-}
+func (e *Engine) ShardKey() string { _, key := e.ds.Version().Set.Partitioning(); return key }
 
 // Close releases the engine's file-backed resources: the memory mapping of a
 // WithMappedIO open and the write-ahead log of a WithWAL open (the log file
