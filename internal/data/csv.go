@@ -41,7 +41,8 @@ func NewCSVReader(r io.Reader, what string) (*CSVReader, error) {
 }
 
 // Read returns the next record, in Header order, or io.EOF after the last.
-// The next Read reuses the slice; its fields are strings of their own.
+// The next Read reuses the slice, not the fields, which share one allocation
+// per record: Interner clones what it keeps.
 func (r *CSVReader) Read() ([]string, error) {
 	rec, err := r.cr.Read()
 	if err == io.EOF {
