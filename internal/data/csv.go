@@ -40,9 +40,8 @@ func NewCSVReader(r io.Reader, what string) (*CSVReader, error) {
 	return &CSVReader{Header: header, what: what, cr: cr}, nil
 }
 
-// Read returns the next record, in Header order, or io.EOF after the last.
-// The next Read reuses the slice, not the fields, which share one allocation
-// per record: Interner clones what it keeps.
+// Read returns the next record, or io.EOF after the last. The next Read reuses
+// the slice, not its fields, which share one allocation per record.
 func (r *CSVReader) Read() ([]string, error) {
 	rec, err := r.cr.Read()
 	if err == io.EOF {
