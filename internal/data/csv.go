@@ -62,13 +62,13 @@ func (r *CSVReader) Measure(rec []string, col int) (float64, error) {
 		err = fmt.Errorf("non-finite measure value %q", rec[col])
 	}
 	if err != nil {
-		return 0, r.FieldError(col, err)
+		return 0, r.fieldError(col, err)
 	}
 	return v, nil
 }
 
-// FieldError locates err at field col of the record Read returned.
-func (r *CSVReader) FieldError(col int, err error) error {
+// fieldError locates err at field col of the record Read returned.
+func (r *CSVReader) fieldError(col int, err error) error {
 	return fmt.Errorf("%s row %d (line %d) column %q: %w", r.what, r.row, r.row+1, r.Header[col], err)
 }
 
@@ -119,7 +119,7 @@ func ReadCSV(r io.Reader, name string, measureNames []string, hierarchies []Hier
 			if e != nil {
 				code, err := e.Intern(rec[col])
 				if err != nil {
-					return nil, fmt.Errorf("data: %w", cr.FieldError(col, err))
+					return nil, fmt.Errorf("data: %w", cr.fieldError(col, err))
 				}
 				e.codes = append(e.codes, code)
 				continue
