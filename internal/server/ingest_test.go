@@ -4,13 +4,17 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/ingest"
 	"repro/internal/store"
 	"repro/reptile/api"
 )
@@ -629,5 +633,94 @@ func TestWALFlushServesWhatRecoveryKeeps(t *testing.T) {
 	}
 	if got := recommendBytes(t, ts2.URL, createSession(t, ts2.URL), complaint); !bytes.Equal(got, want) {
 		t.Errorf("recovered recommendation differs from the served one:\nrecovered: %s\nserved:    %s", got, want)
+	}
+}
+
+// cleanDroughtBatch is a random append body over the drought schema that
+// every dataset admits: villages, old and new, keep one district each.
+func cleanDroughtBatch(rng *rand.Rand) (csv string, rows []string) {
+	villages := [][2]string{{"Ofla", "Adishim"}, {"Ofla", "Zata"}, {"Raya", "Kukufto"}, {"Raya", "Mehoni"}}
+	var b strings.Builder
+	b.WriteString("district,village,year,severity\n")
+	for n := 1 + rng.Intn(6); n > 0; n-- {
+		dv := [2]string{[]string{"Ofla", "Raya"}[n%2], fmt.Sprintf("New%d", rng.Intn(8)*2+n%2)}
+		if rng.Intn(2) == 0 {
+			dv = villages[rng.Intn(len(villages))]
+		}
+		row := fmt.Sprintf("%s,%s,%d,%g", dv[0], dv[1], 1985+rng.Intn(5), float64(rng.Intn(40))/4)
+		b.WriteString(row + "\n")
+		rows = append(rows, row)
+	}
+	return b.String(), rows
+}
+
+// servedRows renders every row of a served version, sorted, in the append
+// body's column order.
+func servedRows(t *testing.T, v *ingest.Version) []string {
+	t.Helper()
+	var out []string
+	for _, snap := range v.Set.Snaps {
+		ds, err := snap.Dataset()
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, vil, y, sev := ds.Dim("district"), ds.Dim("village"), ds.Dim("year"), ds.Measure("severity")
+		for i := range d {
+			out = append(out, fmt.Sprintf("%s,%s,%s,%g", d[i], vil[i], y[i], sev[i]))
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestWALAckedRowsServedAfterRecovery: random sequences of clean batches
+// appended to a WAL-backed dataset, flushed at random points and at the end,
+// then killed and re-registered. Every acknowledged row is served before the
+// kill and after the recovery, on one shard and on two, with and without
+// checkpoints.
+func TestWALAckedRowsServedAfterRecovery(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cfg := Config{
+			WAL: true, WALDir: t.TempDir(),
+			FlushRows: 1 << 30, FlushBytes: 1 << 30, FlushInterval: time.Hour,
+			CheckpointBytes: []int64{-1, 64}[rng.Intn(2)],
+		}
+		req := droughtRequest()
+		req.Shards = 1 + rng.Intn(2)
+		s1, ts1 := newTestServer(t, cfg)
+		register(t, ts1.URL, req)
+		ent1 := entry(t, s1, "drought")
+		want := servedRows(t, ent1.ds.Version())
+		for i := 1; i <= 2+rng.Intn(6); i++ {
+			csv, rows := cleanDroughtBatch(rng)
+			code, b := post(t, ts1.URL+"/v1/datasets/drought/append", api.AppendRequest{CSV: csv})
+			var ar api.AppendResponse
+			if code != http.StatusOK || json.Unmarshal(b, &ar) != nil || ar.WALSeq == 0 {
+				t.Fatalf("seed %d batch %d: append %d %s", seed, i, code, b)
+			}
+			want = append(want, rows...)
+			if rng.Intn(3) == 0 {
+				ent1.ing.flush()
+			}
+		}
+		sort.Strings(want)
+		ent1.ing.flush()
+		if got := servedRows(t, ent1.ds.Version()); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: served after flush:\n%v\nwant acknowledged:\n%v", seed, got, want)
+		}
+		if err := ent1.ing.close(false); err != nil {
+			t.Fatal(err)
+		}
+		ts1.Close()
+
+		s2, ts2 := newTestServer(t, cfg)
+		register(t, ts2.URL, req)
+		if got := servedRows(t, entry(t, s2, "drought").ds.Version()); !slices.Equal(got, want) {
+			t.Fatalf("seed %d: served after recovery:\n%v\nwant acknowledged:\n%v", seed, got, want)
+		}
+		if err := s2.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
