@@ -14,14 +14,13 @@ test: build
 race:
 	go test -race ./internal/data/... ./internal/agg/... ./internal/feature/... ./internal/factor/... ./internal/fmatrix/... ./internal/mlm/... ./internal/core/... ./internal/shard/... ./internal/ingest/... ./internal/server/... ./internal/store/... ./internal/cube/... ./internal/wal/... ./internal/obs/... ./reptile/... ./cmd/reptiled/...
 
-# lint checks formatting, vets every package, and runs the full reptile-lint
-# static-analysis suite (import boundaries, determinism, close-check — see
-# internal/lint). `reptile-lint -list` names the analyzers;
-# suppress a false positive with `//lint:ignore <analyzer> <reason>`.
+# lint checks formatting, vets every package, and runs internal/lint's rule
+# tests over the repository: import rules, map-range determinism and the close
+# check (see internal/lint/doc.go). `go test ./...` runs them too.
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	go vet ./...
-	go run ./cmd/reptile-lint
+	go test -count=1 -run 'TestRepoHeadClean|TestImportRules' ./internal/lint
 
 # loc prints the size figure CHANGES.md and ROADMAP.md quote: non-test Go
 # lines outside benchmark/ (testdata excluded), per top-level package and in

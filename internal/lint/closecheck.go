@@ -2,7 +2,30 @@ package lint
 
 import (
 	"go/ast"
+	"strings"
 )
+
+// constructors maps each resource constructor, "pkg.Func" with a
+// module-relative or stdlib package path, to the index of the closeable value
+// in its result list.
+var constructors = map[string]int{
+	"os.Open":       0,
+	"os.Create":     0,
+	"os.OpenFile":   0,
+	"os.CreateTemp": 0,
+
+	"internal/wal.Open": 0,
+
+	"internal/store.OpenMappedFile": 0,
+	"internal/store.OpenShardsFile": 1,
+
+	"internal/shard.Open": 0,
+
+	// A dataset holds an open log (Recover) and possibly its set's file
+	// mapping.
+	"internal/ingest.Open":    0,
+	"internal/ingest.Recover": 0,
+}
 
 // CloseCheck flags resource constructors whose result is neither closed nor
 // handed off. The engine holds three kinds of OS-backed handles — *os.File,
@@ -20,58 +43,15 @@ import (
 //     channel, or have its address taken — ownership moved somewhere this
 //     function cannot see.
 //
-// Anything else is a leak at function exit on at least one path. False
-// positives (an exotic ownership transfer the walker cannot classify) carry a
-// `//lint:ignore closecheck <reason>` directive. Test files are exempt:
-// t.TempDir and process exit bound their leaks.
-type CloseCheck struct {
-	// Constructors maps "pkg.Func" (module-relative or stdlib package path)
-	// to the index of the closeable value in the call's result list.
-	Constructors map[string]int
-}
-
-// NewCloseCheck returns the analyzer bound to the repository's resource
-// constructors.
-func NewCloseCheck() *CloseCheck {
-	return &CloseCheck{Constructors: map[string]int{
-		"os.Open":       0,
-		"os.Create":     0,
-		"os.OpenFile":   0,
-		"os.CreateTemp": 0,
-
-		"internal/wal.Open": 0,
-
-		"internal/store.OpenMappedFile": 0,
-		"internal/store.OpenShardsFile": 1,
-
-		"internal/shard.Open": 0,
-
-		// A dataset holds an open log (Recover) and possibly its set's file
-		// mapping.
-		"internal/ingest.Open":    0,
-		"internal/ingest.Recover": 0,
-	}}
-}
-
-// Name implements Analyzer.
-func (*CloseCheck) Name() string { return "closecheck" }
-
-// Doc implements Analyzer.
-func (*CloseCheck) Doc() string {
-	return "require a reachable Close (or ownership hand-off) for file/WAL/mmap constructor results"
-}
-
-// Run implements Analyzer.
-func (c *CloseCheck) Run(r *Repo) []Finding {
+// Anything else is a leak at function exit on at least one path. Test files
+// are exempt: t.TempDir and process exit bound their leaks.
+func CloseCheck(r *Repo) []Finding {
 	var out []Finding
-	for _, pkg := range r.Pkgs {
-		for _, f := range pkg.Files {
-			if f.Test {
-				continue
-			}
-			out = append(out, c.checkFile(r, f)...)
+	r.eachFile(func(_ string, f *File) {
+		if !f.Test {
+			out = append(out, checkCloses(r, f)...)
 		}
-	}
+	})
 	return out
 }
 
@@ -80,20 +60,16 @@ func (c *CloseCheck) Run(r *Repo) []Finding {
 func importLocals(f *ast.File) map[string]string {
 	m := make(map[string]string)
 	for _, spec := range f.Imports {
-		path := importPathOf(spec)
+		path := importPath(spec)
 		if path == "" {
 			continue
 		}
-		name := ""
+		name := path[strings.LastIndex(path, "/")+1:]
 		if spec.Name != nil {
 			if spec.Name.Name == "." || spec.Name.Name == "_" {
 				continue
 			}
 			name = spec.Name.Name
-		} else if i := lastSlash(path); i >= 0 {
-			name = path[i+1:]
-		} else {
-			name = path
 		}
 		m[name] = path
 	}
@@ -102,7 +78,7 @@ func importLocals(f *ast.File) map[string]string {
 
 // constructorOf resolves a call expression against the constructor table,
 // returning the closeable result index.
-func (c *CloseCheck) constructorOf(r *Repo, imports map[string]string, call *ast.CallExpr) (int, bool) {
+func constructorOf(r *Repo, imports map[string]string, call *ast.CallExpr) (int, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return 0, false
@@ -115,14 +91,14 @@ func (c *CloseCheck) constructorOf(r *Repo, imports map[string]string, call *ast
 	if !ok {
 		return 0, false
 	}
-	if rel, inMod := r.InModule(path); inMod {
+	if rel, inMod := r.inModule(path); inMod {
 		path = rel
 	}
-	idx, ok := c.Constructors[path+"."+sel.Sel.Name]
+	idx, ok := constructors[path+"."+sel.Sel.Name]
 	return idx, ok
 }
 
-func (c *CloseCheck) checkFile(r *Repo, f *File) []Finding {
+func checkCloses(r *Repo, f *File) []Finding {
 	var out []Finding
 	imports := importLocals(f.Ast)
 	for _, decl := range f.Ast.Decls {
@@ -139,7 +115,7 @@ func (c *CloseCheck) checkFile(r *Repo, f *File) []Finding {
 			if !ok {
 				return true
 			}
-			idx, ok := c.constructorOf(r, imports, call)
+			idx, ok := constructorOf(r, imports, call)
 			if !ok || idx >= len(as.Lhs) {
 				return true
 			}
@@ -148,7 +124,7 @@ func (c *CloseCheck) checkFile(r *Repo, f *File) []Finding {
 				return true
 			}
 			if !closedOrEscapes(fn.Body, id.Name, call) {
-				out = append(out, r.finding(c.Name(), f, as.Pos(),
+				out = append(out, r.finding("closecheck", f, as.Pos(),
 					"%q is opened here but never closed and never leaves the function; close it (defer %s.Close()) or hand ownership off", id.Name, id.Name))
 			}
 			return true

@@ -3,65 +3,42 @@ package lint
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
-// Determinism enforces the byte-identical-output contract the engine's scale
-// claims rest on: recommendations and every serialized surface (wire JSON,
-// .rst snapshots, Prometheus exposition) must not depend on Go's randomized
-// map iteration order or on wall-clock state.
-//
-// Two checks run over the wire-output-producing packages:
-//
-//  1. A `range` over a map-typed expression whose body feeds an ordered sink
-//     (append to a slice, writes to an io.Writer or strings.Builder, an
-//     encode/marshal call) is flagged — unless every appended-to slice is
-//     passed to a sort call later in the same function (the canonical
-//     collect-keys-then-sort idiom), or the loop carries a
-//     `//lint:ignore determinism <reason>` directive.
-//
-//  2. In the core evaluation packages, `time.Now` / `time.Since` calls and
-//     any import of math/rand are flagged outright: the engine's outputs
-//     must be pure functions of its inputs (event-time retention, for
-//     example, derives its horizon from the data, never the clock).
-//
-// Map-typedness is resolved syntactically (the toolchain here is go/parser +
-// go/ast only, no type checker): named map types, map-typed struct fields,
-// map-returning functions, and map-typed locals/params declared in the
-// analyzed source are recognized. A field x.F is looked up in the struct x is
-// declared as wherever the source shows that (a parameter, a var, a composite
-// literal, a range over a slice of it); elsewhere by its bare name, and then only a name that no struct declares as a non-map
-// counts. The heuristic is deliberately conservative — an unrecognized map
-// simply goes unflagged, while a flagged non-map is suppressible.
-type Determinism struct {
-	// WireTrees are the module-relative subtrees whose output must be
-	// byte-deterministic (map-range check).
-	WireTrees []string
-	// PureTrees are the subtrees where wall-clock and randomness are
-	// forbidden outright.
-	PureTrees []string
+// wireTrees are the module-relative subtrees whose output must be
+// byte-deterministic: recommendations and every serialized surface (wire
+// JSON, .rst snapshots, Prometheus exposition).
+var wireTrees = []string{
+	"internal/core", "internal/agg", "internal/cube", "internal/shard",
+	"internal/obs", "internal/server", "reptile/api",
 }
 
-// NewDeterminism returns the analyzer bound to the repository's
-// wire-output-producing and pure-evaluation package sets.
-func NewDeterminism() *Determinism {
-	return &Determinism{
-		WireTrees: []string{
-			"internal/core", "internal/agg", "internal/cube", "internal/shard",
-			"internal/obs", "internal/server", "reptile/api",
-		},
-		PureTrees: []string{
-			"internal/core", "internal/agg", "internal/cube", "internal/shard",
-		},
-	}
-}
-
-// Name implements Analyzer.
-func (*Determinism) Name() string { return "determinism" }
-
-// Doc implements Analyzer.
-func (*Determinism) Doc() string {
-	return "flag unsorted map iteration feeding encoded output, and wall-clock/rand use in the engine core"
+// MapRanges flags, in the wire trees' production files, every `range` over a
+// map-typed expression whose body feeds an ordered sink (append to a slice,
+// writes to an io.Writer or strings.Builder, an encode/marshal call), unless
+// every appended-to slice is passed to a sort call later in the same
+// function: the collect-keys-then-sort idiom. Go randomises map iteration
+// order per range, so such a loop makes output depend on it.
+//
+// Map-typedness is resolved syntactically (go/parser + go/ast only, no type
+// checker): named map types, map-typed struct fields, map-returning
+// functions, and map-typed locals/params declared in the analyzed source are
+// recognized. A field x.F is looked up in the struct x is declared as
+// wherever the source shows that (a parameter, a var, a composite literal, a
+// range over a slice of it); elsewhere by its bare name, and then only a name
+// that no struct declares as a non-map counts. The heuristic is deliberately
+// conservative: an unrecognized map simply goes unflagged.
+func MapRanges(r *Repo) []Finding {
+	env := buildMapEnv(r)
+	var out []Finding
+	r.eachFile(func(dir string, f *File) {
+		if !f.Test && slices.ContainsFunc(wireTrees, func(t string) bool { return inTree(dir, t) }) {
+			out = append(out, checkMapRanges(r, env, f)...)
+		}
+	})
+	return out
 }
 
 // mapEnv is the repository-wide syntactic map-type index.
@@ -122,8 +99,8 @@ func (e *mapEnv) isMapTypeExpr(t ast.Expr) bool {
 
 // buildMapEnv indexes every map-ish declaration in the repository. Type,
 // function and variable names are tracked unqualified; a cross-package
-// collision between a map and a non-map name would over-flag, which
-// suppression covers. Struct fields are indexed by declaring struct as well.
+// collision between a map and a non-map name would over-flag, and is renamed
+// away. Struct fields are indexed by declaring struct as well.
 func buildMapEnv(r *Repo) *mapEnv {
 	e := &mapEnv{
 		namedTypes: make(map[string]bool),
@@ -136,7 +113,7 @@ func buildMapEnv(r *Repo) *mapEnv {
 	}
 	// Pass 1: named map types, so passes 2–3 resolve fields and results
 	// declared through them.
-	forEachFile(r, func(_ *Package, f *File) {
+	r.eachFile(func(_ string, f *File) {
 		ast.Inspect(f.Ast, func(n ast.Node) bool {
 			if ts, ok := n.(*ast.TypeSpec); ok {
 				if _, isMap := ts.Type.(*ast.MapType); isMap {
@@ -147,7 +124,7 @@ func buildMapEnv(r *Repo) *mapEnv {
 		})
 	})
 	// Pass 2: fields, function results, package vars.
-	forEachFile(r, func(_ *Package, f *File) {
+	r.eachFile(func(_ string, f *File) {
 		for _, decl := range f.Ast.Decls {
 			switch d := decl.(type) {
 			case *ast.FuncDecl:
@@ -188,112 +165,8 @@ func buildMapEnv(r *Repo) *mapEnv {
 	return e
 }
 
-func forEachFile(r *Repo, fn func(p *Package, f *File)) {
-	for _, p := range r.Pkgs {
-		for _, f := range p.Files {
-			fn(p, f)
-		}
-	}
-}
-
-func inAnyTree(dir string, trees []string) bool {
-	for _, t := range trees {
-		if inTree(dir, t) {
-			return true
-		}
-	}
-	return false
-}
-
-// Run implements Analyzer.
-func (d *Determinism) Run(r *Repo) []Finding {
-	env := buildMapEnv(r)
-	var out []Finding
-	for _, pkg := range r.Pkgs {
-		wire := inAnyTree(pkg.Dir, d.WireTrees)
-		pure := inAnyTree(pkg.Dir, d.PureTrees)
-		if !wire && !pure {
-			continue
-		}
-		for _, f := range pkg.Files {
-			if f.Test {
-				continue
-			}
-			if pure {
-				out = append(out, d.checkPurity(r, f)...)
-			}
-			if wire {
-				out = append(out, d.checkMapRanges(r, env, f)...)
-			}
-		}
-	}
-	return out
-}
-
-// checkPurity flags wall-clock reads and math/rand imports.
-func (d *Determinism) checkPurity(r *Repo, f *File) []Finding {
-	var out []Finding
-	timeName := localImportName(f.Ast, "time")
-	for _, spec := range f.Ast.Imports {
-		switch importPathOf(spec) {
-		case "math/rand", "math/rand/v2":
-			out = append(out, r.finding(d.Name(), f, spec.Pos(),
-				"the engine core must not import math/rand: outputs must be pure functions of the inputs"))
-		}
-	}
-	if timeName == "" {
-		return out
-	}
-	ast.Inspect(f.Ast, func(n ast.Node) bool {
-		sel, ok := n.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		x, ok := sel.X.(*ast.Ident)
-		if !ok || x.Name != timeName {
-			return true
-		}
-		if sel.Sel.Name == "Now" || sel.Sel.Name == "Since" {
-			out = append(out, r.finding(d.Name(), f, sel.Pos(),
-				"the engine core must not read the wall clock (time.%s): outputs must be pure functions of the inputs", sel.Sel.Name))
-		}
-		return true
-	})
-	return out
-}
-
-// localImportName returns the identifier a file refers to an import by, or
-// "" when the path is not imported. Dot and blank imports return "".
-func localImportName(f *ast.File, path string) string {
-	for _, spec := range f.Imports {
-		if importPathOf(spec) != path {
-			continue
-		}
-		if spec.Name != nil {
-			if spec.Name.Name == "." || spec.Name.Name == "_" {
-				return ""
-			}
-			return spec.Name.Name
-		}
-		if i := lastSlash(path); i >= 0 {
-			return path[i+1:]
-		}
-		return path
-	}
-	return ""
-}
-
-func lastSlash(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '/' {
-			return i
-		}
-	}
-	return -1
-}
-
 // checkMapRanges flags order-sensitive loops over maps in one file.
-func (d *Determinism) checkMapRanges(r *Repo, env *mapEnv, f *File) []Finding {
+func checkMapRanges(r *Repo, env *mapEnv, f *File) []Finding {
 	var out []Finding
 	for _, decl := range f.Ast.Decls {
 		fn, ok := decl.(*ast.FuncDecl)
@@ -314,13 +187,13 @@ func (d *Determinism) checkMapRanges(r *Repo, env *mapEnv, f *File) []Finding {
 				return true
 			}
 			if sinks.direct {
-				out = append(out, r.finding(d.Name(), f, rs.Pos(),
+				out = append(out, r.finding("determinism", f, rs.Pos(),
 					"map iteration order feeds encoded output directly; iterate sorted keys instead"))
 				return true
 			}
 			for _, tgt := range sinks.targets {
 				if !sortedAfter(fn.Body, rs, tgt) {
-					out = append(out, r.finding(d.Name(), f, rs.Pos(),
+					out = append(out, r.finding("determinism", f, rs.Pos(),
 						"map iteration order leaks into %q, which is never sorted; sort it before use or iterate sorted keys", tgt))
 				}
 			}

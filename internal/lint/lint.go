@@ -1,12 +1,10 @@
 package lint
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -15,32 +13,20 @@ import (
 	"strings"
 )
 
-// Finding is one analyzer hit, positioned at a file:line the developer can
+// Finding is one rule violation, positioned at a file:line the developer can
 // jump to. File paths are slash-separated and relative to the repository
 // root, so findings are stable across machines and diffable in CI logs.
 type Finding struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Message  string `json:"message"`
+	Check   string // the check that raised it: "determinism", "closecheck", "imports"
+	File    string
+	Line    int
+	Col     int
+	Message string
 }
 
 // String renders the finding in the conventional file:line:col form.
 func (f Finding) String() string {
-	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Analyzer, f.Message)
-}
-
-// Analyzer is one check over the loaded repository. Analyzers are pure: they
-// read the syntax trees and return findings, never mutate them.
-type Analyzer interface {
-	// Name is the analyzer's stable identifier — the token used in
-	// `-only` selections and `//lint:ignore <name> <reason>` directives.
-	Name() string
-	// Doc is a one-line description for -list output.
-	Doc() string
-	// Run analyzes the repository.
-	Run(r *Repo) []Finding
+	return fmt.Sprintf("%s:%d:%d: [%s] %s", f.File, f.Line, f.Col, f.Check, f.Message)
 }
 
 // File is one parsed Go source file.
@@ -52,10 +38,6 @@ type File struct {
 	// Test reports whether the file is a _test.go file. Most invariants
 	// bind only production code; tests deliberately cross boundaries.
 	Test bool
-
-	// ignores maps source line → analyzer names suppressed on that line by
-	// a well-formed `//lint:ignore <analyzer> <reason>` directive.
-	ignores map[int][]string
 }
 
 // Package groups the files of one directory (one Go package, tests
@@ -74,11 +56,6 @@ type Repo struct {
 	Module string
 	Fset   *token.FileSet
 	Pkgs   []*Package
-
-	// directiveFindings are malformed //lint:ignore comments discovered at
-	// load time; Run reports them alongside analyzer findings so a typoed
-	// suppression can never silently mask nothing.
-	directiveFindings []Finding
 }
 
 // skipDir reports directories the loader never descends into: VCS state,
@@ -90,7 +67,7 @@ func skipDir(name string) bool {
 }
 
 // Load parses every Go file under root into a Repo. Files that fail to parse
-// are an error: the analyzers' guarantees are only as good as their coverage,
+// are an error: the checks' guarantees are only as good as their coverage,
 // so an unparsable file must fail the run, not shrink it.
 func Load(root string) (*Repo, error) {
 	modPath, err := modulePath(filepath.Join(root, "go.mod"))
@@ -125,14 +102,12 @@ func Load(root string) (*Repo, error) {
 		if i := strings.LastIndex(rel, "/"); i >= 0 {
 			dir = rel[:i]
 		}
-		f := &File{Rel: rel, Ast: af, Test: strings.HasSuffix(d.Name(), "_test.go")}
-		r.loadDirectives(f)
 		pkg, ok := byDir[dir]
 		if !ok {
 			pkg = &Package{Dir: dir}
 			byDir[dir] = pkg
 		}
-		pkg.Files = append(pkg.Files, f)
+		pkg.Files = append(pkg.Files, &File{Rel: rel, Ast: af, Test: strings.HasSuffix(d.Name(), "_test.go")})
 		return nil
 	})
 	if err != nil {
@@ -165,83 +140,15 @@ func modulePath(path string) (string, error) {
 	return "", fmt.Errorf("lint: no module declaration in %s", path)
 }
 
-// ignorePrefix introduces a suppression directive. The full form is
-//
-//	//lint:ignore <analyzer> <reason>
-//
-// placed on the flagged line or the line directly above it. The reason is
-// mandatory: a suppression documents a decision, and "because" is not one.
-const ignorePrefix = "//lint:ignore"
-
-// loadDirectives scans a file's comments for suppression directives,
-// recording well-formed ones on the file and malformed ones as findings.
-func (r *Repo) loadDirectives(f *File) {
-	for _, cg := range f.Ast.Comments {
-		for _, c := range cg.List {
-			rest, ok := strings.CutPrefix(c.Text, ignorePrefix)
-			if !ok {
-				continue
-			}
-			pos := r.Fset.Position(c.Pos())
-			fields := strings.Fields(rest)
-			if len(fields) < 2 {
-				r.directiveFindings = append(r.directiveFindings, Finding{
-					Analyzer: "directive",
-					File:     f.Rel,
-					Line:     pos.Line,
-					Col:      pos.Column,
-					Message:  fmt.Sprintf("malformed directive %q: want %s <analyzer> <reason>", c.Text, ignorePrefix),
-				})
-				continue
-			}
-			if f.ignores == nil {
-				f.ignores = make(map[int][]string)
-			}
-			f.ignores[pos.Line] = append(f.ignores[pos.Line], fields[0])
-		}
-	}
-}
-
-// suppressed reports whether a finding by the named analyzer at the given
-// line is covered by a directive on that line or the line above.
-func (f *File) suppressed(analyzer string, line int) bool {
-	for _, l := range []int{line, line - 1} {
-		for _, a := range f.ignores[l] {
-			if a == analyzer {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // finding builds a Finding at a node's position.
-func (r *Repo) finding(analyzer string, f *File, pos token.Pos, format string, args ...any) Finding {
+func (r *Repo) finding(check string, f *File, pos token.Pos, format string, args ...any) Finding {
 	p := r.Fset.Position(pos)
-	return Finding{
-		Analyzer: analyzer,
-		File:     f.Rel,
-		Line:     p.Line,
-		Col:      p.Column,
-		Message:  fmt.Sprintf(format, args...),
-	}
+	return Finding{Check: check, File: f.Rel, Line: p.Line, Col: p.Column, Message: fmt.Sprintf(format, args...)}
 }
 
-// Stdlib reports whether an import path names a standard-library package: no
-// module qualifier (the first path element carries no dot) and not a package
-// of this module. The module's own path may be dot-free (this repo's is), so
-// the module check runs first.
-func (r *Repo) Stdlib(path string) bool {
-	if path == r.Module || strings.HasPrefix(path, r.Module+"/") {
-		return false
-	}
-	first, _, _ := strings.Cut(path, "/")
-	return !strings.Contains(first, ".")
-}
-
-// InModule returns the module-relative form of an import path ("" when the
+// inModule returns the module-relative form of an import path ("" when the
 // path is not part of this module): "repro/internal/core" → "internal/core".
-func (r *Repo) InModule(path string) (string, bool) {
+func (r *Repo) inModule(path string) (string, bool) {
 	if path == r.Module {
 		return "", true
 	}
@@ -251,14 +158,14 @@ func (r *Repo) InModule(path string) (string, bool) {
 	return "", false
 }
 
-// inTree reports whether a package directory sits at or under the given
-// module-relative tree.
+// inTree reports whether a module-relative package directory or import path
+// sits at or under the given module-relative tree.
 func inTree(dir, tree string) bool {
 	return dir == tree || strings.HasPrefix(dir, tree+"/")
 }
 
-// importPathOf unquotes an import spec's path.
-func importPathOf(spec *ast.ImportSpec) string {
+// importPath unquotes an import spec's path.
+func importPath(spec *ast.ImportSpec) string {
 	p, err := strconv.Unquote(spec.Path.Value)
 	if err != nil {
 		return ""
@@ -266,85 +173,12 @@ func importPathOf(spec *ast.ImportSpec) string {
 	return p
 }
 
-// Run executes the analyzers over the repository, drops suppressed findings,
-// and returns the rest sorted by file, line, and analyzer. Malformed
-// suppression directives are always reported, whichever analyzers run.
-func Run(r *Repo, analyzers []Analyzer) []Finding {
-	fileOf := make(map[string]*File)
+// eachFile calls fn on every file, tests included, with its package
+// directory.
+func (r *Repo) eachFile(fn func(dir string, f *File)) {
 	for _, p := range r.Pkgs {
 		for _, f := range p.Files {
-			fileOf[f.Rel] = f
+			fn(p.Dir, f)
 		}
 	}
-	out := append([]Finding(nil), r.directiveFindings...)
-	for _, a := range analyzers {
-		for _, fd := range a.Run(r) {
-			if f := fileOf[fd.File]; f != nil && f.suppressed(fd.Analyzer, fd.Line) {
-				continue
-			}
-			out = append(out, fd)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		if a.Line != b.Line {
-			return a.Line < b.Line
-		}
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		return a.Analyzer < b.Analyzer
-	})
-	return out
-}
-
-// All returns the full analyzer suite in its canonical order.
-func All() []Analyzer {
-	return []Analyzer{
-		NewBoundaries(),
-		NewDeterminism(),
-		NewCloseCheck(),
-	}
-}
-
-// Select resolves a comma-separated analyzer selection ("boundaries,closecheck")
-// against the full suite.
-func Select(only string) ([]Analyzer, error) {
-	if only == "" {
-		return All(), nil
-	}
-	byName := make(map[string]Analyzer)
-	for _, a := range All() {
-		byName[a.Name()] = a
-	}
-	var out []Analyzer
-	for _, name := range strings.Split(only, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("lint: unknown analyzer %q", name)
-		}
-		out = append(out, a)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("lint: empty analyzer selection %q", only)
-	}
-	return out, nil
-}
-
-// WriteJSON renders findings as a JSON array (machine-readable output for
-// CI annotations and editors). An empty run renders as [] rather than null.
-func WriteJSON(w io.Writer, findings []Finding) error {
-	if findings == nil {
-		findings = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(findings)
 }

@@ -61,17 +61,6 @@ func Passed(path string, sink func(*os.File)) error {
 	return nil
 }
 
-// Suppressed documents an out-of-band owner. No finding through Run.
-func Suppressed(path string) error {
-	//lint:ignore closecheck the pool janitor closes idle handles
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	f.Name()
-	return nil
-}
-
 // LeakDataset recovers a dataset — an open log — and drops it. want: finding.
 func LeakDataset(dir string, base *shard.Set) error {
 	ds, err := ingest.Recover(dir, "demo", base, ingest.Options{})
