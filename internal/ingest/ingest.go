@@ -22,7 +22,8 @@
 // and the replay position together; truncating the log afterwards is an
 // optimization that can be skipped without losing or duplicating rows.
 //
-// The package is the only owner of internal/wal in the module (lint-enforced).
+// The package is the only owner of internal/wal in the module
+// (internal/lint's TestImportRules holds the server and the SDK to it).
 package ingest
 
 import (
@@ -232,16 +233,22 @@ func (d *Dataset) Options() Options { return d.opts }
 
 // Log commits rows to the write-ahead log (fsynced) and returns the batch's
 // sequence number; the rows are durable but not yet served — the caller
-// folds them in with Apply, in sequence order. On a dataset opened without a
-// log it commits nothing and returns 0. It fails once the dataset is closed.
+// folds them in with Apply, in sequence order. A batch holding a row the
+// schema cannot take (store.CheckRows) is refused and nothing is logged. On a
+// dataset opened without a log it commits nothing and returns 0. It fails
+// once the dataset is closed.
 func (d *Dataset) Log(rows []store.Row) (uint64, error) {
 	d.logMu.Lock()
 	defer d.logMu.Unlock()
+	schema := d.cur.Load().Set.Schema()
 	if d.closed {
-		return 0, fmt.Errorf("ingest: dataset %q is closed", d.cur.Load().Set.Schema().Name)
+		return 0, fmt.Errorf("ingest: dataset %q is closed", schema.Name)
 	}
 	if d.log == nil {
 		return 0, nil
+	}
+	if err := store.CheckRows(schema, rows); err != nil {
+		return 0, err
 	}
 	return d.log.Append(rows)
 }

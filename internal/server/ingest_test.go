@@ -724,3 +724,40 @@ func TestWALAckedRowsServedAfterRecovery(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendRefusesUnadmittableValue: a body whose second data row holds the
+// reserved group-key separator is refused with 422 naming row 2, on a
+// synchronous and on a WAL-backed server. The WAL-backed one logs nothing:
+// its sequence does not advance, no row is dropped later, and the next clean
+// append is served.
+func TestAppendRefusesUnadmittableValue(t *testing.T) {
+	bad := api.AppendRequest{CSV: "district,village,year,severity\nRaya,Bora,1986,3\nRaya,B\x1fx,1987,4\n"}
+	for _, cfg := range []Config{{}, {
+		WAL: true, WALDir: t.TempDir(),
+		FlushRows: 1 << 30, FlushBytes: 1 << 30, FlushInterval: time.Hour, CheckpointBytes: -1,
+	}} {
+		s, ts := newTestServer(t, cfg)
+		register(t, ts.URL, droughtRequest())
+		code, b := post(t, ts.URL+"/v1/datasets/drought/append", bad)
+		if code != http.StatusUnprocessableEntity || !strings.Contains(string(b), "row 2 ") {
+			t.Fatalf("WAL %v: append = %d %s, want 422 naming row 2", cfg.WAL, code, b)
+		}
+		if !cfg.WAL {
+			continue
+		}
+		ent := entry(t, s, "drought")
+		ent.ing.flush()
+		if ds := datasetStats(t, ts.URL, "drought"); ds.Rows != 8 || ds.WAL.LastSeq != 0 || ds.WAL.DroppedRows != 0 {
+			t.Fatalf("after the refused append: %d rows, WAL %+v; want 8 rows, nothing logged or dropped", ds.Rows, ds.WAL)
+		}
+		code, b = post(t, ts.URL+"/v1/datasets/drought/append", api.AppendRequest{CSV: "district,village,year,severity\nRaya,Bora,1986,3\n"})
+		var ar api.AppendResponse
+		if code != http.StatusOK || json.Unmarshal(b, &ar) != nil || ar.WALSeq != 1 {
+			t.Fatalf("clean append = %d %s, want 200 with wal_seq 1", code, b)
+		}
+		ent.ing.flush()
+		if ds := datasetStats(t, ts.URL, "drought"); ds.Rows != 9 || ds.WAL.DroppedRows != 0 {
+			t.Fatalf("after the clean append: %d rows, WAL %+v; want 9 rows served", ds.Rows, ds.WAL)
+		}
+	}
+}

@@ -85,17 +85,8 @@ func EncodeBatch(base *Snapshot, rows []Row) (*Batch, error) {
 		// it shares with the successor, defeating the open mode's purpose.
 		return nil, fmt.Errorf("store: cannot append to memory-mapped snapshot %q; re-open it eagerly to ingest", base.Name)
 	}
-	for i, r := range rows {
-		if len(r.Dims) != len(base.Dims) || len(r.Measures) != len(base.Measures) {
-			return nil, fmt.Errorf("store: append row %d: arity mismatch: %d/%d dims, %d/%d measures",
-				i, len(r.Dims), len(base.Dims), len(r.Measures), len(base.Measures))
-		}
-		for j, v := range r.Measures {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return nil, fmt.Errorf("store: append row %d measure %q: non-finite value %v",
-					i, base.Measures[j].Name, v)
-			}
-		}
+	if err := CheckRows(base, rows); err != nil {
+		return nil, err
 	}
 	b := &Batch{
 		n:      len(rows),
@@ -111,7 +102,7 @@ func EncodeBatch(base *Snapshot, rows []Row) (*Batch, error) {
 		for ri, r := range rows {
 			code, err := in.Intern(r.Dims[ci])
 			if err != nil {
-				return nil, fmt.Errorf("store: append row %d dimension %q: %w", ri, c.Name, err)
+				return nil, fmt.Errorf("store: append row %d dimension %q: %w", ri+1, c.Name, err)
 			}
 			codes[ri] = code
 		}
@@ -125,6 +116,29 @@ func EncodeBatch(base *Snapshot, rows []Row) (*Batch, error) {
 		b.values[mi] = vals
 	}
 	return b, nil
+}
+
+// CheckRows reports the first of rows that base's schema cannot take: wrong
+// arity, a non-finite measure, or a dimension value ValidDimValue rejects.
+// Rows are numbered from 1, as data.CSVReader numbers a body's records.
+func CheckRows(base *Snapshot, rows []Row) error {
+	for i, r := range rows {
+		if len(r.Dims) != len(base.Dims) || len(r.Measures) != len(base.Measures) {
+			return fmt.Errorf("store: append row %d: arity mismatch: %d/%d dims, %d/%d measures",
+				i+1, len(r.Dims), len(base.Dims), len(r.Measures), len(base.Measures))
+		}
+		for j, v := range r.Measures {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("store: append row %d measure %q: non-finite value %v", i+1, base.Measures[j].Name, v)
+			}
+		}
+		for j, v := range r.Dims {
+			if err := data.ValidDimValue(v); err != nil {
+				return fmt.Errorf("store: append row %d dimension %q: %w", i+1, base.Dims[j].Name, err)
+			}
+		}
+	}
+	return nil
 }
 
 // Pick returns the sub-batch holding the listed batch rows, in that order,

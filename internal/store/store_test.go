@@ -193,8 +193,8 @@ func TestKeySeparatorRejected(t *testing.T) {
 		{Dims: []string{"Ofla", "Adishim", "1986"}, Measures: []float64{1}},
 		{Dims: []string{"Ofla", "Adi\x1fshim", "1986"}, Measures: []float64{1}},
 	})
-	if err == nil || !strings.Contains(err.Error(), "row 1") || !strings.Contains(err.Error(), `"village"`) {
-		t.Fatalf("append err = %v, want a row 1 / village rejection", err)
+	if err == nil || !strings.Contains(err.Error(), "row 2 ") || !strings.Contains(err.Error(), `"village"`) {
+		t.Fatalf("append err = %v, want a row 2 / village rejection (rows number from 1)", err)
 	}
 	if b.Snapshot() != before {
 		t.Error("rejected append advanced the builder")

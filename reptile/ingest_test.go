@@ -308,3 +308,39 @@ func TestWALAckedAppendsServedAfterReopen(t *testing.T) {
 		eng.Close()
 	}
 }
+
+// TestWALAppendRefusesUnadmittableValue: a batch holding the reserved
+// group-key separator is refused, naming its row from 1, before it is logged,
+// so the log keeps its bare header and the next clean batch is served and
+// replays.
+func TestWALAppendRefusesUnadmittableValue(t *testing.T) {
+	dir := t.TempDir()
+	path := writeTestCSV(t)
+	eng := openDrought(t, path, reptile.WithWAL(dir))
+	err := eng.Append([]reptile.Row{
+		{Dims: []string{"Raya", "Bala", "1986"}, Measures: []float64{4}},
+		{Dims: []string{"Raya", "B\x1fx", "1987"}, Measures: []float64{5}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "row 2 ") {
+		t.Fatalf("append err = %v, want a refusal naming row 2", err)
+	}
+	// 13 bytes is a bare log header.
+	fi, err := os.Stat(filepath.Join(dir, "drought.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != 13 {
+		t.Fatalf("log after the refused append: %d bytes, want the 13-byte header", fi.Size())
+	}
+	if err := eng.Append(appendedRows); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened := openDrought(t, path, reptile.WithWAL(dir))
+	defer reopened.Close()
+	if n := reopened.Dataset().NumRows(); n != 10 {
+		t.Errorf("replayed rows = %d, want 10", n)
+	}
+}
