@@ -20,8 +20,8 @@ var hostLittleEndian = func() bool {
 // only a foreign buffer can be). The result has cap == len: appending to it
 // copies. A view keeps an eager read alive; it must not outlive a mapping.
 //
-// This is the repository's only use of unsafe (reptile-lint's boundaries
-// analyzer holds every other package to that).
+// This is the repository's only use of unsafe (internal/lint's
+// TestImportRules holds every other package to that).
 func view[T uint32 | uint64 | float64](b []byte) (out []T, ok bool) {
 	var zero T
 	size := int(unsafe.Sizeof(zero))
