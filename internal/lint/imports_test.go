@@ -84,27 +84,31 @@ func importViolations(r *Repo) []Finding {
 					out = append(out, r.finding("imports", f, spec.Pos(), "%s must not import %q: %s", subject, p.path, rule.why))
 				}
 			}
-		}
-		if !inTree(dir, clockCallTree) {
-			return
-		}
-		for _, spec := range f.Ast.Imports {
-			if importPath(spec) != "time" {
-				continue
+			if p.path == "time" && inTree(dir, clockCallTree) {
+				out = append(out, clockReads(r, f, spec)...)
 			}
-			name := "time"
-			if spec.Name != nil {
-				name = spec.Name.Name
-			}
-			ast.Inspect(f.Ast, func(n ast.Node) bool {
-				if sel, ok := n.(*ast.SelectorExpr); ok && (sel.Sel.Name == "Now" || sel.Sel.Name == "Since") {
-					if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
-						out = append(out, r.finding("imports", f, sel.Pos(), "%s must not read the wall clock (time.%s): its outputs must be pure functions of its inputs", clockCallTree, sel.Sel.Name))
-					}
-				}
-				return true
-			})
 		}
+	})
+	return out
+}
+
+// clockReads flags the time.Now and time.Since calls of a file importing time
+// through spec.
+func clockReads(r *Repo, f *File, spec *ast.ImportSpec) []Finding {
+	name := "time"
+	if spec.Name != nil {
+		name = spec.Name.Name
+	}
+	var out []Finding
+	ast.Inspect(f.Ast, func(n ast.Node) bool {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok || sel.Sel.Name != "Now" && sel.Sel.Name != "Since" {
+			return true
+		}
+		if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+			out = append(out, r.finding("imports", f, sel.Pos(), "%s must not read the wall clock (time.%s): its outputs must be pure functions of its inputs", clockCallTree, sel.Sel.Name))
+		}
+		return true
 	})
 	return out
 }

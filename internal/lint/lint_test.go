@@ -20,17 +20,16 @@ func loadFixture(t *testing.T, name string) *Repo {
 
 // loadHead parses the repository itself, once for every test that checks it.
 // It loads the module root, so benchmark/'s files are covered too.
-var loadHead = func() func(t *testing.T) *Repo {
-	load := sync.OnceValues(func() (*Repo, error) { return Load(filepath.Join("..", "..")) })
-	return func(t *testing.T) *Repo {
-		t.Helper()
-		repo, err := load()
-		if err != nil {
-			t.Fatalf("loading repo head: %v", err)
-		}
-		return repo
+func loadHead(t *testing.T) *Repo {
+	t.Helper()
+	repo, err := headRepo()
+	if err != nil {
+		t.Fatalf("loading repo head: %v", err)
 	}
-}()
+	return repo
+}
+
+var headRepo = sync.OnceValues(func() (*Repo, error) { return Load(filepath.Join("..", "..")) })
 
 // findingStrings renders findings in their canonical form, sorted, for golden
 // comparison.
