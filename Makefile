@@ -20,7 +20,7 @@ race:
 lint:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "files need gofmt:" >&2; echo "$$out" >&2; exit 1; fi
 	go vet ./...
-	go test -count=1 -run 'TestRepoHeadClean|TestImportRules' ./internal/lint
+	go test -run 'TestRepoHeadClean|TestImportRules' ./internal/lint
 
 # loc prints the size figure CHANGES.md and ROADMAP.md quote: non-test Go
 # lines outside benchmark/ (testdata excluded), per top-level package and in
