@@ -99,8 +99,8 @@ func (e *mapEnv) isMapTypeExpr(t ast.Expr) bool {
 
 // buildMapEnv indexes every map-ish declaration in the repository. Type,
 // function and variable names are tracked unqualified; a cross-package
-// collision between a map and a non-map name would over-flag, and is renamed
-// away. Struct fields are indexed by declaring struct as well.
+// collision between a map and a non-map name would over-flag until one side
+// is renamed. Struct fields are indexed by declaring struct as well.
 func buildMapEnv(r *Repo) *mapEnv {
 	e := &mapEnv{
 		namedTypes: make(map[string]bool),

@@ -52,7 +52,6 @@ type Package struct {
 // Repo is the loaded repository: every Go file under the root, grouped by
 // package directory, plus the module path from go.mod.
 type Repo struct {
-	Root   string
 	Module string
 	Fset   *token.FileSet
 	Pkgs   []*Package
@@ -74,7 +73,7 @@ func Load(root string) (*Repo, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Repo{Root: root, Module: modPath, Fset: token.NewFileSet()}
+	r := &Repo{Module: modPath, Fset: token.NewFileSet()}
 	byDir := make(map[string]*Package)
 	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
