@@ -173,13 +173,65 @@ func runWalk(t *testing.T, sc *scenario, opts Options, eng *Engine) [][]byte {
 	return out
 }
 
+// walkStep drills s as drillWalk's step i says and answers its complaint, as
+// JSON.
+func walkStep(s *Session, i int) ([]byte, error) {
+	step := drillWalk[i]
+	if step.drill != "" {
+		if err := s.Drill(step.drill); err != nil {
+			return nil, err
+		}
+	}
+	rec, err := s.Recommend(Complaint{Agg: step.agg, Measure: "severity", Tuple: step.tuple, Direction: TooLow})
+	if err != nil {
+		return nil, err
+	}
+	return json.Marshal(rec)
+}
+
+// raceWalk replays drillWalk on n sessions of eng at once: every session
+// takes each step together with the others (drill included) and waits for
+// them before the next. It returns each session's answers.
+func raceWalk(t *testing.T, eng *Engine, n int) [][][]byte {
+	t.Helper()
+	sessions := make([]*Session, n)
+	for i := range sessions {
+		var err error
+		if sessions[i], err = eng.NewSession(nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out := make([][][]byte, n)
+	for step := range drillWalk {
+		errs := make([]error, n)
+		var wg sync.WaitGroup
+		for i, s := range sessions {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var b []byte
+				b, errs[i] = walkStep(s, step)
+				out[i] = append(out[i], b)
+			}()
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("step %d: %v", step, err)
+			}
+		}
+	}
+	return out
+}
+
 // TestWarmEngineMatchesFresh: for every trainer, a drill walk on an engine
 // another session has already warmed returns, byte for byte, what a fresh
-// engine per complaint returns.
+// engine per complaint returns; so does each of eight sessions racing every
+// step of the walk on a new engine.
 func TestWarmEngineMatchesFresh(t *testing.T) {
 	sc := buildScenario(15)
 	sc.corruptMean("d2_v1", "1992", -4)
-	for _, trainer := range []TrainerKind{TrainerNaive, TrainerFactorised, TrainerNaiveFull} {
+	for _, trainer := range []TrainerKind{TrainerAuto, TrainerNaive, TrainerFactorised, TrainerNaiveFull} {
 		opts := Options{EMIterations: 4, Trainer: trainer}
 		want := runWalk(t, sc, opts, nil)
 		eng, err := NewEngine(sc.ds, opts)
@@ -190,6 +242,16 @@ func TestWarmEngineMatchesFresh(t *testing.T) {
 			for i, got := range runWalk(t, sc, opts, eng) {
 				if !bytes.Equal(got, want[i]) {
 					t.Errorf("trainer %v, %s engine, step %d: differs from a fresh engine", trainer, leg, i)
+				}
+			}
+		}
+		if eng, err = NewEngine(sc.ds, opts); err != nil {
+			t.Fatal(err)
+		}
+		for si, answers := range raceWalk(t, eng, 8) {
+			for i, got := range answers {
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("trainer %v, racing session %d, step %d: differs from a fresh engine", trainer, si, i)
 				}
 			}
 		}
