@@ -216,10 +216,14 @@ func TestConcurrentTrainCrossSharesFactorizer(t *testing.T) {
 				t.Error(err)
 				return nil
 			}
-			fs, y, err := eng.fitInputs(groups, stat)
+			fs, err := feature.Build(groups, feature.Spec{Target: stat})
 			if err != nil {
 				t.Error(err)
 				return nil
+			}
+			y := make([]float64, groups.Len())
+			for gi, s := range groups.Stats {
+				y[gi] = s.Get(stat)
 			}
 			fz, err := eng.factorizer(h, depth, "severity")
 			if err != nil {

@@ -426,12 +426,17 @@ func (e *Engine) forEach(n int, fn func(i int)) {
 // memoised per (attrs, measure). Over partitions the call is the
 // scatter-gather, which rec, when non-nil, records as a "scatter" span.
 func (e *Engine) groups(rec SpanRecorder, attrs []string, measure string) (*agg.Result, error) {
-	return memoGet(e.memo, fmt.Sprintf("groups %q %q", attrs, measure), func() (*agg.Result, error) {
+	return memoGet(e.memo, groupsKey(attrs, measure), func() (*agg.Result, error) {
 		if _, ok := e.src.(*gather); ok {
 			defer startSpan(rec, "scatter")()
 		}
 		return e.src.PartialGroupBy(attrs, measure)
 	}, (*agg.Result).Len)
+}
+
+// groupsKey is γ's memo key, which a fit's retention looks up too.
+func groupsKey(attrs []string, measure string) string {
+	return fmt.Sprintf("groups %q %q", attrs, measure)
 }
 
 // drillAttrs returns the canonical attribute order after drilling hierarchy
@@ -630,20 +635,26 @@ func (e *Engine) fitModels(h data.Hierarchy, groups *agg.Result, c Complaint, de
 	return models, nil
 }
 
-// fitModel fits the multi-level model of one base statistic over the drilled
-// group-by. It is a function of (attrs, measure, statistic) and the engine's
-// options, but is fitted per call, not memoised (see memo.go).
+// fitModel returns the multi-level model of one base statistic over the
+// drilled group-by, memoised per (attributes, measure, statistic): the
+// attribute list fixes the drilled hierarchy, its last attribute's, and every
+// hierarchy's depth, so the factorizer and TrainerAuto's choice are functions
+// of the key too. A fit is priced 0 and kept only while its γ is (memo.go).
 func (e *Engine) fitModel(h data.Hierarchy, groups *agg.Result, stat agg.Func, depth map[string]int) (*statModel, error) {
-	fs, y, err := e.fitInputs(groups, stat)
-	if err != nil {
-		return nil, err
-	}
-	return e.trainAndPredict(h, groups, fs, y, depth)
+	gkey := groupsKey(groups.Attrs, groups.Measure)
+	return memoGet(e.memo, fmt.Sprintf("fit %q %q %q", groups.Attrs, groups.Measure, stat), func() (*statModel, error) {
+		return e.train(e.opts.Trainer, h, groups, stat, depth)
+	}, func(*statModel) int {
+		if _, kept := e.memo.entries[gkey]; kept && groups.Len() <= e.memo.budget {
+			return 0
+		}
+		return e.memo.budget + 1 // served, never retained
+	})
 }
 
-// fitInputs builds what every fit starts from: the feature set the engine's
-// options select for the target statistic, and the statistic per group.
-func (e *Engine) fitInputs(groups *agg.Result, stat agg.Func) (*feature.Set, []float64, error) {
+// train fits the multi-level model of stat over groups with the given backend
+// and the feature set the engine's options select.
+func (e *Engine) train(kind TrainerKind, h data.Hierarchy, groups *agg.Result, stat agg.Func, depth map[string]int) (*statModel, error) {
 	fs, err := feature.BuildWithGroupFeatures(groups, feature.Spec{
 		Target:       stat,
 		Aux:          e.opts.Aux,
@@ -652,19 +663,12 @@ func (e *Engine) fitInputs(groups *agg.Result, stat agg.Func) (*feature.Set, []f
 		KeepLeaky:    e.opts.KeepLeaky,
 	}, e.opts.GroupFeatures)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	y := make([]float64, groups.Len())
 	for gi, s := range groups.Stats {
 		y[gi] = s.Get(stat)
 	}
-	return fs, y, nil
-}
-
-// trainAndPredict fits the multi-level model with the configured backend and
-// returns the fitted statistic model.
-func (e *Engine) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *feature.Set, y []float64, depth map[string]int) (*statModel, error) {
-	kind := e.opts.Trainer
 	if len(fs.Extra) > 0 {
 		// This reproduction has no factorised form for multi-attribute
 		// features (Appendix H): they train naively.
@@ -672,18 +676,13 @@ func (e *Engine) trainAndPredict(h data.Hierarchy, groups *agg.Result, fs *featu
 	}
 	var fz *factor.Factorizer
 	if kind == TrainerAuto || kind == TrainerFactorised || kind == TrainerNaiveFull {
-		var err error
-		fz, err = e.factorizer(h, depth, groups.Measure)
-		if err != nil {
+		if fz, err = e.factorizer(h, depth, groups.Measure); err != nil {
 			return nil, err
 		}
 		if kind == TrainerAuto {
-			if _, err := fz.RowCount(); err != nil {
+			kind = TrainerFactorised
+			if _, err := fz.RowCount(); err != nil || float64(groups.Len())/fz.N() < factorisedFillThreshold {
 				kind = TrainerNaive
-			} else if float64(groups.Len())/fz.N() < factorisedFillThreshold {
-				kind = TrainerNaive
-			} else {
-				kind = TrainerFactorised
 			}
 		}
 	}
@@ -913,11 +912,7 @@ func (e *Engine) PredictGroupStats(attrs []string, measure string, stat agg.Func
 	if err != nil {
 		return nil, nil, err
 	}
-	fs, y, err := e.fitInputs(groups, stat)
-	if err != nil {
-		return nil, nil, err
-	}
-	sm, err := trainNaive(groups, fs, y, mlm.Options{Iterations: e.opts.EMIterations}, e.opts.RandomEffects)
+	sm, err := e.train(TrainerNaive, data.Hierarchy{}, groups, stat, nil)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -3,24 +3,27 @@ package core
 import "sync"
 
 // An Engine's dataset is immutable, so what depends only on it — a
-// hierarchy's factor source, a drilled group-by, a factorizer — is built once
-// per engine and shared by every session. memo is the one table those values
-// live in. There is no invalidation: a new dataset version gets a new engine,
-// and the old table is garbage with it.
+// hierarchy's factor source, a drilled group-by, a factorizer, a fitted model
+// — is built once per engine and shared by every session. memo is the one
+// table those values live in. There is no invalidation: a new dataset version
+// gets a new engine, and the old table is garbage with it.
 //
-// Fitted models are functions of the dataset too, but are not kept here yet:
-// retaining them turns most interactive recommends into look-ups, a change of
-// scale that has to land as a measured performance change of its own.
+// A fitted model is keyed by (γ's attributes, measure, statistic); the
+// engine's options are fixed. Its price is 0 groups: its predictions and row
+// index take about 16 B per group, less than the codes and stats its γ is
+// already charged for, so a fit never causes a reset. It lives and dies with
+// its γ: publish keeps it only while γ's key is in the table, so every reset
+// drops it with its γ, and a fit whose γ is too large to keep is served and
+// not retained.
 //
 // Read-only contract: a value is published to every concurrent and later
-// caller, so nothing may write to a memoised *agg.Result, *factor.Source or
-// *factor.Factorizer after its build returns. A memoised group-by is the coded
-// relation; a reader that needs strings decodes one group (Result.Group) or
-// takes a decoded view, which is a new Result (Result.Decode). A factor source
-// is a hierarchy's group-by kept in codes: it shares that Result's
-// dictionaries, and its chains share its levels. Per-call
-// results (models, rankings, prediction maps) are assembled in fresh slices
-// and maps.
+// caller, so nothing may write to a memoised *agg.Result, *factor.Source,
+// *factor.Factorizer or *statModel after its build returns. A memoised
+// group-by is the coded relation; a reader that needs strings decodes one
+// group (Result.Group) or takes a decoded view, which is a new Result
+// (Result.Decode). A factor source is a hierarchy's group-by kept in codes: it
+// shares that Result's dictionaries, and its chains share its levels. Per-call
+// results (rankings, prediction maps) are assembled in fresh slices and maps.
 //
 // Budget: the table retains at most memoBudget groups (every kind of value
 // has a size in groups). When publishing an entry would exceed the budget the
@@ -59,7 +62,8 @@ func newMemo() *memo {
 
 // memoGet returns the value stored under key, running build (outside the
 // table's lock) if no caller has yet. Concurrent callers of one key share a
-// single build. size reports a built value's size in groups.
+// single build. size reports a built value's size in groups; it runs under
+// the table's lock, so it may read m.entries.
 func memoGet[T any](m *memo, key string, build func() (T, error), size func(T) int) (T, error) {
 	for {
 		m.mu.Lock()
@@ -70,14 +74,11 @@ func memoGet[T any](m *memo, key string, build func() (T, error), size func(T) i
 		}
 		m.mu.Unlock()
 		ent.once.Do(func() {
-			n := 0
+			var val T
 			// Deferred so that it also runs while a panicking build unwinds.
-			defer func() { m.publish(key, ent, n) }()
-			val, err := build()
-			if err == nil {
-				n = size(val)
-			}
-			ent.val, ent.err, ent.done = val, err, true
+			defer func() { m.publish(key, ent, func() int { return size(val) }) }()
+			val, ent.err = build()
+			ent.val, ent.done = val, true
 		})
 		if ent.done {
 			val, _ := ent.val.(T)
@@ -90,14 +91,18 @@ func memoGet[T any](m *memo, key string, build func() (T, error), size func(T) i
 
 // publish retains a finished build against the budget; a build that panicked,
 // failed, or is too large to keep is left out of the table.
-func (m *memo) publish(key string, ent *memoEntry, size int) {
+func (m *memo) publish(key string, ent *memoEntry, sizeOf func() int) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if cur, ok := m.entries[key]; ok && cur != ent {
 		return // a reset dropped ent mid-build and another caller took the key
 	}
 	delete(m.entries, key)
-	if !ent.done || ent.err != nil || size > m.budget {
+	if !ent.done || ent.err != nil {
+		return
+	}
+	size := sizeOf()
+	if size > m.budget {
 		return
 	}
 	if m.used+size > m.budget {

@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/data"
+	"repro/internal/feature"
 )
 
 // countingShard wraps a ShardWorker and counts the data-plane calls the
@@ -292,6 +294,94 @@ func TestMemoBudget(t *testing.T) {
 		if _, kept := eng.memo.entries[`factorizer ["year" "district" "village"]`]; !kept {
 			t.Errorf("budget %d: the last entry built, which fits, was not retained", budget)
 		}
+	}
+}
+
+// TestFitsAreMemoised: a recommend repeated on the engine, from the same
+// session or another at the same drill state, refits nothing, so a custom
+// featurization runs once per (group-by, statistic), and the answer is the
+// same.
+func TestFitsAreMemoised(t *testing.T) {
+	sc := buildScenario(18)
+	var calls atomic.Int32
+	opts := Options{EMIterations: 4, Custom: []feature.Custom{{Name: "rank", Attr: "district",
+		Fn: func(vals []string, _ *agg.Result) map[string]float64 {
+			calls.Add(1)
+			m := make(map[string]float64, len(vals))
+			for i, v := range vals {
+				m[v] = float64(i)
+			}
+			return m
+		}}}}
+	eng, err := NewEngine(sc.ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Complaint{Agg: agg.Std, Measure: "severity", Tuple: data.Predicate{"district": "d1"}, Direction: TooHigh}
+	var answers [][]byte
+	for range 2 {
+		s, err := eng.NewSession([]string{"district"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		answers = append(answers, mustJSON(t, s, c), mustJSON(t, s, c))
+	}
+	// Std fits mean and std in each drill-down, both of which keep district.
+	if n := calls.Load(); n != 4 {
+		t.Errorf("custom featurization ran %d times over four recommends, want 4", n)
+	}
+	for i, got := range answers[1:] {
+		if !bytes.Equal(got, answers[0]) {
+			t.Errorf("recommend %d differs from the first", i+1)
+		}
+	}
+}
+
+// TestFitLivesWithItsGroupBy lowers the budget below the walk's largest
+// group-by: a fit is retained only while the group-by it was fitted on is, so
+// the largest one's fits are never kept and a reset drops every fit with its
+// group-by, and no answer changes.
+func TestFitLivesWithItsGroupBy(t *testing.T) {
+	sc := buildScenario(16)
+	opts := Options{EMIterations: 4, Trainer: TrainerFactorised}
+	want := runWalk(t, sc, opts, nil)
+	eng, err := NewEngine(sc.ds, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.memo.budget = 100 // village × year has 120 groups
+	s, err := eng.NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rootFit = `fit ["district"] "severity" "mean"`
+	for i := range drillWalk {
+		got, err := walkStep(s, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want[i]) {
+			t.Errorf("step %d: differs from the unbounded answer", i)
+		}
+		if _, kept := eng.memo.entries[rootFit]; i == 0 && !kept {
+			t.Errorf("step 0: %s was not retained", rootFit)
+		}
+		for key := range eng.memo.entries {
+			attrs, isFit := strings.CutPrefix(key, "fit ")
+			if !isFit {
+				continue
+			}
+			if strings.HasPrefix(attrs, `["year" "district" "village"]`) {
+				t.Errorf("step %d: %s was retained beside a 120-group γ", i, key)
+			}
+			gkey := "groups " + attrs[:strings.LastIndexByte(attrs, ' ')]
+			if _, kept := eng.memo.entries[gkey]; !kept {
+				t.Errorf("step %d: %s outlived %s", i, key, gkey)
+			}
+		}
+	}
+	if _, kept := eng.memo.entries[rootFit]; kept {
+		t.Errorf("%s survived the walk, so the table never reset", rootFit)
 	}
 }
 
