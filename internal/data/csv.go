@@ -11,8 +11,8 @@ import (
 )
 
 // CSVReader is the one CSV reader (see the package comment): a header of
-// distinct names, then records, row r being line r+1. Every error names the
-// row and the line, and a field's the column.
+// distinct names, then records. Every parse error names the row and the line,
+// past row + 1 once a quoted field has spanned lines, and a field's the column.
 type CSVReader struct {
 	Header []string
 	what   string // names the input in errors: "CSV", "append CSV"
@@ -23,12 +23,11 @@ type CSVReader struct {
 // NewCSVReader reads r's header; what names the input in errors.
 func NewCSVReader(r io.Reader, what string) (*CSVReader, error) {
 	cr := csv.NewReader(r)
-	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("reading %s header: %w", what, err)
 	}
-	header = slices.Clone(header)
+	cr.ReuseRecord = true // after the header, which no later Read overwrites
 	// Columns are looked up by name: a duplicate would clobber the earlier.
 	seen := make(map[string]bool, len(header))
 	for _, c := range header {
@@ -48,10 +47,10 @@ func (r *CSVReader) Read() ([]string, error) {
 		return nil, err
 	}
 	r.row++
-	if err != nil {
-		return nil, fmt.Errorf("reading %s row %d (line %d): %w", r.what, r.row, r.row+1, err)
+	if pe, ok := err.(*csv.ParseError); ok {
+		return nil, fmt.Errorf("reading %s row %d (line %d): %w", r.what, r.row, pe.Line, err)
 	}
-	return rec, nil
+	return rec, err // nil, or a read error of the source, which has no line
 }
 
 // Measure parses field col of the record Read returned as a measure, which
@@ -69,7 +68,8 @@ func (r *CSVReader) Measure(rec []string, col int) (float64, error) {
 
 // fieldError locates err at field col of the record Read returned.
 func (r *CSVReader) fieldError(col int, err error) error {
-	return fmt.Errorf("%s row %d (line %d) column %q: %w", r.what, r.row, r.row+1, r.Header[col], err)
+	line, _ := r.cr.FieldPos(col)
+	return fmt.Errorf("%s row %d (line %d) column %q: %w", r.what, r.row, line, r.Header[col], err)
 }
 
 // ReadCSV loads a dataset from CSV. Columns named in measureNames are parsed

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/data"
 	"repro/internal/ingest"
 	"repro/internal/store"
 	"repro/reptile/api"
@@ -438,6 +439,28 @@ func TestAppendCSVRowErrors(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMultiLineRecordErrorLine: a quoted field spanning lines moves every
+// later record's line past its row + 1, and a field error or a parse error
+// names the line the record is on, in a CSV file and in an append body alike.
+func TestMultiLineRecordErrorLine(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	register(t, ts.URL, droughtRequest())
+	for _, tc := range []struct{ body, want string }{
+		{"\"Ra\nya\",Bala,1986,4\nRaya,Bala,1987,oops\n", `row 2 (line 4) column "severity"`},
+		{"\"Ra\nya\",Bala,1986,4\nRa\"ya,Bala,1987,5\n", "row 2 (line 4)"},
+	} {
+		_, err := data.ReadCSV(strings.NewReader("district,village,year,severity\n"+tc.body), "t", []string{"severity"}, nil)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadCSV(%q) err = %v, want %q", tc.body, err, tc.want)
+		}
+		code, b := post(t, ts.URL+"/v1/datasets/drought/append", api.AppendRequest{CSV: "district,village,year,severity\n" + tc.body})
+		var env struct{ Error string }
+		if err := json.Unmarshal(b, &env); err != nil || code != http.StatusBadRequest || !strings.Contains(env.Error, tc.want) {
+			t.Errorf("append %q: %d %s, want 400 naming %q", tc.body, code, b, tc.want)
+		}
 	}
 }
 
