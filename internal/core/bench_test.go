@@ -83,3 +83,30 @@ func TestColdLeafRecommendAllocations(t *testing.T) {
 		t.Errorf("a cold leaf recommend allocates %.0f bytes, budget %d", perOp, coldLeafBudget)
 	}
 }
+
+// BenchmarkWarmRecommend is the served path at the root drill state: one
+// engine over the cubed leaf fixture and root-state complaints cycling over
+// the four aggregates. Each is answered once before the timer starts, so every
+// timed op finds its group-bys and fits in the memo.
+func BenchmarkWarmRecommend(b *testing.B) {
+	sess, err := leafEngine(b, leafDataset(1), leafConfig{cube: true, shards: 1}).NewSession(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var complaints []Complaint
+	for _, f := range []agg.Func{agg.Mean, agg.Std, agg.Sum, agg.Count} {
+		complaints = append(complaints, Complaint{Agg: f, Measure: "units", Tuple: data.Predicate{}, Direction: TooHigh})
+	}
+	for _, c := range complaints {
+		if _, err := sess.Recommend(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := sess.Recommend(complaints[i%len(complaints)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
