@@ -67,6 +67,9 @@ type Options struct {
 	Custom []feature.Custom
 	// GroupFeatures lists multi-attribute (per-group) features such as
 	// temporal lags. Their presence forces the naive trainer (Appendix H).
+	// Fits are memoised (see fitModel), so Aux's joins and the Custom and
+	// GroupFeatures callbacks run once per (drilled group-by, statistic) per
+	// engine.
 	GroupFeatures []feature.GroupFeature
 	// ExcludeFromZ names features excluded from the random-effects design.
 	ExcludeFromZ []string
@@ -198,13 +201,8 @@ func (e *Engine) NewSession(groupBy []string) (*Session, error) {
 	}
 	// Verify prefixes: depth k means attributes 0..k-1 are all present.
 	for _, h := range e.ds.Hierarchies {
-		d := s.depth[h.Name]
-		present := make(map[string]bool)
-		for _, a := range groupBy {
-			present[a] = true
-		}
-		for l := 0; l < d; l++ {
-			if !present[h.Attrs[l]] {
+		for l := 0; l < s.depth[h.Name]; l++ {
+			if !slices.Contains(groupBy, h.Attrs[l]) {
 				return nil, fmt.Errorf("core: group-by attributes of hierarchy %q are not a prefix (missing %q)", h.Name, h.Attrs[l])
 			}
 		}
@@ -218,11 +216,7 @@ func (e *Engine) NewSession(groupBy []string) (*Session, error) {
 func (s *Session) snapshot() evalState {
 	s.dmu.RLock()
 	defer s.dmu.RUnlock()
-	snap := make(map[string]int, len(s.depth))
-	for name, d := range s.depth {
-		snap[name] = d
-	}
-	return evalState{depth: snap}
+	return evalState{depth: maps.Clone(s.depth)}
 }
 
 // StateKey returns a stable encoding of the session's drill state: every
