@@ -635,10 +635,10 @@ func (e *Engine) fitModels(h data.Hierarchy, groups *agg.Result, c Complaint, de
 // hierarchy's depth, so the factorizer and TrainerAuto's choice are functions
 // of the key too. A fit is priced 0 and kept only while its γ is (memo.go).
 func (e *Engine) fitModel(h data.Hierarchy, groups *agg.Result, stat agg.Func, depth map[string]int) (*statModel, error) {
-	gkey := groupsKey(groups.Attrs, groups.Measure)
 	return memoGet(e.memo, fmt.Sprintf("fit %q %q %q", groups.Attrs, groups.Measure, stat), func() (*statModel, error) {
 		return e.train(e.opts.Trainer, h, groups, stat, depth)
 	}, func(*statModel) int {
+		gkey := groupsKey(groups.Attrs, groups.Measure)
 		if _, kept := e.memo.entries[gkey]; kept && groups.Len() <= e.memo.budget {
 			return 0
 		}
