@@ -86,7 +86,8 @@ func WithAux(aux ...Aux) Option {
 
 // WithGroupFeatures attaches multi-attribute (per-group) features such as
 // temporal lags (LagFeature) or multi-column aux joins (AuxGroupFeature).
-// Their presence forces the naive trainer.
+// Their presence forces the naive trainer. An engine memoises its fits, so
+// each Fn runs once per drilled group-by and statistic.
 func WithGroupFeatures(gfs ...GroupFeature) Option {
 	return func(c *config) { c.core.GroupFeatures = append(c.core.GroupFeatures, gfs...) }
 }
