@@ -3,6 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/agg"
@@ -238,6 +241,71 @@ func TestZBackendSelection(t *testing.T) {
 			Direction: TooLow,
 		}); err != nil {
 			t.Errorf("RandomEffects %v: %v", re, err)
+		}
+	}
+}
+
+// TestEmptyGroupIgnoresBlankValue scores empty groups whose complaint tuple
+// leaves an attribute of the group-by unnamed. The empty group has no value
+// for it, so every feature column over it takes its default; a real blank
+// value ("", which a CSV admits) in that attribute's dictionary must not stand
+// in. The same data with that value spelled "\x00", which sorts identically,
+// fits bit for bit the same models, so the empty groups' predictions must be
+// equal.
+func TestEmptyGroupIgnoresBlankValue(t *testing.T) {
+	predict := func(blank string) map[string]map[agg.Func]float64 {
+		hs := []data.Hierarchy{
+			{Name: "geo", Attrs: []string{"district", "village"}},
+			{Name: "time", Attrs: []string{"year"}},
+			{Name: "prod", Attrs: []string{"product"}},
+		}
+		ds := data.New("blank", []string{"district", "village", "year", "product"}, []string{"m"}, hs)
+		for v := 0; v < 8; v++ {
+			district, village := fmt.Sprintf("d%d", v/4), fmt.Sprintf("v%d", v)
+			for y, year := range []string{"1990", "1991"} {
+				if district == "d0" && year == "1991" && v < 2 {
+					continue // v0 and v1 are the empty groups of (d0, 1991)
+				}
+				for p, product := range []string{blank, "p1", "p2"} {
+					m := float64((v*5+y*3+p)%7) / 7
+					if product == blank {
+						m += 10
+					}
+					ds.AppendRowVals([]string{district, village, year, product}, []float64{m})
+				}
+			}
+		}
+		eng, err := NewEngine(ds, Options{EMIterations: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := eng.NewSession([]string{"district", "year", "product"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := s.Recommend(Complaint{Agg: agg.Mean, Measure: "m", Tuple: data.Predicate{"district": "d0", "year": "1991"}, Direction: TooHigh})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]map[agg.Func]float64{}
+		for _, hr := range rec.All {
+			for _, gs := range hr.Ranked {
+				if gs.Group.Stats.Count == 0 {
+					out[hr.Hierarchy+" "+strings.Join(gs.Group.Vals, "/")] = gs.Predicted
+				}
+			}
+		}
+		return out
+	}
+	blank, nul := predict(""), predict("\x00")
+	if len(blank) != 2 || len(nul) != 2 {
+		t.Fatalf("empty groups: %v with a blank product, %v with a NUL one; want v0 and v1 each", blank, nul)
+	}
+	for key, want := range nul {
+		for f, p := range want {
+			if got := blank[key][f]; math.Float64bits(got) != math.Float64bits(p) {
+				t.Errorf("empty group %s: predicted %s %v with a blank product, %v with a NUL one", key, f, got, p)
+			}
 		}
 	}
 }

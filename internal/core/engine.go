@@ -511,13 +511,14 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 	if len(children) == 0 {
 		return nil, fmt.Errorf("complaint tuple %v has no provenance", c.Tuple)
 	}
-	var emptyVals []string
+	dict := groups.Dicts[last]
+	var empty []uint32
 	for code, s := range seen {
 		if s == candidate {
-			emptyVals = append(emptyVals, groups.Dicts[last][code])
+			empty = append(empty, uint32(code))
 		}
 	}
-	sort.Strings(emptyVals)
+	slices.SortFunc(empty, func(a, b uint32) int { return strings.Compare(dict[a], dict[b]) })
 
 	current := total.Get(c.Agg)
 
@@ -555,24 +556,26 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 	}
 	// Score the empty groups using model predictions for their feature rows,
 	// with the random effects of the cluster containing their observed
-	// siblings.
+	// siblings. An empty group carries the tuple's codes, its own for attr,
+	// and for an attribute the tuple does not name a code no dictionary holds
+	// (its value reads "").
 	sibling := children[0]
-	for _, v := range emptyVals {
-		vals := make(map[string]string, len(attrs))
-		gvals := make([]string, len(attrs))
+	codes := slices.Repeat([]uint32{math.MaxUint32}, k)
+	for _, cond := range slices.Concat(anc, rest) {
+		codes[cond.ai] = cond.code
+	}
+	for _, code := range empty {
+		codes[last] = code
+		vals := make([]string, k)
 		for ai, a := range attrs {
-			if a == attr {
-				vals[a] = v
-			} else {
-				vals[a] = c.Tuple[a]
-			}
-			gvals[ai] = vals[a]
+			vals[ai] = c.Tuple[a]
 		}
+		vals[last] = dict[code]
 		pred := make(map[agg.Func]float64, len(models))
 		for f, sm := range models {
-			pred[f] = sm.predict(sm.fs.Row(vals), sm.rowOf(sibling))
+			pred[f] = sm.predict(sm.fs.Row(codes), sm.rowOf(sibling))
 		}
-		hr.Ranked = append(hr.Ranked, score(agg.Group{Vals: gvals}, pred))
+		hr.Ranked = append(hr.Ranked, score(agg.Group{Vals: vals}, pred))
 	}
 	sort.SliceStable(hr.Ranked, func(a, b int) bool { return scoreLess(hr.Ranked[a].Score, hr.Ranked[b].Score) })
 	if e.opts.TopK > 0 && len(hr.Ranked) > e.opts.TopK {

@@ -89,7 +89,7 @@ func TestSerialGramMatchesServedGramProperty(t *testing.T) {
 		}
 		var cols []fmatrix.Column
 		for ai := 0; ai < fz.NumAttrs(); ai++ {
-			vals, _ := fz.CountVals(ai)
+			vals := fz.CountVals(ai)
 			for c := 0; c < 1+r.Intn(2); c++ {
 				fv := make([]float64, len(vals))
 				for v := range fv {

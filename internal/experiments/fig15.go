@@ -47,8 +47,8 @@ func fig15Matrix(d int, rng *rand.Rand) *fmatrix.Matrix {
 	}
 	var cols []fmatrix.Column
 	for ai := 0; ai < fz.NumAttrs(); ai++ {
-		vals, _ := fz.CountVals(ai)
-		fv := make([]float64, len(vals))
+		n := len(fz.CountVals(ai))
+		fv := make([]float64, n)
 		for i := range fv {
 			fv[i] = rng.NormFloat64()
 		}

@@ -47,9 +47,9 @@ func fig7Matrix(d, w int, rng *rand.Rand) *fmatrix.Matrix {
 	}
 	var cols []fmatrix.Column
 	for ai := 0; ai < fz.NumAttrs(); ai++ {
-		vals, _ := fz.CountVals(ai)
+		n := len(fz.CountVals(ai))
 		for c := 0; c < 3; c++ {
-			fv := make([]float64, len(vals))
+			fv := make([]float64, n)
 			for i := range fv {
 				fv[i] = rng.NormFloat64()
 			}

@@ -85,8 +85,8 @@ func fig8Matrix(w int) *fmatrix.Matrix {
 	}
 	cols := make([]fmatrix.Column, fz.NumAttrs())
 	for ai := range cols {
-		vals, _ := fz.CountVals(ai)
-		fv := make([]float64, len(vals))
+		n := len(fz.CountVals(ai))
+		fv := make([]float64, n)
 		for v := range fv {
 			fv[v] = 1 + float64((7*v+3*ai)%13)/13
 		}
@@ -119,7 +119,7 @@ func serialGram(m *fmatrix.Matrix) *mat.Matrix {
 			}
 			var s float64
 			if p == q {
-				_, counts := f.CountVals(p)
+				counts := f.CountVals(p)
 				for v, cnt := range counts {
 					s += cnt * fp[v] * fq[v]
 				}

@@ -11,9 +11,9 @@
 // group-by is already in path order and coded against the dataset's
 // dictionaries, so one pass over its code table lays out every level, and a
 // per-level code → position table both checks the hierarchy's functional
-// dependencies and maps a group's code to its leaf. Strings appear only as
-// dictionary headers (Level.Vals) and at the string edges, NewSource and
-// LeafIndex.
+// dependencies and maps a group's code to its leaf. Strings appear only at
+// the string edges, NewSource and LeafIndex; a reader of a level's values
+// reads its codes, against the γ's dictionary (Level.Dict).
 //
 // Attributes are indexed 0..d-1 left to right, hierarchy by hierarchy (in
 // source order, the drill-down hierarchy last) and least to most specific
@@ -86,7 +86,6 @@ func NewCodedSource(name string, paths *agg.Result) (*Source, error) {
 			}
 			lv.Index[c] = int32(len(lv.Codes))
 			lv.Codes = append(lv.Codes, c)
-			lv.Vals = append(lv.Vals, lv.Dict[c])
 			if l > 0 {
 				lv.Parent = append(lv.Parent, len(s.levels[l-1].Codes)-1)
 			}
@@ -139,9 +138,9 @@ func (s *Source) position(l int, v string) int {
 	s.byValOnce.Do(func() {
 		s.byVal = make([]map[string]int, len(s.levels))
 		for l, lv := range s.levels {
-			s.byVal[l] = make(map[string]int, len(lv.Vals))
-			for i, v := range lv.Vals {
-				s.byVal[l][v] = i
+			s.byVal[l] = make(map[string]int, len(lv.Codes))
+			for i, c := range lv.Codes {
+				s.byVal[l][lv.Dict[c]] = i
 			}
 		}
 	})
@@ -152,14 +151,14 @@ func (s *Source) position(l int, v string) int {
 }
 
 // Level is one attribute's node layer in a chain, in path order: the codes
-// present, their values, the parent linkage, child offsets into the next
-// level, and the within-hierarchy leaf-extension counts Ext. Every slice but
-// Ext is its source's, shared by the chains of every depth.
+// present (their values are Dict[Codes[i]]), the parent linkage, child
+// offsets into the next level, and the within-hierarchy leaf-extension counts
+// Ext. Every slice but Ext is its source's, shared by the chains of every
+// depth.
 type Level struct {
 	Attr     string
 	Dict     []string // the dictionary Codes index: the γ's, shared
 	Codes    []uint32 // the codes present, in path order
-	Vals     []string // Dict[Codes[i]], for the readers of strings
 	Index    []int32  // code → its position in Codes, -1 when absent; len(Dict)
 	Parent   []int    // index into previous level's Codes; nil at level 0
 	ChildOff []int    // len(Codes)+1 offsets into next level; nil at the last level

@@ -68,6 +68,15 @@ func TestNewSourceValidation(t *testing.T) {
 	}
 }
 
+// levelVals decodes a level's values, Dict[Codes[i]].
+func levelVals(lv Level) []string {
+	vals := make([]string, len(lv.Codes))
+	for i, c := range lv.Codes {
+		vals[i] = lv.Dict[c]
+	}
+	return vals
+}
+
 func TestBuildChainStructure(t *testing.T) {
 	srcs := paperSources(t)
 	ch, err := BuildChain(srcs[1], 2)
@@ -77,10 +86,10 @@ func TestBuildChainStructure(t *testing.T) {
 	if ch.Depth() != 2 || ch.Leaves() != 3 {
 		t.Fatalf("depth %d leaves %d", ch.Depth(), ch.Leaves())
 	}
-	if got := ch.Levels[0].Vals; len(got) != 2 || got[0] != "d1" || got[1] != "d2" {
+	if got := levelVals(ch.Levels[0]); len(got) != 2 || got[0] != "d1" || got[1] != "d2" {
 		t.Errorf("district level = %v", got)
 	}
-	if got := ch.Levels[1].Vals; len(got) != 3 || got[0] != "v1" || got[2] != "v3" {
+	if got := levelVals(ch.Levels[1]); len(got) != 3 || got[0] != "v1" || got[2] != "v3" {
 		t.Errorf("village level = %v", got)
 	}
 	// Ext: d1 has 2 villages, d2 has 1.
@@ -97,7 +106,7 @@ func TestBuildChainStructure(t *testing.T) {
 	}
 	// Index maps each village's code back to its position.
 	for i, c := range ch.Levels[1].Codes {
-		if ch.Levels[1].Index[c] != int32(i) || ch.Levels[1].Dict[c] != ch.Levels[1].Vals[i] {
+		if ch.Levels[1].Index[c] != int32(i) {
 			t.Errorf("village %d: code %d indexes %d, names %q", i, c, ch.Levels[1].Index[c], ch.Levels[1].Dict[c])
 		}
 	}
@@ -141,15 +150,15 @@ func TestFactorizerScalars(t *testing.T) {
 		t.Errorf("SufTotal = %v %v %v", f.SufTotal(0), f.SufTotal(1), f.SufTotal(2))
 	}
 	// COUNT_T = {t1: 3, t2: 3}; COUNT_D = {d1: 2, d2: 1}; COUNT_V = 1 each.
-	_, ct := f.CountVals(0)
+	ct := f.CountVals(0)
 	if ct[0] != 3 || ct[1] != 3 {
 		t.Errorf("COUNT_T = %v", ct)
 	}
-	_, cd := f.CountVals(1)
+	cd := f.CountVals(1)
 	if cd[0] != 2 || cd[1] != 1 {
 		t.Errorf("COUNT_D = %v", cd)
 	}
-	_, cv := f.CountVals(2)
+	cv := f.CountVals(2)
 	if cv[0] != 1 || cv[1] != 1 || cv[2] != 1 {
 		t.Errorf("COUNT_V = %v", cv)
 	}
@@ -329,7 +338,7 @@ func TestAggregatesMatchBruteForceProperty(t *testing.T) {
 		}
 		_, wantCounts, wantCofs := bruteCounts(f)
 		for i := 0; i < f.NumAttrs(); i++ {
-			_, got := f.CountVals(i)
+			got := f.CountVals(i)
 			for v, c := range got {
 				if wantCounts[i][v] != c {
 					t.Fatalf("trial %d: COUNT[%d][%d] = %v, want %v", trial, i, v, c, wantCounts[i][v])

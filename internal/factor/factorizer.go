@@ -114,17 +114,16 @@ func (f *Factorizer) SufTotal(attr int) float64 {
 }
 
 // CountVals returns COUNT_{A_i}: for each distinct value of attribute i (in
-// path-sorted order), its multiplicity in the suffix join. The returned
-// slices alias internal state and must not be modified.
-func (f *Factorizer) CountVals(attr int) (vals []string, counts []float64) {
+// path-sorted order, its level's Codes), its multiplicity in the suffix join.
+func (f *Factorizer) CountVals(attr int) []float64 {
 	a := f.attrs[attr]
-	lv := f.Chain(a.Hier).Levels[a.Level]
-	counts = make([]float64, len(lv.Vals))
+	ext := f.Chain(a.Hier).Levels[a.Level].Ext
+	counts := make([]float64, len(ext))
 	pa := f.prodAfter[a.Hier]
-	for i, e := range lv.Ext {
+	for i, e := range ext {
 		counts[i] = float64(e) * pa
 	}
-	return lv.Vals, counts
+	return counts
 }
 
 // Cof returns COF_{A_i,A_j}[(a,b)] for i < j as a dense traversal callback:
@@ -145,7 +144,7 @@ func (f *Factorizer) Cof(i, j int, fn func(vi, vj int, count float64)) {
 		pa := f.prodAfter[ai.Hier]
 		// Walk level-j values; the level-i ancestor is reached via Parent
 		// linkage in (aj.Level - ai.Level) steps.
-		for vj := range lv.Vals {
+		for vj := range lv.Codes {
 			vi := vj
 			for l := aj.Level; l > ai.Level; l-- {
 				vi = ch.Levels[l].Parent[vi]
@@ -154,8 +153,7 @@ func (f *Factorizer) Cof(i, j int, fn func(vi, vj int, count float64)) {
 		}
 		return
 	}
-	_, ci := f.CountVals(i)
-	_, cj := f.CountVals(j)
+	ci, cj := f.CountVals(i), f.CountVals(j)
 	st := f.SufTotal(j)
 	for vi := range ci {
 		for vj := range cj {

@@ -14,9 +14,9 @@ import (
 // SourceFromDataset, to a string reference at every depth: referencePaths
 // sorted lexicographically, a chain level's values the distinct prefixes of
 // its length in that order, each one's parent the position of its own prefix
-// one level up. BuildChain's Vals, Parent, ChildOff, Ext and AncestorIdx must
-// all be the reference's. A dataset of no paths must build a source whose
-// every chain is refused.
+// one level up. BuildChain's values (Dict[Codes[i]]), Parent, ChildOff, Ext
+// and AncestorIdx must all be the reference's. A dataset of no paths must
+// build a source whose every chain is refused.
 func checkChainsMatchReference(t *testing.T, label string, d *data.Dataset, h data.Hierarchy) {
 	t.Helper()
 	src, err := SourceFromDataset(d, h)
@@ -88,10 +88,10 @@ func checkChainsMatchReference(t *testing.T, label string, d *data.Dataset, h da
 					childOff[i] += childOff[i-1]
 				}
 			}
-			if lv.Attr != h.Attrs[l] || !slices.Equal(lv.Vals, vals[l]) || !slices.Equal(lv.Parent, parent[l]) ||
+			if lv.Attr != h.Attrs[l] || !slices.Equal(levelVals(lv), vals[l]) || !slices.Equal(lv.Parent, parent[l]) ||
 				!slices.Equal(lv.ChildOff, childOff) || !slices.Equal(lv.Ext, ext[l]) {
 				t.Errorf("%s depth %d level %d: chain != string reference:\n got %s %v parent %v childOff %v ext %v\nwant %s %v parent %v childOff %v ext %v",
-					label, depth, l, lv.Attr, lv.Vals, lv.Parent, lv.ChildOff, lv.Ext, h.Attrs[l], vals[l], parent[l], childOff, ext[l])
+					label, depth, l, lv.Attr, levelVals(lv), lv.Parent, lv.ChildOff, lv.Ext, h.Attrs[l], vals[l], parent[l], childOff, ext[l])
 				continue
 			}
 			for pi, p := range paths {

@@ -1,17 +1,20 @@
 // Package feature builds Reptile's feature matrix content (§3.3, Appendix
 // B): main-effect featurization of categorical attributes, auxiliary-dataset
 // join features, custom per-attribute features, and the random-effects (Z)
-// column selection. The output is a set of per-attribute value→feature maps
-// that can be rendered either as a dense design matrix over observed groups
-// or as factorised columns over a factorizer's attribute values.
+// column selection. The output is a set of per-attribute columns, one feature
+// per dictionary code of the group-by, that can be rendered either as a dense
+// design matrix over observed groups or as factorised columns over a
+// factorizer's attribute levels.
 //
-// Build and the dense rendering read a group-by's coded relation
-// (agg.Result's Codes, Dicts and Stats), not its decoded view: the target is
-// sorted once and every main-effect median read off one sweep over it; a
-// column is evaluated once per dictionary code. Col.Map stays the string-keyed
-// view that custom and auxiliary features, Row and FactorColumns consume. User
-// callbacks (Custom.Fn, GroupFeature.Fn) receive the result decoded, as a new
-// agg.Result when the caller's is not. Nothing here writes to the result.
+// Everything here reads a group-by's coded relation (agg.Result's Codes,
+// Dicts and Stats), not its decoded view: the target is sorted once and every
+// main-effect median read off one sweep over it, and every rendering indexes
+// a column by code — a group's, an empty group's (Row) or a factor level's,
+// which codes against the same dictionaries. Strings enter only where the
+// user or an auxiliary table hands them in, and Build indexes them by code
+// once. User callbacks (Custom.Fn, GroupFeature.Fn) receive the result
+// decoded, as a new agg.Result when the caller's is not. Nothing here writes
+// to the result.
 package feature
 
 import (
@@ -39,7 +42,7 @@ type Aux struct {
 
 // Custom is a user-defined per-attribute featurization (§3.3.3): Fn receives
 // the attribute's distinct values and the group-by, decoded (its Groups set),
-// and returns a value→feature mapping.
+// and returns a value→feature mapping; a value it lacks gets 0.
 type Custom struct {
 	Name string
 	Attr string
@@ -63,32 +66,24 @@ type Spec struct {
 	KeepLeaky bool
 }
 
-// Col is one feature column: a value→feature map over one attribute.
-// A nil Map means the column is constant (the intercept).
+// Col is one feature column over one attribute: ByCode[c] is the feature of
+// the value its set's dictionary for Attr codes c, and Default that of a code
+// outside the dictionary (an empty group's attribute no value names).
 type Col struct {
 	Name    string
 	Attr    string
-	Map     map[string]float64
-	Default float64 // value for attribute values missing from Map
+	ByCode  []float64
+	Default float64
 	InZ     bool
 }
 
-// Value returns the feature value for attribute value v.
-func (c Col) Value(v string) float64 {
-	if c.Map == nil {
-		return c.Default
-	}
-	if f, ok := c.Map[v]; ok {
-		return f
-	}
-	return c.Default
-}
-
-// Set is the constructed feature set for one drill-down's group-by result.
+// Set is the constructed feature set for one drill-down's group-by result,
+// whose dictionaries (Dicts, per attribute) its columns are indexed by.
 // Extra holds materialized multi-attribute (per-group) feature columns; they
 // render only densely (see BuildWithGroupFeatures).
 type Set struct {
-	Attrs []string // the group-by attributes, in attribute order
+	Attrs []string   // the group-by attributes, in attribute order
+	Dicts [][]string // the group-by's dictionaries, per attribute
 	Cols  []Col
 	Extra []extraCol
 }
@@ -103,7 +98,8 @@ func (s *Set) NumCols() int { return len(s.Cols) + len(s.Extra) }
 // of the target statistic over the groups carrying that value. A main-effect
 // column is dropped when its values map one-to-one to groups (see
 // Spec.KeepLeaky). Auxiliary features are z-scored; the intercept is always
-// the first column.
+// the first column. Custom and auxiliary features, keyed by value, are
+// indexed by code here, once.
 func Build(groups *agg.Result, spec Spec) (*Set, error) {
 	if groups.Len() == 0 {
 		return nil, fmt.Errorf("feature: no groups to featurize")
@@ -111,29 +107,29 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 	if len(groups.Attrs) == 0 {
 		return nil, fmt.Errorf("feature: no attributes to featurize")
 	}
-	s := &Set{Attrs: append([]string(nil), groups.Attrs...)}
-	s.Cols = append(s.Cols, Col{Name: "intercept", Attr: groups.Attrs[0], Default: 1, InZ: true})
+	s := &Set{Attrs: append([]string(nil), groups.Attrs...), Dicts: groups.Dicts}
+	ones := slices.Repeat([]float64{1}, len(groups.Dicts[0]))
+	s.Cols = append(s.Cols, Col{Name: "intercept", Attr: groups.Attrs[0], ByCode: ones, Default: 1, InZ: true})
 
 	// Main effects per attribute. Values absent from the training groups
 	// default to the overall median, which no attribute changes.
 	k := len(groups.Attrs)
 	medianY, med, sizes, offs := mainEffects(groups, spec.Target)
 	for ai, attr := range groups.Attrs {
-		dict, off := groups.Dicts[ai], offs[ai]
-		if !spec.KeepLeaky && slices.Max(sizes[off:off+len(dict)]) <= 1 {
+		size, m := sizes[offs[ai]:offs[ai+1]], med[offs[ai]:offs[ai+1]:offs[ai+1]]
+		if !spec.KeepLeaky && slices.Max(size) <= 1 {
 			continue // one-to-one: the median would equal the group's own statistic
 		}
-		m := make(map[string]float64, min(len(dict), groups.Len()))
-		for c, v := range dict {
-			if sizes[off+c] > 0 {
-				m[v] = med[off+c]
+		for c, n := range size {
+			if n == 0 {
+				m[c] = medianY
 			}
 		}
 		name := "main:" + attr
 		s.Cols = append(s.Cols, Col{
 			Name:    name,
 			Attr:    attr,
-			Map:     m,
+			ByCode:  m,
 			Default: medianY,
 			InZ:     !slices.Contains(spec.ExcludeFromZ, name),
 		})
@@ -142,23 +138,29 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 	// Auxiliary join features (applicable once their attribute is in the
 	// group-by).
 	for _, aux := range spec.Aux {
-		if !slices.Contains(groups.Attrs, aux.JoinAttr) {
+		ai := slices.Index(groups.Attrs, aux.JoinAttr)
+		if ai < 0 {
 			continue
 		}
-		col, err := buildAuxCol(aux)
+		z, err := buildAuxCol(aux, groups.Dicts[ai])
 		if err != nil {
 			return nil, err
 		}
-		col.InZ = !slices.Contains(spec.ExcludeFromZ, col.Name)
-		s.Cols = append(s.Cols, col)
+		name := "aux:" + aux.Name
+		s.Cols = append(s.Cols, Col{
+			Name:   name,
+			Attr:   aux.JoinAttr,
+			ByCode: z,
+			InZ:    !slices.Contains(spec.ExcludeFromZ, name),
+		})
 	}
 
 	// Custom features.
 	for _, c := range spec.Custom {
-		if !slices.Contains(groups.Attrs, c.Attr) {
+		ai := slices.Index(groups.Attrs, c.Attr)
+		if ai < 0 {
 			continue
 		}
-		ai := slices.Index(groups.Attrs, c.Attr)
 		seen := make([]bool, len(groups.Dicts[ai]))
 		var vals []string
 		for i := ai; i < len(groups.Codes); i += k {
@@ -172,12 +174,16 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 		if m == nil {
 			return nil, fmt.Errorf("feature: custom feature %q returned nil", c.Name)
 		}
+		f := make([]float64, len(groups.Dicts[ai]))
+		for code, v := range groups.Dicts[ai] {
+			f[code] = m[v] // 0, the column's Default, for a value m lacks
+		}
 		name := "custom:" + c.Name
 		s.Cols = append(s.Cols, Col{
-			Name: name,
-			Attr: c.Attr,
-			Map:  m,
-			InZ:  !slices.Contains(spec.ExcludeFromZ, name),
+			Name:   name,
+			Attr:   c.Attr,
+			ByCode: f,
+			InZ:    !slices.Contains(spec.ExcludeFromZ, name),
 		})
 	}
 	return s, nil
@@ -250,13 +256,15 @@ func mainEffects(groups *agg.Result, target agg.Func) (medianY float64, med []fl
 }
 
 // buildAuxCol aggregates the auxiliary measure per join value (mean when
-// several rows share a value), then z-scores across values.
-func buildAuxCol(aux Aux) (Col, error) {
+// several rows share a value), z-scores across values, and indexes the
+// z-scores by dict's codes: a value the table lacks gets 0, the column's
+// Default.
+func buildAuxCol(aux Aux, dict []string) ([]float64, error) {
 	if !aux.Table.HasDim(aux.JoinAttr) {
-		return Col{}, fmt.Errorf("feature: auxiliary %q lacks join attribute %q", aux.Name, aux.JoinAttr)
+		return nil, fmt.Errorf("feature: auxiliary %q lacks join attribute %q", aux.Name, aux.JoinAttr)
 	}
 	if !aux.Table.HasMeasure(aux.Measure) {
-		return Col{}, fmt.Errorf("feature: auxiliary %q lacks measure %q", aux.Name, aux.Measure)
+		return nil, fmt.Errorf("feature: auxiliary %q lacks measure %q", aux.Name, aux.Measure)
 	}
 	keys := aux.Table.Dim(aux.JoinAttr)
 	ms := aux.Table.Measure(aux.Measure)
@@ -276,27 +284,26 @@ func buildAuxCol(aux Aux) (Col, error) {
 		raw[i] = sums[v] / counts[v]
 	}
 	z := mat.Standardize(raw)
-	m := make(map[string]float64, len(vals))
-	for i, v := range vals {
-		m[v] = z[i]
+	out := make([]float64, len(dict))
+	for c, v := range dict {
+		if i, ok := slices.BinarySearch(vals, v); ok {
+			out[c] = z[i]
+		}
 	}
-	return Col{Name: "aux:" + aux.Name, Attr: aux.JoinAttr, Map: m}, nil
+	return out, nil
 }
 
 // DenseX renders the feature set as a dense design matrix with one row per
-// group (in group order), group-feature columns last. A column's value is
-// looked up once per dictionary code of its attribute, not once per group.
+// group (in group order), group-feature columns last. groups is the result
+// the set was built from, or one coding against the same dictionaries: a
+// group's value is its column's ByCode at the group's code.
 func (s *Set) DenseX(groups *agg.Result) *mat.Matrix {
 	x := mat.New(groups.Len(), s.NumCols())
 	k := len(groups.Attrs)
 	for ci, c := range s.Cols {
 		ai := slices.Index(groups.Attrs, c.Attr)
-		byCode := make([]float64, len(groups.Dicts[ai]))
-		for code, v := range groups.Dicts[ai] {
-			byCode[code] = c.Value(v)
-		}
 		for gi := range groups.Len() {
-			x.Set(gi, ci, byCode[groups.Codes[gi*k+ai]])
+			x.Set(gi, ci, c.ByCode[groups.Codes[gi*k+ai]])
 		}
 	}
 	for ei, e := range s.Extra {
@@ -307,20 +314,28 @@ func (s *Set) DenseX(groups *agg.Result) *mat.Matrix {
 	return x
 }
 
-// Row builds a feature row for an arbitrary assignment of the group-by
-// attributes — used to score empty drill-down groups, which have no observed
-// row. Group-feature columns default to 0 (their post-standardization mean).
-func (s *Set) Row(vals map[string]string) []float64 {
+// Row builds a feature row for an arbitrary tuple of the group-by's codes,
+// one per attribute of Attrs — used to score empty drill-down groups, which
+// have no observed row. A code outside its dictionary (an attribute the
+// tuple does not name) takes every column's Default. Group-feature columns
+// default to 0 (their post-standardization mean).
+func (s *Set) Row(codes []uint32) []float64 {
 	row := make([]float64, s.NumCols())
 	for ci, c := range s.Cols {
-		row[ci] = c.Value(vals[c.Attr])
+		row[ci] = c.Default
+		if code := codes[slices.Index(s.Attrs, c.Attr)]; int(code) < len(c.ByCode) {
+			row[ci] = c.ByCode[code]
+		}
 	}
 	return row
 }
 
 // FactorColumns renders the feature set as factorised columns over the
-// factorizer's attribute value tables. Sets containing multi-attribute group
-// features have no factorisation and return an error.
+// factorizer's attribute levels: a level's value is its column's ByCode at
+// the level's code. Every level must code against the set's dictionary for
+// its attribute, as a factor source built from the same dataset as the
+// group-by does; one that does not is an error, and so are sets containing
+// multi-attribute group features, which have no factorisation.
 func (s *Set) FactorColumns(f *factor.Factorizer) ([]fmatrix.Column, error) {
 	if len(s.Extra) > 0 {
 		return nil, fmt.Errorf("feature: %d group features have no factorised form", len(s.Extra))
@@ -331,10 +346,14 @@ func (s *Set) FactorColumns(f *factor.Factorizer) ([]fmatrix.Column, error) {
 		if !ok {
 			return nil, fmt.Errorf("feature: attribute %q not in factorizer", c.Attr)
 		}
-		vals, _ := f.CountVals(ai)
-		fv := make([]float64, len(vals))
-		for i, v := range vals {
-			fv[i] = c.Value(v)
+		a := f.Attrs()[ai]
+		lv := f.Chain(a.Hier).Levels[a.Level]
+		if !data.SameDict(s.Dicts[slices.Index(s.Attrs, c.Attr)], lv.Dict) {
+			return nil, fmt.Errorf("feature: factorizer codes %q against a dictionary the feature set does not share", c.Attr)
+		}
+		fv := make([]float64, len(lv.Codes))
+		for i, code := range lv.Codes {
+			fv[i] = c.ByCode[code]
 		}
 		out[ci] = fmatrix.Column{Name: c.Name, Attr: ai, Vals: fv}
 	}

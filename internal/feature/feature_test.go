@@ -2,6 +2,7 @@ package feature
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/agg"
@@ -33,6 +34,15 @@ func demo() *data.Dataset {
 	return d
 }
 
+// valueOf returns column c's feature for value v of its attribute: its
+// code's in set's dictionary, or Default for a value the dictionary lacks.
+func valueOf(set *Set, c Col, v string) float64 {
+	if code := slices.Index(set.Dicts[slices.Index(set.Attrs, c.Attr)], v); code >= 0 {
+		return c.ByCode[code]
+	}
+	return c.Default
+}
+
 func TestBuildMainEffects(t *testing.T) {
 	d := demo()
 	groups := agg.GroupBy(d, []string{"district", "village", "year"}, "severity")
@@ -57,11 +67,11 @@ func TestBuildMainEffects(t *testing.T) {
 			yearCol = c
 		}
 	}
-	if got := yearCol.Value("1986"); got != 7 {
+	if got := valueOf(set, yearCol, "1986"); got != 7 {
 		t.Errorf("main:year(1986) = %v, want 7", got)
 	}
 	// Unknown value falls back to the global median.
-	if got := yearCol.Value("2999"); got != yearCol.Default {
+	if got := valueOf(set, yearCol, "2999"); got != yearCol.Default {
 		t.Errorf("unknown value = %v, want default", got)
 	}
 }
@@ -123,11 +133,12 @@ func TestAuxFeature(t *testing.T) {
 		t.Fatal("aux:rain missing")
 	}
 	// Z-scored: Darube has the largest rainfall → the largest feature.
-	if rainCol.Value("Darube") <= rainCol.Value("Adishim") {
+	rain := func(v string) float64 { return valueOf(set, *rainCol, v) }
+	if rain("Darube") <= rain("Adishim") {
 		t.Error("z-scored rainfall ordering wrong")
 	}
 	// Mean of the z-scores is 0.
-	sum := rainCol.Value("Adishim") + rainCol.Value("Darube") + rainCol.Value("Kukufto")
+	sum := rain("Adishim") + rain("Darube") + rain("Kukufto")
 	if math.Abs(sum) > 1e-9 {
 		t.Errorf("z-scores sum to %v", sum)
 	}
@@ -192,8 +203,8 @@ func TestCustomFeature(t *testing.T) {
 	if c == nil {
 		t.Fatal("custom feature missing")
 	}
-	if c.Value("1986") != 0 || c.Value("1987") != 1 {
-		t.Errorf("custom values wrong: %v %v", c.Value("1986"), c.Value("1987"))
+	if valueOf(set, *c, "1986") != 0 || valueOf(set, *c, "1987") != 1 {
+		t.Errorf("custom values wrong: %v %v", valueOf(set, *c, "1986"), valueOf(set, *c, "1987"))
 	}
 }
 
@@ -254,12 +265,13 @@ func TestFactorColumnsMatchDense(t *testing.T) {
 	if len(cols) != len(set.Cols) {
 		t.Fatalf("FactorColumns count = %d, want %d", len(cols), len(set.Cols))
 	}
-	// The year main-effect column values must match the Col map.
+	// Every level value's feature must match the column's for its code.
 	for ci, c := range set.Cols {
-		vals, _ := f.CountVals(cols[ci].Attr)
-		for vi, v := range vals {
-			if got := cols[ci].Vals[vi]; got != c.Value(v) {
-				t.Errorf("col %q value %q = %v, want %v", c.Name, v, got, c.Value(v))
+		a := f.Attrs()[cols[ci].Attr]
+		lv := f.Chain(a.Hier).Levels[a.Level]
+		for i, code := range lv.Codes {
+			if got, want := cols[ci].Vals[i], valueOf(set, c, lv.Dict[code]); got != want {
+				t.Errorf("col %q value %q = %v, want %v", c.Name, lv.Dict[code], got, want)
 			}
 		}
 	}

@@ -5,62 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/agg"
 	"repro/internal/data"
-	"repro/internal/mat"
 )
-
-// referenceCols is the obviously-right feature build Build is checked
-// against: string-keyed buckets, mat.Median over a copy of each.
-func referenceCols(groups *agg.Result, spec Spec) []Col {
-	y := make([]float64, len(groups.Groups))
-	for i, g := range groups.Groups {
-		y[i] = g.Stats.Get(spec.Target)
-	}
-	cols := []Col{{Name: "intercept", Attr: groups.Attrs[0], Default: 1, InZ: true}}
-	for ai, attr := range groups.Attrs {
-		perVal := map[string][]float64{}
-		for gi, g := range groups.Groups {
-			perVal[g.Vals[ai]] = append(perVal[g.Vals[ai]], y[gi])
-		}
-		m, oneToOne := map[string]float64{}, true
-		for v, ys := range perVal {
-			m[v] = mat.Median(ys)
-			oneToOne = oneToOne && len(ys) == 1
-		}
-		if oneToOne && !spec.KeepLeaky {
-			continue
-		}
-		cols = append(cols, Col{Name: "main:" + attr, Attr: attr, Map: m, Default: mat.Median(y),
-			InZ: !slices.Contains(spec.ExcludeFromZ, "main:"+attr)})
-	}
-	for _, aux := range spec.Aux {
-		if slices.Contains(groups.Attrs, aux.JoinAttr) {
-			col, _ := buildAuxCol(aux)
-			col.InZ = !slices.Contains(spec.ExcludeFromZ, col.Name)
-			cols = append(cols, col)
-		}
-	}
-	for _, c := range spec.Custom {
-		ai := slices.Index(groups.Attrs, c.Attr)
-		if ai < 0 {
-			continue
-		}
-		var vals []string
-		for _, g := range groups.Groups {
-			if !slices.Contains(vals, g.Vals[ai]) {
-				vals = append(vals, g.Vals[ai])
-			}
-		}
-		sort.Strings(vals)
-		cols = append(cols, Col{Name: "custom:" + c.Name, Attr: c.Attr, Map: c.Fn(vals, groups),
-			InZ: !slices.Contains(spec.ExcludeFromZ, "custom:"+c.Name)})
-	}
-	return cols
-}
 
 // propertyValues holds prefix pairs and multi-byte strings, in an order that
 // is not the sorted one.
@@ -140,9 +89,9 @@ func TestBuildMatchesStringReference(t *testing.T) {
 	}
 }
 
-// checkBuild holds Build's columns — names, defaults, Z membership and every
-// map entry, bit for bit — and the dense rendering and cluster boundaries
-// derived from them to the string-keyed reference.
+// checkBuild holds Build's columns — names, defaults, Z membership and the
+// feature of every dictionary code, bit for bit — and the dense rendering and
+// cluster boundaries derived from them to the string-keyed reference.
 func checkBuild(t *testing.T, label string, groups *agg.Result, spec Spec) {
 	t.Helper()
 	bits := math.Float64bits
@@ -150,19 +99,19 @@ func checkBuild(t *testing.T, label string, groups *agg.Result, spec Spec) {
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
-	want := referenceCols(groups, spec)
+	want := stringReference(groups, spec)
 	if len(set.Cols) != len(want) {
 		t.Fatalf("%s (%v): %d columns, want %d", label, groups.Attrs, len(set.Cols), len(want))
 	}
 	for ci, w := range want {
 		g := set.Cols[ci]
-		if g.Name != w.Name || g.Attr != w.Attr || g.InZ != w.InZ || bits(g.Default) != bits(w.Default) ||
-			len(g.Map) != len(w.Map) || (g.Map == nil) != (w.Map == nil) {
-			t.Fatalf("%s col %d: got %+v, want %+v", label, ci, g, w)
+		dict := groups.Dicts[slices.Index(groups.Attrs, w.attr)]
+		if g.Name != w.name || g.Attr != w.attr || g.InZ != w.inZ || bits(g.Default) != bits(w.def) || len(g.ByCode) != len(dict) {
+			t.Fatalf("%s col %d: got %+v, want %+v over %d codes", label, ci, g, w, len(dict))
 		}
-		for v, f := range w.Map {
-			if gf, ok := g.Map[v]; !ok || bits(gf) != bits(f) {
-				t.Fatalf("%s col %s value %q: got %v (%#x, present %v), want %v (%#x)", label, w.Name, v, gf, bits(gf), ok, f, bits(f))
+		for code, v := range dict {
+			if f := w.value(v); bits(g.ByCode[code]) != bits(f) {
+				t.Fatalf("%s col %s value %q: got %v (%#x), want %v (%#x)", label, w.name, v, g.ByCode[code], bits(g.ByCode[code]), f, bits(f))
 			}
 		}
 	}
@@ -170,8 +119,8 @@ func checkBuild(t *testing.T, label string, groups *agg.Result, spec Spec) {
 	var starts []int
 	for gi, g := range groups.Groups {
 		for ci, c := range want {
-			if f := c.Value(g.Vals[slices.Index(groups.Attrs, c.Attr)]); bits(x.At(gi, ci)) != bits(f) {
-				t.Fatalf("%s: DenseX[%d,%s] = %v, want %v", label, gi, c.Name, x.At(gi, ci), f)
+			if f := c.value(g.Vals[slices.Index(groups.Attrs, c.attr)]); bits(x.At(gi, ci)) != bits(f) {
+				t.Fatalf("%s: DenseX[%d,%s] = %v, want %v", label, gi, c.name, x.At(gi, ci), f)
 			}
 		}
 		last := len(g.Vals) - 1

@@ -43,8 +43,8 @@ func (m *Matrix) Clusters() (*Clusters, error) {
 		c.ranges = [][2]int{{0, ch.Leaves()}}
 	} else {
 		parent := ch.Levels[ch.Depth()-2]
-		c.ranges = make([][2]int, len(parent.Vals))
-		for i := range parent.Vals {
+		c.ranges = make([][2]int, len(parent.Codes))
+		for i := range parent.Codes {
 			c.ranges[i] = [2]int{parent.ChildOff[i], parent.ChildOff[i+1]}
 		}
 	}

@@ -75,10 +75,10 @@ func New(f *factor.Factorizer, cols []Column) (*Matrix, error) {
 		if c.Attr < 0 || c.Attr >= f.NumAttrs() {
 			return nil, fmt.Errorf("fmatrix: column %q bound to attribute %d of %d", c.Name, c.Attr, f.NumAttrs())
 		}
-		vals, _ := f.CountVals(c.Attr)
-		if len(c.Vals) != len(vals) {
+		a := f.Attrs()[c.Attr]
+		if n := len(f.Chain(a.Hier).Levels[a.Level].Codes); len(c.Vals) != n {
 			return nil, fmt.Errorf("fmatrix: column %q has %d values, attribute %q has %d",
-				c.Name, len(c.Vals), f.Attrs()[c.Attr].Name, len(vals))
+				c.Name, len(c.Vals), a.Name, n)
 		}
 		m.colsOfAttr[c.Attr] = append(m.colsOfAttr[c.Attr], ci)
 	}
@@ -219,7 +219,7 @@ func (m *Matrix) Gram() *mat.Matrix {
 	// cross-hierarchy pair the column participates in.
 	sums := make([]float64, k)
 	for ci, c := range m.Cols {
-		_, counts := m.F.CountVals(c.Attr)
+		counts := m.F.CountVals(c.Attr)
 		var s float64
 		for v, cnt := range counts {
 			s += cnt * c.Vals[v]
@@ -238,7 +238,7 @@ func (m *Matrix) Gram() *mat.Matrix {
 			var cell float64
 			switch {
 			case p == q:
-				_, counts := m.F.CountVals(p)
+				counts := m.F.CountVals(p)
 				for v, cnt := range counts {
 					cell += cnt * fi[v] * fj[v]
 				}
@@ -323,7 +323,7 @@ var prefixPool sync.Pool
 func (m *Matrix) leftMulColumn(prefix []float64, c Column) float64 {
 	f := m.F
 	a := f.Attrs()[c.Attr]
-	_, counts := f.CountVals(c.Attr)
+	counts := f.CountVals(c.Attr)
 	reps := int(f.ProdBefore(a.Hier))
 	period := int(f.SufTotal(c.Attr))
 	var result float64

@@ -209,7 +209,7 @@ func randomMatrix(r *rand.Rand) *Matrix {
 	}
 	var cols []Column
 	for ai := 0; ai < f.NumAttrs(); ai++ {
-		vals, _ := f.CountVals(ai)
+		vals := f.CountVals(ai)
 		ncols := 1 + r.Intn(2)
 		for c := 0; c < ncols; c++ {
 			fv := make([]float64, len(vals))

@@ -69,7 +69,7 @@ func deepFitDesign(tb testing.TB) (*Factorised, *Dense, []float64) {
 	}
 	var cols []fmatrix.Column
 	for _, ai := range []int{0, 1, 2, 4, 6} { // attr 0 twice: intercept first
-		vals, _ := f.CountVals(ai)
+		vals := f.CountVals(ai)
 		fv := make([]float64, len(vals))
 		for i := range fv {
 			fv[i] = 1

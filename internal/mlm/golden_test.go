@@ -94,14 +94,14 @@ func (s goldenShape) build(t testing.TB) (*fmatrix.Matrix, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ivals, _ := f.CountVals(0)
+	ivals := f.CountVals(0)
 	ones := make([]float64, len(ivals))
 	for i := range ones {
 		ones[i] = 1
 	}
 	cols := []fmatrix.Column{{Name: "intercept", Attr: 0, Vals: ones}}
 	for ai := 0; ai < f.NumAttrs(); ai++ {
-		vals, _ := f.CountVals(ai)
+		vals := f.CountVals(ai)
 		fv := make([]float64, len(vals))
 		for i := range fv {
 			fv[i] = float64(rng.Intn(7)) - 2.5

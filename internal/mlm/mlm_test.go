@@ -156,7 +156,7 @@ func buildFactorMatrix(r *rand.Rand) (*fmatrix.Matrix, []float64) {
 	}
 	var cols []fmatrix.Column
 	for ai := 0; ai < f.NumAttrs(); ai++ {
-		vals, _ := f.CountVals(ai)
+		vals := f.CountVals(ai)
 		fv := make([]float64, len(vals))
 		for i := range fv {
 			fv[i] = r.NormFloat64()
@@ -164,7 +164,7 @@ func buildFactorMatrix(r *rand.Rand) (*fmatrix.Matrix, []float64) {
 		cols = append(cols, fmatrix.Column{Name: fmt.Sprintf("c%d", ai), Attr: ai, Vals: fv})
 	}
 	// Intercept.
-	ivals, _ := f.CountVals(0)
+	ivals := f.CountVals(0)
 	ones := make([]float64, len(ivals))
 	for i := range ones {
 		ones[i] = 1
