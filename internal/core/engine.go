@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -430,7 +431,26 @@ func (e *Engine) groups(rec SpanRecorder, attrs []string, measure string) (*agg.
 
 // groupsKey is γ's memo key, which a fit's retention looks up too.
 func groupsKey(attrs []string, measure string) string {
-	return fmt.Sprintf("groups %q %q", attrs, measure)
+	return memoKey("groups", attrs, measure)
+}
+
+// memoKey builds the memo key of a value over attrs: kind, the attributes
+// quoted and bracketed, and each arg quoted, space-separated — byte for byte
+// fmt's "%s %q %q…" of the same, in one buffer.
+func memoKey(kind string, attrs []string, args ...string) string {
+	b := append(make([]byte, 0, 64), kind...)
+	b = append(b, " ["...)
+	for i, a := range attrs {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendQuote(b, a)
+	}
+	b = append(b, ']')
+	for _, a := range args {
+		b = strconv.AppendQuote(append(b, ' '), a)
+	}
+	return string(b)
 }
 
 // drillAttrs returns the canonical attribute order after drilling hierarchy
@@ -638,7 +658,7 @@ func (e *Engine) fitModels(h data.Hierarchy, groups *agg.Result, c Complaint, de
 // hierarchy's depth, so the factorizer and TrainerAuto's choice are functions
 // of the key too. A fit is priced 0 and kept only while its γ is (memo.go).
 func (e *Engine) fitModel(h data.Hierarchy, groups *agg.Result, stat agg.Func, depth map[string]int) (*statModel, error) {
-	return memoGet(e.memo, fmt.Sprintf("fit %q %q %q", groups.Attrs, groups.Measure, stat), func() (*statModel, error) {
+	return memoGet(e.memo, memoKey("fit", groups.Attrs, groups.Measure, string(stat)), func() (*statModel, error) {
 		return e.train(e.opts.Trainer, h, groups, stat, depth)
 	}, func(*statModel) int {
 		gkey := groupsKey(groups.Attrs, groups.Measure)
@@ -725,8 +745,7 @@ func allTrue(mask []bool) bool {
 // read after construction, so the per-statistic fits share it. measure names
 // the group-by a missing source is read from; the view does not depend on it.
 func (e *Engine) factorizer(h data.Hierarchy, depth map[string]int, measure string) (*factor.Factorizer, error) {
-	key := fmt.Sprintf("factorizer %q", e.drillAttrs(h, depth))
-	return memoGet(e.memo, key, func() (*factor.Factorizer, error) {
+	return memoGet(e.memo, memoKey("factorizer", e.drillAttrs(h, depth)), func() (*factor.Factorizer, error) {
 		var sources []*factor.Source
 		var depths []int
 		for _, other := range e.ds.Hierarchies {

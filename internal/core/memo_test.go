@@ -468,3 +468,24 @@ func TestPanickingBuildReleasesWaiters(t *testing.T) {
 	close(release)
 	wg.Wait()
 }
+
+// TestMemoKeyMatchesSprintf holds memoKey to the fmt form the memo's keys
+// were first written in, over values fmt escapes: quotes, backslashes,
+// control bytes, multi-byte runes and invalid UTF-8.
+func TestMemoKeyMatchesSprintf(t *testing.T) {
+	vals := []string{"", "a", `"q"`, `b\s`, "t\tn\n", "\x00", "\x1f", "é", "日本", "\xff\xfe", "a b"}
+	for i := range vals {
+		attrs := vals[i:min(i+3, len(vals))]
+		for _, m := range vals {
+			if got, want := memoKey("groups", attrs, m), fmt.Sprintf("groups %q %q", attrs, m); got != want {
+				t.Errorf("memoKey(groups, %q, %q) = %s, want %s", attrs, m, got, want)
+			}
+			if got, want := memoKey("fit", attrs, m, "mean"), fmt.Sprintf("fit %q %q %q", attrs, m, "mean"); got != want {
+				t.Errorf("memoKey(fit, %q, %q) = %s, want %s", attrs, m, got, want)
+			}
+		}
+		if got, want := memoKey("factorizer", attrs[:0]), fmt.Sprintf("factorizer %q", attrs[:0]); got != want {
+			t.Errorf("memoKey(factorizer, []) = %s, want %s", got, want)
+		}
+	}
+}
