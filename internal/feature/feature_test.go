@@ -322,3 +322,71 @@ func TestBuildEmptyGroups(t *testing.T) {
 		t.Error("expected error for empty groups")
 	}
 }
+
+// TestFactorColumnsRefusesForeignDictionary renders a set over a factorizer
+// whose geo levels code against dictionaries of their own: factor.NewSource
+// interns its paths in the order given. Listed in the dataset's order, the
+// dictionaries hold the same values at the same codes and are accepted;
+// reordered, every code would name another value, and FactorColumns refuses.
+func TestFactorColumnsRefusesForeignDictionary(t *testing.T) {
+	d := demo()
+	groups := agg.GroupBy(d, []string{"year", "district"}, "severity")
+	set, err := Build(groups, Spec{Target: agg.Mean})
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeSrc, err := factor.SourceFromDataset(d, data.Hierarchy{Name: "time", Attrs: []string{"year"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		paths [][]string
+		ok    bool
+	}{
+		{[][]string{{"Ofla", "Adishim"}, {"Ofla", "Darube"}, {"Raya", "Kukufto"}}, true},
+		{[][]string{{"Raya", "Kukufto"}, {"Ofla", "Adishim"}, {"Ofla", "Darube"}}, false},
+	} {
+		geoSrc, err := factor.NewSource("geo", []string{"district", "village"}, tc.paths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := factor.New([]*factor.Source{timeSrc, geoSrc}, []int{1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := set.FactorColumns(f); (err == nil) != tc.ok {
+			t.Errorf("paths %v: FactorColumns error %v, want accepted %v", tc.paths, err, tc.ok)
+		}
+	}
+}
+
+// TestRowByCode holds Row to the dense rendering at every group's codes, and
+// to every column's Default — the intercept's 1 included — at a code outside
+// each dictionary.
+func TestRowByCode(t *testing.T) {
+	d := demo()
+	groups := agg.GroupBy(d, []string{"district", "village", "year"}, "severity")
+	set, err := Build(groups, Spec{
+		Target: agg.Mean,
+		Aux:    []Aux{{Name: "rain", Table: auxRainfall(), JoinAttr: "village", Measure: "rainfall"}},
+		Custom: []Custom{{Name: "one", Attr: "year", Fn: func([]string, *agg.Result) map[string]float64 { return map[string]float64{"1986": 1} }}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, k := set.DenseX(groups), len(groups.Attrs)
+	for gi := range groups.Len() {
+		if got, want := set.Row(groups.Codes[gi*k:(gi+1)*k]), x.Row(gi); !slices.Equal(got, want) {
+			t.Errorf("group %d: Row = %v, DenseX = %v", gi, got, want)
+		}
+	}
+	row := set.Row([]uint32{math.MaxUint32, math.MaxUint32, math.MaxUint32})
+	for ci, c := range set.Cols {
+		if math.Float64bits(row[ci]) != math.Float64bits(c.Default) {
+			t.Errorf("column %s at no code = %v, want its default %v", c.Name, row[ci], c.Default)
+		}
+	}
+	if row[0] != 1 {
+		t.Errorf("intercept at no code = %v, want 1", row[0])
+	}
+}
