@@ -438,8 +438,7 @@ func groupsKey(attrs []string, measure string) string {
 // quoted and bracketed, and each arg quoted, space-separated — byte for byte
 // fmt's "%s %q %q…" of the same, in one buffer.
 func memoKey(kind string, attrs []string, args ...string) string {
-	b := append(make([]byte, 0, 64), kind...)
-	b = append(b, " ["...)
+	b := append(append(make([]byte, 0, 64), kind...), " ["...)
 	for i, a := range attrs {
 		if i > 0 {
 			b = append(b, ' ')
@@ -488,10 +487,13 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 	}
 
 	// The tuple as codes of the drilled relation, translated once: anc holds
-	// the conditions on attributes of the drilled hierarchy, rest the others.
-	// Attributes are visited in sorted order, so a tuple naming several outside
-	// the drill-down always reports the same one.
+	// the conditions on attributes of the drilled hierarchy, rest the others,
+	// and codes every attribute's, a code no dictionary holds where the tuple
+	// names none. Attributes are visited in sorted order, so a tuple naming
+	// several outside the drill-down always reports the same one.
 	var anc, rest []codeCond
+	k, last := len(attrs), len(attrs)-1 // attr is the drilled order's last
+	codes := slices.Repeat([]uint32{math.MaxUint32}, k)
 	for _, a := range slices.Sorted(maps.Keys(c.Tuple)) {
 		ai := slices.Index(attrs, a)
 		if ai < 0 {
@@ -499,6 +501,7 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 		}
 		// A value absent from the dictionary wraps to a code no group carries.
 		cond := codeCond{ai, uint32(slices.Index(groups.Dicts[ai], c.Tuple[a]))}
+		codes[ai] = cond.code
 		if h.Contains(a) {
 			anc = append(anc, cond)
 		} else {
@@ -512,7 +515,6 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 	// complained year): repairing their statistics to the expectation resolves
 	// missing-group errors that observed groups cannot explain.
 	const candidate, observed = 1, 2
-	k, last := len(attrs), len(attrs)-1 // attr is the drilled order's last
 	seen := make([]uint8, len(groups.Dicts[last]))
 	var children []int
 	var total agg.Stats // the complained tuple's own statistics: G over its children
@@ -576,14 +578,9 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 	}
 	// Score the empty groups using model predictions for their feature rows,
 	// with the random effects of the cluster containing their observed
-	// siblings. An empty group carries the tuple's codes, its own for attr,
-	// and for an attribute the tuple does not name a code no dictionary holds
-	// (its value reads "").
+	// siblings. An empty group carries the tuple's codes and its own for attr;
+	// an attribute the tuple does not name reads "".
 	sibling := children[0]
-	codes := slices.Repeat([]uint32{math.MaxUint32}, k)
-	for _, cond := range slices.Concat(anc, rest) {
-		codes[cond.ai] = cond.code
-	}
 	for _, code := range empty {
 		codes[last] = code
 		vals := make([]string, k)

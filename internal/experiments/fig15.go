@@ -47,8 +47,7 @@ func fig15Matrix(d int, rng *rand.Rand) *fmatrix.Matrix {
 	}
 	var cols []fmatrix.Column
 	for ai := 0; ai < fz.NumAttrs(); ai++ {
-		n := len(fz.CountVals(ai))
-		fv := make([]float64, n)
+		fv := make([]float64, len(fz.CountVals(ai)))
 		for i := range fv {
 			fv[i] = rng.NormFloat64()
 		}

@@ -85,8 +85,7 @@ func fig8Matrix(w int) *fmatrix.Matrix {
 	}
 	cols := make([]fmatrix.Column, fz.NumAttrs())
 	for ai := range cols {
-		n := len(fz.CountVals(ai))
-		fv := make([]float64, n)
+		fv := make([]float64, len(fz.CountVals(ai)))
 		for v := range fv {
 			fv[v] = 1 + float64((7*v+3*ai)%13)/13
 		}

@@ -19,6 +19,7 @@ package feature
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"sort"
@@ -110,10 +111,12 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 	s := &Set{Attrs: append([]string(nil), groups.Attrs...), Dicts: groups.Dicts}
 	ones := slices.Repeat([]float64{1}, len(groups.Dicts[0]))
 	s.Cols = append(s.Cols, Col{Name: "intercept", Attr: groups.Attrs[0], ByCode: ones, Default: 1, InZ: true})
+	col := func(name, attr string, byCode []float64, def float64) Col {
+		return Col{Name: name, Attr: attr, ByCode: byCode, Default: def, InZ: !slices.Contains(spec.ExcludeFromZ, name)}
+	}
 
 	// Main effects per attribute. Values absent from the training groups
 	// default to the overall median, which no attribute changes.
-	k := len(groups.Attrs)
 	medianY, med, sizes, offs := mainEffects(groups, spec.Target)
 	for ai, attr := range groups.Attrs {
 		size, m := sizes[offs[ai]:offs[ai+1]], med[offs[ai]:offs[ai+1]:offs[ai+1]]
@@ -125,14 +128,7 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 				m[c] = medianY
 			}
 		}
-		name := "main:" + attr
-		s.Cols = append(s.Cols, Col{
-			Name:    name,
-			Attr:    attr,
-			ByCode:  m,
-			Default: medianY,
-			InZ:     !slices.Contains(spec.ExcludeFromZ, name),
-		})
+		s.Cols = append(s.Cols, col("main:"+attr, attr, m, medianY))
 	}
 
 	// Auxiliary join features (applicable once their attribute is in the
@@ -146,13 +142,7 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 		if err != nil {
 			return nil, err
 		}
-		name := "aux:" + aux.Name
-		s.Cols = append(s.Cols, Col{
-			Name:   name,
-			Attr:   aux.JoinAttr,
-			ByCode: z,
-			InZ:    !slices.Contains(spec.ExcludeFromZ, name),
-		})
+		s.Cols = append(s.Cols, col("aux:"+aux.Name, aux.JoinAttr, z, 0))
 	}
 
 	// Custom features.
@@ -161,11 +151,9 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 		if ai < 0 {
 			continue
 		}
-		seen := make([]bool, len(groups.Dicts[ai]))
-		var vals []string
-		for i := ai; i < len(groups.Codes); i += k {
-			if code := groups.Codes[i]; !seen[code] {
-				seen[code] = true
+		var vals []string // the values present: codes some group carries
+		for code, n := range sizes[offs[ai]:offs[ai+1]] {
+			if n > 0 {
 				vals = append(vals, groups.Dicts[ai][code])
 			}
 		}
@@ -178,13 +166,7 @@ func Build(groups *agg.Result, spec Spec) (*Set, error) {
 		for code, v := range groups.Dicts[ai] {
 			f[code] = m[v] // 0, the column's Default, for a value m lacks
 		}
-		name := "custom:" + c.Name
-		s.Cols = append(s.Cols, Col{
-			Name:   name,
-			Attr:   c.Attr,
-			ByCode: f,
-			InZ:    !slices.Contains(spec.ExcludeFromZ, name),
-		})
+		s.Cols = append(s.Cols, col("custom:"+c.Name, c.Attr, f, 0))
 	}
 	return s, nil
 }
@@ -266,19 +248,13 @@ func buildAuxCol(aux Aux, dict []string) ([]float64, error) {
 	if !aux.Table.HasMeasure(aux.Measure) {
 		return nil, fmt.Errorf("feature: auxiliary %q lacks measure %q", aux.Name, aux.Measure)
 	}
-	keys := aux.Table.Dim(aux.JoinAttr)
 	ms := aux.Table.Measure(aux.Measure)
-	sums := make(map[string]float64)
-	counts := make(map[string]float64)
-	for i, k := range keys {
+	sums, counts := make(map[string]float64), make(map[string]float64)
+	for i, k := range aux.Table.Dim(aux.JoinAttr) {
 		sums[k] += ms[i]
 		counts[k]++
 	}
-	vals := make([]string, 0, len(sums))
-	for k := range sums {
-		vals = append(vals, k)
-	}
-	sort.Strings(vals)
+	vals := slices.Sorted(maps.Keys(sums))
 	raw := make([]float64, len(vals))
 	for i, v := range vals {
 		raw[i] = sums[v] / counts[v]

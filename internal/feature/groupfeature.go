@@ -3,7 +3,6 @@ package feature
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/agg"
 	"repro/internal/data"
@@ -73,39 +72,30 @@ func LagFeature(timeAttr string, lag int) GroupFeature {
 	return GroupFeature{
 		Name: fmt.Sprintf("lag%d:%s", lag, timeAttr),
 		Fn: func(groups *agg.Result, target agg.Func) []float64 {
-			ti := slices.Index(groups.Attrs, timeAttr)
 			out := make([]float64, len(groups.Groups))
+			for gi, g := range groups.Groups {
+				out[gi] = g.Stats.Get(target)
+			}
+			ti := slices.Index(groups.Attrs, timeAttr)
 			if ti < 0 {
-				for gi, g := range groups.Groups {
-					out[gi] = g.Stats.Get(target)
-				}
 				return out
 			}
-			// Sorted distinct time values → position index.
-			pos := map[string]int{}
+			// Sorted distinct time values: a value's position is its index.
 			var order []string
 			for _, g := range groups.Groups {
-				if _, ok := pos[g.Vals[ti]]; !ok {
-					pos[g.Vals[ti]] = 0
-					order = append(order, g.Vals[ti])
-				}
+				order = append(order, g.Vals[ti])
 			}
-			sort.Strings(order)
-			for i, v := range order {
-				pos[v] = i
-			}
+			slices.Sort(order)
+			order = slices.Compact(order)
 			// Look up the group with the time value replaced by the value
 			// lag positions earlier.
 			for gi, g := range groups.Groups {
-				p := pos[g.Vals[ti]] - lag
-				out[gi] = g.Stats.Get(target)
-				if p < 0 {
-					continue
-				}
-				vals := append([]string(nil), g.Vals...)
-				vals[ti] = order[p]
-				if prev, ok := groups.Get(vals); ok {
-					out[gi] = prev.Stats.Get(target)
+				if p, _ := slices.BinarySearch(order, g.Vals[ti]); p >= lag {
+					vals := slices.Clone(g.Vals)
+					vals[ti] = order[p-lag]
+					if prev, ok := groups.Get(vals); ok {
+						out[gi] = prev.Stats.Get(target)
+					}
 				}
 			}
 			return out
