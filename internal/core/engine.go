@@ -488,12 +488,12 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 
 	// The tuple as codes of the drilled relation, translated once: anc holds
 	// the conditions on attributes of the drilled hierarchy, rest the others,
-	// and codes every attribute's, a code no dictionary holds where the tuple
-	// names none. Attributes are visited in sorted order, so a tuple naming
+	// and tupleCodes every attribute's, a code no dictionary holds where the
+	// tuple names none. Attributes are visited in sorted order, so a tuple naming
 	// several outside the drill-down always reports the same one.
 	var anc, rest []codeCond
 	k, last := len(attrs), len(attrs)-1 // attr is the drilled order's last
-	codes := slices.Repeat([]uint32{math.MaxUint32}, k)
+	tupleCodes := slices.Repeat([]uint32{math.MaxUint32}, k)
 	for _, a := range slices.Sorted(maps.Keys(c.Tuple)) {
 		ai := slices.Index(attrs, a)
 		if ai < 0 {
@@ -501,7 +501,7 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 		}
 		// A value absent from the dictionary wraps to a code no group carries.
 		cond := codeCond{ai, uint32(slices.Index(groups.Dicts[ai], c.Tuple[a]))}
-		codes[ai] = cond.code
+		tupleCodes[ai] = cond.code
 		if h.Contains(a) {
 			anc = append(anc, cond)
 		} else {
@@ -582,7 +582,7 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 	// an attribute the tuple does not name reads "".
 	sibling := children[0]
 	for _, code := range empty {
-		codes[last] = code
+		tupleCodes[last] = code
 		vals := make([]string, k)
 		for ai, a := range attrs {
 			vals[ai] = c.Tuple[a]
@@ -590,7 +590,7 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 		vals[last] = dict[code]
 		pred := make(map[agg.Func]float64, len(models))
 		for f, sm := range models {
-			pred[f] = sm.predict(sm.fs.Row(codes), sm.rowOf(sibling))
+			pred[f] = sm.predict(sm.fs.Row(tupleCodes), sm.rowOf(sibling))
 		}
 		hr.Ranked = append(hr.Ranked, score(agg.Group{Vals: vals}, pred))
 	}
