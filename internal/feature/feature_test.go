@@ -390,3 +390,30 @@ func TestRowByCode(t *testing.T) {
 		t.Errorf("intercept at no code = %v, want 1", row[0])
 	}
 }
+
+// TestLagFeatureLeadsAndLags: a positive lag reads the group lag time values
+// earlier, a negative one the group -lag values later, and a group with no
+// counterpart that far away keeps its own statistic, at either end.
+func TestLagFeatureLeadsAndLags(t *testing.T) {
+	groups := agg.GroupBy(demo(), []string{"district", "village", "year"}, "severity")
+	yi := slices.Index(groups.Attrs, "year")
+	other := map[string]string{"1986": "1987", "1987": "1986"}
+	for _, tc := range []struct {
+		lag      int
+		readFrom string // the year whose groups read the other year's statistic
+	}{{1, "1987"}, {-1, "1986"}, {0, ""}, {2, ""}, {-2, ""}} {
+		got := LagFeature("year", tc.lag).Fn(groups, agg.Mean)
+		for gi, g := range groups.Groups {
+			want := g.Stats.Get(agg.Mean)
+			if g.Vals[yi] == tc.readFrom {
+				vals := slices.Clone(g.Vals)
+				vals[yi] = other[vals[yi]]
+				src, _ := groups.Get(vals)
+				want = src.Stats.Get(agg.Mean)
+			}
+			if got[gi] != want {
+				t.Errorf("lag %d, group %v: %v, want %v", tc.lag, g.Vals, got[gi], want)
+			}
+		}
+	}
+}

@@ -66,8 +66,9 @@ func BuildWithGroupFeatures(groups *agg.Result, spec Spec, gfs []GroupFeature) (
 // LagFeature builds a temporal lag group feature: each group's feature is
 // the modeled statistic of the group whose timeAttr value precedes it by lag
 // positions (in the sorted order of timeAttr values), with every other
-// attribute equal. Groups without a lagged counterpart receive their own
-// statistic (no signal).
+// attribute equal. A negative lag is a lead: the group -lag positions later.
+// Groups without a lagged (or led) counterpart receive their own statistic
+// (no signal).
 func LagFeature(timeAttr string, lag int) GroupFeature {
 	return GroupFeature{
 		Name: fmt.Sprintf("lag%d:%s", lag, timeAttr),
@@ -90,9 +91,10 @@ func LagFeature(timeAttr string, lag int) GroupFeature {
 			// Look up the group with the time value replaced by the value
 			// lag positions earlier.
 			for gi, g := range groups.Groups {
-				if p, _ := slices.BinarySearch(order, g.Vals[ti]); p >= lag {
+				p, _ := slices.BinarySearch(order, g.Vals[ti])
+				if q := p - lag; q >= 0 && q < len(order) {
 					vals := slices.Clone(g.Vals)
-					vals[ti] = order[p-lag]
+					vals[ti] = order[q]
 					if prev, ok := groups.Get(vals); ok {
 						out[gi] = prev.Stats.Get(target)
 					}

@@ -144,7 +144,8 @@ func ParseHierarchies(spec string) ([]Hierarchy, error) { return data.ParseHiera
 
 // LagFeature builds a per-group feature holding the group's target statistic
 // at time − lag along timeAttr (trend and seasonality features for temporal
-// data).
+// data). A negative lag is a lead, time + |lag|. A group with no such
+// counterpart holds its own statistic.
 func LagFeature(timeAttr string, lag int) GroupFeature { return feature.LagFeature(timeAttr, lag) }
 
 // AuxGroupFeature builds a per-group feature from an auxiliary table joined
