@@ -110,3 +110,51 @@ func BenchmarkWarmRecommend(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMemoChurn is serve_interactive's mix on one engine at the served
+// budget: two users over the cubed leaf fixture, taking turns, each
+// alternating a root-state complaint with one at the next leaf pin state
+// (≈ 10k groups each; the three do not fit in the budget together). Every op
+// is one recommend; builds/op counts the memo builds of every kind and
+// evictions/op the entries evicted, so the figure shows what the eviction
+// rule makes each state rebuild.
+func BenchmarkMemoChurn(b *testing.B) {
+	eng := leafEngine(b, leafDataset(1), leafConfig{cube: true, shards: 1})
+	ds := eng.Dataset()
+	newSession := func(groupBy []string) *Session {
+		sess, err := eng.NewSession(groupBy)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return sess
+	}
+	type op struct {
+		sess *Session
+		c    Complaint
+	}
+	var ops []op
+	root := newSession(nil)
+	for turn := range 2 * len(leafPinStates) {
+		user, leaf := turn%2, leafPinStates[turn%len(leafPinStates)]
+		f := []agg.Func{agg.Mean, agg.Std}[user]
+		ops = append(ops,
+			op{root, leafComplaint(ds, nil, f, 0, user)},
+			op{newSession(leaf), leafComplaint(ds, leaf, f, 97*(turn+1), user)})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		o := ops[i%len(ops)]
+		if _, err := o.sess.Recommend(o.c); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	st := eng.MemoStats()
+	var builds uint64
+	for _, n := range st.Builds {
+		builds += n
+	}
+	b.ReportMetric(float64(builds)/float64(b.N), "builds/op")
+	b.ReportMetric(float64(st.Evictions)/float64(b.N), "evictions/op")
+}

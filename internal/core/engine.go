@@ -334,13 +334,22 @@ func (s *Session) recommend(rec SpanRecorder, c Complaint) (*Recommendation, err
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("core: every hierarchy is fully drilled")
 	}
-	// Fan the candidate hierarchies out over the worker pool. Each slot is
-	// independent (its own GroupBy granularity and models), so results land
-	// at their candidate index and the ranking below stays byte-identical
-	// to the sequential path.
+	// Fan the candidate hierarchies out over the worker pool, after answering
+	// inline those whose γ and fits are published. Each slot is independent
+	// (its own GroupBy granularity and models), so results land at their
+	// candidate index and the ranking below stays byte-identical to the
+	// sequential path.
 	evaluated := make([]*HierarchyResult, len(cands))
 	errs := make([]error, len(cands))
-	s.eng.forEach(len(cands), func(i int) {
+	stats := c.baseStats()
+	s.eng.forEach(len(cands), func(i int) bool {
+		attrs := s.eng.drillAttrs(cands[i], st.depth)
+		keys := make([]string, len(stats)) // a kept fit's γ is kept
+		for j, stat := range stats {
+			keys[j] = fitKey(attrs, c.Measure, stat)
+		}
+		return s.eng.memo.published(keys...)
+	}, func(i int) {
 		evaluated[i], errs[i] = s.eng.evaluateHierarchy(cands[i], c, st)
 	})
 	for i, err := range errs {
@@ -369,19 +378,26 @@ func scoreLess(a, b float64) bool {
 	return a < b || (math.IsNaN(b) && !math.IsNaN(a))
 }
 
-// forEach runs fn(0..n-1) on the engine's worker budget: inline when the
-// budget is one worker (or there is one unit of work), otherwise over a
-// bounded pool of min(Workers, n) goroutines. It backs both the Recommend
-// fan-out (candidate hierarchies, per-statistic fits) and the shard
-// scatter-gather. A panic inside a pool worker is re-raised on the calling
-// goroutine, so callers' recover semantics match the sequential path.
-func (e *Engine) forEach(n int, fn func(i int)) {
-	workers := e.opts.Workers
-	if workers > n {
-		workers = n
+// forEach runs fn(0..n-1) on the engine's worker budget. Each i that warm
+// (when non-nil) reports runs first, inline on the calling goroutine: work
+// that is only memo hits costs less than a goroutine's start. The rest run
+// inline when the budget is one worker (or one unit of work is left),
+// otherwise over a bounded pool of min(Workers, n) goroutines. It backs both
+// the Recommend fan-out (candidate hierarchies, per-statistic fits) and the
+// shard scatter-gather. A panic inside a pool worker is re-raised on the
+// calling goroutine, so callers' recover semantics match the sequential path.
+func (e *Engine) forEach(n int, warm func(i int) bool, fn func(i int)) {
+	todo := make([]int, 0, n)
+	for i := range n {
+		if warm != nil && warm(i) {
+			fn(i)
+		} else {
+			todo = append(todo, i)
+		}
 	}
+	workers := min(e.opts.Workers, len(todo))
 	if workers <= 1 {
-		for i := 0; i < n; i++ {
+		for _, i := range todo {
 			fn(i)
 		}
 		return
@@ -405,7 +421,7 @@ func (e *Engine) forEach(n int, fn func(i int)) {
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
+	for _, i := range todo {
 		idx <- i
 	}
 	close(idx)
@@ -631,12 +647,15 @@ type statModel struct {
 }
 
 // fitModels returns one multi-level model per required base statistic. The
-// per-statistic fits are independent, so they run on the worker pool too.
+// per-statistic fits are independent, so those not yet published run on the
+// worker pool too.
 func (e *Engine) fitModels(h data.Hierarchy, groups *agg.Result, c Complaint, depth map[string]int) (map[agg.Func]*statModel, error) {
 	stats := c.baseStats()
 	fitted := make([]*statModel, len(stats))
 	errs := make([]error, len(stats))
-	e.forEach(len(stats), func(i int) {
+	e.forEach(len(stats), func(i int) bool {
+		return e.memo.published(fitKey(groups.Attrs, groups.Measure, stats[i]))
+	}, func(i int) {
 		fitted[i], errs[i] = e.fitModel(h, groups, stats[i], depth)
 	})
 	models := make(map[agg.Func]*statModel, len(stats))
@@ -655,15 +674,16 @@ func (e *Engine) fitModels(h data.Hierarchy, groups *agg.Result, c Complaint, de
 // hierarchy's depth, so the factorizer and TrainerAuto's choice are functions
 // of the key too. A fit is priced 0 and kept only while its γ is (memo.go).
 func (e *Engine) fitModel(h data.Hierarchy, groups *agg.Result, stat agg.Func, depth map[string]int) (*statModel, error) {
-	return memoGet(e.memo, memoKey("fit", groups.Attrs, groups.Measure, string(stat)), func() (*statModel, error) {
+	key := fitKey(groups.Attrs, groups.Measure, stat)
+	return memoGet(e.memo, key, func() (*statModel, error) {
 		return e.train(e.opts.Trainer, h, groups, stat, depth)
-	}, func(*statModel) int {
-		gkey := groupsKey(groups.Attrs, groups.Measure)
-		if _, kept := e.memo.entries[gkey]; kept && groups.Len() <= e.memo.budget {
-			return 0
-		}
-		return e.memo.budget + 1 // served, never retained
-	})
+	}, func(*statModel) int { return e.memo.retainWith(key, groupsKey(groups.Attrs, groups.Measure)) })
+}
+
+// fitKey is a fit's memo key: its γ's attributes and measure, and the
+// statistic.
+func fitKey(attrs []string, measure string, stat agg.Func) string {
+	return memoKey("fit", attrs, measure, string(stat))
 }
 
 // train fits the multi-level model of stat over groups with the given backend
@@ -910,7 +930,7 @@ func trainCross(fz *factor.Factorizer, groups *agg.Result, fs *feature.Set, y []
 		fs:      fs,
 		preds:   out,
 		predict: predictor(model, zmask),
-		rowOf:   func(gi int) int { return rowOf[gi] },
+		rowOf:   func(gi int) int { return int(rowOf[gi]) },
 	}, nil
 }
 
@@ -936,7 +956,7 @@ func (e *Engine) PredictGroupStats(attrs []string, measure string, stat agg.Func
 // matrix's iteration order. The group-by codes against its sources'
 // dictionaries, so a group's leaf is read off the deepest level's code →
 // position table.
-func groupRowIndex(fz *factor.Factorizer, groups *agg.Result) ([]int, error) {
+func groupRowIndex(fz *factor.Factorizer, groups *agg.Result) ([]int32, error) {
 	// Per hierarchy position, the deepest attribute's index within
 	// groups.Attrs and that level's code → leaf table.
 	nh := fz.NumHierarchies()
@@ -952,7 +972,7 @@ func groupRowIndex(fz *factor.Factorizer, groups *agg.Result) ([]int, error) {
 		}
 		leafOf[pos] = lv.Index
 	}
-	rowOf := make([]int, groups.Len())
+	rowOf := make([]int32, groups.Len())
 	leaf := make([]int, nh)
 	for gi := range rowOf {
 		for pos, ai := range deepAttr {
@@ -961,7 +981,7 @@ func groupRowIndex(fz *factor.Factorizer, groups *agg.Result) ([]int, error) {
 				return nil, fmt.Errorf("core: value %q not in factorizer hierarchy %q", groups.Dicts[ai][code], fz.HierarchyName(pos))
 			}
 		}
-		rowOf[gi] = fz.RowIndexOf(leaf)
+		rowOf[gi] = int32(fz.RowIndexOf(leaf)) // NewFactorised caps rows at MaxInt32
 	}
 	return rowOf, nil
 }

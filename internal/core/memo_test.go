@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -260,7 +261,7 @@ func TestWarmEngineMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestMemoBudget lowers the budget under a drill walk: the table must reset
+// TestMemoBudget lowers the budget under a drill walk: the table must evict
 // rather than grow, an entry larger than the whole budget must be served but
 // not kept, and no answer may change.
 func TestMemoBudget(t *testing.T) {
@@ -284,7 +285,7 @@ func TestMemoBudget(t *testing.T) {
 			t.Errorf("budget %d: table retains %d groups", budget, eng.memo.used)
 		}
 		if _, kept := eng.memo.entries[`groups ["district"] "severity"`]; kept {
-			t.Errorf("budget %d: the first state's group-by survived, so the table never reset", budget)
+			t.Errorf("budget %d: the first state's group-by survived, so the table never evicted", budget)
 		}
 		if _, deepest := eng.memo.entries[`groups ["year" "district" "village"] "severity"`]; budget < 120 && deepest {
 			t.Errorf("budget %d: a 120-group entry was retained", budget)
@@ -293,6 +294,111 @@ func TestMemoBudget(t *testing.T) {
 		// factorizer, after the group-bys its sources are read from.
 		if _, kept := eng.memo.entries[`factorizer ["year" "district" "village"]`]; !kept {
 			t.Errorf("budget %d: the last entry built, which fits, was not retained", budget)
+		}
+	}
+}
+
+// TestEvictionKeepsRecentStates: two sessions alternate between the root
+// state and a deepest state each (geo drilled one level under time, and geo
+// drilled through with time not drilled), under a budget that holds the root
+// state and one deepest state but not both deepest γs. Each deep visit evicts
+// the other deep state, which is less recently used than the root, so after
+// the first visit a root-state recommend builds nothing, the root γ and its
+// fits stay retained, and no answer changes.
+func TestEvictionKeepsRecentStates(t *testing.T) {
+	sc := buildScenario(19)
+	opts := Options{EMIterations: 4, Trainer: TrainerFactorised}
+	states := [][]string{nil, {"district", "year"}, {"district", "village"}}
+	tuples := []data.Predicate{{}, {"district": "d1", "year": "1992"}, {"district": "d1", "village": "d1_v0"}}
+	complaint := func(si int) Complaint {
+		return Complaint{Agg: agg.Std, Measure: "severity", Tuple: tuples[si], Direction: TooHigh}
+	}
+	newEngine := func() *Engine {
+		eng, err := NewEngine(sc.ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	newSession := func(eng *Engine, si int) *Session {
+		s, err := eng.NewSession(states[si])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	want := make([][]byte, len(states))
+	for si := range states {
+		want[si] = mustJSON(t, newSession(newEngine(), si), complaint(si))
+	}
+	// The budget is what the root state and the first deepest state retain
+	// together; the second deepest state's 120-group γ does not fit beside
+	// them.
+	eng := newEngine()
+	for si := range states {
+		mustJSON(t, newSession(eng, si), complaint(si))
+		if si == 1 {
+			eng.memo.budget = eng.memo.used
+		}
+	}
+	budget := eng.memo.budget
+
+	eng = newEngine()
+	eng.memo.budget = budget
+	sessions := make([]*Session, len(states))
+	for si := range states {
+		sessions[si] = newSession(eng, si)
+	}
+	const rootGroups, rootFit = `groups ["district"] "severity"`, `fit ["district"] "severity" "std"`
+	for round := range 4 {
+		for _, deep := range []int{1, 2} { // one session's turn, then the other's
+			before := eng.MemoStats()
+			if got := mustJSON(t, sessions[0], complaint(0)); !bytes.Equal(got, want[0]) {
+				t.Errorf("round %d: the root state differs from a fresh engine", round)
+			}
+			if after := eng.MemoStats(); (round > 0 || deep > 1) && !maps.Equal(after.Builds, before.Builds) {
+				t.Errorf("round %d: a root-state recommend built; builds %v, then %v", round, before.Builds, after.Builds)
+			}
+			if got := mustJSON(t, sessions[deep], complaint(deep)); !bytes.Equal(got, want[deep]) {
+				t.Errorf("round %d: state %v differs from a fresh engine", round, states[deep])
+			}
+			for _, key := range []string{rootGroups, rootFit} {
+				if e, ok := eng.memo.entries[key]; !ok || !e.kept {
+					t.Errorf("round %d, after state %v: %s is not retained", round, states[deep], key)
+				}
+			}
+		}
+	}
+	// Each deep visit after the first two rebuilt its γ: the other deep
+	// state's visit had evicted it.
+	st := eng.MemoStats()
+	if st.Evictions == 0 || st.RetainedGroups > budget || st.Builds["groups"] < 8 {
+		t.Errorf("memo stats %+v: want evictions, ≥ 8 group-bys built, at most %d groups retained", st, budget)
+	}
+}
+
+// TestRacingSessionsEvict: eight sessions race every step of a drill walk on
+// one engine whose budget forces evictions while builds are in flight, and
+// every answer is still what a fresh engine returns.
+func TestRacingSessionsEvict(t *testing.T) {
+	sc := buildScenario(16)
+	opts := Options{EMIterations: 4, Trainer: TrainerAuto}
+	want := runWalk(t, sc, opts, nil)
+	for _, budget := range []int{150, 100} {
+		eng, err := NewEngine(sc.ds, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.memo.budget = budget
+		for si, answers := range raceWalk(t, eng, 8) {
+			for i, got := range answers {
+				if !bytes.Equal(got, want[i]) {
+					t.Errorf("budget %d, racing session %d, step %d: differs from a fresh engine", budget, si, i)
+				}
+			}
+		}
+		if st := eng.MemoStats(); st.Evictions == 0 || st.RetainedGroups > budget {
+			t.Errorf("budget %d: memo stats %+v, want evictions within the budget", budget, st)
 		}
 	}
 }

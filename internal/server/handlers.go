@@ -523,8 +523,9 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 // per-shard row counts), open mode ("eager" or "mapped") with the resident
 // column-payload bytes that mode costs, and cube status (presence plus
 // materialized level/cell counts; on a sharded dataset, present only when
-// every shard has one, with cells summed across shards), alongside the
-// recommendation-cache hit/miss statistics that /healthz already exposes.
+// every shard has one, with cells summed across shards) and the engine memo's
+// counters, alongside the recommendation-cache hit/miss statistics that
+// /healthz already exposes.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.sweepExpiredLocked(s.now())
@@ -559,6 +560,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		if hits, misses := ent.cacheHits.Load(), ent.cacheMiss.Load(); hits+misses > 0 {
 			d.Cache = &api.CacheStats{Hits: hits, Misses: misses}
 		}
+		ms := v.Eng.MemoStats()
+		d.Memo = &api.MemoStats{Hits: ms.Hits, Builds: ms.Builds, Evictions: ms.Evictions, RetainedGroups: ms.RetainedGroups}
 		resp.Datasets[name] = d
 	}
 	s.mu.Unlock()

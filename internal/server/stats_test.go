@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/reptile/api"
@@ -10,7 +11,7 @@ import (
 
 // TestStatsEndpoint drives the full dataset lifecycle — register, recommend
 // (miss then hit), append — and checks GET /v1/stats reports the snapshot
-// version, cube status and cache counters at each step.
+// version, cube status, cache counters and engine memo counters at each step.
 func TestStatsEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := registerTestDataset(t, ts.URL)
@@ -56,6 +57,18 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Cache.Hits != 1 || st.Cache.Misses != 1 || st.Cache.Size != 1 {
 		t.Errorf("cache stats = %+v, want 1 hit, 1 miss, size 1", st.Cache)
 	}
+	// The miss fitted the one candidate's mean model; the cache hit asked the
+	// engine nothing. Another direction misses the cache and hits the memo.
+	m := st.Datasets["drought"].Memo
+	if m == nil || m.Builds["fit"] != 1 || m.Hits["fit"] != 0 || m.Builds["groups"] == 0 || m.RetainedGroups == 0 {
+		t.Fatalf("memo stats after one fit = %+v, want 1 fit built, none hit, group-bys built and retained", m)
+	}
+	if code, b := post(t, url, api.RecommendRequest{Complaint: strings.Replace(testComplaint, "dir=low", "dir=high", 1)}); code != http.StatusOK {
+		t.Fatalf("recommend: %d %s", code, b)
+	}
+	if m2 := fetch().Datasets["drought"].Memo; m2.Builds["fit"] != 1 || m2.Hits["fit"] != 1 || m2.Builds["groups"] != m.Builds["groups"] || m2.Evictions != 0 {
+		t.Errorf("memo stats after a warm recommend = %+v, want the fit hit and nothing built or evicted", m2)
+	}
 
 	// An append hot-swaps to version 2 and maintains the cube incrementally.
 	if code, b := post(t, ts.URL+"/v1/datasets/drought/append", api.AppendRequest{CSV: appendCSV}); code != http.StatusOK {
@@ -64,6 +77,9 @@ func TestStatsEndpoint(t *testing.T) {
 	d = fetch().Datasets["drought"]
 	if d.Version != 2 || d.Rows != 10 {
 		t.Errorf("post-append stats = %+v, want version 2, 10 rows", d)
+	}
+	if d.Memo == nil || d.Memo.Builds["fit"] != 0 {
+		t.Errorf("post-append memo = %+v, want the new version's engine, nothing fitted", d.Memo)
 	}
 	if !d.Cube.Present {
 		t.Error("append dropped the cube")

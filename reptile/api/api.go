@@ -376,6 +376,21 @@ type DatasetStats struct {
 	// Cache reports the recommendation cache's hit/miss counters for this
 	// dataset alone (Size is meaningful only on the global CacheStats).
 	Cache *CacheStats `json:"cache,omitempty"`
+	// Memo reports the serving version's engine memo: the table of group-bys,
+	// factor sources, factorizers and fitted models every session shares.
+	Memo *MemoStats `json:"memo,omitempty"`
+}
+
+// MemoStats counts one engine's memo since the engine was built (a new
+// dataset version starts a new engine). Hits and Builds are keyed by the kind
+// of value: "source", "groups", "factorizer" or "fit". A hit is a lookup the
+// table answered; an eviction drops one entry, a group-by's fits included.
+// RetainedGroups is the table's current size against its budget.
+type MemoStats struct {
+	Hits           map[string]uint64 `json:"hits"`
+	Builds         map[string]uint64 `json:"builds"`
+	Evictions      uint64            `json:"evictions"`
+	RetainedGroups int               `json:"retained_groups"`
 }
 
 // WALStatus is one WAL-backed dataset's durability and flusher state.
