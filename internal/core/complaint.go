@@ -104,6 +104,22 @@ func (c Complaint) Eval(v float64) float64 {
 	panic(fmt.Sprintf("core: unknown direction %d", int(c.Direction)))
 }
 
+// check names what keeps a Recommend from evaluating c: an unknown aggregate,
+// no measure, a direction Eval lacks (unless Custom is set), a non-finite target.
+func (c Complaint) check() error {
+	switch {
+	case !slices.Contains([]agg.Func{agg.Count, agg.Mean, agg.Sum, agg.Std}, c.Agg):
+		return fmt.Errorf("core: unknown aggregate %q", c.Agg)
+	case c.Measure == "":
+		return fmt.Errorf("core: complaint needs a measure attribute")
+	case c.Custom == nil && (c.Direction < TooHigh || c.Direction > ShouldBe):
+		return fmt.Errorf("core: unknown direction %d", int(c.Direction))
+	case c.Direction == ShouldBe && (math.IsNaN(c.Target) || math.IsInf(c.Target, 0)):
+		return fmt.Errorf("core: non-finite target %v", c.Target)
+	}
+	return nil
+}
+
 // baseStats returns the distributive statistics that must be modeled to
 // repair the complained aggregate: SUM decomposes into MEAN and COUNT
 // (footnote 3), STD requires the group's MEAN and STD (a shifted group mean

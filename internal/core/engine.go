@@ -127,6 +127,9 @@ type Engine struct {
 
 // NewEngine validates the dataset's hierarchy metadata and builds an engine.
 func NewEngine(ds *data.Dataset, opts Options) (*Engine, error) {
+	if ds == nil {
+		return nil, fmt.Errorf("core: nil dataset")
+	}
 	if err := ds.Validate(); err != nil {
 		return nil, err
 	}
@@ -314,8 +317,8 @@ func (s *Session) RecommendContext(ctx context.Context, c Complaint) (*Recommend
 }
 
 func (s *Session) recommend(rec SpanRecorder, c Complaint) (*Recommendation, error) {
-	if c.Measure == "" {
-		return nil, fmt.Errorf("core: complaint needs a measure attribute")
+	if err := c.check(); err != nil {
+		return nil, err
 	}
 	// Every aggregate — COUNT included — is computed over a concrete measure
 	// column, so an unknown measure is an error here rather than a panic

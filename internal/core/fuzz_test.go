@@ -7,9 +7,10 @@ import (
 
 // FuzzParseComplaint feeds arbitrary specs to the complaint parser. The
 // contract: any string either parses into a Complaint or returns an error —
-// never a panic — a successful parse names no key twice, and it must render
-// back through Key() without panicking (Key is what the recommendation cache
-// hashes, so it runs on every accepted complaint).
+// never a panic — a successful parse names no key twice, passes the check a
+// Recommend makes (so the parser and the engine cannot drift apart), and it
+// must render back through Key() without panicking (Key is what the
+// recommendation cache hashes, so it runs on every accepted complaint).
 func FuzzParseComplaint(f *testing.F) {
 	f.Add("agg=mean measure=severity dir=low district=Ofla year=1986")
 	f.Add(`agg=sum measure=votes dir=high district="New York" year=2020`)
@@ -34,6 +35,9 @@ func FuzzParseComplaint(f *testing.F) {
 				t.Fatalf("spec %q names key %q twice and parsed", spec, k)
 			}
 			keys[k] = true
+		}
+		if err := c.check(); err != nil {
+			t.Fatalf("spec %q parsed into a complaint Recommend refuses: %v", spec, err)
 		}
 		_, _ = c.Key()
 	})

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 	"unicode"
@@ -66,18 +65,10 @@ func ParseComplaint(spec string) (Complaint, error) {
 			if err != nil {
 				return c, fmt.Errorf("core: bad target %q: %w", v, err)
 			}
-			// ParseFloat accepts "NaN" and "±Inf"; a non-finite target makes
-			// every ShouldBe score NaN and the ranking meaningless.
-			if math.IsNaN(t) || math.IsInf(t, 0) {
-				return c, fmt.Errorf("core: non-finite target %q", v)
-			}
-			c.Target = t
+			c.Target = t // ParseFloat accepts "NaN" and "±Inf", which check refuses
 		default:
 			c.Tuple[k] = v
 		}
-	}
-	if c.Agg == "" || c.Measure == "" {
-		return c, fmt.Errorf("core: complaint needs agg= and measure=")
 	}
 	if c.Direction == ShouldBe && !seen["target"] {
 		return c, fmt.Errorf("core: dir=should needs target=")
@@ -88,7 +79,7 @@ func ParseComplaint(spec string) (Complaint, error) {
 	if seen["target"] && c.Direction != ShouldBe {
 		return c, fmt.Errorf("core: target= is only valid with dir=should")
 	}
-	return c, nil
+	return c, c.check()
 }
 
 // splitQuotedFields splits on whitespace, treating double-quoted regions as

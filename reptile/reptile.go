@@ -255,6 +255,9 @@ func Open(path string, opts ...Option) (*Engine, error) {
 // WithHierarchies are not accepted here: the dataset already carries its
 // schema.
 func New(ds *Dataset, opts ...Option) (*Engine, error) {
+	if ds == nil {
+		return nil, fmt.Errorf("reptile: nil dataset")
+	}
 	cfg, err := buildConfig(opts)
 	if err != nil {
 		return nil, err

@@ -187,6 +187,43 @@ func TestNewRejectsSchemaOptions(t *testing.T) {
 	}
 }
 
+// TestInvalidInputsReturnErrors: a nil dataset and a complaint the engine
+// cannot evaluate are errors that name what is wrong, never panics.
+func TestInvalidInputsReturnErrors(t *testing.T) {
+	recommend := func(c reptile.Complaint) error {
+		eng, err := reptile.Open(writeTestCSV(t), reptile.WithMeasures("severity"), reptile.WithHierarchies(testHierarchies))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := eng.NewSession([]string{"district", "year"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sess.Recommend(c)
+		return err
+	}
+	tuple := reptile.Predicate{"district": "Ofla", "year": "1986"}
+	cases := []struct {
+		name string
+		run  func() error
+		want string
+	}{
+		{"reptile.New(nil)", func() error { _, err := reptile.New(nil); return err }, "nil dataset"},
+		{"core.NewEngine(nil)", func() error { _, err := core.NewEngine(nil, core.Options{}); return err }, "nil dataset"},
+		{"unknown aggregate", func() error {
+			return recommend(reptile.Complaint{Agg: "median", Measure: "severity", Tuple: tuple})
+		}, `"median"`},
+		{"unknown direction", func() error {
+			return recommend(reptile.Complaint{Agg: reptile.Mean, Measure: "severity", Tuple: tuple, Direction: 9})
+		}, "direction 9"},
+	}
+	for _, tc := range cases {
+		if err := tc.run(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %s", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestHierarchyOptionsCompose pins that the spec and structured hierarchy
 // options append rather than overwrite, in either order.
 func TestHierarchyOptionsCompose(t *testing.T) {
