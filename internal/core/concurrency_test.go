@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/agg"
 	"repro/internal/data"
@@ -199,7 +200,7 @@ func TestRecommendRacingDrill(t *testing.T) {
 }
 
 // TestConcurrentTrainCrossSharesFactorizer runs the per-statistic fits the
-// way fitModels does — several trainCross calls on pool goroutines over one
+// way a Recommend's jobs do — several trainCross calls on pool goroutines over one
 // memoised factorizer, here a fresh one nothing has read yet — and asserts
 // each equals a sequential fit over a factorizer of its own. Whatever a fit
 // derives from the factorizer (transition tables, counts, clusters) must be
@@ -319,6 +320,43 @@ func TestConcurrentFitsShareLazyGroupIndex(t *testing.T) {
 				t.Fatalf("round %d caller %d: recommendation differs from the sequential engine's", round, i)
 			}
 		}
+	}
+}
+
+// TestRecommendFitsBoundedByWorkers: a Recommend runs at most Workers model
+// fits at once. A root-state STD complaint has two candidates (district,
+// year) and two statistics (mean, std), four fits in all; a custom
+// featurization on each candidate's attribute sleeps while it counts the
+// fits in flight.
+func TestRecommendFitsBoundedByWorkers(t *testing.T) {
+	const workers = 2
+	var mu sync.Mutex
+	inflight, peak := 0, 0
+	slow := func(vals []string, _ *agg.Result) map[string]float64 {
+		mu.Lock()
+		inflight++
+		peak = max(peak, inflight)
+		mu.Unlock()
+		time.Sleep(30 * time.Millisecond)
+		mu.Lock()
+		inflight--
+		mu.Unlock()
+		return map[string]float64{vals[0]: 1}
+	}
+	eng, err := NewEngine(buildScenario(1).ds, Options{EMIterations: 4, Workers: workers,
+		Custom: []feature.Custom{{Name: "d", Attr: "district", Fn: slow}, {Name: "y", Attr: "year", Fn: slow}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := eng.NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Recommend(Complaint{Agg: agg.Std, Measure: "severity", Tuple: data.Predicate{}, Direction: TooHigh}); err != nil {
+		t.Fatal(err)
+	}
+	if peak > workers {
+		t.Errorf("%d fits ran at once, want at most Workers = %d", peak, workers)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"maps"
@@ -11,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/agg"
 	"repro/internal/data"
@@ -81,14 +83,13 @@ type Options struct {
 	// expected values for the complaint's base statistics, and returns the
 	// repaired statistics.
 	Repair func(s agg.Stats, pred map[agg.Func]float64) agg.Stats
-	// KeepLeaky disables the one-to-one main-effect guard (tests only).
+	// KeepLeaky disables the one-to-one main-effect guard (AblationLeakGuard).
 	KeepLeaky bool
-	// Workers bounds the fan-out at each level of a Recommend call:
-	// candidate hierarchies run on a pool of at most Workers goroutines,
-	// and within each hierarchy the per-statistic model fits do too.
-	// 0 (the default) selects runtime.NumCPU(); 1 forces the sequential
-	// path. Parallel evaluation is deterministic: it produces the same
-	// recommendation as Workers == 1.
+	// Workers bounds a Recommend call's fan-out: its model fits, one per
+	// (candidate hierarchy, base statistic), run on one pool of at most
+	// Workers goroutines. 0 (the default) selects runtime.NumCPU(); 1 forces
+	// the sequential path. Parallel evaluation is deterministic: it produces
+	// the same recommendation as Workers == 1.
 	Workers int
 }
 
@@ -328,41 +329,39 @@ func (s *Session) recommend(rec SpanRecorder, c Complaint) (*Recommendation, err
 	}
 	st := s.snapshot()
 	st.rec = rec
-	var cands []data.Hierarchy
+	stats := c.baseStats()
+	var cands []*candidate
 	for _, h := range s.eng.ds.Hierarchies {
 		if st.depth[h.Name] < len(h.Attrs) {
-			cands = append(cands, h)
+			cands = append(cands, &candidate{h: h, attrs: s.eng.drillAttrs(h, st.depth),
+				fits: make([]*statModel, len(stats)), errs: make([]error, len(stats))})
 		}
 	}
 	if len(cands) == 0 {
 		return nil, fmt.Errorf("core: every hierarchy is fully drilled")
 	}
-	// Fan the candidate hierarchies out over the worker pool, after answering
-	// inline those whose γ and fits are published. Each slot is independent
-	// (its own GroupBy granularity and models), so results land at their
-	// candidate index and the ranking below stays byte-identical to the
-	// sequential path.
-	evaluated := make([]*HierarchyResult, len(cands))
-	errs := make([]error, len(cands))
-	stats := c.baseStats()
-	s.eng.forEach(len(cands), func(i int) bool {
-		attrs := s.eng.drillAttrs(cands[i], st.depth)
-		keys := make([]string, len(stats)) // a kept fit's γ is kept
-		for j, stat := range stats {
-			keys[j] = fitKey(attrs, c.Measure, stat)
-		}
-		return s.eng.memo.published(keys...)
-	}, func(i int) {
-		evaluated[i], errs[i] = s.eng.evaluateHierarchy(cands[i], c, st)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: evaluating hierarchy %q: %w", cands[i].Name, err)
+	// One job per (candidate, statistic), statistic-major so that the pool's
+	// first jobs build different γs. A job whose fit is published (so is its
+	// γ) runs inline, the rest on the pool. Each job writes its own slots, so
+	// the answer stays byte-identical to the sequential path.
+	var cold []job
+	for si, stat := range stats {
+		for _, cd := range cands {
+			j := job{cd, si, fitKey(cd.attrs, c.Measure, stat)}
+			if s.eng.memo.published(j.key) {
+				s.eng.runJob(j, c, stats, st)
+			} else {
+				cold = append(cold, j)
+			}
 		}
 	}
+	s.eng.forEach(len(cold), func(i int) { s.eng.runJob(cold[i], c, stats, st) })
 	results := make([]HierarchyResult, len(cands))
-	for i, hr := range evaluated {
-		results[i] = *hr
+	for i, cd := range cands { // the first error in candidate, then statistic order
+		if err := cmp.Or(cmp.Or(cd.errs...), cd.err); err != nil {
+			return nil, fmt.Errorf("core: evaluating hierarchy %q: %w", cd.h.Name, err)
+		}
+		results[i] = *cd.res
 	}
 	best := &results[0]
 	for i := range results {
@@ -381,26 +380,14 @@ func scoreLess(a, b float64) bool {
 	return a < b || (math.IsNaN(b) && !math.IsNaN(a))
 }
 
-// forEach runs fn(0..n-1) on the engine's worker budget. Each i that warm
-// (when non-nil) reports runs first, inline on the calling goroutine: work
-// that is only memo hits costs less than a goroutine's start. The rest run
-// inline when the budget is one worker (or one unit of work is left),
-// otherwise over a bounded pool of min(Workers, n) goroutines. It backs both
-// the Recommend fan-out (candidate hierarchies, per-statistic fits) and the
-// shard scatter-gather. A panic inside a pool worker is re-raised on the
-// calling goroutine, so callers' recover semantics match the sequential path.
-func (e *Engine) forEach(n int, warm func(i int) bool, fn func(i int)) {
-	todo := make([]int, 0, n)
-	for i := range n {
-		if warm != nil && warm(i) {
-			fn(i)
-		} else {
-			todo = append(todo, i)
-		}
-	}
-	workers := min(e.opts.Workers, len(todo))
+// forEach runs fn(0..n-1) on the engine's worker budget: inline for one
+// worker or one unit of work, else on a pool of min(Workers, n) goroutines.
+// It backs the Recommend fan-out and the shard scatter-gather. A panic in a
+// pool worker is re-raised on the calling goroutine, as on the sequential path.
+func (e *Engine) forEach(n int, fn func(i int)) {
+	workers := min(e.opts.Workers, n)
 	if workers <= 1 {
-		for _, i := range todo {
+		for i := range n {
 			fn(i)
 		}
 		return
@@ -424,7 +411,7 @@ func (e *Engine) forEach(n int, warm func(i int) bool, fn func(i int)) {
 			}
 		}()
 	}
-	for _, i := range todo {
+	for i := range n {
 		idx <- i
 	}
 	close(idx)
@@ -437,9 +424,10 @@ func (e *Engine) forEach(n int, warm func(i int) bool, fn func(i int)) {
 }
 
 // groups returns γ at the given granularity: the data plane's group-by,
-// memoised per (attrs, measure). Over partitions the call is the
-// scatter-gather, which rec, when non-nil, records as a "scatter" span.
+// memoised per (attrs, measure). rec, when non-nil, records the call as a
+// "groupby" span and, over partitions, its scatter-gather as a "scatter" one.
 func (e *Engine) groups(rec SpanRecorder, attrs []string, measure string) (*agg.Result, error) {
+	defer startSpan(rec, "groupby")()
 	return memoGet(e.memo, groupsKey(attrs, measure), func() (*agg.Result, error) {
 		if _, ok := e.src.(*gather); ok {
 			defer startSpan(rec, "scatter")()
@@ -485,25 +473,48 @@ func (e *Engine) drillAttrs(h data.Hierarchy, depth map[string]int) []string {
 	return append(out, h.Attrs[:depth[h.Name]+1]...)
 }
 
-func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) (*HierarchyResult, error) {
+// candidate is one Recommend call's drill-down into hierarchy h: the fits
+// its jobs write, one slot per base statistic, and the evaluation its last
+// job to finish ranks.
+type candidate struct {
+	h     data.Hierarchy
+	attrs []string // the drilled group-by (drillAttrs)
+	fits  []*statModel
+	errs  []error
+	done  atomic.Int32 // jobs finished
+	res   *HierarchyResult
+	err   error
+}
+
+// job fits the si-th base statistic of a candidate, under the fit's memo key.
+type job struct {
+	cd  *candidate
+	si  int
+	key string
+}
+
+// runJob fetches the candidate's γ (the parallel groups: the whole dataset at
+// the drilled granularity) and fits the job's model over it; the candidate's
+// last job to finish ranks it, unless one of its jobs failed.
+func (e *Engine) runJob(j job, c Complaint, stats []agg.Func, st evalState) {
+	cd := j.cd
+	groups, err := e.groups(st.rec, cd.attrs, c.Measure)
+	if err == nil {
+		endFit := startSpan(st.rec, "fit")
+		cd.fits[j.si], err = e.fitModel(cd.h, groups, stats[j.si], st.depth, j.key)
+		endFit()
+	}
+	cd.errs[j.si] = err
+	if int(cd.done.Add(1)) == len(stats) && cmp.Or(cd.errs...) == nil {
+		cd.res, cd.err = e.evaluateHierarchy(cd.h, groups, stats, cd.fits, c, st)
+	}
+}
+
+// evaluateHierarchy ranks the drill-down groups of h over its γ, scoring each
+// with the expected values of the fits, one per base statistic.
+func (e *Engine) evaluateHierarchy(h data.Hierarchy, groups *agg.Result, stats []agg.Func, fits []*statModel, c Complaint, st evalState) (*HierarchyResult, error) {
 	attr := h.Attrs[st.depth[h.Name]]
-	attrs := e.drillAttrs(h, st.depth)
-
-	// Parallel groups: the whole dataset at the drilled granularity.
-	endGroupBy := startSpan(st.rec, "groupby")
-	groups, err := e.groups(st.rec, attrs, c.Measure)
-	endGroupBy()
-	if err != nil {
-		return nil, err
-	}
-
-	// One model per required base statistic.
-	endFit := startSpan(st.rec, "fit")
-	models, err := e.fitModels(h, groups, c, st.depth)
-	endFit()
-	if err != nil {
-		return nil, err
-	}
+	attrs := groups.Attrs
 
 	// The tuple as codes of the drilled relation, translated once: anc holds
 	// the conditions on attributes of the drilled hierarchy, rest the others,
@@ -589,9 +600,9 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 	hr := &HierarchyResult{Hierarchy: h.Name, Attr: attr, Current: current}
 	for _, gi := range children {
 		g := groups.Group(gi)
-		pred := make(map[agg.Func]float64, len(models))
-		for f, sm := range models {
-			pred[f] = sm.preds[gi]
+		pred := make(map[agg.Func]float64, len(fits))
+		for si, sm := range fits {
+			pred[stats[si]] = sm.preds[gi]
 		}
 		hr.Ranked = append(hr.Ranked, score(g, pred))
 	}
@@ -607,9 +618,9 @@ func (e *Engine) evaluateHierarchy(h data.Hierarchy, c Complaint, st evalState) 
 			vals[ai] = c.Tuple[a]
 		}
 		vals[last] = dict[code]
-		pred := make(map[agg.Func]float64, len(models))
-		for f, sm := range models {
-			pred[f] = sm.predict(sm.fs.Row(tupleCodes), sm.rowOf(sibling))
+		pred := make(map[agg.Func]float64, len(fits))
+		for si, sm := range fits {
+			pred[stats[si]] = sm.predict(sm.fs.Row(tupleCodes), sm.rowOf(sibling))
 		}
 		hr.Ranked = append(hr.Ranked, score(agg.Group{Vals: vals}, pred))
 	}
@@ -649,35 +660,13 @@ type statModel struct {
 	rowOf func(gi int) int
 }
 
-// fitModels returns one multi-level model per required base statistic. The
-// per-statistic fits are independent, so those not yet published run on the
-// worker pool too.
-func (e *Engine) fitModels(h data.Hierarchy, groups *agg.Result, c Complaint, depth map[string]int) (map[agg.Func]*statModel, error) {
-	stats := c.baseStats()
-	fitted := make([]*statModel, len(stats))
-	errs := make([]error, len(stats))
-	e.forEach(len(stats), func(i int) bool {
-		return e.memo.published(fitKey(groups.Attrs, groups.Measure, stats[i]))
-	}, func(i int) {
-		fitted[i], errs[i] = e.fitModel(h, groups, stats[i], depth)
-	})
-	models := make(map[agg.Func]*statModel, len(stats))
-	for i, stat := range stats {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		models[stat] = fitted[i]
-	}
-	return models, nil
-}
-
 // fitModel returns the multi-level model of one base statistic over the
-// drilled group-by, memoised per (attributes, measure, statistic): the
-// attribute list fixes the drilled hierarchy, its last attribute's, and every
-// hierarchy's depth, so the factorizer and TrainerAuto's choice are functions
-// of the key too. A fit is priced 0 and kept only while its γ is (memo.go).
-func (e *Engine) fitModel(h data.Hierarchy, groups *agg.Result, stat agg.Func, depth map[string]int) (*statModel, error) {
-	key := fitKey(groups.Attrs, groups.Measure, stat)
+// drilled group-by, memoised under key, fitKey(groups.Attrs, groups.Measure,
+// stat): the attribute list fixes the drilled hierarchy, its last
+// attribute's, and every hierarchy's depth, so the factorizer and
+// TrainerAuto's choice are functions of the key too. A fit is priced 0 and
+// kept only while its γ is (memo.go).
+func (e *Engine) fitModel(h data.Hierarchy, groups *agg.Result, stat agg.Func, depth map[string]int, key string) (*statModel, error) {
 	return memoGet(e.memo, key, func() (*statModel, error) {
 		return e.train(e.opts.Trainer, h, groups, stat, depth)
 	}, func(*statModel) int { return e.memo.retainWith(key, groupsKey(groups.Attrs, groups.Measure)) })

@@ -179,17 +179,12 @@ func (m *memo) retainWith(key, owner string) int {
 	return m.budget + 1
 }
 
-// published reports whether every key holds a kept entry, so that getting
-// each runs no build.
-func (m *memo) published(keys ...string) bool {
+// published reports whether key holds a kept entry, whose get builds nothing.
+func (m *memo) published(key string) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, k := range keys {
-		if e, ok := m.entries[k]; !ok || !e.kept {
-			return false
-		}
-	}
-	return true
+	e, ok := m.entries[key]
+	return ok && e.kept
 }
 
 // MemoStats counts an engine's memo since the engine was built.

@@ -59,7 +59,7 @@ func NewShardedEngine(schema *data.Dataset, workers []ShardWorker, opts Options)
 	if err != nil {
 		return nil, err
 	}
-	eng.src = &gather{workers: slices.Clone(workers), forEach: func(n int, fn func(i int)) { eng.forEach(n, nil, fn) }}
+	eng.src = &gather{workers: slices.Clone(workers), forEach: eng.forEach}
 	return eng, nil
 }
 

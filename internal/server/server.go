@@ -71,8 +71,8 @@ type Config struct {
 	CacheSize int
 	// MaxInflight caps concurrent Recommend evaluations per engine; excess
 	// requests wait QueueWait and then answer 429. Each admitted request
-	// fans out onto its own pool of the engine's Workers goroutines, so
-	// MaxInflight × Workers bounds a dataset's evaluation goroutines. 0
+	// runs its fits on one pool of the engine's Workers goroutines, so
+	// MaxInflight × Workers bounds an unsharded dataset's concurrent fits. 0
 	// defaults to the engine's worker-pool size.
 	MaxInflight int
 	// QueueWait is how long an over-limit Recommend waits for a slot before

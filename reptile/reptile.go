@@ -59,10 +59,10 @@ type config struct {
 // Option configures Open and New.
 type Option func(*config)
 
-// WithWorkers bounds the evaluation worker pool of each Recommend call.
-// 0 (the default) selects the number of CPUs; 1 forces the sequential path.
-// Parallel evaluation is deterministic: it produces the same recommendation
-// as a single worker.
+// WithWorkers bounds the evaluation worker pool of each Recommend call: at
+// most n of its model fits run at once. 0 (the default) selects the number of
+// CPUs; 1 forces the sequential path. Parallel evaluation is deterministic:
+// it produces the same recommendation as a single worker.
 func WithWorkers(n int) Option { return func(c *config) { c.core.Workers = n } }
 
 // WithEMIterations sets the EM iterations per model fit (default 20, the
